@@ -105,21 +105,17 @@ struct Row {
 }
 
 /// One catalog-size point of the flat-match sweep: the fig4 query
-/// normalized over the first `rules` catalog rules, tree-indexed vs
-/// head-indexed, cost expressed per rewrite step.
+/// normalized over the first `rules` catalog rules, tree-indexed, cost
+/// expressed per rewrite step.
 struct SweepRow {
     rules: usize,
     steps: usize,
     tree_ns: u128,
-    head_ns: u128,
 }
 
 impl SweepRow {
     fn tree_per_step(&self) -> f64 {
         self.tree_ns as f64 / self.steps.max(1) as f64
-    }
-    fn head_per_step(&self) -> f64 {
-        self.head_ns as f64 / self.steps.max(1) as f64
     }
 }
 
@@ -175,25 +171,19 @@ fn sweep_query() -> Query {
 /// the larger points equally.
 fn sweep(catalog: &Catalog, props: &PropDb, sizes: &[usize], query: &Query) -> Vec<SweepRow> {
     let budget = Budget::default();
-    let mut points: Vec<(usize, usize, Engine, Engine)> = sizes
+    let mut points: Vec<(usize, usize, Engine)> = sizes
         .iter()
         .map(|&size| {
             let rules: Vec<Oriented> = catalog.rules()[..size].iter().map(Oriented::fwd).collect();
-            let mut tree = Engine::new(rules.clone(), props, EngineConfig::indexed());
-            let mut head = Engine::new(rules, props, EngineConfig::head_indexed());
+            let mut tree = Engine::new(rules, props, EngineConfig::indexed());
             let reference = tree.normalize(query, &budget);
-            let check = head.normalize(query, &budget);
-            assert_eq!(
-                check.query, reference.query,
-                "sweep@{size}: head-indexed engine disagrees with tree-indexed"
-            );
             assert!(
                 reference.report.steps > 1,
                 "sweep@{size}: workload normalized in {} step(s) — per-step \
                  cost would be per-run overhead, not match cost",
                 reference.report.steps
             );
-            (size, reference.report.steps, tree, head)
+            (size, reference.report.steps, tree)
         })
         .collect();
 
@@ -203,21 +193,15 @@ fn sweep(catalog: &Catalog, props: &PropDb, sizes: &[usize], query: &Query) -> V
             rules,
             steps,
             tree_ns: u128::MAX,
-            head_ns: u128::MAX,
         })
         .collect();
     for round in 0..3 {
-        for (row, (size, _, tree, head)) in rows.iter_mut().zip(points.iter_mut()) {
+        for (row, (size, _, tree)) in rows.iter_mut().zip(points.iter_mut()) {
             let tree_ns = bench_ns(&format!("sweep{size}/tree#{round}"), || {
                 tree.reset_caches();
                 tree.normalize(black_box(query), &budget)
             });
-            let head_ns = bench_ns(&format!("sweep{size}/head#{round}"), || {
-                head.reset_caches();
-                head.normalize(black_box(query), &budget)
-            });
             row.tree_ns = row.tree_ns.min(tree_ns);
-            row.head_ns = row.head_ns.min(head_ns);
         }
     }
     rows
@@ -418,14 +402,12 @@ fn render_json(rows: &[Row], sweep: &[SweepRow], saturation: &[SatRow]) -> Strin
     out.push_str("  \"sweep\": [\n");
     for (i, s) in sweep.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"rules\": {}, \"steps\": {}, \"tree_ns\": {}, \"head_ns\": {}, \
-             \"tree_per_step_ns\": {:.1}, \"head_per_step_ns\": {:.1}}}{}\n",
+            "    {{\"rules\": {}, \"steps\": {}, \"tree_ns\": {}, \
+             \"tree_per_step_ns\": {:.1}}}{}\n",
             s.rules,
             s.steps,
             s.tree_ns,
-            s.head_ns,
             s.tree_per_step(),
-            s.head_per_step(),
             if i + 1 < sweep.len() { "," } else { "" }
         ));
     }

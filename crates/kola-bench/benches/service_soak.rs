@@ -22,8 +22,8 @@
 //! clean 4-worker throughput ≥ 1.5× 1-worker, and chaos 8-worker
 //! throughput ≥ 2× 1-worker (4-worker ≥ 1.5× in smoke mode, which skips
 //! the 8-worker-scale confidence a 300-request stream cannot give). The
-//! chaos gate is the one the degraded path earns: with the breaker, trace
-//! ring, and reference rung sharded per worker, a fault-saturated stream
+//! chaos gate is the one the degraded path earns: with the breaker and
+//! trace ring sharded per worker, a fault-saturated stream
 //! must scale too — a global lock on any failure surface would flatten it.
 //! The measured ratios on an idle host leave generous headroom for noisy
 //! shared runners. The clean stream runs with tracing **off** — the
@@ -211,7 +211,7 @@ fn clean_rows(requests: usize) -> Vec<Row> {
         let report = run_clean_stream(&cfg);
         assert_eq!(
             report.other, 0,
-            "clean stream must optimize every request on the fast rung \
+            "clean stream must optimize every request \
              ({} of {} did not)",
             report.other, report.requests
         );

@@ -3,14 +3,14 @@
 //! The fast engine's exactness contract says every layer (interning,
 //! indexing, marks, memo, epoch masking) is byte-identical to the boxed
 //! `rewrite_fix_with` over the same active rule set — so a trace recorded
-//! from *either* ladder rung must replay step-for-step on the reference
-//! engine. This module is the checkable form of that claim: feed it a
+//! from the service's fast engine must replay step-for-step on the
+//! reference engine. This module is the checkable form of that claim: feed it a
 //! trace and a catalog, and it reruns the derivation from the recorded
 //! input, budget, and fault plan, comparing each step's rule, orientation,
 //! and after-term fingerprint, then the stop reason and the returned plan.
 //!
 //! The recorded wall-clock deadline is deliberately absent (see
-//! [`RewriteTrace::stop`]): a successful rung never stopped on one, so the
+//! [`RewriteTrace::stop`]): a successful run never stopped on one, so the
 //! derivation is deadline-independent and the replay runs unclocked —
 //! which is exactly what makes it deterministic on any machine.
 //!
@@ -260,7 +260,6 @@ mod tests {
         let t = RewriteTrace::record(
             1,
             Arc::from("default"),
-            "reference",
             q,
             Arc::new(active),
             budget.max_steps,

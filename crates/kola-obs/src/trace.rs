@@ -1,7 +1,7 @@
 //! Structured rewrite traces and their bounded ring-buffer storage.
 //!
 //! A [`RewriteTrace`] is a self-contained provenance record for one
-//! successful ladder rung: the input query, the exact rule set and budget
+//! successful fast-engine run: the input query, the exact rule set and budget
 //! the run saw, the fault plan (chaos runs inject deterministic faults —
 //! replay must inject the same ones), and one [`RecordedStep`] per applied
 //! rule. Self-contained is the point: `kola_obs::replay` re-executes the
@@ -51,8 +51,6 @@ pub struct RewriteTrace {
     /// single-tenant services). Shared, not cloned: the recorder hands the
     /// service's own tenant-name `Arc`.
     pub tenant: Arc<str>,
-    /// Ladder rung that produced it (`"fast"` or `"reference"`).
-    pub rung: String,
     /// The input query, as submitted.
     pub input: Query,
     /// Active rule ids, in catalog order — the exact set the run saw
@@ -73,9 +71,9 @@ pub struct RewriteTrace {
     /// The applied rules, in order.
     pub steps: Vec<RecordedStep>,
     /// Why the run stopped. Wall-clock deadlines are deliberately *not*
-    /// recorded: a successful rung never stopped on one (the ladder
-    /// classifies `DeadlineExpired` as rung failure), so the deadline never
-    /// shaped the derivation and replay runs without it.
+    /// recorded: a successful run never stopped on one (the ladder
+    /// classifies `DeadlineExpired` as an attempt failure), so the deadline
+    /// never shaped the derivation and replay runs without it.
     pub stop: StopReason,
     /// Fingerprint of the returned plan (the best-so-far query on
     /// `BudgetExhausted`/`CycleDetected` stops, not necessarily the last
@@ -93,7 +91,6 @@ impl RewriteTrace {
     pub fn record(
         request_id: u64,
         tenant: Arc<str>,
-        rung: &str,
         input: &Query,
         active_rules: Arc<Vec<String>>,
         max_steps: usize,
@@ -133,7 +130,6 @@ impl RewriteTrace {
         RewriteTrace {
             request_id,
             tenant,
-            rung: rung.to_string(),
             input: input.clone(),
             active_rules,
             max_steps,
@@ -164,7 +160,7 @@ impl RewriteTrace {
 /// the oldest record and counts it in [`TraceRing::dropped`] — a soak that
 /// outruns the ring loses history, never memory. The mutex is held only for
 /// the push itself; traces are recorded on the *cold* side of a request
-/// (after the rung succeeded), never on the untraced hot path.
+/// (after the run succeeded), never on the untraced hot path.
 ///
 /// A single ring shared by every worker serializes trace recording on one
 /// lock; services give each worker its own ring via [`ShardedTraceRing`]
@@ -323,7 +319,6 @@ mod tests {
         RewriteTrace::record(
             id,
             Arc::from("default"),
-            "fast",
             &q,
             Arc::new(vec!["11".into()]),
             100,
@@ -359,7 +354,6 @@ mod tests {
         let rec = RewriteTrace::record(
             7,
             Arc::from("default"),
-            "fast",
             &input,
             Arc::new(vec!["11".into()]),
             100,
@@ -382,7 +376,6 @@ mod tests {
         let rec2 = RewriteTrace::record(
             7,
             Arc::from("default"),
-            "fast",
             &input,
             Arc::new(vec!["11".into()]),
             100,

@@ -17,14 +17,10 @@
 //! Structural rules have letter ids (`app`, `18a`, …); extended-pool rules
 //! are prefixed `e`.
 
-use crate::dtree::IndexStats;
-use crate::engine::Oriented;
-use crate::matching::{func_head_key, pred_head_key, query_head_key, HeadKey};
 use crate::props::{PropKind, PropTerm};
 use crate::rule::{Direction, RewritePair, Rule, RuleSource};
-use kola::intern::Tag;
 use kola::pattern::{PFunc, PPred, PQuery};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// A rule pool with id-based lookup.
 #[derive(Debug, Clone, Default)]
@@ -140,209 +136,6 @@ impl Catalog {
             c.add(r);
         }
         c
-    }
-}
-
-/// Positions bucketed by head key at one term level, plus the wildcard
-/// bucket for metavariable-rooted heads. All position vectors are ascending.
-#[derive(Debug, Clone, Default)]
-struct LevelIndex {
-    buckets: HashMap<HeadKey, Vec<usize>>,
-    wildcard: Vec<usize>,
-}
-
-impl LevelIndex {
-    fn insert(&mut self, key: Option<HeadKey>, pos: usize) {
-        let v = match key {
-            Some(k) => self.buckets.entry(k).or_default(),
-            None => &mut self.wildcard,
-        };
-        // One rule's alternatives are processed consecutively, so a repeat
-        // in the same bucket is always adjacent.
-        if v.last() != Some(&pos) {
-            v.push(pos);
-        }
-    }
-
-    fn remove_pos(&mut self, positions: &[usize]) {
-        for v in self.buckets.values_mut() {
-            v.retain(|p| !positions.contains(p));
-        }
-        self.wildcard.retain(|p| !positions.contains(p));
-    }
-
-    fn contains_pos(&self, positions: &[usize]) -> bool {
-        self.buckets
-            .values()
-            .chain(std::iter::once(&self.wildcard))
-            .any(|v| v.iter().any(|p| positions.contains(p)))
-    }
-
-    /// Merge the three buckets a term node can hit — exact `(root, child)`,
-    /// childless `(root, None)`, and wildcard — preserving ascending rule
-    /// position so "first matching rule" is unchanged.
-    fn candidates(&self, root: Tag, child: Option<Tag>, out: &mut Vec<usize>) {
-        out.clear();
-        let empty: &[usize] = &[];
-        let a = child
-            .and_then(|c| {
-                self.buckets.get(&HeadKey {
-                    root,
-                    child: Some(c),
-                })
-            })
-            .map_or(empty, Vec::as_slice);
-        let b = self
-            .buckets
-            .get(&HeadKey { root, child: None })
-            .map_or(empty, Vec::as_slice);
-        let w = self.wildcard.as_slice();
-        let (mut i, mut j, mut k) = (0, 0, 0);
-        loop {
-            let next = [a.get(i), b.get(j), w.get(k)]
-                .into_iter()
-                .flatten()
-                .min()
-                .copied();
-            let Some(p) = next else { break };
-            if a.get(i) == Some(&p) {
-                i += 1;
-            }
-            if b.get(j) == Some(&p) {
-                j += 1;
-            }
-            if w.get(k) == Some(&p) {
-                k += 1;
-            }
-            out.push(p);
-        }
-    }
-}
-
-/// Head-symbol discrimination index over an oriented rule list — the
-/// depth-1 predecessor of the discrimination tree ([`crate::dtree::RuleIndex`]),
-/// kept as a differential oracle and as the `EngineConfig::head_indexed`
-/// dispatch mode.
-///
-/// Built once per engine run from the *oriented* heads (a backward
-/// orientation indexes the rule's right-hand side; backward orientations of
-/// one-way rules are unreachable and simply never indexed). At each subterm
-/// position the engine then consults only the buckets the node's own
-/// constructors select, merged in ascending rule position — the same rules,
-/// tried in the same order, minus the ones whose head constructor already
-/// rules them out.
-#[derive(Debug, Clone, Default)]
-pub struct HeadIndex {
-    func: LevelIndex,
-    pred: LevelIndex,
-    query: LevelIndex,
-    ids: Vec<String>,
-}
-
-impl HeadIndex {
-    /// Build the index for `rules` (positions refer to this slice).
-    pub fn build(rules: &[Oriented]) -> HeadIndex {
-        let mut ix = HeadIndex::default();
-        for (pos, o) in rules.iter().enumerate() {
-            ix.ids.push(o.rule.id.clone());
-            if o.dir == Direction::Backward && !o.rule.bidirectional {
-                continue;
-            }
-            for alt in &o.rule.alts {
-                match alt {
-                    RewritePair::F(l, r) => {
-                        let head = if o.dir == Direction::Forward { l } else { r };
-                        ix.func.insert(func_head_key(head), pos);
-                    }
-                    RewritePair::P(l, r) => {
-                        let head = if o.dir == Direction::Forward { l } else { r };
-                        ix.pred.insert(pred_head_key(head), pos);
-                    }
-                    RewritePair::Q(l, r) => {
-                        let head = if o.dir == Direction::Forward { l } else { r };
-                        ix.query.insert(query_head_key(head), pos);
-                    }
-                }
-            }
-        }
-        ix
-    }
-
-    /// Remove every bucket entry for `rule_id` (all orientations). Used when
-    /// the engine quarantines a rule mid-run: the quarantine must reach the
-    /// index, not just the linear scan.
-    pub fn remove(&mut self, rule_id: &str) {
-        let positions: Vec<usize> = self
-            .ids
-            .iter()
-            .enumerate()
-            .filter(|(_, id)| id.as_str() == rule_id)
-            .map(|(p, _)| p)
-            .collect();
-        self.func.remove_pos(&positions);
-        self.pred.remove_pos(&positions);
-        self.query.remove_pos(&positions);
-    }
-
-    /// True iff any bucket still holds an entry for `rule_id`.
-    pub fn contains(&self, rule_id: &str) -> bool {
-        let positions: Vec<usize> = self
-            .ids
-            .iter()
-            .enumerate()
-            .filter(|(_, id)| id.as_str() == rule_id)
-            .map(|(p, _)| p)
-            .collect();
-        self.func.contains_pos(&positions)
-            || self.pred.contains_pos(&positions)
-            || self.query.contains_pos(&positions)
-    }
-
-    /// Candidate rule positions for a function node with head-segment
-    /// constructor `root` and first-child constructor `child`.
-    pub fn func_candidates(&self, root: Tag, child: Option<Tag>, out: &mut Vec<usize>) {
-        self.func.candidates(root, child, out);
-    }
-
-    /// Candidate rule positions for a predicate node.
-    pub fn pred_candidates(&self, root: Tag, child: Option<Tag>, out: &mut Vec<usize>) {
-        self.pred.candidates(root, child, out);
-    }
-
-    /// Candidate rule positions for a query node.
-    pub fn query_candidates(&self, root: Tag, child: Option<Tag>, out: &mut Vec<usize>) {
-        self.query.candidates(root, child, out);
-    }
-
-    /// Shape summary for observability: per level (func/pred/query), the
-    /// number of head-key buckets, total bucketed entries, and wildcard
-    /// entries. The wildcard count is the index's weak spot — every node at
-    /// that level pays for those rules — so it is the number worth watching
-    /// when the catalog grows. The `tree_*` fields of [`IndexStats`] belong
-    /// to the discrimination tree and stay zero here.
-    pub fn describe(&self) -> IndexStats {
-        fn level(l: &LevelIndex) -> (usize, usize, usize) {
-            (
-                l.buckets.len(),
-                l.buckets.values().map(Vec::len).sum(),
-                l.wildcard.len(),
-            )
-        }
-        let (fb, fe, fw) = level(&self.func);
-        let (pb, pe, pw) = level(&self.pred);
-        let (qb, qe, qw) = level(&self.query);
-        IndexStats {
-            func_buckets: fb,
-            func_entries: fe,
-            func_wildcard: fw,
-            pred_buckets: pb,
-            pred_entries: pe,
-            pred_wildcard: pw,
-            query_buckets: qb,
-            query_entries: qe,
-            query_wildcard: qw,
-            ..IndexStats::default()
-        }
     }
 }
 

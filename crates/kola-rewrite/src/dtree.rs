@@ -1,11 +1,8 @@
 //! Discrimination-tree (path-indexed) rule dispatch over interned terms.
 //!
-//! The head-symbol index ([`crate::catalog::HeadIndex`]) discriminates one
-//! constructor deep: a node's root tag plus its first child's tag pick a
-//! bucket, and everything in the bucket is tried. That is the degenerate
-//! depth-1 form of a *discrimination tree* — the classic term-indexing
-//! structure (Stickel/McCune) this module implements in full: every oriented
-//! rule head is serialized into its **preorder constructor walk** (one
+//! A *discrimination tree* is the classic term-indexing structure
+//! (Stickel/McCune): every oriented rule head is serialized into its
+//! **preorder constructor walk** (one
 //! [`Edge::Sym`] per concrete constructor, one [`Edge::Star`] per
 //! metavariable, which stands for a whole subtree) and inserted into a trie.
 //! Candidate selection at a redex is then a single walk of the interned
@@ -35,9 +32,8 @@
 //!
 //! ## Quarantine pruning
 //!
-//! Mid-run quarantine must reach the index, not just the linear scan. The
-//! head-symbol index handled this by deleting bucket entries and rebuilding
-//! the whole index before the next run. Here removal is **journaled**:
+//! Mid-run quarantine must reach the index, not just the linear scan.
+//! Removal is **journaled**:
 //! [`RuleIndex::remove`] deletes the rule's accept entries (O(pattern
 //! depth) — the sites map knows exactly which nodes hold them) and records
 //! each deletion; [`RuleIndex::restore`] replays the journal in reverse,
@@ -251,11 +247,9 @@ struct Removed {
 
 /// Discrimination-tree index over an oriented rule list (see module docs).
 ///
-/// This is the engine's default dispatch structure; the depth-1
-/// [`crate::catalog::HeadIndex`] it replaces is kept as a differential
-/// oracle. The public name `RuleIndex` is preserved so downstream callers
-/// ([`crate::fast::Engine`], kola-service snapshots) follow the upgrade
-/// without renaming.
+/// This is the engine's dispatch structure; the linear rule scan
+/// (`EngineConfig::interned_only`) and the boxed engine are its
+/// differential oracles.
 #[derive(Debug, Clone, Default)]
 pub struct RuleIndex {
     func: DTree,
@@ -272,7 +266,7 @@ pub struct RuleIndex {
 impl RuleIndex {
     /// Build the index for `rules` (positions refer to this slice).
     /// Backward orientations of one-way rules are unreachable and are not
-    /// indexed, exactly as the head-symbol index skips them.
+    /// indexed.
     pub fn build(rules: &[Oriented]) -> RuleIndex {
         let mut ix = RuleIndex::default();
         for (pos, o) in rules.iter().enumerate() {
@@ -511,8 +505,7 @@ impl RuleIndex {
 }
 
 /// Accept entries sitting in the root's `*` subtree — the rules every node
-/// at that level must consider regardless of shape (the tree analogue of
-/// the head index's wildcard bucket).
+/// at that level must consider regardless of shape.
 fn wildcard_accepts(t: &DTree) -> usize {
     let root = &t.nodes[0];
     if root.star == NONE {
@@ -523,12 +516,10 @@ fn wildcard_accepts(t: &DTree) -> usize {
     acc.1
 }
 
-/// Shape summary of a rule index (see [`RuleIndex::describe`] and
-/// [`crate::catalog::HeadIndex::describe`]). The per-level
-/// `{buckets,entries,wildcard}` triples predate the discrimination tree and
-/// keep their meaning (for the tree: root fanout, accept entries, accepts
-/// under the root `*` edge); the `tree_*` fields are zero for the
-/// head-symbol index.
+/// Shape summary of the rule index (see [`RuleIndex::describe`]). The
+/// per-level `{buckets,entries,wildcard}` triples are the root fanout, the
+/// accept entries, and the accepts under the root `*` edge; the `tree_*`
+/// fields describe the trie as a whole.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Distinct root-level choices at the function level.
@@ -549,16 +540,16 @@ pub struct IndexStats {
     pub query_entries: usize,
     /// Wildcard positions at the query level.
     pub query_wildcard: usize,
-    /// Total trie nodes across the three levels (0 for the head index).
+    /// Total trie nodes across the three levels.
     pub tree_nodes: usize,
-    /// Deepest pattern walk in edges (0 for the head index).
+    /// Deepest pattern walk in edges.
     pub tree_max_depth: usize,
-    /// Total trie edges across the three levels (0 for the head index).
+    /// Total trie edges across the three levels.
     pub tree_edges: usize,
-    /// Trie edges labelled `*` (0 for the head index).
+    /// Trie edges labelled `*`.
     pub tree_wildcard_edges: usize,
-    /// Mean fanout of interior nodes, in milli-edges (×1000, 0 for the
-    /// head index). Integer so the struct stays `Eq`.
+    /// Mean fanout of interior nodes, in milli-edges (×1000). Integer so
+    /// the struct stays `Eq`.
     pub tree_mean_fanout_milli: usize,
 }
 
@@ -679,7 +670,8 @@ fn emit_query(p: &PQuery, out: &mut Vec<Edge>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog::{Catalog, HeadIndex};
+    use crate::catalog::Catalog;
+    use crate::imatch::{itry_apply_func, itry_apply_pred, itry_apply_query};
     use kola::intern::Interner;
     use kola::parse::{parse_func, parse_pred, parse_query};
 
@@ -688,114 +680,64 @@ mod tests {
     }
 
     #[test]
-    fn walk_is_superset_of_head_index_matches() {
-        // Against every (term, level) probe below, the tree's candidate set
-        // must contain every rule whose oriented head actually matches —
-        // verified indirectly: each tree candidate set must contain the
-        // rules the *head index* would try AND match. (Full behavioral
-        // equality is pinned by the engine parity suites.)
+    fn walk_is_superset_of_brute_force_matches() {
+        // Brute-force oracle: at every probe node, every rule position whose
+        // oriented head applies there (`itry_apply_*` over the whole
+        // catalog) must be among the tree's candidates, and the candidates
+        // must be ascending. Every probe has at least one matching rule, so
+        // no probe passes vacuously. (Full behavioral equality is pinned by
+        // the engine parity suites.)
         let catalog = Catalog::paper();
         let rules = full_forward(&catalog);
         let tree = RuleIndex::build(&rules);
-        let head = HeadIndex::build(&rules);
         let mut it = Interner::new();
-
-        let funcs = [
-            "pi1 . (age, addr)",
-            "id . age",
-            "iterate(Kp(T), city) . iterate(Kp(T), addr)",
-            "con(Kp(T), pi1, pi2) . age",
-            "dedup . bagify",
-            "(pi2, pi1) . (pi2, pi1)",
-        ];
-        let mut tout = Vec::new();
-        let mut hout = Vec::new();
-        for src in funcs {
-            let t = it.intern_func(&parse_func(src).unwrap());
-            tree.func_candidates(&t, &mut tout);
-            let mut seg = &t;
-            while seg.tag() == Tag::FCompose {
-                seg = &seg.kids()[0];
-            }
-            head.func_candidates(seg.tag(), seg.kids().first().map(|k| k.tag()), &mut hout);
-            for pos in &hout {
-                let o = &rules[*pos];
-                if o.rule
-                    .try_apply_func(&parse_func(src).unwrap(), o.dir)
-                    .ok()
-                    .flatten()
-                    .is_some()
-                {
+        let mut cand = Vec::new();
+        let check = |src: &str, level: LevelTag, t: &ITerm, cand: &[usize], it: &mut Interner| {
+            assert!(cand.windows(2).all(|w| w[0] < w[1]), "{src}: not ascending");
+            let mut matched = 0;
+            for (pos, o) in rules.iter().enumerate() {
+                let applied = match level {
+                    LevelTag::F => itry_apply_func(o.rule, t, o.dir, it),
+                    LevelTag::P => itry_apply_pred(o.rule, t, o.dir, it),
+                    LevelTag::Q => itry_apply_query(o.rule, t, o.dir, it),
+                };
+                if applied.ok().flatten().is_some() {
+                    matched += 1;
                     assert!(
-                        tout.contains(pos),
+                        cand.contains(&pos),
                         "{src}: tree dropped matching rule {}",
                         o.rule.id
                     );
                 }
             }
-            assert!(tout.windows(2).all(|w| w[0] < w[1]), "{src}: not ascending");
-        }
+            assert!(matched > 0, "{src}: probe matches no rule");
+        };
 
+        let funcs = [
+            "pi1 . (age, addr)",
+            "id . age",
+            "iterate(Kp(T), city) . iterate(Kp(T), addr)",
+            "iterate(Kp(F), age) . flat",
+            "con(Kp(T), pi1, pi2) . age",
+            "dedup . bagify",
+            "(pi2, pi1) . (pi2, pi1)",
+        ];
+        for src in funcs {
+            let t = it.intern_func(&parse_func(src).unwrap());
+            tree.func_candidates(&t, &mut cand);
+            check(src, LevelTag::F, &t, &cand, &mut it);
+        }
         let preds = ["Kp(T) & Kp(T)", "~~lt", "inv(gt)", "eq @ (pi2, pi1)"];
         for src in preds {
             let t = it.intern_pred(&parse_pred(src).unwrap());
-            tree.pred_candidates(&t, &mut tout);
-            head.pred_candidates(t.tag(), t.kids().first().map(|k| k.tag()), &mut hout);
-            for pos in &hout {
-                let o = &rules[*pos];
-                if o.rule
-                    .try_apply_pred(&parse_pred(src).unwrap(), o.dir)
-                    .ok()
-                    .flatten()
-                    .is_some()
-                {
-                    assert!(tout.contains(pos), "{src}: tree dropped rule {}", o.rule.id);
-                }
-            }
+            tree.pred_candidates(&t, &mut cand);
+            check(src, LevelTag::P, &t, &cand, &mut it);
         }
-
         let queries = ["P union P", "id ! P", "{} intersect P"];
         for src in queries {
             let t = it.intern_query(&parse_query(src).unwrap());
-            tree.query_candidates(&t, &mut tout);
-            head.query_candidates(t.tag(), t.kids().first().map(|k| k.tag()), &mut hout);
-            for pos in &hout {
-                let o = &rules[*pos];
-                if o.rule
-                    .try_apply_query(&parse_query(src).unwrap(), o.dir)
-                    .ok()
-                    .flatten()
-                    .is_some()
-                {
-                    assert!(tout.contains(pos), "{src}: tree dropped rule {}", o.rule.id);
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn tree_prunes_more_than_head_buckets() {
-        // The point of the exercise: at a node whose head bucket is wide,
-        // deeper discrimination must cut the candidate list.
-        let catalog = Catalog::paper();
-        let rules = full_forward(&catalog);
-        let tree = RuleIndex::build(&rules);
-        let head = HeadIndex::build(&rules);
-        let mut it = Interner::new();
-        // An iterate-headed chain: the head index lumps every
-        // iterate-rooted rule into one bucket keyed (FIterate, PConstP).
-        let t = it.intern_func(&parse_func("iterate(Kp(F), age) . flat").unwrap());
-        let (mut tout, mut hout) = (Vec::new(), Vec::new());
-        tree.func_candidates(&t, &mut tout);
-        head.func_candidates(Tag::FIterate, Some(Tag::PConstP), &mut hout);
-        assert!(
-            tout.len() < hout.len(),
-            "tree ({}) should discriminate deeper than head buckets ({})",
-            tout.len(),
-            hout.len()
-        );
-        for pos in &tout {
-            assert!(hout.contains(pos), "tree invented candidate {pos}");
+            tree.query_candidates(&t, &mut cand);
+            check(src, LevelTag::Q, &t, &cand, &mut it);
         }
     }
 

@@ -1,8 +1,8 @@
 //! The performance stack over the rewrite engine: hash-consed terms,
 //! discrimination-tree rule dispatch, normal-subtree skipping, and a
 //! memoized normalization cache — all behind an [`EngineConfig`] so the
-//! boxed engine (and the depth-1 head-symbol index the tree replaced)
-//! remain available as differential-testing oracles.
+//! boxed engine and the linear rule scan remain available as
+//! differential-testing oracles.
 //!
 //! ## Exactness contract
 //!
@@ -21,11 +21,9 @@
 //!   [`crate::imatch::icompose`] invariant keeps every constructed term
 //!   right-normalized, so no whole-term `normalize()` pass is needed.
 //! * **Indexing** walks the interned node through the discrimination tree
-//!   ([`RuleIndex`]) — or, under [`EngineConfig::head_indexed`], merges the
-//!   head-symbol [`HeadIndex`]'s buckets — returning candidates in
-//!   ascending rule position, so the candidate scan tries the same rules in
-//!   the same order, minus ones whose pattern skeleton already rules them
-//!   out.
+//!   ([`RuleIndex`]), which returns candidates in ascending rule position,
+//!   so the candidate scan tries the same rules in the same order as the
+//!   linear scan, minus ones whose pattern skeleton already rules them out.
 //! * **Normal-subtree marking** skips subtrees proven redex-free under the
 //!   *full* rule set. Marks are only committed for fully scanned subtrees
 //!   (no depth clip inside), in steps with no rule failures and no active
@@ -50,7 +48,6 @@
 //! poison request costs one cold start, not permanent bloat.
 
 use crate::budget::{Budget, RewriteError, RewriteReport, StopReason};
-use crate::catalog::HeadIndex;
 use crate::dtree::RuleIndex;
 use crate::engine::{rewrite_fix_with, Gov, Oriented, Rewritten, Step, Trace};
 use crate::extract::{CostModel, TermSize};
@@ -72,13 +69,9 @@ use std::collections::{HashMap, HashSet};
 pub struct EngineConfig {
     /// Rewrite over hash-consed terms (prerequisite for the other layers).
     pub interned: bool,
-    /// Dispatch rules through an index instead of a linear scan.
+    /// Dispatch rules through the discrimination tree ([`RuleIndex`])
+    /// instead of a linear scan.
     pub indexed: bool,
-    /// Which index: the discrimination tree ([`RuleIndex`], the default) or
-    /// the depth-1 head-symbol [`HeadIndex`] it replaced (kept as a
-    /// differential oracle; see [`EngineConfig::head_indexed`]). Ignored
-    /// when `indexed` is off.
-    pub tree_index: bool,
     /// Cache clean normalizations for replay.
     pub memoized: bool,
     /// Bounded LRU capacity of the normalization memo.
@@ -103,10 +96,11 @@ pub struct EngineConfig {
     /// e-graph to saturation and return the cheapest equivalent plan under
     /// the engine's [`CostModel`] ([`Engine::set_cost_model`]). Never worse
     /// than the fixpoint output under the extraction model — the wave is
-    /// unioned into the root class before saturating. Requires the tree
-    /// index ([`EngineConfig::tree_index`]); falls back to plain fixpoint
-    /// otherwise, and whenever faults are injected (fault semantics are
-    /// defined against the destructive engine).
+    /// unioned into the root class before saturating. Requires the rule
+    /// index ([`EngineConfig::indexed`]), which saturation matches through;
+    /// falls back to plain fixpoint without it, and whenever faults are
+    /// injected (fault semantics are defined against the destructive
+    /// engine).
     pub saturate: bool,
 }
 
@@ -122,7 +116,6 @@ impl EngineConfig {
         EngineConfig {
             interned: false,
             indexed: false,
-            tree_index: false,
             memoized: false,
             memo_capacity: 0,
             arena_capacity: 0,
@@ -136,7 +129,6 @@ impl EngineConfig {
         EngineConfig {
             interned: true,
             indexed: false,
-            tree_index: false,
             memoized: false,
             memo_capacity: 0,
             arena_capacity: 0,
@@ -150,23 +142,6 @@ impl EngineConfig {
         EngineConfig {
             interned: true,
             indexed: true,
-            tree_index: true,
-            memoized: false,
-            memo_capacity: 0,
-            arena_capacity: 0,
-            trace: true,
-            saturate: false,
-        }
-    }
-
-    /// Interned terms + the depth-1 head-symbol index, no memo — the
-    /// pre-tree dispatch, kept for three-way differential testing
-    /// (tree ≡ head ≡ naive) and benchmark comparison.
-    pub fn head_indexed() -> Self {
-        EngineConfig {
-            interned: true,
-            indexed: true,
-            tree_index: false,
             memoized: false,
             memo_capacity: 0,
             arena_capacity: 0,
@@ -180,7 +155,6 @@ impl EngineConfig {
         EngineConfig {
             interned: true,
             indexed: true,
-            tree_index: true,
             memoized: true,
             memo_capacity: 1024,
             arena_capacity: 1 << 16,
@@ -197,7 +171,6 @@ impl EngineConfig {
         EngineConfig {
             interned: true,
             indexed: true,
-            tree_index: true,
             memoized: false,
             memo_capacity: 0,
             arena_capacity: 1 << 16,
@@ -282,25 +255,6 @@ impl Memo {
     }
 }
 
-/// The engine's built dispatch structure: the discrimination tree (the
-/// default) or the head-symbol index kept as its differential oracle. Both
-/// return candidate positions in ascending rule order, so [`Search`] is
-/// agnostic to which one it holds.
-#[derive(Debug)]
-enum BuiltIndex {
-    Head(HeadIndex),
-    Tree(RuleIndex),
-}
-
-impl BuiltIndex {
-    fn contains(&self, rule_id: &str) -> bool {
-        match self {
-            BuiltIndex::Head(ix) => ix.contains(rule_id),
-            BuiltIndex::Tree(ix) => ix.contains(rule_id),
-        }
-    }
-}
-
 /// A found redex, already rewritten into the whole-term result.
 struct AppliedI {
     result: ITerm,
@@ -324,17 +278,6 @@ fn level_of(t: Tag) -> Level {
     }
 }
 
-/// Head key of a term node: for function nodes the chain's first segment
-/// (what the prefix matcher commits on), otherwise the node itself; the
-/// child component is that segment's first child, if any.
-fn term_key(t: &ITerm) -> (Tag, Option<Tag>) {
-    let mut seg = t;
-    while seg.tag() == Tag::FCompose {
-        seg = &seg.kids()[0];
-    }
-    (seg.tag(), seg.kids().first().map(ITerm::tag))
-}
-
 fn iinflate(out: ITerm, n: usize, level: &Level, it: &mut Interner) -> ITerm {
     let mut acc = out;
     for _ in 0..n {
@@ -353,7 +296,7 @@ fn iinflate(out: ITerm, n: usize, level: &Level, it: &mut Interner) -> ITerm {
 struct Search<'r, 'a> {
     rules: &'r [Oriented<'a>],
     props: &'r PropDb,
-    index: Option<&'r BuiltIndex>,
+    index: Option<&'r RuleIndex>,
     /// Per-position activity mask from the current epoch's rule snapshot
     /// (`None` = the full set). Skipping inactive positions in the
     /// ascending-position candidate scan visits exactly the rules, in
@@ -413,15 +356,7 @@ impl Search<'_, '_> {
         let mut cand = std::mem::take(&mut self.cand);
         cand.clear();
         match self.index {
-            Some(BuiltIndex::Head(ix)) => {
-                let (root, child) = term_key(t);
-                match level {
-                    Level::F => ix.func_candidates(root, child, &mut cand),
-                    Level::P => ix.pred_candidates(root, child, &mut cand),
-                    Level::Q => ix.query_candidates(root, child, &mut cand),
-                }
-            }
-            Some(BuiltIndex::Tree(ix)) => match level {
+            Some(ix) => match level {
                 Level::F => ix.func_candidates(t, &mut cand),
                 Level::P => ix.pred_candidates(t, &mut cand),
                 Level::Q => ix.query_candidates(t, &mut cand),
@@ -505,8 +440,7 @@ pub struct Engine<'a> {
     // while the arena's table is still alive.
     memo: Memo,
     normal: HashSet<usize>,
-    index: Option<BuiltIndex>,
-    index_dirty: bool,
+    index: Option<RuleIndex>,
     /// Current rule-set epoch (see [`Engine::set_epoch`]).
     epoch: u64,
     /// Per-position activity mask for the current epoch; `None` = all.
@@ -533,7 +467,6 @@ impl<'a> Engine<'a> {
             memo: Memo::default(),
             normal: HashSet::new(),
             index: None,
-            index_dirty: false,
             epoch: 0,
             active: None,
             compactions: 0,
@@ -636,7 +569,8 @@ impl<'a> Engine<'a> {
     /// survives a caught panic intact: the interner is append-only (a
     /// partially built term is just unreferenced garbage in the arena),
     /// normal-subtree marks and the memo are only committed after clean
-    /// steps/runs, and the index is rebuilt from the rule list on demand.
+    /// steps/runs, and the index's quarantine journal is restored at the
+    /// start of the next run.
     pub fn try_normalize_with(
         &mut self,
         q: &Query,
@@ -663,23 +597,11 @@ impl<'a> Engine<'a> {
             self.reset_caches();
         }
         if self.config.indexed {
-            let want_tree = self.config.tree_index;
-            let rebuild = self.index_dirty
-                || !matches!(
-                    (&self.index, want_tree),
-                    (Some(BuiltIndex::Tree(_)), true) | (Some(BuiltIndex::Head(_)), false)
-                );
-            if rebuild {
-                self.index = Some(if want_tree {
-                    BuiltIndex::Tree(RuleIndex::build(&self.rules))
-                } else {
-                    BuiltIndex::Head(HeadIndex::build(&self.rules))
-                });
-                self.index_dirty = false;
-            } else if let Some(BuiltIndex::Tree(ix)) = &mut self.index {
+            match &mut self.index {
                 // Quarantine is per-run state: un-journal last run's
                 // evictions (O(evicted rules), not an index rebuild).
-                ix.restore();
+                Some(ix) => ix.restore(),
+                None => self.index = Some(RuleIndex::build(&self.rules)),
             }
         } else {
             self.index = None;
@@ -687,11 +609,9 @@ impl<'a> Engine<'a> {
 
         // Saturation mode: seed wave + e-graph saturation + extraction.
         // Fault plans stay on the destructive path — fault semantics are
-        // defined step-by-step against it — as does a non-tree index.
-        if self.config.saturate && faults.is_empty() {
-            if let Some(r) = self.saturate_run(q, budget, faults) {
-                return r;
-            }
+        // defined step-by-step against it — as does an unindexed engine.
+        if self.config.saturate && faults.is_empty() && self.index.is_some() {
+            return self.saturate_run(q, budget, faults);
         }
         self.fixpoint_run(q, budget, faults)
     }
@@ -775,19 +695,10 @@ impl<'a> Engine<'a> {
             }
             // Quarantine must reach the index, not just the linear scan.
             while pruned < report.quarantined.len() {
-                let id = report.quarantined[pruned].clone();
-                match &mut self.index {
-                    Some(BuiltIndex::Tree(ix)) => {
-                        // Journaled leaf pruning: O(pattern depth) now,
-                        // exact restore at the start of the next run.
-                        ix.remove(&id);
-                    }
-                    Some(BuiltIndex::Head(ix)) => {
-                        ix.remove(&id);
-                        // The head index has no journal: rebuild next run.
-                        self.index_dirty = true;
-                    }
-                    None => {}
+                if let Some(ix) = &mut self.index {
+                    // Journaled leaf pruning: O(pattern depth) now, exact
+                    // restore at the start of the next run.
+                    ix.remove(&report.quarantined[pruned]);
                 }
                 pruned += 1;
             }
@@ -892,25 +803,16 @@ impl<'a> Engine<'a> {
     /// Saturation mode: run the destructive engine once (trace forced on so
     /// the full trajectory is captured), seed an e-graph with that wave,
     /// saturate under the remaining budget, and extract the cheapest
-    /// equivalent plan under the engine's cost model. Returns `None` when
-    /// the built index is not the discrimination tree (saturation matches
-    /// through it) — the caller then falls back to plain fixpoint.
-    fn saturate_run(
-        &mut self,
-        q: &Query,
-        budget: &Budget,
-        faults: &FaultPlan,
-    ) -> Option<Rewritten> {
-        if !matches!(self.index, Some(BuiltIndex::Tree(_))) {
-            return None;
-        }
+    /// equivalent plan under the engine's cost model. Assumes the rule
+    /// index is built (saturation matches through it).
+    fn saturate_run(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
         let trace_was = self.config.trace;
         self.config.trace = true;
         let fix = self.fixpoint_run(q, budget, faults);
         self.config.trace = trace_was;
         if fix.report.stop == StopReason::TermTooLarge && fix.trace.steps.is_empty() {
             // The input itself blew the size budget — nothing to saturate.
-            return Some(fix);
+            return fix;
         }
         let mut trajectory: Vec<Query> = fix.trace.steps.iter().map(|s| s.after.clone()).collect();
         trajectory.push(fix.query.clone());
@@ -926,9 +828,9 @@ impl<'a> Engine<'a> {
             ref mut interner,
             ..
         } = *self;
-        let Some(BuiltIndex::Tree(ix)) = index.as_ref() else {
-            return None;
-        };
+        let ix = index
+            .as_ref()
+            .expect("saturation runs with the index built");
         let params = SaturationParams {
             rules,
             props,
@@ -945,11 +847,11 @@ impl<'a> Engine<'a> {
             &mut report,
             interner,
         );
-        Some(Rewritten {
+        Rewritten {
             query: sat.query,
             trace: if trace_was { fix.trace } else { Trace::new() },
             report,
-        })
+        }
     }
 
     /// Total search work so far: node visits plus interner constructions
@@ -982,8 +884,8 @@ impl<'a> Engine<'a> {
             .sum()
     }
 
-    /// True iff the rule index (tree or head-symbol) currently holds any
-    /// entry for `rule_id`. False when indexing is off.
+    /// True iff the rule index currently holds any entry for `rule_id`.
+    /// False when indexing is off.
     pub fn index_contains(&self, rule_id: &str) -> bool {
         self.index.as_ref().is_some_and(|ix| ix.contains(rule_id))
     }
@@ -991,10 +893,7 @@ impl<'a> Engine<'a> {
     /// Shape of the currently built index ([`crate::dtree::IndexStats`]),
     /// or `None` when indexing is off or no run has built one yet.
     pub fn index_stats(&self) -> Option<crate::dtree::IndexStats> {
-        self.index.as_ref().map(|ix| match ix {
-            BuiltIndex::Head(h) => h.describe(),
-            BuiltIndex::Tree(t) => t.describe(),
-        })
+        self.index.as_ref().map(RuleIndex::describe)
     }
 
     /// Lifetime counters for observability (all monotone except the live
@@ -1014,8 +913,8 @@ impl<'a> Engine<'a> {
 
     /// Per-rule consult counts across all runs, as `(rule_id, consults)` in
     /// rule-list order. A consult is an actual application attempt at a
-    /// node — the number the head-symbol index exists to minimize — so this
-    /// is the "rules attempted per head-key" surface for metrics.
+    /// node — the number the discrimination tree exists to minimize — so
+    /// this is the "rules attempted per rule" surface for metrics.
     pub fn consult_profile(&self) -> Vec<(String, u64)> {
         self.rules
             .iter()

@@ -50,7 +50,7 @@ pub use budget::{
     Budget, CycleDetector, QuarantineEntry, QuarantineReport, RewriteError, RewriteReport,
     RuleStats, StopReason,
 };
-pub use catalog::{Catalog, HeadIndex};
+pub use catalog::Catalog;
 pub use dtree::{IndexStats, RuleIndex};
 pub use egraph::{ClassId, EClass, EGraph, ENode};
 pub use engine::{

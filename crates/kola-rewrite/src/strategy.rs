@@ -208,8 +208,8 @@ impl<'a> Runner<'a> {
 
     /// [`Runner::run_governed`] behind a panic boundary: a rule that
     /// unwinds (a [`crate::fault::FaultKind::Panic`] fault or a genuine
-    /// bug) is caught and classified instead of propagating — the per-rung
-    /// entry point the optimization service's degradation ladder uses. On
+    /// bug) is caught and classified instead of propagating — the entry
+    /// point for callers that must survive a poison rule. On
     /// `Err`, `trace` holds whatever steps completed before the panic;
     /// treat it as diagnostic only.
     pub fn try_run_governed(

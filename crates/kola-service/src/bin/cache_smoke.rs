@@ -8,8 +8,8 @@
 //!
 //! 1. **Hit-rate soak** — a short repeated-traffic stream at a 90% target
 //!    hit rate: every `RepeatedReport` invariant must hold (all requests
-//!    optimized on the fast rung, conservation books balanced, zero
-//!    panics) and the achieved hit rate must be ≥ 85%.
+//!    optimized, conservation books balanced, zero panics) and the
+//!    achieved hit rate must be ≥ 85%.
 //! 2. **Mini parity** — a cache-enabled and a cache-disabled service
 //!    driven with identical request streams, including an injected-fault
 //!    lane that trips a breaker and an operator reset mid-stream, must

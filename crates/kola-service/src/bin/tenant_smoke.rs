@@ -11,9 +11,8 @@
 //!
 //! Runs a clean victim tenant against a poison+flood aggressor tenant on
 //! one service and exits nonzero if any isolation invariant is violated:
-//! a victim reply that is not `Optimized { rung: Fast }`, a cross-tenant
-//! breaker charge, a stale cache reclaim, an escaped panic, or unbalanced
-//! per-tenant books.
+//! a victim reply that is not `Optimized`, a cross-tenant breaker charge,
+//! a stale cache reclaim, an escaped panic, or unbalanced per-tenant books.
 
 use kola_service::{run_noisy_neighbor, TenantChaosConfig};
 

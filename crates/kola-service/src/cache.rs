@@ -41,8 +41,8 @@
 //!   epoch against *its own tenant's* breaker generation, one tenant's
 //!   trip reclaims only that tenant's plans.
 //!
-//! Only *pure* requests participate (no injected faults or forced rung
-//! failures), and only fast-rung successes with no retries, no caught
+//! Only *pure* requests participate (no injected faults or forced engine
+//! failures), and only optimized responses with no retries, no caught
 //! panics, no quarantine, and no contained rule failures are inserted —
 //! exactly the responses that are a pure function of (term, rule set,
 //! budget). Everything else takes the ordinary worker path, which is what
@@ -51,7 +51,6 @@
 
 use crate::metrics::ServiceMetrics;
 use crate::request::{Outcome, Payload, Request, Response};
-use crate::Rung;
 use kola::query_fp;
 use kola::term::Query;
 use kola_rewrite::budget::queries_equal;
@@ -90,7 +89,7 @@ impl KeyInput {
 
 /// The budget half of a cache key: every option that shapes the plan. The
 /// wall-clock timeout and hold are deliberately absent — a successful
-/// rung never stopped on a deadline (the ladder classifies that as
+/// attempt never stopped on a deadline (the ladder classifies that as
 /// failure), so cached derivations are deadline-independent, the same
 /// argument trace replay relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -156,12 +155,9 @@ impl CachedPlan {
 /// [`ServiceMetrics::new`] in this order).
 fn served_index(outcome: &Outcome) -> usize {
     match outcome {
-        Outcome::Optimized { rung: Rung::Fast } => 0,
-        Outcome::Optimized {
-            rung: Rung::Reference,
-        } => 1,
-        Outcome::Passthrough => 2,
-        Outcome::Overloaded | Outcome::Invalid => 3,
+        Outcome::Optimized => 0,
+        Outcome::Passthrough => 1,
+        Outcome::Overloaded | Outcome::Invalid => 2,
     }
 }
 
@@ -298,13 +294,13 @@ impl PlanCache {
 
     /// Derive the cache key for `request` under resolved tenant index
     /// `tenant`, or `None` when the request must not touch the cache:
-    /// injected faults and forced rung failures make the outcome a
+    /// injected faults and forced engine failures make the outcome a
     /// function of more than (term, rule set, budget). Timeouts, backoff,
     /// and holds stay cacheable — they shape *when* a plan arrives, never
     /// *which* plan (see [`BudgetKey`]).
     pub(crate) fn key_of(request: &Request, tenant: usize) -> Option<CacheKey> {
         let o = &request.options;
-        if !o.faults.is_empty() || !o.force_fail.is_empty() || !o.transient_fail.is_empty() {
+        if !o.faults.is_empty() || o.force_fail || o.transient_fail {
             return None;
         }
         let budget = BudgetKey {
@@ -441,7 +437,7 @@ impl PlanCache {
     }
 
     /// Leader completion: retire the flight and, when the response is
-    /// serveable — cacheable (fast rung, pure) *and* derived at
+    /// serveable — cacheable (optimized, pure) *and* derived at
     /// `epoch == gen` — insert it and answer every parked waiter from it,
     /// doing the waiters' hit accounting here (a coalesced park is not a
     /// hit until its leader actually delivers). Otherwise the waiters are
@@ -619,15 +615,13 @@ impl PlanCache {
 /// allocation of an entry); inputs are shared `Arc`s either way.
 const MAX_CACHED_PLAN_NODES: usize = 2_048;
 
-/// Is `response` a pure function of (term, rule set, budget)? Fast-rung
-/// success, no retries, no caught panics, no error notes, no quarantine,
-/// and no contained per-rule failures — any of those would make a cached
-/// replay observably different from a fresh engine pass (different panic
-/// attributions, different breaker charges). Reference-rung successes are
-/// excluded too: a request only reaches that rung through a failure,
-/// which already disqualifies it.
+/// Is `response` a pure function of (term, rule set, budget)? Optimized,
+/// no retries, no caught panics, no error notes, no quarantine, and no
+/// contained per-rule failures — any of those would make a cached replay
+/// observably different from a fresh engine pass (different panic
+/// attributions, different breaker charges).
 fn cacheable_response(response: &Response) -> bool {
-    matches!(response.outcome, Outcome::Optimized { rung: Rung::Fast })
+    matches!(response.outcome, Outcome::Optimized)
         && response.error.is_none()
         && response.retries == 0
         && response.panics.is_empty()
@@ -653,7 +647,7 @@ mod tests {
 
     fn plan_for(src: &str) -> Arc<CachedPlan> {
         Arc::new(CachedPlan {
-            outcome: Outcome::Optimized { rung: Rung::Fast },
+            outcome: Outcome::Optimized,
             plan: Arc::new(kola::parse::parse_query(src).unwrap()),
             report: None,
             quarantine: QuarantineReport::default(),
@@ -717,7 +711,7 @@ mod tests {
         });
         assert!(PlanCache::key_of(&faulted, 0).is_none());
         let forced = Request::text("id . age ! P").with_options(RequestOptions {
-            force_fail: vec![Rung::Fast],
+            force_fail: true,
             ..RequestOptions::default()
         });
         assert!(PlanCache::key_of(&forced, 0).is_none());
@@ -783,7 +777,7 @@ mod tests {
         let r = Response {
             id: 0,
             tenant: Arc::from(crate::tenant::DEFAULT_TENANT),
-            outcome: Outcome::Optimized { rung: Rung::Fast },
+            outcome: Outcome::Optimized,
             plan: Some(Arc::new(big)),
             report: Some(RewriteReport::default()),
             quarantine: QuarantineReport::default(),
@@ -871,7 +865,7 @@ mod tests {
         let ok = Response {
             id: 1,
             tenant: Arc::from(crate::tenant::DEFAULT_TENANT),
-            outcome: Outcome::Optimized { rung: Rung::Fast },
+            outcome: Outcome::Optimized,
             plan: Some(Arc::new(kola::parse::parse_query("age ! P").unwrap())),
             report: Some(RewriteReport::default()),
             quarantine: QuarantineReport::default(),

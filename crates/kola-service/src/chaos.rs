@@ -2,7 +2,7 @@
 //!
 //! One seeded [`ChaosConfig`] fully determines the request stream: a mix
 //! of well-formed OQL/KOLA text, adversarially deep AST payloads,
-//! poison-rule fault plans (rules that panic mid-rewrite), injected rung
+//! poison-rule fault plans (rules that panic mid-rewrite), injected engine
 //! faults, random deadlines, and artificial holds that push the queue into
 //! overload. Thread scheduling still varies run to run — which requests
 //! get shed, which deadlines expire — but the service's *invariants* must
@@ -14,7 +14,6 @@
 use crate::metrics::conservation_violations;
 use crate::request::{Outcome, Payload, Request, RequestOptions};
 use crate::service::{Service, ServiceConfig};
-use crate::Rung;
 use kola::term::{Func, Pred, Query};
 use kola::Value;
 use kola_exec::rng::{splitmix64, Rng};
@@ -82,10 +81,8 @@ impl Default for ChaosConfig {
 pub struct ChaosReport {
     /// Requests generated (and therefore classified).
     pub requests: usize,
-    /// `Optimized { rung: Fast }` replies.
+    /// `Optimized` replies.
     pub optimized_fast: usize,
-    /// `Optimized { rung: Reference }` replies.
-    pub optimized_reference: usize,
     /// `Passthrough` replies.
     pub passthrough: usize,
     /// Structured sheds at submission.
@@ -152,8 +149,7 @@ impl ChaosReport {
     /// The scheduling-independent invariants. Empty means the soak passed.
     pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
-        let classified =
-            self.optimized_fast + self.optimized_reference + self.passthrough + self.overloaded;
+        let classified = self.optimized_fast + self.passthrough + self.overloaded;
         if classified + self.invalid != self.requests {
             v.push(format!(
                 "classification leak: {} of {} requests accounted for",
@@ -206,11 +202,6 @@ impl ChaosReport {
                 "optimized_fast",
                 self.optimized_fast,
                 self.metrics.counter("optimized_fast") + served("fast"),
-            ),
-            (
-                "optimized_reference",
-                self.optimized_reference,
-                self.metrics.counter("optimized_reference") + served("reference"),
             ),
             (
                 "passthrough",
@@ -309,8 +300,7 @@ impl ChaosReport {
         sorted.sort_unstable();
         format!(
             "requests            {}\n\
-             optimized (fast)    {}\n\
-             optimized (ref)     {}\n\
+             optimized           {}\n\
              passthrough         {}\n\
              overloaded          {}\n\
              invalid             {}\n\
@@ -327,7 +317,6 @@ impl ChaosReport {
              latency p50/p95/p99 {} / {} / {} us",
             self.requests,
             self.optimized_fast,
-            self.optimized_reference,
             self.passthrough,
             self.overloaded,
             self.invalid,
@@ -450,7 +439,7 @@ pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Reques
     };
     // Random deadlines on roughly a third of all requests — tight enough
     // that some die in the queue or mid-rewrite, loose enough that most
-    // survive to an engine rung.
+    // survive to an engine attempt.
     if rng.gen_bool(0.35) {
         options.timeout =
             Some(stall + Duration::from_micros(1000 + rng.gen_range(0..8000usize) as u64));
@@ -478,15 +467,12 @@ pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Reques
             _ => deep_pair_ast(h),
         }))
     } else if roll < 75 {
-        // Injected rung faults: mostly transient (retry absorbs them),
-        // sometimes permanent (ladder degrades).
+        // Injected engine faults: mostly transient (the retry absorbs
+        // them), sometimes permanent (the ladder ends in passthrough).
         if rng.gen_bool(0.7) {
-            options.transient_fail = vec![Rung::Fast];
+            options.transient_fail = true;
         } else {
-            options.force_fail = vec![Rung::Fast];
-            if rng.gen_bool(0.3) {
-                options.force_fail.push(Rung::Reference);
-            }
+            options.force_fail = true;
         }
         Payload::Text(id_tower_text(1 + rng.gen_range(0..8usize)))
     } else if roll < 90 {
@@ -555,10 +541,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let mut pending = Vec::new();
     let absorb = |resp: crate::request::Response, report: &mut ChaosReport| {
         match resp.outcome {
-            Outcome::Optimized { rung: Rung::Fast } => report.optimized_fast += 1,
-            Outcome::Optimized {
-                rung: Rung::Reference,
-            } => report.optimized_reference += 1,
+            Outcome::Optimized => report.optimized_fast += 1,
             Outcome::Passthrough => report.passthrough += 1,
             Outcome::Overloaded => report.overloaded += 1,
             Outcome::Invalid => report.invalid += 1,
@@ -703,7 +686,7 @@ impl Default for CleanConfig {
 pub struct CleanReport {
     /// Requests driven (all of them classified).
     pub requests: usize,
-    /// `Optimized { rung: Fast }` replies — a clean stream must produce
+    /// `Optimized` replies — a clean stream must produce
     /// nothing else.
     pub optimized_fast: usize,
     /// Replies with any other outcome (degradations, sheds, rejections).
@@ -782,7 +765,7 @@ pub fn run_clean_stream(cfg: &CleanConfig) -> CleanReport {
                     for _ in 0..n {
                         let resp = service.call(generate_clean_request(&mut rng, stall));
                         match resp.outcome {
-                            Outcome::Optimized { rung: Rung::Fast } => fast += 1,
+                            Outcome::Optimized => fast += 1,
                             _ => other += 1,
                         }
                         latencies.push(resp.latency.as_micros() as u64);
@@ -867,7 +850,7 @@ impl Default for RepeatedConfig {
 pub struct RepeatedReport {
     /// Requests driven in the timed window (all of them classified).
     pub requests: usize,
-    /// `Optimized { rung: Fast }` replies (worker passes and cache hits
+    /// `Optimized` replies (worker passes and cache hits
     /// alike — a repeated stream must produce nothing else).
     pub optimized_fast: usize,
     /// Replies with any other outcome (must be zero).
@@ -943,8 +926,8 @@ pub fn run_repeated_stream(cfg: &RepeatedConfig) -> RepeatedReport {
     for src in &pool {
         let r = service.call(pool_request(src));
         assert!(
-            matches!(r.outcome, Outcome::Optimized { rung: Rung::Fast }),
-            "pool prewarm must optimize on the fast rung, got {}",
+            matches!(r.outcome, Outcome::Optimized),
+            "pool prewarm must optimize, got {}",
             r.outcome
         );
     }
@@ -988,7 +971,7 @@ pub fn run_repeated_stream(cfg: &RepeatedConfig) -> RepeatedReport {
                         };
                         let resp = service.call(request);
                         match resp.outcome {
-                            Outcome::Optimized { rung: Rung::Fast } => fast += 1,
+                            Outcome::Optimized => fast += 1,
                             _ => other += 1,
                         }
                         panics += resp.panics.len();
@@ -1022,7 +1005,7 @@ pub fn run_repeated_stream(cfg: &RepeatedConfig) -> RepeatedReport {
     report.violations = conservation_violations(&report.metrics);
     if report.other != 0 {
         report.violations.push(format!(
-            "{} repeated-stream requests not optimized on the fast rung",
+            "{} repeated-stream requests not optimized",
             report.other
         ));
     }
@@ -1046,8 +1029,8 @@ pub fn run_repeated_stream(cfg: &RepeatedConfig) -> RepeatedReport {
 /// of isolation under test: the aggressor must trip only its own breaker,
 /// invalidate only its own plan-cache lines, and exhaust only its own
 /// admission quota — the victim's outcome taxonomy must be exactly what it
-/// would be running solo (every reply `Optimized { rung: Fast }`, zero
-/// sheds, zero panics). Set [`TenantChaosConfig::aggressor`] to `false`
+/// would be running solo (every reply `Optimized`, zero sheds, zero
+/// panics). Set [`TenantChaosConfig::aggressor`] to `false`
 /// for the solo baseline the bench compares against.
 #[derive(Debug, Clone)]
 pub struct TenantChaosConfig {
@@ -1104,7 +1087,7 @@ impl Default for TenantChaosConfig {
 pub struct TenantTally {
     /// Requests this tenant's clients drove (all of them classified).
     pub requests: usize,
-    /// `Optimized { rung: Fast }` replies.
+    /// `Optimized` replies.
     pub optimized_fast: usize,
     /// Replies with any other completed outcome (degradations, rejections).
     pub other: usize,
@@ -1122,7 +1105,7 @@ impl TenantTally {
     fn absorb(&mut self, resp: &crate::request::Response) {
         self.requests += 1;
         match resp.outcome {
-            Outcome::Optimized { rung: Rung::Fast } => self.optimized_fast += 1,
+            Outcome::Optimized => self.optimized_fast += 1,
             Outcome::Overloaded => self.overloaded += 1,
             Outcome::Invalid => self.invalid += 1,
             _ => self.other += 1,
@@ -1179,7 +1162,7 @@ impl TenantChaosReport {
         let mut v = Vec::new();
         v.extend(self.conservation.iter().cloned());
         // The victim's outcome taxonomy must be exactly its solo taxonomy:
-        // every reply optimized on the fast rung.
+        // every reply optimized.
         if self.victim.optimized_fast != self.victim.requests {
             v.push(format!(
                 "victim taxonomy polluted: {} of {} replies fast ({} degraded, \

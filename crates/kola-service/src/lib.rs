@@ -18,12 +18,11 @@
 //!   snapshot workers run under: one atomic load per request in steady
 //!   state, an `Arc` swap when the breaker trips or resets, and an epoch
 //!   that scopes the persistent engines' caches to one rule set.
-//! - [`ladder::Ladder`] — the three-rung degradation ladder each worker
-//!   runs: the fast (interned + indexed + memoized) engine first, the boxed
-//!   reference engine second, and an unoptimized passthrough of the input
-//!   last. Every rung runs under the request's remaining deadline with one
-//!   jittered-backoff retry, so a transient injected fault costs a retry,
-//!   not the request.
+//! - [`ladder::Ladder`] — the degradation ladder each worker runs: the
+//!   fast (interned + tree-indexed + memoized) engine, one jittered-backoff
+//!   retry of it, and an unoptimized passthrough of the input last. Both
+//!   attempts run under the request's remaining deadline, so a transient
+//!   injected fault costs a retry, not the request.
 //! - [`breaker::Breaker`] — a cross-request per-rule circuit breaker: a
 //!   rule implicated in repeated failures (injected faults, poison-rule
 //!   panics, oversize results) is evicted from the rule set handed to the
@@ -54,10 +53,10 @@
 //!   that no panic escapes a worker, that the metric books balance, and
 //!   that every recorded trace replays exactly.
 //!
-//! Degradation preserves exactness: with no faults injected the service
-//! answer is byte-identical to a direct [`kola_rewrite::Runner`] run on the
-//! fast engine, and with the fast rung forced down it is byte-identical to
-//! the boxed reference engine (see `tests/service.rs`).
+//! Serving preserves exactness: with no faults injected the service answer
+//! is byte-identical to a direct [`kola_rewrite::Runner`] run on the fast
+//! engine and on the boxed reference engine alike (see
+//! `tests/service.rs`).
 
 pub mod breaker;
 mod cache;
@@ -75,7 +74,7 @@ pub use chaos::{
     run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, CleanReport, RepeatedConfig,
     RepeatedReport, TenantChaosConfig, TenantChaosReport, PEAK_ARENA_BOUND,
 };
-pub use ladder::{Ladder, LadderResult, ReferenceRung, RetryPark, Rung};
+pub use ladder::{Ladder, LadderResult, RetryPark};
 pub use metrics::{conservation_violations, ServiceMetrics};
 pub use request::{Outcome, Payload, Request, RequestOptions, Response};
 pub use service::{Pending, Service, ServiceConfig};

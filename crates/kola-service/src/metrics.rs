@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! submitted  == overloaded + rejected_invalid + admitted + cache_hits
-//! admitted   == optimized_fast + optimized_reference + passthrough
-//!               + completed_invalid + panicked
+//! admitted   == optimized_fast + passthrough + completed_invalid + panicked
 //! cache_hits == Σ cache_served[label]
 //! ```
 //!
@@ -55,10 +54,8 @@ pub struct ServiceMetrics {
     /// Dequeued by a worker (every one terminates in exactly one of the
     /// five completion counters below).
     pub admitted: Arc<Counter>,
-    /// Completed `Optimized { rung: Fast }`.
+    /// Completed `Optimized`.
     pub optimized_fast: Arc<Counter>,
-    /// Completed `Optimized { rung: Reference }`.
-    pub optimized_reference: Arc<Counter>,
     /// Completed `Passthrough` (ladder exhausted or semantic-gate degrade).
     pub passthrough: Arc<Counter>,
     /// Completed `Invalid` in the worker (parse failure).
@@ -83,21 +80,21 @@ pub struct ServiceMetrics {
     /// Plans inserted into the cache by flight leaders.
     pub cache_insertions: Arc<Counter>,
     /// Cache hits by the outcome they served, labeled
-    /// `fast` / `reference` / `passthrough` / `invalid` (only `fast` plans
-    /// are inserted today; the full taxonomy keeps the conservation
-    /// cross-check honest if that ever widens).
+    /// `fast` / `passthrough` / `invalid` (only `fast` plans are inserted
+    /// today; the full taxonomy keeps the conservation cross-check honest
+    /// if that ever widens).
     pub cache_served: Arc<CounterFamily>,
     /// Submit-to-reply latency (µs) of direct cache hits — the headline
     /// "served without touching a worker engine" number.
     pub cache_hit_latency_us: Arc<Histogram>,
-    /// Ladder retries taken (all rungs).
+    /// Ladder retries taken.
     pub retries: Arc<Counter>,
     /// Poison-rule panics caught *and classified* by the ladder.
     pub caught_panics: Arc<Counter>,
     /// Optimized plans degraded to passthrough by the semantic gate.
     pub gate_degradations: Arc<Counter>,
-    /// Failed rung attempts, labeled `fast` / `reference`.
-    pub rung_failures: Arc<CounterFamily>,
+    /// Failed fast-engine attempts (first tries and retries).
+    pub rung_failures: Arc<Counter>,
     /// Engine node visits attributed to requests (delta-flushed per
     /// request from the worker's persistent engine).
     pub engine_visits: Arc<Counter>,
@@ -153,8 +150,6 @@ pub struct ServiceMetrics {
     pub tenant_cache_hits: Arc<CounterFamily>,
     /// Per-tenant `optimized_fast`.
     pub tenant_optimized_fast: Arc<CounterFamily>,
-    /// Per-tenant `optimized_reference`.
-    pub tenant_optimized_reference: Arc<CounterFamily>,
     /// Per-tenant `passthrough`.
     pub tenant_passthrough: Arc<CounterFamily>,
     /// Per-tenant `completed_invalid`.
@@ -196,7 +191,6 @@ impl ServiceMetrics {
             rejected_invalid: registry.counter("rejected_invalid"),
             admitted: registry.counter("admitted"),
             optimized_fast: registry.counter("optimized_fast"),
-            optimized_reference: registry.counter("optimized_reference"),
             passthrough: registry.counter("passthrough"),
             completed_invalid: registry.counter("completed_invalid"),
             panicked: registry.counter("panicked"),
@@ -206,15 +200,12 @@ impl ServiceMetrics {
             cache_stale: registry.counter("cache_stale"),
             cache_evicted: registry.counter("cache_evicted"),
             cache_insertions: registry.counter("cache_insertions"),
-            cache_served: registry.family(
-                "cache_served",
-                ["fast", "reference", "passthrough", "invalid"],
-            ),
+            cache_served: registry.family("cache_served", ["fast", "passthrough", "invalid"]),
             cache_hit_latency_us: registry.histogram("cache_hit_latency_us", &pow2_bounds(us_cap)),
             retries: registry.counter("retries"),
             caught_panics: registry.counter("caught_panics"),
             gate_degradations: registry.counter("gate_degradations"),
-            rung_failures: registry.family("rung_failures", ["fast", "reference"]),
+            rung_failures: registry.counter("rung_failures"),
             engine_visits: registry.counter("engine_visits"),
             engine_constructed: registry.counter("engine_constructed"),
             engine_memo_hits: registry.counter("engine_memo_hits"),
@@ -240,7 +231,6 @@ impl ServiceMetrics {
             tenant_admitted: tenants("tenant_admitted"),
             tenant_cache_hits: tenants("tenant_cache_hits"),
             tenant_optimized_fast: tenants("tenant_optimized_fast"),
-            tenant_optimized_reference: tenants("tenant_optimized_reference"),
             tenant_passthrough: tenants("tenant_passthrough"),
             tenant_completed_invalid: tenants("tenant_completed_invalid"),
             tenant_panicked: tenants("tenant_panicked"),
@@ -295,16 +285,14 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
     }
     let admitted = s.counter("admitted");
     let completions = s.counter("optimized_fast")
-        + s.counter("optimized_reference")
         + s.counter("passthrough")
         + s.counter("completed_invalid")
         + s.counter("panicked");
     if admitted != completions {
         v.push(format!(
-            "completion books unbalanced: admitted {} != optimized_fast {} + optimized_reference {} + passthrough {} + completed_invalid {} + panicked {}",
+            "completion books unbalanced: admitted {} != optimized_fast {} + passthrough {} + completed_invalid {} + panicked {}",
             admitted,
             s.counter("optimized_fast"),
-            s.counter("optimized_reference"),
             s.counter("passthrough"),
             s.counter("completed_invalid"),
             s.counter("panicked"),
@@ -321,16 +309,15 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
     // Per-tenant books: the same two equations per tenant label, plus the
     // cross-check that each per-tenant family sums to its aggregate
     // counter. Family snapshots report only nonzero lanes, so take the
-    // union of labels across all ten families (this includes the `other`
+    // union of labels across all nine families (this includes the `other`
     // catch-all lane unknown-tenant submissions land in).
-    const TENANT_FAMILIES: [&str; 10] = [
+    const TENANT_FAMILIES: [&str; 9] = [
         "tenant_submitted",
         "tenant_overloaded",
         "tenant_rejected_invalid",
         "tenant_admitted",
         "tenant_cache_hits",
         "tenant_optimized_fast",
-        "tenant_optimized_reference",
         "tenant_passthrough",
         "tenant_completed_invalid",
         "tenant_panicked",
@@ -364,16 +351,14 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
         }
         let admitted = lane("tenant_admitted", label);
         let completions = lane("tenant_optimized_fast", label)
-            + lane("tenant_optimized_reference", label)
             + lane("tenant_passthrough", label)
             + lane("tenant_completed_invalid", label)
             + lane("tenant_panicked", label);
         if admitted != completions {
             v.push(format!(
-                "tenant {label:?} completion books unbalanced: admitted {} != optimized_fast {} + optimized_reference {} + passthrough {} + completed_invalid {} + panicked {}",
+                "tenant {label:?} completion books unbalanced: admitted {} != optimized_fast {} + passthrough {} + completed_invalid {} + panicked {}",
                 admitted,
                 lane("tenant_optimized_fast", label),
-                lane("tenant_optimized_reference", label),
                 lane("tenant_passthrough", label),
                 lane("tenant_completed_invalid", label),
                 lane("tenant_panicked", label),
@@ -387,7 +372,6 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
         ("tenant_admitted", "admitted"),
         ("tenant_cache_hits", "cache_hits"),
         ("tenant_optimized_fast", "optimized_fast"),
-        ("tenant_optimized_reference", "optimized_reference"),
         ("tenant_passthrough", "passthrough"),
         ("tenant_completed_invalid", "completed_invalid"),
         ("tenant_panicked", "panicked"),

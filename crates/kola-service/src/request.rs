@@ -5,7 +5,6 @@
 //! always produced — the service's contract is that every accepted request
 //! terminates with exactly one classified [`Outcome`].
 
-use crate::ladder::Rung;
 use kola::term::Query;
 use kola_rewrite::{Budget, CaughtPanic, FaultPlan, QuarantineReport, RewriteReport};
 use std::sync::Arc;
@@ -30,7 +29,7 @@ pub enum Payload {
 /// size) live in [`crate::service::ServiceConfig`].
 #[derive(Debug, Clone)]
 pub struct RequestOptions {
-    /// Step cap for each ladder rung (see [`Budget::max_steps`]).
+    /// Step cap for each engine attempt (see [`Budget::max_steps`]).
     pub max_steps: usize,
     /// Traversal-depth cap (see [`Budget::max_depth`]).
     pub max_depth: usize,
@@ -46,13 +45,12 @@ pub struct RequestOptions {
     /// Base retry backoff; the actual sleep is jittered deterministically
     /// from the request id and capped by the remaining deadline.
     pub backoff: Duration,
-    /// Injected *permanent* rung failures: listed rungs fail on every
-    /// attempt (testing/chaos surface — how the parity suite forces the
-    /// service down to the reference engine).
-    pub force_fail: Vec<Rung>,
-    /// Injected *transient* rung failures: listed rungs fail on their first
-    /// attempt only, so the jittered-backoff retry succeeds.
-    pub transient_fail: Vec<Rung>,
+    /// Injected *permanent* engine failure: every attempt fails, so the
+    /// request ends in passthrough (testing/chaos surface).
+    pub force_fail: bool,
+    /// Injected *transient* engine failure: the first attempt fails, so
+    /// the jittered-backoff retry succeeds (testing/chaos surface).
+    pub transient_fail: bool,
     /// Simulated pre-ladder work (testing/chaos surface — deterministic
     /// queue backpressure for the overload tests).
     pub hold_for: Option<Duration>,
@@ -69,15 +67,15 @@ impl Default for RequestOptions {
             timeout: None,
             faults: FaultPlan::default(),
             backoff: Duration::from_micros(200),
-            force_fail: Vec::new(),
-            transient_fail: Vec::new(),
+            force_fail: false,
+            transient_fail: false,
             hold_for: None,
         }
     }
 }
 
 impl RequestOptions {
-    /// The per-rung [`Budget`] these options describe. The deadline is
+    /// The per-attempt [`Budget`] these options describe. The deadline is
     /// supplied by the caller (it is anchored at submission time, not at
     /// budget-construction time).
     pub fn budget(&self, deadline: Option<std::time::Instant>) -> Budget {
@@ -141,13 +139,10 @@ impl Request {
 /// exactly one of these.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
-    /// A ladder rung produced an optimized plan within budget.
-    Optimized {
-        /// Which rung succeeded.
-        rung: Rung,
-    },
-    /// Every engine rung failed or the deadline expired: the input query is
-    /// returned unoptimized. Slower for the executor, but correct — and an
+    /// The fast engine produced an optimized plan within budget.
+    Optimized,
+    /// Both engine attempts failed or the deadline expired: the input query
+    /// is returned unoptimized. Slower for the executor, but correct — and an
     /// answer, not an error.
     Passthrough,
     /// The work queue was full at submission; the request was never
@@ -161,7 +156,7 @@ pub enum Outcome {
 impl std::fmt::Display for Outcome {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            Outcome::Optimized { rung } => write!(f, "optimized({rung})"),
+            Outcome::Optimized => write!(f, "optimized"),
             Outcome::Passthrough => write!(f, "passthrough"),
             Outcome::Overloaded => write!(f, "overloaded"),
             Outcome::Invalid => write!(f, "invalid"),
@@ -185,17 +180,17 @@ pub struct Response {
     /// Shared by `Arc` so the plan cache can answer a hit — and a
     /// passthrough can return its input — without deep-copying the term.
     pub plan: Option<Arc<Query>>,
-    /// The successful rung's rewrite report, untouched — byte-identical to
+    /// The successful attempt's rewrite report, untouched — byte-identical to
     /// what a direct [`kola_rewrite::Runner`] run would report.
     pub report: Option<RewriteReport>,
-    /// Per-run quarantine state (satellite of the successful rung's
+    /// Per-run quarantine state (satellite of the successful attempt's
     /// report), restricted to rules the catalog owns.
     pub quarantine: QuarantineReport,
     /// Poison-rule panics caught (and attributed) during the ladder run.
     pub panics: Vec<CaughtPanic>,
-    /// Retries taken across all rungs.
+    /// Retries taken (at most one).
     pub retries: usize,
-    /// Human-readable notes for every failed rung attempt, plus the parse
+    /// Human-readable notes for every failed engine attempt, plus the parse
     /// or gate error when `outcome` is `Invalid`/degraded.
     pub error: Option<String>,
     /// End-to-end latency from submission to reply (includes queue wait).

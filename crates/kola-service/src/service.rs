@@ -12,12 +12,12 @@
 //! worker: parse text ──err──▶ Invalid
 //!    │
 //!    ▼ snapshot refresh: one atomic load; epoch swap on breaker change
-//!    ▼ ladder: fast ▷ reference ▷ passthrough   (fast rung = the worker's
-//!    │          long-lived engine; each rung: retry once, under remaining
+//!    ▼ ladder: fast ▷ retry ▷ passthrough   (fast = the worker's
+//!    │          long-lived engine; one jittered retry under the remaining
 //!    │          deadline, panics caught & attributed)
 //!    ▼ semantic gate (optional): plan ≡ input on a sample database,
 //!    │          else degrade to Passthrough
-//!    ▼ reply: Optimized{rung} | Passthrough
+//!    ▼ reply: Optimized | Passthrough
 //! ```
 //!
 //! Three structures keep the hot path off shared locks:
@@ -47,7 +47,7 @@
 
 use crate::breaker::Breaker;
 use crate::cache::{CacheKey, CachedPlan, Claim, PlanCache, Probe, Waiter};
-use crate::ladder::{Ladder, ReferenceRung, RetryPark, Rung};
+use crate::ladder::{Ladder, RetryPark};
 use crate::metrics::ServiceMetrics;
 use crate::request::{Outcome, Payload, Request, Response};
 use crate::snapshot::RuleSnapshot;
@@ -116,7 +116,7 @@ pub struct ServiceConfig {
     /// Configuration for the long-lived worker engines. Defaults to
     /// [`EngineConfig::fast`]; [`EngineConfig::saturating`] opts the whole
     /// worker fleet into equality saturation with cost-based extraction
-    /// (the ladder's rungs, snapshot masking, and breaker charging are
+    /// (the ladder's retry, snapshot masking, and breaker charging are
     /// engine-mode agnostic).
     pub engine: EngineConfig,
 }
@@ -665,20 +665,13 @@ fn requeue_waiters(shared: &Shared, waiters: Vec<Waiter>) {
     }
 }
 
-/// One tenant's lane of a worker's persistent state: the cached rule-set
-/// snapshot and the reference rung's resolved rule cache, both scoped to
-/// that tenant's epochs (the fast engine is shared across lanes — its
-/// memo is partitioned by the snapshot's scoped `engine_epoch`).
-struct TenantLane<'a> {
-    snapshot: Arc<RuleSnapshot>,
-    reference: ReferenceRung<'a>,
-}
-
 /// Per-worker persistent state: the engine whose arena/marks/memo survive
-/// across requests, plus one [`TenantLane`] per served tenant.
+/// across requests, plus one cached rule-set snapshot per served tenant
+/// (the engine is shared across tenants — its memo is partitioned by the
+/// snapshot's scoped `engine_epoch`).
 struct WorkerState<'a> {
     engine: Engine<'a>,
-    lanes: Vec<TenantLane<'a>>,
+    snapshots: Vec<Arc<RuleSnapshot>>,
     /// Engine odometer readings at the last flush; per-request deltas are
     /// pushed into the service counters so one worker's engine stats never
     /// double-count.
@@ -727,14 +720,7 @@ fn worker_loop(shared: &Shared, index: usize) {
     let rule_count = rules.len();
     let mut state = WorkerState {
         engine: Engine::new(rules, &shared.props, shared.engine_config.clone()),
-        lanes: shared
-            .tenants
-            .iter()
-            .map(|t| TenantLane {
-                snapshot: t.snapshots.load(),
-                reference: ReferenceRung::new(),
-            })
-            .collect(),
+        snapshots: shared.tenants.iter().map(|t| t.snapshots.load()).collect(),
         last: EngineStats::default(),
         last_consults: vec![0; rule_count],
     };
@@ -752,9 +738,9 @@ fn worker_loop(shared: &Shared, index: usize) {
         let ticket = job.cache.take();
         let busy = Instant::now();
         let engine = &mut state.engine;
-        let lane = &mut state.lanes[tenant];
+        let snapshot = &mut state.snapshots[tenant];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle(shared, job, engine, lane, index)
+            handle(shared, job, engine, snapshot, index)
         }));
         let response = outcome.unwrap_or_else(|_| {
             // Nothing should reach this boundary — the ladder catches
@@ -775,14 +761,14 @@ fn worker_loop(shared: &Shared, index: usize) {
             // Retire the flight this job led: insert the response and
             // answer every coalesced waiter if it is cacheable and the
             // tenant's rule set did not move while it was being computed
-            // (`lane.snapshot.epoch` is the generation the ladder ran
+            // (the snapshot's `epoch` is the generation the ladder ran
             // under); otherwise the waiters come back for requeue as
             // fresh jobs — they are never answered with a failed leader's
             // reply and never left parked.
             let unserved = cache.complete(
                 key,
                 &response,
-                state.lanes[tenant].snapshot.epoch,
+                state.snapshots[tenant].epoch,
                 shared.tenants.get(tenant).breaker.generation(),
                 &shared.metrics,
             );
@@ -862,7 +848,7 @@ fn handle<'a>(
     shared: &'a Shared,
     job: Job,
     engine: &mut Engine<'a>,
-    lane: &mut TenantLane<'a>,
+    snapshot: &mut Arc<RuleSnapshot>,
     index: usize,
 ) -> Response {
     let Job {
@@ -896,7 +882,7 @@ fn handle<'a>(
     // One atomic load in steady state; an epoch swap when *this tenant's*
     // breaker tripped or reset since this worker last served it.
     ten.snapshots
-        .refresh(&mut lane.snapshot, &shared.catalog, &ten.breaker);
+        .refresh(snapshot, &shared.catalog, &ten.breaker);
 
     let ladder = Ladder {
         catalog: &shared.catalog,
@@ -912,15 +898,7 @@ fn handle<'a>(
         park: Some(&shared.parks[index]),
         tenant: Some(&ten.name),
     };
-    let mut result = ladder.run_with(
-        id,
-        &input,
-        &request.options,
-        deadline,
-        engine,
-        &lane.snapshot,
-        &mut lane.reference,
-    );
+    let mut result = ladder.run_with(id, &input, &request.options, deadline, engine, snapshot);
     let m = &shared.metrics;
     m.retries.add(result.retries as u64);
     m.caught_panics.add(result.panics.len() as u64);
@@ -933,7 +911,7 @@ fn handle<'a>(
     // Semantic gate: an optimized plan that disagrees with its input on
     // the sample database is worse than no optimization — degrade it.
     let mut gate_error = None;
-    if let (Some(db), Outcome::Optimized { .. }) = (&shared.verify_db, &result.outcome) {
+    if let (Some(db), Outcome::Optimized) = (&shared.verify_db, &result.outcome) {
         if let Err(e) = kola_verify::check_plan_semantics(db, &input, &result.plan) {
             gate_error = Some(format!("semantic gate: {e}"));
             m.gate_degradations.inc();
@@ -944,15 +922,9 @@ fn handle<'a>(
         }
     }
     match &result.outcome {
-        Outcome::Optimized { rung: Rung::Fast } => {
+        Outcome::Optimized => {
             m.optimized_fast.inc();
             m.tenant_optimized_fast.add_index(tenant, 1);
-        }
-        Outcome::Optimized {
-            rung: Rung::Reference,
-        } => {
-            m.optimized_reference.inc();
-            m.tenant_optimized_reference.add_index(tenant, 1);
         }
         Outcome::Passthrough => {
             m.passthrough.inc();

@@ -78,8 +78,9 @@ pub struct RuleSnapshot {
     /// image of `epoch` (identical to it on a single-tenant service).
     pub engine_epoch: u64,
     /// Forward catalog ids minus `disabled`, in catalog order — the rule
-    /// set the reference rung resolves. Behind its own `Arc` so recording
-    /// a trace shares the list instead of deep-cloning it per request.
+    /// set a recorded trace replays under. Behind its own `Arc` so
+    /// recording a trace shares the list instead of deep-cloning it per
+    /// request.
     pub active: Arc<Vec<String>>,
     /// Open-breaker rule ids (sorted) — masked out of the fast engine's
     /// full-catalog candidate scan.

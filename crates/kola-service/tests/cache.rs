@@ -4,7 +4,7 @@
 //! 1. **Transparency** (`cache_on_is_byte_identical_to_cache_off`): across
 //!    500 seeded request streams — repeated pool queries in both text and
 //!    AST form, unique queries, injected rule faults that trip breakers
-//!    mid-stream, forced rung failures, and operator reset sweeps — a
+//!    mid-stream, forced engine failures, and operator reset sweeps — a
 //!    cache-enabled service answers byte-identically to a cache-disabled
 //!    one, response by response. The cache may change *where* an answer
 //!    comes from, never *what* it is.
@@ -21,7 +21,7 @@
 use kola::parse::parse_query;
 use kola_exec::rng::{splitmix64, Rng};
 use kola_rewrite::{FaultKind, FaultPlan, FaultSpec, StepSelector};
-use kola_service::{Outcome, Request, RequestOptions, Response, Rung, Service, ServiceConfig};
+use kola_service::{Outcome, Request, RequestOptions, Response, Service, ServiceConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -81,10 +81,10 @@ fn gen_parity_request(rng: &mut Rng, op: usize, ast_pool: &[Arc<kola::term::Quer
             ..tiny_backoff
         })
     } else {
-        // Forced fast-rung failure: uncacheable, answered by the
-        // reference rung on both services.
+        // Forced engine failure: uncacheable, answered with the
+        // passthrough plan on both services.
         Request::text(id_tower_text(1 + rng.gen_range(0..4usize))).with_options(RequestOptions {
-            force_fail: vec![Rung::Fast],
+            force_fail: true,
             ..tiny_backoff
         })
     }
@@ -189,10 +189,7 @@ fn identical_concurrent_misses_coalesce_onto_one_leader() {
     let lead_response = leader.wait();
     let follower_responses: Vec<Response> = followers.into_iter().map(|p| p.wait()).collect();
 
-    assert_eq!(
-        lead_response.outcome,
-        Outcome::Optimized { rung: Rung::Fast }
-    );
+    assert_eq!(lead_response.outcome, Outcome::Optimized);
     for f in &follower_responses {
         assert_eq!(f.outcome, lead_response.outcome);
         assert_eq!(f.plan, lead_response.plan, "waiters get the leader's plan");
@@ -238,7 +235,7 @@ fn breaker_trip_invalidates_resident_plans() {
     let src = id_tower_text(6);
 
     let first = service.call(Request::text(src.clone()));
-    assert_eq!(first.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(first.outcome, Outcome::Optimized);
     let second = service.call(Request::text(src.clone()));
     assert_eq!(fmt_plan(&second), fmt_plan(&first));
     let s = service.metrics_snapshot();
@@ -255,7 +252,7 @@ fn breaker_trip_invalidates_resident_plans() {
     let third = service.call(Request::text(src.clone()));
     assert_eq!(
         third.outcome,
-        Outcome::Optimized { rung: Rung::Fast },
+        Outcome::Optimized,
         "recompute under the reduced rule set still answers"
     );
     let s = service.metrics_snapshot();
@@ -275,7 +272,7 @@ fn breaker_trip_invalidates_resident_plans() {
     // Reset moves the generation again: resident plans die once more.
     service.breaker().reset("11");
     let fifth = service.call(Request::text(id_tower_text(6)));
-    assert_eq!(fifth.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(fifth.outcome, Outcome::Optimized);
     assert_eq!(fmt_plan(&fifth), fmt_plan(&first), "full rule set is back");
     let s = service.metrics_snapshot();
     assert_eq!(s.counter("cache_stale"), 2);
@@ -322,7 +319,7 @@ fn failed_leader_requeues_waiters_as_solo_passes() {
         let r = f.wait();
         assert_eq!(
             r.outcome,
-            Outcome::Optimized { rung: Rung::Fast },
+            Outcome::Optimized,
             "requeued waiter must answer from its own pass"
         );
     }
@@ -364,8 +361,8 @@ fn tenant_trip_leaves_other_tenants_plans_resident() {
     // Warm one line per tenant — same query text, tenant-salted keys.
     let a1 = service.call(Request::text(src.clone()).for_tenant("a"));
     let b1 = service.call(Request::text(src.clone()).for_tenant("b"));
-    assert_eq!(a1.outcome, Outcome::Optimized { rung: Rung::Fast });
-    assert_eq!(b1.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(a1.outcome, Outcome::Optimized);
+    assert_eq!(b1.outcome, Outcome::Optimized);
     let s = service.metrics_snapshot();
     assert_eq!(s.counter("cache_insertions"), 2, "one line per tenant");
     assert_eq!(s.counter("cache_hits"), 0);
@@ -398,7 +395,7 @@ fn tenant_trip_leaves_other_tenants_plans_resident() {
     let a2 = service.call(Request::text(src.clone()).for_tenant("a"));
     assert_eq!(
         a2.outcome,
-        Outcome::Optimized { rung: Rung::Fast },
+        Outcome::Optimized,
         "a still answers under the reduced rule set"
     );
     let s = service.metrics_snapshot();

@@ -30,9 +30,9 @@ fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
         violations.join("\n"),
         report.summary()
     );
-    // The taxonomy is exactly Optimized{rung} / Passthrough / Overloaded.
+    // The taxonomy is exactly Optimized / Passthrough / Overloaded.
     assert_eq!(
-        report.optimized_fast + report.optimized_reference + report.passthrough + report.overloaded,
+        report.optimized_fast + report.passthrough + report.overloaded,
         report.requests,
         "{}",
         report.summary()
@@ -99,9 +99,9 @@ fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
             .map(|(_, n)| *n)
             .sum::<u64>()
     );
-    // The fault lanes made the fast rung fail at least once, and the
+    // The fault lanes made the fast engine fail at least once, and the
     // engine lanes attributed real work to the per-rule families.
-    assert!(s.family("rung_failures").iter().any(|(l, _)| l == "fast"));
+    assert!(s.counter("rung_failures") > 0, "{}", report.summary());
     assert!(s.counter("engine_visits") > 0, "{}", report.summary());
     let fired: u64 = s.family("rules_fired").iter().map(|(_, n)| *n).sum();
     let attempted: u64 = s.family("rules_attempted").iter().map(|(_, n)| *n).sum();

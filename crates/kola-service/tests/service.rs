@@ -1,6 +1,6 @@
-//! Integration tests for the optimization service: degradation parity,
-//! structured overload, breaker trip/recovery, deadline expiry between
-//! rungs, and request classification.
+//! Integration tests for the optimization service: parity with the direct
+//! fast and boxed engines, structured overload, breaker trip/recovery,
+//! deadline expiry before the retry, and request classification.
 
 use kola::term::{Func, Query};
 use kola_rewrite::strategy;
@@ -9,7 +9,7 @@ use kola_rewrite::{
     Trace,
 };
 use kola_service::{
-    Breaker, Ladder, Outcome, Payload, Request, RequestOptions, Rung, Service, ServiceConfig,
+    Breaker, Ladder, Outcome, Payload, Request, RequestOptions, Service, ServiceConfig,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -64,6 +64,9 @@ fn direct_run(
 
 #[test]
 fn service_output_is_byte_identical_to_direct_fast_engine_run() {
+    // The boxed reference engine checks the serving path from here rather
+    // than running inside it: every served plan and report must equal both
+    // a direct fast-engine run and a direct boxed-engine run.
     let service = Service::start(ServiceConfig {
         workers: 2,
         ..ServiceConfig::default()
@@ -73,61 +76,32 @@ fn service_output_is_byte_identical_to_direct_fast_engine_run() {
     for seed in 0..500u64 {
         let q = corpus_query(seed);
         let response = service.call(Request::ast(q.clone()));
-        let (direct_q, direct_report) = direct_run(&catalog, &props, Some(EngineConfig::fast()), q);
-        assert_eq!(
-            response.outcome,
-            Outcome::Optimized { rung: Rung::Fast },
-            "seed {seed}"
-        );
-        assert_eq!(response.plan.as_deref(), Some(&direct_q), "seed {seed}");
-        let report = response.report.expect("fast rung report");
-        assert_eq!(report, direct_report, "seed {seed}");
-        // Byte-identity, literally: the rendered plans and reports match.
-        assert_eq!(
-            format!("{}", response.plan.unwrap()),
-            format!("{direct_q}"),
-            "seed {seed}"
-        );
-        assert_eq!(
-            format!("{report:?}"),
-            format!("{direct_report:?}"),
-            "seed {seed}"
-        );
+        let (direct_q, direct_report) =
+            direct_run(&catalog, &props, Some(EngineConfig::fast()), q.clone());
+        let (boxed_q, boxed_report) = direct_run(&catalog, &props, None, q);
+        assert_eq!(response.outcome, Outcome::Optimized, "seed {seed}");
+        let plan = response.plan.expect("optimized plan");
+        let report = response.report.expect("fast engine report");
+        for (label, want_q, want_report) in [
+            ("fast", &direct_q, &direct_report),
+            ("boxed", &boxed_q, &boxed_report),
+        ] {
+            assert_eq!(&*plan, want_q, "seed {seed} [{label}]");
+            assert_eq!(&report, want_report, "seed {seed} [{label}]");
+            // Byte-identity, literally: the rendered plans and reports match.
+            assert_eq!(
+                format!("{plan}"),
+                format!("{want_q}"),
+                "seed {seed} [{label}]"
+            );
+            assert_eq!(
+                format!("{report:?}"),
+                format!("{want_report:?}"),
+                "seed {seed} [{label}]"
+            );
+        }
         assert!(response.panics.is_empty(), "seed {seed}");
         assert_eq!(response.retries, 0, "seed {seed}");
-    }
-}
-
-#[test]
-fn forced_fast_failure_is_byte_identical_to_reference_engine_run() {
-    let service = Service::start(ServiceConfig {
-        workers: 2,
-        ..ServiceConfig::default()
-    });
-    let catalog = Catalog::paper();
-    let props = PropDb::new();
-    let options = RequestOptions {
-        force_fail: vec![Rung::Fast],
-        backoff: Duration::from_micros(10),
-        ..RequestOptions::default()
-    };
-    for seed in 0..500u64 {
-        let q = corpus_query(seed);
-        let response = service.call(Request::ast(q.clone()).with_options(options.clone()));
-        let (direct_q, direct_report) = direct_run(&catalog, &props, None, q);
-        assert_eq!(
-            response.outcome,
-            Outcome::Optimized {
-                rung: Rung::Reference
-            },
-            "seed {seed}"
-        );
-        assert_eq!(response.plan.as_deref(), Some(&direct_q), "seed {seed}");
-        assert_eq!(
-            response.report.expect("reference rung report"),
-            direct_report,
-            "seed {seed}"
-        );
     }
 }
 
@@ -169,7 +143,7 @@ fn full_queue_sheds_with_structured_overloaded() {
     // Every admitted request still terminates classified.
     for p in admitted {
         let r = p.wait();
-        assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+        assert_eq!(r.outcome, Outcome::Optimized);
     }
 }
 
@@ -189,7 +163,7 @@ fn breaker_trips_on_poison_rule_and_recovers_on_reset() {
         backoff: Duration::from_micros(10),
         ..RequestOptions::default()
     };
-    // Two poisoned requests: each has every rung panic in rule "app",
+    // Two poisoned requests: each has both attempts panic in rule "app",
     // degrades to passthrough, and charges the breaker once.
     for i in 0..2 {
         let r = service.call(Request::text("id . id . age ! P").with_options(poison.clone()));
@@ -208,9 +182,9 @@ fn breaker_trips_on_poison_rule_and_recovers_on_reset() {
 
     // Same poisoned request again: "app" is evicted from the rule set (and
     // the fast engine's index), so the fault never fires and the request
-    // optimizes on the fast rung.
+    // optimizes.
     let r = service.call(Request::text("id . id . age ! P").with_options(poison.clone()));
-    assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(r.outcome, Outcome::Optimized);
     assert!(r.panics.is_empty());
     let report = r.report.expect("report");
     assert!(
@@ -222,7 +196,7 @@ fn breaker_trips_on_poison_rule_and_recovers_on_reset() {
     assert!(service.breaker().reset("app"));
     assert!(service.breaker().open_rules().is_empty());
     let r = service.call(Request::text("id . id . age ! P"));
-    assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(r.outcome, Outcome::Optimized);
     let report = r.report.expect("report");
     assert!(
         report.rule_stats.get("app").is_some_and(|s| s.fired > 0),
@@ -257,7 +231,7 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
         (out, report)
     };
     let r = service.call(Request::ast(q.clone()));
-    assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(r.outcome, Outcome::Optimized);
     let (full_q, full_report) = direct_run_for(catalog.forward_ids());
     assert_eq!(r.plan.as_deref(), Some(&full_q));
     assert_eq!(r.report.as_ref(), Some(&full_report));
@@ -286,7 +260,7 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     // reduced set — if the epoch-0 memo leaked, "app" would appear in
     // rule_stats (its derivations fired it) and the report would differ.
     let r = service.call(Request::ast(q.clone()));
-    assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(r.outcome, Outcome::Optimized);
     let reduced: Vec<String> = catalog
         .forward_ids()
         .into_iter()
@@ -304,7 +278,7 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     // replayed either — "app" fires again and the answer matches epoch 0's.
     assert!(service.breaker().reset("app"));
     let r = service.call(Request::ast(q.clone()));
-    assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(r.outcome, Outcome::Optimized);
     assert_eq!(r.plan.as_deref(), Some(&full_q));
     assert_eq!(r.report.as_ref(), Some(&full_report));
     assert!(
@@ -317,7 +291,7 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     );
 }
 
-/// Satellite regression: a deadline that dies inside/after the fast rung
+/// Satellite regression: a deadline that dies inside the fast attempt
 /// must degrade to the passthrough plan — the input itself — rather than
 /// surface an error.
 /// Deep-term tests run their whole body on an oversized stack, as the
@@ -336,11 +310,11 @@ fn on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
 }
 
 #[test]
-fn deadline_expiry_between_rungs_returns_passthrough_plan() {
-    on_big_stack(deadline_expiry_between_rungs_body)
+fn deadline_expiry_mid_rewrite_returns_passthrough_plan() {
+    on_big_stack(deadline_expiry_mid_rewrite_body)
 }
 
-fn deadline_expiry_between_rungs_body() {
+fn deadline_expiry_mid_rewrite_body() {
     let catalog = Catalog::paper();
     let props = PropDb::new();
     let breaker = Breaker::new(usize::MAX);
@@ -354,9 +328,9 @@ fn deadline_expiry_between_rungs_body() {
         park: None,
         tenant: None,
     };
-    // A workload far too large for the deadline: the fast rung burns the
-    // whole budget and stops with DeadlineExpired; by the time the ladder
-    // reaches the reference rung the deadline is dead, so it never runs.
+    // A workload far too large for the deadline: the fast attempt burns
+    // the whole budget and stops with DeadlineExpired, and the ladder does
+    // not retry against a dead deadline.
     // Run on an oversized stack, as the service's workers do — engine
     // traversal is depth-clipped but interning a deep input walks it.
     let q = Arc::new(tower(20_000, "age"));
@@ -374,7 +348,7 @@ fn deadline_expiry_between_rungs_body() {
     assert!(r.panics.is_empty());
     assert!(
         r.failures.iter().any(|f| f.contains("deadline expired")),
-        "the fast rung's deadline failure is recorded: {:?}",
+        "the fast attempt's deadline failure is recorded: {:?}",
         r.failures
     );
 }
@@ -400,7 +374,7 @@ fn service_deadline_expiry_body() {
     }));
     assert_eq!(r.outcome, Outcome::Passthrough);
     assert_eq!(r.plan.as_deref(), Some(&q));
-    assert!(r.error.is_some(), "failed rung attempts are reported");
+    assert!(r.error.is_some(), "failed attempts are reported");
 }
 
 #[test]
@@ -472,12 +446,12 @@ fn saturating_fleet_never_returns_a_larger_plan_than_the_fast_fleet() {
         let f = fast.call(Request::ast(q.clone()));
         let s = sat.call(Request::ast(q.clone()));
         assert!(
-            matches!(f.outcome, Outcome::Optimized { .. }),
+            matches!(f.outcome, Outcome::Optimized),
             "seed {seed}: fast fleet degraded: {:?}",
             f.outcome
         );
         assert!(
-            matches!(s.outcome, Outcome::Optimized { .. }),
+            matches!(s.outcome, Outcome::Optimized),
             "seed {seed}: saturating fleet degraded: {:?}",
             s.outcome
         );

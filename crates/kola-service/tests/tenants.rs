@@ -22,7 +22,7 @@
 //!    hand-rolled JSON metric export; hostile names must come out escaped.
 
 use kola_service::{
-    run_noisy_neighbor, Outcome, Request, RequestOptions, Response, Rung, Service, ServiceConfig,
+    run_noisy_neighbor, Outcome, Request, RequestOptions, Response, Service, ServiceConfig,
     TenantChaosConfig,
 };
 use std::time::Duration;
@@ -73,7 +73,7 @@ fn unknown_tenants_are_rejected_at_the_door() {
     // A known tenant still admits, and the books balance with the unknown
     // submission parked in the catch-all lane.
     let ok = service.call(Request::text("id . age ! P").for_tenant("a"));
-    assert_eq!(ok.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(ok.outcome, Outcome::Optimized);
     assert_eq!(&*ok.tenant, "a");
     let s = service.metrics_snapshot();
     assert_eq!(
@@ -133,7 +133,7 @@ fn tenant_quota_sheds_only_the_noisy_tenant() {
     let b1 = service.submit(held(1).for_tenant("b")).expect("b admits");
     for p in [a1, a2, a3, b1] {
         let r = p.wait();
-        assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+        assert_eq!(r.outcome, Outcome::Optimized);
     }
     let s = service.metrics_snapshot();
     assert_eq!(s.family("tenant_overloaded"), &[("a".to_string(), 1)]);
@@ -239,7 +239,7 @@ fn hostile_tenant_names_export_escaped_json() {
         ..ServiceConfig::default()
     });
     let r = service.call(Request::text("id . age ! P").for_tenant(hostile));
-    assert_eq!(r.outcome, Outcome::Optimized { rung: Rung::Fast });
+    assert_eq!(r.outcome, Outcome::Optimized);
     let json = service.metrics_snapshot().to_json();
     assert!(
         json.contains(r#"t\"en\\ant\n\u001f"#),

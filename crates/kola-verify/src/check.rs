@@ -330,10 +330,9 @@ pub fn check_normalization_semantics(
 /// The semantic gate for an already-produced plan: evaluate `input` and
 /// `plan` on `db` and require agreement. This is
 /// [`check_normalization_semantics`] with the normalization factored out —
-/// the optimization service uses it to gate every ladder rung's output
-/// (including degraded and passthrough plans) without rerunning the
-/// engine. Both sides stuck counts as vacuously preserved, mirroring
-/// [`check_rule`]'s skip convention.
+/// the optimization service uses it to gate the ladder's optimized plans
+/// without rerunning the engine. Both sides stuck counts as vacuously
+/// preserved, mirroring [`check_rule`]'s skip convention.
 pub fn check_plan_semantics(
     db: &Db,
     input: &kola::term::Query,

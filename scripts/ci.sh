@@ -73,6 +73,12 @@ cargo build --workspace --release --offline
 echo "== cargo test"
 cargo test --workspace --offline -q
 
+# The benchmark (perfbench/) is its own cargo package outside the
+# workspace; type-check it here so an API change that breaks it fails CI
+# instead of surfacing only when the benchmark runs.
+echo "== cargo check (perfbench)"
+CARGO_TARGET_DIR=.bench_build cargo check --offline --manifest-path perfbench/Cargo.toml
+
 # The equality-saturation gates ride the default path: a 50-seed release
 # run of the differential parity corpus (extracted cost <= fixpoint cost,
 # sampled semantic spot-checks) plus the Figure 3 rediscovery test (plain

@@ -1,13 +1,12 @@
 //! Differential testing of the fast engine stack (hash-consed terms,
-//! discrimination-tree rule index, normalization memo) against both the
-//! head-symbol index it replaced and the boxed reference engine: identical
-//! normal forms, derivations, reports and rule tallies on a governed fuzz
-//! corpus — plus the perf-stack regression guarantees (O(changed-subtree)
-//! step cost, quarantine reaching the index, active-rule-mask subsets).
+//! discrimination-tree rule index, normalization memo) against the boxed
+//! reference engine: identical normal forms, derivations, reports and rule
+//! tallies on a governed fuzz corpus — plus the perf-stack regression
+//! guarantees (O(changed-subtree) step cost, quarantine reaching the index,
+//! active-rule-mask subsets).
 //!
-//! Three-way structure: `naive ≡ head-indexed ≡ tree-indexed` — the boxed
-//! engine is ground truth, the depth-1 head index is the retained oracle,
-//! and the tree is the production dispatcher.
+//! Structure: `naive ≡ interned linear scan ≡ tree-indexed` — the boxed
+//! engine is ground truth and the tree is the production dispatcher.
 
 use kola::term::{Func, Pred, Query};
 use kola_exec::rng::Rng;
@@ -161,7 +160,6 @@ fn fast_engine_parity_on_fuzz_corpus() {
     let budget = Budget::with_steps(12).depth(40).term_size(4_096);
 
     let mut interned = Engine::new(rules.clone(), &props, EngineConfig::interned_only());
-    let mut head = Engine::new(rules.clone(), &props, EngineConfig::head_indexed());
     let mut indexed = Engine::new(rules.clone(), &props, EngineConfig::indexed());
     let mut fast = Engine::new(rules.clone(), &props, EngineConfig::fast());
 
@@ -171,7 +169,6 @@ fn fast_engine_parity_on_fuzz_corpus() {
         let naive =
             kola_rewrite::rewrite_fix_with(&rules, &q, &props, &budget, &FaultPlan::default());
         assert_same(seed, "interned", &interned.normalize(&q, &budget), &naive);
-        assert_same(seed, "head-indexed", &head.normalize(&q, &budget), &naive);
         assert_same(
             seed,
             "tree-indexed",
@@ -230,20 +227,15 @@ fn fast_engine_parity_under_fault_injection() {
         let mut rng = Rng::seed_from_u64(0xFA17 ^ seed);
         let q = arb_query(&mut rng, 5);
         let naive = kola_rewrite::rewrite_fix_with(&rules, &q, &props, &budget, &faults);
-        // Fresh engines per seed: fault plans make runs unclean, so nothing
-        // may be cached from them anyway — but keep the test honest.
-        for (label, config) in [
-            ("faulted-tree", EngineConfig::fast()),
-            ("faulted-head", EngineConfig::head_indexed()),
-        ] {
-            let mut fast = Engine::new(rules.clone(), &props, config);
-            let got = fast.normalize_with(&q, &budget, &faults);
-            assert_same(seed, label, &got, &naive);
-            assert_eq!(
-                got.report.failures, naive.report.failures,
-                "seed {seed} [{label}]: failure messages"
-            );
-        }
+        // A fresh engine per seed: fault plans make runs unclean, so
+        // nothing may be cached from them anyway — but keep the test honest.
+        let mut fast = Engine::new(rules.clone(), &props, EngineConfig::fast());
+        let got = fast.normalize_with(&q, &budget, &faults);
+        assert_same(seed, "faulted-tree", &got, &naive);
+        assert_eq!(
+            got.report.failures, naive.report.failures,
+            "seed {seed}: failure messages"
+        );
     }
 }
 
@@ -303,9 +295,8 @@ fn step_cost_is_changed_subtree_not_whole_term() {
 fn quarantine_prunes_rule_index() {
     // A rule that always fails gets quarantined; from the next step on it
     // must not even be *consulted* via the index, and the index must report
-    // it gone. Checked for both index kinds: the discrimination tree prunes
-    // its accept lists in place (journaled, O(pattern depth)); the head
-    // index empties its buckets via rebuild.
+    // it gone. The discrimination tree prunes its accept lists in place
+    // (journaled, O(pattern depth)).
     let catalog = Catalog::paper();
     let props = PropDb::new();
     let rules: Vec<Oriented> = ["9", "2"]
@@ -325,36 +316,32 @@ fn quarantine_prunes_rule_index() {
     let q = Query::App(f, Box::new(Query::Extent(Arc::from("P"))));
 
     let naive = kola_rewrite::rewrite_fix_with(&rules, &q, &props, &budget, &faults);
-    for (label, config) in [
-        ("tree", EngineConfig::indexed()),
-        ("head", EngineConfig::head_indexed()),
-    ] {
-        let mut fast = Engine::new(rules.clone(), &props, config);
-        let got = fast.normalize_with(&q, &budget, &faults);
-        assert_same(0, label, &got, &naive);
+    let mut fast = Engine::new(rules.clone(), &props, EngineConfig::indexed());
+    let got = fast.normalize_with(&q, &budget, &faults);
+    assert_same(0, "tree", &got, &naive);
 
-        assert_eq!(got.report.quarantined, vec!["9".to_string()], "[{label}]");
-        assert!(
-            got.report.steps >= 3,
-            "[{label}] rule 2 kept rewriting after quarantine"
-        );
-        assert!(
-            !fast.index_contains("9"),
-            "[{label}] quarantined rule still present in index"
-        );
-        assert_eq!(
-            fast.consult_count("9"),
-            1,
-            "[{label}] quarantined rule was consulted again via the index"
-        );
-    }
+    assert_eq!(got.report.quarantined, vec!["9".to_string()]);
+    assert!(
+        got.report.steps >= 3,
+        "rule 2 kept rewriting after quarantine"
+    );
+    assert!(
+        !fast.index_contains("9"),
+        "quarantined rule still present in index"
+    );
+    assert_eq!(
+        fast.consult_count("9"),
+        1,
+        "quarantined rule was consulted again via the index"
+    );
 }
 
 #[test]
 fn active_rule_mask_subsets_agree_across_all_indexes() {
     // PR 4's per-tenant active-rule masks: an engine with rules disabled
     // via `set_epoch` must behave exactly like a naive run over the
-    // filtered pool — under both index kinds, across many mask subsets.
+    // filtered pool — under the tree and the linear scan, across many mask
+    // subsets.
     let catalog = Catalog::paper();
     let props = PropDb::new();
     let rules = rule_pool(&catalog);
@@ -368,7 +355,7 @@ fn active_rule_mask_subsets_agree_across_all_indexes() {
     ];
 
     let mut tree = Engine::new(rules.clone(), &props, EngineConfig::indexed());
-    let mut head = Engine::new(rules.clone(), &props, EngineConfig::head_indexed());
+    let mut scan = Engine::new(rules.clone(), &props, EngineConfig::interned_only());
 
     for (m, mask) in masks.iter().enumerate() {
         let disabled: Vec<String> = mask.iter().map(|s| s.to_string()).collect();
@@ -378,7 +365,7 @@ fn active_rule_mask_subsets_agree_across_all_indexes() {
             .cloned()
             .collect();
         tree.set_epoch(m as u64 + 1, &disabled);
-        head.set_epoch(m as u64 + 1, &disabled);
+        scan.set_epoch(m as u64 + 1, &disabled);
 
         for seed in 0..100u64 {
             let mut rng = Rng::seed_from_u64(0x3A5C ^ (m as u64) << 32 ^ seed);
@@ -391,7 +378,7 @@ fn active_rule_mask_subsets_agree_across_all_indexes() {
                 &FaultPlan::default(),
             );
             assert_same(seed, "mask-tree", &tree.normalize(&q, &budget), &naive);
-            assert_same(seed, "mask-head", &head.normalize(&q, &budget), &naive);
+            assert_same(seed, "mask-scan", &scan.normalize(&q, &budget), &naive);
         }
     }
 }

@@ -274,7 +274,7 @@ fn poison_rule_panics_are_caught_and_attributed_by_both_engines() {
     use kola_rewrite::fault::{
         silence_poison_panics, FaultKind, FaultPlan, FaultSpec, StepSelector,
     };
-    use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, Oriented, PropDb};
+    use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, Oriented, PropDb, StopReason};
 
     silence_poison_panics();
     let catalog = Catalog::paper();
@@ -314,4 +314,68 @@ fn poison_rule_panics_are_caught_and_attributed_by_both_engines() {
         format!("{}", clean_boxed.report),
         format!("{}", clean_fast.report)
     );
+
+    // Engine independence on the serving path's real failure causes: the
+    // chaos stream's poison faults (Panic and Fail on "app" and "e121",
+    // the rules that fire on id towers) over the full forward catalog, and
+    // an input over the term-size cap. The boxed engine fails exactly as
+    // the fast one does — same panic attribution, same stop, same failures
+    // — so a boxed retry after a fast-engine failure can never rescue it.
+    // One fast engine serves every case, as a service worker's does.
+    let catalog_rules: Vec<Oriented> = catalog.rules().iter().map(Oriented::fwd).collect();
+    let mut fast = Engine::new(catalog_rules.clone(), &props, EngineConfig::fast());
+    let tower = |height: usize| {
+        kola::parse::parse_query(&format!("{}age ! P", "id . ".repeat(height))).unwrap()
+    };
+    let mut cases: Vec<(Query, Budget, FaultPlan)> = Vec::new();
+    for rule in ["app", "e121"] {
+        for kind in [FaultKind::Panic, FaultKind::Fail] {
+            for at in [
+                StepSelector::Always,
+                StepSelector::Steps(vec![0, 1]),
+                StepSelector::EveryNth(2),
+            ] {
+                for height in [2, 5, 9] {
+                    let faults = FaultPlan::new().with(FaultSpec {
+                        rule_id: rule.into(),
+                        at: at.clone(),
+                        kind: kind.clone(),
+                    });
+                    cases.push((tower(height), Budget::with_steps(400), faults));
+                }
+            }
+        }
+    }
+    cases.push((
+        tower(40),
+        Budget::with_steps(400).term_size(64),
+        FaultPlan::new(),
+    ));
+    let (mut panicked, mut failed, mut oversize) = (0, 0, 0);
+    for (q, budget, faults) in &cases {
+        let boxed = kola_rewrite::try_rewrite_fix_with(&catalog_rules, q, &props, budget, faults);
+        let served = fast.try_normalize_with(q, budget, faults);
+        match (&boxed, &served) {
+            (Err(b), Err(f)) => {
+                assert!(b.rule_id.is_some(), "{q}: unattributed panic {b}");
+                assert_eq!(b, f, "{q}: panic attribution");
+                panicked += 1;
+            }
+            (Ok(b), Ok(f)) => {
+                assert_eq!(b.report.stop, f.report.stop, "{q}: stop");
+                assert_eq!(b.report.failures, f.report.failures, "{q}: failures");
+                assert_eq!(b.query, f.query, "{q}: plan");
+                failed += usize::from(!b.report.failures.is_empty());
+                oversize += usize::from(b.report.stop == StopReason::TermTooLarge);
+            }
+            _ => panic!(
+                "{q}: engines disagree on whether the run panics: boxed {:?} vs fast {:?}",
+                boxed.as_ref().err(),
+                served.as_ref().err()
+            ),
+        }
+    }
+    assert!(panicked > 0, "no case reproduced a poison panic");
+    assert!(failed > 0, "no case reproduced a contained rule failure");
+    assert_eq!(oversize, 1, "the over-cap input must stop TermTooLarge");
 }
