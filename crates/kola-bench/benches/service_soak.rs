@@ -47,6 +47,13 @@
 //! cache would answer part of the stream without workers touching it.
 //! Cache-on chaos coverage lives in the chaos soak test.
 //!
+//! **clean_nostall** — the clean stream on one worker with no stall at all
+//! (`hold_for: None`): every microsecond of the row is the service's own
+//! work — queue handoff, parse, interning, rewriting, metric flush. Its
+//! `us_per_request` (wall time over requests; 16 clients keep the worker
+//! saturated) is the per-request service cost the stall rows hide. It
+//! carries no gate.
+//!
 //! With `BENCH_ENFORCE=1` the repeated rows gate too: the 90%-target row
 //! must achieve ≥ 0.90 hits, serve a sub-10 µs p50 (the stream is
 //! hit-dominated, so its p50 *is* the cache-hit latency), and carry ≥ 10×
@@ -75,6 +82,7 @@ use kola_service::{
     percentile, run_chaos, run_clean_stream, run_noisy_neighbor, run_repeated_stream, ChaosConfig,
     ChaosReport, CleanConfig, RepeatedConfig, TenantChaosConfig,
 };
+use std::time::Duration;
 
 struct Row {
     stream: &'static str,
@@ -99,9 +107,14 @@ struct Row {
 }
 
 impl Row {
+    /// Wall-clock µs per request: the inverse of the throughput.
+    fn us_per_request(&self) -> f64 {
+        1e6 / self.throughput_rps.max(1e-9)
+    }
+
     fn print(&self) {
         println!(
-            "service/{}/{}w: {} req in {} ms ({:.0} req/s, eff {:.2})  \
+            "service/{}/{}w: {} req in {} ms ({:.0} req/s, {:.1} us/req, eff {:.2})  \
              p50 {} us  p95 {} us  p99 {} us  shed {}  passthrough {}  \
              panics-caught {}  peak-arena {}",
             self.stream,
@@ -109,6 +122,7 @@ impl Row {
             self.requests,
             self.wall_ms,
             self.throughput_rps,
+            self.us_per_request(),
             self.scaling_efficiency,
             self.p50_us,
             self.p95_us,
@@ -200,12 +214,19 @@ fn chaos_rows(requests: usize) -> (Vec<Row>, Option<(ChaosConfig, ChaosReport)>)
     (rows, obs)
 }
 
+/// The scaling rows at 1, 4 and 8 workers, then the 1-worker
+/// `clean_nostall` row (see the module docs).
 fn clean_rows(requests: usize) -> Vec<Row> {
     let mut rows = Vec::new();
-    for workers in WORKER_COUNTS {
+    let runs = WORKER_COUNTS
+        .map(|workers| ("clean", workers, CleanConfig::default().stall))
+        .into_iter()
+        .chain([("clean_nostall", 1, Duration::ZERO)]);
+    for (stream, workers, stall) in runs {
         let cfg = CleanConfig {
             requests,
             workers,
+            stall,
             ..CleanConfig::default()
         };
         let report = run_clean_stream(&cfg);
@@ -218,13 +239,18 @@ fn clean_rows(requests: usize) -> Vec<Row> {
         let mut lat = report.latencies_us.clone();
         lat.sort_unstable();
         let throughput = report.throughput_rps();
+        let scaling_efficiency = if stall.is_zero() {
+            1.0
+        } else {
+            efficiency(&rows, workers, throughput)
+        };
         let row = Row {
-            stream: "clean",
+            stream,
             workers,
             requests: report.requests,
             wall_ms: report.elapsed.as_millis(),
             throughput_rps: throughput,
-            scaling_efficiency: efficiency(&rows, workers, throughput),
+            scaling_efficiency,
             p50_us: percentile(&lat, 50.0),
             p95_us: percentile(&lat, 95.0),
             p99_us: percentile(&lat, 99.0),
@@ -542,6 +568,8 @@ fn render_json(rows: &[Row]) -> String {
          clean: no-fault stream, tracing off (default), cache off, 16 closed-loop \
          clients, 2 ms per-request stall \
          (single-core host: scaling measures worker concurrency); \
+         clean_nostall: the clean stream on 1 worker with no stall (hold_for: None), \
+         so us_per_request is the service's own per-request cost; \
          repeated: Zipf-skewed 32-query pool at a target hit rate plus a unique \
          tail, 8 closed-loop clients, 4 workers, 2 ms stall on worker passes \
          (cache hits bypass workers entirely); \
@@ -553,7 +581,8 @@ fn render_json(rows: &[Row]) -> String {
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"stream\": \"{}\", \"workers\": {}, \"requests\": {}, \"wall_ms\": {}, \
-             \"throughput_rps\": {:.1}, \"scaling_efficiency\": {:.3}, \
+             \"throughput_rps\": {:.1}, \"us_per_request\": {:.1}, \
+             \"scaling_efficiency\": {:.3}, \
              \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
              \"overloaded\": {}, \"passthrough\": {}, \"caught_panics\": {}, \
              \"peak_arena_nodes\": {}, \"hit_target\": {:.2}, \
@@ -563,6 +592,7 @@ fn render_json(rows: &[Row]) -> String {
             r.requests,
             r.wall_ms,
             r.throughput_rps,
+            r.us_per_request(),
             r.scaling_efficiency,
             r.p50_us,
             r.p95_us,

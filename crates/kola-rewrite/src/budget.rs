@@ -235,12 +235,19 @@ impl RewriteReport {
         Self::default()
     }
 
+    /// `rule_id`'s stats, allocating its key only on the rule's first
+    /// record in this report.
+    fn stats_mut(&mut self, rule_id: &str) -> &mut RuleStats {
+        if !self.rule_stats.contains_key(rule_id) {
+            self.rule_stats
+                .insert(rule_id.to_string(), RuleStats::default());
+        }
+        self.rule_stats.get_mut(rule_id).expect("inserted above")
+    }
+
     /// Record a successful application of `rule_id`.
     pub fn record_fire(&mut self, rule_id: &str) {
-        self.rule_stats
-            .entry(rule_id.to_string())
-            .or_default()
-            .fired += 1;
+        self.stats_mut(rule_id).fired += 1;
     }
 
     /// Record a contained failure of `rule_id` at derivation step
@@ -253,17 +260,18 @@ impl RewriteReport {
         quarantine_after: usize,
         at_step: usize,
     ) {
-        let stats = self.rule_stats.entry(rule_id.to_string()).or_default();
+        let stats = self.stats_mut(rule_id);
         stats.failed += 1;
         if stats.first_failed_step.is_none() {
             stats.first_failed_step = Some(at_step);
         }
         stats.last_failed_step = Some(at_step);
+        let failed = stats.failed;
         if self.failures.len() < 8 {
             self.failures.push(err.to_string());
         }
         if quarantine_after != usize::MAX
-            && stats.failed >= quarantine_after.max(1)
+            && failed >= quarantine_after.max(1)
             && !self.is_quarantined(rule_id)
         {
             self.quarantined.push(rule_id.to_string());

@@ -261,6 +261,8 @@ pub struct RuleIndex {
     sites: Vec<Vec<(LevelTag, u32)>>,
     /// Reverse-order journal of removals since the last [`RuleIndex::restore`].
     journal: Vec<Removed>,
+    /// Shape as built (see [`RuleIndex::describe`]).
+    stats: IndexStats,
 }
 
 impl RuleIndex {
@@ -300,6 +302,7 @@ impl RuleIndex {
                 }
             }
         }
+        ix.stats = ix.measure();
         ix
     }
 
@@ -457,8 +460,18 @@ impl RuleIndex {
         out.dedup();
     }
 
-    /// Tree-shape summary for observability (see [`IndexStats`]).
+    /// Tree-shape summary for observability (see [`IndexStats`]), as
+    /// measured once by [`RuleIndex::build`], so reading it is O(1).
+    /// Quarantine ([`RuleIndex::remove`] / [`RuleIndex::restore`]) edits
+    /// only accept lists, never the trie, and is undone at the start of the
+    /// next run: this reports the index as built, before any run-local
+    /// removal.
     pub fn describe(&self) -> IndexStats {
+        self.stats
+    }
+
+    /// Walk the three tries for [`RuleIndex::describe`].
+    fn measure(&self) -> IndexStats {
         fn level(t: &DTree) -> (usize, usize, usize, usize, usize, usize) {
             let mut acc = (0usize, 0usize, 0usize);
             t.subtree_stats(0, 0, &mut acc);
@@ -775,6 +788,23 @@ mod tests {
         let mut out = Vec::new();
         ix.func_candidates(&t, &mut out);
         assert_eq!(out, baseline, "restore must reproduce the exact order");
+    }
+
+    #[test]
+    fn describe_is_the_built_shape_across_quarantine_cycles() {
+        let catalog = Catalog::paper();
+        let rules = full_forward(&catalog);
+        let mut ix = RuleIndex::build(&rules);
+        let built = ix.describe();
+        assert_eq!(built, ix.measure());
+        for _ in 0..3 {
+            ix.remove("9");
+            ix.remove("e1");
+            assert_eq!(ix.describe(), built);
+            ix.restore();
+            assert_eq!(ix.describe(), built);
+            assert_eq!(ix.measure(), built, "restore must rebuild the same shape");
+        }
     }
 
     #[test]

@@ -255,6 +255,24 @@ impl Memo {
     }
 }
 
+/// A fixpoint run's outcome with its result still interned, so saturation
+/// can seed from it without a round trip through the boxed [`Query`].
+struct Fix {
+    result: ITerm,
+    trace: Trace,
+    report: RewriteReport,
+}
+
+impl Fix {
+    fn reify(self) -> Rewritten {
+        Rewritten {
+            query: self.result.to_query(),
+            trace: self.trace,
+            report: self.report,
+        }
+    }
+}
+
 /// A found redex, already rewritten into the whole-term result.
 struct AppliedI {
     result: ITerm,
@@ -305,6 +323,7 @@ struct Search<'r, 'a> {
     normal: &'r HashSet<usize>,
     visits: &'r mut u64,
     consults: &'r mut [u64],
+    consults_total: &'r mut u64,
     it: &'r mut Interner,
     to_mark: Vec<usize>,
     cand: Vec<usize>,
@@ -373,6 +392,7 @@ impl Search<'_, '_> {
                 continue;
             }
             self.consults[pos] += 1;
+            *self.consults_total += 1;
             let attempt = match level {
                 Level::F => itry_apply_func(o.rule, t, o.dir, self.it),
                 Level::P => itry_apply_pred(o.rule, t, o.dir, self.it),
@@ -450,6 +470,8 @@ pub struct Engine<'a> {
     compactions: u64,
     visits: u64,
     consults: Vec<u64>,
+    /// Sum of `consults`, kept alongside so [`Engine::stats`] stays O(1).
+    consults_total: u64,
     /// Extraction objective for saturation mode (unused by fixpoint runs).
     cost_model: Box<dyn CostModel>,
     interner: Interner,
@@ -472,6 +494,7 @@ impl<'a> Engine<'a> {
             compactions: 0,
             visits: 0,
             consults,
+            consults_total: 0,
             cost_model: Box::new(TermSize),
             interner: Interner::new(),
         }
@@ -613,17 +636,28 @@ impl<'a> Engine<'a> {
         if self.config.saturate && faults.is_empty() && self.index.is_some() {
             return self.saturate_run(q, budget, faults);
         }
-        self.fixpoint_run(q, budget, faults)
+        self.fixpoint_run(q, budget, faults, None).reify()
     }
 
     /// The destructive leftmost-outermost fixpoint loop (the historical
     /// body of [`Engine::normalize_with`]; that entry now also hosts the
     /// cache maintenance and the saturation-mode branch). Assumes caches
-    /// and index are already prepared for this run.
-    fn fixpoint_run(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
+    /// and index are already prepared for this run. With `path`, records
+    /// the interned trajectory there: the input, then the term after each
+    /// step.
+    fn fixpoint_run(
+        &mut self,
+        q: &Query,
+        budget: &Budget,
+        faults: &FaultPlan,
+        mut path: Option<&mut Vec<ITerm>>,
+    ) -> Fix {
         let mut report = RewriteReport::new();
         let mut trace = Trace::new();
         let mut cur = self.interner.intern_query(&q.normalize());
+        if let Some(p) = path.as_deref_mut() {
+            p.push(cur.clone());
+        }
         if cur.size() > budget.max_term_size {
             let e = RewriteError::TermTooLarge {
                 size: cur.size(),
@@ -631,8 +665,8 @@ impl<'a> Engine<'a> {
             };
             report.failures.push(e.to_string());
             report.stop = StopReason::TermTooLarge;
-            return Rewritten {
-                query: cur.to_query(),
+            return Fix {
+                result: cur,
                 trace,
                 report,
             };
@@ -647,6 +681,9 @@ impl<'a> Engine<'a> {
                 {
                     for (rule_id, dir, after) in &e.derivation {
                         report.record_fire(rule_id);
+                        if let Some(p) = path.as_deref_mut() {
+                            p.push(after.clone());
+                        }
                         if self.config.trace {
                             trace.steps.push(Step {
                                 rule_id: rule_id.clone(),
@@ -657,8 +694,8 @@ impl<'a> Engine<'a> {
                     }
                     report.steps = e.steps;
                     report.stop = StopReason::NormalForm;
-                    return Rewritten {
-                        query: e.result.to_query(),
+                    return Fix {
+                        result: e.result.clone(),
                         trace,
                         report,
                     };
@@ -679,16 +716,16 @@ impl<'a> Engine<'a> {
         loop {
             if report.steps >= budget.max_steps {
                 report.stop = StopReason::BudgetExhausted;
-                return Rewritten {
-                    query: best.to_query(),
+                return Fix {
+                    result: best,
                     trace,
                     report,
                 };
             }
             if budget.expired() {
                 report.stop = StopReason::DeadlineExpired;
-                return Rewritten {
-                    query: best.to_query(),
+                return Fix {
+                    result: best,
                     trace,
                     report,
                 };
@@ -714,6 +751,7 @@ impl<'a> Engine<'a> {
                     normal: &self.normal,
                     visits: &mut self.visits,
                     consults: &mut self.consults,
+                    consults_total: &mut self.consults_total,
                     it: &mut self.interner,
                     to_mark: Vec::new(),
                     cand: Vec::new(),
@@ -748,8 +786,8 @@ impl<'a> Engine<'a> {
                         self.config.memo_capacity,
                     );
                 }
-                return Rewritten {
-                    query: cur.to_query(),
+                return Fix {
+                    result: cur,
                     trace,
                     report,
                 };
@@ -764,8 +802,8 @@ impl<'a> Engine<'a> {
                 report.record_failure(&applied.rule_id, &e, budget.quarantine_after, report.steps);
                 if !report.is_quarantined(&applied.rule_id) {
                     report.stop = StopReason::TermTooLarge;
-                    return Rewritten {
-                        query: best.to_query(),
+                    return Fix {
+                        result: best,
                         trace,
                         report,
                     };
@@ -782,6 +820,9 @@ impl<'a> Engine<'a> {
                     after: cur.to_query(),
                 });
             }
+            if let Some(p) = path.as_deref_mut() {
+                p.push(cur.clone());
+            }
             derivation.push((applied.rule_id, applied.dir, cur.clone()));
             max_size = max_size.max(next_size);
             max_depth = max_depth.max(cur.depth());
@@ -791,8 +832,8 @@ impl<'a> Engine<'a> {
             }
             if !seen.insert(cur.id()) {
                 report.stop = StopReason::CycleDetected;
-                return Rewritten {
-                    query: best.to_query(),
+                return Fix {
+                    result: best,
                     trace,
                     report,
                 };
@@ -800,25 +841,22 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Saturation mode: run the destructive engine once (trace forced on so
-    /// the full trajectory is captured), seed an e-graph with that wave,
-    /// saturate under the remaining budget, and extract the cheapest
-    /// equivalent plan under the engine's cost model. Assumes the rule
-    /// index is built (saturation matches through it).
+    /// Saturation mode: run the destructive engine once, seed an e-graph
+    /// with that wave's interned trajectory, saturate under the remaining
+    /// budget, and extract the cheapest equivalent plan under the engine's
+    /// cost model. Assumes the rule index is built (saturation matches
+    /// through it).
     fn saturate_run(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
-        let trace_was = self.config.trace;
-        self.config.trace = true;
-        let fix = self.fixpoint_run(q, budget, faults);
-        self.config.trace = trace_was;
-        if fix.report.stop == StopReason::TermTooLarge && fix.trace.steps.is_empty() {
+        let mut trajectory = Vec::new();
+        let fix = self.fixpoint_run(q, budget, faults, Some(&mut trajectory));
+        if fix.report.stop == StopReason::TermTooLarge && fix.report.steps == 0 {
             // The input itself blew the size budget — nothing to saturate.
-            return fix;
+            return fix.reify();
         }
-        let mut trajectory: Vec<Query> = fix.trace.steps.iter().map(|s| s.after.clone()).collect();
-        trajectory.push(fix.query.clone());
+        trajectory.push(fix.result);
         // Saturation extends the wave's report: steps already spent count
         // against the same budget, quarantines keep suppressing rules.
-        let mut report = fix.report.clone();
+        let mut report = fix.report;
         let Engine {
             ref rules,
             props,
@@ -839,7 +877,6 @@ impl<'a> Engine<'a> {
             match_cap: 24,
         };
         let sat = saturate_from_trajectory(
-            q,
             &trajectory,
             &params,
             budget,
@@ -849,7 +886,7 @@ impl<'a> Engine<'a> {
         );
         Rewritten {
             query: sat.query,
-            trace: if trace_was { fix.trace } else { Trace::new() },
+            trace: fix.trace,
             report,
         }
     }
@@ -902,6 +939,7 @@ impl<'a> Engine<'a> {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             visits: self.visits,
+            consults: self.consults_total,
             constructed: self.interner.constructed(),
             memo_hits: self.memo.hits,
             memo_lookups: self.memo.lookups,
@@ -931,6 +969,8 @@ impl<'a> Engine<'a> {
 pub struct EngineStats {
     /// Node visits during redex search.
     pub visits: u64,
+    /// Rule application attempts (the sum of [`Engine::consults`]).
+    pub consults: u64,
     /// Interner cache misses (nodes constructed).
     pub constructed: u64,
     /// Memo lookups that replayed a cached derivation.

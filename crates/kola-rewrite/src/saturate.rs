@@ -4,7 +4,7 @@
 //! ## Two phases
 //!
 //! **Seed wave.** The caller first runs the ordinary destructive fixpoint
-//! engine and hands its whole trajectory here: the input, every
+//! engine and hands its whole interned trajectory here: the input, every
 //! intermediate, and the output are registered in the e-graph and unioned
 //! into one root class ([`seed_trajectory`]). Each wave step is a rule
 //! application — a semantic equality — so the unions are sound, and they
@@ -99,30 +99,29 @@ pub struct SaturationResult {
     pub nodes: usize,
 }
 
-/// Register the fixpoint trajectory (input, every intermediate, output) and
-/// union it into one root class. Returns the root.
-pub fn seed_trajectory(
-    eg: &mut EGraph,
-    it: &mut Interner,
-    input: &Query,
-    steps: &[Query],
-) -> ClassId {
-    let root = eg.add_term(&it.intern_query(&input.normalize()));
-    for q in steps {
-        let c = eg.add_term(&it.intern_query(&q.normalize()));
+/// Register the fixpoint trajectory (input, every intermediate, output),
+/// already interned and right-normalized by the wave, and union it into one
+/// root class. Returns the root.
+pub fn seed_trajectory(eg: &mut EGraph, trajectory: &[ITerm]) -> ClassId {
+    let (input, steps) = trajectory
+        .split_first()
+        .expect("a trajectory starts at its input");
+    let root = eg.add_term(input);
+    for t in steps {
+        let c = eg.add_term(t);
         eg.union(root, c);
     }
     eg.rebuild();
     eg.find(root)
 }
 
-/// Run seeded saturation + extraction. `report` arrives with the seed
-/// wave's steps/quarantines already recorded and is extended in place;
-/// `budget.max_steps` bounds *total* steps (wave + saturation), mirroring
-/// how the fixpoint engine treats one budget per run.
+/// Run seeded saturation + extraction from the seed wave's `trajectory`:
+/// its interned input first, its fixpoint output last. `report` arrives
+/// with the seed wave's steps/quarantines already recorded and is extended
+/// in place; `budget.max_steps` bounds *total* steps (wave + saturation),
+/// mirroring how the fixpoint engine treats one budget per run.
 pub fn saturate_from_trajectory(
-    input: &Query,
-    trajectory: &[Query],
+    trajectory: &[ITerm],
     params: &SaturationParams,
     budget: &Budget,
     cost: &dyn CostModel,
@@ -130,17 +129,10 @@ pub fn saturate_from_trajectory(
     it: &mut Interner,
 ) -> SaturationResult {
     let mut eg = EGraph::new();
-    let root = seed_trajectory(&mut eg, it, input, trajectory);
+    let root = seed_trajectory(&mut eg, trajectory);
     // Cost the fixpoint output itself (the root class's best may already be
     // cheaper thanks to wave intermediates — we want the raw baseline).
-    let fixpoint_cost = {
-        let fix_q = trajectory
-            .last()
-            .cloned()
-            .unwrap_or_else(|| input.normalize());
-        let fix_t = it.intern_query(&fix_q.normalize());
-        term_cost(&fix_t, cost)
-    };
+    let fixpoint_cost = term_cost(&trajectory[trajectory.len() - 1], cost);
 
     let mut sat = Sat {
         eg,
@@ -200,7 +192,7 @@ pub fn saturate_from_trajectory(
         }
         // Unreachable in practice (the root always has the concrete input
         // as witness), but never panic on it.
-        None => (input.normalize(), u64::MAX),
+        None => (trajectory[0].to_query(), u64::MAX),
     };
     SaturationResult {
         query,

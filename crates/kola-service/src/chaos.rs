@@ -664,7 +664,9 @@ pub struct CleanConfig {
     /// Work-queue capacity; sized above `clients` so a clean stream never
     /// sheds.
     pub queue_capacity: usize,
-    /// Simulated per-request materialization stall (see type docs).
+    /// Simulated per-request materialization stall (see type docs). Zero
+    /// sends requests with no `hold_for` at all: the stream then measures
+    /// the service's own per-request cost.
     pub stall: Duration,
 }
 
@@ -725,7 +727,7 @@ pub fn generate_clean_request(rng: &mut Rng, stall: Duration) -> Request {
     Request {
         payload,
         options: RequestOptions {
-            hold_for: Some(stall),
+            hold_for: (!stall.is_zero()).then_some(stall),
             ..RequestOptions::default()
         },
         tenant: None,

@@ -8,6 +8,7 @@
 //! submitted  == overloaded + rejected_invalid + admitted + cache_hits
 //! admitted   == optimized_fast + passthrough + completed_invalid + panicked
 //! cache_hits == Σ cache_served[label]
+//! engine_consults == Σ rules_attempted[rule]
 //! ```
 //!
 //! The first partitions admissions (shed at the door, rejected at the door,
@@ -16,8 +17,10 @@
 //! second partitions completions (each admitted request bumps exactly one
 //! terminal counter before its reply is sent, so a client that has every
 //! reply in hand can check the books), and the third ties every cache hit
-//! to the outcome taxonomy it was served under. The chaos soak asserts all
-//! three over its full run ([`conservation_violations`]).
+//! to the outcome taxonomy it was served under. The fourth ties the
+//! worker engines' total rule attempts to the per-rule lanes, which are
+//! flushed only for the rules a run consulted. The chaos soak asserts all
+//! four over its full run ([`conservation_violations`]).
 //!
 //! `cache_hits` counts both direct hits (answered on the submitting thread
 //! from a resident entry) and coalesced identical misses (parked on an
@@ -98,6 +101,10 @@ pub struct ServiceMetrics {
     /// Engine node visits attributed to requests (delta-flushed per
     /// request from the worker's persistent engine).
     pub engine_visits: Arc<Counter>,
+    /// Rule application attempts attributed to requests — the engines'
+    /// own total, flushed apart from the per-rule `rules_attempted` lanes
+    /// so the two can be checked against each other (module docs).
+    pub engine_consults: Arc<Counter>,
     /// Engine interner constructions (arena cache misses).
     pub engine_constructed: Arc<Counter>,
     /// Normalization-memo replays.
@@ -207,6 +214,7 @@ impl ServiceMetrics {
             gate_degradations: registry.counter("gate_degradations"),
             rung_failures: registry.counter("rung_failures"),
             engine_visits: registry.counter("engine_visits"),
+            engine_consults: registry.counter("engine_consults"),
             engine_constructed: registry.counter("engine_constructed"),
             engine_memo_hits: registry.counter("engine_memo_hits"),
             engine_memo_lookups: registry.counter("engine_memo_lookups"),
@@ -303,6 +311,13 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
     if hits != served {
         v.push(format!(
             "cache books unbalanced: cache_hits {hits} != Σ cache_served {served}",
+        ));
+    }
+    let consults = s.counter("engine_consults");
+    let attempted: u64 = s.family("rules_attempted").iter().map(|(_, n)| n).sum();
+    if consults != attempted {
+        v.push(format!(
+            "rule books unbalanced: engine_consults {consults} != Σ rules_attempted {attempted}",
         ));
     }
 
@@ -425,6 +440,14 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert!(v[0].contains("cache books"));
         m.cache_served.add_index(0, 1);
+        assert!(conservation_violations(&m.snapshot()).is_empty());
+        // Rule attempts: the engines' total must match the per-rule lanes.
+        m.engine_consults.add(3);
+        m.rules_attempted.add_index(0, 2);
+        let v = conservation_violations(&m.snapshot());
+        assert_eq!(v.len(), 1);
+        assert!(v[0].contains("rule books"));
+        m.rules_attempted.add_index(0, 1);
         assert!(conservation_violations(&m.snapshot()).is_empty());
     }
 

@@ -679,35 +679,49 @@ struct WorkerState<'a> {
     /// Per-rule consult odometer readings at the last flush (engine rule
     /// positions, i.e. catalog order).
     last_consults: Vec<u64>,
+    /// Whether the index-shape gauges have been recorded. The engine builds
+    /// its index on its first run and the shape never changes after, so
+    /// they are recorded once per worker, not once per request.
+    index_recorded: bool,
 }
 
 /// Delta-flush the worker engine's odometers into the service counters.
+/// O(1) plus one comparison per rule position: only the rules the run
+/// actually consulted cost an atomic add.
 fn flush_engine_stats(shared: &Shared, state: &mut WorkerState<'_>) {
     let m = &shared.metrics;
     let now = state.engine.stats();
     let last = &state.last;
     m.engine_visits.add(now.visits - last.visits);
+    m.engine_consults.add(now.consults - last.consults);
     m.engine_constructed.add(now.constructed - last.constructed);
     m.engine_memo_hits.add(now.memo_hits - last.memo_hits);
     m.engine_memo_lookups
         .add(now.memo_lookups - last.memo_lookups);
     m.engine_compactions.add(now.compactions - last.compactions);
     m.arena_peak.record(now.arena_peak as u64);
-    if let Some(ix) = state.engine.index_stats() {
-        m.index_tree_nodes.record(ix.tree_nodes as u64);
-        m.index_tree_max_depth.record(ix.tree_max_depth as u64);
-        m.index_tree_edges.record(ix.tree_edges as u64);
-        m.index_tree_wildcard_edges
-            .record(ix.tree_wildcard_edges as u64);
-        m.index_tree_mean_fanout_milli
-            .record(ix.tree_mean_fanout_milli as u64);
+    if !state.index_recorded {
+        if let Some(ix) = state.engine.index_stats() {
+            m.index_tree_nodes.record(ix.tree_nodes as u64);
+            m.index_tree_max_depth.record(ix.tree_max_depth as u64);
+            m.index_tree_edges.record(ix.tree_edges as u64);
+            m.index_tree_wildcard_edges
+                .record(ix.tree_wildcard_edges as u64);
+            m.index_tree_mean_fanout_milli
+                .record(ix.tree_mean_fanout_milli as u64);
+            state.index_recorded = true;
+        }
     }
     state.last = now;
     for (i, &c) in state.engine.consults().iter().enumerate() {
-        // `add_index` is the allocation-free positional lane: family labels
-        // were registered in catalog order, matching engine rule positions.
-        m.rules_attempted.add_index(i, c - state.last_consults[i]);
-        state.last_consults[i] = c;
+        let last = &mut state.last_consults[i];
+        if c != *last {
+            // `add_index` is the allocation-free positional lane: family
+            // labels were registered in catalog order, matching engine
+            // rule positions.
+            m.rules_attempted.add_index(i, c - *last);
+            *last = c;
+        }
     }
 }
 
@@ -723,6 +737,7 @@ fn worker_loop(shared: &Shared, index: usize) {
         snapshots: shared.tenants.iter().map(|t| t.snapshots.load()).collect(),
         last: EngineStats::default(),
         last_consults: vec![0; rule_count],
+        index_recorded: false,
     };
     // Bind this thread to its backoff slot so submissions can interrupt an
     // in-progress retry wait.

@@ -179,24 +179,68 @@ pub enum Payload {
 }
 
 impl Payload {
-    fn hash64(&self) -> u64 {
+    /// Borrowed view, for lookups that must not allocate.
+    fn as_ref(&self) -> PayloadRef<'_> {
+        match self {
+            Payload::None => PayloadRef::None,
+            Payload::Sym(s) => PayloadRef::Sym(s),
+            Payload::Bool(b) => PayloadRef::Bool(*b),
+            Payload::Value(v) => PayloadRef::Value(v),
+        }
+    }
+}
+
+/// A [`Payload`] borrowed from a source term: hashed and compared during
+/// interning, and turned into an owned [`Payload`] only when the node it
+/// labels is new.
+#[derive(Debug, Clone, Copy)]
+enum PayloadRef<'a> {
+    None,
+    Sym(&'a Sym),
+    Bool(bool),
+    Value(&'a Value),
+}
+
+impl PayloadRef<'_> {
+    fn hash64(self) -> u64 {
         let mut h = DefaultHasher::new();
         match self {
-            Payload::None => 0u8.hash(&mut h),
-            Payload::Sym(s) => {
+            PayloadRef::None => 0u8.hash(&mut h),
+            PayloadRef::Sym(s) => {
                 1u8.hash(&mut h);
                 s.hash(&mut h);
             }
-            Payload::Bool(b) => {
+            PayloadRef::Bool(b) => {
                 2u8.hash(&mut h);
                 b.hash(&mut h);
             }
-            Payload::Value(v) => {
+            PayloadRef::Value(v) => {
                 3u8.hash(&mut h);
                 v.hash(&mut h);
             }
         }
         h.finish()
+    }
+
+    /// Structural equality with an owned payload (what `Payload`'s derived
+    /// `PartialEq` would say of `self.to_owned()`).
+    fn matches(self, p: &Payload) -> bool {
+        match (self, p) {
+            (PayloadRef::None, Payload::None) => true,
+            (PayloadRef::Sym(a), Payload::Sym(b)) => a == b,
+            (PayloadRef::Bool(a), Payload::Bool(b)) => a == *b,
+            (PayloadRef::Value(a), Payload::Value(b)) => a == &**b,
+            _ => false,
+        }
+    }
+
+    fn to_owned(self) -> Payload {
+        match self {
+            PayloadRef::None => Payload::None,
+            PayloadRef::Sym(s) => Payload::Sym(s.clone()),
+            PayloadRef::Bool(b) => Payload::Bool(b),
+            PayloadRef::Value(v) => Payload::Value(Arc::new(v.clone())),
+        }
     }
 }
 
@@ -407,59 +451,85 @@ fn build_node(tag: Tag, payload: &Payload, kids: Vec<Out>) -> Out {
 }
 
 /// Source term at any of the three levels (borrowed, for interning).
+#[derive(Clone, Copy)]
 enum Src<'a> {
     F(&'a Func),
     P(&'a Pred),
     Q(&'a Query),
 }
 
+/// A node's borrowed children in intern order. Every constructor has
+/// arity ≤ 3, so a fixed array holds them and decomposing a node
+/// allocates nothing.
+struct Kids<'a>([Option<Src<'a>>; 3]);
+
+impl<'a> Kids<'a> {
+    fn of(kids: &[Src<'a>]) -> Kids<'a> {
+        let mut buf = [None; 3];
+        for (slot, k) in buf.iter_mut().zip(kids) {
+            *slot = Some(*k);
+        }
+        Kids(buf)
+    }
+
+    fn len(&self) -> usize {
+        self.0.iter().flatten().count()
+    }
+
+    /// The children last-first — the order a work stack pushes them.
+    fn rev(self) -> impl Iterator<Item = Src<'a>> {
+        self.0.into_iter().rev().flatten()
+    }
+}
+
 impl<'a> Src<'a> {
     /// Tag, payload, and borrowed children of this node, in intern order.
-    fn decompose(&self) -> (Tag, Payload, Vec<Src<'a>>) {
+    fn decompose(self) -> (Tag, PayloadRef<'a>, Kids<'a>) {
         use Src::{F, P, Q};
+        let none = PayloadRef::None;
         match self {
             F(f) => {
                 let tag = Tag::of_func(f);
                 match f {
-                    Func::Prim(s) => (tag, Payload::Sym(s.clone()), vec![]),
+                    Func::Prim(s) => (tag, PayloadRef::Sym(s), Kids::of(&[])),
                     Func::Compose(a, b)
                     | Func::PairWith(a, b)
                     | Func::Times(a, b)
                     | Func::Nest(a, b)
-                    | Func::Unnest(a, b) => (tag, Payload::None, vec![F(a), F(b)]),
-                    Func::ConstF(q) => (tag, Payload::None, vec![Q(q)]),
-                    Func::CurryF(g, q) => (tag, Payload::None, vec![F(g), Q(q)]),
-                    Func::Cond(p, g, h) => (tag, Payload::None, vec![P(p), F(g), F(h)]),
+                    | Func::Unnest(a, b) => (tag, none, Kids::of(&[F(a), F(b)])),
+                    Func::ConstF(q) => (tag, none, Kids::of(&[Q(q)])),
+                    Func::CurryF(g, q) => (tag, none, Kids::of(&[F(g), Q(q)])),
+                    Func::Cond(p, g, h) => (tag, none, Kids::of(&[P(p), F(g), F(h)])),
                     Func::Iterate(p, g)
                     | Func::Iter(p, g)
                     | Func::Join(p, g)
-                    | Func::BIterate(p, g) => (tag, Payload::None, vec![P(p), F(g)]),
-                    _ => (tag, Payload::None, vec![]),
+                    | Func::BIterate(p, g) => (tag, none, Kids::of(&[P(p), F(g)])),
+                    _ => (tag, none, Kids::of(&[])),
                 }
             }
             P(p) => {
                 let tag = Tag::of_pred(p);
                 match p {
-                    Pred::PrimP(s) => (tag, Payload::Sym(s.clone()), vec![]),
-                    Pred::Oplus(q, g) => (tag, Payload::None, vec![P(q), F(g)]),
-                    Pred::And(a, b) | Pred::Or(a, b) => (tag, Payload::None, vec![P(a), P(b)]),
-                    Pred::Not(q) | Pred::Conv(q) => (tag, Payload::None, vec![P(q)]),
-                    Pred::ConstP(b) => (tag, Payload::Bool(*b), vec![]),
-                    Pred::CurryP(q, x) => (tag, Payload::None, vec![P(q), Q(x)]),
-                    _ => (tag, Payload::None, vec![]),
+                    Pred::PrimP(s) => (tag, PayloadRef::Sym(s), Kids::of(&[])),
+                    Pred::Oplus(q, g) => (tag, none, Kids::of(&[P(q), F(g)])),
+                    Pred::And(a, b) | Pred::Or(a, b) => (tag, none, Kids::of(&[P(a), P(b)])),
+                    Pred::Not(q) | Pred::Conv(q) => (tag, none, Kids::of(&[P(q)])),
+                    Pred::ConstP(b) => (tag, PayloadRef::Bool(*b), Kids::of(&[])),
+                    Pred::CurryP(q, x) => (tag, none, Kids::of(&[P(q), Q(x)])),
+                    _ => (tag, none, Kids::of(&[])),
                 }
             }
             Q(q) => {
                 let tag = Tag::of_query(q);
                 match q {
-                    Query::Lit(v) => (tag, Payload::Value(Arc::new(v.clone())), vec![]),
-                    Query::Extent(s) => (tag, Payload::Sym(s.clone()), vec![]),
+                    Query::Lit(v) => (tag, PayloadRef::Value(v), Kids::of(&[])),
+                    Query::Extent(s) => (tag, PayloadRef::Sym(s), Kids::of(&[])),
                     Query::PairQ(a, b)
                     | Query::Union(a, b)
                     | Query::Intersect(a, b)
-                    | Query::Diff(a, b) => (tag, Payload::None, vec![Q(a), Q(b)]),
-                    Query::App(f, x) => (tag, Payload::None, vec![F(f), Q(x)]),
-                    Query::Test(p, x) => (tag, Payload::None, vec![P(p), Q(x)]),
+                    | Query::Diff(a, b) => (tag, none, Kids::of(&[Q(a), Q(b)])),
+                    Query::App(f, x) => (tag, none, Kids::of(&[F(f), Q(x)])),
+                    Query::Test(p, x) => (tag, none, Kids::of(&[P(p), Q(x)])),
                 }
             }
         }
@@ -476,44 +546,56 @@ fn mix(mut x: u64) -> u64 {
     x
 }
 
+/// A node's fingerprint from its tag, payload and children's fingerprints:
+/// the one formula [`Interner::mk`], [`Interner::intern_query`] and
+/// [`query_fp`] share, so the three can never diverge.
+fn node_fp(tag: Tag, payload: PayloadRef<'_>, kids: impl Iterator<Item = u64>) -> u64 {
+    let mut fp = mix((tag as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
+    if !matches!(payload, PayloadRef::None) {
+        fp = mix(fp ^ payload.hash64());
+    }
+    for k in kids {
+        fp = mix(fp.rotate_left(13) ^ k);
+    }
+    fp
+}
+
+/// The post-order task of the interning walks: visit a source node, or
+/// combine the last `n` finished children into its parent.
+enum Walk<'a> {
+    Visit(Src<'a>),
+    Build(Tag, PayloadRef<'a>, usize),
+}
+
+impl<'a> Walk<'a> {
+    /// Replace a `Visit` by its `Build` and its children's visits, so the
+    /// children finish (in order) before their parent.
+    fn expand(src: Src<'a>, tasks: &mut Vec<Walk<'a>>) {
+        let (tag, payload, kids) = src.decompose();
+        tasks.push(Walk::Build(tag, payload, kids.len()));
+        tasks.extend(kids.rev().map(Walk::Visit));
+    }
+}
+
 /// The structural fingerprint of a borrowed query, computed without an
 /// arena: for every query `q` and every interner `it`,
 /// `query_fp(&q) == it.intern_query(&q).fp()`. One stack-safe post-order
-/// walk that interns (and allocates) nothing beyond its explicit stack —
-/// usable as a cache key on threads that own no interner (the plan cache
-/// in `kola-service` keys on it at submission time). Equal queries always
-/// agree; distinct queries collide with probability ≈ 2⁻⁶⁴, so callers
-/// that key on it must confirm hits structurally.
+/// walk — the same one [`Interner::intern_query`] runs — that interns (and
+/// allocates) nothing beyond its explicit stacks, usable as a cache key on
+/// threads that own no interner (the plan cache in `kola-service` keys on
+/// it at submission time). Equal queries always agree; distinct queries
+/// collide with probability ≈ 2⁻⁶⁴, so callers that key on it must confirm
+/// hits structurally.
 pub fn query_fp(q: &Query) -> u64 {
-    // Second stack mirrors `Interner::intern`: fingerprints of completed
-    // subterms, consumed in arity-sized groups by their parent.
-    enum Walk<'a> {
-        Visit(Src<'a>),
-        Build(Tag, Payload, usize),
-    }
     let mut tasks = vec![Walk::Visit(Src::Q(q))];
     let mut out: Vec<u64> = Vec::new();
     while let Some(task) = tasks.pop() {
         match task {
-            Walk::Visit(src) => {
-                let (tag, payload, kids) = src.decompose();
-                tasks.push(Walk::Build(tag, payload, kids.len()));
-                for k in kids.into_iter().rev() {
-                    tasks.push(Walk::Visit(k));
-                }
-            }
+            Walk::Visit(src) => Walk::expand(src, &mut tasks),
             Walk::Build(tag, payload, n) => {
-                let kids = out.split_off(out.len() - n);
-                // Exactly `Interner::mk`'s fingerprint computation — the
-                // equality contract above depends on the two never
-                // diverging.
-                let mut fp = mix((tag as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
-                if !matches!(payload, Payload::None) {
-                    fp = mix(fp ^ payload.hash64());
-                }
-                for k in kids {
-                    fp = mix(fp.rotate_left(13) ^ k);
-                }
+                let at = out.len() - n;
+                let fp = node_fp(tag, payload, out[at..].iter().copied());
+                out.truncate(at);
                 out.push(fp);
             }
         }
@@ -591,34 +673,38 @@ impl Interner {
     /// Intern one node whose children are already interned. Returns the
     /// canonical handle: if an identical node exists it is reused.
     pub fn mk(&mut self, tag: Tag, payload: Payload, kids: Vec<ITerm>) -> ITerm {
-        let mut fp = mix((tag as u64).wrapping_add(0x9e37_79b9_7f4a_7c15));
-        if !matches!(payload, Payload::None) {
-            fp = mix(fp ^ payload.hash64());
+        let fp = node_fp(tag, payload.as_ref(), kids.iter().map(ITerm::fp));
+        match self.find(fp, tag, payload.as_ref(), &kids) {
+            Some(t) => t,
+            None => self.insert(fp, tag, payload, kids.into_boxed_slice()),
         }
-        for k in &kids {
-            fp = mix(fp.rotate_left(13) ^ k.fp());
-        }
-        let bucket = self.table.entry(fp).or_default();
-        for t in bucket.iter() {
-            if t.tag() == tag
+    }
+
+    /// The existing node equal to `(tag, payload, kids)`, whose fingerprint
+    /// is `fp`, if any.
+    fn find(&self, fp: u64, tag: Tag, payload: PayloadRef<'_>, kids: &[ITerm]) -> Option<ITerm> {
+        self.table.get(&fp)?.iter().find_map(|t| {
+            let same = t.tag() == tag
                 && t.kids().len() == kids.len()
-                && t.kids().iter().zip(&kids).all(|(a, b)| a.ptr_eq(b))
-                && *t.payload() == payload
-            {
-                return t.clone();
-            }
-        }
+                && t.kids().iter().zip(kids).all(|(a, b)| a.ptr_eq(b))
+                && payload.matches(t.payload());
+            same.then(|| t.clone())
+        })
+    }
+
+    /// Construct a node [`Interner::find`] did not find.
+    fn insert(&mut self, fp: u64, tag: Tag, payload: Payload, kids: Box<[ITerm]>) -> ITerm {
         let size = 1 + kids.iter().map(|k| k.size()).sum::<usize>();
         let depth = 1 + kids.iter().map(|k| k.depth()).max().unwrap_or(0);
         let node = ITerm(Arc::new(INode {
             tag,
             payload,
-            kids: kids.into_boxed_slice(),
+            kids,
             fp,
             size,
             depth,
         }));
-        bucket.push(node.clone());
+        self.table.entry(fp).or_default().push(node.clone());
         self.constructed += 1;
         self.live += 1;
         self.peak = self.peak.max(self.live);
@@ -640,26 +726,25 @@ impl Interner {
         self.intern(Src::Q(q))
     }
 
-    /// Stack-safe bottom-up interning of a borrowed term.
+    /// Stack-safe bottom-up interning of a borrowed term. Each node is
+    /// looked up from a borrowed payload and a slice of the output stack;
+    /// only a node the arena does not hold yet allocates.
     fn intern(&mut self, root: Src<'_>) -> ITerm {
-        enum Walk<'a> {
-            Visit(Src<'a>),
-            Build(Tag, Payload, usize),
-        }
         let mut tasks = vec![Walk::Visit(root)];
         let mut out: Vec<ITerm> = Vec::new();
         while let Some(task) = tasks.pop() {
             match task {
-                Walk::Visit(src) => {
-                    let (tag, payload, kids) = src.decompose();
-                    tasks.push(Walk::Build(tag, payload, kids.len()));
-                    for k in kids.into_iter().rev() {
-                        tasks.push(Walk::Visit(k));
-                    }
-                }
+                Walk::Visit(src) => Walk::expand(src, &mut tasks),
                 Walk::Build(tag, payload, n) => {
-                    let kids = out.split_off(out.len() - n);
-                    out.push(self.mk(tag, payload, kids));
+                    let at = out.len() - n;
+                    let kids = &out[at..];
+                    let fp = node_fp(tag, payload, kids.iter().map(ITerm::fp));
+                    let node = match self.find(fp, tag, payload, kids) {
+                        Some(t) => t,
+                        None => self.insert(fp, tag, payload.to_owned(), kids.into()),
+                    };
+                    out.truncate(at);
+                    out.push(node);
                 }
             }
         }
