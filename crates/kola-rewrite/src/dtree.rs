@@ -98,6 +98,28 @@ impl DNode {
     }
 }
 
+/// The stack of a candidate walk ([`RuleIndex::func_candidates`] and its
+/// siblings), kept by the caller between walks so a warm lookup allocates
+/// nothing. Between walks it holds no terms, only its capacity.
+#[derive(Debug, Default)]
+pub struct WalkStack(Vec<&'static ITerm>);
+
+impl WalkStack {
+    /// The empty buffer, for a walk over terms that live for `'t`.
+    fn lend<'t>(&mut self) -> Vec<&'t ITerm> {
+        std::mem::take(&mut self.0)
+    }
+
+    /// Take the buffer back after a walk, emptied.
+    fn give_back(&mut self, mut walk: Vec<&ITerm>) {
+        walk.clear();
+        // An empty `Vec` of references re-typed to another lifetime: the
+        // in-place collect keeps the allocation, and no element exists for
+        // the closure to see.
+        self.0 = walk.into_iter().map(|_| unreachable!()).collect();
+    }
+}
+
 /// One level's trie (func, pred, or query), with node 0 the root.
 #[derive(Debug, Clone)]
 struct DTree {
@@ -377,28 +399,30 @@ impl RuleIndex {
     /// Candidate rule positions for a function node, ascending. The walk
     /// starts at the chain's first segment — what the prefix matcher
     /// commits on — mirroring the pattern side.
-    pub fn func_candidates(&self, t: &ITerm, out: &mut Vec<usize>) {
+    pub fn func_candidates(&self, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
         let mut seg = t;
         while seg.tag() == Tag::FCompose {
             seg = &seg.kids()[0];
         }
-        self.candidates(&self.func, seg, out);
+        self.candidates(&self.func, seg, out, stack);
     }
 
     /// Candidate rule positions for a predicate node, ascending.
-    pub fn pred_candidates(&self, t: &ITerm, out: &mut Vec<usize>) {
-        self.candidates(&self.pred, t, out);
+    pub fn pred_candidates(&self, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
+        self.candidates(&self.pred, t, out, stack);
     }
 
     /// Candidate rule positions for a query node, ascending.
-    pub fn query_candidates(&self, t: &ITerm, out: &mut Vec<usize>) {
-        self.candidates(&self.query, t, out);
+    pub fn query_candidates(&self, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
+        self.candidates(&self.query, t, out, stack);
     }
 
-    fn candidates(&self, tree: &DTree, t: &ITerm, out: &mut Vec<usize>) {
+    fn candidates(&self, tree: &DTree, t: &ITerm, out: &mut Vec<usize>, stack: &mut WalkStack) {
         out.clear();
-        let mut stack = vec![t];
-        tree.walk(0, &mut stack, out);
+        let mut walk = stack.lend();
+        walk.push(t);
+        tree.walk(0, &mut walk, out);
+        stack.give_back(walk);
         out.sort_unstable();
         out.dedup();
     }
@@ -705,6 +729,7 @@ mod tests {
         let tree = RuleIndex::build(&rules);
         let mut it = Interner::new();
         let mut cand = Vec::new();
+        let mut stack = WalkStack::default();
         let check = |src: &str, level: LevelTag, t: &ITerm, cand: &[usize], it: &mut Interner| {
             assert!(cand.windows(2).all(|w| w[0] < w[1]), "{src}: not ascending");
             let mut matched = 0;
@@ -737,19 +762,19 @@ mod tests {
         ];
         for src in funcs {
             let t = it.intern_func(&parse_func(src).unwrap());
-            tree.func_candidates(&t, &mut cand);
+            tree.func_candidates(&t, &mut cand, &mut stack);
             check(src, LevelTag::F, &t, &cand, &mut it);
         }
         let preds = ["Kp(T) & Kp(T)", "~~lt", "inv(gt)", "eq @ (pi2, pi1)"];
         for src in preds {
             let t = it.intern_pred(&parse_pred(src).unwrap());
-            tree.pred_candidates(&t, &mut cand);
+            tree.pred_candidates(&t, &mut cand, &mut stack);
             check(src, LevelTag::P, &t, &cand, &mut it);
         }
         let queries = ["P union P", "id ! P", "{} intersect P"];
         for src in queries {
             let t = it.intern_query(&parse_query(src).unwrap());
-            tree.query_candidates(&t, &mut cand);
+            tree.query_candidates(&t, &mut cand, &mut stack);
             check(src, LevelTag::Q, &t, &cand, &mut it);
         }
     }
@@ -763,7 +788,7 @@ mod tests {
             let mut it = Interner::new();
             let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
             let mut out = Vec::new();
-            ix.func_candidates(&t, &mut out);
+            ix.func_candidates(&t, &mut out, &mut WalkStack::default());
             out
         };
         assert!(ix.contains("9"));
@@ -776,7 +801,7 @@ mod tests {
             let mut it = Interner::new();
             let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
             let mut out = Vec::new();
-            ix.func_candidates(&t, &mut out);
+            ix.func_candidates(&t, &mut out, &mut WalkStack::default());
             let pos9 = rules.iter().position(|o| o.rule.id == "9").unwrap();
             assert!(!out.contains(&pos9), "removed rule still a candidate");
         }
@@ -786,7 +811,7 @@ mod tests {
         let mut it = Interner::new();
         let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
         let mut out = Vec::new();
-        ix.func_candidates(&t, &mut out);
+        ix.func_candidates(&t, &mut out, &mut WalkStack::default());
         assert_eq!(out, baseline, "restore must reproduce the exact order");
     }
 

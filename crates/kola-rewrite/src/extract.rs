@@ -23,7 +23,7 @@
 
 use crate::egraph::{ClassId, EGraph, ENode};
 use crate::imatch::icompose;
-use kola::intern::{ITerm, Interner, Payload, Tag};
+use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
 use std::collections::HashMap;
 
 /// A cost model over e-nodes. `kid_costs` are the best costs of the
@@ -160,17 +160,20 @@ impl Extractor {
             return Some(t.clone());
         }
         let (_, node) = self.best[c as usize].as_ref()?;
-        let mut kids = Vec::with_capacity(node.kids.len());
-        for &k in &node.kids {
-            kids.push(self.term_rec(eg, k, it, memo)?);
+        // Arity is at most 3: the children are built into a stack array.
+        let mut kids: [Option<ITerm>; 3] = [None, None, None];
+        for (slot, &k) in kids.iter_mut().zip(&node.kids) {
+            *slot = Some(self.term_rec(eg, k, it, memo)?);
         }
-        let t = if node.tag == Tag::FCompose {
+        let payload = PayloadRef::from(&node.payload);
+        let t = match kids {
+            [None, ..] => it.mk(node.tag, payload, &[]),
+            [Some(k0), None, _] => it.mk(node.tag, payload, &[k0]),
             // Classes carry no associativity discipline; restore the
             // right-normalized chain invariant on the way out.
-            let [a, b]: [ITerm; 2] = kids.try_into().expect("compose has two kids");
-            icompose(it, a, b)
-        } else {
-            it.mk(node.tag, node.payload.clone(), kids)
+            [Some(k0), Some(k1), None] if node.tag == Tag::FCompose => icompose(it, k0, k1),
+            [Some(k0), Some(k1), None] => it.mk(node.tag, payload, &[k0, k1]),
+            [Some(k0), Some(k1), Some(k2)] => it.mk(node.tag, payload, &[k0, k1, k2]),
         };
         memo.insert(c, t.clone());
         Some(t)

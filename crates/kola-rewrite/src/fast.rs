@@ -19,7 +19,8 @@
 //!   identity, size/depth checks read cached fields, and rule application
 //!   ([`crate::imatch`]) shares every bound subterm. The
 //!   [`crate::imatch::icompose`] invariant keeps every constructed term
-//!   right-normalized, so no whole-term `normalize()` pass is needed.
+//!   right-normalized, so no whole-term `normalize()` pass is needed (and
+//!   an input that is already normalized is interned without a copy).
 //! * **Indexing** walks the interned node through the discrimination tree
 //!   ([`RuleIndex`]), which returns candidates in ascending rule position,
 //!   so the candidate scan tries the same rules in the same order as the
@@ -35,6 +36,16 @@
 //!   same input term recurs and the stored run fits inside the current
 //!   budget; otherwise it falls through to a live run.
 //!
+//! ## Allocation
+//!
+//! A step allocates only for the nodes it adds to the arena. A found redex,
+//! the run's derivation and a memo entry name the rule by its *position* in
+//! the engine's rule list, not by a cloned id: the id `String` is made only
+//! for a trace [`Step`] (trace on) and by the report's first record of a
+//! rule. The candidate list, the normal-subtree marks and the
+//! discrimination-tree walk stack are buffers the engine keeps across steps
+//! and runs.
+//!
 //! ## Long-lived engines
 //!
 //! An [`Engine`] is built to be *kept*: a service worker owns one for its
@@ -48,7 +59,7 @@
 //! poison request costs one cold start, not permanent bloat.
 
 use crate::budget::{Budget, RewriteError, RewriteReport, StopReason};
-use crate::dtree::RuleIndex;
+use crate::dtree::{RuleIndex, WalkStack};
 use crate::engine::{rewrite_fix_with, Gov, Oriented, Rewritten, Step, Trace};
 use crate::extract::{CostModel, TermSize};
 use crate::fault::{FaultKind, FaultPlan};
@@ -56,9 +67,8 @@ use crate::imatch::{
     icompose, ipreconditions_hold, itry_apply_func, itry_apply_pred, itry_apply_query,
 };
 use crate::props::PropDb;
-use crate::rule::Direction;
 use crate::saturate::{saturate_from_trajectory, SaturationParams};
-use kola::intern::{ITerm, Interner, Payload, Tag};
+use kola::intern::{ITerm, Interner, PayloadRef, Tag};
 use kola::term::Query;
 use std::collections::{HashMap, HashSet};
 
@@ -187,7 +197,8 @@ impl EngineConfig {
 struct MemoEntry {
     result: ITerm,
     steps: usize,
-    derivation: Vec<(String, Direction, ITerm)>,
+    /// `(rule position, term after the step)` for every step.
+    derivation: Vec<(usize, ITerm)>,
     max_size: usize,
     max_depth: usize,
     stamp: u64,
@@ -273,11 +284,11 @@ impl Fix {
     }
 }
 
-/// A found redex, already rewritten into the whole-term result.
+/// A found redex, already rewritten into the whole-term result, and the
+/// position of the oriented rule that fired.
 struct AppliedI {
     result: ITerm,
-    rule_id: String,
-    dir: Direction,
+    pos: usize,
 }
 
 enum Level {
@@ -298,15 +309,29 @@ fn level_of(t: Tag) -> Level {
 
 fn iinflate(out: ITerm, n: usize, level: &Level, it: &mut Interner) -> ITerm {
     let mut acc = out;
+    let none = PayloadRef::None;
     for _ in 0..n {
-        let id = it.mk(Tag::FId, Payload::None, vec![]);
+        let id = it.mk(Tag::FId, none, &[]);
         acc = match level {
-            Level::F => it.mk(Tag::FCompose, Payload::None, vec![id, acc]),
-            Level::P => it.mk(Tag::POplus, Payload::None, vec![acc, id]),
-            Level::Q => it.mk(Tag::QApp, Payload::None, vec![id, acc]),
+            Level::F => it.mk(Tag::FCompose, none, &[id, acc]),
+            Level::P => it.mk(Tag::POplus, none, &[acc, id]),
+            Level::Q => it.mk(Tag::QApp, none, &[id, acc]),
         };
     }
     acc
+}
+
+/// The redex search's scratch buffers, owned by the [`Engine`] and reused by
+/// every step of every run, so a warm search allocates nothing of its own.
+/// Each is empty between steps; a step clears `marks` before its search.
+#[derive(Debug, Default)]
+struct SearchBufs {
+    /// Candidate rule positions at the node being tried.
+    cand: Vec<usize>,
+    /// Fully scanned redex-free nodes, committed as marks after the step.
+    marks: Vec<usize>,
+    /// The discrimination tree's walk stack.
+    walk: WalkStack,
 }
 
 /// One redex search: borrows the engine's parts disjointly so the interner
@@ -325,8 +350,7 @@ struct Search<'r, 'a> {
     consults: &'r mut [u64],
     consults_total: &'r mut u64,
     it: &'r mut Interner,
-    to_mark: Vec<usize>,
-    cand: Vec<usize>,
+    bufs: &'r mut SearchBufs,
 }
 
 impl Search<'_, '_> {
@@ -351,35 +375,32 @@ impl Search<'_, '_> {
                     // icompose re-associates so the invariant holds.
                     icompose(self.it, a.result, kids[1].clone())
                 } else {
-                    let mut nk = kids.to_vec();
-                    nk[i] = a.result;
-                    self.it.mk(t.tag(), t.payload().clone(), nk)
+                    self.it.with_kid(t, i, a.result)
                 };
-                return Some(AppliedI {
-                    result,
-                    rule_id: a.rule_id,
-                    dir: a.dir,
-                });
+                return Some(AppliedI { result, pos: a.pos });
             }
         }
         // Fully scanned, no redex: a candidate "normal" mark, valid only if
         // no descendant was depth-clipped away.
         if d + t.depth() <= gov.max_depth {
-            self.to_mark.push(t.id());
+            self.bufs.marks.push(t.id());
         }
         None
     }
 
     fn rules_at(&mut self, t: &ITerm, gov: &mut Gov) -> Option<AppliedI> {
         let level = level_of(t.tag());
-        let mut cand = std::mem::take(&mut self.cand);
+        let mut cand = std::mem::take(&mut self.bufs.cand);
         cand.clear();
         match self.index {
-            Some(ix) => match level {
-                Level::F => ix.func_candidates(t, &mut cand),
-                Level::P => ix.pred_candidates(t, &mut cand),
-                Level::Q => ix.query_candidates(t, &mut cand),
-            },
+            Some(ix) => {
+                let walk = &mut self.bufs.walk;
+                match level {
+                    Level::F => ix.func_candidates(t, &mut cand, walk),
+                    Level::P => ix.pred_candidates(t, &mut cand, walk),
+                    Level::Q => ix.query_candidates(t, &mut cand, walk),
+                }
+            }
             None => cand.extend(0..self.rules.len()),
         }
         let mut found = None;
@@ -406,19 +427,14 @@ impl Search<'_, '_> {
                     }
                     match gov.faults.fault_for(&o.rule.id, gov.step) {
                         None => {
-                            found = Some(AppliedI {
-                                result: out,
-                                rule_id: o.rule.id.clone(),
-                                dir: o.dir,
-                            });
+                            found = Some(AppliedI { result: out, pos });
                             break;
                         }
                         Some(FaultKind::Oversize(n)) => {
                             let inflated = iinflate(out, *n, &level, self.it);
                             found = Some(AppliedI {
                                 result: inflated,
-                                rule_id: o.rule.id.clone(),
-                                dir: o.dir,
+                                pos,
                             });
                             break;
                         }
@@ -441,7 +457,7 @@ impl Search<'_, '_> {
                 }
             }
         }
-        self.cand = cand;
+        self.bufs.cand = cand;
         found
     }
 }
@@ -474,6 +490,7 @@ pub struct Engine<'a> {
     consults_total: u64,
     /// Extraction objective for saturation mode (unused by fixpoint runs).
     cost_model: Box<dyn CostModel>,
+    bufs: SearchBufs,
     interner: Interner,
 }
 
@@ -496,6 +513,7 @@ impl<'a> Engine<'a> {
             consults,
             consults_total: 0,
             cost_model: Box::new(TermSize),
+            bufs: SearchBufs::default(),
             interner: Interner::new(),
         }
     }
@@ -654,7 +672,13 @@ impl<'a> Engine<'a> {
     ) -> Fix {
         let mut report = RewriteReport::new();
         let mut trace = Trace::new();
-        let mut cur = self.interner.intern_query(&q.normalize());
+        // Interning needs the right-normalized form; copy the query into it
+        // only when it is not in that form already.
+        let mut cur = if q.is_normalized() {
+            self.interner.intern_query(q)
+        } else {
+            self.interner.intern_query(&q.normalize())
+        };
         if let Some(p) = path.as_deref_mut() {
             p.push(cur.clone());
         }
@@ -679,15 +703,16 @@ impl<'a> Engine<'a> {
                     && e.max_depth <= budget.max_depth
                     && e.max_size <= budget.max_term_size
                 {
-                    for (rule_id, dir, after) in &e.derivation {
-                        report.record_fire(rule_id);
+                    for (pos, after) in &e.derivation {
+                        let o = &self.rules[*pos];
+                        report.record_fire(&o.rule.id);
                         if let Some(p) = path.as_deref_mut() {
                             p.push(after.clone());
                         }
                         if self.config.trace {
                             trace.steps.push(Step {
-                                rule_id: rule_id.clone(),
-                                dir: *dir,
+                                rule_id: o.rule.id.clone(),
+                                dir: o.dir,
                                 after: after.to_query(),
                             });
                         }
@@ -708,7 +733,7 @@ impl<'a> Engine<'a> {
         seen.insert(cur.id());
         let mut best = cur.clone();
         let mut best_size = cur.size();
-        let mut derivation: Vec<(String, Direction, ITerm)> = Vec::new();
+        let mut derivation: Vec<(usize, ITerm)> = Vec::new();
         let mut max_size = cur.size();
         let mut max_depth = cur.depth();
         let mut pruned = 0usize;
@@ -741,7 +766,10 @@ impl<'a> Engine<'a> {
             }
             let step = report.steps;
             let fails_before = report.total_failures();
-            let (found, marks) = {
+            // A search that unwound (a poison rule's panic) may have left
+            // marks behind; they belong to that run, never to this step.
+            self.bufs.marks.clear();
+            let found = {
                 let mut gov = Gov::new(budget, faults, &mut report, step);
                 let mut s = Search {
                     rules: &self.rules,
@@ -753,15 +781,14 @@ impl<'a> Engine<'a> {
                     consults: &mut self.consults,
                     consults_total: &mut self.consults_total,
                     it: &mut self.interner,
-                    to_mark: Vec::new(),
-                    cand: Vec::new(),
+                    bufs: &mut self.bufs,
                 };
-                let found = s.search(&cur, 0, &mut gov);
-                (found, s.to_mark)
+                s.search(&cur, 0, &mut gov)
             };
             // Marks are sound only when the scan saw the full, failure-free
             // rule set: the marks persist across runs, while failures and
             // quarantines are transient.
+            let marks = self.bufs.marks.drain(..);
             if report.total_failures() == fails_before && report.quarantined.is_empty() {
                 self.normal.extend(marks);
             }
@@ -794,13 +821,14 @@ impl<'a> Engine<'a> {
             };
             let next = applied.result;
             let next_size = next.size();
+            let fired = &self.rules[applied.pos];
             if next_size > budget.max_term_size {
                 let e = RewriteError::TermTooLarge {
                     size: next_size,
                     limit: budget.max_term_size,
                 };
-                report.record_failure(&applied.rule_id, &e, budget.quarantine_after, report.steps);
-                if !report.is_quarantined(&applied.rule_id) {
+                report.record_failure(&fired.rule.id, &e, budget.quarantine_after, report.steps);
+                if !report.is_quarantined(&fired.rule.id) {
                     report.stop = StopReason::TermTooLarge;
                     return Fix {
                         result: best,
@@ -812,18 +840,18 @@ impl<'a> Engine<'a> {
             }
             cur = next;
             report.steps += 1;
-            report.record_fire(&applied.rule_id);
+            report.record_fire(&fired.rule.id);
             if self.config.trace {
                 trace.steps.push(Step {
-                    rule_id: applied.rule_id.clone(),
-                    dir: applied.dir,
+                    rule_id: fired.rule.id.clone(),
+                    dir: fired.dir,
                     after: cur.to_query(),
                 });
             }
             if let Some(p) = path.as_deref_mut() {
                 p.push(cur.clone());
             }
-            derivation.push((applied.rule_id, applied.dir, cur.clone()));
+            derivation.push((applied.pos, cur.clone()));
             max_size = max_size.max(next_size);
             max_depth = max_depth.max(cur.depth());
             if next_size < best_size {

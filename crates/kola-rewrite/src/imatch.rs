@@ -9,6 +9,14 @@
 //! * every term the fast engine constructs is hash-consed, so equal results
 //!   are the same allocation.
 //!
+//! A rule attempt allocates only for nodes the arena does not hold yet.
+//! [`ISubst`] keeps each variable kind's bindings in an [`IBinds`]: a few
+//! `(name, term)` pairs inline, scanned linearly (a head binds a handful of
+//! variables). Instantiation hands [`Interner::mk`] children on the stack.
+//! A function head is matched against the chain *in place*
+//! ([`imatch_func_prefix`]): a cursor walks the term's right spine while
+//! the pattern's segments sit in a fixed array.
+//!
 //! ## Normalization invariant
 //!
 //! The boxed engine re-normalizes the whole term after every rule
@@ -18,42 +26,110 @@
 //! assembled from right-normalized parts is right-normalized. Differential
 //! parity with the boxed engine (which this module is tested against on
 //! thousands of fuzzed terms) depends on this invariant.
+//!
+//! The in-place chain match depends on it too. In a right-normalized chain
+//! `s₁ ∘ (s₂ ∘ (… ∘ sₙ))`, the node below the first `k` segments *is* the
+//! chain of the remaining segments, and hash-consing makes it the very node
+//! that rebuilding those segments would return. So a trailing `$f` binds to
+//! that suffix node, and the unconsumed tail is that node, with nothing
+//! rebuilt. (`tests/imatch_in_place.rs` holds the segment-vector matcher
+//! this replaced and checks the two agree.)
 
 use crate::budget::RewriteError;
+use crate::matching::pchain_segments;
 use crate::props::{PropDb, PropTerm};
 use crate::rule::{Direction, Precondition, RewritePair, Rule};
 use crate::subst::UnboundVar;
-use kola::intern::{ITerm, Interner, Payload, Tag};
+use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
 use kola::pattern::{PFunc, PPred, PQuery};
 use kola::value::Sym;
-use std::collections::BTreeMap;
+
+/// Bindings held inline per variable kind; a head that binds more of one
+/// kind spills the rest to the heap.
+const INLINE_BINDS: usize = 5;
+
+/// One variable kind's bindings: `(name, term)` pairs in binding order, the
+/// first [`INLINE_BINDS`] of them inline. Binding and lookup allocate
+/// nothing for any head in the catalog.
+#[derive(Debug, Clone, Default)]
+pub struct IBinds {
+    inline: [Option<(Sym, ITerm)>; INLINE_BINDS],
+    spill: Vec<(Sym, ITerm)>,
+}
+
+impl IBinds {
+    /// The term bound to `v`, if any.
+    pub fn get(&self, v: &str) -> Option<&ITerm> {
+        self.iter().find(|(k, _)| k.as_ref() == v).map(|(_, t)| t)
+    }
+
+    /// Bind `v` to `t`, replacing an earlier binding of `v`.
+    pub fn insert(&mut self, v: Sym, t: ITerm) {
+        let slots = self
+            .inline
+            .iter_mut()
+            .flatten()
+            .chain(self.spill.iter_mut());
+        for (k, old) in slots {
+            if *k == v {
+                *old = t;
+                return;
+            }
+        }
+        match self.inline.iter_mut().find(|slot| slot.is_none()) {
+            Some(slot) => *slot = Some((v, t)),
+            None => self.spill.push((v, t)),
+        }
+    }
+
+    /// Every binding, in binding order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Sym, &ITerm)> {
+        self.inline
+            .iter()
+            .flatten()
+            .chain(&self.spill)
+            .map(|(k, t)| (k, t))
+    }
+
+    /// Number of bound variables.
+    pub fn len(&self) -> usize {
+        self.inline.iter().flatten().count() + self.spill.len()
+    }
+
+    /// True iff nothing is bound.
+    pub fn is_empty(&self) -> bool {
+        self.inline[0].is_none()
+    }
+
+    /// Bind `v` to `t` unless it is bound already; true iff `v`'s binding
+    /// is (now) `t`, by pointer.
+    fn bind(&mut self, v: &Sym, t: &ITerm) -> bool {
+        match self.get(v) {
+            Some(existing) => existing.ptr_eq(t),
+            None => {
+                self.insert(v.clone(), t.clone());
+                true
+            }
+        }
+    }
+}
 
 /// Metavariable bindings over interned terms (the [`crate::subst::Subst`]
 /// analogue). Consistency checks are pointer comparisons.
 #[derive(Debug, Clone, Default)]
 pub struct ISubst {
     /// Function variable bindings (`$f`).
-    pub funcs: BTreeMap<Sym, ITerm>,
+    pub funcs: IBinds,
     /// Predicate variable bindings (`%p`).
-    pub preds: BTreeMap<Sym, ITerm>,
+    pub preds: IBinds,
     /// Object variable bindings (`^x`).
-    pub objs: BTreeMap<Sym, ITerm>,
+    pub objs: IBinds,
 }
 
 impl ISubst {
     /// An empty substitution.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn bind(map: &mut BTreeMap<Sym, ITerm>, v: &Sym, t: &ITerm) -> bool {
-        match map.get(v) {
-            Some(existing) => existing.ptr_eq(t),
-            None => {
-                map.insert(v.clone(), t.clone());
-                true
-            }
-        }
     }
 }
 
@@ -74,25 +150,61 @@ pub fn ichain_segments(t: &ITerm) -> Vec<ITerm> {
     out
 }
 
+/// Segments [`icompose`] re-associates without a heap buffer.
+const ICHAIN_INLINE: usize = 32;
+
 /// Smart `∘` constructor: builds `a ∘ b` right-normalized. If `a` is itself
 /// a chain, its segments are re-associated onto `b`, so the result never has
 /// a `∘` as a left child (given `a` and `b` internally normalized).
 pub fn icompose(it: &mut Interner, a: ITerm, b: ITerm) -> ITerm {
     if a.tag() != Tag::FCompose {
-        return it.mk(Tag::FCompose, Payload::None, vec![a, b]);
+        return it.mk(Tag::FCompose, PayloadRef::None, &[a, b]);
     }
-    let mut acc = b;
-    for seg in ichain_segments(&a).into_iter().rev() {
-        acc = it.mk(Tag::FCompose, Payload::None, vec![seg, acc]);
+    // A right-normalized `a` of modest length is read off its spine into a
+    // stack array; anything else takes the general flatten.
+    let mut buf = [&a; ICHAIN_INLINE];
+    let mut n = 0;
+    let mut cur = &a;
+    let spine = loop {
+        if n == ICHAIN_INLINE {
+            break false;
+        }
+        if cur.tag() != Tag::FCompose {
+            buf[n] = cur;
+            n += 1;
+            break true;
+        }
+        let k = cur.kids();
+        if k[0].tag() == Tag::FCompose {
+            break false;
+        }
+        buf[n] = &k[0];
+        n += 1;
+        cur = &k[1];
+    };
+    if spine {
+        fold_onto(it, buf[..n].iter().copied(), b)
+    } else {
+        fold_onto(it, ichain_segments(&a).iter(), b)
     }
-    acc
+}
+
+/// `s₁ ∘ (s₂ ∘ (… ∘ (sₙ ∘ b)))` for the segments `s₁ … sₙ`.
+fn fold_onto<'s>(
+    it: &mut Interner,
+    segs: impl DoubleEndedIterator<Item = &'s ITerm>,
+    b: ITerm,
+) -> ITerm {
+    segs.rev().fold(b, |acc, seg| {
+        it.mk(Tag::FCompose, PayloadRef::None, &[seg.clone(), acc])
+    })
 }
 
 /// Rebuild a right-associated chain from owned segments; empty chain is
 /// `id` (the [`crate::matching::compose_chain`] analogue).
 pub fn icompose_chain(it: &mut Interner, mut segs: Vec<ITerm>) -> ITerm {
     let Some(last) = segs.pop() else {
-        return it.mk(Tag::FId, Payload::None, vec![]);
+        return it.mk(Tag::FId, PayloadRef::None, &[]);
     };
     segs.into_iter()
         .rev()
@@ -103,7 +215,7 @@ pub fn icompose_chain(it: &mut Interner, mut segs: Vec<ITerm>) -> ITerm {
 /// [`crate::matching::match_func`] analogue).
 pub fn imatch_func(pat: &PFunc, t: &ITerm, s: &mut ISubst) -> bool {
     if let PFunc::Var(v) = pat {
-        return ISubst::bind(&mut s.funcs, v, t);
+        return s.funcs.bind(v, t);
     }
     let k = t.kids();
     match (pat, t.tag()) {
@@ -164,7 +276,7 @@ fn matches_same_pf(pat: &PFunc, tag: Tag) -> bool {
 /// [`crate::matching::match_pred`] analogue).
 pub fn imatch_pred(pat: &PPred, t: &ITerm, s: &mut ISubst) -> bool {
     if let PPred::Var(v) = pat {
-        return ISubst::bind(&mut s.preds, v, t);
+        return s.preds.bind(v, t);
     }
     let k = t.kids();
     match (pat, t.tag()) {
@@ -203,7 +315,7 @@ pub fn imatch_pred(pat: &PPred, t: &ITerm, s: &mut ISubst) -> bool {
 /// [`crate::matching::match_query`] analogue).
 pub fn imatch_query(pat: &PQuery, t: &ITerm, s: &mut ISubst) -> bool {
     if let PQuery::Var(v) = pat {
-        return ISubst::bind(&mut s.objs, v, t);
+        return s.objs.bind(v, t);
     }
     let k = t.kids();
     match (pat, t.tag()) {
@@ -232,48 +344,74 @@ pub fn imatch_query(pat: &PQuery, t: &ITerm, s: &mut ISubst) -> bool {
     }
 }
 
-/// Match a function pattern against a *prefix* of the interned term's
-/// composition chain (the [`crate::matching::match_func_prefix`] analogue).
-/// Returns the number of term segments consumed.
-pub fn imatch_func_prefix(
-    pat: &PFunc,
-    tsegs: &[ITerm],
-    s: &mut ISubst,
-    it: &mut Interner,
-) -> Option<usize> {
-    let psegs = crate::matching::pchain_segments(pat);
-    let m = psegs.len();
-    let n = tsegs.len();
-    if m == 0 || n == 0 || m - 1 > n {
-        return None;
+/// Pattern segments [`imatch_func_prefix`] holds without a heap buffer —
+/// more than any catalog head has.
+const PCHAIN_INLINE: usize = 8;
+
+/// Write `pat`'s chain segments, left to right, into `buf` from `*n` on;
+/// false if they do not fit.
+fn inline_pchain<'p>(pat: &'p PFunc, buf: &mut [&'p PFunc], n: &mut usize) -> bool {
+    match pat {
+        PFunc::Compose(a, b) => inline_pchain(a, buf, n) && inline_pchain(b, buf, n),
+        seg => match buf.get_mut(*n) {
+            Some(slot) => {
+                *slot = seg;
+                *n += 1;
+                true
+            }
+            None => false,
+        },
     }
-    for (p, t) in psegs[..m - 1].iter().zip(tsegs) {
-        if !imatch_func(p, t, s) {
+}
+
+/// The first segment of a chain and what follows it (`None` at the end).
+/// The chain is right-normalized: a segment is never itself a `∘`.
+fn split_head(t: &ITerm) -> (&ITerm, Option<&ITerm>) {
+    if t.tag() == Tag::FCompose {
+        let k = t.kids();
+        debug_assert_ne!(k[0].tag(), Tag::FCompose, "chain not right-normalized");
+        (&k[0], Some(&k[1]))
+    } else {
+        (t, None)
+    }
+}
+
+/// Match a function pattern against a *prefix* of the right-normalized
+/// chain `t` (the [`crate::matching::match_func_prefix`] analogue), walking
+/// the chain in place. On a match, returns the unconsumed tail: `None` when
+/// the pattern covered the whole chain, else the suffix node after the
+/// consumed segments. A trailing `$f` binds to the suffix node it covers,
+/// which is the chain the segment-vector matcher would have rebuilt (see
+/// the module docs).
+pub fn imatch_func_prefix<'t>(
+    pat: &PFunc,
+    t: &'t ITerm,
+    s: &mut ISubst,
+) -> Option<Option<&'t ITerm>> {
+    let mut buf = [pat; PCHAIN_INLINE];
+    let mut n = 0;
+    let heap;
+    let psegs: &[&PFunc] = if inline_pchain(pat, &mut buf, &mut n) {
+        &buf[..n]
+    } else {
+        heap = pchain_segments(pat);
+        &heap
+    };
+    let (last, init) = psegs.split_last()?;
+    let mut rest = Some(t);
+    for p in init {
+        let (seg, tail) = split_head(rest?);
+        if !imatch_func(p, seg, s) {
             return None;
         }
+        rest = tail;
     }
-    let last = psegs[m - 1];
+    let rest = rest?;
     match last {
-        PFunc::Var(v) => {
-            if n < m {
-                return None;
-            }
-            let rest = icompose_chain(it, tsegs[m - 1..].to_vec());
-            if ISubst::bind(&mut s.funcs, v, &rest) {
-                Some(n)
-            } else {
-                None
-            }
-        }
+        PFunc::Var(v) => s.funcs.bind(v, rest).then_some(None),
         _ => {
-            if n < m {
-                return None;
-            }
-            if imatch_func(last, &tsegs[m - 1], s) {
-                Some(m)
-            } else {
-                None
-            }
+            let (seg, tail) = split_head(rest);
+            imatch_func(last, seg, s).then_some(tail)
         }
     }
 }
@@ -284,8 +422,14 @@ pub fn imatch_func_prefix(
 pub fn iinstantiate_func(pat: &PFunc, s: &ISubst, it: &mut Interner) -> Result<ITerm, UnboundVar> {
     macro_rules! leaf {
         ($tag:expr) => {
-            it.mk($tag, Payload::None, vec![])
+            it.mk($tag, PayloadRef::None, &[])
         };
+    }
+    macro_rules! node {
+        ($tag:expr, $($kid:expr),+) => {{
+            let kids = [$($kid?),+];
+            it.mk($tag, PayloadRef::None, &kids)
+        }};
     }
     Ok(match pat {
         PFunc::Var(v) => s
@@ -296,65 +440,69 @@ pub fn iinstantiate_func(pat: &PFunc, s: &ISubst, it: &mut Interner) -> Result<I
         PFunc::Id => leaf!(Tag::FId),
         PFunc::Pi1 => leaf!(Tag::FPi1),
         PFunc::Pi2 => leaf!(Tag::FPi2),
-        PFunc::Prim(n) => it.mk(Tag::FPrim, Payload::Sym(n.clone()), vec![]),
+        PFunc::Prim(n) => it.mk(Tag::FPrim, PayloadRef::Sym(n), &[]),
         PFunc::Compose(a, b) => {
             let ia = iinstantiate_func(a, s, it)?;
             let ib = iinstantiate_func(b, s, it)?;
             icompose(it, ia, ib)
         }
-        PFunc::PairWith(a, b) => {
-            let kids = vec![iinstantiate_func(a, s, it)?, iinstantiate_func(b, s, it)?];
-            it.mk(Tag::FPairWith, Payload::None, kids)
-        }
-        PFunc::Times(a, b) => {
-            let kids = vec![iinstantiate_func(a, s, it)?, iinstantiate_func(b, s, it)?];
-            it.mk(Tag::FTimes, Payload::None, kids)
-        }
-        PFunc::ConstF(q) => {
-            let kids = vec![iinstantiate_query(q, s, it)?];
-            it.mk(Tag::FConstF, Payload::None, kids)
-        }
-        PFunc::CurryF(f, q) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::FCurryF, Payload::None, kids)
-        }
-        PFunc::Cond(p, f, g) => {
-            let kids = vec![
-                iinstantiate_pred(p, s, it)?,
-                iinstantiate_func(f, s, it)?,
-                iinstantiate_func(g, s, it)?,
-            ];
-            it.mk(Tag::FCond, Payload::None, kids)
-        }
+        PFunc::PairWith(a, b) => node!(
+            Tag::FPairWith,
+            iinstantiate_func(a, s, it),
+            iinstantiate_func(b, s, it)
+        ),
+        PFunc::Times(a, b) => node!(
+            Tag::FTimes,
+            iinstantiate_func(a, s, it),
+            iinstantiate_func(b, s, it)
+        ),
+        PFunc::ConstF(q) => node!(Tag::FConstF, iinstantiate_query(q, s, it)),
+        PFunc::CurryF(f, q) => node!(
+            Tag::FCurryF,
+            iinstantiate_func(f, s, it),
+            iinstantiate_query(q, s, it)
+        ),
+        PFunc::Cond(p, f, g) => node!(
+            Tag::FCond,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_func(f, s, it),
+            iinstantiate_func(g, s, it)
+        ),
         PFunc::Flat => leaf!(Tag::FFlat),
-        PFunc::Iterate(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FIterate, Payload::None, kids)
-        }
-        PFunc::Iter(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FIter, Payload::None, kids)
-        }
-        PFunc::Join(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FJoin, Payload::None, kids)
-        }
-        PFunc::Nest(f, g) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_func(g, s, it)?];
-            it.mk(Tag::FNest, Payload::None, kids)
-        }
-        PFunc::Unnest(f, g) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_func(g, s, it)?];
-            it.mk(Tag::FUnnest, Payload::None, kids)
-        }
+        PFunc::Iterate(p, f) => node!(
+            Tag::FIterate,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_func(f, s, it)
+        ),
+        PFunc::Iter(p, f) => node!(
+            Tag::FIter,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_func(f, s, it)
+        ),
+        PFunc::Join(p, f) => node!(
+            Tag::FJoin,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_func(f, s, it)
+        ),
+        PFunc::Nest(f, g) => node!(
+            Tag::FNest,
+            iinstantiate_func(f, s, it),
+            iinstantiate_func(g, s, it)
+        ),
+        PFunc::Unnest(f, g) => node!(
+            Tag::FUnnest,
+            iinstantiate_func(f, s, it),
+            iinstantiate_func(g, s, it)
+        ),
         PFunc::Bagify => leaf!(Tag::FBagify),
         PFunc::Dedup => leaf!(Tag::FDedup),
         PFunc::BUnion => leaf!(Tag::FBUnion),
         PFunc::BFlat => leaf!(Tag::FBFlat),
-        PFunc::BIterate(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::FBIterate, Payload::None, kids)
-        }
+        PFunc::BIterate(p, f) => node!(
+            Tag::FBIterate,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_func(f, s, it)
+        ),
         PFunc::SetUnion => leaf!(Tag::FSetUnion),
         PFunc::SetIntersect => leaf!(Tag::FSetIntersect),
         PFunc::SetDiff => leaf!(Tag::FSetDiff),
@@ -365,8 +513,14 @@ pub fn iinstantiate_func(pat: &PFunc, s: &ISubst, it: &mut Interner) -> Result<I
 pub fn iinstantiate_pred(pat: &PPred, s: &ISubst, it: &mut Interner) -> Result<ITerm, UnboundVar> {
     macro_rules! leaf {
         ($tag:expr) => {
-            it.mk($tag, Payload::None, vec![])
+            it.mk($tag, PayloadRef::None, &[])
         };
+    }
+    macro_rules! node {
+        ($tag:expr, $($kid:expr),+) => {{
+            let kids = [$($kid?),+];
+            it.mk($tag, PayloadRef::None, &kids)
+        }};
     }
     Ok(match pat {
         PPred::Var(v) => s
@@ -380,32 +534,30 @@ pub fn iinstantiate_pred(pat: &PPred, s: &ISubst, it: &mut Interner) -> Result<I
         PPred::Gt => leaf!(Tag::PGt),
         PPred::Geq => leaf!(Tag::PGeq),
         PPred::In => leaf!(Tag::PIn),
-        PPred::PrimP(n) => it.mk(Tag::PPrimP, Payload::Sym(n.clone()), vec![]),
-        PPred::Oplus(p, f) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_func(f, s, it)?];
-            it.mk(Tag::POplus, Payload::None, kids)
-        }
-        PPred::And(a, b) => {
-            let kids = vec![iinstantiate_pred(a, s, it)?, iinstantiate_pred(b, s, it)?];
-            it.mk(Tag::PAnd, Payload::None, kids)
-        }
-        PPred::Or(a, b) => {
-            let kids = vec![iinstantiate_pred(a, s, it)?, iinstantiate_pred(b, s, it)?];
-            it.mk(Tag::POr, Payload::None, kids)
-        }
-        PPred::Not(p) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?];
-            it.mk(Tag::PNot, Payload::None, kids)
-        }
-        PPred::Conv(p) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?];
-            it.mk(Tag::PConv, Payload::None, kids)
-        }
-        PPred::ConstP(b) => it.mk(Tag::PConstP, Payload::Bool(*b), vec![]),
-        PPred::CurryP(p, q) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::PCurryP, Payload::None, kids)
-        }
+        PPred::PrimP(n) => it.mk(Tag::PPrimP, PayloadRef::Sym(n), &[]),
+        PPred::Oplus(p, f) => node!(
+            Tag::POplus,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_func(f, s, it)
+        ),
+        PPred::And(a, b) => node!(
+            Tag::PAnd,
+            iinstantiate_pred(a, s, it),
+            iinstantiate_pred(b, s, it)
+        ),
+        PPred::Or(a, b) => node!(
+            Tag::POr,
+            iinstantiate_pred(a, s, it),
+            iinstantiate_pred(b, s, it)
+        ),
+        PPred::Not(p) => node!(Tag::PNot, iinstantiate_pred(p, s, it)),
+        PPred::Conv(p) => node!(Tag::PConv, iinstantiate_pred(p, s, it)),
+        PPred::ConstP(b) => it.mk(Tag::PConstP, PayloadRef::Bool(*b), &[]),
+        PPred::CurryP(p, q) => node!(
+            Tag::PCurryP,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_query(q, s, it)
+        ),
     })
 }
 
@@ -415,54 +567,61 @@ pub fn iinstantiate_query(
     s: &ISubst,
     it: &mut Interner,
 ) -> Result<ITerm, UnboundVar> {
+    macro_rules! node {
+        ($tag:expr, $($kid:expr),+) => {{
+            let kids = [$($kid?),+];
+            it.mk($tag, PayloadRef::None, &kids)
+        }};
+    }
     Ok(match pat {
         PQuery::Var(v) => s
             .objs
             .get(v)
             .cloned()
             .ok_or_else(|| UnboundVar(v.clone()))?,
-        PQuery::Lit(v) => it.mk(
-            Tag::QLit,
-            Payload::Value(std::sync::Arc::new(v.clone())),
-            vec![],
+        PQuery::Lit(v) => it.mk(Tag::QLit, PayloadRef::Value(v), &[]),
+        PQuery::Extent(n) => it.mk(Tag::QExtent, PayloadRef::Sym(n), &[]),
+        PQuery::PairQ(a, b) => node!(
+            Tag::QPairQ,
+            iinstantiate_query(a, s, it),
+            iinstantiate_query(b, s, it)
         ),
-        PQuery::Extent(n) => it.mk(Tag::QExtent, Payload::Sym(n.clone()), vec![]),
-        PQuery::PairQ(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QPairQ, Payload::None, kids)
-        }
-        PQuery::App(f, q) => {
-            let kids = vec![iinstantiate_func(f, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::QApp, Payload::None, kids)
-        }
-        PQuery::Test(p, q) => {
-            let kids = vec![iinstantiate_pred(p, s, it)?, iinstantiate_query(q, s, it)?];
-            it.mk(Tag::QTest, Payload::None, kids)
-        }
-        PQuery::Union(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QUnion, Payload::None, kids)
-        }
-        PQuery::Intersect(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QIntersect, Payload::None, kids)
-        }
-        PQuery::Diff(a, b) => {
-            let kids = vec![iinstantiate_query(a, s, it)?, iinstantiate_query(b, s, it)?];
-            it.mk(Tag::QDiff, Payload::None, kids)
-        }
+        PQuery::App(f, q) => node!(
+            Tag::QApp,
+            iinstantiate_func(f, s, it),
+            iinstantiate_query(q, s, it)
+        ),
+        PQuery::Test(p, q) => node!(
+            Tag::QTest,
+            iinstantiate_pred(p, s, it),
+            iinstantiate_query(q, s, it)
+        ),
+        PQuery::Union(a, b) => node!(
+            Tag::QUnion,
+            iinstantiate_query(a, s, it),
+            iinstantiate_query(b, s, it)
+        ),
+        PQuery::Intersect(a, b) => node!(
+            Tag::QIntersect,
+            iinstantiate_query(a, s, it),
+            iinstantiate_query(b, s, it)
+        ),
+        PQuery::Diff(a, b) => node!(
+            Tag::QDiff,
+            iinstantiate_query(a, s, it),
+            iinstantiate_query(b, s, it)
+        ),
     })
 }
 
-/// Check a rule's declarative preconditions against interned bindings.
-/// Only the one bound function a precondition actually inspects is reified.
+/// Check a rule's declarative preconditions against interned bindings,
+/// judged on the interned terms themselves ([`PropDb::holds_interned`]).
 pub fn ipreconditions_hold(pre: &[Precondition], s: &ISubst, props: &PropDb) -> bool {
     pre.iter().all(|p| match &p.subject {
         PropTerm::FuncVar(name) => s
             .funcs
             .get(name)
-            .map(|f| props.holds(p.prop, &f.to_func()))
-            .unwrap_or(false),
+            .is_some_and(|f| props.holds_interned(p.prop, f)),
     })
 }
 
@@ -473,8 +632,9 @@ fn rule_failed(rule: &Rule, e: UnboundVar) -> RewriteError {
     }
 }
 
-/// Try the rule at the root of an interned function term (the
-/// [`Rule::try_apply_func`] analogue, chain-prefix aware).
+/// Try the rule at the root of an interned, right-normalized function term
+/// (the [`Rule::try_apply_func`] analogue, chain-prefix aware). The
+/// unconsumed tail of the chain is reused as is.
 pub fn itry_apply_func(
     rule: &Rule,
     t: &ITerm,
@@ -484,8 +644,6 @@ pub fn itry_apply_func(
     if dir == Direction::Backward && !rule.bidirectional {
         return Ok(None);
     }
-    let tsegs = ichain_segments(t);
-    let n = tsegs.len();
     for alt in &rule.alts {
         let RewritePair::F(l, r) = alt else { continue };
         let (head, body) = match dir {
@@ -493,13 +651,13 @@ pub fn itry_apply_func(
             Direction::Backward => (r, l),
         };
         let mut s = ISubst::new();
-        if let Some(consumed) = imatch_func_prefix(head, &tsegs, &mut s, it) {
+        if let Some(tail) = imatch_func_prefix(head, t, &mut s) {
             let rewritten = iinstantiate_func(body, &s, it).map_err(|e| rule_failed(rule, e))?;
-            if consumed == n {
-                return Ok(Some((rewritten, s)));
-            }
-            let tail = icompose_chain(it, tsegs[consumed..].to_vec());
-            return Ok(Some((icompose(it, rewritten, tail), s)));
+            let out = match tail {
+                None => rewritten,
+                Some(tail) => icompose(it, rewritten, tail.clone()),
+            };
+            return Ok(Some((out, s)));
         }
     }
     Ok(None)
@@ -620,5 +778,58 @@ mod tests {
         assert!(itry_apply_func(&r, &t, Direction::Backward, &mut it)
             .unwrap()
             .is_none());
+    }
+
+    #[test]
+    fn catalog_heads_bind_within_the_inline_slots() {
+        // `IBinds` allocates only past `INLINE_BINDS` variables of one kind;
+        // no head of either orientation in the catalog gets there.
+        use kola::pattern::VarKind;
+        let catalog = crate::catalog::Catalog::paper();
+        for rule in catalog.rules() {
+            for alt in &rule.alts {
+                for side in 0..2 {
+                    let mut vars = Vec::new();
+                    match (alt, side) {
+                        (RewritePair::F(l, _), 0) | (RewritePair::F(_, l), _) => l.vars(&mut vars),
+                        (RewritePair::P(l, _), 0) | (RewritePair::P(_, l), _) => l.vars(&mut vars),
+                        (RewritePair::Q(l, _), 0) | (RewritePair::Q(_, l), _) => l.vars(&mut vars),
+                    }
+                    vars.sort();
+                    vars.dedup();
+                    for kind in [VarKind::Func, VarKind::Pred, VarKind::Obj] {
+                        let n = vars.iter().filter(|(k, _)| *k == kind).count();
+                        assert!(
+                            n <= INLINE_BINDS,
+                            "rule {}: {n} {kind:?} variables",
+                            rule.id
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ibinds_spill_past_the_inline_slots() {
+        let mut it = Interner::new();
+        let mut b = IBinds::default();
+        let names: Vec<Sym> = (0..INLINE_BINDS + 2)
+            .map(|i| Sym::from(format!("v{i}")))
+            .collect();
+        for (i, v) in names.iter().enumerate() {
+            let t = it.intern_func(&parse_func(&format!("p{i}")).unwrap());
+            assert!(b.bind(v, &t));
+            assert!(b.bind(v, &t), "rebinding to the same node agrees");
+        }
+        assert_eq!(b.len(), INLINE_BINDS + 2);
+        let other = it.intern_func(&parse_func("q").unwrap());
+        assert!(
+            !b.bind(&names[INLINE_BINDS + 1], &other),
+            "a spilled binding conflicts"
+        );
+        let got: Vec<&str> = b.iter().map(|(k, _)| k.as_ref()).collect();
+        let want: Vec<&str> = names.iter().map(|k| k.as_ref()).collect();
+        assert_eq!(got, want, "binding order");
     }
 }

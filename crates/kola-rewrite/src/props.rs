@@ -11,7 +11,13 @@
 //! "`name` is a key"); [`PropDb::holds`] is the rule-driven inference over
 //! term structure. There are no callbacks: adding knowledge means adding a
 //! fact or an inference case, not writing a head routine.
+//!
+//! The judgement exists twice, over the same rules: [`PropDb::holds`] on a
+//! boxed [`Func`] (the reference engine's bindings) and
+//! [`PropDb::holds_interned`] on an interned [`ITerm`] (the fast engine's),
+//! so checking a precondition never reifies a binding.
 
+use kola::intern::{ITerm, Payload, Tag};
 use kola::term::Func;
 use kola::value::Sym;
 use std::collections::BTreeSet;
@@ -73,6 +79,69 @@ impl PropDb {
         match prop {
             PropKind::Injective => self.injective(f),
             PropKind::Total => self.total(f),
+        }
+    }
+
+    /// [`PropDb::holds`] over an interned function: the same inference
+    /// rules, read off tags and children. A chain's spine is walked in a
+    /// loop, so a long binding costs no native stack.
+    pub fn holds_interned(&self, prop: PropKind, f: &ITerm) -> bool {
+        match prop {
+            PropKind::Injective => self.injective_interned(f),
+            PropKind::Total => self.total_interned(f),
+        }
+    }
+
+    fn prim_in(set: &BTreeSet<Sym>, f: &ITerm) -> bool {
+        matches!(f.payload(), Payload::Sym(name) if set.contains(name))
+    }
+
+    /// [`PropDb::injective`]'s rules over an interned term.
+    fn injective_interned(&self, mut f: &ITerm) -> bool {
+        loop {
+            let k = f.kids();
+            match f.tag() {
+                Tag::FId => return true,
+                Tag::FPrim => return Self::prim_in(&self.injective_prims, f),
+                Tag::FCompose | Tag::FTimes => {
+                    if !self.injective_interned(&k[0]) {
+                        return false;
+                    }
+                    f = &k[1];
+                }
+                Tag::FPairWith => {
+                    if self.injective_interned(&k[0]) {
+                        return true;
+                    }
+                    f = &k[1];
+                }
+                _ => return false,
+            }
+        }
+    }
+
+    /// [`PropDb::total`]'s rules over an interned term.
+    fn total_interned(&self, mut f: &ITerm) -> bool {
+        loop {
+            let k = f.kids();
+            match f.tag() {
+                Tag::FPrim => return !Self::prim_in(&self.partial_prims, f),
+                Tag::FCompose | Tag::FPairWith | Tag::FTimes | Tag::FNest | Tag::FUnnest => {
+                    if !self.total_interned(&k[0]) {
+                        return false;
+                    }
+                    f = &k[1];
+                }
+                Tag::FCurryF => f = &k[0],
+                Tag::FCond => {
+                    if !self.total_interned(&k[1]) {
+                        return false;
+                    }
+                    f = &k[2];
+                }
+                Tag::FIterate | Tag::FIter | Tag::FJoin => f = &k[1],
+                _ => return true,
+            }
         }
     }
 

@@ -33,6 +33,7 @@
 use crate::term::{Func, Pred, Query};
 use crate::value::{Sym, Value};
 use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -178,10 +179,10 @@ pub enum Payload {
     Value(Arc<Value>),
 }
 
-impl Payload {
+impl<'a> From<&'a Payload> for PayloadRef<'a> {
     /// Borrowed view, for lookups that must not allocate.
-    fn as_ref(&self) -> PayloadRef<'_> {
-        match self {
+    fn from(p: &'a Payload) -> PayloadRef<'a> {
+        match p {
             Payload::None => PayloadRef::None,
             Payload::Sym(s) => PayloadRef::Sym(s),
             Payload::Bool(b) => PayloadRef::Bool(*b),
@@ -190,11 +191,12 @@ impl Payload {
     }
 }
 
-/// A [`Payload`] borrowed from a source term: hashed and compared during
-/// interning, and turned into an owned [`Payload`] only when the node it
-/// labels is new.
+/// A [`Payload`] borrowed from a source term or a rule pattern: hashed and
+/// compared during interning, and turned into an owned [`Payload`] only
+/// when the node it labels is new.
+#[allow(missing_docs)] // one-to-one with the documented `Payload` variants
 #[derive(Debug, Clone, Copy)]
-enum PayloadRef<'a> {
+pub enum PayloadRef<'a> {
     None,
     Sym(&'a Sym),
     Bool(bool),
@@ -249,10 +251,41 @@ impl PayloadRef<'_> {
 struct INode {
     tag: Tag,
     payload: Payload,
-    kids: Box<[ITerm]>,
+    kids: NodeKids,
     fp: u64,
     size: usize,
     depth: usize,
+}
+
+/// A node's children, stored inline: every constructor has arity ≤ 3, so
+/// building a node is one allocation (its `Arc`), not two.
+#[derive(Debug)]
+enum NodeKids {
+    K0,
+    K1([ITerm; 1]),
+    K2([ITerm; 2]),
+    K3([ITerm; 3]),
+}
+
+impl NodeKids {
+    fn of(kids: &[ITerm]) -> NodeKids {
+        match kids {
+            [] => NodeKids::K0,
+            [a] => NodeKids::K1([a.clone()]),
+            [a, b] => NodeKids::K2([a.clone(), b.clone()]),
+            [a, b, c] => NodeKids::K3([a.clone(), b.clone(), c.clone()]),
+            _ => unreachable!("constructor arity is at most 3, got {}", kids.len()),
+        }
+    }
+
+    fn as_slice(&self) -> &[ITerm] {
+        match self {
+            NodeKids::K0 => &[],
+            NodeKids::K1(k) => k,
+            NodeKids::K2(k) => k,
+            NodeKids::K3(k) => k,
+        }
+    }
 }
 
 /// A handle to a hash-consed term (function, predicate or query level).
@@ -277,7 +310,7 @@ impl ITerm {
     /// Children, in the same order the rewrite engine descends the
     /// boxed representation.
     pub fn kids(&self) -> &[ITerm] {
-        &self.0.kids
+        self.0.kids.as_slice()
     }
 
     /// Precomputed 64-bit structural fingerprint. Equal terms always have
@@ -603,12 +636,37 @@ pub fn query_fp(q: &Query) -> u64 {
     out.pop().expect("fp walk yields exactly one value")
 }
 
+/// The nodes sharing one fingerprint. Distinct terms collide with
+/// probability ≈ 2⁻⁶⁴, so nearly every bucket holds one node, kept inline
+/// rather than in a one-element `Vec`.
+#[derive(Debug)]
+enum Bucket {
+    One(ITerm),
+    Many(Vec<ITerm>),
+}
+
+impl Bucket {
+    fn nodes(&self) -> &[ITerm] {
+        match self {
+            Bucket::One(t) => std::slice::from_ref(t),
+            Bucket::Many(v) => v,
+        }
+    }
+
+    fn push(&mut self, t: ITerm) {
+        match self {
+            Bucket::One(first) => *self = Bucket::Many(vec![first.clone(), t]),
+            Bucket::Many(v) => v.push(t),
+        }
+    }
+}
+
 /// The hash-cons arena: owns every node it has built and deduplicates
 /// structurally equal constructions.
 #[derive(Debug, Default)]
 pub struct Interner {
     /// fingerprint → nodes with that fingerprint (collision bucket).
-    table: HashMap<u64, Vec<ITerm>>,
+    table: HashMap<u64, Bucket>,
     /// Number of `mk` calls that had to *construct* (cache misses) — a
     /// deterministic work counter for tests and benches.
     constructed: u64,
@@ -663,7 +721,13 @@ impl Interner {
     /// such a handle cascades child by child.
     pub fn clear(&mut self) {
         self.live = 0;
-        let mut nodes: Vec<ITerm> = self.table.drain().flat_map(|(_, v)| v).collect();
+        let mut nodes: Vec<ITerm> = Vec::with_capacity(self.table.len());
+        for (_, b) in self.table.drain() {
+            match b {
+                Bucket::One(t) => nodes.push(t),
+                Bucket::Many(v) => nodes.extend(v),
+            }
+        }
         nodes.sort_by_key(|n| std::cmp::Reverse(n.size()));
         for n in nodes {
             drop(n);
@@ -671,19 +735,44 @@ impl Interner {
     }
 
     /// Intern one node whose children are already interned. Returns the
-    /// canonical handle: if an identical node exists it is reused.
-    pub fn mk(&mut self, tag: Tag, payload: Payload, kids: Vec<ITerm>) -> ITerm {
-        let fp = node_fp(tag, payload.as_ref(), kids.iter().map(ITerm::fp));
-        match self.find(fp, tag, payload.as_ref(), &kids) {
+    /// canonical handle: if an identical node exists it is reused. The
+    /// payload stays borrowed and the children are read from a slice (a
+    /// caller's stack array), so a hit allocates nothing; only a new node
+    /// takes an owned payload and copies of its children's handles.
+    pub fn mk(&mut self, tag: Tag, payload: PayloadRef<'_>, kids: &[ITerm]) -> ITerm {
+        let fp = node_fp(tag, payload, kids.iter().map(ITerm::fp));
+        match self.find(fp, tag, payload, kids) {
             Some(t) => t,
-            None => self.insert(fp, tag, payload, kids.into_boxed_slice()),
+            None => self.insert(fp, tag, payload.to_owned(), kids),
+        }
+    }
+
+    /// `t` with its `i`-th child replaced by `kid` — the one-node rebuild a
+    /// rewrite below `t` needs. Every constructor has arity ≤ 3, so the
+    /// new child list lives on the stack.
+    pub fn with_kid(&mut self, t: &ITerm, i: usize, kid: ITerm) -> ITerm {
+        let payload = PayloadRef::from(t.payload());
+        let k = t.kids();
+        match k.len() {
+            1 => self.mk(t.tag(), payload, &[kid]),
+            2 => {
+                let mut nk = [k[0].clone(), k[1].clone()];
+                nk[i] = kid;
+                self.mk(t.tag(), payload, &nk)
+            }
+            3 => {
+                let mut nk = [k[0].clone(), k[1].clone(), k[2].clone()];
+                nk[i] = kid;
+                self.mk(t.tag(), payload, &nk)
+            }
+            n => unreachable!("a node with {n} children has no child {i} to replace"),
         }
     }
 
     /// The existing node equal to `(tag, payload, kids)`, whose fingerprint
     /// is `fp`, if any.
     fn find(&self, fp: u64, tag: Tag, payload: PayloadRef<'_>, kids: &[ITerm]) -> Option<ITerm> {
-        self.table.get(&fp)?.iter().find_map(|t| {
+        self.table.get(&fp)?.nodes().iter().find_map(|t| {
             let same = t.tag() == tag
                 && t.kids().len() == kids.len()
                 && t.kids().iter().zip(kids).all(|(a, b)| a.ptr_eq(b))
@@ -693,18 +782,23 @@ impl Interner {
     }
 
     /// Construct a node [`Interner::find`] did not find.
-    fn insert(&mut self, fp: u64, tag: Tag, payload: Payload, kids: Box<[ITerm]>) -> ITerm {
+    fn insert(&mut self, fp: u64, tag: Tag, payload: Payload, kids: &[ITerm]) -> ITerm {
         let size = 1 + kids.iter().map(|k| k.size()).sum::<usize>();
         let depth = 1 + kids.iter().map(|k| k.depth()).max().unwrap_or(0);
         let node = ITerm(Arc::new(INode {
             tag,
             payload,
-            kids,
+            kids: NodeKids::of(kids),
             fp,
             size,
             depth,
         }));
-        self.table.entry(fp).or_default().push(node.clone());
+        match self.table.entry(fp) {
+            Entry::Vacant(e) => {
+                e.insert(Bucket::One(node.clone()));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(node.clone()),
+        }
         self.constructed += 1;
         self.live += 1;
         self.peak = self.peak.max(self.live);
@@ -741,7 +835,7 @@ impl Interner {
                     let fp = node_fp(tag, payload, kids.iter().map(ITerm::fp));
                     let node = match self.find(fp, tag, payload, kids) {
                         Some(t) => t,
-                        None => self.insert(fp, tag, payload.to_owned(), kids.into()),
+                        None => self.insert(fp, tag, payload.to_owned(), kids),
                     };
                     out.truncate(at);
                     out.push(node);

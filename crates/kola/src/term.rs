@@ -455,6 +455,37 @@ impl Func {
             leaf => leaf.clone(),
         }
     }
+
+    /// True iff [`Func::normalize`] would return the term unchanged: no `∘`
+    /// anywhere has a `∘` as its left child. Allocates nothing, and walks a
+    /// chain's spine in a loop, so a long chain costs no native stack.
+    pub fn is_normalized(&self) -> bool {
+        let mut f = self;
+        loop {
+            match f {
+                Func::Compose(a, b) => {
+                    if matches!(**a, Func::Compose(..)) || !a.is_normalized() {
+                        return false;
+                    }
+                    f = b;
+                }
+                Func::PairWith(f, g)
+                | Func::Times(f, g)
+                | Func::Nest(f, g)
+                | Func::Unnest(f, g) => return f.is_normalized() && g.is_normalized(),
+                Func::ConstF(q) => return q.is_normalized(),
+                Func::CurryF(f, q) => return f.is_normalized() && q.is_normalized(),
+                Func::Cond(p, f, g) => {
+                    return p.is_normalized() && f.is_normalized() && g.is_normalized()
+                }
+                Func::Iterate(p, f)
+                | Func::Iter(p, f)
+                | Func::BIterate(p, f)
+                | Func::Join(p, f) => return p.is_normalized() && f.is_normalized(),
+                _ => return true,
+            }
+        }
+    }
 }
 
 impl Pred {
@@ -500,6 +531,18 @@ impl Pred {
             leaf => leaf.clone(),
         }
     }
+
+    /// True iff [`Pred::normalize`] would return the term unchanged (see
+    /// [`Func::is_normalized`]).
+    pub fn is_normalized(&self) -> bool {
+        match self {
+            Pred::Oplus(p, f) => p.is_normalized() && f.is_normalized(),
+            Pred::And(p, q) | Pred::Or(p, q) => p.is_normalized() && q.is_normalized(),
+            Pred::Not(p) | Pred::Conv(p) => p.is_normalized(),
+            Pred::CurryP(p, q) => p.is_normalized() && q.is_normalized(),
+            _ => true,
+        }
+    }
 }
 
 impl Query {
@@ -543,6 +586,21 @@ impl Query {
             leaf => leaf.clone(),
         }
     }
+
+    /// True iff [`Query::normalize`] would return the term unchanged (see
+    /// [`Func::is_normalized`]). Callers that only need the normal form
+    /// check this first and skip the copy `normalize` makes.
+    pub fn is_normalized(&self) -> bool {
+        match self {
+            Query::PairQ(a, b)
+            | Query::Union(a, b)
+            | Query::Intersect(a, b)
+            | Query::Diff(a, b) => a.is_normalized() && b.is_normalized(),
+            Query::App(f, q) => f.is_normalized() && q.is_normalized(),
+            Query::Test(p, q) => p.is_normalized() && q.is_normalized(),
+            Query::Lit(_) | Query::Extent(_) => true,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -568,6 +626,35 @@ mod tests {
         let n1 = t.normalize();
         let n2 = n1.normalize();
         assert_eq!(n1, n2);
+    }
+
+    #[test]
+    fn is_normalized_agrees_with_normalize() {
+        let nested = iterate(kp(true), o(o(prim("a"), prim("b")), prim("c")));
+        let under_pred = Pred::Oplus(
+            Box::new(gt()),
+            Box::new(o(o(prim("a"), prim("b")), prim("c"))),
+        );
+        let terms = [
+            o(prim("a"), o(prim("b"), prim("c"))),
+            o(o(prim("a"), prim("b")), prim("c")),
+            nested.clone(),
+            nested.normalize(),
+            iterate(under_pred.clone(), prim("d")),
+            iterate(under_pred.normalize(), prim("d")),
+        ];
+        for f in &terms {
+            assert_eq!(f.is_normalized(), f.normalize() == *f, "{f}");
+            let q = Query::App(f.clone(), Box::new(ext("P")));
+            assert_eq!(q.is_normalized(), q.normalize() == q, "{q}");
+            assert!(q.normalize().is_normalized(), "{q}");
+        }
+        // A long chain is checked without recursing along its spine.
+        let mut tower = prim("age");
+        for _ in 0..100_000 {
+            tower = o(Func::Id, tower);
+        }
+        assert!(tower.is_normalized());
     }
 
     #[test]

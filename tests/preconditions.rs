@@ -91,3 +91,75 @@ fn totality_property_also_inferable() {
     let g = kola::parse::parse_func("iterate(Kp(T), age)").unwrap();
     assert!(props.holds(PropKind::Total, &g));
 }
+
+#[test]
+fn interned_judgement_agrees_with_boxed_on_generated_functions() {
+    // The fast engine judges preconditions on interned bindings
+    // (`PropDb::holds_interned`); the boxed engine on reified ones. Over
+    // every property a catalog rule demands (and `total`, which no catalog
+    // rule demands yet) and 1000 generated functions — plain, composed,
+    // paired and crossed, so every inference case is reached — the two
+    // verdicts must agree.
+    use kola::intern::Interner;
+    use kola::term::Func;
+    use kola::types::Type;
+    use kola_exec::rng::Rng;
+    use kola_verify::{palette, Gen};
+
+    let catalog = Catalog::paper();
+    let mut props: Vec<PropKind> = catalog
+        .rules()
+        .iter()
+        .flat_map(|r| r.preconditions.iter().map(|p| p.prop))
+        .collect();
+    assert!(!props.is_empty(), "the catalog has preconditioned rules");
+    props.push(PropKind::Total);
+    props.sort();
+    props.dedup();
+
+    let mut db_props = PropDb::new();
+    db_props.declare_injective("name");
+    db_props.declare_partial("addr");
+    let db = generate(&DataSpec::small(17));
+    let person = Type::Obj(db.schema().class_id("Person").expect("paper schema"));
+    let types = palette();
+    let mut it = Interner::new();
+    let mut prev = Func::Id;
+    let (mut yes, mut no) = (0, 0);
+    for seed in 0..1000u64 {
+        let mut g = Gen::new(&db, Rng::seed_from_u64(seed));
+        let out = types[(seed % types.len() as u64) as usize].clone();
+        let input = if seed % 2 == 0 {
+            person.clone()
+        } else {
+            out.clone()
+        };
+        let f = g.func(&input, &out, 3);
+        let b = |f: &Func| Box::new(f.clone());
+        let shapes = [
+            f.clone(),
+            Func::Compose(b(&f), b(&prev)),
+            Func::PairWith(b(&prev), b(&f)),
+            Func::Times(b(&f), b(&prev)),
+        ];
+        for shape in &shapes {
+            let t = it.intern_func(&shape.normalize());
+            for &prop in &props {
+                let want = db_props.holds(prop, &t.to_func());
+                assert_eq!(
+                    db_props.holds_interned(prop, &t),
+                    want,
+                    "seed {seed}: {prop:?}({shape})"
+                );
+                if want {
+                    yes += 1;
+                } else {
+                    no += 1;
+                }
+            }
+        }
+        prev = f;
+    }
+    // Both verdicts occur, so neither side passes vacuously.
+    assert!(yes > 100 && no > 100, "verdicts: {yes} true, {no} false");
+}
