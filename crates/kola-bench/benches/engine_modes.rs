@@ -187,35 +187,48 @@ fn sweep(catalog: &Catalog, props: &PropDb, sizes: &[usize], query: &Query) -> V
         })
         .collect();
 
-    let mut rows: Vec<SweepRow> = points
+    let best = fastest_interleaved(&mut points, |(size, _, tree), round| {
+        bench_ns(&format!("sweep{size}/tree#{round}"), || {
+            tree.reset_caches();
+            tree.normalize(black_box(query), &budget)
+        })
+    });
+    points
         .iter()
-        .map(|&(rules, steps, ..)| SweepRow {
+        .zip(best)
+        .map(|(&(rules, steps, _), tree_ns)| SweepRow {
             rules,
             steps,
-            tree_ns: u128::MAX,
+            tree_ns,
         })
-        .collect();
+        .collect()
+}
+
+/// Time every point in three interleaved rounds and keep each point's
+/// fastest (see [`sweep`] for why the rounds interleave).
+fn fastest_interleaved<P>(
+    points: &mut [P],
+    mut time: impl FnMut(&mut P, usize) -> u128,
+) -> Vec<u128> {
+    let mut best = vec![u128::MAX; points.len()];
     for round in 0..3 {
-        for (row, (size, _, tree)) in rows.iter_mut().zip(points.iter_mut()) {
-            let tree_ns = bench_ns(&format!("sweep{size}/tree#{round}"), || {
-                tree.reset_caches();
-                tree.normalize(black_box(query), &budget)
-            });
-            row.tree_ns = row.tree_ns.min(tree_ns);
+        for (b, p) in best.iter_mut().zip(points.iter_mut()) {
+            *b = (*b).min(time(p, round));
         }
     }
-    rows
+    best
 }
 
 /// The saturation sweep: the same query and catalog prefixes through
 /// `EngineConfig::saturating()`. Per-step cost covers the internal seed
 /// wave plus match-apply-rebuild rounds; the cost columns feed the
 /// structural gate (extracted ≤ fixpoint, under the extraction model).
+/// Timed like [`sweep`]: interleaved rounds, each point's fastest kept.
 fn sat_sweep(catalog: &Catalog, props: &PropDb, sizes: &[usize], query: &Query) -> Vec<SatRow> {
     // Saturation explores strictly more than the fixpoint run; give it a
     // bounded step budget so each point measures a comparable workload.
     let budget = Budget::with_steps(256).depth(64).term_size(16_384);
-    sizes
+    let mut points: Vec<(SatRow, Engine)> = sizes
         .iter()
         .map(|&size| {
             let rules: Vec<Oriented> = catalog.rules()[..size].iter().map(Oriented::fwd).collect();
@@ -223,20 +236,26 @@ fn sat_sweep(catalog: &Catalog, props: &PropDb, sizes: &[usize], query: &Query) 
             let fixpoint_cost = size_cost(&fix.normalize(query, &budget).query);
             let mut sat = Engine::new(rules, props, EngineConfig::saturating());
             let out = sat.normalize(query, &budget);
-            let steps = out.report.steps;
-            let extracted_cost = size_cost(&out.query);
-            let sat_ns = bench_ns(&format!("saturation{size}"), || {
-                sat.reset_caches();
-                sat.normalize(black_box(query), &budget)
-            });
-            SatRow {
+            let row = SatRow {
                 rules: size,
-                steps,
-                sat_ns,
-                extracted_cost,
+                steps: out.report.steps,
+                sat_ns: u128::MAX,
+                extracted_cost: size_cost(&out.query),
                 fixpoint_cost,
-            }
+            };
+            (row, sat)
         })
+        .collect();
+    let best = fastest_interleaved(&mut points, |(row, sat), round| {
+        bench_ns(&format!("saturation{}#{round}", row.rules), || {
+            sat.reset_caches();
+            sat.normalize(black_box(query), &budget)
+        })
+    });
+    points
+        .into_iter()
+        .zip(best)
+        .map(|((row, _), sat_ns)| SatRow { sat_ns, ..row })
         .collect()
 }
 

@@ -10,7 +10,7 @@
 //! class always extracts.
 //!
 //! Materialization ([`Extractor::term`]) follows best nodes back down
-//! through the interner. `∘` nodes go through [`crate::imatch::icompose`],
+//! through the interner. `∘` nodes go through [`kola::intern::icompose`],
 //! so the extracted term is right-normalized even though e-classes carry no
 //! associativity discipline — saturation may build `(f ∘ g) ∘ h` shapes,
 //! and they flatten here. Cost models must therefore be
@@ -22,8 +22,7 @@
 //! first candidate in canonical order and two runs extract identical terms.
 
 use crate::egraph::{ClassId, EGraph, ENode};
-use crate::imatch::icompose;
-use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
+use kola::intern::{icompose, ITerm, Interner, Payload, PayloadRef, Tag};
 use std::collections::HashMap;
 
 /// A cost model over e-nodes. `kid_costs` are the best costs of the

@@ -18,9 +18,11 @@
 //!   [`kola::intern`]; equality and cycle detection become pointer
 //!   identity, size/depth checks read cached fields, and rule application
 //!   ([`crate::imatch`]) shares every bound subterm. The
-//!   [`crate::imatch::icompose`] invariant keeps every constructed term
-//!   right-normalized, so no whole-term `normalize()` pass is needed (and
-//!   an input that is already normalized is interned without a copy).
+//!   [`kola::intern::icompose`] invariant keeps every constructed term
+//!   right-normalized, so no whole-term `normalize()` pass is needed (an
+//!   input that is already normalized is interned without a copy, and
+//!   KOLA text is parsed straight into the arena by
+//!   [`Engine::normalize_text_with`], with no boxed input at all).
 //! * **Indexing** walks the interned node through the discrimination tree
 //!   ([`RuleIndex`]), which returns candidates in ascending rule position,
 //!   so the candidate scan tries the same rules in the same order as the
@@ -63,12 +65,11 @@ use crate::dtree::{RuleIndex, WalkStack};
 use crate::engine::{rewrite_fix_with, Gov, Oriented, Rewritten, Step, Trace};
 use crate::extract::{CostModel, TermSize};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::imatch::{
-    icompose, ipreconditions_hold, itry_apply_func, itry_apply_pred, itry_apply_query,
-};
+use crate::imatch::{ipreconditions_hold, itry_apply_func, itry_apply_pred, itry_apply_query};
 use crate::props::PropDb;
 use crate::saturate::{saturate_from_trajectory, SaturationParams};
-use kola::intern::{ITerm, Interner, PayloadRef, Tag};
+use kola::intern::{icompose, ITerm, Interner, PayloadRef, Tag};
+use kola::parse::{parse_query_into, ParseError};
 use kola::term::Query;
 use std::collections::{HashMap, HashSet};
 
@@ -631,9 +632,63 @@ impl<'a> Engine<'a> {
         if !self.config.interned {
             return rewrite_fix_with(&self.rules, q, self.props, budget, faults);
         }
-        // Bounded arena growth: compact between runs, when no run-local
-        // handles exist, so `Interner::clear`'s largest-first release is
-        // safe and no address-keyed cache can alias a recycled node.
+        self.prepare_run();
+        // Interning needs the right-normalized form; copy the query into it
+        // only when it is not in that form already.
+        let input = if q.is_normalized() {
+            self.interner.intern_query(q)
+        } else {
+            self.interner.intern_query(&q.normalize())
+        };
+        self.run(input, budget, faults)
+    }
+
+    /// Parse KOLA text straight into the arena and normalize it: in one
+    /// call, compact the arena if due, build the input's nodes with
+    /// [`parse_query_into`] (no boxed [`Query`] is made), and run exactly
+    /// what [`Engine::normalize_with`] runs on `parse_query(src)`. Text
+    /// [`parse_query`](kola::parse::parse_query) rejects is rejected with
+    /// its error, before any rewriting.
+    pub fn normalize_text_with(
+        &mut self,
+        src: &str,
+        budget: &Budget,
+        faults: &FaultPlan,
+    ) -> Result<Rewritten, ParseError> {
+        if !self.config.interned {
+            let q = kola::parse::parse_query(src)?;
+            return Ok(rewrite_fix_with(
+                &self.rules,
+                &q,
+                self.props,
+                budget,
+                faults,
+            ));
+        }
+        self.prepare_run();
+        let input = parse_query_into(&mut self.interner, src)?;
+        Ok(self.run(input, budget, faults))
+    }
+
+    /// [`Engine::normalize_text_with`] behind the panic boundary of
+    /// [`Engine::try_normalize_with`].
+    pub fn try_normalize_text_with(
+        &mut self,
+        src: &str,
+        budget: &Budget,
+        faults: &FaultPlan,
+    ) -> Result<Result<Rewritten, ParseError>, crate::fault::CaughtPanic> {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            self.normalize_text_with(src, budget, faults)
+        }))
+        .map_err(crate::fault::CaughtPanic::from_payload)
+    }
+
+    /// Ready the caches and index for a run. Bounded arena growth: compact
+    /// between runs, before the input is interned, when no run-local
+    /// handles exist, so `Interner::clear`'s largest-first release is safe
+    /// and no address-keyed cache can alias a recycled node.
+    fn prepare_run(&mut self) {
         if self.config.arena_capacity != 0 && self.interner.len() > self.config.arena_capacity {
             self.reset_caches();
         }
@@ -647,38 +702,33 @@ impl<'a> Engine<'a> {
         } else {
             self.index = None;
         }
-
-        // Saturation mode: seed wave + e-graph saturation + extraction.
-        // Fault plans stay on the destructive path — fault semantics are
-        // defined step-by-step against it — as does an unindexed engine.
-        if self.config.saturate && faults.is_empty() && self.index.is_some() {
-            return self.saturate_run(q, budget, faults);
-        }
-        self.fixpoint_run(q, budget, faults, None).reify()
     }
 
-    /// The destructive leftmost-outermost fixpoint loop (the historical
-    /// body of [`Engine::normalize_with`]; that entry now also hosts the
-    /// cache maintenance and the saturation-mode branch). Assumes caches
-    /// and index are already prepared for this run. With `path`, records
-    /// the interned trajectory there: the input, then the term after each
-    /// step.
+    /// Normalize the interned, right-normalized `input`: the fixpoint run,
+    /// or in saturation mode the seed wave plus e-graph saturation and
+    /// extraction. Fault plans stay on the destructive path — fault
+    /// semantics are defined step-by-step against it — as does an
+    /// unindexed engine.
+    fn run(&mut self, input: ITerm, budget: &Budget, faults: &FaultPlan) -> Rewritten {
+        if self.config.saturate && faults.is_empty() && self.index.is_some() {
+            return self.saturate_run(input, budget, faults);
+        }
+        self.fixpoint_run(input, budget, faults, None).reify()
+    }
+
+    /// The destructive leftmost-outermost fixpoint loop from the interned
+    /// input `cur`. Assumes caches and index are already prepared for this
+    /// run ([`Engine::prepare_run`]). With `path`, records the interned
+    /// trajectory there: the input, then the term after each step.
     fn fixpoint_run(
         &mut self,
-        q: &Query,
+        mut cur: ITerm,
         budget: &Budget,
         faults: &FaultPlan,
         mut path: Option<&mut Vec<ITerm>>,
     ) -> Fix {
         let mut report = RewriteReport::new();
         let mut trace = Trace::new();
-        // Interning needs the right-normalized form; copy the query into it
-        // only when it is not in that form already.
-        let mut cur = if q.is_normalized() {
-            self.interner.intern_query(q)
-        } else {
-            self.interner.intern_query(&q.normalize())
-        };
         if let Some(p) = path.as_deref_mut() {
             p.push(cur.clone());
         }
@@ -874,9 +924,9 @@ impl<'a> Engine<'a> {
     /// budget, and extract the cheapest equivalent plan under the engine's
     /// cost model. Assumes the rule index is built (saturation matches
     /// through it).
-    fn saturate_run(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
+    fn saturate_run(&mut self, input: ITerm, budget: &Budget, faults: &FaultPlan) -> Rewritten {
         let mut trajectory = Vec::new();
-        let fix = self.fixpoint_run(q, budget, faults, Some(&mut trajectory));
+        let fix = self.fixpoint_run(input, budget, faults, Some(&mut trajectory));
         if fix.report.stop == StopReason::TermTooLarge && fix.report.steps == 0 {
             // The input itself blew the size budget — nothing to saturate.
             return fix.reify();

@@ -40,7 +40,7 @@ use crate::matching::pchain_segments;
 use crate::props::{PropDb, PropTerm};
 use crate::rule::{Direction, Precondition, RewritePair, Rule};
 use crate::subst::UnboundVar;
-use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
+use kola::intern::{icompose, ITerm, Interner, Payload, PayloadRef, Tag};
 use kola::pattern::{PFunc, PPred, PQuery};
 use kola::value::Sym;
 
@@ -131,73 +131,6 @@ impl ISubst {
     pub fn new() -> Self {
         Self::default()
     }
-}
-
-/// Flatten an interned composition chain into its segments, left to right
-/// (the [`crate::matching::chain_segments`] analogue; iterative).
-pub fn ichain_segments(t: &ITerm) -> Vec<ITerm> {
-    let mut out = Vec::new();
-    let mut work = vec![t.clone()];
-    while let Some(f) = work.pop() {
-        if f.tag() == Tag::FCompose {
-            let kids = f.kids();
-            work.push(kids[1].clone());
-            work.push(kids[0].clone());
-        } else {
-            out.push(f);
-        }
-    }
-    out
-}
-
-/// Segments [`icompose`] re-associates without a heap buffer.
-const ICHAIN_INLINE: usize = 32;
-
-/// Smart `∘` constructor: builds `a ∘ b` right-normalized. If `a` is itself
-/// a chain, its segments are re-associated onto `b`, so the result never has
-/// a `∘` as a left child (given `a` and `b` internally normalized).
-pub fn icompose(it: &mut Interner, a: ITerm, b: ITerm) -> ITerm {
-    if a.tag() != Tag::FCompose {
-        return it.mk(Tag::FCompose, PayloadRef::None, &[a, b]);
-    }
-    // A right-normalized `a` of modest length is read off its spine into a
-    // stack array; anything else takes the general flatten.
-    let mut buf = [&a; ICHAIN_INLINE];
-    let mut n = 0;
-    let mut cur = &a;
-    let spine = loop {
-        if n == ICHAIN_INLINE {
-            break false;
-        }
-        if cur.tag() != Tag::FCompose {
-            buf[n] = cur;
-            n += 1;
-            break true;
-        }
-        let k = cur.kids();
-        if k[0].tag() == Tag::FCompose {
-            break false;
-        }
-        buf[n] = &k[0];
-        n += 1;
-        cur = &k[1];
-    };
-    if spine {
-        fold_onto(it, buf[..n].iter().copied(), b)
-    } else {
-        fold_onto(it, ichain_segments(&a).iter(), b)
-    }
-}
-
-/// `s₁ ∘ (s₂ ∘ (… ∘ (sₙ ∘ b)))` for the segments `s₁ … sₙ`.
-fn fold_onto<'s>(
-    it: &mut Interner,
-    segs: impl DoubleEndedIterator<Item = &'s ITerm>,
-    b: ITerm,
-) -> ITerm {
-    segs.rev().fold(b, |acc, seg| {
-        it.mk(Tag::FCompose, PayloadRef::None, &[seg.clone(), acc])
-    })
 }
 
 /// Rebuild a right-associated chain from owned segments; empty chain is

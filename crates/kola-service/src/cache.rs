@@ -115,13 +115,13 @@ pub(crate) struct CacheKey {
 
 /// The memoized answer: everything a [`Response`] needs except the
 /// per-request id and latency. Shared by `Arc` — serving a hit clones
-/// handles, not plans.
+/// handles, not plans, reports or quarantine lists.
 #[derive(Debug)]
 pub(crate) struct CachedPlan {
     outcome: Outcome,
     plan: Arc<Query>,
-    report: Option<RewriteReport>,
-    quarantine: QuarantineReport,
+    report: Option<Arc<RewriteReport>>,
+    quarantine: Arc<QuarantineReport>,
 }
 
 impl CachedPlan {
@@ -137,7 +137,7 @@ impl CachedPlan {
             outcome: self.outcome.clone(),
             plan: Some(Arc::clone(&self.plan)),
             report: self.report.clone(),
-            quarantine: self.quarantine.clone(),
+            quarantine: Arc::clone(&self.quarantine),
             panics: Vec::new(),
             retries: 0,
             error: None,
@@ -466,7 +466,7 @@ impl PlanCache {
                         outcome: response.outcome.clone(),
                         plan: Arc::clone(plan),
                         report: response.report.clone(),
-                        quarantine: response.quarantine.clone(),
+                        quarantine: Arc::clone(&response.quarantine),
                     });
                     self.insert_locked(&mut inner, key, epoch, value, metrics);
                 }
@@ -650,7 +650,7 @@ mod tests {
             outcome: Outcome::Optimized,
             plan: Arc::new(kola::parse::parse_query(src).unwrap()),
             report: None,
-            quarantine: QuarantineReport::default(),
+            quarantine: Arc::default(),
         })
     }
 
@@ -779,8 +779,8 @@ mod tests {
             tenant: Arc::from(crate::tenant::DEFAULT_TENANT),
             outcome: Outcome::Optimized,
             plan: Some(Arc::new(big)),
-            report: Some(RewriteReport::default()),
-            quarantine: QuarantineReport::default(),
+            report: Some(Arc::default()),
+            quarantine: Arc::default(),
             panics: Vec::new(),
             retries: 0,
             error: None,
@@ -816,7 +816,7 @@ mod tests {
             outcome: Outcome::Passthrough,
             plan: Some(Arc::new(kola::parse::parse_query("age ! P").unwrap())),
             report: None,
-            quarantine: QuarantineReport::default(),
+            quarantine: Arc::default(),
             panics: Vec::new(),
             retries: 1,
             error: Some("fast: injected".into()),
@@ -867,8 +867,8 @@ mod tests {
             tenant: Arc::from(crate::tenant::DEFAULT_TENANT),
             outcome: Outcome::Optimized,
             plan: Some(Arc::new(kola::parse::parse_query("age ! P").unwrap())),
-            report: Some(RewriteReport::default()),
-            quarantine: QuarantineReport::default(),
+            report: Some(Arc::default()),
+            quarantine: Arc::default(),
             panics: Vec::new(),
             retries: 0,
             error: None,

@@ -36,10 +36,11 @@
 //! again. The boxed engine checks the serving path from tests
 //! (`tests/service.rs`) and replays recorded traces (`kola_obs::replay`).
 //!
-//! Exactness: the attempt calls `Engine::try_normalize_with` with exactly
-//! the request's budget and fault plan — byte-identical to a direct
-//! fast-engine `Runner` run, whose `Fix` path folds the same engine report
-//! into a fresh one (a zero-offset merge). The engines' exactness
+//! Exactness: the attempt calls `Engine::try_normalize_with` (for KOLA
+//! text, `try_normalize_text_with`, which runs the same on the parsed
+//! query) with exactly the request's budget and fault plan —
+//! byte-identical to a direct fast-engine `Runner` run, whose `Fix` path
+//! folds the same engine report into a fresh one (a zero-offset merge). The engines' exactness
 //! contract thereby lifts to the service — *including* cross-request
 //! reuse, because memo replays are byte-identical to live runs and epoch
 //! tagging confines them to one rule set (see `tests/service.rs`).
@@ -50,6 +51,7 @@ use crate::request::{Outcome, RequestOptions};
 use crate::snapshot::RuleSnapshot;
 use kola::term::Query;
 use kola_exec::rng::splitmix64;
+use kola_frontend::kola_parse_error;
 use kola_obs::{RewriteTrace, TraceRing};
 use kola_rewrite::{
     Catalog, CaughtPanic, Engine, EngineConfig, Oriented, PropDb, QuarantineReport, RewriteReport,
@@ -60,6 +62,32 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
+/// What the ladder optimizes.
+#[derive(Debug, Clone, Copy)]
+pub enum LadderInput<'q> {
+    /// A parsed query, shared with the caller.
+    Ast(&'q Arc<Query>),
+    /// KOLA concrete syntax: each attempt parses it straight into the
+    /// engine's arena ([`Engine::normalize_text_with`]), so the hot path
+    /// builds no boxed input.
+    Kola(&'q str),
+}
+
+impl LadderInput<'_> {
+    /// The input as a boxed query: a handle bump for an AST, a parse for
+    /// text. Only the cold paths that need the tree call it — passthrough,
+    /// trace recording, and the service's semantic gate. `Err` is the
+    /// parse error, worded as `kola_frontend::parse_any_query` words it.
+    pub fn boxed(&self) -> Result<Arc<Query>, String> {
+        match self {
+            LadderInput::Ast(q) => Ok(Arc::clone(q)),
+            LadderInput::Kola(src) => kola::parse::parse_query(src)
+                .map(Arc::new)
+                .map_err(kola_parse_error),
+        }
+    }
+}
+
 /// What the ladder produced for one request.
 #[derive(Debug, Clone)]
 pub struct LadderResult {
@@ -67,8 +95,9 @@ pub struct LadderResult {
     /// ladder always answers.
     pub outcome: Outcome,
     /// The plan (the input itself on passthrough — an `Arc` clone of the
-    /// caller's term, so exhausting the ladder deep-copies nothing; on
-    /// success a freshly-allocated handle the plan cache can retain).
+    /// caller's term, so exhausting the ladder deep-copies nothing, or the
+    /// text parsed once more; on success a freshly-allocated handle the
+    /// plan cache can retain).
     pub plan: Arc<Query>,
     /// The successful attempt's report, untouched. `None` on passthrough.
     pub report: Option<RewriteReport>,
@@ -89,6 +118,8 @@ enum Attempt {
     Ok(Query, RewriteReport, Trace),
     Failed(String, Option<RewriteReport>),
     Panicked(CaughtPanic),
+    /// The text input does not parse.
+    Unparsable(String),
 }
 
 /// A worker's interruptible-backoff slot. The retry backoff used to be a
@@ -185,25 +216,38 @@ impl Ladder<'_> {
         let rules: Vec<Oriented<'_>> = self.catalog.rules().iter().map(Oriented::fwd).collect();
         let mut engine = Engine::new(rules, self.props, EngineConfig::fast());
         let snapshot = RuleSnapshot::build(self.breaker.generation(), self.catalog, self.breaker);
-        self.run_with(request_id, q, opts, deadline, &mut engine, &snapshot)
+        self.run_with(
+            request_id,
+            LadderInput::Ast(q),
+            opts,
+            deadline,
+            &mut engine,
+            &snapshot,
+        )
+        .expect("an AST input needs no parse")
     }
 
-    /// Run the ladder for query `q` under `opts`, with the deadline already
+    /// Run the ladder for `input` under `opts`, with the deadline already
     /// anchored (at submission time). `request_id` seeds the retry jitter
     /// and tags breaker charges. `engine` is the caller's persistent fast
     /// engine (built over the full forward catalog, rules in catalog order)
     /// and `snapshot` the rule-set snapshot this request runs under: the
     /// engine's caches are scoped to the snapshot's epoch first, and
     /// disabled rules are masked out of its candidate scan.
+    ///
+    /// `Err` is the parse error of a text input that does not parse. The
+    /// first engine call finds it, before any rule has run or been charged;
+    /// a run that never reached the engine finds it when it parses the
+    /// input for its passthrough plan.
     pub fn run_with(
         &self,
         request_id: u64,
-        q: &Arc<Query>,
+        input: LadderInput<'_>,
         opts: &RequestOptions,
         deadline: Option<Instant>,
         engine: &mut Engine<'_>,
         snapshot: &RuleSnapshot,
-    ) -> LadderResult {
+    ) -> Result<LadderResult, String> {
         // The *engine* epoch, not the raw generation: on a multi-tenant
         // service the shared engine's memo must never alias two tenants'
         // rule masks (snapshot.rs maps generations injectively per tenant).
@@ -246,7 +290,7 @@ impl Ladder<'_> {
                 }
                 retries += 1;
             }
-            match attempt_once(attempt, q, opts, deadline, engine) {
+            match attempt_once(attempt, input, opts, deadline, engine) {
                 Attempt::Ok(plan, report, trace) => {
                     implicate_from_report(&report, &mut implicated);
                     success = Some((plan, report, trace));
@@ -278,6 +322,7 @@ impl Ladder<'_> {
                     failures.push(format!("fast attempt {attempt}: {p}"));
                     panics.push(p);
                 }
+                Attempt::Unparsable(e) => return Err(e),
             }
         }
 
@@ -304,7 +349,7 @@ impl Ladder<'_> {
                         self.tenant
                             .map(Arc::clone)
                             .unwrap_or_else(|| Arc::from(crate::tenant::DEFAULT_TENANT)),
-                        q,
+                        &*input.boxed()?,
                         Arc::clone(&snapshot.active),
                         opts.max_steps,
                         opts.max_depth,
@@ -317,7 +362,7 @@ impl Ladder<'_> {
                     ));
                 }
                 let quarantine = self.catalog.quarantine_report(&report);
-                LadderResult {
+                Ok(LadderResult {
                     outcome: Outcome::Optimized,
                     plan: Arc::new(plan),
                     report: Some(report),
@@ -325,17 +370,17 @@ impl Ladder<'_> {
                     panics,
                     retries,
                     failures,
-                }
+                })
             }
-            None => LadderResult {
+            None => Ok(LadderResult {
                 outcome: Outcome::Passthrough,
-                plan: Arc::clone(q),
+                plan: input.boxed()?,
                 report: None,
                 quarantine: QuarantineReport::default(),
                 panics,
                 retries,
                 failures,
-            },
+            }),
         }
     }
 }
@@ -343,10 +388,11 @@ impl Ladder<'_> {
 /// One fast-engine attempt, straight into the borrowed persistent engine.
 /// Byte-identical to a per-request `Runner` run: the `Fix` strategy runs
 /// this same `normalize_with` under the same budget and merges its report
-/// into a fresh one (offset zero).
+/// into a fresh one (offset zero). Text goes through the engine's text
+/// entry, which runs what `normalize_with` runs on the parsed query.
 fn attempt_once(
     attempt: u32,
-    q: &Query,
+    input: LadderInput<'_>,
     opts: &RequestOptions,
     deadline: Option<Instant>,
     engine: &mut Engine<'_>,
@@ -358,9 +404,14 @@ fn attempt_once(
         return Attempt::Failed("injected fault (transient)".into(), None);
     }
     let budget = opts.budget(deadline);
-    match engine.try_normalize_with(q, &budget, &opts.faults) {
+    let run = match input {
+        LadderInput::Ast(q) => engine.try_normalize_with(q, &budget, &opts.faults).map(Ok),
+        LadderInput::Kola(src) => engine.try_normalize_text_with(src, &budget, &opts.faults),
+    };
+    match run {
         Err(p) => Attempt::Panicked(p),
-        Ok(r) => classify(r.query, r.report, r.trace),
+        Ok(Err(e)) => Attempt::Unparsable(kola_parse_error(e)),
+        Ok(Ok(r)) => classify(r.query, r.report, r.trace),
     }
 }
 

@@ -31,8 +31,8 @@
 //!   `kola-rewrite::budget` across requests. Failure charges land in
 //!   per-worker shards of relaxed atomic counters, so a fault-saturated
 //!   stream scales with workers; trips fold the shards and stay
-//!   byte-identical to the single-lock [`breaker::GlobalBreaker`] spec
-//!   (see `tests/breaker_parity.rs`).
+//!   byte-identical to the original single-lock breaker, which
+//!   `tests/breaker_parity.rs` keeps as its executable spec.
 //! - [`metrics`] — the service's lock-free metric surface (built on
 //!   `kola-obs`): request-lifecycle counters arranged as conservation
 //!   invariants the chaos soak audits, per-rule attempt/fire families,
@@ -68,7 +68,7 @@ pub mod service;
 pub mod snapshot;
 pub mod tenant;
 
-pub use breaker::{Breaker, BreakerEntry, GlobalBreaker};
+pub use breaker::{Breaker, BreakerEntry};
 pub use chaos::{
     generate_clean_request, percentile, run_chaos, run_clean_stream, run_noisy_neighbor,
     run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, CleanReport, RepeatedConfig,

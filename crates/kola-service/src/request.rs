@@ -13,8 +13,9 @@ use std::time::Duration;
 /// The query payload of a request.
 #[derive(Debug, Clone)]
 pub enum Payload {
-    /// Surface text: OQL (detected by its leading `select`) or KOLA
-    /// concrete syntax, parsed by `kola_frontend::parse_any_query`.
+    /// Surface text: OQL (detected by its leading `select`), lowered by
+    /// `kola_frontend::parse_any_query`, or KOLA concrete syntax, which the
+    /// worker's engine parses straight into its arena.
     Text(String),
     /// An already-parsed query, shared by `Arc`: submission, the queued
     /// job, and the worker all borrow one allocation, so admission never
@@ -181,11 +182,12 @@ pub struct Response {
     /// passthrough can return its input — without deep-copying the term.
     pub plan: Option<Arc<Query>>,
     /// The successful attempt's rewrite report, untouched — byte-identical to
-    /// what a direct [`kola_rewrite::Runner`] run would report.
-    pub report: Option<RewriteReport>,
+    /// what a direct [`kola_rewrite::Runner`] run would report. Shared by
+    /// `Arc`, so a plan-cache hit answers without copying it.
+    pub report: Option<Arc<RewriteReport>>,
     /// Per-run quarantine state (satellite of the successful attempt's
-    /// report), restricted to rules the catalog owns.
-    pub quarantine: QuarantineReport,
+    /// report), restricted to rules the catalog owns. Shared like `report`.
+    pub quarantine: Arc<QuarantineReport>,
     /// Poison-rule panics caught (and attributed) during the ladder run.
     pub panics: Vec<CaughtPanic>,
     /// Retries taken (at most one).
@@ -206,7 +208,7 @@ impl Response {
             outcome,
             plan: None,
             report: None,
-            quarantine: QuarantineReport::default(),
+            quarantine: Arc::default(),
             panics: Vec::new(),
             retries: 0,
             error: Some(why),

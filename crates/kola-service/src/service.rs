@@ -9,12 +9,14 @@
 //!    │
 //!    ▼ queued on a per-worker shard (deadline anchored here: queue wait
 //!    │                               counts; idle workers steal)
-//! worker: parse text ──err──▶ Invalid
+//! worker: lower OQL text ──err──▶ Invalid
 //!    │
 //!    ▼ snapshot refresh: one atomic load; epoch swap on breaker change
 //!    ▼ ladder: fast ▷ retry ▷ passthrough   (fast = the worker's
-//!    │          long-lived engine; one jittered retry under the remaining
-//!    │          deadline, panics caught & attributed)
+//!    │          long-lived engine, which parses KOLA text straight into
+//!    │          its arena — unparsable text ends here as Invalid; one
+//!    │          jittered retry under the remaining deadline, panics
+//!    │          caught & attributed)
 //!    ▼ semantic gate (optional): plan ≡ input on a sample database,
 //!    │          else degrade to Passthrough
 //!    ▼ reply: Optimized | Passthrough
@@ -47,7 +49,7 @@
 
 use crate::breaker::Breaker;
 use crate::cache::{CacheKey, CachedPlan, Claim, PlanCache, Probe, Waiter};
-use crate::ladder::{Ladder, RetryPark};
+use crate::ladder::{Ladder, LadderInput, RetryPark};
 use crate::metrics::ServiceMetrics;
 use crate::request::{Outcome, Payload, Request, Response};
 use crate::snapshot::RuleSnapshot;
@@ -55,6 +57,7 @@ use crate::tenant::Tenants;
 use kola::term::Query;
 use kola::Db;
 use kola_exec::datagen::{generate, DataSpec};
+use kola_frontend::is_oql;
 use kola_obs::{RewriteTrace, ShardedTraceRing, Snapshot as MetricsSnapshot};
 use kola_rewrite::{
     Catalog, Engine, EngineConfig, EngineStats, Oriented, PropDb, QuarantineReport,
@@ -878,20 +881,32 @@ fn handle<'a>(
     if let Some(hold) = request.options.hold_for {
         thread::sleep(hold);
     }
-    let input: Arc<Query> = match &request.payload {
+    let invalid = |e: String| {
+        shared.metrics.completed_invalid.inc();
+        shared.metrics.tenant_completed_invalid.add_index(tenant, 1);
+        let mut r = Response::rejected(id, Outcome::Invalid, e);
+        r.tenant = Arc::clone(&ten.name);
+        r.latency = submitted.elapsed();
+        r
+    };
+    let opts = &request.options;
+    // KOLA text goes to the engine, which parses it into its own arena.
+    // OQL is lowered here; so is text whose attempts are forced to fail,
+    // which would never reach the engine's parse.
+    let parsed: Arc<Query>;
+    let input = match &request.payload {
+        Payload::Text(src) if !is_oql(src) && !opts.force_fail && !opts.transient_fail => {
+            LadderInput::Kola(src)
+        }
         Payload::Text(src) => match kola_frontend::parse_any_query(src) {
-            Ok(q) => Arc::new(q),
-            Err(e) => {
-                shared.metrics.completed_invalid.inc();
-                shared.metrics.tenant_completed_invalid.add_index(tenant, 1);
-                let mut r = Response::rejected(id, Outcome::Invalid, e);
-                r.tenant = Arc::clone(&ten.name);
-                r.latency = submitted.elapsed();
-                return r;
+            Ok(q) => {
+                parsed = Arc::new(q);
+                LadderInput::Ast(&parsed)
             }
+            Err(e) => return invalid(e),
         },
         // By-Arc payloads are borrowed, never deep-cloned.
-        Payload::Ast(q) => Arc::clone(q),
+        Payload::Ast(q) => LadderInput::Ast(q),
     };
 
     // One atomic load in steady state; an epoch swap when *this tenant's*
@@ -913,7 +928,10 @@ fn handle<'a>(
         park: Some(&shared.parks[index]),
         tenant: Some(&ten.name),
     };
-    let mut result = ladder.run_with(id, &input, &request.options, deadline, engine, snapshot);
+    let mut result = match ladder.run_with(id, input, opts, deadline, engine, snapshot) {
+        Ok(result) => result,
+        Err(e) => return invalid(e),
+    };
     let m = &shared.metrics;
     m.retries.add(result.retries as u64);
     m.caught_panics.add(result.panics.len() as u64);
@@ -927,11 +945,13 @@ fn handle<'a>(
     // the sample database is worse than no optimization — degrade it.
     let mut gate_error = None;
     if let (Some(db), Outcome::Optimized) = (&shared.verify_db, &result.outcome) {
+        // The attempt parsed this input, so it parses again.
+        let input = input.boxed().expect("an optimized input parses");
         if let Err(e) = kola_verify::check_plan_semantics(db, &input, &result.plan) {
             gate_error = Some(format!("semantic gate: {e}"));
             m.gate_degradations.inc();
             result.outcome = Outcome::Passthrough;
-            result.plan = Arc::clone(&input);
+            result.plan = input;
             result.report = None;
             result.quarantine = QuarantineReport::default();
         }
@@ -972,8 +992,8 @@ fn handle<'a>(
         tenant: Arc::clone(&ten.name),
         outcome: result.outcome,
         plan: Some(result.plan),
-        report: result.report,
-        quarantine: result.quarantine,
+        report: result.report.map(Arc::new),
+        quarantine: Arc::new(result.quarantine),
         panics: result.panics,
         retries: result.retries,
         error,

@@ -11,7 +11,11 @@
 //! exactly at the threshold, and operator resets racing concurrent charges.
 
 use kola_exec::rng::{splitmix64, Rng};
-use kola_service::{Breaker, GlobalBreaker};
+use kola_service::Breaker;
+
+#[path = "support/global_breaker.rs"]
+mod global_breaker;
+use global_breaker::GlobalBreaker;
 
 /// The registered rule universe. "ghost" is deliberately *not* registered
 /// with the sharded breaker, so every stream also exercises its

@@ -87,7 +87,7 @@ fn service_output_is_byte_identical_to_direct_fast_engine_run() {
             ("boxed", &boxed_q, &boxed_report),
         ] {
             assert_eq!(&*plan, want_q, "seed {seed} [{label}]");
-            assert_eq!(&report, want_report, "seed {seed} [{label}]");
+            assert_eq!(&*report, want_report, "seed {seed} [{label}]");
             // Byte-identity, literally: the rendered plans and reports match.
             assert_eq!(
                 format!("{plan}"),
@@ -234,12 +234,12 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     assert_eq!(r.outcome, Outcome::Optimized);
     let (full_q, full_report) = direct_run_for(catalog.forward_ids());
     assert_eq!(r.plan.as_deref(), Some(&full_q));
-    assert_eq!(r.report.as_ref(), Some(&full_report));
+    assert_eq!(r.report.as_deref(), Some(&full_report));
     // Run it again: this answer may come from the memo — it must still be
     // byte-identical (memo replays are exact).
     let r = service.call(Request::ast(q.clone()));
     assert_eq!(r.plan.as_deref(), Some(&full_q));
-    assert_eq!(r.report.as_ref(), Some(&full_report));
+    assert_eq!(r.report.as_deref(), Some(&full_report));
 
     // Trip "app": two poisoned requests open its breaker → epoch 1.
     let poison = RequestOptions {
@@ -268,7 +268,7 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
         .collect();
     let (reduced_q, reduced_report) = direct_run_for(reduced);
     assert_eq!(r.plan.as_deref(), Some(&reduced_q));
-    assert_eq!(r.report.as_ref(), Some(&reduced_report));
+    assert_eq!(r.report.as_deref(), Some(&reduced_report));
     assert!(
         !r.report.unwrap().rule_stats.contains_key("app"),
         "stale epoch-0 memo (derived with \"app\") must not be replayed"
@@ -280,7 +280,7 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     let r = service.call(Request::ast(q.clone()));
     assert_eq!(r.outcome, Outcome::Optimized);
     assert_eq!(r.plan.as_deref(), Some(&full_q));
-    assert_eq!(r.report.as_ref(), Some(&full_report));
+    assert_eq!(r.report.as_deref(), Some(&full_report));
     assert!(
         r.report
             .unwrap()
@@ -375,6 +375,87 @@ fn service_deadline_expiry_body() {
     assert_eq!(r.outcome, Outcome::Passthrough);
     assert_eq!(r.plan.as_deref(), Some(&q));
     assert!(r.error.is_some(), "failed attempts are reported");
+}
+
+#[test]
+fn kola_text_is_served_exactly_as_its_parsed_ast() {
+    // KOLA text reaches the worker's engine unparsed and is built straight
+    // into its arena; the reply must be the one the parsed AST gets. The
+    // cold paths that need the boxed input (trace recording, the semantic
+    // gate) run here too.
+    let config = ServiceConfig {
+        workers: 2,
+        cache_capacity: 0,
+        ..ServiceConfig::default()
+    };
+    let text_service = Service::start(ServiceConfig {
+        verify: true,
+        tracing: true,
+        ..config.clone()
+    });
+    let ast_service = Service::start(config);
+    for seed in 0..500u64 {
+        let q = corpus_query(seed);
+        let text = q.to_string();
+        let parsed = kola::parse::parse_query(&text).unwrap();
+        let by_text = text_service.call(Request::text(text.clone()));
+        let by_ast = ast_service.call(Request::ast(parsed.clone()));
+        assert_eq!(by_text.outcome, by_ast.outcome, "seed {seed}: {text}");
+        assert_eq!(by_text.plan, by_ast.plan, "seed {seed}: {text}");
+        assert_eq!(by_text.report, by_ast.report, "seed {seed}: {text}");
+        assert_eq!(by_text.error, by_ast.error, "seed {seed}: {text}");
+    }
+    let traces = text_service.traces();
+    assert_eq!(traces.len(), 500);
+    for t in &traces {
+        let want = kola::parse::parse_query(&corpus_query(t.request_id).to_string()).unwrap();
+        assert_eq!(t.input, want, "trace {} input", t.request_id);
+    }
+
+    // A deadline that is gone before the first attempt passes the text
+    // through, parsed.
+    let dead = RequestOptions {
+        timeout: Some(Duration::ZERO),
+        ..RequestOptions::default()
+    };
+    let text = "id . id . age ! P";
+    let r = text_service.call(Request::text(text).with_options(dead.clone()));
+    assert_eq!(r.outcome, Outcome::Passthrough);
+    assert_eq!(
+        r.plan.as_deref(),
+        Some(&kola::parse::parse_query(text).unwrap())
+    );
+
+    // Unparsable text is Invalid on every lane — engine parse, expired
+    // deadline, forced failures — with the front end's error and no rule
+    // charged or attempt counted.
+    let before = text_service.metrics_snapshot();
+    let lanes = [
+        RequestOptions::default(),
+        dead,
+        RequestOptions {
+            force_fail: true,
+            ..RequestOptions::default()
+        },
+        RequestOptions {
+            transient_fail: true,
+            ..RequestOptions::default()
+        },
+    ];
+    for opts in &lanes {
+        for bad in ["id . ! P", "$f ! P", "P Q"] {
+            let r = text_service.call(Request::text(bad).with_options(opts.clone()));
+            assert_eq!(r.outcome, Outcome::Invalid, "{bad:?}");
+            let want = kola_frontend::parse_any_query(bad).unwrap_err();
+            assert_eq!(r.error.as_deref(), Some(want.as_str()), "{bad:?}");
+            assert!(r.plan.is_none() && r.report.is_none());
+        }
+    }
+    let after = text_service.metrics_snapshot();
+    let delta = |name: &str| after.counter(name) - before.counter(name);
+    assert_eq!(delta("completed_invalid"), 12);
+    assert_eq!(delta("rung_failures"), 0);
+    assert_eq!(delta("retries"), 0);
 }
 
 #[test]

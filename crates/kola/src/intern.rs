@@ -21,6 +21,9 @@
 //! [`ITerm::to_query`] (and the `func`/`pred` analogues) round-trip every
 //! term, using explicit stacks so arbitrarily deep ∘-chains cost heap, not
 //! stack.
+//! Source text need not pass through a boxed term at all:
+//! [`crate::parse::parse_query_into`] builds a query's nodes here straight
+//! from the text, ∘-chains right-associated by [`icompose`].
 //!
 //! **Drop discipline.** Interned nodes hold `Arc`s to their children, so
 //! dropping the last reference to a deep chain would recurse. The interner's
@@ -191,14 +194,15 @@ impl<'a> From<&'a Payload> for PayloadRef<'a> {
     }
 }
 
-/// A [`Payload`] borrowed from a source term or a rule pattern: hashed and
-/// compared during interning, and turned into an owned [`Payload`] only
-/// when the node it labels is new.
+/// A [`Payload`] borrowed from a source term, a rule pattern or source
+/// text: hashed and compared during interning, and turned into an owned
+/// [`Payload`] only when the node it labels is new. A symbol is borrowed
+/// as a `&str`, which hashes exactly as the [`Sym`] it becomes.
 #[allow(missing_docs)] // one-to-one with the documented `Payload` variants
 #[derive(Debug, Clone, Copy)]
 pub enum PayloadRef<'a> {
     None,
-    Sym(&'a Sym),
+    Sym(&'a str),
     Bool(bool),
     Value(&'a Value),
 }
@@ -229,7 +233,7 @@ impl PayloadRef<'_> {
     fn matches(self, p: &Payload) -> bool {
         match (self, p) {
             (PayloadRef::None, Payload::None) => true,
-            (PayloadRef::Sym(a), Payload::Sym(b)) => a == b,
+            (PayloadRef::Sym(a), Payload::Sym(b)) => a == &**b,
             (PayloadRef::Bool(a), Payload::Bool(b)) => a == *b,
             (PayloadRef::Value(a), Payload::Value(b)) => a == &**b,
             _ => false,
@@ -239,7 +243,7 @@ impl PayloadRef<'_> {
     fn to_owned(self) -> Payload {
         match self {
             PayloadRef::None => Payload::None,
-            PayloadRef::Sym(s) => Payload::Sym(s.clone()),
+            PayloadRef::Sym(s) => Payload::Sym(Sym::from(s)),
             PayloadRef::Bool(b) => Payload::Bool(b),
             PayloadRef::Value(v) => Payload::Value(Arc::new(v.clone())),
         }
@@ -844,6 +848,75 @@ impl Interner {
         }
         out.pop().expect("intern yields exactly one term")
     }
+}
+
+/// Flatten an interned composition chain into its segments, left to right
+/// (iterative, so a chain of any length costs no native stack).
+pub fn ichain_segments(t: &ITerm) -> Vec<ITerm> {
+    let mut out = Vec::new();
+    let mut work = vec![t.clone()];
+    while let Some(f) = work.pop() {
+        if f.tag() == Tag::FCompose {
+            let kids = f.kids();
+            work.push(kids[1].clone());
+            work.push(kids[0].clone());
+        } else {
+            out.push(f);
+        }
+    }
+    out
+}
+
+/// Segments [`icompose`] re-associates without a heap buffer.
+const ICHAIN_INLINE: usize = 32;
+
+/// Smart `∘` constructor: builds `a ∘ b` right-normalized. If `a` is itself
+/// a chain, its segments are re-associated onto `b`, so the result never has
+/// a `∘` as a left child (given `a` and `b` internally normalized) — the
+/// form [`Func::normalize`] gives. The KOLA parser's arena builder and
+/// every rewrite that builds a `∘` go through it.
+pub fn icompose(it: &mut Interner, a: ITerm, b: ITerm) -> ITerm {
+    if a.tag() != Tag::FCompose {
+        return it.mk(Tag::FCompose, PayloadRef::None, &[a, b]);
+    }
+    // A right-normalized `a` of modest length is read off its spine into a
+    // stack array; anything else takes the general flatten.
+    let mut buf = [&a; ICHAIN_INLINE];
+    let mut n = 0;
+    let mut cur = &a;
+    let spine = loop {
+        if n == ICHAIN_INLINE {
+            break false;
+        }
+        if cur.tag() != Tag::FCompose {
+            buf[n] = cur;
+            n += 1;
+            break true;
+        }
+        let k = cur.kids();
+        if k[0].tag() == Tag::FCompose {
+            break false;
+        }
+        buf[n] = &k[0];
+        n += 1;
+        cur = &k[1];
+    };
+    if spine {
+        fold_onto(it, buf[..n].iter().copied(), b)
+    } else {
+        fold_onto(it, ichain_segments(&a).iter(), b)
+    }
+}
+
+/// `s₁ ∘ (s₂ ∘ (… ∘ (sₙ ∘ b)))` for the segments `s₁ … sₙ`.
+fn fold_onto<'s>(
+    it: &mut Interner,
+    segs: impl DoubleEndedIterator<Item = &'s ITerm>,
+    b: ITerm,
+) -> ITerm {
+    segs.rev().fold(b, |acc, seg| {
+        it.mk(Tag::FCompose, PayloadRef::None, &[seg.clone(), acc])
+    })
 }
 
 impl Drop for Interner {

@@ -5,7 +5,8 @@
 //! metavariables are written `$f` (function), `%p` (predicate) and `^x`
 //! (object). The convenience entry points [`parse_func`], [`parse_pred`]
 //! and [`parse_query`] additionally require the result to be variable-free
-//! and return concrete terms.
+//! and return concrete terms. [`parse_query_into`] builds a concrete query
+//! straight into an [`Interner`], with no tree in between.
 //!
 //! Reserved words: `id pi1 pi2 flat sunion sinter sdiff Kf Cf con iterate
 //! iter join nest unnest eq lt leq gt geq in Kp Cp T F union intersect
@@ -16,84 +17,63 @@
 //! predicate. Query literals containing pairs or sets re-parse as
 //! query-level pair/set constructions (`[1, 2]` parses as
 //! `PairQ(Lit 1, Lit 2)`, not `Lit [1,2]`), which is evaluation-equivalent.
+//!
+//! ## One grammar, two builders
+//!
+//! The grammar is deterministic recursive descent over borrowed tokens:
+//! identifiers and strings are slices of the source, and an error message
+//! is formatted only when the parse fails. The one choice a query makes —
+//! `f ! q`, `p ? q`, or an atom — is read off the first `!` or `?` at
+//! bracket depth 0 before anything that can follow a whole query (`,`, a
+//! closing bracket, `union`/`intersect`/`diff`, the end). A function or a
+//! predicate never holds one of those tokens at depth 0, and an atom
+//! followed by anything but them cannot complete a parse, so that token
+//! names the only production that can succeed. The lexer records each
+//! opening bracket's partner, so the look-ahead steps over a bracketed
+//! group in one move and a parse stays linear in its tokens.
+//!
+//! The grammar hands each node to a builder, children first. The tree
+//! builder makes the pattern trees every `parse_*` entry point returns.
+//! The arena builder makes hash-consed nodes: it builds `∘`-chains
+//! right-associated with [`icompose`] (the form [`Query::normalize`]
+//! gives), folds `[x, y]` of two literals into one literal exactly as the
+//! tree builder does, and rejects metavariables.
 
+use crate::intern::{icompose, ITerm, Interner, Payload, PayloadRef, Tag};
 use crate::pattern::{PFunc, PPred, PQuery};
 use crate::term::{Func, Pred, Query};
 use crate::value::{Value, ValueSet};
 use std::fmt;
 use std::sync::Arc;
 
-/// A lexical token.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Tok {
+/// A lexical token, borrowing its text from the source.
+#[derive(Debug, Clone, Copy)]
+enum Tok<'s> {
     /// Identifier or keyword.
-    Ident(String),
+    Ident(&'s str),
     /// Integer literal.
     Int(i64),
     /// String literal (without quotes).
-    Str(String),
-    /// `!`
-    Bang,
-    /// `?`
-    Question,
-    /// `(`
-    LParen,
-    /// `)`
-    RParen,
-    /// `[`
-    LBrack,
-    /// `]`
-    RBrack,
-    /// `{`
-    LBrace,
-    /// `}`
-    RBrace,
-    /// `,`
-    Comma,
-    /// `.`
-    Dot,
-    /// `*`
-    Star,
-    /// `&`
-    Amp,
-    /// `|`
-    Pipe,
-    /// `~`
-    Tilde,
-    /// `@`
-    At,
-    /// `$` (function metavariable sigil)
-    Dollar,
-    /// `%` (predicate metavariable sigil)
-    Percent,
-    /// `^` (object metavariable sigil)
-    Caret,
+    Str(&'s str),
+    /// `(`, `[` or `{`, with the index of its matching closer
+    /// ([`UNCLOSED`] if there is none).
+    Open(u8, usize),
+    /// `)`, `]` or `}`.
+    Close(u8),
+    /// One of `! ? , . * & | ~ @ $ % ^`.
+    Punct(u8),
 }
 
-impl fmt::Display for Tok {
+/// The partner index of an opening bracket that is never closed.
+const UNCLOSED: usize = usize::MAX;
+
+impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Tok::Ident(s) => write!(f, "{s}"),
             Tok::Int(i) => write!(f, "{i}"),
             Tok::Str(s) => write!(f, "{s:?}"),
-            Tok::Bang => write!(f, "!"),
-            Tok::Question => write!(f, "?"),
-            Tok::LParen => write!(f, "("),
-            Tok::RParen => write!(f, ")"),
-            Tok::LBrack => write!(f, "["),
-            Tok::RBrack => write!(f, "]"),
-            Tok::LBrace => write!(f, "{{"),
-            Tok::RBrace => write!(f, "}}"),
-            Tok::Comma => write!(f, ","),
-            Tok::Dot => write!(f, "."),
-            Tok::Star => write!(f, "*"),
-            Tok::Amp => write!(f, "&"),
-            Tok::Pipe => write!(f, "|"),
-            Tok::Tilde => write!(f, "~"),
-            Tok::At => write!(f, "@"),
-            Tok::Dollar => write!(f, "$"),
-            Tok::Percent => write!(f, "%"),
-            Tok::Caret => write!(f, "^"),
+            Tok::Open(c, _) | Tok::Close(c) | Tok::Punct(c) => write!(f, "{}", *c as char),
         }
     }
 }
@@ -115,131 +95,85 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Tokenize a source string.
-pub fn lex(src: &str) -> Result<Vec<Tok>, ParseError> {
-    let mut out = Vec::new();
+type PResult<T> = Result<T, ParseError>;
+
+/// Tokenize a source string, pairing every bracket with its partner.
+///
+/// The unclosed openers form a stack threaded through the tokens
+/// themselves: until its closer arrives, an opener's partner slot holds
+/// the index of the opener enclosing it, and `top` is the innermost. So
+/// pairing needs no buffer beyond the token vector.
+fn lex(src: &str) -> PResult<Vec<Tok<'_>>> {
     let bytes = src.as_bytes();
+    let mut out: Vec<Tok<'_>> = Vec::with_capacity(bytes.len() / 2 + 1);
+    let mut top = UNCLOSED;
     let mut i = 0;
     while i < bytes.len() {
-        let c = bytes[i] as char;
-        match c {
-            ' ' | '\t' | '\n' | '\r' => i += 1,
-            '!' => {
-                out.push(Tok::Bang);
+        let c = bytes[i];
+        let tok = match c {
+            b' ' | b'\t' | b'\n' | b'\r' => {
                 i += 1;
+                continue;
             }
-            '?' => {
-                out.push(Tok::Question);
+            b'!' | b'?' | b',' | b'.' | b'*' | b'&' | b'|' | b'~' | b'@' | b'$' | b'%' | b'^' => {
                 i += 1;
+                Tok::Punct(c)
             }
-            '(' => {
-                out.push(Tok::LParen);
+            b'(' | b'[' | b'{' => {
+                let enclosing = top;
+                top = out.len();
                 i += 1;
+                Tok::Open(c, enclosing)
             }
-            ')' => {
-                out.push(Tok::RParen);
-                i += 1;
-            }
-            '[' => {
-                out.push(Tok::LBrack);
-                i += 1;
-            }
-            ']' => {
-                out.push(Tok::RBrack);
-                i += 1;
-            }
-            '{' => {
-                out.push(Tok::LBrace);
-                i += 1;
-            }
-            '}' => {
-                out.push(Tok::RBrace);
-                i += 1;
-            }
-            ',' => {
-                out.push(Tok::Comma);
-                i += 1;
-            }
-            '.' => {
-                out.push(Tok::Dot);
-                i += 1;
-            }
-            '*' => {
-                out.push(Tok::Star);
-                i += 1;
-            }
-            '&' => {
-                out.push(Tok::Amp);
-                i += 1;
-            }
-            '|' => {
-                out.push(Tok::Pipe);
-                i += 1;
-            }
-            '~' => {
-                out.push(Tok::Tilde);
-                i += 1;
-            }
-            '@' => {
-                out.push(Tok::At);
-                i += 1;
-            }
-            '$' => {
-                out.push(Tok::Dollar);
-                i += 1;
-            }
-            '%' => {
-                out.push(Tok::Percent);
-                i += 1;
-            }
-            '^' => {
-                out.push(Tok::Caret);
-                i += 1;
-            }
-            '"' => {
-                let start = i + 1;
-                let mut j = start;
-                while j < bytes.len() && bytes[j] as char != '"' {
-                    j += 1;
+            b')' | b']' | b'}' => {
+                let here = out.len();
+                if let Some(Tok::Open(_, slot)) = out.get_mut(top) {
+                    top = std::mem::replace(slot, here);
                 }
-                if j >= bytes.len() {
+                i += 1;
+                Tok::Close(c)
+            }
+            b'"' => {
+                let start = i + 1;
+                let Some(len) = bytes[start..].iter().position(|&b| b == b'"') else {
                     return Err(ParseError {
                         msg: "unterminated string literal".into(),
                         at: out.len(),
                     });
-                }
-                out.push(Tok::Str(src[start..j].to_string()));
-                i = j + 1;
+                };
+                i = start + len + 1;
+                Tok::Str(&src[start..start + len])
             }
-            '-' | '0'..='9' => {
+            b'-' | b'0'..=b'9' => {
                 let start = i;
                 i += 1;
-                while i < bytes.len() && (bytes[i] as char).is_ascii_digit() {
+                while i < bytes.len() && bytes[i].is_ascii_digit() {
                     i += 1;
                 }
                 let text = &src[start..i];
-                let n = text.parse::<i64>().map_err(|_| ParseError {
+                Tok::Int(text.parse::<i64>().map_err(|_| ParseError {
                     msg: format!("bad integer literal {text:?}"),
                     at: out.len(),
-                })?;
-                out.push(Tok::Int(n));
+                })?)
             }
-            c if c.is_ascii_alphabetic() || c == '_' => {
+            c if c.is_ascii_alphabetic() || c == b'_' => {
                 let start = i;
-                while i < bytes.len()
-                    && ((bytes[i] as char).is_ascii_alphanumeric() || bytes[i] as char == '_')
-                {
+                while i < bytes.len() && (bytes[i].is_ascii_alphanumeric() || bytes[i] == b'_') {
                     i += 1;
                 }
-                out.push(Tok::Ident(src[start..i].to_string()));
+                Tok::Ident(&src[start..i])
             }
             other => {
                 return Err(ParseError {
-                    msg: format!("unexpected character {other:?}"),
+                    msg: format!("unexpected character {:?}", other as char),
                     at: out.len(),
                 })
             }
-        }
+        };
+        out.push(tok);
+    }
+    while let Some(Tok::Open(_, slot)) = out.get_mut(top) {
+        top = std::mem::replace(slot, UNCLOSED);
     }
     Ok(out)
 }
@@ -251,23 +185,301 @@ const FUNC_KEYWORDS: &[&str] = &[
 ];
 const QUERY_KEYWORDS: &[&str] = &["union", "intersect", "diff", "T", "F"];
 
-/// Recursive-descent parser with token-position backtracking.
-pub struct Parser {
-    toks: Vec<Tok>,
-    pos: usize,
+/// Nullary function keywords.
+const FUNC_LEAVES: &[(&str, Tag)] = &[
+    ("id", Tag::FId),
+    ("pi1", Tag::FPi1),
+    ("pi2", Tag::FPi2),
+    ("flat", Tag::FFlat),
+    ("sunion", Tag::FSetUnion),
+    ("bagify", Tag::FBagify),
+    ("dedup", Tag::FDedup),
+    ("bunion", Tag::FBUnion),
+    ("bflat", Tag::FBFlat),
+    ("sinter", Tag::FSetIntersect),
+    ("sdiff", Tag::FSetDiff),
+];
+
+/// Nullary predicate keywords.
+const PRED_LEAVES: &[(&str, Tag)] = &[
+    ("eq", Tag::PEq),
+    ("lt", Tag::PLt),
+    ("leq", Tag::PLeq),
+    ("gt", Tag::PGt),
+    ("geq", Tag::PGeq),
+    ("in", Tag::PIn),
+];
+
+fn keyword(table: &[(&str, Tag)], name: &str) -> Option<Tag> {
+    table.iter().find(|(k, _)| *k == name).map(|&(_, t)| t)
 }
 
-type PResult<T> = Result<T, ParseError>;
+/// What the grammar builds: one output type per level, one call per node,
+/// children before parents. Tags name the constructor (`Tag::FPrim` for a
+/// schema primitive, whose name is `sym`).
+trait Build {
+    type F;
+    type P;
+    type Q;
+    /// A metavariable, or `None` where the output admits none.
+    fn var_f(&mut self, name: &str) -> Option<Self::F>;
+    fn var_p(&mut self, name: &str) -> Option<Self::P>;
+    fn var_q(&mut self, name: &str) -> Option<Self::Q>;
+    fn func0(&mut self, tag: Tag, sym: &str) -> Self::F;
+    /// `∘`, pairing, `×`, `nest`, `unnest`.
+    fn func2(&mut self, tag: Tag, a: Self::F, b: Self::F) -> Self::F;
+    /// `iterate`, `iter`, `join`, `biterate`.
+    fn former(&mut self, tag: Tag, p: Self::P, f: Self::F) -> Self::F;
+    fn const_f(&mut self, q: Self::Q) -> Self::F;
+    fn curry_f(&mut self, f: Self::F, q: Self::Q) -> Self::F;
+    fn cond(&mut self, p: Self::P, f: Self::F, g: Self::F) -> Self::F;
+    fn pred0(&mut self, tag: Tag, sym: &str) -> Self::P;
+    fn const_p(&mut self, b: bool) -> Self::P;
+    fn oplus(&mut self, p: Self::P, f: Self::F) -> Self::P;
+    /// `~` and `inv`.
+    fn pred1(&mut self, tag: Tag, p: Self::P) -> Self::P;
+    /// `&` and `|`.
+    fn pred2(&mut self, tag: Tag, a: Self::P, b: Self::P) -> Self::P;
+    fn curry_p(&mut self, p: Self::P, q: Self::Q) -> Self::P;
+    fn lit(&mut self, v: Value) -> Self::Q;
+    fn extent(&mut self, name: &str) -> Self::Q;
+    /// `[a, b]`; a pair of two literals is one literal.
+    fn pair_q(&mut self, a: Self::Q, b: Self::Q) -> Self::Q;
+    /// `union`, `intersect`, `diff`.
+    fn query2(&mut self, tag: Tag, a: Self::Q, b: Self::Q) -> Self::Q;
+    fn app(&mut self, f: Self::F, q: Self::Q) -> Self::Q;
+    fn test(&mut self, p: Self::P, q: Self::Q) -> Self::Q;
+}
 
-impl Parser {
-    /// Create a parser over a source string.
-    pub fn new(src: &str) -> PResult<Self> {
-        Ok(Parser {
-            toks: lex(src)?,
-            pos: 0,
-        })
+/// Builds pattern trees.
+struct Trees;
+
+impl Build for Trees {
+    type F = PFunc;
+    type P = PPred;
+    type Q = PQuery;
+
+    fn var_f(&mut self, name: &str) -> Option<PFunc> {
+        Some(PFunc::Var(Arc::from(name)))
     }
+    fn var_p(&mut self, name: &str) -> Option<PPred> {
+        Some(PPred::Var(Arc::from(name)))
+    }
+    fn var_q(&mut self, name: &str) -> Option<PQuery> {
+        Some(PQuery::Var(Arc::from(name)))
+    }
+    fn func0(&mut self, tag: Tag, sym: &str) -> PFunc {
+        match tag {
+            Tag::FPrim => PFunc::Prim(Arc::from(sym)),
+            Tag::FId => PFunc::Id,
+            Tag::FPi1 => PFunc::Pi1,
+            Tag::FPi2 => PFunc::Pi2,
+            Tag::FFlat => PFunc::Flat,
+            Tag::FSetUnion => PFunc::SetUnion,
+            Tag::FBagify => PFunc::Bagify,
+            Tag::FDedup => PFunc::Dedup,
+            Tag::FBUnion => PFunc::BUnion,
+            Tag::FBFlat => PFunc::BFlat,
+            Tag::FSetIntersect => PFunc::SetIntersect,
+            Tag::FSetDiff => PFunc::SetDiff,
+            _ => unreachable!("{tag:?} is not a nullary function"),
+        }
+    }
+    fn func2(&mut self, tag: Tag, a: PFunc, b: PFunc) -> PFunc {
+        let (a, b) = (Box::new(a), Box::new(b));
+        match tag {
+            Tag::FCompose => PFunc::Compose(a, b),
+            Tag::FPairWith => PFunc::PairWith(a, b),
+            Tag::FTimes => PFunc::Times(a, b),
+            Tag::FNest => PFunc::Nest(a, b),
+            Tag::FUnnest => PFunc::Unnest(a, b),
+            _ => unreachable!("{tag:?} is not a binary function former"),
+        }
+    }
+    fn former(&mut self, tag: Tag, p: PPred, f: PFunc) -> PFunc {
+        let (p, f) = (Box::new(p), Box::new(f));
+        match tag {
+            Tag::FIterate => PFunc::Iterate(p, f),
+            Tag::FIter => PFunc::Iter(p, f),
+            Tag::FJoin => PFunc::Join(p, f),
+            Tag::FBIterate => PFunc::BIterate(p, f),
+            _ => unreachable!("{tag:?} is not a predicate-function former"),
+        }
+    }
+    fn const_f(&mut self, q: PQuery) -> PFunc {
+        PFunc::ConstF(Box::new(q))
+    }
+    fn curry_f(&mut self, f: PFunc, q: PQuery) -> PFunc {
+        PFunc::CurryF(Box::new(f), Box::new(q))
+    }
+    fn cond(&mut self, p: PPred, f: PFunc, g: PFunc) -> PFunc {
+        PFunc::Cond(Box::new(p), Box::new(f), Box::new(g))
+    }
+    fn pred0(&mut self, tag: Tag, sym: &str) -> PPred {
+        match tag {
+            Tag::PPrimP => PPred::PrimP(Arc::from(sym)),
+            Tag::PEq => PPred::Eq,
+            Tag::PLt => PPred::Lt,
+            Tag::PLeq => PPred::Leq,
+            Tag::PGt => PPred::Gt,
+            Tag::PGeq => PPred::Geq,
+            Tag::PIn => PPred::In,
+            _ => unreachable!("{tag:?} is not a nullary predicate"),
+        }
+    }
+    fn const_p(&mut self, b: bool) -> PPred {
+        PPred::ConstP(b)
+    }
+    fn oplus(&mut self, p: PPred, f: PFunc) -> PPred {
+        PPred::Oplus(Box::new(p), Box::new(f))
+    }
+    fn pred1(&mut self, tag: Tag, p: PPred) -> PPred {
+        match tag {
+            Tag::PNot => PPred::Not(Box::new(p)),
+            _ => PPred::Conv(Box::new(p)),
+        }
+    }
+    fn pred2(&mut self, tag: Tag, a: PPred, b: PPred) -> PPred {
+        match tag {
+            Tag::PAnd => PPred::And(Box::new(a), Box::new(b)),
+            _ => PPred::Or(Box::new(a), Box::new(b)),
+        }
+    }
+    fn curry_p(&mut self, p: PPred, q: PQuery) -> PPred {
+        PPred::CurryP(Box::new(p), Box::new(q))
+    }
+    fn lit(&mut self, v: Value) -> PQuery {
+        PQuery::Lit(v)
+    }
+    fn extent(&mut self, name: &str) -> PQuery {
+        PQuery::Extent(Arc::from(name))
+    }
+    fn pair_q(&mut self, a: PQuery, b: PQuery) -> PQuery {
+        // Canonicalize literal pairs so printing round-trips: the display
+        // of Lit([x, y]) is "[x, y]".
+        match (a, b) {
+            (PQuery::Lit(x), PQuery::Lit(y)) => PQuery::Lit(Value::pair(x, y)),
+            (a, b) => PQuery::PairQ(Box::new(a), Box::new(b)),
+        }
+    }
+    fn query2(&mut self, tag: Tag, a: PQuery, b: PQuery) -> PQuery {
+        let (a, b) = (Box::new(a), Box::new(b));
+        match tag {
+            Tag::QUnion => PQuery::Union(a, b),
+            Tag::QIntersect => PQuery::Intersect(a, b),
+            _ => PQuery::Diff(a, b),
+        }
+    }
+    fn app(&mut self, f: PFunc, q: PQuery) -> PQuery {
+        PQuery::App(f, Box::new(q))
+    }
+    fn test(&mut self, p: PPred, q: PQuery) -> PQuery {
+        PQuery::Test(p, Box::new(q))
+    }
+}
 
+/// Builds hash-consed nodes in an arena: every node is looked up from
+/// borrowed parts, so only a node the arena lacks allocates.
+struct Arena<'a>(&'a mut Interner);
+
+impl Arena<'_> {
+    fn node(&mut self, tag: Tag, kids: &[ITerm]) -> ITerm {
+        self.0.mk(tag, PayloadRef::None, kids)
+    }
+}
+
+impl Build for Arena<'_> {
+    type F = ITerm;
+    type P = ITerm;
+    type Q = ITerm;
+
+    fn var_f(&mut self, _: &str) -> Option<ITerm> {
+        None
+    }
+    fn var_p(&mut self, _: &str) -> Option<ITerm> {
+        None
+    }
+    fn var_q(&mut self, _: &str) -> Option<ITerm> {
+        None
+    }
+    fn func0(&mut self, tag: Tag, sym: &str) -> ITerm {
+        match tag {
+            Tag::FPrim => self.0.mk(tag, PayloadRef::Sym(sym), &[]),
+            _ => self.node(tag, &[]),
+        }
+    }
+    fn func2(&mut self, tag: Tag, a: ITerm, b: ITerm) -> ITerm {
+        match tag {
+            Tag::FCompose => icompose(self.0, a, b),
+            _ => self.node(tag, &[a, b]),
+        }
+    }
+    fn former(&mut self, tag: Tag, p: ITerm, f: ITerm) -> ITerm {
+        self.node(tag, &[p, f])
+    }
+    fn const_f(&mut self, q: ITerm) -> ITerm {
+        self.node(Tag::FConstF, &[q])
+    }
+    fn curry_f(&mut self, f: ITerm, q: ITerm) -> ITerm {
+        self.node(Tag::FCurryF, &[f, q])
+    }
+    fn cond(&mut self, p: ITerm, f: ITerm, g: ITerm) -> ITerm {
+        self.node(Tag::FCond, &[p, f, g])
+    }
+    fn pred0(&mut self, tag: Tag, sym: &str) -> ITerm {
+        match tag {
+            Tag::PPrimP => self.0.mk(tag, PayloadRef::Sym(sym), &[]),
+            _ => self.node(tag, &[]),
+        }
+    }
+    fn const_p(&mut self, b: bool) -> ITerm {
+        self.0.mk(Tag::PConstP, PayloadRef::Bool(b), &[])
+    }
+    fn oplus(&mut self, p: ITerm, f: ITerm) -> ITerm {
+        self.node(Tag::POplus, &[p, f])
+    }
+    fn pred1(&mut self, tag: Tag, p: ITerm) -> ITerm {
+        self.node(tag, &[p])
+    }
+    fn pred2(&mut self, tag: Tag, a: ITerm, b: ITerm) -> ITerm {
+        self.node(tag, &[a, b])
+    }
+    fn curry_p(&mut self, p: ITerm, q: ITerm) -> ITerm {
+        self.node(Tag::PCurryP, &[p, q])
+    }
+    fn lit(&mut self, v: Value) -> ITerm {
+        self.0.mk(Tag::QLit, PayloadRef::Value(&v), &[])
+    }
+    fn extent(&mut self, name: &str) -> ITerm {
+        self.0.mk(Tag::QExtent, PayloadRef::Sym(name), &[])
+    }
+    fn pair_q(&mut self, a: ITerm, b: ITerm) -> ITerm {
+        match (a.payload(), b.payload()) {
+            (Payload::Value(x), Payload::Value(y)) => {
+                self.lit(Value::pair((**x).clone(), (**y).clone()))
+            }
+            _ => self.node(Tag::QPairQ, &[a, b]),
+        }
+    }
+    fn query2(&mut self, tag: Tag, a: ITerm, b: ITerm) -> ITerm {
+        self.node(tag, &[a, b])
+    }
+    fn app(&mut self, f: ITerm, q: ITerm) -> ITerm {
+        self.node(Tag::QApp, &[f, q])
+    }
+    fn test(&mut self, p: ITerm, q: ITerm) -> ITerm {
+        self.node(Tag::QTest, &[p, q])
+    }
+}
+
+/// The recursive-descent grammar over a lexed text, building with `B`.
+struct Grammar<'s, B> {
+    toks: Vec<Tok<'s>>,
+    pos: usize,
+    b: B,
+}
+
+impl<'s, B: Build> Grammar<'s, B> {
     fn err<T>(&self, msg: impl Into<String>) -> PResult<T> {
         Err(ParseError {
             msg: msg.into(),
@@ -275,446 +487,434 @@ impl Parser {
         })
     }
 
-    fn peek(&self) -> Option<&Tok> {
-        self.toks.get(self.pos)
+    fn found(&self) -> String {
+        self.toks
+            .get(self.pos)
+            .map_or_else(|| "end of input".into(), Tok::to_string)
     }
 
-    fn next(&mut self) -> Option<Tok> {
-        let t = self.toks.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
+    fn peek(&self) -> Option<Tok<'s>> {
+        self.toks.get(self.pos).copied()
     }
 
-    fn eat(&mut self, t: &Tok) -> bool {
-        if self.peek() == Some(t) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
+    /// Consume the punctuation or bracket `c` if it is next.
+    fn eat(&mut self, c: u8) -> bool {
+        let hit = matches!(self.peek(),
+            Some(Tok::Punct(x) | Tok::Open(x, _) | Tok::Close(x)) if x == c);
+        self.pos += usize::from(hit);
+        hit
     }
 
-    fn expect(&mut self, t: &Tok) -> PResult<()> {
-        if self.eat(t) {
+    fn expect(&mut self, c: u8) -> PResult<()> {
+        if self.eat(c) {
             Ok(())
         } else {
-            let found = self
-                .peek()
-                .map(|t| t.to_string())
-                .unwrap_or_else(|| "end of input".into());
-            self.err(format!("expected {t}, found {found}"))
+            self.err(format!("expected {}, found {}", c as char, self.found()))
         }
     }
 
-    fn eat_kw(&mut self, kw: &str) -> bool {
-        if let Some(Tok::Ident(s)) = self.peek() {
-            if s == kw {
+    fn ident(&mut self) -> PResult<&'s str> {
+        match self.peek() {
+            Some(Tok::Ident(s)) => {
                 self.pos += 1;
-                return true;
+                Ok(s)
             }
-        }
-        false
-    }
-
-    fn ident(&mut self) -> PResult<String> {
-        match self.next() {
-            Some(Tok::Ident(s)) => Ok(s),
-            other => self.err(format!(
-                "expected identifier, found {}",
-                other.map(|t| t.to_string()).unwrap_or_else(|| "EOF".into())
-            )),
+            _ => self.err(format!("expected identifier, found {}", self.found())),
         }
     }
 
-    /// True iff all tokens were consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos >= self.toks.len()
+    fn no_vars<T>(&self) -> PResult<T> {
+        self.err("metavariables not allowed in a concrete term")
     }
 
     // ---- functions -----------------------------------------------------
 
-    /// Parse a function pattern (entry point).
-    pub fn pfunc(&mut self) -> PResult<PFunc> {
-        let a = self.pfunc_times()?;
-        if self.eat(&Tok::Dot) {
-            let b = self.pfunc()?;
-            Ok(PFunc::Compose(Box::new(a), Box::new(b)))
-        } else {
-            Ok(a)
-        }
-    }
-
-    fn pfunc_times(&mut self) -> PResult<PFunc> {
-        let mut a = self.pfunc_atom()?;
-        while self.eat(&Tok::Star) {
-            let b = self.pfunc_atom()?;
-            a = PFunc::Times(Box::new(a), Box::new(b));
+    /// `times ('.' func)?` — `∘` associates to the right.
+    fn func(&mut self) -> PResult<B::F> {
+        let a = self.times()?;
+        if self.eat(b'.') {
+            let b = self.func()?;
+            return Ok(self.b.func2(Tag::FCompose, a, b));
         }
         Ok(a)
     }
 
-    fn pfunc_atom(&mut self) -> PResult<PFunc> {
-        if self.eat(&Tok::Dollar) {
-            let name = self.ident()?;
-            return Ok(PFunc::Var(Arc::from(name.as_str())));
+    /// `func_atom ('*' func_atom)*` — `×` associates to the left.
+    fn times(&mut self) -> PResult<B::F> {
+        let mut a = self.func_atom()?;
+        while self.eat(b'*') {
+            let b = self.func_atom()?;
+            a = self.b.func2(Tag::FTimes, a, b);
         }
-        if self.eat(&Tok::LParen) {
-            let f = self.pfunc()?;
-            if self.eat(&Tok::Comma) {
-                let g = self.pfunc()?;
-                self.expect(&Tok::RParen)?;
-                return Ok(PFunc::PairWith(Box::new(f), Box::new(g)));
+        Ok(a)
+    }
+
+    fn func_atom(&mut self) -> PResult<B::F> {
+        if self.eat(b'$') {
+            let name = self.ident()?;
+            return self.b.var_f(name).map_or_else(|| self.no_vars(), Ok);
+        }
+        if self.eat(b'(') {
+            let f = self.func()?;
+            if self.eat(b',') {
+                let g = self.func()?;
+                self.expect(b')')?;
+                return Ok(self.b.func2(Tag::FPairWith, f, g));
             }
-            self.expect(&Tok::RParen)?;
+            self.expect(b')')?;
             return Ok(f);
         }
         let name = self.ident()?;
-        match name.as_str() {
-            "id" => Ok(PFunc::Id),
-            "pi1" => Ok(PFunc::Pi1),
-            "pi2" => Ok(PFunc::Pi2),
-            "flat" => Ok(PFunc::Flat),
-            "sunion" => Ok(PFunc::SetUnion),
-            "bagify" => Ok(PFunc::Bagify),
-            "dedup" => Ok(PFunc::Dedup),
-            "bunion" => Ok(PFunc::BUnion),
-            "bflat" => Ok(PFunc::BFlat),
-            "biterate" => {
-                self.expect(&Tok::LParen)?;
-                let p = self.ppred()?;
-                self.expect(&Tok::Comma)?;
-                let f = self.pfunc()?;
-                self.expect(&Tok::RParen)?;
-                Ok(PFunc::BIterate(Box::new(p), Box::new(f)))
+        if let Some(tag) = keyword(FUNC_LEAVES, name) {
+            return Ok(self.b.func0(tag, name));
+        }
+        match name {
+            "biterate" | "iterate" | "iter" | "join" => {
+                self.expect(b'(')?;
+                let p = self.pred()?;
+                self.expect(b',')?;
+                let f = self.func()?;
+                self.expect(b')')?;
+                let tag = match name {
+                    "biterate" => Tag::FBIterate,
+                    "iterate" => Tag::FIterate,
+                    "iter" => Tag::FIter,
+                    _ => Tag::FJoin,
+                };
+                Ok(self.b.former(tag, p, f))
             }
-            "sinter" => Ok(PFunc::SetIntersect),
-            "sdiff" => Ok(PFunc::SetDiff),
             "Kf" => {
-                self.expect(&Tok::LParen)?;
-                let q = self.pquery()?;
-                self.expect(&Tok::RParen)?;
-                Ok(PFunc::ConstF(Box::new(q)))
+                self.expect(b'(')?;
+                let q = self.query()?;
+                self.expect(b')')?;
+                Ok(self.b.const_f(q))
             }
             "Cf" => {
-                self.expect(&Tok::LParen)?;
-                let f = self.pfunc()?;
-                self.expect(&Tok::Comma)?;
-                let q = self.pquery()?;
-                self.expect(&Tok::RParen)?;
-                Ok(PFunc::CurryF(Box::new(f), Box::new(q)))
+                self.expect(b'(')?;
+                let f = self.func()?;
+                self.expect(b',')?;
+                let q = self.query()?;
+                self.expect(b')')?;
+                Ok(self.b.curry_f(f, q))
             }
             "con" => {
-                self.expect(&Tok::LParen)?;
-                let p = self.ppred()?;
-                self.expect(&Tok::Comma)?;
-                let f = self.pfunc()?;
-                self.expect(&Tok::Comma)?;
-                let g = self.pfunc()?;
-                self.expect(&Tok::RParen)?;
-                Ok(PFunc::Cond(Box::new(p), Box::new(f), Box::new(g)))
-            }
-            "iterate" | "iter" | "join" => {
-                self.expect(&Tok::LParen)?;
-                let p = self.ppred()?;
-                self.expect(&Tok::Comma)?;
-                let f = self.pfunc()?;
-                self.expect(&Tok::RParen)?;
-                Ok(match name.as_str() {
-                    "iterate" => PFunc::Iterate(Box::new(p), Box::new(f)),
-                    "iter" => PFunc::Iter(Box::new(p), Box::new(f)),
-                    _ => PFunc::Join(Box::new(p), Box::new(f)),
-                })
+                self.expect(b'(')?;
+                let p = self.pred()?;
+                self.expect(b',')?;
+                let f = self.func()?;
+                self.expect(b',')?;
+                let g = self.func()?;
+                self.expect(b')')?;
+                Ok(self.b.cond(p, f, g))
             }
             "nest" | "unnest" => {
-                self.expect(&Tok::LParen)?;
-                let f = self.pfunc()?;
-                self.expect(&Tok::Comma)?;
-                let g = self.pfunc()?;
-                self.expect(&Tok::RParen)?;
-                Ok(if name == "nest" {
-                    PFunc::Nest(Box::new(f), Box::new(g))
+                self.expect(b'(')?;
+                let f = self.func()?;
+                self.expect(b',')?;
+                let g = self.func()?;
+                self.expect(b')')?;
+                let tag = if name == "nest" {
+                    Tag::FNest
                 } else {
-                    PFunc::Unnest(Box::new(f), Box::new(g))
-                })
+                    Tag::FUnnest
+                };
+                Ok(self.b.func2(tag, f, g))
             }
             kw if PRED_KEYWORDS.contains(&kw) || QUERY_KEYWORDS.contains(&kw) => {
                 self.err(format!("{kw} is not a function"))
             }
-            prim => Ok(PFunc::Prim(Arc::from(prim))),
+            prim => Ok(self.b.func0(Tag::FPrim, prim)),
         }
     }
 
     // ---- predicates ------------------------------------------------------
 
-    /// Parse a predicate pattern (entry point). `|` and `&` associate to
-    /// the right (matching the printer; both are associative anyway).
-    pub fn ppred(&mut self) -> PResult<PPred> {
-        let a = self.ppred_and()?;
-        if self.eat(&Tok::Pipe) {
-            let b = self.ppred()?;
-            return Ok(PPred::Or(Box::new(a), Box::new(b)));
+    /// `and ('|' pred)?` — `|` and `&` associate to the right (matching
+    /// the printer; both are associative anyway).
+    fn pred(&mut self) -> PResult<B::P> {
+        let a = self.pred_and()?;
+        if self.eat(b'|') {
+            let b = self.pred()?;
+            return Ok(self.b.pred2(Tag::POr, a, b));
         }
         Ok(a)
     }
 
-    fn ppred_and(&mut self) -> PResult<PPred> {
-        let a = self.ppred_oplus()?;
-        if self.eat(&Tok::Amp) {
-            let b = self.ppred_and()?;
-            return Ok(PPred::And(Box::new(a), Box::new(b)));
+    fn pred_and(&mut self) -> PResult<B::P> {
+        let a = self.pred_oplus()?;
+        if self.eat(b'&') {
+            let b = self.pred_and()?;
+            return Ok(self.b.pred2(Tag::PAnd, a, b));
         }
         Ok(a)
     }
 
-    fn ppred_oplus(&mut self) -> PResult<PPred> {
-        let mut a = self.ppred_unary()?;
-        while self.eat(&Tok::At) {
-            let f = self.pfunc_times()?;
-            a = PPred::Oplus(Box::new(a), Box::new(f));
+    /// `unary ('@' times)*` — `~` binds tighter than `@`.
+    fn pred_oplus(&mut self) -> PResult<B::P> {
+        let mut a = self.pred_unary()?;
+        while self.eat(b'@') {
+            let f = self.times()?;
+            a = self.b.oplus(a, f);
         }
         Ok(a)
     }
 
-    fn ppred_unary(&mut self) -> PResult<PPred> {
-        if self.eat(&Tok::Tilde) {
-            let p = self.ppred_unary()?;
-            return Ok(PPred::Not(Box::new(p)));
+    fn pred_unary(&mut self) -> PResult<B::P> {
+        if self.eat(b'~') {
+            let p = self.pred_unary()?;
+            return Ok(self.b.pred1(Tag::PNot, p));
         }
-        self.ppred_atom()
+        self.pred_atom()
     }
 
-    fn ppred_atom(&mut self) -> PResult<PPred> {
-        if self.eat(&Tok::Percent) {
+    fn pred_atom(&mut self) -> PResult<B::P> {
+        if self.eat(b'%') {
             let name = self.ident()?;
-            return Ok(PPred::Var(Arc::from(name.as_str())));
+            return self.b.var_p(name).map_or_else(|| self.no_vars(), Ok);
         }
-        if self.eat(&Tok::LParen) {
-            let p = self.ppred()?;
-            self.expect(&Tok::RParen)?;
+        if self.eat(b'(') {
+            let p = self.pred()?;
+            self.expect(b')')?;
             return Ok(p);
         }
         let name = self.ident()?;
-        match name.as_str() {
-            "eq" => Ok(PPred::Eq),
-            "lt" => Ok(PPred::Lt),
-            "leq" => Ok(PPred::Leq),
-            "gt" => Ok(PPred::Gt),
-            "geq" => Ok(PPred::Geq),
-            "in" => Ok(PPred::In),
+        if let Some(tag) = keyword(PRED_LEAVES, name) {
+            return Ok(self.b.pred0(tag, name));
+        }
+        match name {
             "Kp" => {
-                self.expect(&Tok::LParen)?;
-                let b = match self.next() {
-                    Some(Tok::Ident(s)) if s == "T" => true,
-                    Some(Tok::Ident(s)) if s == "F" => false,
-                    other => {
-                        return self.err(format!(
-                            "Kp expects T or F, found {}",
-                            other.map(|t| t.to_string()).unwrap_or_else(|| "EOF".into())
-                        ))
-                    }
+                self.expect(b'(')?;
+                let b = match self.peek() {
+                    Some(Tok::Ident("T")) => true,
+                    Some(Tok::Ident("F")) => false,
+                    _ => return self.err(format!("Kp expects T or F, found {}", self.found())),
                 };
-                self.expect(&Tok::RParen)?;
-                Ok(PPred::ConstP(b))
+                self.pos += 1;
+                self.expect(b')')?;
+                Ok(self.b.const_p(b))
             }
             "Cp" => {
-                self.expect(&Tok::LParen)?;
-                let p = self.ppred()?;
-                self.expect(&Tok::Comma)?;
-                let q = self.pquery()?;
-                self.expect(&Tok::RParen)?;
-                Ok(PPred::CurryP(Box::new(p), Box::new(q)))
+                self.expect(b'(')?;
+                let p = self.pred()?;
+                self.expect(b',')?;
+                let q = self.query()?;
+                self.expect(b')')?;
+                Ok(self.b.curry_p(p, q))
             }
             "inv" => {
-                self.expect(&Tok::LParen)?;
-                let p = self.ppred()?;
-                self.expect(&Tok::RParen)?;
-                Ok(PPred::Conv(Box::new(p)))
+                self.expect(b'(')?;
+                let p = self.pred()?;
+                self.expect(b')')?;
+                Ok(self.b.pred1(Tag::PConv, p))
             }
             kw if FUNC_KEYWORDS.contains(&kw) || QUERY_KEYWORDS.contains(&kw) => {
                 self.err(format!("{kw} is not a predicate"))
             }
-            prim => Ok(PPred::PrimP(Arc::from(prim))),
+            prim => Ok(self.b.pred0(Tag::PPrimP, prim)),
         }
     }
 
     // ---- queries -----------------------------------------------------------
 
-    /// Parse a query pattern (entry point).
-    pub fn pquery(&mut self) -> PResult<PQuery> {
-        let mut a = self.pquery_app()?;
+    /// `app (('union' | 'intersect' | 'diff') app)*`, left-associated.
+    fn query(&mut self) -> PResult<B::Q> {
+        let mut a = self.query_app()?;
         loop {
-            if self.eat_kw("union") {
-                let b = self.pquery_app()?;
-                a = PQuery::Union(Box::new(a), Box::new(b));
-            } else if self.eat_kw("intersect") {
-                let b = self.pquery_app()?;
-                a = PQuery::Intersect(Box::new(a), Box::new(b));
-            } else if self.eat_kw("diff") {
-                let b = self.pquery_app()?;
-                a = PQuery::Diff(Box::new(a), Box::new(b));
-            } else {
-                return Ok(a);
+            let tag = match self.peek() {
+                Some(Tok::Ident("union")) => Tag::QUnion,
+                Some(Tok::Ident("intersect")) => Tag::QIntersect,
+                Some(Tok::Ident("diff")) => Tag::QDiff,
+                _ => return Ok(a),
+            };
+            self.pos += 1;
+            let b = self.query_app()?;
+            a = self.b.query2(tag, a, b);
+        }
+    }
+
+    /// `func ! app`, `pred ? app`, or an atom, as [`Grammar::lookahead`]
+    /// decides.
+    fn query_app(&mut self) -> PResult<B::Q> {
+        match self.lookahead() {
+            Some(b'!') => {
+                let f = self.func()?;
+                self.expect(b'!')?;
+                let q = self.query_app()?;
+                Ok(self.b.app(f, q))
+            }
+            Some(_) => {
+                let p = self.pred()?;
+                self.expect(b'?')?;
+                let q = self.query_app()?;
+                Ok(self.b.test(p, q))
+            }
+            None => self.query_atom(),
+        }
+    }
+
+    /// The first `!` or `?` at bracket depth 0 from here, unless a token
+    /// that ends a whole query (`,`, a closing bracket, a set operator
+    /// keyword, the end of input) comes first. A metavariable's name is
+    /// skipped, so `$union` is a name, not the keyword.
+    fn lookahead(&self) -> Option<u8> {
+        let mut i = self.pos;
+        loop {
+            match *self.toks.get(i)? {
+                Tok::Punct(c @ (b'!' | b'?')) => return Some(c),
+                Tok::Punct(b',') | Tok::Close(_) => return None,
+                Tok::Ident("union" | "intersect" | "diff") => return None,
+                Tok::Open(_, partner) => i = partner.checked_add(1)?,
+                Tok::Punct(b'$' | b'%' | b'^')
+                    if matches!(self.toks.get(i + 1), Some(Tok::Ident(_))) =>
+                {
+                    i += 2
+                }
+                _ => i += 1,
             }
         }
     }
 
-    fn pquery_app(&mut self) -> PResult<PQuery> {
-        // Try `func ! query` first.
-        let save = self.pos;
-        if let Ok(f) = self.pfunc() {
-            if self.eat(&Tok::Bang) {
-                let q = self.pquery_app()?;
-                return Ok(PQuery::App(f, Box::new(q)));
-            }
-        }
-        self.pos = save;
-        // Then `pred ? query`.
-        if let Ok(p) = self.ppred() {
-            if self.eat(&Tok::Question) {
-                let q = self.pquery_app()?;
-                return Ok(PQuery::Test(p, Box::new(q)));
-            }
-        }
-        self.pos = save;
-        self.pquery_atom()
-    }
-
-    fn pquery_atom(&mut self) -> PResult<PQuery> {
-        if self.eat(&Tok::Caret) {
+    fn query_atom(&mut self) -> PResult<B::Q> {
+        if self.eat(b'^') {
             let name = self.ident()?;
-            return Ok(PQuery::Var(Arc::from(name.as_str())));
+            return self.b.var_q(name).map_or_else(|| self.no_vars(), Ok);
         }
-        match self.peek().cloned() {
-            Some(Tok::Int(n)) => {
-                self.pos += 1;
-                Ok(PQuery::Lit(Value::Int(n)))
+        let Some(tok) = self.peek() else {
+            return self.err("expected query, found EOF");
+        };
+        self.pos += 1;
+        match tok {
+            Tok::Int(n) => Ok(self.b.lit(Value::Int(n))),
+            Tok::Str(s) => Ok(self.b.lit(Value::str(s))),
+            Tok::Open(b'[', _) => {
+                let a = self.query()?;
+                self.expect(b',')?;
+                let b = self.query()?;
+                self.expect(b']')?;
+                Ok(self.b.pair_q(a, b))
             }
-            Some(Tok::Str(s)) => {
-                self.pos += 1;
-                Ok(PQuery::Lit(Value::str(&s)))
+            Tok::Open(b'{', _) => {
+                let set = self.set()?;
+                Ok(self.b.lit(set))
             }
-            Some(Tok::LBrack) => {
-                self.pos += 1;
-                let a = self.pquery()?;
-                self.expect(&Tok::Comma)?;
-                let b = self.pquery()?;
-                self.expect(&Tok::RBrack)?;
-                // Canonicalize literal pairs so printing round-trips: the
-                // display of Lit([x, y]) is "[x, y]".
-                if let (PQuery::Lit(x), PQuery::Lit(y)) = (&a, &b) {
-                    return Ok(PQuery::Lit(Value::pair(x.clone(), y.clone())));
+            Tok::Open(b'(', _) => {
+                if self.eat(b')') {
+                    return Ok(self.b.lit(Value::Unit));
                 }
-                Ok(PQuery::PairQ(Box::new(a), Box::new(b)))
-            }
-            Some(Tok::LBrace) => {
-                self.pos += 1;
-                let mut set = ValueSet::new();
-                if !self.eat(&Tok::RBrace) {
-                    loop {
-                        set.insert(self.value()?);
-                        if self.eat(&Tok::RBrace) {
-                            break;
-                        }
-                        self.expect(&Tok::Comma)?;
-                    }
-                }
-                Ok(PQuery::Lit(Value::Set(set)))
-            }
-            Some(Tok::LParen) => {
-                self.pos += 1;
-                if self.eat(&Tok::RParen) {
-                    return Ok(PQuery::Lit(Value::Unit));
-                }
-                let q = self.pquery()?;
-                self.expect(&Tok::RParen)?;
+                let q = self.query()?;
+                self.expect(b')')?;
                 Ok(q)
             }
-            Some(Tok::Ident(s)) if s == "T" => {
-                self.pos += 1;
-                Ok(PQuery::Lit(Value::Bool(true)))
-            }
-            Some(Tok::Ident(s)) if s == "F" => {
-                self.pos += 1;
-                Ok(PQuery::Lit(Value::Bool(false)))
-            }
-            Some(Tok::Ident(s))
-                if !FUNC_KEYWORDS.contains(&s.as_str())
-                    && !PRED_KEYWORDS.contains(&s.as_str())
-                    && !QUERY_KEYWORDS.contains(&s.as_str()) =>
+            Tok::Ident("T") => Ok(self.b.lit(Value::Bool(true))),
+            Tok::Ident("F") => Ok(self.b.lit(Value::Bool(false))),
+            Tok::Ident(s)
+                if !FUNC_KEYWORDS.contains(&s)
+                    && !PRED_KEYWORDS.contains(&s)
+                    && !QUERY_KEYWORDS.contains(&s) =>
             {
-                self.pos += 1;
-                Ok(PQuery::Extent(Arc::from(s.as_str())))
+                Ok(self.b.extent(s))
             }
-            other => self.err(format!(
-                "expected query, found {}",
-                other.map(|t| t.to_string()).unwrap_or_else(|| "EOF".into())
-            )),
+            other => {
+                self.pos -= 1;
+                self.err(format!("expected query, found {other}"))
+            }
         }
     }
 
-    /// Parse a *value* literal (inside set braces).
+    /// The elements of a set literal, after its `{`.
+    fn set(&mut self) -> PResult<Value> {
+        let mut set = ValueSet::new();
+        if !self.eat(b'}') {
+            loop {
+                set.insert(self.value()?);
+                if self.eat(b'}') {
+                    break;
+                }
+                self.expect(b',')?;
+            }
+        }
+        Ok(Value::Set(set))
+    }
+
+    /// A *value* literal (inside set braces).
     fn value(&mut self) -> PResult<Value> {
-        match self.next() {
-            Some(Tok::Int(n)) => Ok(Value::Int(n)),
-            Some(Tok::Str(s)) => Ok(Value::str(&s)),
-            Some(Tok::Ident(s)) if s == "T" => Ok(Value::Bool(true)),
-            Some(Tok::Ident(s)) if s == "F" => Ok(Value::Bool(false)),
-            Some(Tok::LBrack) => {
+        let Some(tok) = self.peek() else {
+            return self.err("expected value literal, found EOF");
+        };
+        self.pos += 1;
+        match tok {
+            Tok::Int(n) => Ok(Value::Int(n)),
+            Tok::Str(s) => Ok(Value::str(s)),
+            Tok::Ident("T") => Ok(Value::Bool(true)),
+            Tok::Ident("F") => Ok(Value::Bool(false)),
+            Tok::Open(b'[', _) => {
                 let a = self.value()?;
-                self.expect(&Tok::Comma)?;
+                self.expect(b',')?;
                 let b = self.value()?;
-                self.expect(&Tok::RBrack)?;
+                self.expect(b']')?;
                 Ok(Value::pair(a, b))
             }
-            Some(Tok::LBrace) => {
-                let mut set = ValueSet::new();
-                if !self.eat(&Tok::RBrace) {
-                    loop {
-                        set.insert(self.value()?);
-                        if self.eat(&Tok::RBrace) {
-                            break;
-                        }
-                        self.expect(&Tok::Comma)?;
-                    }
-                }
-                Ok(Value::Set(set))
-            }
-            Some(Tok::LParen) => {
-                self.expect(&Tok::RParen)?;
+            Tok::Open(b'{', _) => self.set(),
+            Tok::Open(b'(', _) => {
+                self.expect(b')')?;
                 Ok(Value::Unit)
             }
-            other => self.err(format!(
-                "expected value literal, found {}",
-                other.map(|t| t.to_string()).unwrap_or_else(|| "EOF".into())
-            )),
+            other => self.err(format!("expected value literal, found {other}")),
         }
     }
 }
 
-fn parse_complete<T>(src: &str, f: impl FnOnce(&mut Parser) -> PResult<T>) -> PResult<T> {
-    let mut p = Parser::new(src)?;
-    let t = f(&mut p)?;
-    if !p.at_end() {
-        return p.err("trailing input");
+/// Run production `f` of the grammar over all of `src`, building with `b`.
+fn parse_complete<'s, B: Build, T>(
+    src: &'s str,
+    b: B,
+    f: impl FnOnce(&mut Grammar<'s, B>) -> PResult<T>,
+) -> PResult<T> {
+    let mut g = Grammar {
+        toks: lex(src)?,
+        pos: 0,
+        b,
+    };
+    let t = f(&mut g)?;
+    if g.pos < g.toks.len() {
+        return g.err("trailing input");
     }
     Ok(t)
 }
 
 /// Parse a function pattern (may contain metavariables).
 pub fn parse_pfunc(src: &str) -> PResult<PFunc> {
-    parse_complete(src, Parser::pfunc)
+    parse_complete(src, Trees, Grammar::func)
 }
 
 /// Parse a predicate pattern (may contain metavariables).
 pub fn parse_ppred(src: &str) -> PResult<PPred> {
-    parse_complete(src, Parser::ppred)
+    parse_complete(src, Trees, Grammar::pred)
 }
 
 /// Parse a query pattern (may contain metavariables).
 pub fn parse_pquery(src: &str) -> PResult<PQuery> {
-    parse_complete(src, Parser::pquery)
+    parse_complete(src, Trees, Grammar::query)
+}
+
+/// Parse a concrete query straight into `it`: the result is the node
+/// `it.intern_query(&parse_query(src)?.normalize())` returns, built
+/// without the tree. Accepts exactly what [`parse_query`] accepts, and
+/// fails with the same error: a failed parse is re-run through the tree
+/// builder for its message (the arena builder stops at the first
+/// metavariable, the tree builder only after the whole text parsed).
+///
+/// ```
+/// use kola::intern::Interner;
+/// use kola::parse::{parse_query, parse_query_into};
+/// let mut it = Interner::new();
+/// let src = "(id . age) . id ! P";
+/// let t = parse_query_into(&mut it, src).unwrap();
+/// assert!(t.ptr_eq(&it.intern_query(&parse_query(src).unwrap().normalize())));
+/// assert!(parse_query_into(&mut it, "$f ! P").is_err());
+/// ```
+pub fn parse_query_into(it: &mut Interner, src: &str) -> PResult<ITerm> {
+    parse_complete(src, Arena(it), Grammar::query).map_err(|e| parse_query(src).err().unwrap_or(e))
 }
 
 fn no_vars() -> ParseError {
@@ -900,6 +1100,35 @@ mod tests {
     }
 
     #[test]
+    fn lookahead_picks_the_production() {
+        use crate::pattern::*;
+        // A metavariable named like a set keyword is still a name.
+        assert_eq!(
+            parse_pquery("$union ! P").unwrap(),
+            PQuery::App(PFunc::Var(Arc::from("union")), Box::new(ext_p("P")))
+        );
+        // Brackets hide their `!`/`?`; the outer query is a pair.
+        assert_eq!(
+            parse_query("[f ! A, p ? B]").unwrap(),
+            pairq(app(prim("f"), ext("A")), test(primp("p"), ext("B")))
+        );
+        // `,` and set keywords end the look-ahead.
+        assert_eq!(
+            parse_query("A union f ! B").unwrap(),
+            union(ext("A"), app(prim("f"), ext("B")))
+        );
+        // An atom followed by a `!` cannot complete a parse, nor can a
+        // function before a `?`.
+        assert!(parse_query("A B ! C").is_err());
+        assert!(parse_query("(f ! A").is_err());
+        assert!(parse_query("id ? A").is_err());
+    }
+
+    fn ext_p(name: &str) -> crate::pattern::PQuery {
+        crate::pattern::PQuery::Extent(Arc::from(name))
+    }
+
+    #[test]
     fn print_parse_round_trip_spot_checks() {
         for src in [
             "iterate(Kp(T), (id, flat . iter(Kp(T), grgs . pi2) . (id, Kf(P)))) ! V",
@@ -907,8 +1136,6 @@ mod tests {
             "gt @ (age . pi1, Kf(25))",
             "nest(pi1, pi2) . (join(Kp(T), id), pi1) ! [A, B]",
         ] {
-            let q1 = Parser::new(src).unwrap();
-            drop(q1);
             // Try each entry point; at least one must succeed and round-trip.
             if let Ok(f) = parse_func(src) {
                 assert_eq!(parse_func(&f.to_string()).unwrap(), f);

@@ -14,13 +14,16 @@
 //!   ≤ 25 per step on average.
 //!
 //! The counts include the whole `normalize` call: interning the input,
-//! every step, and reifying the result.
+//! every step, and reifying the result. A second test bounds parsing text
+//! straight into a warm arena: one allocation a text, its token buffer.
 
-use kola::parse::parse_query;
+use kola::intern::Interner;
+use kola::parse::{parse_query, parse_query_into};
 use kola::term::Query;
 use kola::types::Type;
 use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::Rng;
+use kola_rewrite::hidden_join::{garage_query_kg1, synthetic_hidden_join};
 use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, Oriented, PropDb};
 use kola_verify::{palette, Gen};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -151,4 +154,27 @@ fn rewrite_steps_allocate_only_for_new_nodes() {
         per_step <= 25.0,
         "corpus: {per_step:.2} allocations per step (budget 25)"
     );
+}
+
+/// Parsing KOLA text into an arena that already holds its nodes allocates
+/// its token buffer and nothing else — no identifier `String`, no bracket
+/// stack, no tree, no node.
+#[test]
+fn parsing_text_into_a_warm_arena_allocates_only_the_token_buffer() {
+    let mut texts: Vec<String> = (1..=60)
+        .map(|h| format!("{}age ! P", "id . ".repeat(h)))
+        .collect();
+    texts.extend((1..=6).map(|n| synthetic_hidden_join(n).to_string()));
+    texts.push(garage_query_kg1().to_string());
+    texts.push("iterate(Kp(T), age) . iterate(gt @ (age, Kf(25)), id) ! P".into());
+    let mut it = Interner::new();
+    for t in &texts {
+        let first = parse_query_into(&mut it, t).unwrap();
+        let (before, constructed) = (allocs(), it.constructed());
+        let again = parse_query_into(&mut it, t).unwrap();
+        let spent = allocs() - before;
+        assert!(again.ptr_eq(&first), "{t}");
+        assert_eq!(it.constructed(), constructed, "{t}");
+        assert_eq!(spent, 1, "allocations parsing {t}");
+    }
 }

@@ -13,7 +13,7 @@
 //! * the `tests/index_parity.rs` fuzz corpus (same generator, same seeds);
 //! * 1000 seeds of the type-directed `kola_verify::Gen`.
 
-use kola::intern::{ITerm, Interner, Tag};
+use kola::intern::{ichain_segments, icompose, ITerm, Interner, Tag};
 use kola::pattern::PFunc;
 use kola::term::{Func, Pred, Query};
 use kola::types::Type;
@@ -21,8 +21,7 @@ use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::Rng;
 use kola_rewrite::budget::RewriteError;
 use kola_rewrite::imatch::{
-    ichain_segments, icompose, icompose_chain, iinstantiate_func, imatch_func, itry_apply_func,
-    IBinds, ISubst,
+    icompose_chain, iinstantiate_func, imatch_func, itry_apply_func, IBinds, ISubst,
 };
 use kola_rewrite::matching::pchain_segments;
 use kola_rewrite::rule::RewritePair;

@@ -10,89 +10,15 @@
 //! text, and OQL lowering is deterministic with a printable result that
 //! reparses to the same term.
 
-use kola_exec::rng::Rng;
+#[path = "common/parse_corpus.rs"]
+mod parse_corpus;
 
-const CORPUS: &[&str] = &[
-    "P",
-    "()",
-    "{1, 2, 3}",
-    "[V, P]",
-    "P union Q",
-    "A union B intersect C",
-    "gt ? [3, 2]",
-    "id . age ! P",
-    "age . id ! P",
-    "sunion ! [P, Q]",
-    "iterate(Kp(T), age) ! P",
-    "iterate(Kp(T), city) . iterate(Kp(T), addr) ! P",
-    "iterate(Kp(T), city . addr) ! P",
-    "iterate(gt @ (age, Kf(25)), age) ! P",
-    "id . id . id . id . age ! P",
-];
-
-fn mutate(src: &str, rng: &mut Rng) -> String {
-    let mut bytes: Vec<u8> = src.as_bytes().to_vec();
-    let edits = 1 + rng.gen_range(0..4usize);
-    for _ in 0..edits {
-        let kind = rng.gen_range(0..6usize);
-        let pos = if bytes.is_empty() {
-            0
-        } else {
-            rng.gen_range(0..bytes.len())
-        };
-        match kind {
-            // Insert a printable or arbitrary byte.
-            0 => {
-                let b = if rng.gen_bool(0.7) {
-                    b' ' + (rng.gen_range(0..95usize) as u8)
-                } else {
-                    rng.gen_range(0..256usize) as u8
-                };
-                bytes.insert(pos, b);
-            }
-            // Delete.
-            1 => {
-                if !bytes.is_empty() {
-                    bytes.remove(pos);
-                }
-            }
-            // Replace.
-            2 => {
-                if !bytes.is_empty() {
-                    bytes[pos] = rng.gen_range(0..256usize) as u8;
-                }
-            }
-            // Swap two positions.
-            3 => {
-                if !bytes.is_empty() {
-                    let other = rng.gen_range(0..bytes.len());
-                    bytes.swap(pos, other);
-                }
-            }
-            // Truncate.
-            4 => bytes.truncate(pos),
-            // Duplicate a slice (grows nesting-ish shapes).
-            _ => {
-                if !bytes.is_empty() {
-                    let end = pos + rng.gen_range(0..(bytes.len() - pos).min(8) + 1);
-                    let slice: Vec<u8> = bytes[pos..end].to_vec();
-                    for (i, b) in slice.into_iter().enumerate() {
-                        bytes.insert(end + i, b);
-                    }
-                }
-            }
-        }
-    }
-    // Parsing operates on &str; lossily re-encode the mutated bytes.
-    String::from_utf8_lossy(&bytes).into_owned()
-}
+use parse_corpus::{mutate, mutation, CORPUS};
 
 #[test]
 fn thousand_seeded_mutations_never_panic_the_parser() {
     for seed in 0..1000u64 {
-        let mut rng = Rng::seed_from_u64(seed);
-        let base = CORPUS[rng.gen_range(0..CORPUS.len())];
-        let mutated = mutate(base, &mut rng);
+        let mutated = mutation(seed);
         // Err is fine; a panic aborts the whole test.
         let _ = kola::parse::parse_query(&mutated);
         let _ = kola::parse::parse_func(&mutated);
@@ -113,7 +39,7 @@ const OQL_CORPUS: &[&str] = &[
 #[test]
 fn thousand_seeded_mutations_never_panic_the_oql_frontend() {
     for seed in 0..1000u64 {
-        let mut rng = Rng::seed_from_u64(0x00F1_u64.wrapping_add(seed));
+        let mut rng = kola_exec::rng::Rng::seed_from_u64(0x00F1_u64.wrapping_add(seed));
         let base = OQL_CORPUS[rng.gen_range(0..OQL_CORPUS.len())];
         let mutated = mutate(base, &mut rng);
         // The full pipeline: OQL parse, then lowering to KOLA. Err is
