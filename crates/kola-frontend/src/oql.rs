@@ -112,9 +112,17 @@ fn lex(src: &str) -> Result<Vec<Tok>, OqlError> {
     Ok(out)
 }
 
+/// The deepest nesting of atoms — brackets, `not`, sub-queries — a query
+/// may have. Every level is a few frames of recursion here and in the
+/// lowering after, so deeper text is rejected as a parse error before it
+/// can overflow a thread's stack.
+const MAX_NESTING: usize = 1024;
+
 struct P {
     toks: Vec<Tok>,
     pos: usize,
+    /// Atoms currently being parsed (see [`MAX_NESTING`]).
+    depth: usize,
     /// Variables bound by enclosing `from` clauses.
     scope: BTreeSet<String>,
 }
@@ -274,7 +282,19 @@ impl P {
         Ok(a)
     }
 
+    /// Every recursive path of the grammar passes through here, so the
+    /// depth counted here bounds the whole recursion.
     fn atom(&mut self) -> Result<Expr, OqlError> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("expressions nested deeper than {MAX_NESTING}"));
+        }
+        self.depth += 1;
+        let e = self.atom_inner();
+        self.depth -= 1;
+        e
+    }
+
+    fn atom_inner(&mut self) -> Result<Expr, OqlError> {
         match self.peek().cloned() {
             Some(Tok::Int(n)) => {
                 self.pos += 1;
@@ -344,6 +364,7 @@ pub fn parse_oql(src: &str) -> Result<Expr, OqlError> {
     let mut p = P {
         toks: lex(src)?,
         pos: 0,
+        depth: 0,
         scope: BTreeSet::new(),
     };
     let e = if matches!(p.peek(), Some(Tok::Ident(s)) if s.eq_ignore_ascii_case("select")) {

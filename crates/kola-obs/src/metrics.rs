@@ -170,6 +170,22 @@ impl HistogramSnapshot {
         self.max
     }
 
+    /// Fold `other`, a snapshot of a histogram with the same bounds, into
+    /// this one (an empty default snapshot takes `other`'s shape).
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        if self.buckets.is_empty() {
+            *self = other.clone();
+            return;
+        }
+        debug_assert_eq!(self.bounds, other.bounds);
+        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
+            *a += b;
+        }
+        self.count += other.count;
+        self.sum += other.sum;
+        self.max = self.max.max(other.max);
+    }
+
     /// Mean observation (zero when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {

@@ -1,7 +1,7 @@
 //! Re-execute a recorded [`RewriteTrace`] on the boxed reference engine.
 //!
 //! The fast engine's exactness contract says every layer (interning,
-//! indexing, marks, memo, epoch masking) is byte-identical to the boxed
+//! indexing, marks, memo, rule masking) is byte-identical to the boxed
 //! `rewrite_fix_with` over the same active rule set — so a trace recorded
 //! from the service's fast engine must replay step-for-step on the
 //! reference engine. This module is the checkable form of that claim: feed it a

@@ -27,16 +27,18 @@
 //!   ([`RuleIndex`]), which returns candidates in ascending rule position,
 //!   so the candidate scan tries the same rules in the same order as the
 //!   linear scan, minus ones whose pattern skeleton already rules them out.
-//! * **Normal-subtree marking** skips subtrees proven redex-free under the
-//!   *full* rule set. Marks are only committed for fully scanned subtrees
-//!   (no depth clip inside), in steps with no rule failures and no active
-//!   quarantine — normality under the full set implies normality under any
-//!   quarantined subset, so a skip can never hide a redex the boxed engine
-//!   would have found.
+//! * **Normal-subtree marking** skips subtrees proven redex-free. Marks are
+//!   only committed for fully scanned subtrees (no depth clip inside), in
+//!   steps with no rule failures and no active quarantine. Marks proven
+//!   under the *full* rule set are read under every mask — normality under
+//!   the full set implies normality under any subset, so a skip can never
+//!   hide a redex the boxed engine would have found.
 //! * **Memoization** replays a previous *clean* derivation (normal-form
 //!   stop, zero failures, no depth clip, no faults, no deadline) when the
 //!   same input term recurs and the stored run fits inside the current
-//!   budget; otherwise it falls through to a live run.
+//!   budget; otherwise it falls through to a live run. Under a mask, a
+//!   derivation recorded under the full rule set replays only if every
+//!   rule it fired is still active (see [`Engine::set_disabled`]).
 //!
 //! ## Allocation
 //!
@@ -52,10 +54,11 @@
 //!
 //! An [`Engine`] is built to be *kept*: a service worker owns one for its
 //! whole lifetime and the arena, marks, and memo amortize across requests.
-//! Two APIs make that safe. [`Engine::set_epoch`] scopes the caches to a
-//! rule-set snapshot (breaker trips/resets swap epochs; marks and memo
-//! entries never cross one), masking disabled rules out of the candidate
-//! scan without rebuilding the index. [`EngineConfig::arena_capacity`]
+//! Two APIs make that safe. [`Engine::set_disabled`] masks rules out of
+//! the candidate scan without rebuilding the index. Full-rule-set marks
+//! and memo entries stay true under every mask; what a run records under
+//! a mask is kept apart and dropped when a different mask is installed
+//! (see its docs). [`EngineConfig::arena_capacity`]
 //! bounds arena growth: between runs, an over-cap arena is dropped wholesale
 //! together with every address-keyed cache ([`Engine::reset_caches`]), so a
 //! poison request costs one cold start, not permanent bloat.
@@ -203,10 +206,9 @@ struct MemoEntry {
     max_size: usize,
     max_depth: usize,
     stamp: u64,
-    /// Rule-set epoch the derivation was recorded under (see
-    /// [`Engine::set_epoch`]): a derivation is only replayable under the
-    /// exact rule set that produced it.
-    epoch: u64,
+    /// Recorded under the installed mask rather than the full set, so
+    /// replayable under that mask alone (see [`Engine::set_disabled`]).
+    masked: bool,
 }
 
 /// Bounded LRU keyed by interned-node identity. Eviction is a linear scan
@@ -217,34 +219,35 @@ struct Memo {
     map: HashMap<usize, MemoEntry>,
     tick: u64,
     hits: u64,
-    /// Total lookups (hits + misses + stale evictions) — the denominator
-    /// observability needs to turn [`Memo::hits`] into a hit rate.
+    /// Total lookups (hits + misses) — the denominator observability
+    /// needs to turn [`Memo::hits`] into a hit rate.
     lookups: u64,
 }
 
 impl Memo {
-    /// Look up `key`'s entry *for the given epoch*. An entry recorded under
-    /// a different rule-set epoch is stale — its derivation may fire rules
-    /// the current set masks (or miss rules a reset readmitted) — so it is
-    /// evicted on sight and the lookup misses.
-    fn get(&mut self, key: usize, epoch: u64) -> Option<&MemoEntry> {
+    /// Look up `key`'s entry under the activity mask `active` (`None` =
+    /// the full set). A full-set entry is the derivation any subset
+    /// holding all of its fired rules produces too: leftmost-outermost
+    /// redexes with no earlier match under the full set have none under a
+    /// subset. So under a mask an entry that fired a masked rule is refused
+    /// (the live run that follows records its own), and a masked entry —
+    /// every one was recorded under the engine's last mask, since
+    /// installing another drops them — replays under that mask and never
+    /// under the full set.
+    fn get(&mut self, key: usize, active: Option<&[bool]>) -> Option<&MemoEntry> {
         self.tick += 1;
         self.lookups += 1;
-        let t = self.tick;
-        let stale = match self.map.get_mut(&key) {
-            None => return None,
-            Some(e) if e.epoch != epoch => true,
-            Some(e) => {
-                e.stamp = t;
-                self.hits += 1;
-                false
-            }
+        let e = self.map.get_mut(&key)?;
+        let fits = match active {
+            None => !e.masked,
+            Some(m) => e.masked || e.derivation.iter().all(|&(pos, _)| m[pos]),
         };
-        if stale {
-            self.map.remove(&key);
+        if !fits {
             return None;
         }
-        self.map.get(&key)
+        e.stamp = self.tick;
+        self.hits += 1;
+        Some(e)
     }
 
     fn put(&mut self, key: usize, mut e: MemoEntry, capacity: usize) {
@@ -341,12 +344,14 @@ struct Search<'r, 'a> {
     rules: &'r [Oriented<'a>],
     props: &'r PropDb,
     index: Option<&'r RuleIndex>,
-    /// Per-position activity mask from the current epoch's rule snapshot
-    /// (`None` = the full set). Skipping inactive positions in the
+    /// Per-position activity mask from [`Engine::set_disabled`] (`None` =
+    /// the full set). Skipping inactive positions in the
     /// ascending-position candidate scan visits exactly the rules, in
     /// exactly the order, of an index built over the active subset.
     active: Option<&'r [bool]>,
     normal: &'r HashSet<usize>,
+    /// Marks proven under the installed mask (`None` = no mask installed).
+    masked_normal: Option<&'r HashSet<usize>>,
     visits: &'r mut u64,
     consults: &'r mut [u64],
     consults_total: &'r mut u64,
@@ -362,7 +367,8 @@ impl Search<'_, '_> {
             return None;
         }
         *self.visits += 1;
-        if self.normal.contains(&t.id()) {
+        if self.normal.contains(&t.id()) || self.masked_normal.is_some_and(|m| m.contains(&t.id()))
+        {
             return None;
         }
         if let Some(found) = self.rules_at(t, gov) {
@@ -476,12 +482,16 @@ pub struct Engine<'a> {
     // Declared before `interner`: entries hold `ITerm`s that must drop
     // while the arena's table is still alive.
     memo: Memo,
+    /// Marks proven under the full rule set: sound under every mask.
     normal: HashSet<usize>,
+    /// Marks proven under `mask` alone: read and recorded only while it is
+    /// installed, cleared when [`Engine::set_disabled`] installs another.
+    masked_normal: HashSet<usize>,
     index: Option<RuleIndex>,
-    /// Current rule-set epoch (see [`Engine::set_epoch`]).
-    epoch: u64,
-    /// Per-position activity mask for the current epoch; `None` = all.
-    active: Option<Vec<bool>>,
+    /// Per-position activity mask of the last non-empty `disabled` list
+    /// (see [`Engine::set_disabled`]); in force only while `masked`.
+    mask: Vec<bool>,
+    masked: bool,
     /// Arena compactions performed so far (see
     /// [`EngineConfig::arena_capacity`]).
     compactions: u64,
@@ -506,9 +516,10 @@ impl<'a> Engine<'a> {
             config,
             memo: Memo::default(),
             normal: HashSet::new(),
+            masked_normal: HashSet::new(),
             index: None,
-            epoch: 0,
-            active: None,
+            mask: Vec::new(),
+            masked: false,
             compactions: 0,
             visits: 0,
             consults,
@@ -531,38 +542,37 @@ impl<'a> Engine<'a> {
         self.cost_model.name()
     }
 
-    /// Install the rule-set snapshot for subsequent runs: `epoch` names the
-    /// snapshot (a service uses its breaker generation) and `disabled`
-    /// lists rule ids excluded from it. The rules stay in place and the
-    /// rule index is *not* rebuilt — excluded positions are masked
-    /// out of the candidate scan, which visits exactly the rules, in
-    /// exactly the order, of an index built over the remaining subset.
+    /// Exclude the rules with ids in `disabled` from subsequent runs. The
+    /// rules stay in place and the rule index is *not* rebuilt — excluded
+    /// positions are masked out of the candidate scan, which visits
+    /// exactly the rules, in exactly the order, of an index built over the
+    /// remaining subset.
     ///
-    /// Cheap when the epoch is unchanged (one comparison). On change the
-    /// normal-subtree marks are cleared and memo entries from other epochs
-    /// become unreplayable (evicted lazily on lookup): both record facts
-    /// about one rule set that do not transfer to another — a mark made
-    /// under a larger set is still sound under a subset, but a memoized
-    /// derivation may fire a now-masked rule, and after a reset the mask
-    /// grows back, invalidating subset-era marks. Epochs never repeat, so
-    /// clearing is equivalent to tagging.
-    pub fn set_epoch(&mut self, epoch: u64, disabled: &[String]) {
-        if epoch == self.epoch {
+    /// Rules are patterns with no head routines, so what the caches record
+    /// under the full set holds under every subset: a subtree normal under
+    /// all rules is normal under any of them, and a derivation whose fired
+    /// rules are all active is the one the subset produces. So full-set
+    /// marks are read under any mask, and a full-set memo entry replays
+    /// under a mask if it fired no masked rule. Marks and memo entries
+    /// recorded under a mask hold for that mask alone: they are kept
+    /// apart, read only while it is installed, and dropped when a
+    /// different one is. With `disabled` empty this is one emptiness check.
+    pub fn set_disabled(&mut self, disabled: &[String]) {
+        self.masked = !disabled.is_empty();
+        if !self.masked {
             return;
         }
-        self.epoch = epoch;
-        self.normal.clear();
-        self.active = if disabled.is_empty() {
-            None
-        } else {
-            let off: HashSet<&str> = disabled.iter().map(String::as_str).collect();
-            Some(
-                self.rules
-                    .iter()
-                    .map(|o| !off.contains(o.rule.id.as_str()))
-                    .collect(),
-            )
-        };
+        let mut changed = self.mask.len() != self.rules.len();
+        self.mask.resize(self.rules.len(), true);
+        for (on, o) in self.mask.iter_mut().zip(&self.rules) {
+            let now = !disabled.contains(&o.rule.id);
+            changed |= *on != now;
+            *on = now;
+        }
+        if changed {
+            self.masked_normal.clear();
+            self.memo.map.retain(|_, e| !e.masked);
+        }
     }
 
     /// Enable or disable per-step [`Trace`] recording for subsequent runs
@@ -586,6 +596,7 @@ impl<'a> Engine<'a> {
     pub fn reset_caches(&mut self) {
         self.memo.map.clear();
         self.normal.clear();
+        self.masked_normal.clear();
         self.interner.clear();
         self.compactions += 1;
     }
@@ -748,7 +759,8 @@ impl<'a> Engine<'a> {
 
         let memo_eligible = self.config.memoized && faults.is_empty() && budget.deadline.is_none();
         if memo_eligible {
-            if let Some(e) = self.memo.get(cur.id(), self.epoch) {
+            let active = self.masked.then_some(self.mask.as_slice());
+            if let Some(e) = self.memo.get(cur.id(), active) {
                 if e.steps < budget.max_steps
                     && e.max_depth <= budget.max_depth
                     && e.max_size <= budget.max_term_size
@@ -825,8 +837,9 @@ impl<'a> Engine<'a> {
                     rules: &self.rules,
                     props: self.props,
                     index: self.index.as_ref(),
-                    active: self.active.as_deref(),
+                    active: self.masked.then_some(self.mask.as_slice()),
                     normal: &self.normal,
+                    masked_normal: self.masked.then_some(&self.masked_normal),
                     visits: &mut self.visits,
                     consults: &mut self.consults,
                     consults_total: &mut self.consults_total,
@@ -835,12 +848,18 @@ impl<'a> Engine<'a> {
                 };
                 s.search(&cur, 0, &mut gov)
             };
-            // Marks are sound only when the scan saw the full, failure-free
-            // rule set: the marks persist across runs, while failures and
-            // quarantines are transient.
+            // Marks are sound only when the scan saw the whole failure-free
+            // rule set of their table: they persist across runs, while
+            // failures and quarantines are transient. Full-set marks hold
+            // under every mask; masked ones only under their own.
+            let clean = report.total_failures() == fails_before && report.quarantined.is_empty();
             let marks = self.bufs.marks.drain(..);
-            if report.total_failures() == fails_before && report.quarantined.is_empty() {
-                self.normal.extend(marks);
+            if clean {
+                if self.masked {
+                    self.masked_normal.extend(marks);
+                } else {
+                    self.normal.extend(marks);
+                }
             }
             let Some(applied) = found else {
                 report.stop = StopReason::NormalForm;
@@ -858,7 +877,7 @@ impl<'a> Engine<'a> {
                             max_size,
                             max_depth,
                             stamp: 0,
-                            epoch: self.epoch,
+                            masked: self.masked,
                         },
                         self.config.memo_capacity,
                     );
@@ -939,7 +958,8 @@ impl<'a> Engine<'a> {
             ref rules,
             props,
             ref index,
-            ref active,
+            ref mask,
+            masked,
             ref cost_model,
             ref mut interner,
             ..
@@ -951,7 +971,7 @@ impl<'a> Engine<'a> {
             rules,
             props,
             index: ix,
-            active: active.as_deref(),
+            active: masked.then_some(mask.as_slice()),
             match_cap: 24,
         };
         let sat = saturate_from_trajectory(
@@ -1053,7 +1073,7 @@ pub struct EngineStats {
     pub constructed: u64,
     /// Memo lookups that replayed a cached derivation.
     pub memo_hits: u64,
-    /// Total memo lookups (hits + misses + stale evictions).
+    /// Total memo lookups (hits + misses).
     pub memo_lookups: u64,
     /// Bounded-arena compactions fired.
     pub compactions: u64,

@@ -1,13 +1,14 @@
-//! Long-lived engine correctness: epoch-scoped caches and bounded arenas.
+//! Long-lived engine correctness: full-rule-set caches and bounded arenas.
 //!
 //! A service worker keeps one [`Engine`] alive across many requests and
-//! many rule-set epochs (breaker trips and resets). These tests pin the
-//! two properties that reuse must preserve:
+//! many rule masks (breaker trips and resets, tenants with different open
+//! breakers). These tests pin the two properties that reuse must preserve:
 //!
-//! 1. **Parity across epochs** — a persistent engine masking rules via
-//!    [`Engine::set_epoch`] answers byte-for-byte like a fresh engine
-//!    built over just the active subset, and stale-epoch memo entries are
-//!    never replayed into a different rule set.
+//! 1. **Parity across masks** — a persistent engine masking rules via
+//!    [`Engine::set_disabled`] answers byte-for-byte like a fresh engine
+//!    built over just the active subset, and a memo entry is never
+//!    replayed under a mask that disables a rule its derivation fired,
+//!    nor one recorded under a mask after that mask is gone.
 //! 2. **Bounded arena** — a thousand sequential requests through one
 //!    engine leave the intern arena bounded by the compaction cap plus a
 //!    fixed multiple of the largest single request, not by the request
@@ -26,18 +27,18 @@ fn tower(height: usize, leaf: &str) -> Query {
 }
 
 #[test]
-fn set_epoch_invalidates_memo_across_rule_set_swaps() {
+fn masks_never_replay_memo_across_rule_set_swaps() {
     let catalog = Catalog::paper();
     let props = PropDb::new();
     let budget = Budget::default();
     let q = tower(6, "age");
 
-    // The persistent engine: full catalog, disabled rules masked per epoch.
+    // The persistent engine: full catalog, disabled rules masked per run.
     let rules: Vec<Oriented<'_>> = catalog.rules().iter().map(Oriented::fwd).collect();
     let mut engine = Engine::new(rules, &props, EngineConfig::fast());
 
-    // Fresh single-epoch engines to compare against, built over exactly
-    // the rule subset each epoch serves.
+    // Fresh engines to compare against, built over exactly the rule
+    // subset each mask serves.
     let run_fresh = |drop_id: Option<&str>| {
         let subset: Vec<Oriented<'_>> = catalog
             .rules()
@@ -54,7 +55,7 @@ fn set_epoch_invalidates_memo_across_rule_set_swaps() {
         "the swap must be observable: \"app\" fires on id-towers"
     );
 
-    // Epoch 0, full set: parity, then a memo replay that must stay exact.
+    // Full set: parity, then a memo replay that must stay exact.
     let r = engine.normalize(&q, &budget);
     assert_eq!(r.query, full.query);
     assert_eq!(r.report, full.report);
@@ -62,20 +63,105 @@ fn set_epoch_invalidates_memo_across_rule_set_swaps() {
     assert_eq!(replay.query, full.query);
     assert_eq!(replay.report, full.report);
 
-    // Epoch 1, "app" masked: the epoch-0 memo (whose derivations fired
-    // "app") must be invalidated, and the masked engine must match a fresh
+    // "app" masked: the full-set memo entry (whose derivation fired "app")
+    // must not be replayed, and the masked engine must match a fresh
     // engine built over the subset — including consult-order-sensitive
     // rule_stats, i.e. the mask is equivalent to an index over the subset.
-    engine.set_epoch(1, &["app".to_string()]);
+    engine.set_disabled(&["app".to_string()]);
     let r = engine.normalize(&q, &budget);
     assert_eq!(r.query, reduced.query);
     assert_eq!(r.report, reduced.report);
     assert!(!r.report.rule_stats.contains_key("app"));
 
-    // Epoch 2, full set again: the epoch-1 memo must not leak back either.
-    engine.set_epoch(2, &[]);
+    // Full set again: nothing the masked run saw may leak back either.
+    engine.set_disabled(&[]);
     let r = engine.normalize(&q, &budget);
     assert_eq!(r.query, full.query);
+    assert_eq!(r.report, full.report);
+}
+
+#[test]
+fn masked_memo_replays_only_derivations_valid_under_the_mask() {
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let budget = Budget::default();
+    let q = tower(6, "age");
+    let rules: Vec<Oriented<'_>> = catalog.rules().iter().map(Oriented::fwd).collect();
+    let mut engine = Engine::new(rules, &props, EngineConfig::fast());
+    let fresh_without = |id: &str| {
+        let subset: Vec<Oriented<'_>> = catalog
+            .rules()
+            .iter()
+            .filter(|r| r.id != id)
+            .map(Oriented::fwd)
+            .collect();
+        Engine::new(subset, &props, EngineConfig::fast()).normalize(&q, &budget)
+    };
+
+    // Recorded under the full set; its derivation fires "app".
+    let full = engine.normalize(&q, &budget);
+    assert!(full.report.rule_stats.contains_key("app"));
+    let unfired = catalog
+        .rules()
+        .iter()
+        .map(|r| r.id.clone())
+        .find(|id| !full.report.rule_stats.contains_key(id))
+        .expect("some rule never fires on an id-tower");
+
+    // Masking a rule the derivation never fired: the entry replays, and
+    // the replay is what a fresh engine over that subset derives.
+    engine.set_disabled(std::slice::from_ref(&unfired));
+    let hits = engine.memo_hits();
+    let r = engine.normalize(&q, &budget);
+    assert_eq!(
+        engine.memo_hits(),
+        hits + 1,
+        "a compatible entry was refused"
+    );
+    let subset = fresh_without(&unfired);
+    assert_eq!(r.query, subset.query);
+    assert_eq!(r.report, subset.report);
+    assert_eq!(r.report, full.report);
+
+    // Masking "app": the entry is refused and a live run answers.
+    engine.set_disabled(&["app".to_string()]);
+    let hits = engine.memo_hits();
+    let masked = engine.normalize(&q, &budget);
+    assert_eq!(
+        engine.memo_hits(),
+        hits,
+        "replayed a derivation that fired a masked rule"
+    );
+    let reduced = fresh_without("app");
+    assert_eq!(masked.query, reduced.query);
+    assert_eq!(masked.report, reduced.report);
+
+    // The masked run recorded its derivation for this mask: a repeat
+    // under it replays.
+    let r = engine.normalize(&q, &budget);
+    assert_eq!(engine.memo_hits(), hits + 1, "a masked repeat ran live");
+    assert_eq!(r.report, reduced.report);
+
+    // Another mask drops what the "app" mask recorded: a live run answers
+    // as a fresh engine over the new subset.
+    engine.set_disabled(std::slice::from_ref(&unfired));
+    let r = engine.normalize(&q, &budget);
+    assert_eq!(
+        engine.memo_hits(),
+        hits + 1,
+        "replayed a derivation recorded under another mask"
+    );
+    assert_eq!(r.query, subset.query);
+    assert_eq!(r.report, subset.report);
+
+    // The full set never replays what a mask recorded.
+    engine.set_disabled(&[]);
+    let r = engine.normalize(&q, &budget);
+    assert_eq!(
+        engine.memo_hits(),
+        hits + 1,
+        "the full set replayed a masked derivation"
+    );
     assert_eq!(r.report, full.report);
 }
 

@@ -58,7 +58,6 @@ use kola_rewrite::{QuarantineReport, RewriteReport};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -195,6 +194,9 @@ struct Flight {
 
 /// A resident cache line.
 struct Entry {
+    /// The key hash the shard index files this line under, so eviction
+    /// removes its index entry directly.
+    hash: u64,
     input: KeyInput,
     budget: BudgetKey,
     tenant: usize,
@@ -251,11 +253,6 @@ pub(crate) enum Claim {
 pub(crate) struct PlanCache {
     shards: Vec<Mutex<ShardInner>>,
     per_shard: usize,
-    /// Entries reclaimed because their epoch predates the current
-    /// generation (lazy invalidation odometer, surfaced as `cache_stale`).
-    stale: AtomicU64,
-    /// Entries displaced by the CLOCK hand (surfaced as `cache_evicted`).
-    evicted: AtomicU64,
 }
 
 impl std::fmt::Debug for ShardInner {
@@ -287,8 +284,6 @@ impl PlanCache {
                 })
                 .collect(),
             per_shard,
-            stale: AtomicU64::new(0),
-            evicted: AtomicU64::new(0),
         }
     }
 
@@ -479,7 +474,6 @@ impl PlanCache {
         // Answer waiters outside the shard lock: sends are cheap but
         // there is no reason to serialize other submitters behind them.
         for w in waiters {
-            metrics.cache_hits.inc();
             metrics.cache_coalesced.inc();
             metrics
                 .cache_served
@@ -516,7 +510,6 @@ impl PlanCache {
             inner.slots[slot] = None;
             inner.index.remove(&key.hash);
             inner.free.push(slot);
-            self.stale.fetch_add(1, Ordering::Relaxed);
             metrics.cache_stale.inc();
             return None;
         }
@@ -539,6 +532,7 @@ impl PlanCache {
     ) {
         metrics.cache_insertions.inc();
         let entry = Entry {
+            hash: key.hash,
             input: key.input.clone(),
             budget: key.budget,
             tenant: key.tenant,
@@ -584,28 +578,14 @@ impl PlanCache {
                 }
             }
             let i = victim.expect("a full CLOCK sweep always yields a victim");
-            if inner.slots[i].is_some() {
-                self.evicted.fetch_add(1, Ordering::Relaxed);
+            if let Some(old) = &inner.slots[i] {
                 metrics.cache_evicted.inc();
-                // The victim's hash still points at this slot.
-                inner.index.retain(|_, s| *s != i);
+                inner.index.remove(&old.hash);
             }
             i
         };
         inner.slots[slot] = Some(entry);
         inner.index.insert(key.hash, slot);
-    }
-
-    /// Entries reclaimed as stale so far (test surface).
-    #[cfg(test)]
-    pub(crate) fn stale_total(&self) -> u64 {
-        self.stale.load(Ordering::Relaxed)
-    }
-
-    /// Entries displaced by the CLOCK hand so far (test surface).
-    #[cfg(test)]
-    pub(crate) fn evicted_total(&self) -> u64 {
-        self.evicted.load(Ordering::Relaxed)
     }
 }
 
@@ -730,7 +710,6 @@ mod tests {
             assert!(cache.lookup_locked(&mut inner, &key, 1, &m).is_none());
             assert!(cache.lookup_locked(&mut inner, &key, 1, &m).is_none());
         }
-        assert_eq!(cache.stale_total(), 1);
         assert_eq!(m.cache_stale.get(), 1);
     }
 
@@ -754,7 +733,7 @@ mod tests {
         cache.insert_locked(&mut inner, &keys[3], 0, plan_for("P union Q"), &m);
         // Everyone was referenced: the hand cleared all three bits and
         // evicted the first unreferenced slot (the oldest, keys[0]).
-        assert_eq!(cache.evicted_total(), 1);
+        assert_eq!(m.cache_evicted.get(), 1);
         assert!(cache.lookup_locked(&mut inner, &keys[0], 0, &m).is_none());
         assert!(cache.lookup_locked(&mut inner, &keys[3], 0, &m).is_some());
         // Second-chance proper: touch keys[1], insert a fifth — the
@@ -826,7 +805,7 @@ mod tests {
         assert_eq!(unserved.len(), 1);
         assert_eq!(unserved[0].id, 2);
         assert_eq!(unserved[0].tenant, 0);
-        assert_eq!(m.cache_hits.get(), 0);
+        assert_eq!(m.tenant_cache_hits.total(), 0);
         assert_eq!(m.cache_coalesced.get(), 0);
         assert!(rx.try_recv().is_err(), "waiter must not see the failure");
         // The flight is retired: the returned request can lead afresh.
@@ -879,7 +858,7 @@ mod tests {
         let reply = rx.try_recv().expect("waiter answered at completion");
         assert_eq!(reply.id, 2);
         // Hit accounting happens at completion, once per waiter.
-        assert_eq!(m.cache_hits.get(), 1);
+        assert_eq!(m.snapshot().counter("cache_hits"), 1);
         assert_eq!(m.cache_coalesced.get(), 1);
         assert_eq!(m.cache_insertions.get(), 1);
         let s = m.snapshot();

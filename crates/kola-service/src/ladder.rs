@@ -25,8 +25,8 @@
 //! [`kola_rewrite::Engine`], whose arena, marks, and memo persist across
 //! requests ([`Ladder::run_with`]). The rule set comes from an immutable
 //! [`RuleSnapshot`]: the engine keeps the full catalog and index and masks
-//! disabled rules per epoch, so a breaker trip costs an epoch swap, not an
-//! engine rebuild.
+//! the snapshot's disabled rules per request, so a breaker trip costs a
+//! mask, not an engine rebuild.
 //!
 //! The retry reuses the fast engine rather than falling back to the boxed
 //! reference engine: the fast engine is a byte-exact drop-in for it, so
@@ -42,8 +42,9 @@
 //! byte-identical to a direct fast-engine `Runner` run, whose `Fix` path
 //! folds the same engine report into a fresh one (a zero-offset merge). The engines' exactness
 //! contract thereby lifts to the service — *including* cross-request
-//! reuse, because memo replays are byte-identical to live runs and epoch
-//! tagging confines them to one rule set (see `tests/service.rs`).
+//! reuse, because memo replays are byte-identical to live runs and a
+//! replay under a mask is refused when its derivation fired a masked rule
+//! (see `tests/service.rs`).
 
 use crate::breaker::Breaker;
 use crate::metrics::ServiceMetrics;
@@ -232,8 +233,8 @@ impl Ladder<'_> {
     /// and tags breaker charges. `engine` is the caller's persistent fast
     /// engine (built over the full forward catalog, rules in catalog order)
     /// and `snapshot` the rule-set snapshot this request runs under: the
-    /// engine's caches are scoped to the snapshot's epoch first, and
-    /// disabled rules are masked out of its candidate scan.
+    /// snapshot's disabled rules are masked out of the engine's candidate
+    /// scan.
     ///
     /// `Err` is the parse error of a text input that does not parse. The
     /// first engine call finds it, before any rule has run or been charged;
@@ -248,10 +249,7 @@ impl Ladder<'_> {
         engine: &mut Engine<'_>,
         snapshot: &RuleSnapshot,
     ) -> Result<LadderResult, String> {
-        // The *engine* epoch, not the raw generation: on a multi-tenant
-        // service the shared engine's memo must never alias two tenants'
-        // rule masks (snapshot.rs maps generations injectively per tenant).
-        engine.set_epoch(snapshot.engine_epoch, &snapshot.disabled);
+        engine.set_disabled(&snapshot.disabled);
         engine.set_trace(self.tracer.is_some());
 
         let mut panics: Vec<CaughtPanic> = Vec::new();

@@ -16,8 +16,7 @@
 //!   bound.
 //! - [`snapshot::SnapshotCell`] — the read-mostly published rule-set
 //!   snapshot workers run under: one atomic load per request in steady
-//!   state, an `Arc` swap when the breaker trips or resets, and an epoch
-//!   that scopes the persistent engines' caches to one rule set.
+//!   state, and an `Arc` swap when the breaker trips or resets.
 //! - [`ladder::Ladder`] — the degradation ladder each worker runs: the
 //!   fast (interned + tree-indexed + memoized) engine, one jittered-backoff
 //!   retry of it, and an unoptimized passthrough of the input last. Both
@@ -78,5 +77,5 @@ pub use ladder::{Ladder, LadderResult, RetryPark};
 pub use metrics::{conservation_violations, ServiceMetrics};
 pub use request::{Outcome, Payload, Request, RequestOptions, Response};
 pub use service::{Pending, Service, ServiceConfig};
-pub use snapshot::{EpochScope, RuleSnapshot, SnapshotCell};
+pub use snapshot::{RuleSnapshot, SnapshotCell};
 pub use tenant::{TenantState, Tenants, DEFAULT_TENANT};

@@ -28,17 +28,20 @@
 //! additionally counted in `cache_coalesced`. The leader itself is an
 //! ordinary admitted request — only the waiters are hits.
 //!
-//! On a multi-tenant service every lifecycle counter above also has a
-//! per-tenant **family** (`tenant_submitted`, `tenant_admitted`, …) labeled
-//! by tenant name, and a per-tenant latency histogram
-//! (`tenant_latency_us/<name>`). The conservation invariants then hold
-//! twice over: per tenant label, and in aggregate — with the additional
-//! cross-check that each family sums to its aggregate counter. A request
-//! naming a tenant the service does not serve lands in the family's
-//! catch-all `other` lane, which participates in the per-label equations
-//! like any tenant.
+//! The lifecycle counters above are recorded once, in per-tenant
+//! **families** (`tenant_submitted`, `tenant_admitted`, …) labeled by
+//! tenant name, and completion latency in per-tenant histograms
+//! (`tenant_latency_us/<name>`). [`ServiceMetrics::snapshot`] derives the
+//! aggregates — each counter is its family's sum and `latency_us` the
+//! merge of the tenant histograms — so the aggregate books are the sum of
+//! the per-tenant books by construction. The conservation invariants are
+//! checked per tenant label and in aggregate. A request naming a tenant the
+//! service does not serve lands in the family's catch-all `other` lane,
+//! which participates in the per-label equations like any tenant.
 
-use kola_obs::{Counter, CounterFamily, Histogram, MaxGauge, Registry, Snapshot};
+use kola_obs::{
+    Counter, CounterFamily, Histogram, HistogramSnapshot, MaxGauge, Registry, Snapshot,
+};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -48,27 +51,6 @@ use std::sync::Arc;
 #[derive(Debug)]
 pub struct ServiceMetrics {
     registry: Registry,
-    /// Requests presented to [`crate::Service::submit`].
-    pub submitted: Arc<Counter>,
-    /// Shed at the door: queue full.
-    pub overloaded: Arc<Counter>,
-    /// Rejected at the door: oversized payload.
-    pub rejected_invalid: Arc<Counter>,
-    /// Dequeued by a worker (every one terminates in exactly one of the
-    /// five completion counters below).
-    pub admitted: Arc<Counter>,
-    /// Completed `Optimized`.
-    pub optimized_fast: Arc<Counter>,
-    /// Completed `Passthrough` (ladder exhausted or semantic-gate degrade).
-    pub passthrough: Arc<Counter>,
-    /// Completed `Invalid` in the worker (parse failure).
-    pub completed_invalid: Arc<Counter>,
-    /// Panics that reached the worker boundary (answered `Invalid`; counted
-    /// here, not in `completed_invalid`, so the books distinguish them).
-    pub panicked: Arc<Counter>,
-    /// Plan-cache hits: requests answered without admission (direct hits
-    /// plus coalesced waiters; see module docs).
-    pub cache_hits: Arc<Counter>,
     /// Plan-cache misses that went on to an engine pass (flight leaders
     /// and solo computations).
     pub cache_misses: Arc<Counter>,
@@ -137,34 +119,37 @@ pub struct ServiceMetrics {
     /// Deadline remaining (µs) when a worker dequeued the request — how
     /// much of each budget the queue already spent.
     pub deadline_remaining_us: Arc<Histogram>,
-    /// End-to-end latency (µs) of worker-completed requests.
-    pub latency_us: Arc<Histogram>,
     /// Wall-clock µs workers spent handling requests (utilization numerator).
     pub worker_busy_us: Arc<Counter>,
-    /// Per-tenant `submitted`, labeled by tenant name (unknown tenants
-    /// land in the family's `other` lane).
+    /// Requests presented to [`crate::Service::submit`], per tenant
+    /// (unknown tenants land in the family's `other` lane).
     pub tenant_submitted: Arc<CounterFamily>,
-    /// Per-tenant `overloaded` — includes requests shed by the tenant's own
-    /// admission quota while other tenants kept admitting.
+    /// Shed at the door: queue full, or the tenant's own admission quota
+    /// reached while other tenants kept admitting.
     pub tenant_overloaded: Arc<CounterFamily>,
-    /// Per-tenant `rejected_invalid` (oversized payloads and unknown
-    /// tenant names; the latter count in `other`).
+    /// Rejected at the door: oversized payloads and unknown tenant names
+    /// (the latter count in `other`).
     pub tenant_rejected_invalid: Arc<CounterFamily>,
-    /// Per-tenant `admitted`.
+    /// Dequeued by a worker (every one terminates in exactly one of the
+    /// four completion families below).
     pub tenant_admitted: Arc<CounterFamily>,
-    /// Per-tenant `cache_hits` — zero cross-tenant hits is an isolation
-    /// invariant, so these sum to the aggregate exactly.
+    /// Plan-cache hits: requests answered without admission (direct hits
+    /// plus coalesced waiters; see module docs). Zero cross-tenant hits is
+    /// an isolation invariant.
     pub tenant_cache_hits: Arc<CounterFamily>,
-    /// Per-tenant `optimized_fast`.
+    /// Completed `Optimized`.
     pub tenant_optimized_fast: Arc<CounterFamily>,
-    /// Per-tenant `passthrough`.
+    /// Completed `Passthrough` (ladder exhausted or semantic-gate degrade).
     pub tenant_passthrough: Arc<CounterFamily>,
-    /// Per-tenant `completed_invalid`.
+    /// Completed `Invalid` in the worker (parse failure).
     pub tenant_completed_invalid: Arc<CounterFamily>,
-    /// Per-tenant `panicked`.
+    /// Panics that reached the worker boundary (answered `Invalid`; counted
+    /// here, not in `tenant_completed_invalid`, so the books distinguish
+    /// them).
     pub tenant_panicked: Arc<CounterFamily>,
-    /// Per-tenant end-to-end latency histograms, indexed by tenant slot;
-    /// registered as `tenant_latency_us/<name>` (names escape in JSON).
+    /// Per-tenant end-to-end latency (µs) of worker-completed requests,
+    /// indexed by tenant slot; registered as `tenant_latency_us/<name>`
+    /// (names escape in JSON).
     pub tenant_latency_us: Vec<Arc<Histogram>>,
 }
 
@@ -193,15 +178,6 @@ impl ServiceMetrics {
         // service sees; pow2 buckets keep the scan short.
         let us_cap = 3_600_000_000;
         ServiceMetrics {
-            submitted: registry.counter("submitted"),
-            overloaded: registry.counter("overloaded"),
-            rejected_invalid: registry.counter("rejected_invalid"),
-            admitted: registry.counter("admitted"),
-            optimized_fast: registry.counter("optimized_fast"),
-            passthrough: registry.counter("passthrough"),
-            completed_invalid: registry.counter("completed_invalid"),
-            panicked: registry.counter("panicked"),
-            cache_hits: registry.counter("cache_hits"),
             cache_misses: registry.counter("cache_misses"),
             cache_coalesced: registry.counter("cache_coalesced"),
             cache_stale: registry.counter("cache_stale"),
@@ -231,7 +207,6 @@ impl ServiceMetrics {
                 .histogram("queue_depth", &pow2_bounds(queue_capacity.max(1) as u64)),
             deadline_remaining_us: registry
                 .histogram("deadline_remaining_us", &pow2_bounds(us_cap)),
-            latency_us: registry.histogram("latency_us", &pow2_bounds(us_cap)),
             worker_busy_us: registry.counter("worker_busy_us"),
             tenant_submitted: tenants("tenant_submitted"),
             tenant_overloaded: tenants("tenant_overloaded"),
@@ -252,11 +227,47 @@ impl ServiceMetrics {
         }
     }
 
-    /// Plain-data copy of every instrument.
+    /// Plain-data copy of every instrument, with the aggregates derived
+    /// from the tenant lanes (module docs): the nine lifecycle counters
+    /// lead the counter list, and `latency_us` precedes the per-tenant
+    /// latency histograms.
     pub fn snapshot(&self) -> Snapshot {
-        self.registry.snapshot()
+        let mut s = self.registry.snapshot();
+        let totals: Vec<(String, u64)> = LIFECYCLE
+            .iter()
+            .map(|&(aggregate, family)| {
+                let total = s.family(family).iter().map(|(_, n)| n).sum();
+                (aggregate.to_string(), total)
+            })
+            .collect();
+        s.counters.splice(0..0, totals);
+        let lane = |name: &str| name.starts_with("tenant_latency_us/");
+        let at = s
+            .histograms
+            .iter()
+            .position(|(name, _)| lane(name))
+            .unwrap_or(s.histograms.len());
+        let mut latency = HistogramSnapshot::default();
+        for (_, h) in s.histograms.iter().filter(|(name, _)| lane(name)) {
+            latency.merge(h);
+        }
+        s.histograms.insert(at, ("latency_us".to_string(), latency));
+        s
     }
 }
+
+/// Each aggregate lifecycle counter and the tenant family it sums.
+const LIFECYCLE: [(&str, &str); 9] = [
+    ("submitted", "tenant_submitted"),
+    ("overloaded", "tenant_overloaded"),
+    ("rejected_invalid", "tenant_rejected_invalid"),
+    ("admitted", "tenant_admitted"),
+    ("optimized_fast", "tenant_optimized_fast"),
+    ("passthrough", "tenant_passthrough"),
+    ("completed_invalid", "tenant_completed_invalid"),
+    ("panicked", "tenant_panicked"),
+    ("cache_hits", "tenant_cache_hits"),
+];
 
 fn pow2_bounds(cap: u64) -> Vec<u64> {
     let mut bounds = Vec::new();
@@ -321,22 +332,10 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
         ));
     }
 
-    // Per-tenant books: the same two equations per tenant label, plus the
-    // cross-check that each per-tenant family sums to its aggregate
-    // counter. Family snapshots report only nonzero lanes, so take the
-    // union of labels across all nine families (this includes the `other`
-    // catch-all lane unknown-tenant submissions land in).
-    const TENANT_FAMILIES: [&str; 9] = [
-        "tenant_submitted",
-        "tenant_overloaded",
-        "tenant_rejected_invalid",
-        "tenant_admitted",
-        "tenant_cache_hits",
-        "tenant_optimized_fast",
-        "tenant_passthrough",
-        "tenant_completed_invalid",
-        "tenant_panicked",
-    ];
+    // Per-tenant books: the same two equations per tenant label. Family
+    // snapshots report only nonzero lanes, so take the union of labels
+    // across all nine families (this includes the `other` catch-all lane
+    // unknown-tenant submissions land in).
     let lane = |family: &str, label: &str| -> u64 {
         s.family(family)
             .iter()
@@ -344,9 +343,9 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
             .map(|&(_, n)| n)
             .unwrap_or(0)
     };
-    let labels: BTreeSet<String> = TENANT_FAMILIES
+    let labels: BTreeSet<String> = LIFECYCLE
         .iter()
-        .flat_map(|f| s.family(f).iter().map(|(l, _)| l.clone()))
+        .flat_map(|&(_, f)| s.family(f).iter().map(|(l, _)| l.clone()))
         .collect();
     for label in &labels {
         let submitted = lane("tenant_submitted", label);
@@ -380,25 +379,6 @@ pub fn conservation_violations(s: &Snapshot) -> Vec<String> {
             ));
         }
     }
-    for (family, aggregate) in [
-        ("tenant_submitted", "submitted"),
-        ("tenant_overloaded", "overloaded"),
-        ("tenant_rejected_invalid", "rejected_invalid"),
-        ("tenant_admitted", "admitted"),
-        ("tenant_cache_hits", "cache_hits"),
-        ("tenant_optimized_fast", "optimized_fast"),
-        ("tenant_passthrough", "passthrough"),
-        ("tenant_completed_invalid", "completed_invalid"),
-        ("tenant_panicked", "panicked"),
-    ] {
-        let total: u64 = s.family(family).iter().map(|(_, n)| n).sum();
-        let agg = s.counter(aggregate);
-        if total != agg {
-            v.push(format!(
-                "tenant partition unbalanced: Σ {family} {total} != {aggregate} {agg}",
-            ));
-        }
-    }
     v
 }
 
@@ -410,30 +390,24 @@ mod tests {
     fn conservation_detects_imbalance() {
         let m = ServiceMetrics::new(&["11".to_string()], 64);
         assert!(conservation_violations(&m.snapshot()).is_empty());
-        // Each lifecycle event lands in the aggregate counter *and* its
-        // tenant lane, so an imbalance shows up in both sets of books.
-        m.submitted.add(3);
+        // Each lifecycle event lands in its tenant lane and the aggregate
+        // is derived from the lanes, so an imbalance shows up in both sets
+        // of books.
         m.tenant_submitted.add_index(0, 3);
-        m.overloaded.inc();
         m.tenant_overloaded.add_index(0, 1);
-        m.admitted.add(2);
         m.tenant_admitted.add_index(0, 2);
-        m.optimized_fast.inc();
         m.tenant_optimized_fast.add_index(0, 1);
         // One admitted request unaccounted for — aggregate and per-tenant.
         let v = conservation_violations(&m.snapshot());
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|v| v.contains("completion books")));
-        m.passthrough.inc();
         m.tenant_passthrough.add_index(0, 1);
         assert!(conservation_violations(&m.snapshot()).is_empty());
-        m.submitted.inc();
         m.tenant_submitted.add_index(0, 1);
         let v = conservation_violations(&m.snapshot());
         assert_eq!(v.len(), 2);
         assert!(v.iter().all(|v| v.contains("admission books")));
         // A cache hit is its own admission class…
-        m.cache_hits.inc();
         m.tenant_cache_hits.add_index(0, 1);
         // …but must be tied to the outcome it served.
         let v = conservation_violations(&m.snapshot());
@@ -452,7 +426,7 @@ mod tests {
     }
 
     #[test]
-    fn tenant_books_are_checked_per_label_and_against_aggregates() {
+    fn tenant_books_are_checked_per_label() {
         let two_tenants = || {
             ServiceMetrics::with_tenants(
                 &["11".to_string()],
@@ -462,15 +436,10 @@ mod tests {
         };
 
         // Balanced: one fast completion for victim, one panic for
-        // aggressor, fully mirrored in the aggregates — and an unknown
-        // tenant rejected into the `other` catch-all lane, which obeys the
-        // per-label equations like any tenant.
+        // aggressor — and an unknown tenant rejected into the `other`
+        // catch-all lane, which obeys the per-label equations like any
+        // tenant.
         let m = two_tenants();
-        m.submitted.add(3);
-        m.admitted.add(2);
-        m.optimized_fast.inc();
-        m.panicked.inc();
-        m.rejected_invalid.inc();
         m.tenant_submitted.add("victim", 1);
         m.tenant_admitted.add("victim", 1);
         m.tenant_optimized_fast.add("victim", 1);
@@ -479,14 +448,15 @@ mod tests {
         m.tenant_panicked.add("aggressor", 1);
         m.tenant_submitted.add_index(usize::MAX, 1);
         m.tenant_rejected_invalid.add_index(usize::MAX, 1);
-        assert!(conservation_violations(&m.snapshot()).is_empty());
+        let s = m.snapshot();
+        assert!(conservation_violations(&s).is_empty());
+        assert_eq!(s.counter("submitted"), 3);
+        assert_eq!(s.counter("admitted"), 2);
+        assert_eq!(s.counter("rejected_invalid"), 1);
 
         // A completion charged to the wrong tenant balances in aggregate
         // but trips both tenants' per-label books.
         let m = two_tenants();
-        m.submitted.inc();
-        m.admitted.inc();
-        m.passthrough.inc();
         m.tenant_submitted.add("victim", 1);
         m.tenant_admitted.add("victim", 1);
         m.tenant_passthrough.add("aggressor", 1);
@@ -494,19 +464,21 @@ mod tests {
         assert_eq!(v.len(), 2, "{v:?}");
         assert!(v.iter().any(|v| v.contains("\"victim\" completion")));
         assert!(v.iter().any(|v| v.contains("\"aggressor\" completion")));
+    }
 
-        // Σ family must equal the aggregate: a request counted only in the
-        // aggregates (no tenant lane at all) balances the aggregate books
-        // and trips no per-label equation — only the partition cross-check
-        // catches it.
-        let m = two_tenants();
-        m.submitted.inc();
-        m.cache_hits.inc();
-        m.cache_served.add_index(0, 1);
-        let v = conservation_violations(&m.snapshot());
-        assert_eq!(v.len(), 2, "{v:?}");
-        assert!(v.iter().any(|v| v.contains("Σ tenant_submitted")));
-        assert!(v.iter().any(|v| v.contains("Σ tenant_cache_hits")));
+    #[test]
+    fn aggregate_latency_merges_the_tenant_histograms() {
+        let m = ServiceMetrics::with_tenants(&[], 8, &["a".to_string(), "b".to_string()]);
+        m.tenant_latency_us[0].record(3);
+        m.tenant_latency_us[1].record(100);
+        m.tenant_latency_us[1].record(5);
+        // Registered after the lanes, but not one of them.
+        m.registry.histogram("zz_other_us", &[1, 10]).record(7);
+        let s = m.snapshot();
+        let all = s.histogram("latency_us").expect("derived histogram");
+        assert_eq!((all.count, all.sum, all.max), (3, 108, 100));
+        assert_eq!(all.buckets.iter().sum::<u64>(), 3);
+        assert_eq!(s.histogram("tenant_latency_us/b").unwrap().count, 2);
     }
 
     #[test]

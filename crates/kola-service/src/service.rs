@@ -11,7 +11,7 @@
 //!    │                               counts; idle workers steal)
 //! worker: lower OQL text ──err──▶ Invalid
 //!    │
-//!    ▼ snapshot refresh: one atomic load; epoch swap on breaker change
+//!    ▼ snapshot refresh: one atomic load; Arc swap on breaker change
 //!    ▼ ladder: fast ▷ retry ▷ passthrough   (fast = the worker's
 //!    │          long-lived engine, which parses KOLA text straight into
 //!    │          its arena — unparsable text ends here as Invalid; one
@@ -32,7 +32,8 @@
 //! - **Snapshot-swapped rule state.** The served rule set is an immutable
 //!   [`RuleSnapshot`](crate::snapshot::RuleSnapshot) behind an `Arc`;
 //!   workers detect breaker trips/resets with one atomic generation load
-//!   and swap epochs — no reader locks, no per-request catalog filtering.
+//!   and swap the `Arc` — no reader locks, no per-request catalog
+//!   filtering.
 //! - **Sharded admission.** One bounded queue per worker with
 //!   work-stealing; the Overloaded decision reads a single lock-free depth
 //!   counter, and enqueue touches only the target shard's lock.
@@ -322,14 +323,12 @@ impl Service {
     pub fn submit(&self, request: Request) -> Result<Pending, Response> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let m = &self.shared.metrics;
-        m.submitted.inc();
         // Resolve the tenant at the door. An unknown name is Invalid —
         // accepting it into some default namespace would let a typo'd
         // label consume (and trip) another tenant's state. The rejection
         // is accounted in the families' `other` catch-all lane.
         let Some(tenant) = self.shared.tenants.resolve(request.tenant.as_deref()) else {
             m.tenant_submitted.add_index(usize::MAX, 1);
-            m.rejected_invalid.inc();
             m.tenant_rejected_invalid.add_index(usize::MAX, 1);
             let mut r = Response::rejected(
                 id,
@@ -348,7 +347,6 @@ impl Service {
         let ten = self.shared.tenants.get(tenant);
         if let Payload::Text(src) = &request.payload {
             if src.len() > self.shared.max_request_bytes {
-                m.rejected_invalid.inc();
                 m.tenant_rejected_invalid.add_index(tenant, 1);
                 let mut r = Response::rejected(
                     id,
@@ -403,7 +401,6 @@ impl Service {
         let mut ten_depth = ten.depth.load(Ordering::Relaxed);
         loop {
             if ten_depth >= ten.quota {
-                m.overloaded.inc();
                 m.tenant_overloaded.add_index(tenant, 1);
                 let mut r = Response::rejected(
                     id,
@@ -430,7 +427,6 @@ impl Service {
         loop {
             if depth >= self.shared.capacity {
                 ten.depth.fetch_sub(1, Ordering::AcqRel);
-                m.overloaded.inc();
                 m.tenant_overloaded.add_index(tenant, 1);
                 let mut r = Response::rejected(
                     id,
@@ -512,7 +508,6 @@ impl Service {
         rx: mpsc::Receiver<Response>,
     ) -> Pending {
         let m = &self.shared.metrics;
-        m.cache_hits.inc();
         m.cache_served.add_index(value.served_index(), 1);
         m.tenant_cache_hits.add_index(tenant, 1);
         let mut response = value.response(id, Arc::clone(&self.shared.tenants.get(tenant).name));
@@ -670,8 +665,9 @@ fn requeue_waiters(shared: &Shared, waiters: Vec<Waiter>) {
 
 /// Per-worker persistent state: the engine whose arena/marks/memo survive
 /// across requests, plus one cached rule-set snapshot per served tenant
-/// (the engine is shared across tenants — its memo is partitioned by the
-/// snapshot's scoped `engine_epoch`).
+/// (the engine is shared across tenants: each request masks its tenant's
+/// open rules, and the engine shares only full-rule-set facts between
+/// masks).
 struct WorkerState<'a> {
     engine: Engine<'a>,
     snapshots: Vec<Arc<RuleSnapshot>>,
@@ -731,8 +727,8 @@ fn flush_engine_stats(shared: &Shared, state: &mut WorkerState<'_>) {
 fn worker_loop(shared: &Shared, index: usize) {
     // The long-lived engine is built over the FULL forward catalog, in
     // catalog order; per-request snapshots mask open-breaker rules out of
-    // its candidate scan (see `RuleSnapshot`), so a breaker trip swaps an
-    // epoch instead of forcing a rebuild.
+    // its candidate scan (see `RuleSnapshot`), so a breaker trip changes a
+    // mask instead of forcing a rebuild.
     let rules: Vec<Oriented<'_>> = shared.catalog.rules().iter().map(Oriented::fwd).collect();
     let rule_count = rules.len();
     let mut state = WorkerState {
@@ -764,7 +760,6 @@ fn worker_loop(shared: &Shared, index: usize) {
             // Nothing should reach this boundary — the ladder catches
             // poison-rule panics itself. Count it, answer anyway.
             shared.unexpected_panics.fetch_add(1, Ordering::Relaxed);
-            shared.metrics.panicked.inc();
             shared.metrics.tenant_panicked.add_index(tenant, 1);
             let mut r = Response::rejected(
                 id,
@@ -797,9 +792,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             .metrics
             .worker_busy_us
             .add(busy.elapsed().as_micros() as u64);
-        let latency_us = response.latency.as_micros() as u64;
-        shared.metrics.latency_us.record(latency_us);
-        shared.metrics.tenant_latency_us[tenant].record(latency_us);
+        shared.metrics.tenant_latency_us[tenant].record(response.latency.as_micros() as u64);
         // The client may have given up waiting; a dead receiver is fine.
         let _ = reply.send(response);
     }
@@ -851,7 +844,6 @@ fn admit(shared: &Shared, job: &Job) {
         .get(job.tenant)
         .depth
         .fetch_sub(1, Ordering::AcqRel);
-    shared.metrics.admitted.inc();
     shared.metrics.tenant_admitted.add_index(job.tenant, 1);
     if let Some(deadline) = job.deadline {
         let remaining = deadline.saturating_duration_since(Instant::now());
@@ -882,7 +874,6 @@ fn handle<'a>(
         thread::sleep(hold);
     }
     let invalid = |e: String| {
-        shared.metrics.completed_invalid.inc();
         shared.metrics.tenant_completed_invalid.add_index(tenant, 1);
         let mut r = Response::rejected(id, Outcome::Invalid, e);
         r.tenant = Arc::clone(&ten.name);
@@ -909,7 +900,7 @@ fn handle<'a>(
         Payload::Ast(q) => LadderInput::Ast(q),
     };
 
-    // One atomic load in steady state; an epoch swap when *this tenant's*
+    // One atomic load in steady state; an `Arc` swap when *this tenant's*
     // breaker tripped or reset since this worker last served it.
     ten.snapshots
         .refresh(snapshot, &shared.catalog, &ten.breaker);
@@ -956,26 +947,14 @@ fn handle<'a>(
             result.quarantine = QuarantineReport::default();
         }
     }
-    match &result.outcome {
-        Outcome::Optimized => {
-            m.optimized_fast.inc();
-            m.tenant_optimized_fast.add_index(tenant, 1);
-        }
-        Outcome::Passthrough => {
-            m.passthrough.inc();
-            m.tenant_passthrough.add_index(tenant, 1);
-        }
-        // The ladder never yields these; keep the books honest if it ever
-        // does.
-        Outcome::Invalid => {
-            m.completed_invalid.inc();
-            m.tenant_completed_invalid.add_index(tenant, 1);
-        }
-        Outcome::Overloaded => {
-            m.passthrough.inc();
-            m.tenant_passthrough.add_index(tenant, 1);
-        }
-    }
+    let completed = match &result.outcome {
+        Outcome::Optimized => &m.tenant_optimized_fast,
+        // The ladder never yields the last two; keep the books honest if
+        // it ever does.
+        Outcome::Passthrough | Outcome::Overloaded => &m.tenant_passthrough,
+        Outcome::Invalid => &m.tenant_completed_invalid,
+    };
+    completed.add_index(tenant, 1);
 
     shared
         .peak_arena

@@ -16,57 +16,16 @@
 //!   to know about catalogs or cells, and a trip with no traffic behind it
 //!   publishes nothing).
 //!
-//! The snapshot carries two epochs. `epoch` is the raw breaker generation
-//! it was built at — the number cache-staleness checks compare against.
-//! `engine_epoch` is what actually reaches
-//! [`kola_rewrite::Engine::set_epoch`]: on a single-tenant service the two
-//! coincide, but a multi-tenant service shares each worker's engine across
-//! namespaces, and two tenants sitting at the *same* raw generation with
-//! *different* disabled sets must not alias one memo epoch. The
-//! [`EpochScope`] makes `generation ↦ generation · stride + index`
-//! injective over (generation, tenant), so memo entries and normal-subtree
-//! marks recorded under one tenant's snapshot never leak into another's.
+//! A snapshot's `epoch` is the breaker generation it was built at — the
+//! number the plan cache's staleness checks compare against. The worker
+//! engine needs no epoch: it takes the snapshot's `disabled` list as a
+//! mask, and shares between masks only facts that stay true under every
+//! mask ([`kola_rewrite::Engine::set_disabled`]), so tenants sharing an
+//! engine cannot see each other's rule sets through it.
 
 use crate::breaker::Breaker;
 use kola_rewrite::Catalog;
 use std::sync::{Arc, Mutex};
-
-/// Maps a tenant's raw breaker generation into the shared engine's epoch
-/// space: `engine_epoch = generation * stride + index`, where `stride` is
-/// the tenant count and `index` the tenant's slot. Injective across
-/// tenants, so a shared worker engine can never confuse two namespaces'
-/// rule masks. The identity scope (`index 0, stride 1`) is the
-/// single-tenant case.
-#[derive(Debug, Clone, Copy)]
-pub struct EpochScope {
-    index: u64,
-    stride: u64,
-}
-
-impl Default for EpochScope {
-    fn default() -> Self {
-        EpochScope {
-            index: 0,
-            stride: 1,
-        }
-    }
-}
-
-impl EpochScope {
-    /// Scope for tenant `index` of `stride` total tenants.
-    pub fn new(index: u64, stride: u64) -> EpochScope {
-        debug_assert!(stride > 0 && index < stride);
-        EpochScope {
-            index,
-            stride: stride.max(1),
-        }
-    }
-
-    /// The engine epoch for raw breaker generation `generation`.
-    pub fn engine_epoch(&self, generation: u64) -> u64 {
-        generation * self.stride + self.index
-    }
-}
 
 /// An immutable view of the served rule set at one breaker generation.
 #[derive(Debug, Clone)]
@@ -74,9 +33,6 @@ pub struct RuleSnapshot {
     /// The breaker generation this snapshot was built at (the number cache
     /// staleness is judged against).
     pub epoch: u64,
-    /// The epoch handed to the shared worker engine's caches — the scoped
-    /// image of `epoch` (identical to it on a single-tenant service).
-    pub engine_epoch: u64,
     /// Forward catalog ids minus `disabled`, in catalog order — the rule
     /// set a recorded trace replays under. Behind its own `Arc` so
     /// recording a trace shares the list instead of deep-cloning it per
@@ -88,20 +44,9 @@ pub struct RuleSnapshot {
 }
 
 impl RuleSnapshot {
-    /// Snapshot for `epoch` under the identity scope: the catalog's
-    /// forward orientation minus currently open breakers.
+    /// Snapshot for `epoch`: the catalog's forward orientation minus
+    /// currently open breakers.
     pub fn build(epoch: u64, catalog: &Catalog, breaker: &Breaker) -> RuleSnapshot {
-        RuleSnapshot::build_scoped(epoch, EpochScope::default(), catalog, breaker)
-    }
-
-    /// Snapshot for raw generation `epoch`, with the engine epoch mapped
-    /// through `scope` (multi-tenant services).
-    pub fn build_scoped(
-        epoch: u64,
-        scope: EpochScope,
-        catalog: &Catalog,
-        breaker: &Breaker,
-    ) -> RuleSnapshot {
         let disabled = breaker.open_rules();
         let active = catalog
             .forward_ids()
@@ -110,7 +55,6 @@ impl RuleSnapshot {
             .collect();
         RuleSnapshot {
             epoch,
-            engine_epoch: scope.engine_epoch(epoch),
             active: Arc::new(active),
             disabled,
         }
@@ -122,21 +66,13 @@ impl RuleSnapshot {
 #[derive(Debug)]
 pub struct SnapshotCell {
     published: Mutex<Arc<RuleSnapshot>>,
-    scope: EpochScope,
 }
 
 impl SnapshotCell {
-    /// A cell publishing `initial` under the identity epoch scope.
+    /// A cell publishing `initial`.
     pub fn new(initial: RuleSnapshot) -> SnapshotCell {
-        SnapshotCell::scoped(initial, EpochScope::default())
-    }
-
-    /// A cell publishing `initial` whose rebuilds map engine epochs
-    /// through `scope` (one per tenant on a multi-tenant service).
-    pub fn scoped(initial: RuleSnapshot, scope: EpochScope) -> SnapshotCell {
         SnapshotCell {
             published: Mutex::new(Arc::new(initial)),
-            scope,
         }
     }
 
@@ -166,9 +102,7 @@ impl SnapshotCell {
         let mut published = self.published.lock().unwrap();
         while published.epoch != breaker.generation() {
             let epoch = breaker.generation();
-            *published = Arc::new(RuleSnapshot::build_scoped(
-                epoch, self.scope, catalog, breaker,
-            ));
+            *published = Arc::new(RuleSnapshot::build(epoch, catalog, breaker));
         }
         let replaced = !Arc::ptr_eq(cached, &published);
         *cached = Arc::clone(&published);
@@ -191,10 +125,6 @@ mod tests {
         ));
         let mut cached = cell.load();
         assert_eq!(cached.epoch, 0);
-        assert_eq!(
-            cached.engine_epoch, cached.epoch,
-            "identity scope: engine epoch is the raw generation"
-        );
         assert!(cached.disabled.is_empty());
         assert_eq!(cached.active.len(), catalog.len());
         // Steady state: no swap.

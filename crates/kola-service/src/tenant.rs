@@ -16,16 +16,17 @@
 //!   keep admitting, which is the noisy-neighbor backpressure guarantee
 //!   the chaos harness proves ([`crate::chaos::run_noisy_neighbor`]).
 //!
-//! Workers stay shared: one engine per worker serves every tenant, with
-//! per-tenant epochs disambiguated by [`EpochScope`](crate::snapshot::EpochScope)
-//! so two tenants at the same raw breaker generation can never alias one
-//! memo epoch. The plan cache is shared too, but keys are tenant-salted
+//! Workers stay shared: one engine per worker serves every tenant. Each
+//! request masks its own tenant's open rules, and the engine shares
+//! between masks only full-rule-set facts, which hold under every
+//! tenant's mask ([`kola_rewrite::Engine::set_disabled`]). The plan cache
+//! is shared too, but keys are tenant-salted
 //! and entries tenant-tagged (`cache.rs`), so one tenant's trip
 //! invalidates only its own plans and a cross-tenant hit is structurally
 //! impossible.
 
 use crate::breaker::Breaker;
-use crate::snapshot::{EpochScope, RuleSnapshot, SnapshotCell};
+use crate::snapshot::{RuleSnapshot, SnapshotCell};
 use kola_rewrite::Catalog;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -75,8 +76,7 @@ impl Tenants {
     /// Build the table. Empty `names` means one [`DEFAULT_TENANT`]
     /// namespace; duplicate names collapse to their first occurrence. Each
     /// tenant gets its own breaker (threshold/worker-sharding identical
-    /// across tenants) and a snapshot cell scoped so engine epochs never
-    /// collide across namespaces.
+    /// across tenants) and its own snapshot cell.
     pub fn new(
         names: &[String],
         breaker_threshold: usize,
@@ -100,17 +100,13 @@ impl Tenants {
                 resolved.push(name);
             }
         }
-        let stride = resolved.len() as u64;
         let states = resolved
             .into_iter()
             .enumerate()
             .map(|(index, name)| {
                 let breaker = Breaker::sharded(breaker_threshold, worker_shards, rule_ids.to_vec());
-                let scope = EpochScope::new(index as u64, stride);
-                let snapshots = SnapshotCell::scoped(
-                    RuleSnapshot::build_scoped(breaker.generation(), scope, catalog, &breaker),
-                    scope,
-                );
+                let snapshots =
+                    SnapshotCell::new(RuleSnapshot::build(breaker.generation(), catalog, &breaker));
                 TenantState {
                     name,
                     index,
@@ -200,34 +196,5 @@ mod tests {
         );
         assert!(t.by_name("b").is_some());
         assert_eq!(t.names(), vec!["a".to_string(), "b".to_string()]);
-    }
-
-    #[test]
-    fn engine_epochs_never_collide_across_tenants() {
-        let t = table(&["a", "b"]);
-        // Both tenants start at raw generation 0, but their *engine*
-        // epochs differ — and keep differing as either generation moves
-        // (the scoped epoch is injective over (generation, tenant)).
-        let a0 = t.get(0).snapshots.load().engine_epoch;
-        let b0 = t.get(1).snapshots.load().engine_epoch;
-        assert_ne!(a0, b0);
-        // Trip tenant a (threshold is 3); its rebuilt snapshot's engine
-        // epoch must collide with neither b's current epoch nor any epoch
-        // ever issued to b.
-        for i in 0..3 {
-            t.get(0).breaker.charge("app", i);
-        }
-        let catalog = Catalog::paper();
-        let mut cached = t.get(0).snapshots.load();
-        assert!(t
-            .get(0)
-            .snapshots
-            .refresh(&mut cached, &catalog, &t.get(0).breaker));
-        assert_eq!(cached.epoch, 1, "raw epoch is the tenant's own generation");
-        assert_ne!(cached.engine_epoch, b0);
-        assert_ne!(cached.engine_epoch, a0);
-        // Tenant b is untouched: its breaker never saw the charge.
-        assert_eq!(t.get(1).breaker.generation(), 0);
-        assert!(t.get(1).breaker.open_rules().is_empty());
     }
 }

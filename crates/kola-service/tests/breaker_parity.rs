@@ -202,7 +202,7 @@ fn breaker_trip_and_reset_keep_tree_engine_parity() {
     // quarantined mid-run (the engine prunes it from its rule index *in
     // place* — journaled accept-list removal on the discrimination tree,
     // not a rebuild), the quarantine report charges the breaker, the open
-    // set becomes the next snapshot's disabled mask (`set_epoch`), and an
+    // set becomes the next snapshot's disabled mask (`set_disabled`), and an
     // operator reset readmits the rule. At every phase, the tree-indexed
     // engine must agree with a naive run over the equivalent filtered pool.
     use kola::term::Query;
@@ -270,7 +270,7 @@ fn breaker_trip_and_reset_keep_tree_engine_parity() {
         .filter(|o| !disabled.contains(&o.rule.id))
         .cloned()
         .collect();
-    tree.set_epoch(breaker.generation(), &disabled);
+    tree.set_disabled(&disabled);
     let naive =
         kola_rewrite::rewrite_fix_with(&filtered, &q, &props, &budget, &FaultPlan::default());
     same("open/tree", &tree.normalize(&q, &budget), &naive);
@@ -279,10 +279,10 @@ fn breaker_trip_and_reset_keep_tree_engine_parity() {
         "after a clean run the journaled prune must be restored"
     );
 
-    // Phase 3 — reset: the operator readmits the rule; a fresh epoch with
-    // an empty mask serves the full pool again, fault-free.
+    // Phase 3 — reset: the operator readmits the rule; an empty mask
+    // serves the full pool again, fault-free.
     assert!(breaker.reset("9"));
-    tree.set_epoch(breaker.generation(), &breaker.open_rules());
+    tree.set_disabled(&breaker.open_rules());
     let naive = kola_rewrite::rewrite_fix_with(&rules, &q, &props, &budget, &FaultPlan::default());
     same("reset/tree", &tree.normalize(&q, &budget), &naive);
     assert!(

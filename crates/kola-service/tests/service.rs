@@ -205,10 +205,11 @@ fn breaker_trips_on_poison_rule_and_recovers_on_reset() {
 }
 
 /// Cross-request memo correctness: a worker's persistent engine memoizes
-/// normalizations under snapshot epoch N; after a breaker trip (and again
-/// after a reset) swaps in epoch N+1, the same query must be re-derived
+/// normalizations under the full rule set; after a breaker trip masks a
+/// rule the memoized derivation fired, the same query must be re-derived
 /// under the *new* rule set — byte-identical to a fresh engine over that
-/// set — not replayed from the stale memo.
+/// set — not replayed from the memo. After the reset, the full-set answer
+/// is back.
 #[test]
 fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     let service = Service::start(ServiceConfig {
@@ -257,7 +258,7 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     assert_eq!(service.breaker().open_rules(), vec!["app".to_string()]);
 
     // The same query under epoch 1 must match a fresh engine over the
-    // reduced set — if the epoch-0 memo leaked, "app" would appear in
+    // reduced set — if the full-set memo leaked, "app" would appear in
     // rule_stats (its derivations fired it) and the report would differ.
     let r = service.call(Request::ast(q.clone()));
     assert_eq!(r.outcome, Outcome::Optimized);
@@ -274,8 +275,8 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
         "stale epoch-0 memo (derived with \"app\") must not be replayed"
     );
 
-    // Reset: epoch 2 restores the full set; the epoch-1 memo must not be
-    // replayed either — "app" fires again and the answer matches epoch 0's.
+    // Reset: epoch 2 restores the full set; nothing the masked run derived
+    // may be replayed — "app" fires again and the answer matches epoch 0's.
     assert!(service.breaker().reset("app"));
     let r = service.call(Request::ast(q.clone()));
     assert_eq!(r.outcome, Outcome::Optimized);
@@ -483,6 +484,46 @@ fn unparseable_and_oversized_requests_classify_invalid() {
     });
     assert_eq!(r.outcome, Outcome::Invalid);
     assert!(r.error.as_deref().unwrap().contains("request too large"));
+}
+
+#[test]
+fn deeply_bracketed_requests_are_invalid_and_the_service_keeps_serving() {
+    // Text at the default 64 KiB request limit can nest brackets tens of
+    // thousands deep; the parsers reject it past their nesting cap instead
+    // of recursing until a worker's stack overflows. `force_fail` sends
+    // the text down the passthrough path, which parses it into a boxed
+    // tree rather than into the engine's arena.
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let nest = |n: usize, inner: &str| format!("{}{inner}{}", "(".repeat(n), ")".repeat(n));
+    let forced = RequestOptions {
+        force_fail: true,
+        ..RequestOptions::default()
+    };
+    let shapes = [
+        (nest(32_000, "P"), forced.clone()),
+        (nest(32_000, "P"), RequestOptions::default()),
+        (format!("{} ! P", nest(27_000, "age")), forced),
+        (
+            format!("select x from x in P where {}", nest(10_000, "x.age = 3")),
+            RequestOptions::default(),
+        ),
+    ];
+    for (src, options) in shapes {
+        let len = src.len();
+        let r = service.call(Request::text(src).with_options(options));
+        assert_eq!(r.outcome, Outcome::Invalid, "{len}-byte request");
+        assert!(
+            r.error.as_deref().unwrap().contains("nested deeper than"),
+            "{:?}",
+            r.error
+        );
+    }
+    let r = service.call(Request::text("id . age ! P"));
+    assert_eq!(r.outcome, Outcome::Optimized);
+    assert_eq!(service.unexpected_panics(), 0);
 }
 
 #[test]

@@ -5,13 +5,14 @@
 //!    gets a structured `Overloaded` while its neighbors keep admitting;
 //!    a name the service was not configured with is `Invalid`, never
 //!    silently folded into another tenant's state.
-//! 2. **Engine-epoch disambiguation**
-//!    (`shared_engines_never_alias_tenant_rule_masks`): two tenants whose
+//! 2. **Shared engines** (`shared_engines_never_alias_tenant_rule_masks`,
+//!    `alternating_tenants_share_one_engines_caches`): two tenants whose
 //!    breakers sit at the *same* raw generation but different rule masks
 //!    share one persistent worker engine; interleaved traffic must answer
-//!    byte-identically to each tenant running solo. This is the scoped
-//!    `engine_epoch` doing its job — without it the engine's epoch
-//!    short-circuit would treat one tenant's mask as the other's.
+//!    byte-identically to each tenant running solo. The engine shares
+//!    between masks only full-rule-set facts, which hold under either
+//!    mask — so tenants with no open breaker alternating through one
+//!    worker reuse its caches exactly as one tenant does.
 //! 3. **The noisy-neighbor soak** (`noisy_neighbor_soak_holds_isolation`):
 //!    an aggressor pouring poison panics and admission floods into the
 //!    service must leave a clean victim tenant's outcome taxonomy exactly
@@ -177,7 +178,7 @@ fn shared_engines_never_alias_tenant_rule_masks() {
         assert!(b.is_open(rule));
         assert_eq!(b.generation(), 1);
     }
-    // Interleave the tenants so every request swaps the engine's epoch;
+    // Interleave the tenants so every request swaps the engine's mask;
     // each must answer exactly as its solo twin.
     for h in 2..10usize {
         let q = id_tower_text(h);
@@ -194,6 +195,42 @@ fn shared_engines_never_alias_tenant_rule_masks() {
             "height {h}: tenant b diverged from its solo twin"
         );
     }
+}
+
+#[test]
+fn alternating_tenants_share_one_engines_caches() {
+    // Every tower text twice in a row, through one worker with the plan
+    // cache off, so the second send can only be saved by the engine's
+    // memo and normal-subtree marks. Neither tenant has an open breaker:
+    // alternating them must cost the engine exactly what one tenant does.
+    let stream: Vec<String> = (1..=100)
+        .flat_map(|h| [id_tower_text(h), id_tower_text(h)])
+        .collect();
+    let run = |tenants: &[&str]| {
+        let service = Service::start(ServiceConfig {
+            workers: 1,
+            cache_capacity: 0,
+            tenants: tenants.iter().map(|t| t.to_string()).collect(),
+            ..ServiceConfig::default()
+        });
+        let fingerprints: Vec<String> = stream
+            .iter()
+            .zip(tenants.iter().cycle())
+            .map(|(q, t)| fingerprint(&service.call(Request::text(q.clone()).for_tenant(*t))))
+            .collect();
+        let s = service.metrics_snapshot();
+        (
+            fingerprints,
+            s.counter("engine_memo_hits"),
+            s.counter("engine_visits"),
+        )
+    };
+    let (solo, solo_hits, solo_visits) = run(&["a"]);
+    let (alternating, hits, visits) = run(&["a", "b"]);
+    assert_eq!(solo, alternating);
+    assert!(solo_hits >= 100, "every repeat should replay: {solo_hits}");
+    assert_eq!(hits, solo_hits, "engine_memo_hits");
+    assert_eq!(visits, solo_visits, "engine_visits");
 }
 
 #[test]

@@ -67,6 +67,15 @@ enum Tok<'s> {
 /// The partner index of an opening bracket that is never closed.
 const UNCLOSED: usize = usize::MAX;
 
+/// The deepest nesting a text may have: each atom (so each bracket), each
+/// `~`, and each operator of a `.`, `|`, `&`, `!`, `?`, `*`, `@` or
+/// set-operator chain opens a level (see [`Grammar::nested`]). Levels
+/// bound both the grammar's recursion and the depth of the tree it
+/// builds, which every later walk recurses over, so deeper text is
+/// rejected as a parse error before either runs: a 64 KiB request of
+/// nothing but brackets or `~` would otherwise overflow a thread's stack.
+const MAX_NESTING: usize = 1024;
+
 impl fmt::Display for Tok<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -476,6 +485,8 @@ impl Build for Arena<'_> {
 struct Grammar<'s, B> {
     toks: Vec<Tok<'s>>,
     pos: usize,
+    /// Levels currently open (see [`Grammar::nested`]).
+    depth: usize,
     b: B,
 }
 
@@ -527,13 +538,36 @@ impl<'s, B: Build> Grammar<'s, B> {
         self.err("metavariables not allowed in a concrete term")
     }
 
+    /// Run production `f` one nesting level deeper, failing past
+    /// [`MAX_NESTING`]. Every cycle of the grammar's recursion passes
+    /// through here — each atom (so each bracket) and each right operand
+    /// of a right-recursive chain — so the count bounds the whole
+    /// recursion.
+    fn nested<T>(&mut self, f: fn(&mut Self) -> PResult<T>) -> PResult<T> {
+        self.sink()?;
+        let r = f(self);
+        self.depth -= 1;
+        r
+    }
+
+    /// Open one level, failing past [`MAX_NESTING`]. A left-associated
+    /// chain calls this once per operator, since its tree sinks one level
+    /// each time, and restores the depth when the chain ends.
+    fn sink(&mut self) -> PResult<()> {
+        if self.depth == MAX_NESTING {
+            return self.err(format!("nested deeper than {MAX_NESTING}"));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     // ---- functions -----------------------------------------------------
 
     /// `times ('.' func)?` — `∘` associates to the right.
     fn func(&mut self) -> PResult<B::F> {
         let a = self.times()?;
         if self.eat(b'.') {
-            let b = self.func()?;
+            let b = self.nested(Self::func)?;
             return Ok(self.b.func2(Tag::FCompose, a, b));
         }
         Ok(a)
@@ -541,11 +575,14 @@ impl<'s, B: Build> Grammar<'s, B> {
 
     /// `func_atom ('*' func_atom)*` — `×` associates to the left.
     fn times(&mut self) -> PResult<B::F> {
-        let mut a = self.func_atom()?;
+        let mut a = self.nested(Self::func_atom)?;
+        let base = self.depth;
         while self.eat(b'*') {
-            let b = self.func_atom()?;
+            self.sink()?;
+            let b = self.nested(Self::func_atom)?;
             a = self.b.func2(Tag::FTimes, a, b);
         }
+        self.depth = base;
         Ok(a)
     }
 
@@ -634,7 +671,7 @@ impl<'s, B: Build> Grammar<'s, B> {
     fn pred(&mut self) -> PResult<B::P> {
         let a = self.pred_and()?;
         if self.eat(b'|') {
-            let b = self.pred()?;
+            let b = self.nested(Self::pred)?;
             return Ok(self.b.pred2(Tag::POr, a, b));
         }
         Ok(a)
@@ -643,7 +680,7 @@ impl<'s, B: Build> Grammar<'s, B> {
     fn pred_and(&mut self) -> PResult<B::P> {
         let a = self.pred_oplus()?;
         if self.eat(b'&') {
-            let b = self.pred_and()?;
+            let b = self.nested(Self::pred_and)?;
             return Ok(self.b.pred2(Tag::PAnd, a, b));
         }
         Ok(a)
@@ -652,19 +689,22 @@ impl<'s, B: Build> Grammar<'s, B> {
     /// `unary ('@' times)*` — `~` binds tighter than `@`.
     fn pred_oplus(&mut self) -> PResult<B::P> {
         let mut a = self.pred_unary()?;
+        let base = self.depth;
         while self.eat(b'@') {
+            self.sink()?;
             let f = self.times()?;
             a = self.b.oplus(a, f);
         }
+        self.depth = base;
         Ok(a)
     }
 
     fn pred_unary(&mut self) -> PResult<B::P> {
         if self.eat(b'~') {
-            let p = self.pred_unary()?;
+            let p = self.nested(Self::pred_unary)?;
             return Ok(self.b.pred1(Tag::PNot, p));
         }
-        self.pred_atom()
+        self.nested(Self::pred_atom)
     }
 
     fn pred_atom(&mut self) -> PResult<B::P> {
@@ -719,14 +759,19 @@ impl<'s, B: Build> Grammar<'s, B> {
     /// `app (('union' | 'intersect' | 'diff') app)*`, left-associated.
     fn query(&mut self) -> PResult<B::Q> {
         let mut a = self.query_app()?;
+        let base = self.depth;
         loop {
             let tag = match self.peek() {
                 Some(Tok::Ident("union")) => Tag::QUnion,
                 Some(Tok::Ident("intersect")) => Tag::QIntersect,
                 Some(Tok::Ident("diff")) => Tag::QDiff,
-                _ => return Ok(a),
+                _ => {
+                    self.depth = base;
+                    return Ok(a);
+                }
             };
             self.pos += 1;
+            self.sink()?;
             let b = self.query_app()?;
             a = self.b.query2(tag, a, b);
         }
@@ -739,16 +784,16 @@ impl<'s, B: Build> Grammar<'s, B> {
             Some(b'!') => {
                 let f = self.func()?;
                 self.expect(b'!')?;
-                let q = self.query_app()?;
+                let q = self.nested(Self::query_app)?;
                 Ok(self.b.app(f, q))
             }
             Some(_) => {
                 let p = self.pred()?;
                 self.expect(b'?')?;
-                let q = self.query_app()?;
+                let q = self.nested(Self::query_app)?;
                 Ok(self.b.test(p, q))
             }
-            None => self.query_atom(),
+            None => self.nested(Self::query_atom),
         }
     }
 
@@ -826,7 +871,7 @@ impl<'s, B: Build> Grammar<'s, B> {
         let mut set = ValueSet::new();
         if !self.eat(b'}') {
             loop {
-                set.insert(self.value()?);
+                set.insert(self.nested(Self::value)?);
                 if self.eat(b'}') {
                     break;
                 }
@@ -848,9 +893,9 @@ impl<'s, B: Build> Grammar<'s, B> {
             Tok::Ident("T") => Ok(Value::Bool(true)),
             Tok::Ident("F") => Ok(Value::Bool(false)),
             Tok::Open(b'[', _) => {
-                let a = self.value()?;
+                let a = self.nested(Self::value)?;
                 self.expect(b',')?;
-                let b = self.value()?;
+                let b = self.nested(Self::value)?;
                 self.expect(b']')?;
                 Ok(Value::pair(a, b))
             }
@@ -873,6 +918,7 @@ fn parse_complete<'s, B: Build, T>(
     let mut g = Grammar {
         toks: lex(src)?,
         pos: 0,
+        depth: 0,
         b,
     };
     let t = f(&mut g)?;
@@ -1146,5 +1192,40 @@ mod tests {
                 assert_eq!(parse_query(&q.to_string()).unwrap(), q);
             }
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        // Each shape opens `n` levels: brackets around an atom (the atom is
+        // a level of its own), right-associated `~`, `!` and `.` chains,
+        // and left-associated `*`, `@` and `union` chains.
+        let shapes: [fn(usize) -> String; 7] = [
+            |n| format!("{}P{}", "(".repeat(n - 1), ")".repeat(n - 1)),
+            |n| format!("{}eq ? P", "~".repeat(n - 1)),
+            |n| format!("{}P", "id ! ".repeat(n - 1)),
+            |n| format!("{}age ! P", "id . ".repeat(n - 1)),
+            |n| format!("age{} ! P", " * age".repeat(n - 1)),
+            |n| format!("eq{} ? P", " @ id".repeat(n - 1)),
+            |n| format!("P{}", " union P".repeat(n - 1)),
+        ];
+        // Run on a stack the size of a service worker's: a debug build
+        // spends more than a default test thread's stack on the deepest
+        // accepted nesting.
+        std::thread::Builder::new()
+            .stack_size(16 << 20)
+            .spawn(move || {
+                for shape in shapes {
+                    let ok = shape(MAX_NESTING);
+                    assert!(parse_query(&ok).is_ok(), "{ok:.40}");
+                    let deep = shape(MAX_NESTING + 1);
+                    let e = parse_query(&deep).unwrap_err();
+                    assert!(e.msg.contains("nested deeper than"), "{e}");
+                    let mut it = Interner::new();
+                    assert_eq!(parse_query_into(&mut it, &deep).err(), Some(e));
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 }

@@ -339,7 +339,7 @@ fn quarantine_prunes_rule_index() {
 #[test]
 fn active_rule_mask_subsets_agree_across_all_indexes() {
     // PR 4's per-tenant active-rule masks: an engine with rules disabled
-    // via `set_epoch` must behave exactly like a naive run over the
+    // via `set_disabled` must behave exactly like a naive run over the
     // filtered pool — under the tree and the linear scan, across many mask
     // subsets.
     let catalog = Catalog::paper();
@@ -364,8 +364,8 @@ fn active_rule_mask_subsets_agree_across_all_indexes() {
             .filter(|o| !mask.contains(&o.rule.id.as_str()))
             .cloned()
             .collect();
-        tree.set_epoch(m as u64 + 1, &disabled);
-        scan.set_epoch(m as u64 + 1, &disabled);
+        tree.set_disabled(&disabled);
+        scan.set_disabled(&disabled);
 
         for seed in 0..100u64 {
             let mut rng = Rng::seed_from_u64(0x3A5C ^ (m as u64) << 32 ^ seed);
@@ -379,6 +379,112 @@ fn active_rule_mask_subsets_agree_across_all_indexes() {
             );
             assert_same(seed, "mask-tree", &tree.normalize(&q, &budget), &naive);
             assert_same(seed, "mask-scan", &scan.normalize(&q, &budget), &naive);
+        }
+    }
+}
+
+#[test]
+fn step_cost_stays_changed_subtree_under_a_mask() {
+    // The term of `step_cost_is_changed_subtree_not_whole_term`, run
+    // with an extra rule masked out: marks proven under the mask must
+    // still make each step O(changed subtree), not a rescan of the
+    // 2047-node sibling.
+    fn big_normal(depth: usize) -> Func {
+        if depth == 0 {
+            Func::Prim(Arc::from("age"))
+        } else {
+            Func::PairWith(
+                Box::new(big_normal(depth - 1)),
+                Box::new(big_normal(depth - 1)),
+            )
+        }
+    }
+    let mut chain = Func::Prim(Arc::from("age"));
+    for _ in 0..50 {
+        chain = Func::Compose(Box::new(Func::Id), Box::new(chain));
+    }
+    let q = Query::PairQ(
+        Box::new(Query::App(
+            big_normal(10),
+            Box::new(Query::Extent(Arc::from("P"))),
+        )),
+        Box::new(Query::App(chain, Box::new(Query::Extent(Arc::from("Q"))))),
+    );
+
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let active: Vec<Oriented> = ["1", "2"]
+        .iter()
+        .map(|id| Oriented::fwd(catalog.get(id).unwrap()))
+        .collect();
+    let mut rules = active.clone();
+    rules.push(Oriented::fwd(catalog.get("4").unwrap()));
+    let budget = Budget::with_steps(500);
+
+    let naive = kola_rewrite::rewrite_fix_governed(&active, &q, &props, &budget);
+    let mut fast = Engine::new(rules, &props, EngineConfig::fast());
+    fast.set_disabled(&["4".to_string()]);
+    let got = fast.normalize(&q, &budget);
+    assert_same(0, "masked 2000-node", &got, &naive);
+    assert_eq!(got.report.steps, 50);
+    let work = fast.work();
+    assert!(
+        work < 12_000,
+        "masked step cost scales with whole term, not changed subtree: work = {work}"
+    );
+}
+
+#[test]
+fn interleaved_masks_never_leak_marks_or_memo_between_masks() {
+    // One persistent engine per configuration sees each query under a
+    // rotating sequence of masks, each twice in a row (so what the first
+    // run recorded is on offer to the second) and each mask more than
+    // once (so what an earlier mask recorded is on offer to a later one).
+    // Every answer must equal a naive run over exactly the active subset.
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let rules = rule_pool(&catalog);
+    let budget = Budget::with_steps(12).depth(40).term_size(4_096);
+    let masks: [&[&str]; 6] = [
+        &["app"],
+        &[],
+        &["2", "14"],
+        &["app"],
+        &["1", "2", "3", "5", "6", "7", "10", "12", "13"],
+        &[],
+    ];
+    let naive_under = |mask: &[&str], q: &Query| {
+        let filtered: Vec<Oriented> = rules
+            .iter()
+            .filter(|o| !mask.contains(&o.rule.id.as_str()))
+            .cloned()
+            .collect();
+        kola_rewrite::rewrite_fix_with(&filtered, q, &props, &budget, &FaultPlan::default())
+    };
+    let mut fast = Engine::new(rules.clone(), &props, EngineConfig::fast());
+    let mut tree = Engine::new(rules.clone(), &props, EngineConfig::indexed());
+    for seed in 0..150u64 {
+        let mut rng = Rng::seed_from_u64(0x1EA4 ^ seed);
+        let q = arb_query(&mut rng, 5);
+        for mask in masks {
+            let disabled: Vec<String> = mask.iter().map(|s| s.to_string()).collect();
+            let naive = naive_under(mask, &q);
+            fast.set_disabled(&disabled);
+            tree.set_disabled(&disabled);
+            for _ in 0..2 {
+                assert_same(
+                    seed,
+                    "interleaved-fast",
+                    &fast.normalize(&q, &budget),
+                    &naive,
+                );
+                assert_same(
+                    seed,
+                    "interleaved-tree",
+                    &tree.normalize(&q, &budget),
+                    &naive,
+                );
+            }
         }
     }
 }
