@@ -1,8 +1,9 @@
 //! The performance stack over the rewrite engine: hash-consed terms,
 //! discrimination-tree rule dispatch, normal-subtree skipping, and a
-//! memoized normalization cache — all behind an [`EngineConfig`] so the
-//! boxed engine and the linear rule scan remain available as
-//! differential-testing oracles.
+//! memoized normalization cache. [`EngineConfig`] switches the layers
+//! above interning on and off, so the linear rule scan stays available as
+//! a differential-testing oracle next to the boxed engine
+//! ([`crate::engine::rewrite_fix_with`]).
 //!
 //! ## Exactness contract
 //!
@@ -65,7 +66,7 @@
 
 use crate::budget::{Budget, RewriteError, RewriteReport, StopReason};
 use crate::dtree::{RuleIndex, WalkStack};
-use crate::engine::{rewrite_fix_with, Gov, Oriented, Rewritten, Step, Trace};
+use crate::engine::{Gov, Oriented, Rewritten, Step, Trace};
 use crate::extract::{CostModel, TermSize};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::imatch::{ipreconditions_hold, itry_apply_func, itry_apply_pred, itry_apply_query};
@@ -76,13 +77,12 @@ use kola::parse::{parse_query_into, ParseError};
 use kola::term::Query;
 use std::collections::{HashMap, HashSet};
 
-/// Which layers of the performance stack are active. The default is the
-/// full stack; [`EngineConfig::naive`] delegates to the boxed engine so
-/// differential tests can compare the two.
+/// Which layers of the performance stack are active over the engine's
+/// hash-consed terms. The default is the full stack; differential tests
+/// compare any of them with the boxed reference engine
+/// ([`crate::engine::rewrite_fix_with`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EngineConfig {
-    /// Rewrite over hash-consed terms (prerequisite for the other layers).
-    pub interned: bool,
     /// Dispatch rules through the discrimination tree ([`RuleIndex`])
     /// instead of a linear scan.
     pub indexed: bool,
@@ -100,9 +100,9 @@ pub struct EngineConfig {
     /// Record the per-step derivation [`Trace`] (each step reifies the
     /// whole after-term back into a boxed [`Query`], an O(term) allocation
     /// per step). `true` preserves the historical drop-in contract with
-    /// [`rewrite_fix_with`]; a service that does not need provenance turns
-    /// it off ([`Engine::set_trace`]) and the hot loop allocates nothing
-    /// per step beyond the rewritten term itself. The [`RewriteReport`]
+    /// [`crate::engine::rewrite_fix_with`]; a service that does not need
+    /// provenance turns it off ([`Engine::set_trace`]) and the hot loop
+    /// allocates nothing per step beyond the rewritten term itself. The [`RewriteReport`]
     /// (rule stats, stop reason, failures) is kept either way.
     pub trace: bool,
     /// Equality-saturation mode: after the ordinary destructive fixpoint
@@ -125,23 +125,9 @@ impl Default for EngineConfig {
 }
 
 impl EngineConfig {
-    /// The boxed reference engine — no interning, no index, no memo.
-    pub fn naive() -> Self {
-        EngineConfig {
-            interned: false,
-            indexed: false,
-            memoized: false,
-            memo_capacity: 0,
-            arena_capacity: 0,
-            trace: true,
-            saturate: false,
-        }
-    }
-
     /// Interned terms only (linear rule scan, no memo).
     pub fn interned_only() -> Self {
         EngineConfig {
-            interned: true,
             indexed: false,
             memoized: false,
             memo_capacity: 0,
@@ -154,7 +140,6 @@ impl EngineConfig {
     /// Interned terms + discrimination-tree rule index, no memo.
     pub fn indexed() -> Self {
         EngineConfig {
-            interned: true,
             indexed: true,
             memoized: false,
             memo_capacity: 0,
@@ -167,7 +152,6 @@ impl EngineConfig {
     /// The full stack: interned + tree-indexed + memoized.
     pub fn fast() -> Self {
         EngineConfig {
-            interned: true,
             indexed: true,
             memoized: true,
             memo_capacity: 1024,
@@ -183,7 +167,6 @@ impl EngineConfig {
     /// and the normalization memo stores fixpoint derivations.
     pub fn saturating() -> Self {
         EngineConfig {
-            interned: true,
             indexed: true,
             memoized: false,
             memo_capacity: 0,
@@ -576,9 +559,8 @@ impl<'a> Engine<'a> {
     }
 
     /// Enable or disable per-step [`Trace`] recording for subsequent runs
-    /// (see [`EngineConfig::trace`]). Only the interned engine is affected:
-    /// the `naive` configuration delegates to [`rewrite_fix_with`], which
-    /// always traces. Flipping this touches no cache — traces are run-local.
+    /// (see [`EngineConfig::trace`]). Flipping this touches no cache —
+    /// traces are run-local.
     pub fn set_trace(&mut self, on: bool) {
         self.config.trace = on;
     }
@@ -636,13 +618,10 @@ impl<'a> Engine<'a> {
         .map_err(crate::fault::CaughtPanic::from_payload)
     }
 
-    /// Drop-in replacement for [`rewrite_fix_with`] (same redex choice,
-    /// budgets, faults, quarantine, report, and trace), over whichever
-    /// layers [`EngineConfig`] enables.
+    /// Drop-in replacement for [`crate::engine::rewrite_fix_with`] (same
+    /// redex choice, budgets, faults, quarantine, report, and trace), over
+    /// whichever layers [`EngineConfig`] enables.
     pub fn normalize_with(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
-        if !self.config.interned {
-            return rewrite_fix_with(&self.rules, q, self.props, budget, faults);
-        }
         self.prepare_run();
         // Interning needs the right-normalized form; copy the query into it
         // only when it is not in that form already.
@@ -666,16 +645,6 @@ impl<'a> Engine<'a> {
         budget: &Budget,
         faults: &FaultPlan,
     ) -> Result<Rewritten, ParseError> {
-        if !self.config.interned {
-            let q = kola::parse::parse_query(src)?;
-            return Ok(rewrite_fix_with(
-                &self.rules,
-                &q,
-                self.props,
-                budget,
-                faults,
-            ));
-        }
         self.prepare_run();
         let input = parse_query_into(&mut self.interner, src)?;
         Ok(self.run(input, budget, faults))

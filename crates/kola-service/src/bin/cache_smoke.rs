@@ -23,7 +23,6 @@ use kola_rewrite::{FaultKind, FaultPlan, FaultSpec, StepSelector};
 use kola_service::{
     run_repeated_stream, RepeatedConfig, Request, RequestOptions, Response, Service, ServiceConfig,
 };
-use std::time::Duration;
 
 fn id_tower_text(height: usize) -> String {
     let mut s = String::new();
@@ -37,12 +36,11 @@ fn id_tower_text(height: usize) -> String {
 /// Everything semantic about a response (id and wall-clock excluded).
 fn fingerprint(r: &Response) -> String {
     format!(
-        "{:?} | {:?} | {:?} | {:?} | retries={} | panics={} | {:?}",
+        "{:?} | {:?} | {:?} | {:?} | panics={} | {:?}",
         r.outcome,
         r.plan,
         r.report,
         r.quarantine,
-        r.retries,
         r.panics.len(),
         r.error
     )
@@ -101,7 +99,6 @@ fn mini_parity() {
                 at: StepSelector::Steps(vec![0]),
                 kind: FaultKind::Fail,
             }),
-            backoff: Duration::from_micros(10),
             ..RequestOptions::default()
         })
     };

@@ -3,8 +3,9 @@
 //!
 //! Normalization is a deterministic function of (input term, active rule
 //! set, resource budget) — the paper's rule algebra has no other inputs —
-//! which makes its output cacheable by construction. This module memoizes
-//! that function at the service door:
+//! which makes its output cacheable by construction (and is why a worker
+//! makes one engine attempt per request, never a retry: see `ladder.rs`).
+//! This module memoizes that function at the service door:
 //!
 //! - **Key.** AST payloads key on [`kola::query_fp`], the interner's
 //!   64-bit structural fingerprint computed arena-free on the submitting
@@ -42,8 +43,8 @@
 //!   trip reclaims only that tenant's plans.
 //!
 //! Only *pure* requests participate (no injected faults or forced engine
-//! failures), and only optimized responses with no retries, no caught
-//! panics, no quarantine, and no contained rule failures are inserted —
+//! failures), and only optimized responses with no caught panics, no
+//! quarantine, and no contained rule failures are inserted —
 //! exactly the responses that are a pure function of (term, rule set,
 //! budget). Everything else takes the ordinary worker path, which is what
 //! keeps cache-on byte-identical to cache-off (`tests/cache.rs` proves it
@@ -126,9 +127,8 @@ pub(crate) struct CachedPlan {
 impl CachedPlan {
     /// Materialize the response this plan answers request `id` with,
     /// labeled for `tenant`. Identical to what the worker path produced
-    /// when the entry was inserted: insertion requires no retries, no
-    /// panics, no failures, and no error text, so those fields are
-    /// constants here.
+    /// when the entry was inserted: insertion requires no panics, no
+    /// failures, and no error text, so those fields are constants here.
     pub(crate) fn response(&self, id: u64, tenant: Arc<str>) -> Response {
         Response {
             id,
@@ -138,7 +138,6 @@ impl CachedPlan {
             report: self.report.clone(),
             quarantine: Arc::clone(&self.quarantine),
             panics: Vec::new(),
-            retries: 0,
             error: None,
             latency: Duration::ZERO,
         }
@@ -290,12 +289,12 @@ impl PlanCache {
     /// Derive the cache key for `request` under resolved tenant index
     /// `tenant`, or `None` when the request must not touch the cache:
     /// injected faults and forced engine failures make the outcome a
-    /// function of more than (term, rule set, budget). Timeouts, backoff,
-    /// and holds stay cacheable — they shape *when* a plan arrives, never
+    /// function of more than (term, rule set, budget). Timeouts and holds
+    /// stay cacheable — they shape *when* a plan arrives, never
     /// *which* plan (see [`BudgetKey`]).
     pub(crate) fn key_of(request: &Request, tenant: usize) -> Option<CacheKey> {
         let o = &request.options;
-        if !o.faults.is_empty() || o.force_fail || o.transient_fail {
+        if !o.faults.is_empty() || o.force_fail {
             return None;
         }
         let budget = BudgetKey {
@@ -354,24 +353,10 @@ impl PlanCache {
         if let Some(value) = self.lookup_locked(&mut inner, key, gen, metrics) {
             return Probe::Hit(value);
         }
-        if let Some(flight) = inner.flights.get_mut(&key.hash) {
-            if flight.generation == gen
-                && flight.tenant == key.tenant
-                && flight.budget == key.budget
-                && flight.input.matches(&key.input)
-            {
-                flight.waiters.push(Waiter {
-                    id,
-                    submitted,
-                    deadline,
-                    tenant: key.tenant,
-                    request: request.clone(),
-                    tx: tx.clone(),
-                });
-                return Probe::Coalesced;
-            }
+        match join_flight(&mut inner, key, gen, id, request, submitted, deadline, tx) {
+            Some(true) => Probe::Coalesced,
+            _ => Probe::Miss,
         }
-        Probe::Miss
     }
 
     /// Post-admission re-check and flight registration (the caller holds
@@ -395,27 +380,16 @@ impl PlanCache {
         if let Some(value) = self.lookup_locked(&mut inner, &key, gen, metrics) {
             return Claim::Hit(value);
         }
-        if let Some(flight) = inner.flights.get_mut(&key.hash) {
-            if flight.generation == gen
-                && flight.tenant == key.tenant
-                && flight.budget == key.budget
-                && flight.input.matches(&key.input)
-            {
-                flight.waiters.push(Waiter {
-                    id,
-                    submitted,
-                    deadline,
-                    tenant: key.tenant,
-                    request: request.clone(),
-                    tx: tx.clone(),
-                });
-                return Claim::Coalesced;
-            }
+        match join_flight(&mut inner, &key, gen, id, request, submitted, deadline, tx) {
+            Some(true) => return Claim::Coalesced,
             // A different key's flight owns this hash (2⁻⁶⁴), or the same
             // key is in flight under an older generation — don't stack a
             // second leader; compute solo and leave the books simple.
-            metrics.cache_misses.inc();
-            return Claim::Solo;
+            Some(false) => {
+                metrics.cache_misses.inc();
+                return Claim::Solo;
+            }
+            None => {}
         }
         metrics.cache_misses.inc();
         inner.flights.insert(
@@ -589,6 +563,40 @@ impl PlanCache {
     }
 }
 
+/// Park the arriving request as a waiter on the flight filed under
+/// `key`'s hash when that flight computes exactly what the request's own
+/// engine pass would: same generation, tenant, budget, and input. The
+/// request is cloned, so a failed leader can hand it back for requeue.
+/// `None` when no flight holds the hash; `Some(joined)` otherwise.
+#[allow(clippy::too_many_arguments)]
+fn join_flight(
+    inner: &mut ShardInner,
+    key: &CacheKey,
+    gen: u64,
+    id: u64,
+    request: &Request,
+    submitted: Instant,
+    deadline: Option<Instant>,
+    tx: &mpsc::Sender<Response>,
+) -> Option<bool> {
+    let flight = inner.flights.get_mut(&key.hash)?;
+    let joined = flight.generation == gen
+        && flight.tenant == key.tenant
+        && flight.budget == key.budget
+        && flight.input.matches(&key.input);
+    if joined {
+        flight.waiters.push(Waiter {
+            id,
+            submitted,
+            deadline,
+            tenant: key.tenant,
+            request: request.clone(),
+            tx: tx.clone(),
+        });
+    }
+    Some(joined)
+}
+
 /// Plans too large to be worth pinning in memory: one chaos-lane deep AST
 /// can be ~3000 nodes; 2048 resident entries of that size would dominate
 /// the fleet's footprint. The bound is on the *plan* (the dominant
@@ -596,14 +604,13 @@ impl PlanCache {
 const MAX_CACHED_PLAN_NODES: usize = 2_048;
 
 /// Is `response` a pure function of (term, rule set, budget)? Optimized,
-/// no retries, no caught panics, no error notes, no quarantine, and no
+/// no caught panics, no error notes, no quarantine, and no
 /// contained per-rule failures — any of those would make a cached replay
 /// observably different from a fresh engine pass (different panic
 /// attributions, different breaker charges).
 fn cacheable_response(response: &Response) -> bool {
     matches!(response.outcome, Outcome::Optimized)
         && response.error.is_none()
-        && response.retries == 0
         && response.panics.is_empty()
         && response.quarantine.entries.is_empty()
         && response
@@ -761,7 +768,6 @@ mod tests {
             report: Some(Arc::default()),
             quarantine: Arc::default(),
             panics: Vec::new(),
-            retries: 0,
             error: None,
             latency: Duration::ZERO,
         };
@@ -797,7 +803,6 @@ mod tests {
             report: None,
             quarantine: Arc::default(),
             panics: Vec::new(),
-            retries: 1,
             error: Some("fast: injected".into()),
             latency: Duration::ZERO,
         };
@@ -849,7 +854,6 @@ mod tests {
             report: Some(Arc::default()),
             quarantine: Arc::default(),
             panics: Vec::new(),
-            retries: 0,
             error: None,
             latency: Duration::ZERO,
         };

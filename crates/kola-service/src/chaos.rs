@@ -90,8 +90,6 @@ pub struct ChaosReport {
     /// `Invalid` replies (must stay zero: the generator only emits
     /// parseable payloads within the size limit).
     pub invalid: usize,
-    /// Retries taken across all requests.
-    pub retries: usize,
     /// Poison-rule panics caught and attributed by the ladder.
     pub caught_panics: usize,
     /// Panics that reached a worker boundary unclassified (must be zero).
@@ -304,7 +302,6 @@ impl ChaosReport {
              passthrough         {}\n\
              overloaded          {}\n\
              invalid             {}\n\
-             retries             {}\n\
              caught panics       {}\n\
              unexpected panics   {}\n\
              gate failures       {}\n\
@@ -320,7 +317,6 @@ impl ChaosReport {
             self.passthrough,
             self.overloaded,
             self.invalid,
-            self.retries,
             self.caught_panics,
             self.unexpected_panics,
             self.gate_failures,
@@ -432,8 +428,10 @@ pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Reques
             tenant: None,
         };
     }
+    // An unused draw (it paced a retry the service no longer takes), kept
+    // so that each seed still generates the stream it always did.
+    let _ = rng.gen_range(0..200usize);
     let mut options = RequestOptions {
-        backoff: Duration::from_micros(100 + rng.gen_range(0..200usize) as u64),
         hold_for: (!stall.is_zero()).then_some(stall),
         ..RequestOptions::default()
     };
@@ -467,11 +465,9 @@ pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Reques
             _ => deep_pair_ast(h),
         }))
     } else if roll < 75 {
-        // Injected engine faults: mostly transient (the retry absorbs
-        // them), sometimes permanent (the ladder ends in passthrough).
-        if rng.gen_bool(0.7) {
-            options.transient_fail = true;
-        } else {
+        // Injected engine faults: 30 % of this lane forces the attempt to
+        // fail (the request passes through); the rest is a plain id tower.
+        if !rng.gen_bool(0.7) {
             options.force_fail = true;
         }
         Payload::Text(id_tower_text(1 + rng.gen_range(0..8usize)))
@@ -546,7 +542,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             Outcome::Overloaded => report.overloaded += 1,
             Outcome::Invalid => report.invalid += 1,
         }
-        report.retries += resp.retries;
         report.caught_panics += resp.panics.len();
         if resp
             .error
@@ -1301,8 +1296,10 @@ impl TenantChaosReport {
 /// aggressor request carries a fault plan, so none of them are cacheable —
 /// the victim's plan lines are the only lines in the cache.
 fn aggressor_request(rng: &mut Rng, stall: Duration) -> Request {
+    // Unused draw, kept so each seed generates the same stream (see
+    // `generate_request`).
+    let _ = rng.gen_range(0..200usize);
     let mut options = RequestOptions {
-        backoff: Duration::from_micros(100 + rng.gen_range(0..200usize) as u64),
         hold_for: (!stall.is_zero()).then_some(stall),
         timeout: Some(stall + Duration::from_millis(15)),
         max_steps: 400,

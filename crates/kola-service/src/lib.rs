@@ -17,11 +17,11 @@
 //! - [`snapshot::SnapshotCell`] — the read-mostly published rule-set
 //!   snapshot workers run under: one atomic load per request in steady
 //!   state, and an `Arc` swap when the breaker trips or resets.
-//! - [`ladder::Ladder`] — the degradation ladder each worker runs: the
-//!   fast (interned + tree-indexed + memoized) engine, one jittered-backoff
-//!   retry of it, and an unoptimized passthrough of the input last. Both
-//!   attempts run under the request's remaining deadline, so a transient
-//!   injected fault costs a retry, not the request.
+//! - `ladder` — what each worker does with a request: one attempt on its
+//!   fast (interned + tree-indexed + memoized) engine under the request's
+//!   remaining deadline, then an unoptimized passthrough of the input if
+//!   that attempt fails. A run is a deterministic function of (term, rule
+//!   set, budget), so a second attempt could only fail again.
 //! - [`breaker::Breaker`] — a cross-request per-rule circuit breaker: a
 //!   rule implicated in repeated failures (injected faults, poison-rule
 //!   panics, oversize results) is evicted from the rule set handed to the
@@ -60,7 +60,7 @@
 pub mod breaker;
 mod cache;
 pub mod chaos;
-pub mod ladder;
+mod ladder;
 pub mod metrics;
 pub mod request;
 pub mod service;
@@ -73,7 +73,6 @@ pub use chaos::{
     run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, CleanReport, RepeatedConfig,
     RepeatedReport, TenantChaosConfig, TenantChaosReport, PEAK_ARENA_BOUND,
 };
-pub use ladder::{Ladder, LadderResult, RetryPark};
 pub use metrics::{conservation_violations, ServiceMetrics};
 pub use request::{Outcome, Payload, Request, RequestOptions, Response};
 pub use service::{Pending, Service, ServiceConfig};

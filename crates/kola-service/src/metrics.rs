@@ -72,13 +72,12 @@ pub struct ServiceMetrics {
     /// Submit-to-reply latency (µs) of direct cache hits — the headline
     /// "served without touching a worker engine" number.
     pub cache_hit_latency_us: Arc<Histogram>,
-    /// Ladder retries taken.
-    pub retries: Arc<Counter>,
     /// Poison-rule panics caught *and classified* by the ladder.
     pub caught_panics: Arc<Counter>,
     /// Optimized plans degraded to passthrough by the semantic gate.
     pub gate_degradations: Arc<Counter>,
-    /// Failed fast-engine attempts (first tries and retries).
+    /// Failed engine attempts — at most one per request, which then
+    /// passes through.
     pub rung_failures: Arc<Counter>,
     /// Engine node visits attributed to requests (delta-flushed per
     /// request from the worker's persistent engine).
@@ -185,7 +184,6 @@ impl ServiceMetrics {
             cache_insertions: registry.counter("cache_insertions"),
             cache_served: registry.family("cache_served", ["fast", "passthrough", "invalid"]),
             cache_hit_latency_us: registry.histogram("cache_hit_latency_us", &pow2_bounds(us_cap)),
-            retries: registry.counter("retries"),
             caught_panics: registry.counter("caught_panics"),
             gate_degradations: registry.counter("gate_degradations"),
             rung_failures: registry.counter("rung_failures"),

@@ -30,7 +30,7 @@ pub enum Payload {
 /// size) live in [`crate::service::ServiceConfig`].
 #[derive(Debug, Clone)]
 pub struct RequestOptions {
-    /// Step cap for each engine attempt (see [`Budget::max_steps`]).
+    /// Step cap for the engine attempt (see [`Budget::max_steps`]).
     pub max_steps: usize,
     /// Traversal-depth cap (see [`Budget::max_depth`]).
     pub max_depth: usize,
@@ -43,15 +43,9 @@ pub struct RequestOptions {
     pub timeout: Option<Duration>,
     /// Injected faults, forwarded to the engines (testing/chaos surface).
     pub faults: FaultPlan,
-    /// Base retry backoff; the actual sleep is jittered deterministically
-    /// from the request id and capped by the remaining deadline.
-    pub backoff: Duration,
-    /// Injected *permanent* engine failure: every attempt fails, so the
+    /// Injected engine failure: the attempt fails without running, so the
     /// request ends in passthrough (testing/chaos surface).
     pub force_fail: bool,
-    /// Injected *transient* engine failure: the first attempt fails, so
-    /// the jittered-backoff retry succeeds (testing/chaos surface).
-    pub transient_fail: bool,
     /// Simulated pre-ladder work (testing/chaos surface — deterministic
     /// queue backpressure for the overload tests).
     pub hold_for: Option<Duration>,
@@ -67,9 +61,7 @@ impl Default for RequestOptions {
             quarantine_after: b.quarantine_after,
             timeout: None,
             faults: FaultPlan::default(),
-            backoff: Duration::from_micros(200),
             force_fail: false,
-            transient_fail: false,
             hold_for: None,
         }
     }
@@ -142,7 +134,7 @@ impl Request {
 pub enum Outcome {
     /// The fast engine produced an optimized plan within budget.
     Optimized,
-    /// Both engine attempts failed or the deadline expired: the input query
+    /// The engine attempt failed or the deadline expired: the input query
     /// is returned unoptimized. Slower for the executor, but correct — and an
     /// answer, not an error.
     Passthrough,
@@ -168,7 +160,7 @@ impl std::fmt::Display for Outcome {
 /// What the service sends back for one request.
 #[derive(Debug, Clone)]
 pub struct Response {
-    /// Service-assigned request id (also the jitter seed).
+    /// Service-assigned request id.
     pub id: u64,
     /// Tenant namespace that served the request (the resolved name, so a
     /// `None`-tenant submission comes back labeled with the tenant it
@@ -188,12 +180,12 @@ pub struct Response {
     /// Per-run quarantine state (satellite of the successful attempt's
     /// report), restricted to rules the catalog owns. Shared like `report`.
     pub quarantine: Arc<QuarantineReport>,
-    /// Poison-rule panics caught (and attributed) during the ladder run.
+    /// The poison-rule panic caught (and attributed) during the engine
+    /// attempt, if any.
     pub panics: Vec<CaughtPanic>,
-    /// Retries taken (at most one).
-    pub retries: usize,
-    /// Human-readable notes for every failed engine attempt, plus the parse
-    /// or gate error when `outcome` is `Invalid`/degraded.
+    /// Why the request was not optimized: the failed engine attempt's
+    /// note, or the parse or gate error when `outcome` is
+    /// `Invalid`/degraded.
     pub error: Option<String>,
     /// End-to-end latency from submission to reply (includes queue wait).
     pub latency: Duration,
@@ -210,7 +202,6 @@ impl Response {
             report: None,
             quarantine: Arc::default(),
             panics: Vec::new(),
-            retries: 0,
             error: Some(why),
             latency: Duration::ZERO,
         }

@@ -12,11 +12,10 @@
 //! worker: lower OQL text ──err──▶ Invalid
 //!    │
 //!    ▼ snapshot refresh: one atomic load; Arc swap on breaker change
-//!    ▼ ladder: fast ▷ retry ▷ passthrough   (fast = the worker's
-//!    │          long-lived engine, which parses KOLA text straight into
-//!    │          its arena — unparsable text ends here as Invalid; one
-//!    │          jittered retry under the remaining deadline, panics
-//!    │          caught & attributed)
+//!    ▼ ladder: fast ▷ passthrough   (fast = one attempt on the worker's
+//!    │          long-lived engine under the remaining deadline, which
+//!    │          parses KOLA text straight into its arena — unparsable
+//!    │          text ends here as Invalid; panics caught & attributed)
 //!    ▼ semantic gate (optional): plan ≡ input on a sample database,
 //!    │          else degrade to Passthrough
 //!    ▼ reply: Optimized | Passthrough
@@ -50,7 +49,7 @@
 
 use crate::breaker::Breaker;
 use crate::cache::{CacheKey, CachedPlan, Claim, PlanCache, Probe, Waiter};
-use crate::ladder::{Ladder, LadderInput, RetryPark};
+use crate::ladder::{attempt_or_passthrough, LadderInput};
 use crate::metrics::ServiceMetrics;
 use crate::request::{Outcome, Payload, Request, Response};
 use crate::snapshot::RuleSnapshot;
@@ -120,8 +119,8 @@ pub struct ServiceConfig {
     /// Configuration for the long-lived worker engines. Defaults to
     /// [`EngineConfig::fast`]; [`EngineConfig::saturating`] opts the whole
     /// worker fleet into equality saturation with cost-based extraction
-    /// (the ladder's retry, snapshot masking, and breaker charging are
-    /// engine-mode agnostic).
+    /// (the ladder, snapshot masking, and breaker charging are engine-mode
+    /// agnostic).
     pub engine: EngineConfig,
 }
 
@@ -145,11 +144,11 @@ impl Default for ServiceConfig {
     }
 }
 
-struct Job {
-    id: u64,
-    request: Request,
+pub(crate) struct Job {
+    pub(crate) id: u64,
+    pub(crate) request: Request,
     submitted: Instant,
-    deadline: Option<Instant>,
+    pub(crate) deadline: Option<Instant>,
     reply: mpsc::Sender<Response>,
     /// The single-flight leadership ticket: `Some` iff this job registered
     /// the in-flight marker for its cache key at admission. The worker
@@ -158,7 +157,7 @@ struct Job {
     /// response turned out unserveable.
     cache: Option<CacheKey>,
     /// Resolved tenant index (into `Shared::tenants`).
-    tenant: usize,
+    pub(crate) tenant: usize,
 }
 
 /// One worker's slice of the admission queue. Enqueue and dequeue touch
@@ -175,12 +174,12 @@ struct Shard {
 /// picked up within one poll.
 const STEAL_POLL: Duration = Duration::from_micros(200);
 
-struct Shared {
-    catalog: Catalog,
+pub(crate) struct Shared {
+    pub(crate) catalog: Catalog,
     props: PropDb,
     /// The tenant table: per-tenant breaker, snapshot cell, and quota
     /// depth. A single-tenant service is a one-entry table.
-    tenants: Tenants,
+    pub(crate) tenants: Tenants,
     verify_db: Option<Db>,
     shards: Vec<Shard>,
     /// Queued-but-unclaimed jobs across all shards: the lock-free input to
@@ -196,13 +195,10 @@ struct Shared {
     /// request (the chaos soak asserts boundedness).
     peak_arena: AtomicUsize,
     /// Lock-free metric instruments (see [`crate::metrics`]).
-    metrics: ServiceMetrics,
+    pub(crate) metrics: ServiceMetrics,
     /// Structured-trace sink, present iff [`ServiceConfig::tracing`] — one
     /// ring shard per worker, so recording never crosses workers.
-    tracer: Option<ShardedTraceRing>,
-    /// Per-worker interruptible-backoff slots (indexed like `shards`):
-    /// submissions landing on a shard cut its worker's retry backoff short.
-    parks: Vec<RetryPark>,
+    pub(crate) tracer: Option<ShardedTraceRing>,
     /// The fingerprint-keyed normalized-plan cache (see [`crate::cache`]);
     /// `None` when [`ServiceConfig::cache_capacity`] is zero.
     cache: Option<PlanCache>,
@@ -290,7 +286,6 @@ impl Service {
             tracer: config
                 .tracing
                 .then(|| ShardedTraceRing::new(workers_n, config.trace_capacity)),
-            parks: (0..workers_n).map(|_| RetryPark::new()).collect(),
             cache: (config.cache_capacity > 0)
                 .then(|| PlanCache::new(config.cache_capacity, config.cache_shards)),
             engine_config: config.engine.clone(),
@@ -421,7 +416,7 @@ impl Service {
             }
         }
         // Then the global backpressure wall. Reserve a queue slot
-        // optimistically; losing a race just retries the compare-exchange
+        // optimistically; losing a race just repeats the compare-exchange
         // against the fresher value.
         let mut depth = self.shared.depth.load(Ordering::Relaxed);
         loop {
@@ -602,11 +597,6 @@ impl Drop for Service {
             drop(shard.jobs.lock().unwrap());
             shard.cv.notify_all();
         }
-        for park in &self.shared.parks {
-            // A worker mid-backoff finishes its request promptly instead of
-            // waiting out the full pause before seeing the shutdown flag.
-            park.interrupt();
-        }
         for w in self.workers.drain(..) {
             let _ = w.join();
         }
@@ -616,13 +606,9 @@ impl Drop for Service {
 /// Enqueue `job` on the next round-robin shard and wake its worker.
 fn push_job(shared: &Shared, job: Job) {
     let cursor = shared.next_shard.fetch_add(1, Ordering::Relaxed);
-    let target = cursor % shared.shards.len();
-    let shard = &shared.shards[target];
+    let shard = &shared.shards[cursor % shared.shards.len()];
     shard.jobs.lock().unwrap().push_back(job);
     shard.cv.notify_one();
-    // If the shard's worker is mid-backoff on a degraded request, cut
-    // the wait short: it retries immediately and gets back to the queue.
-    shared.parks[target].interrupt();
 }
 
 /// Requeue the waiters of a failed flight leader as fresh solo jobs.
@@ -738,14 +724,8 @@ fn worker_loop(shared: &Shared, index: usize) {
         last_consults: vec![0; rule_count],
         index_recorded: false,
     };
-    // Bind this thread to its backoff slot so submissions can interrupt an
-    // in-progress retry wait.
-    shared.parks[index].register();
     while let Some(mut job) = next_job(shared, index) {
-        let id = job.id;
         let tenant = job.tenant;
-        let submitted = job.submitted;
-        let reply = job.reply.clone();
         // Take the single-flight ticket out before the panic boundary so a
         // handler panic still retires the flight (waiters must never hang
         // — they are requeued below).
@@ -754,7 +734,7 @@ fn worker_loop(shared: &Shared, index: usize) {
         let engine = &mut state.engine;
         let snapshot = &mut state.snapshots[tenant];
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            handle(shared, job, engine, snapshot, index)
+            handle(shared, &job, engine, snapshot, index)
         }));
         let response = outcome.unwrap_or_else(|_| {
             // Nothing should reach this boundary — the ladder catches
@@ -762,12 +742,12 @@ fn worker_loop(shared: &Shared, index: usize) {
             shared.unexpected_panics.fetch_add(1, Ordering::Relaxed);
             shared.metrics.tenant_panicked.add_index(tenant, 1);
             let mut r = Response::rejected(
-                id,
+                job.id,
                 Outcome::Invalid,
                 "internal: request handler panicked".to_string(),
             );
             r.tenant = Arc::clone(&shared.tenants.get(tenant).name);
-            r.latency = submitted.elapsed();
+            r.latency = job.submitted.elapsed();
             r
         });
         if let (Some(cache), Some(key)) = (shared.cache.as_ref(), &ticket) {
@@ -794,7 +774,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             .add(busy.elapsed().as_micros() as u64);
         shared.metrics.tenant_latency_us[tenant].record(response.latency.as_micros() as u64);
         // The client may have given up waiting; a dead receiver is fine.
-        let _ = reply.send(response);
+        let _ = job.reply.send(response);
     }
 }
 
@@ -856,39 +836,32 @@ fn admit(shared: &Shared, job: &Job) {
 
 fn handle<'a>(
     shared: &'a Shared,
-    job: Job,
+    job: &Job,
     engine: &mut Engine<'a>,
     snapshot: &mut Arc<RuleSnapshot>,
     index: usize,
 ) -> Response {
-    let Job {
-        id,
-        request,
-        submitted,
-        deadline,
-        tenant,
-        ..
-    } = job;
-    let ten = shared.tenants.get(tenant);
-    if let Some(hold) = request.options.hold_for {
+    let ten = shared.tenants.get(job.tenant);
+    let opts = &job.request.options;
+    if let Some(hold) = opts.hold_for {
         thread::sleep(hold);
     }
     let invalid = |e: String| {
-        shared.metrics.tenant_completed_invalid.add_index(tenant, 1);
-        let mut r = Response::rejected(id, Outcome::Invalid, e);
+        shared
+            .metrics
+            .tenant_completed_invalid
+            .add_index(job.tenant, 1);
+        let mut r = Response::rejected(job.id, Outcome::Invalid, e);
         r.tenant = Arc::clone(&ten.name);
-        r.latency = submitted.elapsed();
+        r.latency = job.submitted.elapsed();
         r
     };
-    let opts = &request.options;
     // KOLA text goes to the engine, which parses it into its own arena.
-    // OQL is lowered here; so is text whose attempts are forced to fail,
+    // OQL is lowered here; so is text whose attempt is forced to fail,
     // which would never reach the engine's parse.
     let parsed: Arc<Query>;
-    let input = match &request.payload {
-        Payload::Text(src) if !is_oql(src) && !opts.force_fail && !opts.transient_fail => {
-            LadderInput::Kola(src)
-        }
+    let input = match &job.request.payload {
+        Payload::Text(src) if !is_oql(src) && !opts.force_fail => LadderInput::Kola(src),
         Payload::Text(src) => match kola_frontend::parse_any_query(src) {
             Ok(q) => {
                 parsed = Arc::new(q);
@@ -905,26 +878,11 @@ fn handle<'a>(
     ten.snapshots
         .refresh(snapshot, &shared.catalog, &ten.breaker);
 
-    let ladder = Ladder {
-        catalog: &shared.catalog,
-        props: &shared.props,
-        // The request's own tenant's breaker: poison charges, trips, and
-        // the resulting rule masks never cross namespaces.
-        breaker: &ten.breaker,
-        metrics: Some(&shared.metrics),
-        // Each worker records into its own trace shard and charges its own
-        // breaker shard — no cross-worker contention on the failure path.
-        tracer: shared.tracer.as_ref().map(|t| t.shard(index)),
-        shard: index,
-        park: Some(&shared.parks[index]),
-        tenant: Some(&ten.name),
-    };
-    let mut result = match ladder.run_with(id, input, opts, deadline, engine, snapshot) {
+    let mut result = match attempt_or_passthrough(shared, job, index, input, engine, snapshot) {
         Ok(result) => result,
         Err(e) => return invalid(e),
     };
     let m = &shared.metrics;
-    m.retries.add(result.retries as u64);
     m.caught_panics.add(result.panics.len() as u64);
     if let Some(report) = &result.report {
         for (rule_id, rs) in &report.rule_stats {
@@ -934,17 +892,16 @@ fn handle<'a>(
 
     // Semantic gate: an optimized plan that disagrees with its input on
     // the sample database is worse than no optimization — degrade it.
-    let mut gate_error = None;
     if let (Some(db), Outcome::Optimized) = (&shared.verify_db, &result.outcome) {
         // The attempt parsed this input, so it parses again.
         let input = input.boxed().expect("an optimized input parses");
         if let Err(e) = kola_verify::check_plan_semantics(db, &input, &result.plan) {
-            gate_error = Some(format!("semantic gate: {e}"));
             m.gate_degradations.inc();
             result.outcome = Outcome::Passthrough;
             result.plan = input;
             result.report = None;
             result.quarantine = QuarantineReport::default();
+            result.failure = Some(format!("semantic gate: {e}"));
         }
     }
     let completed = match &result.outcome {
@@ -954,28 +911,21 @@ fn handle<'a>(
         Outcome::Passthrough | Outcome::Overloaded => &m.tenant_passthrough,
         Outcome::Invalid => &m.tenant_completed_invalid,
     };
-    completed.add_index(tenant, 1);
+    completed.add_index(job.tenant, 1);
 
     shared
         .peak_arena
         .fetch_max(engine.arena_len(), Ordering::Relaxed);
 
-    let error = match (gate_error, result.failures.is_empty()) {
-        (Some(g), true) => Some(g),
-        (Some(g), false) => Some(format!("{g}; {}", result.failures.join("; "))),
-        (None, false) => Some(result.failures.join("; ")),
-        (None, true) => None,
-    };
     Response {
-        id,
+        id: job.id,
         tenant: Arc::clone(&ten.name),
         outcome: result.outcome,
         plan: Some(result.plan),
         report: result.report.map(Arc::new),
         quarantine: Arc::new(result.quarantine),
         panics: result.panics,
-        retries: result.retries,
-        error,
-        latency: submitted.elapsed(),
+        error: result.failure,
+        latency: job.submitted.elapsed(),
     }
 }

@@ -39,25 +39,19 @@ fn id_tower_text(height: usize) -> String {
 /// keep the comparison honest) and the latency (wall-clock, not semantic).
 fn fingerprint(r: &Response) -> String {
     format!(
-        "{:?} | {:?} | {:?} | {:?} | retries={} | panics={} | {:?}",
+        "{:?} | {:?} | {:?} | {:?} | panics={} | {:?}",
         r.outcome,
         r.plan,
         r.report,
         r.quarantine,
-        r.retries,
         r.panics.len(),
         r.error
     )
 }
 
 /// One deterministic parity request. No wall-clock options (timeouts and
-/// deadlines make outcomes timing-dependent with or without a cache);
-/// backoffs are microscopic so fault lanes don't stall the suite.
+/// deadlines make outcomes timing-dependent with or without a cache).
 fn gen_parity_request(rng: &mut Rng, op: usize, ast_pool: &[Arc<kola::term::Query>]) -> Request {
-    let tiny_backoff = RequestOptions {
-        backoff: Duration::from_micros(10),
-        ..RequestOptions::default()
-    };
     let roll = rng.gen_range(0..100usize);
     if roll < 45 {
         // Repeated text pool: the cache's bread and butter.
@@ -78,14 +72,14 @@ fn gen_parity_request(rng: &mut Rng, op: usize, ast_pool: &[Arc<kola::term::Quer
                 at: StepSelector::Steps(vec![rng.gen_range(0..2usize)]),
                 kind: FaultKind::Fail,
             }),
-            ..tiny_backoff
+            ..RequestOptions::default()
         })
     } else {
         // Forced engine failure: uncacheable, answered with the
         // passthrough plan on both services.
         Request::text(id_tower_text(1 + rng.gen_range(0..4usize))).with_options(RequestOptions {
             force_fail: true,
-            ..tiny_backoff
+            ..RequestOptions::default()
         })
     }
 }

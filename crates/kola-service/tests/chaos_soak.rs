@@ -48,7 +48,6 @@ fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
         assert!(report.overloaded > 0, "{}", report.summary());
         assert!(report.optimized_fast > 0, "{}", report.summary());
         assert!(report.passthrough > 0, "{}", report.summary());
-        assert!(report.retries > 0, "{}", report.summary());
         // The repeated lane hit the plan cache, and the poison lanes'
         // breaker trips invalidated resident entries mid-soak — the
         // stale-reclaim odometer is the proof invalidation was exercised
@@ -86,10 +85,6 @@ fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
         s.counter("optimized_fast") + served_fast,
         report.optimized_fast as u64
     );
-    // A coalesced waiter's reply carries its leader's retry count, so the
-    // client-side tally can exceed the per-computation counter — never
-    // undershoot it.
-    assert!(report.retries as u64 >= s.counter("retries"));
     assert_eq!(s.counter("caught_panics"), report.caught_panics as u64);
     // The cache books tie out: hits all came from somewhere.
     assert_eq!(

@@ -17,7 +17,6 @@ use kola_rewrite::{
 use kola_service::{
     conservation_violations, Outcome, Request, RequestOptions, Response, Service, ServiceConfig,
 };
-use std::time::Duration;
 
 const KG1: &str = "iterate(Kp(T), (id, flat . iter(Kp(T), grgs . pi2) . (id, iter(in @ (pi1, cars . pi2), pi2) . (id, Kf(P))))) ! V";
 
@@ -41,7 +40,6 @@ fn stream() -> Vec<Request> {
             kind: FaultKind::Fail,
         }),
         quarantine_after: 1,
-        backoff: Duration::from_micros(10),
         ..plain.clone()
     };
     (0..60)

@@ -1,6 +1,6 @@
 //! Integration tests for the optimization service: parity with the direct
 //! fast and boxed engines, structured overload, breaker trip/recovery,
-//! deadline expiry before the retry, and request classification.
+//! deadline expiry, forced failures, and request classification.
 
 use kola::term::{Func, Query};
 use kola_rewrite::strategy;
@@ -8,11 +8,9 @@ use kola_rewrite::{
     Budget, Catalog, EngineConfig, FaultKind, FaultPlan, FaultSpec, PropDb, Runner, StepSelector,
     Trace,
 };
-use kola_service::{
-    Breaker, Ladder, Outcome, Payload, Request, RequestOptions, Service, ServiceConfig,
-};
+use kola_service::{Outcome, Payload, Request, RequestOptions, Service, ServiceConfig};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 fn tower(height: usize, leaf: &str) -> Query {
     let mut f = Func::Prim(Arc::from(leaf));
@@ -101,7 +99,6 @@ fn service_output_is_byte_identical_to_direct_fast_engine_run() {
             );
         }
         assert!(response.panics.is_empty(), "seed {seed}");
-        assert_eq!(response.retries, 0, "seed {seed}");
     }
 }
 
@@ -160,18 +157,18 @@ fn breaker_trips_on_poison_rule_and_recovers_on_reset() {
             at: StepSelector::Always,
             kind: FaultKind::Panic,
         }),
-        backoff: Duration::from_micros(10),
         ..RequestOptions::default()
     };
-    // Two poisoned requests: each has both attempts panic in rule "app",
-    // degrades to passthrough, and charges the breaker once.
+    // Two poisoned requests: each has its one attempt panic in rule
+    // "app", degrades to passthrough, and charges the breaker once.
     for i in 0..2 {
         let r = service.call(Request::text("id . id . age ! P").with_options(poison.clone()));
         assert_eq!(r.outcome, Outcome::Passthrough, "request {i}");
-        assert!(!r.panics.is_empty(), "request {i}");
-        assert!(
-            r.panics.iter().all(|p| p.rule_id.as_deref() == Some("app")),
-            "request {i}: panics attributed to the poisoned rule"
+        assert_eq!(r.panics.len(), 1, "request {i}: one attempt, one panic");
+        assert_eq!(
+            r.panics[0].rule_id.as_deref(),
+            Some("app"),
+            "request {i}: panic attributed to the poisoned rule"
         );
     }
     assert_eq!(service.breaker().open_rules(), vec!["app".to_string()]);
@@ -249,7 +246,6 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
             at: StepSelector::Always,
             kind: FaultKind::Panic,
         }),
-        backoff: Duration::from_micros(10),
         ..RequestOptions::default()
     };
     for _ in 0..2 {
@@ -292,9 +288,6 @@ fn persistent_engine_memo_does_not_leak_across_snapshot_swaps() {
     );
 }
 
-/// Satellite regression: a deadline that dies inside the fast attempt
-/// must degrade to the passthrough plan — the input itself — rather than
-/// surface an error.
 /// Deep-term tests run their whole body on an oversized stack, as the
 /// service's workers do: engine interning walks the input recursively and
 /// even derived `PartialEq` on a 20k-deep term needs more than a default
@@ -310,52 +303,9 @@ fn on_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     })
 }
 
-#[test]
-fn deadline_expiry_mid_rewrite_returns_passthrough_plan() {
-    on_big_stack(deadline_expiry_mid_rewrite_body)
-}
-
-fn deadline_expiry_mid_rewrite_body() {
-    let catalog = Catalog::paper();
-    let props = PropDb::new();
-    let breaker = Breaker::new(usize::MAX);
-    let ladder = Ladder {
-        catalog: &catalog,
-        props: &props,
-        breaker: &breaker,
-        metrics: None,
-        tracer: None,
-        shard: 0,
-        park: None,
-        tenant: None,
-    };
-    // A workload far too large for the deadline: the fast attempt burns
-    // the whole budget and stops with DeadlineExpired, and the ladder does
-    // not retry against a dead deadline.
-    // Run on an oversized stack, as the service's workers do — engine
-    // traversal is depth-clipped but interning a deep input walks it.
-    let q = Arc::new(tower(20_000, "age"));
-    let opts = RequestOptions {
-        max_steps: 50_000,
-        timeout: Some(Duration::from_millis(3)),
-        backoff: Duration::from_micros(10),
-        ..RequestOptions::default()
-    };
-    let deadline = Some(Instant::now() + Duration::from_millis(3));
-    let r = ladder.run(7, &q, &opts, deadline);
-    assert_eq!(r.outcome, Outcome::Passthrough);
-    assert_eq!(r.plan, q, "passthrough returns the input plan verbatim");
-    assert!(r.report.is_none());
-    assert!(r.panics.is_empty());
-    assert!(
-        r.failures.iter().any(|f| f.contains("deadline expired")),
-        "the fast attempt's deadline failure is recorded: {:?}",
-        r.failures
-    );
-}
-
-/// The same property end-to-end: through the service, an expired deadline
-/// yields a classified Passthrough response carrying the input plan.
+/// A deadline that dies inside the engine attempt degrades to the
+/// passthrough plan — the input itself — rather than surfacing an error,
+/// and the response says why.
 #[test]
 fn service_deadline_expiry_yields_passthrough_response() {
     on_big_stack(service_deadline_expiry_body)
@@ -366,16 +316,50 @@ fn service_deadline_expiry_body() {
         workers: 1,
         ..ServiceConfig::default()
     });
-    let q = tower(10_000, "age");
-    let r = service.call(Request::ast(q.clone()).with_options(RequestOptions {
+    // A workload far too large for the deadline: the attempt burns the
+    // whole budget and stops with DeadlineExpired.
+    let q = Arc::new(tower(10_000, "age"));
+    let r = service.call(Request::ast(Arc::clone(&q)).with_options(RequestOptions {
         max_steps: 50_000,
         timeout: Some(Duration::from_millis(3)),
-        backoff: Duration::from_micros(10),
         ..RequestOptions::default()
     }));
     assert_eq!(r.outcome, Outcome::Passthrough);
-    assert_eq!(r.plan.as_deref(), Some(&q));
-    assert!(r.error.is_some(), "failed attempts are reported");
+    assert!(
+        r.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &q)),
+        "passthrough returns the input plan verbatim"
+    );
+    assert!(r.report.is_none());
+    assert!(r.panics.is_empty());
+    let error = r.error.expect("the failed attempt is reported");
+    assert!(error.contains("deadline expired"), "{error}");
+}
+
+/// A forced engine failure passes the input through after one attempt:
+/// no report, and exactly one failure note.
+#[test]
+fn forced_failure_returns_the_input_after_one_attempt() {
+    let service = Service::start(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let q = Arc::new(tower(4, "age"));
+    let r = service.call(Request::ast(Arc::clone(&q)).with_options(RequestOptions {
+        force_fail: true,
+        ..RequestOptions::default()
+    }));
+    assert_eq!(r.outcome, Outcome::Passthrough);
+    assert!(
+        r.plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, &q)),
+        "passthrough returns the input plan verbatim"
+    );
+    assert!(r.report.is_none());
+    assert!(r.panics.is_empty());
+    assert_eq!(
+        r.error.as_deref(),
+        Some("fast attempt: injected fault (permanent)")
+    );
+    assert_eq!(service.metrics_snapshot().counter("rung_failures"), 1);
 }
 
 #[test]
@@ -428,7 +412,7 @@ fn kola_text_is_served_exactly_as_its_parsed_ast() {
     );
 
     // Unparsable text is Invalid on every lane — engine parse, expired
-    // deadline, forced failures — with the front end's error and no rule
+    // deadline, forced failure — with the front end's error and no rule
     // charged or attempt counted.
     let before = text_service.metrics_snapshot();
     let lanes = [
@@ -436,10 +420,6 @@ fn kola_text_is_served_exactly_as_its_parsed_ast() {
         dead,
         RequestOptions {
             force_fail: true,
-            ..RequestOptions::default()
-        },
-        RequestOptions {
-            transient_fail: true,
             ..RequestOptions::default()
         },
     ];
@@ -454,9 +434,8 @@ fn kola_text_is_served_exactly_as_its_parsed_ast() {
     }
     let after = text_service.metrics_snapshot();
     let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(delta("completed_invalid"), 12);
+    assert_eq!(delta("completed_invalid"), 9);
     assert_eq!(delta("rung_failures"), 0);
-    assert_eq!(delta("retries"), 0);
 }
 
 #[test]

@@ -39,12 +39,11 @@ fn id_tower_text(height: usize) -> String {
 
 fn fingerprint(r: &Response) -> String {
     format!(
-        "{:?} | {:?} | {:?} | {:?} | retries={} | panics={} | {:?}",
+        "{:?} | {:?} | {:?} | {:?} | panics={} | {:?}",
         r.outcome,
         r.plan,
         r.report,
         r.quarantine,
-        r.retries,
         r.panics.len(),
         r.error
     )

@@ -9,14 +9,17 @@
 //! builder must build, for every text `parse_query` accepts, the very
 //! node interning the normalized tree gives — and reject the rest with
 //! the same error — and the engine's text entry must run exactly what its
-//! query entry runs on the parsed text.
+//! query entry (and, outside saturation, the boxed reference engine) runs
+//! on the parsed text.
 
 #[path = "common/parse_corpus.rs"]
 mod parse_corpus;
 
 use kola::intern::Interner;
 use kola::parse::{parse_query, parse_query_into};
-use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, FaultPlan, Oriented, PropDb};
+use kola_rewrite::{
+    rewrite_fix_with, Budget, Catalog, Engine, EngineConfig, FaultPlan, Oriented, PropDb,
+};
 use parse_corpus::{golden_inputs, golden_line, unescape};
 
 const GOLDEN: &str = include_str!("data/parse_golden.tsv");
@@ -85,21 +88,21 @@ fn engine_text_entry_runs_what_the_query_entry_runs() {
     // Every engine configuration, one long-lived engine per entry point:
     // the text entry must return the plan, report and trace the query
     // entry returns for the parsed text, and the parse error otherwise.
+    // The boxed reference engine has no text entry; it is run directly.
     let catalog = Catalog::paper();
     let props = PropDb::new();
     let budget = Budget::with_steps(64);
     let faults = FaultPlan::default();
     let inputs: Vec<String> = golden_inputs().into_iter().step_by(7).collect();
+    let rules: Vec<Oriented> = catalog.rules().iter().map(Oriented::fwd).collect();
     for config in [
-        EngineConfig::naive(),
         EngineConfig::interned_only(),
         EngineConfig::indexed(),
         EngineConfig::fast(),
         EngineConfig::saturating(),
     ] {
-        let rules = || catalog.rules().iter().map(Oriented::fwd).collect();
-        let mut by_text = Engine::new(rules(), &props, config.clone());
-        let mut by_query = Engine::new(rules(), &props, config.clone());
+        let mut by_text = Engine::new(rules.clone(), &props, config.clone());
+        let mut by_query = Engine::new(rules.clone(), &props, config.clone());
         for input in &inputs {
             let got = by_text.normalize_text_with(input, &budget, &faults);
             match parse_query(input) {
@@ -111,6 +114,17 @@ fn engine_text_entry_runs_what_the_query_entry_runs() {
                         format!("{:?}", (&want.query, &want.report, &want.trace)),
                         "{config:?}: {input:?}"
                     );
+                    // The destructive configurations are drop-ins for the
+                    // boxed reference engine, so text served through them
+                    // also gets the boxed engine's plan and report.
+                    if !config.saturate {
+                        let boxed = rewrite_fix_with(&rules, &q, &props, &budget, &faults);
+                        assert_eq!(
+                            format!("{:?}", (&got.query, &got.report)),
+                            format!("{:?}", (&boxed.query, &boxed.report)),
+                            "{config:?} vs boxed: {input:?}"
+                        );
+                    }
                 }
                 Err(e) => assert_eq!(got.err(), Some(e), "{config:?}: {input:?}"),
             }

@@ -315,13 +315,17 @@ fn poison_rule_panics_are_caught_and_attributed_by_both_engines() {
         format!("{}", clean_fast.report)
     );
 
-    // Engine independence on the serving path's real failure causes: the
-    // chaos stream's poison faults (Panic and Fail on "app" and "e121",
-    // the rules that fire on id towers) over the full forward catalog, and
-    // an input over the term-size cap. The boxed engine fails exactly as
-    // the fast one does — same panic attribution, same stop, same failures
-    // — so a boxed retry after a fast-engine failure can never rescue it.
-    // One fast engine serves every case, as a service worker's does.
+    // Engine independence and determinism on the serving path's real
+    // failure causes: the chaos stream's poison faults (Panic and Fail on
+    // "app" and "e121", the rules that fire on id towers) under every step
+    // selector, over the full forward catalog, and an input over the
+    // term-size cap. The boxed engine fails exactly as the fast one does —
+    // same panic attribution, same stop, same failures — and the fast
+    // engine fails the same way when the run is repeated on the same warm
+    // engine or on a fresh one. A run is a function of (term, rule set,
+    // budget, fault plan), so a second attempt after a failure, on either
+    // engine, could never rescue the request. One fast engine serves every
+    // case, as a service worker's does.
     let catalog_rules: Vec<Oriented> = catalog.rules().iter().map(Oriented::fwd).collect();
     let mut fast = Engine::new(catalog_rules.clone(), &props, EngineConfig::fast());
     let tower = |height: usize| {
@@ -333,7 +337,9 @@ fn poison_rule_panics_are_caught_and_attributed_by_both_engines() {
             for at in [
                 StepSelector::Always,
                 StepSelector::Steps(vec![0, 1]),
+                StepSelector::Steps(vec![2]),
                 StepSelector::EveryNth(2),
+                StepSelector::EveryNth(3),
             ] {
                 for height in [2, 5, 9] {
                     let faults = FaultPlan::new().with(FaultSpec {
@@ -355,6 +361,15 @@ fn poison_rule_panics_are_caught_and_attributed_by_both_engines() {
     for (q, budget, faults) in &cases {
         let boxed = kola_rewrite::try_rewrite_fix_with(&catalog_rules, q, &props, budget, faults);
         let served = fast.try_normalize_with(q, budget, faults);
+        let again = fast.try_normalize_with(q, budget, faults);
+        let fresh = Engine::new(catalog_rules.clone(), &props, EngineConfig::fast())
+            .try_normalize_with(q, budget, faults);
+        let outcome = |r: &Result<kola_rewrite::Rewritten, kola_rewrite::CaughtPanic>| match r {
+            Err(p) => format!("panic {:?}: {}", p.rule_id, p.message),
+            Ok(r) => format!("{:?} | {} | {}", r.report.stop, r.report, r.query),
+        };
+        assert_eq!(outcome(&served), outcome(&again), "{q}: warm rerun");
+        assert_eq!(outcome(&served), outcome(&fresh), "{q}: fresh engine");
         match (&boxed, &served) {
             (Err(b), Err(f)) => {
                 assert!(b.rule_id.is_some(), "{q}: unattributed panic {b}");
