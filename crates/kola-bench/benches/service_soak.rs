@@ -156,9 +156,6 @@ fn chaos_rows(requests: usize) -> (Vec<Row>, Option<(ChaosConfig, ChaosReport)>)
         let cfg = ChaosConfig {
             requests,
             workers,
-            // The gate re-evaluates every optimized plan; leave it off so
-            // the timing isolates queue + ladder + breaker overhead.
-            verify: false,
             // Tracing on: the chaos rows measure (and the 4-worker row
             // exports) the service with provenance recording engaged.
             tracing: true,
@@ -189,8 +186,8 @@ fn chaos_rows(requests: usize) -> (Vec<Row>, Option<(ChaosConfig, ChaosReport)>)
 
         let mut lat = report.latencies_us.clone();
         lat.sort_unstable();
-        // Serving window only: the post-hoc replay audit is not the
-        // service's concurrency and must not dilute the scaling rows.
+        // Serving window only: the post-hoc plan and replay audits are not
+        // the service's concurrency and must not dilute the scaling rows.
         let throughput = report.throughput_rps();
         let row = Row {
             stream: "chaos",
@@ -570,8 +567,9 @@ fn render_json(rows: &[Row]) -> String {
     out.push_str("  \"bench\": \"service_soak\",\n");
     out.push_str(&format!("  \"smoke\": {},\n", smoke_mode()));
     out.push_str(
-        "  \"workload\": \"chaos: deterministic fault stream, verify off, tracing on, \
-         cache off, 2 ms per-request stall, serving window only (replay audit excluded); \
+        "  \"workload\": \"chaos: deterministic fault stream, tracing on, \
+         cache off, 2 ms per-request stall, serving window only (plan and replay \
+         audits excluded); \
          clean: no-fault stream, tracing off (default), cache off, 16 closed-loop \
          clients, 2 ms per-request stall \
          (single-core host: scaling measures worker concurrency); \

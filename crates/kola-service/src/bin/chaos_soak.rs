@@ -14,8 +14,8 @@
 //! Writes `BENCH_obs.json` at the repo root: the full metric snapshot,
 //! the trace-replay tally, and the conservation verdict. Exits nonzero if
 //! any soak invariant is violated (unclassified request, escaped panic,
-//! invalid classification, semantic-gate failure, unbalanced books, or a
-//! divergent trace replay).
+//! invalid classification, an optimized plan that changed its input's
+//! meaning, unbalanced books, or a divergent trace replay).
 
 use kola_service::{run_chaos, ChaosConfig};
 

@@ -39,11 +39,15 @@
 //!   never drained; every read surface (`entry`, `snapshot`, `report`)
 //!   folds the per-shard counters on demand, so the observable trip counts
 //!   are byte-identical to the global breaker's (`tests/breaker_parity.rs`
-//!   drives both implementations through identical streams and asserts
-//!   identical trip/reset sequences and reports).
+//!   keeps the single-lock breaker as an executable spec, drives both
+//!   through identical streams and asserts identical trip/reset sequences
+//!   and reports).
 //!
-//! Rule ids that were never registered (operator typos, rules added after
-//! start) fall back to a central locked map with the original semantics.
+//! The registered ids are the whole universe: a service registers every
+//! catalog rule, and every charge names one (a report's rule statistics or
+//! a caught panic's attribution). An id outside that set (an operator
+//! typo) is refused — `charge` and `reset` return `false`, record nothing,
+//! and leave the generation, and with it every cached plan, untouched.
 
 use kola_rewrite::{QuarantineEntry, QuarantineReport};
 use std::collections::HashMap;
@@ -104,10 +108,9 @@ pub struct Breaker {
     slots: Vec<Slot>,
     /// Per-worker trip counters; `shards[s].trips[slot]`.
     shards: Vec<Shard>,
-    /// Unregistered rule ids: the original locked-map slow path. The same
-    /// mutex also serializes trip/reset transitions for registered slots,
-    /// so generation bumps stay ordered exactly as in the global breaker.
-    state: Mutex<HashMap<String, BreakerEntry>>,
+    /// Serializes trip and reset transitions, so generation bumps stay
+    /// ordered exactly as in the global breaker.
+    state: Mutex<()>,
     /// Bumped on every transition that changes the *served rule set* — a
     /// breaker opening or an open breaker being reset. Snapshot publication
     /// (see `crate::snapshot`) keys off this: readers compare one atomic
@@ -126,16 +129,10 @@ pub struct Breaker {
 
 impl Breaker {
     /// A breaker that opens a rule after `threshold` charged requests
-    /// (`0` is treated as `1`; `usize::MAX` never opens). No rules are
-    /// pre-registered: every charge takes the central-map slow path, which
-    /// preserves the original single-lock semantics for small tests.
-    pub fn new(threshold: usize) -> Self {
-        Breaker::sharded(threshold, 1, Vec::<String>::new())
-    }
-
-    /// A breaker with `shards` independent charge lanes (one per worker)
-    /// and the given rule ids pre-registered into lock-free slots. Charges
-    /// to unregistered ids still work through the locked fallback map.
+    /// (`0` is treated as `1`; `usize::MAX` never opens), with `shards`
+    /// independent charge lanes (one per worker) and the given rule ids
+    /// registered into lock-free slots. Charges to any other id are
+    /// refused.
     pub fn sharded(
         threshold: usize,
         shards: usize,
@@ -159,7 +156,7 @@ impl Breaker {
             rule_ids,
             slots,
             shards,
-            state: Mutex::new(HashMap::new()),
+            state: Mutex::new(()),
             generation: AtomicU64::new(0),
             opened_total: AtomicU64::new(0),
             reset_total: AtomicU64::new(0),
@@ -185,8 +182,9 @@ impl Breaker {
     }
 
     /// Charge `rule_id` for a failure in request `request_id`. Returns
-    /// `true` iff the breaker is open after the charge. Callers charge a
-    /// rule at most once per request (the ladder dedupes). Equivalent to
+    /// `true` iff the breaker is open after the charge (`false`, with
+    /// nothing recorded, for an unregistered id). Callers charge a rule at
+    /// most once per request (the ladder dedupes). Equivalent to
     /// [`Breaker::charge_from`] on shard 0.
     pub fn charge(&self, rule_id: &str, request_id: u64) -> bool {
         self.charge_from(0, rule_id, request_id)
@@ -197,7 +195,7 @@ impl Breaker {
     /// this shard's counter; the state lock is taken only to decide a trip.
     pub fn charge_from(&self, shard: usize, rule_id: &str, request_id: u64) -> bool {
         let Some(&slot) = self.index.get(rule_id) else {
-            return self.charge_unregistered(rule_id, request_id);
+            return false;
         };
         let lane = &self.shards[shard % self.shards.len()];
         lane.trips[slot].fetch_add(1, Ordering::Relaxed);
@@ -238,24 +236,6 @@ impl Breaker {
         }
     }
 
-    /// The original locked-map path for ids outside the registered set.
-    fn charge_unregistered(&self, rule_id: &str, request_id: u64) -> bool {
-        let mut state = self.state.lock().unwrap();
-        let e = state.entry(rule_id.to_string()).or_default();
-        e.trips += 1;
-        if e.first_request.is_none() {
-            e.first_request = Some(request_id);
-        }
-        e.last_request = Some(request_id);
-        if self.threshold != usize::MAX && e.trips >= self.threshold && !e.open {
-            e.open = true;
-            // Inside the lock: see the `generation` field docs.
-            self.generation.fetch_add(1, Ordering::Release);
-            self.opened_total.fetch_add(1, Ordering::Release);
-        }
-        e.open
-    }
-
     /// Fold one registered slot into a [`BreakerEntry`], or `None` if it
     /// was never charged since its last reset.
     fn slot_entry(&self, slot: usize) -> Option<BreakerEntry> {
@@ -280,10 +260,9 @@ impl Breaker {
     /// which is what an operator watches to see a rule trending toward a
     /// trip.
     pub fn entry(&self, rule_id: &str) -> Option<BreakerEntry> {
-        match self.index.get(rule_id) {
-            Some(&slot) => self.slot_entry(slot),
-            None => self.state.lock().unwrap().get(rule_id).copied(),
-        }
+        self.index
+            .get(rule_id)
+            .and_then(|&slot| self.slot_entry(slot))
     }
 
     /// Lifetime count of breaker openings.
@@ -298,49 +277,32 @@ impl Breaker {
 
     /// True iff `rule_id`'s breaker is open.
     pub fn is_open(&self, rule_id: &str) -> bool {
-        match self.index.get(rule_id) {
-            Some(&slot) => self.slots[slot].open.load(Ordering::Acquire),
-            None => self
-                .state
-                .lock()
-                .unwrap()
-                .get(rule_id)
-                .is_some_and(|e| e.open),
-        }
+        self.index
+            .get(rule_id)
+            .is_some_and(|&slot| self.slots[slot].open.load(Ordering::Acquire))
     }
 
     /// Ids of all open-breaker rules, sorted.
     pub fn open_rules(&self) -> Vec<String> {
-        let mut v: Vec<String> = {
-            let state = self.state.lock().unwrap();
-            state
-                .iter()
-                .filter(|(_, e)| e.open)
-                .map(|(id, _)| id.clone())
-                .collect()
-        };
-        for (slot, id) in self.rule_ids.iter().enumerate() {
-            if self.slots[slot].open.load(Ordering::Acquire) {
-                v.push(id.clone());
-            }
-        }
+        let mut v: Vec<String> = self
+            .rule_ids
+            .iter()
+            .zip(&self.slots)
+            .filter(|(_, s)| s.open.load(Ordering::Acquire))
+            .map(|(id, _)| id.clone())
+            .collect();
         v.sort();
         v
     }
 
     /// Close `rule_id`'s breaker and forget its trip history, readmitting
-    /// the rule. Returns `true` iff there was state to clear.
+    /// the rule. Returns `true` iff there was state to clear (`false` for
+    /// an unregistered id).
     pub fn reset(&self, rule_id: &str) -> bool {
-        let mut state = self.state.lock().unwrap();
         let Some(&slot) = self.index.get(rule_id) else {
-            let removed = state.remove(rule_id);
-            if removed.as_ref().is_some_and(|e| e.open) {
-                // Inside the lock: see the `generation` field docs.
-                self.generation.fetch_add(1, Ordering::Release);
-                self.reset_total.fetch_add(1, Ordering::Release);
-            }
-            return removed.is_some();
+            return false;
         };
+        let _state = self.state.lock().unwrap();
         let s = &self.slots[slot];
         let existed = s.first.load(Ordering::Acquire) != UNSET;
         for lane in &self.shards {
@@ -358,15 +320,12 @@ impl Breaker {
 
     /// Every rule with breaker state, sorted by rule id.
     pub fn snapshot(&self) -> Vec<(String, BreakerEntry)> {
-        let mut v: Vec<(String, BreakerEntry)> = {
-            let state = self.state.lock().unwrap();
-            state.iter().map(|(id, e)| (id.clone(), *e)).collect()
-        };
-        for (slot, id) in self.rule_ids.iter().enumerate() {
-            if let Some(e) = self.slot_entry(slot) {
-                v.push((id.clone(), e));
-            }
-        }
+        let mut v: Vec<(String, BreakerEntry)> = self
+            .rule_ids
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, id)| Some((id.clone(), self.slot_entry(slot)?)))
+            .collect();
         v.sort_by(|a, b| a.0.cmp(&b.0));
         v
     }
@@ -394,26 +353,6 @@ impl Breaker {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn trips_open_at_threshold_and_reset_closes() {
-        let b = Breaker::new(3);
-        assert!(!b.charge("9", 1));
-        assert!(!b.charge("9", 2));
-        assert!(!b.is_open("9"));
-        assert!(b.charge("9", 7));
-        assert!(b.is_open("9"));
-        assert_eq!(b.open_rules(), vec!["9".to_string()]);
-        let report = b.report();
-        assert_eq!(report.entries.len(), 1);
-        assert_eq!(report.entries[0].trips, 3);
-        assert_eq!(report.entries[0].first_failure, Some(1));
-        assert_eq!(report.entries[0].last_failure, Some(7));
-        assert!(b.reset("9"));
-        assert!(!b.is_open("9"));
-        assert!(b.open_rules().is_empty());
-        assert!(!b.reset("9"));
-    }
 
     #[test]
     fn sharded_trips_open_at_threshold_across_shards() {
@@ -451,9 +390,8 @@ mod tests {
         // Further charges on an already-open rule change nothing.
         b.charge_from(0, "app", 3);
         assert_eq!(b.generation(), 1);
-        // Resetting a never-charged rule changes nothing ("e121" is not
-        // even registered: the fallback path agrees).
-        b.reset("e121");
+        // Resetting an unregistered rule changes nothing.
+        assert!(!b.reset("e121"));
         assert_eq!(b.generation(), 1);
         // Resetting charged-but-closed state changes nothing either.
         b.charge_from(2, "9", 4);
@@ -513,23 +451,22 @@ mod tests {
     }
 
     #[test]
-    fn unregistered_rules_fall_back_to_locked_map() {
-        let b = Breaker::sharded(2, 4, ["app"]);
-        // "mystery" was never registered: charges work, trip semantics and
-        // the quarantine report match the registered path.
+    fn unregistered_rules_are_refused() {
+        let b = Breaker::sharded(1, 4, ["app"]);
+        // "mystery" was never registered: charges and resets are refused,
+        // record nothing, and never move the generation — which would
+        // invalidate every cached plan of the tenant.
         assert!(!b.charge_from(3, "mystery", 5));
-        assert!(b.charge_from(1, "mystery", 6));
-        assert!(b.is_open("mystery"));
+        assert!(!b.charge("mystery", 6));
+        b.charge_many(1, ["mystery", "app"], 7);
+        assert!(!b.is_open("mystery"));
+        assert_eq!(b.entry("mystery"), None);
+        assert!(!b.reset("mystery"));
+        // Only the registered rule of the batch was charged (and tripped).
+        assert_eq!(b.open_rules(), vec!["app".to_string()]);
+        assert_eq!(b.snapshot().len(), 1);
         assert_eq!(b.generation(), 1);
-        assert_eq!(b.open_rules(), vec!["mystery".to_string()]);
-        let e = b.entry("mystery").unwrap();
-        assert_eq!(
-            (e.trips, e.first_request, e.last_request),
-            (2, Some(5), Some(6))
-        );
-        assert!(b.reset("mystery"));
-        assert_eq!(b.generation(), 2);
-        assert!(b.open_rules().is_empty());
+        assert_eq!((b.opened_total(), b.reset_total()), (1, 0));
     }
 
     #[test]

@@ -42,9 +42,9 @@
 //!   epoch against *its own tenant's* breaker generation, one tenant's
 //!   trip reclaims only that tenant's plans.
 //!
-//! Only *pure* requests participate (no injected faults or forced engine
-//! failures), and only optimized responses with no caught panics, no
-//! quarantine, and no contained rule failures are inserted —
+//! Only *pure* requests participate (no injected faults), and only
+//! optimized responses with no caught panic, no quarantine, and no
+//! contained rule failures are inserted —
 //! exactly the responses that are a pure function of (term, rule set,
 //! budget). Everything else takes the ordinary worker path, which is what
 //! keeps cache-on byte-identical to cache-off (`tests/cache.rs` proves it
@@ -127,7 +127,7 @@ pub(crate) struct CachedPlan {
 impl CachedPlan {
     /// Materialize the response this plan answers request `id` with,
     /// labeled for `tenant`. Identical to what the worker path produced
-    /// when the entry was inserted: insertion requires no panics, no
+    /// when the entry was inserted: insertion requires no panic, no
     /// failures, and no error text, so those fields are constants here.
     pub(crate) fn response(&self, id: u64, tenant: Arc<str>) -> Response {
         Response {
@@ -137,7 +137,7 @@ impl CachedPlan {
             plan: Some(Arc::clone(&self.plan)),
             report: self.report.clone(),
             quarantine: Arc::clone(&self.quarantine),
-            panics: Vec::new(),
+            panic: None,
             error: None,
             latency: Duration::ZERO,
         }
@@ -288,13 +288,13 @@ impl PlanCache {
 
     /// Derive the cache key for `request` under resolved tenant index
     /// `tenant`, or `None` when the request must not touch the cache:
-    /// injected faults and forced engine failures make the outcome a
-    /// function of more than (term, rule set, budget). Timeouts and holds
+    /// injected faults make the outcome a function of more than (term,
+    /// rule set, budget). Timeouts and holds
     /// stay cacheable — they shape *when* a plan arrives, never
     /// *which* plan (see [`BudgetKey`]).
     pub(crate) fn key_of(request: &Request, tenant: usize) -> Option<CacheKey> {
         let o = &request.options;
-        if !o.faults.is_empty() || o.force_fail {
+        if !o.faults.is_empty() {
             return None;
         }
         let budget = BudgetKey {
@@ -604,14 +604,14 @@ fn join_flight(
 const MAX_CACHED_PLAN_NODES: usize = 2_048;
 
 /// Is `response` a pure function of (term, rule set, budget)? Optimized,
-/// no caught panics, no error notes, no quarantine, and no
+/// no caught panic, no error notes, no quarantine, and no
 /// contained per-rule failures — any of those would make a cached replay
 /// observably different from a fresh engine pass (different panic
 /// attributions, different breaker charges).
 fn cacheable_response(response: &Response) -> bool {
     matches!(response.outcome, Outcome::Optimized)
         && response.error.is_none()
-        && response.panics.is_empty()
+        && response.panic.is_none()
         && response.quarantine.entries.is_empty()
         && response
             .report
@@ -697,11 +697,6 @@ mod tests {
             ..RequestOptions::default()
         });
         assert!(PlanCache::key_of(&faulted, 0).is_none());
-        let forced = Request::text("id . age ! P").with_options(RequestOptions {
-            force_fail: true,
-            ..RequestOptions::default()
-        });
-        assert!(PlanCache::key_of(&forced, 0).is_none());
     }
 
     #[test]
@@ -767,7 +762,7 @@ mod tests {
             plan: Some(Arc::new(big)),
             report: Some(Arc::default()),
             quarantine: Arc::default(),
-            panics: Vec::new(),
+            panic: None,
             error: None,
             latency: Duration::ZERO,
         };
@@ -802,7 +797,7 @@ mod tests {
             plan: Some(Arc::new(kola::parse::parse_query("age ! P").unwrap())),
             report: None,
             quarantine: Arc::default(),
-            panics: Vec::new(),
+            panic: None,
             error: Some("fast: injected".into()),
             latency: Duration::ZERO,
         };
@@ -853,7 +848,7 @@ mod tests {
             plan: Some(Arc::new(kola::parse::parse_query("age ! P").unwrap())),
             report: Some(Arc::default()),
             quarantine: Arc::default(),
-            panics: Vec::new(),
+            panic: None,
             error: None,
             latency: Duration::ZERO,
         };

@@ -7,15 +7,17 @@
 //! overload. Thread scheduling still varies run to run — which requests
 //! get shed, which deadlines expire — but the service's *invariants* must
 //! not: every request terminates with exactly one classified outcome, no
-//! panic escapes a worker, and every optimized plan passes the semantic
-//! gate. [`ChaosReport::violations`] checks exactly those
-//! scheduling-independent properties.
+//! panic escapes a worker, and every optimized reply — worker pass, cache
+//! hit or coalesced — means what its input means on a sample database
+//! (audited after the serving window). [`ChaosReport::violations`] checks
+//! exactly those scheduling-independent properties.
 
 use crate::metrics::conservation_violations;
-use crate::request::{Outcome, Payload, Request, RequestOptions};
-use crate::service::{Service, ServiceConfig};
+use crate::request::{Outcome, Payload, Request, RequestOptions, Response};
+use crate::service::{Service, ServiceConfig, WORKER_STACK};
 use kola::term::{Func, Pred, Query};
 use kola::Value;
+use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::{splitmix64, Rng};
 use kola_obs::{ReplayWorker, Snapshot};
 use kola_rewrite::{Catalog, FaultKind, FaultPlan, FaultSpec, PropDb, StepSelector};
@@ -33,8 +35,6 @@ pub struct ChaosConfig {
     pub workers: usize,
     /// Work-queue capacity (small enough that holds cause real shedding).
     pub queue_capacity: usize,
-    /// Run the semantic gate on every optimized plan.
-    pub verify: bool,
     /// Record structured rewrite traces and, at the end of the soak,
     /// replay every trace still in the ring against the boxed reference
     /// engine (divergences are invariant violations).
@@ -66,7 +66,6 @@ impl Default for ChaosConfig {
             seed: 0xC0FFEE,
             workers: 4,
             queue_capacity: 32,
-            verify: true,
             tracing: false,
             trace_capacity: 1024,
             stall: Duration::from_millis(2),
@@ -94,7 +93,8 @@ pub struct ChaosReport {
     pub caught_panics: usize,
     /// Panics that reached a worker boundary unclassified (must be zero).
     pub unexpected_panics: usize,
-    /// Optimized plans the semantic gate rejected (must be zero).
+    /// Optimized replies whose plan disagrees with its input on the audit
+    /// database (must be zero).
     pub gate_failures: usize,
     /// Rules whose cross-request breaker opened at least once.
     pub breaker_opened: usize,
@@ -131,8 +131,8 @@ pub struct ChaosReport {
     /// Replays that diverged from the recorded derivation (must be zero).
     pub traces_divergent: usize,
     /// Wall-clock of the *serving* window only: submit through last reply.
-    /// Post-hoc audits (trace replay, breaker sweeps) are excluded, so this
-    /// is the number worker-scaling claims divide by.
+    /// Post-hoc audits (plan semantics, trace replay, breaker sweeps) are
+    /// excluded, so this is the number worker-scaling claims divide by.
     pub elapsed: Duration,
 }
 
@@ -169,7 +169,7 @@ impl ChaosReport {
         }
         if self.gate_failures != 0 {
             v.push(format!(
-                "{} optimized plans failed the semantic gate",
+                "{} optimized plans changed their input's meaning",
                 self.gate_failures
             ));
         }
@@ -411,10 +411,10 @@ pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Reques
     if repeated > 0.0 && rng.gen_bool(repeated) {
         // Repeated lane: a small fixed pool under FIXED budgets, so
         // identical draws share one plan-cache line (the stream's trailing
-        // budget randomization below would disperse the keys). Pure —
-        // no faults, no forced failures — so the requests are cacheable,
-        // and the poison lanes' breaker trips invalidate their entries
-        // mid-soak, which is the interaction this lane exists to exercise.
+        // budget randomization below would disperse the keys). Pure (no
+        // faults), so the requests are cacheable, and the poison lanes'
+        // breaker trips invalidate their entries mid-soak, which is the
+        // interaction this lane exists to exercise.
         let pick = rng.gen_range(0..8usize);
         let options = RequestOptions {
             hold_for: (!stall.is_zero()).then_some(stall),
@@ -465,10 +465,12 @@ pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Reques
             _ => deep_pair_ast(h),
         }))
     } else if roll < 75 {
-        // Injected engine faults: 30 % of this lane forces the attempt to
-        // fail (the request passes through); the rest is a plain id tower.
+        // Failed engine attempts: 30 % of this lane caps the term size
+        // below the input's, so the attempt stops with `TermTooLarge`
+        // before any rule runs and the request passes through; the rest is
+        // a plain id tower.
         if !rng.gen_bool(0.7) {
-            options.force_fail = true;
+            options.max_term_size = 1;
         }
         Payload::Text(id_tower_text(1 + rng.gen_range(0..8usize)))
     } else if roll < 90 {
@@ -517,12 +519,13 @@ pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Reques
 }
 
 /// Run one soak: generate `cfg.requests` seeded requests, drive them
-/// through a fresh service, and tally the outcome taxonomy.
+/// through a fresh service, and tally the outcome taxonomy. After the
+/// serving window, every `Optimized` reply is checked against its input
+/// on a sample database.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     let service = Service::start(ServiceConfig {
         workers: cfg.workers,
         queue_capacity: cfg.queue_capacity,
-        verify: cfg.verify,
         tracing: cfg.tracing,
         trace_capacity: cfg.trace_capacity,
         cache_capacity: cfg.cache_capacity,
@@ -534,22 +537,21 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     };
     let mut opened: std::collections::BTreeSet<String> = std::collections::BTreeSet::new();
 
+    // Each ticket keeps its request's input beside it, so the post-hoc
+    // audit can compare every optimized plan with what it was derived from.
     let mut pending = Vec::new();
-    let absorb = |resp: crate::request::Response, report: &mut ChaosReport| {
+    let mut optimized: Vec<(Payload, Arc<Query>)> = Vec::new();
+    let mut absorb = |input: Payload, resp: Response, report: &mut ChaosReport| {
         match resp.outcome {
-            Outcome::Optimized => report.optimized_fast += 1,
+            Outcome::Optimized => {
+                report.optimized_fast += 1;
+                optimized.push((input, resp.plan.expect("an optimized reply has a plan")));
+            }
             Outcome::Passthrough => report.passthrough += 1,
             Outcome::Overloaded => report.overloaded += 1,
             Outcome::Invalid => report.invalid += 1,
         }
-        report.caught_panics += resp.panics.len();
-        if resp
-            .error
-            .as_deref()
-            .is_some_and(|e| e.contains("semantic gate:"))
-        {
-            report.gate_failures += 1;
-        }
+        report.caught_panics += usize::from(resp.panic.is_some());
         report.latencies_us.push(resp.latency.as_micros() as u64);
     };
 
@@ -558,14 +560,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     for i in 0..cfg.requests {
         let mut rng = Rng::seed_from_u64(splitmix64(&mut seed) ^ i as u64);
         let request = generate_request(&mut rng, cfg.stall, cfg.repeated);
+        let input = request.payload.clone();
         match service.submit(request) {
-            Ok(p) => pending.push(p),
+            Ok(p) => pending.push((input, p)),
             Err(rejection) => {
-                absorb(rejection, &mut report);
+                absorb(input, rejection, &mut report);
                 // Shed: let the workers catch up a little before the next
                 // burst, so the soak keeps exercising the engine lanes too.
-                for p in pending.drain(..pending.len().min(4)) {
-                    absorb(p.wait(), &mut report);
+                for (input, p) in pending.drain(..pending.len().min(4)) {
+                    absorb(input, p.wait(), &mut report);
                 }
             }
         }
@@ -576,7 +579,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         let flood = (i / 97) % 7 == 6;
         if !flood {
             while pending.len() >= (cfg.queue_capacity / 2).max(8) {
-                absorb(pending.remove(0).wait(), &mut report);
+                let (input, p) = pending.remove(0);
+                absorb(input, p.wait(), &mut report);
             }
         }
         // Periodically note and reset opened breakers so the poison lane
@@ -588,13 +592,13 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
             }
         }
     }
-    for p in pending {
-        let resp = p.wait();
-        absorb(resp, &mut report);
+    for (input, p) in pending {
+        absorb(input, p.wait(), &mut report);
     }
     // Serving window ends with the last reply in hand; everything below is
     // post-hoc audit and must not count against worker-scaling claims.
     report.elapsed = started.elapsed();
+    report.gate_failures = count_changed_plans(&optimized);
     for rule in service.breaker().open_rules() {
         opened.insert(rule);
     }
@@ -627,6 +631,35 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         }
     }
     report
+}
+
+/// How many of `optimized` (input, plan) pairs disagree on the sample
+/// database (`DataSpec::small(123)`), by
+/// [`kola_verify::check_plan_semantics`]. Runs on one thread with a
+/// worker-sized stack: deep-AST plans are evaluated recursively, 500–3,000
+/// levels deep, as the workers that derived them were sized for.
+fn count_changed_plans(optimized: &[(Payload, Arc<Query>)]) -> usize {
+    let db = generate(&DataSpec::small(123));
+    let changed = |(input, plan): &(Payload, Arc<Query>)| {
+        let input = match input {
+            Payload::Text(src) => match kola_frontend::parse_any_query(src) {
+                Ok(q) => Arc::new(q),
+                // An optimized reply's input parsed once already.
+                Err(_) => return true,
+            },
+            Payload::Ast(q) => Arc::clone(q),
+        };
+        kola_verify::check_plan_semantics(&db, &input, plan).is_err()
+    };
+    std::thread::scope(|s| {
+        std::thread::Builder::new()
+            .name("kola-chaos-audit".to_string())
+            .stack_size(WORKER_STACK)
+            .spawn_scoped(s, || optimized.iter().filter(|p| changed(p)).count())
+            .expect("spawn plan audit thread")
+            .join()
+            .expect("plan audit thread")
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -735,7 +768,6 @@ pub fn run_clean_stream(cfg: &CleanConfig) -> CleanReport {
     let service = Service::start(ServiceConfig {
         workers: cfg.workers,
         queue_capacity: cfg.queue_capacity.max(cfg.clients),
-        verify: false,
         // The clean stream measures worker scaling; its templates repeat
         // heavily, so a cache would answer most of them at the door and
         // the gate would measure the cache instead. The repeated-traffic
@@ -897,7 +929,6 @@ pub fn run_repeated_stream(cfg: &RepeatedConfig) -> RepeatedReport {
     let service = Service::start(ServiceConfig {
         workers: cfg.workers,
         queue_capacity: cfg.queue_capacity.max(cfg.clients),
-        verify: false,
         cache_capacity: cfg.cache_capacity,
         ..ServiceConfig::default()
     });
@@ -971,7 +1002,7 @@ pub fn run_repeated_stream(cfg: &RepeatedConfig) -> RepeatedReport {
                             Outcome::Optimized => fast += 1,
                             _ => other += 1,
                         }
-                        panics += resp.panics.len();
+                        panics += usize::from(resp.panic.is_some());
                         latencies.push(resp.latency.as_micros() as u64);
                     }
                     (fast, other, panics, latencies)
@@ -1056,8 +1087,6 @@ pub struct TenantChaosConfig {
     pub cache_capacity: usize,
     /// Run the aggressor at all (`false` = solo-victim baseline).
     pub aggressor: bool,
-    /// Run the semantic gate on every optimized plan.
-    pub verify: bool,
 }
 
 impl Default for TenantChaosConfig {
@@ -1074,7 +1103,6 @@ impl Default for TenantChaosConfig {
             stall: Duration::from_millis(2),
             cache_capacity: 2048,
             aggressor: true,
-            verify: false,
         }
     }
 }
@@ -1099,7 +1127,7 @@ pub struct TenantTally {
 }
 
 impl TenantTally {
-    fn absorb(&mut self, resp: &crate::request::Response) {
+    fn absorb(&mut self, resp: &Response) {
         self.requests += 1;
         match resp.outcome {
             Outcome::Optimized => self.optimized_fast += 1,
@@ -1107,7 +1135,7 @@ impl TenantTally {
             Outcome::Invalid => self.invalid += 1,
             _ => self.other += 1,
         }
-        self.caught_panics += resp.panics.len();
+        self.caught_panics += usize::from(resp.panic.is_some());
         self.latencies_us.push(resp.latency.as_micros() as u64);
     }
 
@@ -1332,7 +1360,6 @@ pub fn run_noisy_neighbor(cfg: &TenantChaosConfig) -> TenantChaosReport {
     let service = Service::start(ServiceConfig {
         workers: cfg.workers,
         queue_capacity: cfg.queue_capacity,
-        verify: cfg.verify,
         cache_capacity: cfg.cache_capacity,
         tenants: vec!["victim".to_string(), "aggressor".to_string()],
         tenant_quota: cfg.tenant_quota,

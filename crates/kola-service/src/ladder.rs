@@ -17,9 +17,12 @@
 //!   poison-rule panic is caught, attributed to its rule, and charged to
 //!   the tenant's cross-request [`Breaker`](crate::Breaker).
 //!
-//! An attempt *fails* when it panics, when `force_fail` says so, or when
-//! its report stops with `DeadlineExpired` or `TermTooLarge` — stops that
-//! mean "no trustworthy optimized plan". `BudgetExhausted` and
+//! An attempt *fails* when it panics or when its report stops with
+//! `DeadlineExpired` or `TermTooLarge` — stops that mean "no trustworthy
+//! optimized plan". An input larger than the request's `max_term_size`
+//! stops with `TermTooLarge` before any rule runs, so tests and the chaos
+//! stream force a failure with a term-size cap of 1, through the same
+//! path a real oversize input takes. `BudgetExhausted` and
 //! `CycleDetected` are *successes*: the governed engine guarantees the best
 //! (smallest) query seen so far, which is a valid plan.
 //!
@@ -69,9 +72,9 @@ pub(crate) enum LadderInput<'q> {
 
 impl LadderInput<'_> {
     /// The input as a boxed query: a handle bump for an AST, a parse for
-    /// text. Only the cold paths that need the tree call it — passthrough,
-    /// trace recording, and the service's semantic gate. `Err` is the
-    /// parse error, worded as `kola_frontend::parse_any_query` words it.
+    /// text. Only the cold paths that need the tree call it — passthrough
+    /// and trace recording. `Err` is the parse error, worded as
+    /// `kola_frontend::parse_any_query` words it.
     pub(crate) fn boxed(&self) -> Result<Arc<Query>, String> {
         match self {
             LadderInput::Ast(q) => Ok(Arc::clone(q)),
@@ -95,8 +98,8 @@ pub(crate) struct LadderResult {
     pub(crate) report: Option<RewriteReport>,
     /// Per-run quarantine state of the successful attempt.
     pub(crate) quarantine: QuarantineReport,
-    /// The attempt's caught poison-rule panic, if any (at most one).
-    pub(crate) panics: Vec<CaughtPanic>,
+    /// The attempt's caught poison-rule panic, if any.
+    pub(crate) panic: Option<CaughtPanic>,
     /// Why the request passed through; `None` when it optimized.
     pub(crate) failure: Option<String>,
 }
@@ -106,7 +109,7 @@ pub(crate) struct LadderResult {
 /// engine skips per-step trace building entirely).
 enum Attempt {
     Ok(Query, RewriteReport, Trace),
-    Failed(String, Option<RewriteReport>),
+    Failed(String, RewriteReport),
     Panicked(CaughtPanic),
     /// The text input does not parse.
     Unparsable(String),
@@ -140,7 +143,7 @@ pub(crate) fn attempt_or_passthrough(
     engine.set_disabled(&snapshot.disabled);
     engine.set_trace(tracer.is_some());
 
-    let mut panics = Vec::new();
+    let mut panic = None;
     let attempt = if expired(job.deadline) {
         // Queue wait ate the deadline: note the expiry so a deadline-driven
         // passthrough always carries an error.
@@ -150,18 +153,16 @@ pub(crate) fn attempt_or_passthrough(
             Attempt::Ok(plan, report, trace) => Ok((plan, report, trace)),
             Attempt::Failed(why, report) => {
                 shared.metrics.rung_failures.inc();
-                if let Some(r) = &report {
-                    charge_failed_rules(shared, job, worker, r);
-                }
+                charge_failed_rules(shared, job, worker, &report);
                 Err(why)
             }
             Attempt::Panicked(p) => {
                 shared.metrics.rung_failures.inc();
                 if let Some(id) = &p.rule_id {
-                    tenant.breaker.charge_many(worker, [id.as_str()], job.id);
+                    tenant.breaker.charge_from(worker, id, job.id);
                 }
                 let why = p.to_string();
-                panics.push(p);
+                panic = Some(p);
                 Err(why)
             }
             Attempt::Unparsable(e) => return Err(e),
@@ -197,7 +198,7 @@ pub(crate) fn attempt_or_passthrough(
                 plan: Arc::new(plan),
                 report: Some(report),
                 quarantine,
-                panics,
+                panic,
                 failure: None,
             })
         }
@@ -206,7 +207,7 @@ pub(crate) fn attempt_or_passthrough(
             plan: input.boxed()?,
             report: None,
             quarantine: QuarantineReport::default(),
-            panics,
+            panic,
             failure: Some(format!("fast attempt: {why}")),
         }),
     }
@@ -224,9 +225,6 @@ fn attempt_once(
     deadline: Option<Instant>,
     engine: &mut Engine<'_>,
 ) -> Attempt {
-    if opts.force_fail {
-        return Attempt::Failed("injected fault (permanent)".into(), None);
-    }
     let budget = opts.budget(deadline);
     let run = match input {
         LadderInput::Ast(q) => engine.try_normalize_with(q, &budget, &opts.faults).map(Ok),
@@ -244,11 +242,9 @@ fn attempt_once(
 fn classify(plan: Query, report: RewriteReport, trace: Trace) -> Attempt {
     match report.stop {
         StopReason::DeadlineExpired => {
-            Attempt::Failed("deadline expired mid-rewrite".into(), Some(report))
+            Attempt::Failed("deadline expired mid-rewrite".into(), report)
         }
-        StopReason::TermTooLarge => {
-            Attempt::Failed("input exceeds term-size cap".into(), Some(report))
-        }
+        StopReason::TermTooLarge => Attempt::Failed("input exceeds term-size cap".into(), report),
         // NormalForm, BudgetExhausted, CycleDetected: the governed
         // engine returns the best (smallest) query seen — a plan.
         _ => Attempt::Ok(plan, report, trace),

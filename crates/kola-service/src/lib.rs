@@ -31,7 +31,9 @@
 //!   per-worker shards of relaxed atomic counters, so a fault-saturated
 //!   stream scales with workers; trips fold the shards and stay
 //!   byte-identical to the original single-lock breaker, which
-//!   `tests/breaker_parity.rs` keeps as its executable spec.
+//!   `tests/breaker_parity.rs` keeps as its executable spec. Every catalog
+//!   rule is registered at start, and a charge or reset naming any other
+//!   id is refused.
 //! - [`metrics`] — the service's lock-free metric surface (built on
 //!   `kola-obs`): request-lifecycle counters arranged as conservation
 //!   invariants the chaos soak audits, per-rule attempt/fire families,
@@ -49,8 +51,10 @@
 //! - [`chaos`] — a deterministic chaos-soak harness mixing well-formed
 //!   queries, adversarially deep terms, poison rules, and random deadlines,
 //!   asserting that every request terminates with a classified outcome,
-//!   that no panic escapes a worker, that the metric books balance, and
-//!   that every recorded trace replays exactly.
+//!   that no panic escapes a worker, that the metric books balance, that
+//!   every recorded trace replays exactly, and — checked after the serving
+//!   window, not in the worker — that every optimized reply evaluates like
+//!   its input on a sample database.
 //!
 //! Serving preserves exactness: with no faults injected the service answer
 //! is byte-identical to a direct [`kola_rewrite::Runner`] run on the fast

@@ -74,8 +74,6 @@ pub struct ServiceMetrics {
     pub cache_hit_latency_us: Arc<Histogram>,
     /// Poison-rule panics caught *and classified* by the ladder.
     pub caught_panics: Arc<Counter>,
-    /// Optimized plans degraded to passthrough by the semantic gate.
-    pub gate_degradations: Arc<Counter>,
     /// Failed engine attempts — at most one per request, which then
     /// passes through.
     pub rung_failures: Arc<Counter>,
@@ -138,7 +136,7 @@ pub struct ServiceMetrics {
     pub tenant_cache_hits: Arc<CounterFamily>,
     /// Completed `Optimized`.
     pub tenant_optimized_fast: Arc<CounterFamily>,
-    /// Completed `Passthrough` (ladder exhausted or semantic-gate degrade).
+    /// Completed `Passthrough` (the engine attempt failed or never ran).
     pub tenant_passthrough: Arc<CounterFamily>,
     /// Completed `Invalid` in the worker (parse failure).
     pub tenant_completed_invalid: Arc<CounterFamily>,
@@ -185,7 +183,6 @@ impl ServiceMetrics {
             cache_served: registry.family("cache_served", ["fast", "passthrough", "invalid"]),
             cache_hit_latency_us: registry.histogram("cache_hit_latency_us", &pow2_bounds(us_cap)),
             caught_panics: registry.counter("caught_panics"),
-            gate_degradations: registry.counter("gate_degradations"),
             rung_failures: registry.counter("rung_failures"),
             engine_visits: registry.counter("engine_visits"),
             engine_consults: registry.counter("engine_consults"),

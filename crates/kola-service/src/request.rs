@@ -43,9 +43,6 @@ pub struct RequestOptions {
     pub timeout: Option<Duration>,
     /// Injected faults, forwarded to the engines (testing/chaos surface).
     pub faults: FaultPlan,
-    /// Injected engine failure: the attempt fails without running, so the
-    /// request ends in passthrough (testing/chaos surface).
-    pub force_fail: bool,
     /// Simulated pre-ladder work (testing/chaos surface — deterministic
     /// queue backpressure for the overload tests).
     pub hold_for: Option<Duration>,
@@ -61,7 +58,6 @@ impl Default for RequestOptions {
             quarantine_after: b.quarantine_after,
             timeout: None,
             faults: FaultPlan::default(),
-            force_fail: false,
             hold_for: None,
         }
     }
@@ -182,10 +178,9 @@ pub struct Response {
     pub quarantine: Arc<QuarantineReport>,
     /// The poison-rule panic caught (and attributed) during the engine
     /// attempt, if any.
-    pub panics: Vec<CaughtPanic>,
+    pub panic: Option<CaughtPanic>,
     /// Why the request was not optimized: the failed engine attempt's
-    /// note, or the parse or gate error when `outcome` is
-    /// `Invalid`/degraded.
+    /// note, or the parse error when `outcome` is `Invalid`.
     pub error: Option<String>,
     /// End-to-end latency from submission to reply (includes queue wait).
     pub latency: Duration,
@@ -201,7 +196,7 @@ impl Response {
             plan: None,
             report: None,
             quarantine: Arc::default(),
-            panics: Vec::new(),
+            panic: None,
             error: Some(why),
             latency: Duration::ZERO,
         }

@@ -1,6 +1,5 @@
 //! The concurrent optimization service: sharded bounded queue, worker pool
-//! with persistent per-worker engines, panic isolation, and the semantic
-//! gate.
+//! with persistent per-worker engines, and panic isolation.
 //!
 //! Request lifecycle (README "Serving" has the picture):
 //!
@@ -16,8 +15,6 @@
 //!    │          long-lived engine under the remaining deadline, which
 //!    │          parses KOLA text straight into its arena — unparsable
 //!    │          text ends here as Invalid; panics caught & attributed)
-//!    ▼ semantic gate (optional): plan ≡ input on a sample database,
-//!    │          else degrade to Passthrough
 //!    ▼ reply: Optimized | Passthrough
 //! ```
 //!
@@ -55,13 +52,9 @@ use crate::request::{Outcome, Payload, Request, Response};
 use crate::snapshot::RuleSnapshot;
 use crate::tenant::Tenants;
 use kola::term::Query;
-use kola::Db;
-use kola_exec::datagen::{generate, DataSpec};
 use kola_frontend::is_oql;
 use kola_obs::{RewriteTrace, ShardedTraceRing, Snapshot as MetricsSnapshot};
-use kola_rewrite::{
-    Catalog, Engine, EngineConfig, EngineStats, Oriented, PropDb, QuarantineReport,
-};
+use kola_rewrite::{Catalog, Engine, EngineConfig, EngineStats, Oriented, PropDb};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -83,11 +76,6 @@ pub struct ServiceConfig {
     /// Reject text payloads larger than this (bytes). Text parsing is
     /// recursive; bounding the input bounds the parse.
     pub max_request_bytes: usize,
-    /// Worker stack size in bytes.
-    pub stack_size: usize,
-    /// Run the semantic gate: evaluate input and plan on a small generated
-    /// database and degrade to passthrough if they disagree.
-    pub verify: bool,
     /// Record a structured [`RewriteTrace`] for every successfully
     /// optimized request. Off by default: with tracing off the fast
     /// engine's per-step trace building is disabled entirely, so the hot
@@ -102,9 +90,6 @@ pub struct ServiceConfig {
     /// takes the worker path, which is what the parity suite compares
     /// against.
     pub cache_capacity: usize,
-    /// Plan-cache shard count (clamped to at least 1 and at most the
-    /// capacity). More shards, less submit-side lock contention.
-    pub cache_shards: usize,
     /// Tenant namespaces to serve, in order (the first is where unlabeled
     /// requests go). Empty means one `"default"` tenant — the
     /// single-tenant service, unchanged. Each tenant owns its own breaker,
@@ -131,12 +116,9 @@ impl Default for ServiceConfig {
             queue_capacity: 64,
             breaker_threshold: 3,
             max_request_bytes: 64 * 1024,
-            stack_size: 16 * 1024 * 1024,
-            verify: false,
             tracing: false,
             trace_capacity: 1024,
             cache_capacity: 2048,
-            cache_shards: 8,
             tenants: Vec::new(),
             tenant_quota: 0,
             engine: EngineConfig::fast(),
@@ -168,6 +150,15 @@ struct Shard {
     cv: Condvar,
 }
 
+/// Worker thread stack size. Deep-term traversals are explicit-stack
+/// throughout the engine layer, but debug evaluator frames are large and
+/// AST requests can nest thousands of levels deep.
+pub(crate) const WORKER_STACK: usize = 16 << 20;
+
+/// Plan-cache shard count (clamped to the capacity by
+/// [`PlanCache::new`]). More shards, less submit-side lock contention.
+const CACHE_SHARDS: usize = 8;
+
 /// An idle worker with an empty home shard parks this long before
 /// re-scanning its siblings for stealable work. Submissions to its own
 /// shard wake it immediately; work landing on a busy sibling's shard is
@@ -180,7 +171,6 @@ pub(crate) struct Shared {
     /// The tenant table: per-tenant breaker, snapshot cell, and quota
     /// depth. A single-tenant service is a one-entry table.
     pub(crate) tenants: Tenants,
-    verify_db: Option<Db>,
     shards: Vec<Shard>,
     /// Queued-but-unclaimed jobs across all shards: the lock-free input to
     /// the Overloaded decision.
@@ -268,7 +258,6 @@ impl Service {
             catalog,
             props: PropDb::new(),
             tenants,
-            verify_db: config.verify.then(|| generate(&DataSpec::small(123))),
             shards: (0..workers_n)
                 .map(|_| Shard {
                     jobs: Mutex::new(VecDeque::new()),
@@ -287,7 +276,7 @@ impl Service {
                 .tracing
                 .then(|| ShardedTraceRing::new(workers_n, config.trace_capacity)),
             cache: (config.cache_capacity > 0)
-                .then(|| PlanCache::new(config.cache_capacity, config.cache_shards)),
+                .then(|| PlanCache::new(config.cache_capacity, CACHE_SHARDS)),
             engine_config: config.engine.clone(),
         });
         let workers = (0..workers_n)
@@ -295,7 +284,7 @@ impl Service {
                 let shared = Arc::clone(&shared);
                 thread::Builder::new()
                     .name(format!("kola-svc-{i}"))
-                    .stack_size(config.stack_size)
+                    .stack_size(WORKER_STACK)
                     .spawn(move || worker_loop(&shared, i))
                     .expect("spawn service worker")
             })
@@ -842,8 +831,7 @@ fn handle<'a>(
     index: usize,
 ) -> Response {
     let ten = shared.tenants.get(job.tenant);
-    let opts = &job.request.options;
-    if let Some(hold) = opts.hold_for {
+    if let Some(hold) = job.request.options.hold_for {
         thread::sleep(hold);
     }
     let invalid = |e: String| {
@@ -857,11 +845,10 @@ fn handle<'a>(
         r
     };
     // KOLA text goes to the engine, which parses it into its own arena.
-    // OQL is lowered here; so is text whose attempt is forced to fail,
-    // which would never reach the engine's parse.
+    // OQL is lowered here.
     let parsed: Arc<Query>;
     let input = match &job.request.payload {
-        Payload::Text(src) if !is_oql(src) && !opts.force_fail => LadderInput::Kola(src),
+        Payload::Text(src) if !is_oql(src) => LadderInput::Kola(src),
         Payload::Text(src) => match kola_frontend::parse_any_query(src) {
             Ok(q) => {
                 parsed = Arc::new(q);
@@ -878,32 +865,20 @@ fn handle<'a>(
     ten.snapshots
         .refresh(snapshot, &shared.catalog, &ten.breaker);
 
-    let mut result = match attempt_or_passthrough(shared, job, index, input, engine, snapshot) {
+    let result = match attempt_or_passthrough(shared, job, index, input, engine, snapshot) {
         Ok(result) => result,
         Err(e) => return invalid(e),
     };
     let m = &shared.metrics;
-    m.caught_panics.add(result.panics.len() as u64);
+    if result.panic.is_some() {
+        m.caught_panics.inc();
+    }
     if let Some(report) = &result.report {
         for (rule_id, rs) in &report.rule_stats {
             m.rules_fired.add(rule_id, rs.fired as u64);
         }
     }
 
-    // Semantic gate: an optimized plan that disagrees with its input on
-    // the sample database is worse than no optimization — degrade it.
-    if let (Some(db), Outcome::Optimized) = (&shared.verify_db, &result.outcome) {
-        // The attempt parsed this input, so it parses again.
-        let input = input.boxed().expect("an optimized input parses");
-        if let Err(e) = kola_verify::check_plan_semantics(db, &input, &result.plan) {
-            m.gate_degradations.inc();
-            result.outcome = Outcome::Passthrough;
-            result.plan = input;
-            result.report = None;
-            result.quarantine = QuarantineReport::default();
-            result.failure = Some(format!("semantic gate: {e}"));
-        }
-    }
     let completed = match &result.outcome {
         Outcome::Optimized => &m.tenant_optimized_fast,
         // The ladder never yields the last two; keep the books honest if
@@ -924,7 +899,7 @@ fn handle<'a>(
         plan: Some(result.plan),
         report: result.report.map(Arc::new),
         quarantine: Arc::new(result.quarantine),
-        panics: result.panics,
+        panic: result.panic,
         error: result.failure,
         latency: job.submitted.elapsed(),
     }

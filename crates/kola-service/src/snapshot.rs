@@ -117,7 +117,7 @@ mod tests {
     #[test]
     fn refresh_tracks_trip_and_reset() {
         let catalog = Catalog::paper();
-        let breaker = Breaker::new(1);
+        let breaker = Breaker::sharded(1, 1, ["app"]);
         let cell = SnapshotCell::new(RuleSnapshot::build(
             breaker.generation(),
             &catalog,

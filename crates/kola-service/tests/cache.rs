@@ -4,7 +4,7 @@
 //! 1. **Transparency** (`cache_on_is_byte_identical_to_cache_off`): across
 //!    500 seeded request streams — repeated pool queries in both text and
 //!    AST form, unique queries, injected rule faults that trip breakers
-//!    mid-stream, forced engine failures, and operator reset sweeps — a
+//!    mid-stream, failed engine attempts, and operator reset sweeps — a
 //!    cache-enabled service answers byte-identically to a cache-disabled
 //!    one, response by response. The cache may change *where* an answer
 //!    comes from, never *what* it is.
@@ -39,13 +39,8 @@ fn id_tower_text(height: usize) -> String {
 /// keep the comparison honest) and the latency (wall-clock, not semantic).
 fn fingerprint(r: &Response) -> String {
     format!(
-        "{:?} | {:?} | {:?} | {:?} | panics={} | {:?}",
-        r.outcome,
-        r.plan,
-        r.report,
-        r.quarantine,
-        r.panics.len(),
-        r.error
+        "{:?} | {:?} | {:?} | {:?} | panic={:?} | {:?}",
+        r.outcome, r.plan, r.report, r.quarantine, r.panic, r.error
     )
 }
 
@@ -75,10 +70,12 @@ fn gen_parity_request(rng: &mut Rng, op: usize, ast_pool: &[Arc<kola::term::Quer
             ..RequestOptions::default()
         })
     } else {
-        // Forced engine failure: uncacheable, answered with the
-        // passthrough plan on both services.
+        // Failed engine attempt: the input exceeds the term-size cap, so
+        // the attempt stops before any rule runs. Keyed like any pure
+        // request but never inserted, answered with the passthrough plan
+        // on both services.
         Request::text(id_tower_text(1 + rng.gen_range(0..4usize))).with_options(RequestOptions {
-            force_fail: true,
+            max_term_size: 1,
             ..RequestOptions::default()
         })
     }

@@ -2,7 +2,9 @@
 //! `CHAOS_REQUESTS`) mixing well-formed queries, adversarially deep terms,
 //! poison rules, and random deadlines. Asserts the service's terminal
 //! invariants: every request classified, zero escaped panics, zero
-//! semantic-gate failures — and that the stream actually exercised every
+//! optimized replies that change their input's meaning on the audit
+//! database (worker passes, cache hits and coalesced replies alike, checked
+//! after the serving window) — and that the stream actually exercised every
 //! lane (panics caught, breakers opened, loads shed). Runs with tracing
 //! on, so it also asserts the observability invariants: the metric books
 //! balance (conservation), and every trace left in the ring replays

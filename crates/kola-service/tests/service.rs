@@ -1,6 +1,6 @@
 //! Integration tests for the optimization service: parity with the direct
 //! fast and boxed engines, structured overload, breaker trip/recovery,
-//! deadline expiry, forced failures, and request classification.
+//! deadline expiry, term-size-capped failures, and request classification.
 
 use kola::term::{Func, Query};
 use kola_rewrite::strategy;
@@ -98,7 +98,7 @@ fn service_output_is_byte_identical_to_direct_fast_engine_run() {
                 "seed {seed} [{label}]"
             );
         }
-        assert!(response.panics.is_empty(), "seed {seed}");
+        assert!(response.panic.is_none(), "seed {seed}");
     }
 }
 
@@ -164,9 +164,9 @@ fn breaker_trips_on_poison_rule_and_recovers_on_reset() {
     for i in 0..2 {
         let r = service.call(Request::text("id . id . age ! P").with_options(poison.clone()));
         assert_eq!(r.outcome, Outcome::Passthrough, "request {i}");
-        assert_eq!(r.panics.len(), 1, "request {i}: one attempt, one panic");
+        let panic = r.panic.as_ref().expect("one attempt, one panic");
         assert_eq!(
-            r.panics[0].rule_id.as_deref(),
+            panic.rule_id.as_deref(),
             Some("app"),
             "request {i}: panic attributed to the poisoned rule"
         );
@@ -182,7 +182,7 @@ fn breaker_trips_on_poison_rule_and_recovers_on_reset() {
     // optimizes.
     let r = service.call(Request::text("id . id . age ! P").with_options(poison.clone()));
     assert_eq!(r.outcome, Outcome::Optimized);
-    assert!(r.panics.is_empty());
+    assert!(r.panic.is_none());
     let report = r.report.expect("report");
     assert!(
         !report.rule_stats.contains_key("app"),
@@ -330,22 +330,23 @@ fn service_deadline_expiry_body() {
         "passthrough returns the input plan verbatim"
     );
     assert!(r.report.is_none());
-    assert!(r.panics.is_empty());
+    assert!(r.panic.is_none());
     let error = r.error.expect("the failed attempt is reported");
     assert!(error.contains("deadline expired"), "{error}");
 }
 
-/// A forced engine failure passes the input through after one attempt:
-/// no report, and exactly one failure note.
+/// An input larger than the term-size cap fails its one attempt before
+/// any rule runs and passes through: no report, no rule charged, and
+/// exactly one failure note.
 #[test]
-fn forced_failure_returns_the_input_after_one_attempt() {
+fn input_over_the_term_size_cap_returns_the_input_after_one_attempt() {
     let service = Service::start(ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
     });
     let q = Arc::new(tower(4, "age"));
     let r = service.call(Request::ast(Arc::clone(&q)).with_options(RequestOptions {
-        force_fail: true,
+        max_term_size: 1,
         ..RequestOptions::default()
     }));
     assert_eq!(r.outcome, Outcome::Passthrough);
@@ -354,27 +355,27 @@ fn forced_failure_returns_the_input_after_one_attempt() {
         "passthrough returns the input plan verbatim"
     );
     assert!(r.report.is_none());
-    assert!(r.panics.is_empty());
+    assert!(r.panic.is_none());
     assert_eq!(
         r.error.as_deref(),
-        Some("fast attempt: injected fault (permanent)")
+        Some("fast attempt: input exceeds term-size cap")
     );
     assert_eq!(service.metrics_snapshot().counter("rung_failures"), 1);
+    assert!(service.breaker().snapshot().is_empty(), "no rule charged");
 }
 
 #[test]
 fn kola_text_is_served_exactly_as_its_parsed_ast() {
     // KOLA text reaches the worker's engine unparsed and is built straight
     // into its arena; the reply must be the one the parsed AST gets. The
-    // cold paths that need the boxed input (trace recording, the semantic
-    // gate) run here too.
+    // cold path that needs the boxed input (trace recording) runs here
+    // too.
     let config = ServiceConfig {
         workers: 2,
         cache_capacity: 0,
         ..ServiceConfig::default()
     };
     let text_service = Service::start(ServiceConfig {
-        verify: true,
         tracing: true,
         ..config.clone()
     });
@@ -411,18 +412,11 @@ fn kola_text_is_served_exactly_as_its_parsed_ast() {
         Some(&kola::parse::parse_query(text).unwrap())
     );
 
-    // Unparsable text is Invalid on every lane — engine parse, expired
-    // deadline, forced failure — with the front end's error and no rule
-    // charged or attempt counted.
+    // Unparsable text is Invalid on both lanes — engine parse, expired
+    // deadline — with the front end's error and no rule charged or attempt
+    // counted.
     let before = text_service.metrics_snapshot();
-    let lanes = [
-        RequestOptions::default(),
-        dead,
-        RequestOptions {
-            force_fail: true,
-            ..RequestOptions::default()
-        },
-    ];
+    let lanes = [RequestOptions::default(), dead];
     for opts in &lanes {
         for bad in ["id . ! P", "$f ! P", "P Q"] {
             let r = text_service.call(Request::text(bad).with_options(opts.clone()));
@@ -434,7 +428,7 @@ fn kola_text_is_served_exactly_as_its_parsed_ast() {
     }
     let after = text_service.metrics_snapshot();
     let delta = |name: &str| after.counter(name) - before.counter(name);
-    assert_eq!(delta("completed_invalid"), 9);
+    assert_eq!(delta("completed_invalid"), 6);
     assert_eq!(delta("rung_failures"), 0);
 }
 
@@ -469,22 +463,22 @@ fn unparseable_and_oversized_requests_classify_invalid() {
 fn deeply_bracketed_requests_are_invalid_and_the_service_keeps_serving() {
     // Text at the default 64 KiB request limit can nest brackets tens of
     // thousands deep; the parsers reject it past their nesting cap instead
-    // of recursing until a worker's stack overflows. `force_fail` sends
-    // the text down the passthrough path, which parses it into a boxed
-    // tree rather than into the engine's arena.
+    // of recursing until a worker's stack overflows. An expired deadline
+    // sends the text down the passthrough path, which parses it into a
+    // boxed tree rather than into the engine's arena.
     let service = Service::start(ServiceConfig {
         workers: 1,
         ..ServiceConfig::default()
     });
     let nest = |n: usize, inner: &str| format!("{}{inner}{}", "(".repeat(n), ")".repeat(n));
-    let forced = RequestOptions {
-        force_fail: true,
+    let dead = RequestOptions {
+        timeout: Some(Duration::ZERO),
         ..RequestOptions::default()
     };
     let shapes = [
-        (nest(32_000, "P"), forced.clone()),
+        (nest(32_000, "P"), dead.clone()),
         (nest(32_000, "P"), RequestOptions::default()),
-        (format!("{} ! P", nest(27_000, "age")), forced),
+        (format!("{} ! P", nest(27_000, "age")), dead),
         (
             format!("select x from x in P where {}", nest(10_000, "x.age = 3")),
             RequestOptions::default(),

@@ -39,13 +39,8 @@ fn id_tower_text(height: usize) -> String {
 
 fn fingerprint(r: &Response) -> String {
     format!(
-        "{:?} | {:?} | {:?} | {:?} | panics={} | {:?}",
-        r.outcome,
-        r.plan,
-        r.report,
-        r.quarantine,
-        r.panics.len(),
-        r.error
+        "{:?} | {:?} | {:?} | {:?} | panic={:?} | {:?}",
+        r.outcome, r.plan, r.report, r.quarantine, r.panic, r.error
     )
 }
 

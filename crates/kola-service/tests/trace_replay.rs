@@ -14,7 +14,7 @@
 //!    beside it.
 //!
 //! The stream mixes KOLA towers with real redexes, catalog templates, OQL
-//! text, injected Fail-kind rule faults, and forced engine failures. No
+//! text, injected Fail-kind rule faults, and failed engine attempts. No
 //! deadlines and no holds: wall-clock must not shape the derivations.
 
 use kola_exec::rng::{splitmix64, Rng};
@@ -69,9 +69,10 @@ fn generate(rng: &mut Rng) -> Request {
         });
         Payload::Text(tower_text(2 + rng.gen_range(0..6usize)))
     } else {
-        // Forced engine failure: the request ends in passthrough and
-        // records no trace, in both runs alike.
-        options.force_fail = true;
+        // Failed engine attempt (input over the term-size cap): the
+        // request ends in passthrough and records no trace, in both runs
+        // alike.
+        options.max_term_size = 1;
         Payload::Text(tower_text(1 + rng.gen_range(0..6usize)))
     };
     Request {

@@ -7,32 +7,19 @@
 use kola::typecheck::TypeEnv;
 use kola_exec::datagen::{generate, DataSpec};
 use kola_rewrite::{Catalog, PropDb};
-use kola_verify::{verify_catalog_cached, verify_containment, VerifyCache};
+use kola_verify::{verify_catalog, verify_containment};
 
 fn main() {
     let env = TypeEnv::paper_env();
     let db = generate(&DataSpec::small(123));
     let catalog = Catalog::paper();
-    let mut cache = VerifyCache::load_default();
-    let reports = verify_catalog_cached(&env, &db, &catalog, 30, 42, &mut cache);
+    let reports = verify_catalog(&env, &db, &catalog, 30, 42);
     let mut bad = 0;
-    let mut cached = 0;
-    for r in &reports {
-        if r.cached {
-            cached += 1;
-        }
-        if !r.verified() {
-            bad += 1;
-            println!("{r}");
-        }
+    for r in reports.iter().filter(|r| !r.verified()) {
+        bad += 1;
+        println!("{r}");
     }
-    println!(
-        "{} rules, {} not verified, {} served from cache ({})",
-        reports.len(),
-        bad,
-        cached,
-        cache.path().display()
-    );
+    println!("{} rules, {} not verified", reports.len(), bad);
 
     // Operational soundness: the engine must contain injected rule faults.
     let props = PropDb::new();

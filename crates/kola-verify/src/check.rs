@@ -42,24 +42,17 @@ pub struct RuleReport {
     pub skipped: usize,
     /// Counterexamples found (empty = verified).
     pub failures: Vec<String>,
-    /// True when the verdict came from the persistent fingerprint cache
-    /// (see [`crate::cache`]) instead of fresh trials.
-    pub cached: bool,
 }
 
 impl RuleReport {
-    /// Verified = no counterexample and at least one meaningful trial (or a
-    /// cache hit recording that an identical run already passed).
+    /// Verified = no counterexample and at least one meaningful trial.
     pub fn verified(&self) -> bool {
-        self.failures.is_empty() && (self.passed > 0 || self.cached)
+        self.failures.is_empty() && self.passed > 0
     }
 }
 
 impl fmt::Display for RuleReport {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.cached {
-            return write!(f, "rule {:>5}: verified (cached)", self.rule_id);
-        }
         write!(
             f,
             "rule {:>5}: {:>4}/{} passed, {} skipped{}",
@@ -84,7 +77,6 @@ pub fn check_rule(env: &TypeEnv, db: &Db, rule: &Rule, trials: usize, seed: u64)
         passed: 0,
         skipped: 0,
         failures: Vec::new(),
-        cached: false,
     };
     let mut rng = Rng::seed_from_u64(seed);
     for alt in &rule.alts {
@@ -331,11 +323,11 @@ pub fn check_normalization_semantics(
     }
 }
 
-/// The semantic gate for an already-produced plan: evaluate `input` and
+/// The semantic check for an already-produced plan: evaluate `input` and
 /// `plan` on `db` and require agreement. This is
 /// [`check_normalization_semantics`] with the normalization factored out —
-/// the optimization service uses it to gate the ladder's optimized plans
-/// without rerunning the engine. Both sides stuck counts as vacuously
+/// the service's chaos soak audits every optimized reply with it, after
+/// its serving window, without rerunning the engine. Both sides stuck counts as vacuously
 /// preserved, mirroring [`check_rule`]'s skip convention.
 pub fn check_plan_semantics(
     db: &Db,
@@ -381,20 +373,16 @@ pub fn verify_catalog(
     trials: usize,
     seed: u64,
 ) -> Vec<RuleReport> {
-    let indexed: Vec<(usize, &kola_rewrite::rule::Rule)> =
-        catalog.rules().iter().enumerate().collect();
-    check_rules_parallel(env, db, &indexed, trials, seed)
+    check_rules_parallel(env, db, catalog.rules(), trials, seed)
 }
 
-/// Parallel driver shared by [`verify_catalog`] and the cached variant in
-/// [`crate::cache`]: check `(position, rule)` pairs on worker threads and
-/// return reports in input order. Positions feed [`rule_seed`], so a subset
-/// run (cache misses only) reproduces exactly the trials a full run would
-/// have given those rules.
-pub(crate) fn check_rules_parallel(
+/// The parallel half of [`verify_catalog`]: check `rules` on worker threads
+/// and return reports in input order. Each rule's position feeds
+/// [`rule_seed`], so the reports equal a sequential run's.
+fn check_rules_parallel(
     env: &TypeEnv,
     db: &Db,
-    rules: &[(usize, &kola_rewrite::rule::Rule)],
+    rules: &[Rule],
     trials: usize,
     seed: u64,
 ) -> Vec<RuleReport> {
@@ -415,8 +403,7 @@ pub(crate) fn check_rules_parallel(
                 if at >= n {
                     break;
                 }
-                let (pos, rule) = rules[at];
-                let report = check_rule(env, db, rule, trials, rule_seed(seed, pos));
+                let report = check_rule(env, db, &rules[at], trials, rule_seed(seed, at));
                 slots.lock().unwrap()[at] = Some(report);
             });
         }
@@ -531,5 +518,19 @@ mod tests {
         .with_precondition(PropKind::Injective, kola_rewrite::PropTerm::func("f"));
         let report = check_rule(&env, &db, &rule, 40, 29);
         assert!(report.verified(), "{report}");
+    }
+
+    #[test]
+    fn parallel_reports_match_sequential_seeds() {
+        let (env, db) = setup();
+        let catalog = kola_rewrite::Catalog::paper();
+        let slice = &catalog.rules()[..12];
+        let par = check_rules_parallel(&env, &db, slice, 10, 0xBEEF);
+        for (i, report) in par.iter().enumerate() {
+            let seq = check_rule(&env, &db, &slice[i], 10, rule_seed(0xBEEF, i));
+            assert_eq!(report.passed, seq.passed, "rule {}", report.rule_id);
+            assert_eq!(report.skipped, seq.skipped, "rule {}", report.rule_id);
+            assert_eq!(report.failures, seq.failures, "rule {}", report.rule_id);
+        }
     }
 }
