@@ -77,12 +77,13 @@
 //! Emits `BENCH_service.json` (and `BENCH_obs.json`) at the repository
 //! root. `BENCH_SMOKE=1` shrinks the streams for CI: the repeated rows to
 //! 1,200 requests, the chaos and clean rows to 300 (the tenant rows keep
-//! their 4,000).
+//! their 4,000); a smoke run writes both files under `target/bench-smoke/`
+//! instead, leaving the committed ones alone.
 
 use kola_bench::smoke_mode;
 use kola_service::{
-    percentile, run_chaos, run_clean_stream, run_noisy_neighbor, run_repeated_stream, ChaosConfig,
-    ChaosReport, CleanConfig, RepeatedConfig, TenantChaosConfig,
+    artifact_path, percentile, run_chaos, run_clean_stream, run_noisy_neighbor,
+    run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, RepeatedConfig, TenantChaosConfig,
 };
 use std::time::Duration;
 
@@ -535,9 +536,9 @@ fn main() {
     }
 
     let json = render_json(&rows);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, &json).expect("write BENCH_service.json");
-    println!("wrote {path}");
+    let path = artifact_path("BENCH_service.json").expect("create target/bench-smoke");
+    std::fs::write(&path, &json).expect("write BENCH_service.json");
+    println!("wrote {}", path.display());
 
     // Observability export: the traced 4-worker chaos row's full metric
     // snapshot, trace-replay tally, and conservation verdict.
@@ -552,11 +553,12 @@ fn main() {
             "{} of {} replayed traces diverged from the reference engine",
             report.traces_divergent, report.traces_replayed
         );
-        let obs_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-        std::fs::write(obs_path, report.obs_json("service_soak", &cfg))
+        let obs_path = artifact_path("BENCH_obs.json").expect("create target/bench-smoke");
+        std::fs::write(&obs_path, report.obs_json("service_soak", &cfg))
             .expect("write BENCH_obs.json");
         println!(
-            "wrote {obs_path} ({} traces replayed exactly, books balanced)",
+            "wrote {} ({} traces replayed exactly, books balanced)",
+            obs_path.display(),
             report.traces_replayed
         );
     }

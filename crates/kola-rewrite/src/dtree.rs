@@ -28,7 +28,7 @@
 //!
 //! Under-approximation is impossible by construction: every edge the walk
 //! refuses corresponds to a constructor disagreement that would also make
-//! [`crate::imatch`]'s structural matcher fail.
+//! the rule programs' tag checks ([`crate::program`]) fail.
 //!
 //! ## Quarantine pruning
 //!
@@ -708,7 +708,8 @@ fn emit_query(p: &PQuery, out: &mut Vec<Edge>) {
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::imatch::{itry_apply_func, itry_apply_pred, itry_apply_query};
+    use crate::program::{Applied, Program};
+    use crate::props::PropDb;
     use kola::intern::Interner;
     use kola::parse::{parse_func, parse_pred, parse_query};
 
@@ -719,27 +720,27 @@ mod tests {
     #[test]
     fn walk_is_superset_of_brute_force_matches() {
         // Brute-force oracle: at every probe node, every rule position whose
-        // oriented head applies there (`itry_apply_*` over the whole
-        // catalog) must be among the tree's candidates, and the candidates
+        // oriented head matches there (the compiled rule programs over the
+        // whole catalog) must be among the tree's candidates, and the candidates
         // must be ascending. Every probe has at least one matching rule, so
         // no probe passes vacuously. (Full behavioral equality is pinned by
         // the engine parity suites.)
         let catalog = Catalog::paper();
         let rules = full_forward(&catalog);
         let tree = RuleIndex::build(&rules);
+        let progs: Vec<Program> = rules
+            .iter()
+            .map(|o| Program::compile(o.rule, o.dir))
+            .collect();
+        let props = PropDb::new();
         let mut it = Interner::new();
         let mut cand = Vec::new();
         let mut stack = WalkStack::default();
-        let check = |src: &str, level: LevelTag, t: &ITerm, cand: &[usize], it: &mut Interner| {
+        let check = |src: &str, t: &ITerm, cand: &[usize], it: &mut Interner| {
             assert!(cand.windows(2).all(|w| w[0] < w[1]), "{src}: not ascending");
             let mut matched = 0;
-            for (pos, o) in rules.iter().enumerate() {
-                let applied = match level {
-                    LevelTag::F => itry_apply_func(o.rule, t, o.dir, it),
-                    LevelTag::P => itry_apply_pred(o.rule, t, o.dir, it),
-                    LevelTag::Q => itry_apply_query(o.rule, t, o.dir, it),
-                };
-                if applied.ok().flatten().is_some() {
+            for (pos, (o, prog)) in rules.iter().zip(&progs).enumerate() {
+                if !matches!(prog.apply(t, &props, it), Applied::NoMatch) {
                     matched += 1;
                     assert!(
                         cand.contains(&pos),
@@ -763,19 +764,19 @@ mod tests {
         for src in funcs {
             let t = it.intern_func(&parse_func(src).unwrap());
             tree.func_candidates(&t, &mut cand, &mut stack);
-            check(src, LevelTag::F, &t, &cand, &mut it);
+            check(src, &t, &cand, &mut it);
         }
         let preds = ["Kp(T) & Kp(T)", "~~lt", "inv(gt)", "eq @ (pi2, pi1)"];
         for src in preds {
             let t = it.intern_pred(&parse_pred(src).unwrap());
             tree.pred_candidates(&t, &mut cand, &mut stack);
-            check(src, LevelTag::P, &t, &cand, &mut it);
+            check(src, &t, &cand, &mut it);
         }
         let queries = ["P union P", "id ! P", "{} intersect P"];
         for src in queries {
             let t = it.intern_query(&parse_query(src).unwrap());
             tree.query_candidates(&t, &mut cand, &mut stack);
-            check(src, LevelTag::Q, &t, &cand, &mut it);
+            check(src, &t, &cand, &mut it);
         }
     }
 

@@ -17,8 +17,8 @@
 //!
 //! * **Interning** maps terms into the hash-cons arena of
 //!   [`kola::intern`]; equality and cycle detection become pointer
-//!   identity, size/depth checks read cached fields, and rule application
-//!   ([`crate::imatch`]) shares every bound subterm. The
+//!   identity, size/depth checks read cached fields, and each rule runs as
+//!   a compiled [`Program`] that shares every bound subterm. The
 //!   [`kola::intern::icompose`] invariant keeps every constructed term
 //!   right-normalized, so no whole-term `normalize()` pass is needed (an
 //!   input that is already normalized is interned without a copy, and
@@ -69,7 +69,7 @@ use crate::dtree::{RuleIndex, WalkStack};
 use crate::engine::{Gov, Oriented, Rewritten, Step, Trace};
 use crate::extract::{CostModel, TermSize};
 use crate::fault::{FaultKind, FaultPlan};
-use crate::imatch::{ipreconditions_hold, itry_apply_func, itry_apply_pred, itry_apply_query};
+use crate::program::{Applied, Level, Program};
 use crate::props::PropDb;
 use crate::saturate::{saturate_from_trajectory, SaturationParams};
 use kola::intern::{icompose, ITerm, Interner, PayloadRef, Tag};
@@ -278,23 +278,7 @@ struct AppliedI {
     pos: usize,
 }
 
-enum Level {
-    F,
-    P,
-    Q,
-}
-
-fn level_of(t: Tag) -> Level {
-    if t <= Tag::FSetDiff {
-        Level::F
-    } else if t <= Tag::PCurryP {
-        Level::P
-    } else {
-        Level::Q
-    }
-}
-
-fn iinflate(out: ITerm, n: usize, level: &Level, it: &mut Interner) -> ITerm {
+fn iinflate(out: ITerm, n: usize, level: Level, it: &mut Interner) -> ITerm {
     let mut acc = out;
     let none = PayloadRef::None;
     for _ in 0..n {
@@ -306,6 +290,50 @@ fn iinflate(out: ITerm, n: usize, level: &Level, it: &mut Interner) -> ITerm {
         };
     }
     acc
+}
+
+/// Per-position rule odometers: lifetime consults, and the consults and
+/// fires since the last [`Engine::drain_rule_lanes`]. The positions that
+/// moved since then are listed, so a drain costs O(positions touched), not
+/// O(rules).
+#[derive(Debug, Default)]
+struct RuleLanes {
+    consults: Vec<u64>,
+    /// Sum of `consults`, kept alongside so [`Engine::stats`] stays O(1).
+    total: u64,
+    /// `(consults, fires)` per position since the last drain.
+    pending: Vec<(u64, u64)>,
+    /// Positions whose `pending` entry is nonzero, in first-touch order.
+    touched: Vec<usize>,
+}
+
+impl RuleLanes {
+    fn new(n: usize) -> RuleLanes {
+        RuleLanes {
+            consults: vec![0; n],
+            total: 0,
+            pending: vec![(0, 0); n],
+            touched: Vec::new(),
+        }
+    }
+
+    fn pending(&mut self, pos: usize) -> &mut (u64, u64) {
+        let p = &mut self.pending[pos];
+        if *p == (0, 0) {
+            self.touched.push(pos);
+        }
+        p
+    }
+
+    fn consult(&mut self, pos: usize) {
+        self.consults[pos] += 1;
+        self.total += 1;
+        self.pending(pos).0 += 1;
+    }
+
+    fn fire(&mut self, pos: usize) {
+        self.pending(pos).1 += 1;
+    }
 }
 
 /// The redex search's scratch buffers, owned by the [`Engine`] and reused by
@@ -327,6 +355,9 @@ struct Search<'r, 'a> {
     rules: &'r [Oriented<'a>],
     props: &'r PropDb,
     index: Option<&'r RuleIndex>,
+    /// Each position's compiled program, built the first time the
+    /// position is consulted.
+    progs: &'r mut [Option<Program>],
     /// Per-position activity mask from [`Engine::set_disabled`] (`None` =
     /// the full set). Skipping inactive positions in the
     /// ascending-position candidate scan visits exactly the rules, in
@@ -336,8 +367,7 @@ struct Search<'r, 'a> {
     /// Marks proven under the installed mask (`None` = no mask installed).
     masked_normal: Option<&'r HashSet<usize>>,
     visits: &'r mut u64,
-    consults: &'r mut [u64],
-    consults_total: &'r mut u64,
+    lanes: &'r mut RuleLanes,
     it: &'r mut Interner,
     bufs: &'r mut SearchBufs,
 }
@@ -379,7 +409,7 @@ impl Search<'_, '_> {
     }
 
     fn rules_at(&mut self, t: &ITerm, gov: &mut Gov) -> Option<AppliedI> {
-        let level = level_of(t.tag());
+        let level = Level::of(t.tag());
         let mut cand = std::mem::take(&mut self.bufs.cand);
         cand.clear();
         match self.index {
@@ -402,46 +432,36 @@ impl Search<'_, '_> {
             if gov.report.is_quarantined(&o.rule.id) {
                 continue;
             }
-            self.consults[pos] += 1;
-            *self.consults_total += 1;
-            let attempt = match level {
-                Level::F => itry_apply_func(o.rule, t, o.dir, self.it),
-                Level::P => itry_apply_pred(o.rule, t, o.dir, self.it),
-                Level::Q => itry_apply_query(o.rule, t, o.dir, self.it),
-            };
-            match attempt {
-                Ok(None) => continue,
-                Ok(Some((out, s))) => {
-                    if !ipreconditions_hold(&o.rule.preconditions, &s, self.props) {
+            self.lanes.consult(pos);
+            let prog = self.progs[pos].get_or_insert_with(|| Program::compile(o.rule, o.dir));
+            match prog.apply(t, self.props, self.it) {
+                Applied::NoMatch | Applied::Refused => continue,
+                Applied::Rewrote(out) => match gov.faults.fault_for(&o.rule.id, gov.step) {
+                    None => {
+                        found = Some(AppliedI { result: out, pos });
+                        break;
+                    }
+                    Some(FaultKind::Oversize(n)) => {
+                        let inflated = iinflate(out, *n, level, self.it);
+                        found = Some(AppliedI {
+                            result: inflated,
+                            pos,
+                        });
+                        break;
+                    }
+                    Some(FaultKind::Fail) => {
+                        let e = RewriteError::RuleFailed {
+                            rule_id: o.rule.id.clone(),
+                            detail: "injected failure".into(),
+                        };
+                        gov.record_failure(&o.rule.id, &e);
                         continue;
                     }
-                    match gov.faults.fault_for(&o.rule.id, gov.step) {
-                        None => {
-                            found = Some(AppliedI { result: out, pos });
-                            break;
-                        }
-                        Some(FaultKind::Oversize(n)) => {
-                            let inflated = iinflate(out, *n, &level, self.it);
-                            found = Some(AppliedI {
-                                result: inflated,
-                                pos,
-                            });
-                            break;
-                        }
-                        Some(FaultKind::Fail) => {
-                            let e = RewriteError::RuleFailed {
-                                rule_id: o.rule.id.clone(),
-                                detail: "injected failure".into(),
-                            };
-                            gov.record_failure(&o.rule.id, &e);
-                            continue;
-                        }
-                        // A poison rule's bug is not a contained error: it
-                        // unwinds (same as the boxed engine's behavior).
-                        Some(FaultKind::Panic) => crate::fault::poison_panic(&o.rule.id),
-                    }
-                }
-                Err(e) => {
+                    // A poison rule's bug is not a contained error: it
+                    // unwinds (same as the boxed engine's behavior).
+                    Some(FaultKind::Panic) => crate::fault::poison_panic(&o.rule.id),
+                },
+                Applied::Failed(e) => {
                     gov.record_failure(&o.rule.id, &e);
                     continue;
                 }
@@ -479,9 +499,11 @@ pub struct Engine<'a> {
     /// [`EngineConfig::arena_capacity`]).
     compactions: u64,
     visits: u64,
-    consults: Vec<u64>,
-    /// Sum of `consults`, kept alongside so [`Engine::stats`] stays O(1).
-    consults_total: u64,
+    lanes: RuleLanes,
+    /// Each rule position's compiled [`Program`], built the first time the
+    /// position is consulted, so a cold start compiles nothing. Programs
+    /// hold no terms and survive [`Engine::reset_caches`].
+    progs: Vec<Option<Program>>,
     /// Extraction objective for saturation mode (unused by fixpoint runs).
     cost_model: Box<dyn CostModel>,
     bufs: SearchBufs,
@@ -492,7 +514,7 @@ impl<'a> Engine<'a> {
     /// Engine over `rules` (tried in slice order) with `props` available to
     /// preconditions.
     pub fn new(rules: Vec<Oriented<'a>>, props: &'a PropDb, config: EngineConfig) -> Engine<'a> {
-        let consults = vec![0; rules.len()];
+        let n = rules.len();
         Engine {
             rules,
             props,
@@ -505,8 +527,8 @@ impl<'a> Engine<'a> {
             masked: false,
             compactions: 0,
             visits: 0,
-            consults,
-            consults_total: 0,
+            lanes: RuleLanes::new(n),
+            progs: vec![None; n],
             cost_model: Box::new(TermSize),
             bufs: SearchBufs::default(),
             interner: Interner::new(),
@@ -737,6 +759,7 @@ impl<'a> Engine<'a> {
                     for (pos, after) in &e.derivation {
                         let o = &self.rules[*pos];
                         report.record_fire(&o.rule.id);
+                        self.lanes.fire(*pos);
                         if let Some(p) = path.as_deref_mut() {
                             p.push(after.clone());
                         }
@@ -810,8 +833,8 @@ impl<'a> Engine<'a> {
                     normal: &self.normal,
                     masked_normal: self.masked.then_some(&self.masked_normal),
                     visits: &mut self.visits,
-                    consults: &mut self.consults,
-                    consults_total: &mut self.consults_total,
+                    progs: &mut self.progs,
+                    lanes: &mut self.lanes,
                     it: &mut self.interner,
                     bufs: &mut self.bufs,
                 };
@@ -879,6 +902,7 @@ impl<'a> Engine<'a> {
             cur = next;
             report.steps += 1;
             report.record_fire(&fired.rule.id);
+            self.lanes.fire(applied.pos);
             if self.config.trace {
                 trace.steps.push(Step {
                     rule_id: fired.rule.id.clone(),
@@ -931,6 +955,7 @@ impl<'a> Engine<'a> {
             masked,
             ref cost_model,
             ref mut interner,
+            ref mut lanes,
             ..
         } = *self;
         let ix = index
@@ -949,6 +974,7 @@ impl<'a> Engine<'a> {
             budget,
             cost_model.as_ref(),
             &mut report,
+            &mut |pos| lanes.fire(pos),
             interner,
         );
         Rewritten {
@@ -970,11 +996,22 @@ impl<'a> Engine<'a> {
         self.memo.hits
     }
 
-    /// Raw per-position consult counters (positions follow the rule list
-    /// given at construction). The allocation-free lane for callers that
-    /// delta-flush attempts into per-rule metrics after each run.
+    /// Raw per-position lifetime consult counters (positions follow the
+    /// rule list given at construction).
     pub fn consults(&self) -> &[u64] {
-        &self.consults
+        &self.lanes.consults
+    }
+
+    /// Hand each rule position consulted or fired since the last drain to
+    /// `f(position, consults, fires)`, in first-touch order, and start the
+    /// next interval at zero. O(positions touched): the lane for callers
+    /// that flush per-rule metrics after each run.
+    pub fn drain_rule_lanes(&mut self, mut f: impl FnMut(usize, u64, u64)) {
+        let lanes = &mut self.lanes;
+        for pos in lanes.touched.drain(..) {
+            let (consults, fires) = std::mem::take(&mut lanes.pending[pos]);
+            f(pos, consults, fires);
+        }
     }
 
     /// How many times `rule_id` was actually consulted (application
@@ -982,7 +1019,7 @@ impl<'a> Engine<'a> {
     pub fn consult_count(&self, rule_id: &str) -> u64 {
         self.rules
             .iter()
-            .zip(&self.consults)
+            .zip(&self.lanes.consults)
             .filter(|(o, _)| o.rule.id == rule_id)
             .map(|(_, n)| *n)
             .sum()
@@ -1006,7 +1043,7 @@ impl<'a> Engine<'a> {
     pub fn stats(&self) -> EngineStats {
         EngineStats {
             visits: self.visits,
-            consults: self.consults_total,
+            consults: self.lanes.total,
             constructed: self.interner.constructed(),
             memo_hits: self.memo.hits,
             memo_lookups: self.memo.lookups,
@@ -1023,7 +1060,7 @@ impl<'a> Engine<'a> {
     pub fn consult_profile(&self) -> Vec<(String, u64)> {
         self.rules
             .iter()
-            .zip(&self.consults)
+            .zip(&self.lanes.consults)
             .map(|(o, n)| (o.rule.id.clone(), *n))
             .collect()
     }

@@ -19,7 +19,8 @@
 //! - [`budget`] — resource governance: explicit step/depth/size/deadline
 //!   budgets, structured errors, and per-run reports.
 //! - [`fault`] — deterministic fault injection for robustness testing.
-//! - [`imatch`] — matching/instantiation over hash-consed terms.
+//! - [`program`] — rules compiled once into flat match/build programs over
+//!   numbered slots, which the interned engine runs.
 //! - [`dtree`] — the discrimination-tree rule index: flat per-step match
 //!   cost as the catalog grows past the paper's 500-rule pool.
 //! - [`fast`] — the interned + tree-indexed + memoized engine behind
@@ -37,9 +38,9 @@ pub mod extract;
 pub mod fast;
 pub mod fault;
 pub mod hidden_join;
-pub mod imatch;
 pub mod matching;
 pub mod monolithic;
+pub mod program;
 pub mod props;
 pub mod rule;
 pub mod saturate;

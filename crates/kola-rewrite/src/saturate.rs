@@ -27,8 +27,8 @@
 //!    as the fixpoint engine's candidate scan) are then e-matched against
 //!    the *class structure*: metavariables bind e-classes, alternatives
 //!    backtrack over every e-node of a class, and function rules use the
-//!    same chain-prefix semantics as
-//!    [`crate::imatch::imatch_func_prefix`], decomposing chain classes
+//!    same chain-prefix semantics as the fixpoint engine's rule programs
+//!    ([`crate::program`]), decomposing chain classes
 //!    through their `∘` e-nodes.
 //! 3. *Apply*: each match instantiates the rule body as e-nodes and unions
 //!    it with the matched class. Every application that changes the graph
@@ -54,9 +54,7 @@ use crate::dtree::RuleIndex;
 use crate::egraph::{ClassId, EGraph, ENode};
 use crate::engine::Oriented;
 use crate::extract::{CostModel, Extractor};
-use crate::imatch::ipreconditions_hold;
-use crate::imatch::ISubst;
-use crate::props::PropDb;
+use crate::props::{PropDb, PropTerm};
 use crate::rule::{Direction, RewritePair, Rule};
 use kola::intern::{ITerm, Interner, Payload, Tag};
 use kola::pattern::{PFunc, PPred, PQuery};
@@ -119,13 +117,16 @@ pub fn seed_trajectory(eg: &mut EGraph, trajectory: &[ITerm]) -> ClassId {
 /// its interned input first, its fixpoint output last. `report` arrives
 /// with the seed wave's steps/quarantines already recorded and is extended
 /// in place; `budget.max_steps` bounds *total* steps (wave + saturation),
-/// mirroring how the fixpoint engine treats one budget per run.
+/// mirroring how the fixpoint engine treats one budget per run. Each
+/// application that changes the graph is also handed to `on_fire` by rule
+/// position.
 pub fn saturate_from_trajectory(
     trajectory: &[ITerm],
     params: &SaturationParams,
     budget: &Budget,
     cost: &dyn CostModel,
     report: &mut RewriteReport,
+    on_fire: &mut dyn FnMut(usize),
     it: &mut Interner,
 ) -> SaturationResult {
     let mut eg = EGraph::new();
@@ -171,6 +172,7 @@ pub fn saturate_from_trajectory(
             if applied && sat.eg.version() != v {
                 report.steps += 1;
                 report.record_fire(&sat.params.rules[m.pos].rule.id);
+                on_fire(m.pos);
                 progressed = true;
             }
         }
@@ -211,7 +213,7 @@ pub fn term_cost(t: &ITerm, cost: &dyn CostModel) -> u64 {
     cost.node_cost(t.tag(), t.payload(), &kid_costs)
 }
 
-/// Class-valued metavariable bindings (the e-matching [`ISubst`]).
+/// Class-valued metavariable bindings.
 /// Consistency is canonical-class equality: two syntactically different
 /// binding candidates in one class are provably equal, so unifying them is
 /// sound — strictly more matches than the pointer-equality the destructive
@@ -428,8 +430,8 @@ impl Sat<'_, '_, '_> {
 
     /// Chain-prefix e-matching: match pattern segments against the chain
     /// structure of a cursor (a list of classes whose composition is the
-    /// chain), decomposing through `∘` e-nodes. Mirrors
-    /// [`crate::imatch::imatch_func_prefix`]: all but the last segment
+    /// chain), decomposing through `∘` e-nodes. Mirrors the rule programs'
+    /// chain prefix ([`crate::program`]): all but the last segment
     /// consume exactly one chain segment; a trailing metavariable swallows
     /// the whole rest; a trailing concrete segment consumes one and leaves
     /// the remainder for re-composition.
@@ -847,18 +849,22 @@ impl Sat<'_, '_, '_> {
     fn apply(&mut self, m: &Match) -> bool {
         let o = &self.params.rules[m.pos];
         if !o.rule.preconditions.is_empty() {
-            // Reify each bound function class's representative; properties
-            // are semantic, so any member's verdict stands for the class.
-            let mut s = ISubst::new();
-            for (v, &c) in &m.binds.funcs {
-                match self.rep(c) {
-                    Some(t) => {
-                        s.funcs.insert(v.clone(), t.clone());
-                    }
-                    None => return false,
-                }
+            // Each precondition is judged on its bound function class's
+            // representative; properties are semantic, so any member's
+            // verdict stands for the class. A bound class with no
+            // representative skips the application.
+            if m.binds.funcs.values().any(|&c| self.rep(c).is_none()) {
+                return false;
             }
-            if !ipreconditions_hold(&o.rule.preconditions, &s, self.params.props) {
+            let holds = o.rule.preconditions.iter().all(|p| match &p.subject {
+                PropTerm::FuncVar(name) => m
+                    .binds
+                    .funcs
+                    .get(name)
+                    .and_then(|&c| self.rep(c))
+                    .is_some_and(|t| self.params.props.holds_interned(p.prop, t)),
+            });
+            if !holds {
                 return false;
             }
         }

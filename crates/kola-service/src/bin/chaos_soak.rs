@@ -10,14 +10,18 @@
 //! - `CHAOS_WORKERS` — worker threads (default 4)
 //! - `CHAOS_TRACE` — set to `0` to disable trace recording + replay
 //!   (default on: the soak is the replay harness's proving ground)
+//! - `BENCH_SMOKE` — a smoke run (any value but empty or `0`), as for the
+//!   benches: the artifact goes under `target/bench-smoke/`
 //!
 //! Writes `BENCH_obs.json` at the repo root: the full metric snapshot,
-//! the trace-replay tally, and the conservation verdict. Exits nonzero if
+//! the trace-replay tally, the plan audit's counts and the conservation
+//! verdict. A smoke run writes `target/bench-smoke/BENCH_obs.json`
+//! instead, leaving the committed file alone. Exits nonzero if
 //! any soak invariant is violated (unclassified request, escaped panic,
 //! invalid classification, an optimized plan that changed its input's
 //! meaning, unbalanced books, or a divergent trace replay).
 
-use kola_service::{run_chaos, ChaosConfig};
+use kola_service::{artifact_path, run_chaos, ChaosConfig};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)
@@ -46,10 +50,12 @@ fn main() {
     let violations = report.violations();
 
     let out = report.obs_json("chaos_soak", &cfg);
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_obs.json");
-    match std::fs::write(path, &out) {
-        Ok(()) => println!("wrote {path}"),
-        Err(e) => eprintln!("could not write {path}: {e}"),
+    match artifact_path("BENCH_obs.json").and_then(|path| {
+        std::fs::write(&path, &out)?;
+        Ok(path)
+    }) {
+        Ok(path) => println!("wrote {}", path.display()),
+        Err(e) => eprintln!("could not write BENCH_obs.json: {e}"),
     }
 
     if violations.is_empty() {

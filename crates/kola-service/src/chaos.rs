@@ -21,6 +21,8 @@ use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::{splitmix64, Rng};
 use kola_obs::{ReplayWorker, Snapshot};
 use kola_rewrite::{Catalog, FaultKind, FaultPlan, FaultSpec, PropDb, StepSelector};
+use kola_verify::PlanAgreement;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -96,6 +98,13 @@ pub struct ChaosReport {
     /// Optimized replies whose plan disagrees with its input on the audit
     /// database (must be zero).
     pub gate_failures: usize,
+    /// Optimized replies the audit really compared: input or plan
+    /// evaluates on the audit database (agreeing pairs plus
+    /// `gate_failures`).
+    pub plans_compared: usize,
+    /// Optimized replies whose input and plan are both stuck on the audit
+    /// database: vacuously preserved, nothing compared.
+    pub plans_both_stuck: usize,
     /// Rules whose cross-request breaker opened at least once.
     pub breaker_opened: usize,
     /// High-water mark of any worker engine's intern arena, in live nodes
@@ -267,11 +276,12 @@ impl ChaosReport {
     }
 
     /// Render this report's observability slice — full metric snapshot,
-    /// trace-replay tally, conservation verdict — as the `BENCH_obs.json`
-    /// document both the chaos-soak binary and the service benchmark emit.
+    /// trace-replay tally, plan-audit counts, conservation verdict — as
+    /// the `BENCH_obs.json` document both the chaos-soak binary and the
+    /// service benchmark emit (see [`artifact_path`]).
     pub fn obs_json(&self, harness: &str, cfg: &ChaosConfig) -> String {
         format!(
-            "{{\n  \"meta\": {{\"harness\": {}, \"requests\": {}, \"seed\": {}, \"workers\": {}, \"tracing\": {}}},\n  \"metrics\": {},\n  \"traces\": {{\"recorded\": {}, \"dropped\": {}, \"dropped_pct\": {:.2}, \"replayed\": {}, \"divergent\": {}}},\n  \"conservation\": {{\"ok\": {}, \"violations\": [{}]}}\n}}\n",
+            "{{\n  \"meta\": {{\"harness\": {}, \"requests\": {}, \"seed\": {}, \"workers\": {}, \"tracing\": {}}},\n  \"metrics\": {},\n  \"traces\": {{\"recorded\": {}, \"dropped\": {}, \"dropped_pct\": {:.2}, \"replayed\": {}, \"divergent\": {}}},\n  \"plan_audit\": {{\"compared\": {}, \"both_stuck\": {}, \"changed\": {}}},\n  \"conservation\": {{\"ok\": {}, \"violations\": [{}]}}\n}}\n",
             kola_obs::json::string(harness),
             cfg.requests,
             cfg.seed,
@@ -283,6 +293,9 @@ impl ChaosReport {
             self.dropped_pct(),
             self.traces_replayed,
             self.traces_divergent,
+            self.plans_compared,
+            self.plans_both_stuck,
+            self.gate_failures,
             self.conservation.is_empty(),
             self.conservation
                 .iter()
@@ -305,6 +318,7 @@ impl ChaosReport {
              caught panics       {}\n\
              unexpected panics   {}\n\
              gate failures       {}\n\
+             plan audit          {} compared / {} both stuck\n\
              breakers opened     {}\n\
              peak arena nodes    {}\n\
              cache hit/miss      {} / {}\n\
@@ -320,6 +334,8 @@ impl ChaosReport {
             self.caught_panics,
             self.unexpected_panics,
             self.gate_failures,
+            self.plans_compared,
+            self.plans_both_stuck,
             self.breaker_opened,
             self.peak_arena_nodes,
             self.cache_hits,
@@ -598,7 +614,10 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     // Serving window ends with the last reply in hand; everything below is
     // post-hoc audit and must not count against worker-scaling claims.
     report.elapsed = started.elapsed();
-    report.gate_failures = count_changed_plans(&optimized);
+    let audit = audit_plans(&optimized);
+    report.gate_failures = audit.changed;
+    report.plans_compared = audit.compared;
+    report.plans_both_stuck = audit.both_stuck;
     for rule in service.breaker().open_rules() {
         opened.insert(rule);
     }
@@ -633,29 +652,70 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     report
 }
 
-/// How many of `optimized` (input, plan) pairs disagree on the sample
-/// database (`DataSpec::small(123)`), by
-/// [`kola_verify::check_plan_semantics`]. Runs on one thread with a
-/// worker-sized stack: deep-AST plans are evaluated recursively, 500–3,000
-/// levels deep, as the workers that derived them were sized for.
-fn count_changed_plans(optimized: &[(Payload, Arc<Query>)]) -> usize {
+/// Where the chaos-soak binary and the service benchmark write their
+/// artifact `name`: the committed file at the repository root, or
+/// `target/bench-smoke/<name>` for a smoke run (`BENCH_SMOKE` set to
+/// anything but empty or `0`, as `scripts/ci.sh` sets it), so a CI smoke
+/// never overwrites a committed result.
+pub fn artifact_path(name: &str) -> std::io::Result<PathBuf> {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
+    if !smoke {
+        return Ok(root.join(name));
+    }
+    let dir = root.join("target").join("bench-smoke");
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir.join(name))
+}
+
+/// The plan audit's tally over the optimized replies.
+#[derive(Debug, Default)]
+struct PlanAudit {
+    /// Pairs where input or plan evaluates (`changed` included).
+    compared: usize,
+    /// Pairs where neither evaluates.
+    both_stuck: usize,
+    /// Pairs that disagree, or whose input no longer parses.
+    changed: usize,
+}
+
+/// Audit `optimized` (input, plan) pairs on the sample database
+/// (`DataSpec::small(123)`) with [`kola_verify::check_plan_semantics`].
+/// Runs on one thread with a worker-sized stack: deep-AST plans are
+/// evaluated recursively, 500–3,000 levels deep, as the workers that
+/// derived them were sized for.
+fn audit_plans(optimized: &[(Payload, Arc<Query>)]) -> PlanAudit {
     let db = generate(&DataSpec::small(123));
-    let changed = |(input, plan): &(Payload, Arc<Query>)| {
+    let verdict = |(input, plan): &(Payload, Arc<Query>)| {
         let input = match input {
             Payload::Text(src) => match kola_frontend::parse_any_query(src) {
                 Ok(q) => Arc::new(q),
                 // An optimized reply's input parsed once already.
-                Err(_) => return true,
+                Err(e) => return Err(e.to_string()),
             },
             Payload::Ast(q) => Arc::clone(q),
         };
-        kola_verify::check_plan_semantics(&db, &input, plan).is_err()
+        kola_verify::check_plan_semantics(&db, &input, plan)
+    };
+    let tally = || {
+        let mut audit = PlanAudit::default();
+        for pair in optimized {
+            match verdict(pair) {
+                Ok(PlanAgreement::Equal) => audit.compared += 1,
+                Ok(PlanAgreement::BothStuck) => audit.both_stuck += 1,
+                Err(_) => {
+                    audit.compared += 1;
+                    audit.changed += 1;
+                }
+            }
+        }
+        audit
     };
     std::thread::scope(|s| {
         std::thread::Builder::new()
             .name("kola-chaos-audit".to_string())
             .stack_size(WORKER_STACK)
-            .spawn_scoped(s, || optimized.iter().filter(|p| changed(p)).count())
+            .spawn_scoped(s, tally)
             .expect("spawn plan audit thread")
             .join()
             .expect("plan audit thread")

@@ -73,9 +73,9 @@ pub mod tenant;
 
 pub use breaker::{Breaker, BreakerEntry};
 pub use chaos::{
-    generate_clean_request, percentile, run_chaos, run_clean_stream, run_noisy_neighbor,
-    run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, CleanReport, RepeatedConfig,
-    RepeatedReport, TenantChaosConfig, TenantChaosReport, PEAK_ARENA_BOUND,
+    artifact_path, generate_clean_request, percentile, run_chaos, run_clean_stream,
+    run_noisy_neighbor, run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, CleanReport,
+    RepeatedConfig, RepeatedReport, TenantChaosConfig, TenantChaosReport, PEAK_ARENA_BOUND,
 };
 pub use metrics::{conservation_violations, ServiceMetrics};
 pub use request::{Outcome, Payload, Request, RequestOptions, Response};

@@ -650,9 +650,6 @@ struct WorkerState<'a> {
     /// pushed into the service counters so one worker's engine stats never
     /// double-count.
     last: EngineStats,
-    /// Per-rule consult odometer readings at the last flush (engine rule
-    /// positions, i.e. catalog order).
-    last_consults: Vec<u64>,
     /// Whether the index-shape gauges have been recorded. The engine builds
     /// its index on its first run and the shape never changes after, so
     /// they are recorded once per worker, not once per request.
@@ -660,9 +657,11 @@ struct WorkerState<'a> {
 }
 
 /// Delta-flush the worker engine's odometers into the service counters.
-/// O(1) plus one comparison per rule position: only the rules the run
-/// actually consulted cost an atomic add.
-fn flush_engine_stats(shared: &Shared, state: &mut WorkerState<'_>) {
+/// O(1) plus one atomic add per rule position the run consulted or fired:
+/// the engine lists those positions, so a request never walks the catalog.
+/// Fires count only for a request answered with its report (`optimized`),
+/// the fires the responses show.
+fn flush_engine_stats(shared: &Shared, state: &mut WorkerState<'_>, optimized: bool) {
     let m = &shared.metrics;
     let now = state.engine.stats();
     let last = &state.last;
@@ -687,16 +686,16 @@ fn flush_engine_stats(shared: &Shared, state: &mut WorkerState<'_>) {
         }
     }
     state.last = now;
-    for (i, &c) in state.engine.consults().iter().enumerate() {
-        let last = &mut state.last_consults[i];
-        if c != *last {
-            // `add_index` is the allocation-free positional lane: family
-            // labels were registered in catalog order, matching engine
-            // rule positions.
-            m.rules_attempted.add_index(i, c - *last);
-            *last = c;
+    // `add_index` is the allocation-free positional lane: family labels
+    // were registered in catalog order, matching engine rule positions.
+    state.engine.drain_rule_lanes(|pos, consults, fires| {
+        if consults > 0 {
+            m.rules_attempted.add_index(pos, consults);
         }
-    }
+        if optimized && fires > 0 {
+            m.rules_fired.add_index(pos, fires);
+        }
+    });
 }
 
 fn worker_loop(shared: &Shared, index: usize) {
@@ -705,12 +704,10 @@ fn worker_loop(shared: &Shared, index: usize) {
     // its candidate scan (see `RuleSnapshot`), so a breaker trip changes a
     // mask instead of forcing a rebuild.
     let rules: Vec<Oriented<'_>> = shared.catalog.rules().iter().map(Oriented::fwd).collect();
-    let rule_count = rules.len();
     let mut state = WorkerState {
         engine: Engine::new(rules, &shared.props, shared.engine_config.clone()),
         snapshots: shared.tenants.iter().map(|t| t.snapshots.load()).collect(),
         last: EngineStats::default(),
-        last_consults: vec![0; rule_count],
         index_recorded: false,
     };
     while let Some(mut job) = next_job(shared, index) {
@@ -756,7 +753,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             );
             requeue_waiters(shared, unserved);
         }
-        flush_engine_stats(shared, &mut state);
+        flush_engine_stats(shared, &mut state, response.report.is_some());
         shared
             .metrics
             .worker_busy_us
@@ -872,11 +869,6 @@ fn handle<'a>(
     let m = &shared.metrics;
     if result.panic.is_some() {
         m.caught_panics.inc();
-    }
-    if let Some(report) = &result.report {
-        for (rule_id, rs) in &report.rule_stats {
-            m.rules_fired.add(rule_id, rs.fired as u64);
-        }
     }
 
     let completed = match &result.outcome {

@@ -7,7 +7,7 @@
 //! total:
 //!
 //! * `Σ rules_attempted` equals `engine_consults`, the engines' own total;
-//! * `Σ rules_fired` equals the fires the responses reported;
+//! * `rules_fired` equals, rule by rule, the fires the responses reported;
 //! * each `index_tree_*` gauge equals the shape of a freshly built index
 //!   over the served catalog, however many quarantine cycles ran.
 
@@ -17,6 +17,7 @@ use kola_rewrite::{
 use kola_service::{
     conservation_violations, Outcome, Request, RequestOptions, Response, Service, ServiceConfig,
 };
+use std::collections::BTreeMap;
 
 const KG1: &str = "iterate(Kp(T), (id, flat . iter(Kp(T), grgs . pi2) . (id, iter(in @ (pi1, cars . pi2), pi2) . (id, Kf(P))))) ! V";
 
@@ -92,14 +93,22 @@ fn serve(engine: EngineConfig) {
     assert!(attempted > 0);
     assert_eq!(attempted, s.counter("engine_consults"));
 
-    let fired: u64 = s.family("rules_fired").iter().map(|(_, n)| n).sum();
-    let reported: u64 = responses
+    // Rule by rule, not only in total: the flush adds fires by engine
+    // position, the responses report them by rule id.
+    let mut reported: BTreeMap<String, u64> = BTreeMap::new();
+    for rep in responses.iter().filter_map(|r| r.report.as_ref()) {
+        for (id, rs) in &rep.rule_stats {
+            *reported.entry(id.clone()).or_default() += rs.fired as u64;
+        }
+    }
+    reported.retain(|_, n| *n > 0);
+    let fired: BTreeMap<String, u64> = s
+        .family("rules_fired")
         .iter()
-        .filter_map(|r| r.report.as_ref())
-        .flat_map(|rep| rep.rule_stats.values())
-        .map(|rs| rs.fired as u64)
-        .sum();
-    assert!(reported > 0);
+        .filter(|(_, n)| *n > 0)
+        .cloned()
+        .collect();
+    assert!(!reported.is_empty());
     assert_eq!(fired, reported);
 
     let catalog = Catalog::paper();

@@ -323,26 +323,39 @@ pub fn check_normalization_semantics(
     }
 }
 
+/// How an input and its plan agreed, when they did (see
+/// [`check_plan_semantics`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlanAgreement {
+    /// Both evaluate, to equal values: a real comparison.
+    Equal,
+    /// Neither evaluates on the database: nothing was compared.
+    BothStuck,
+}
+
 /// The semantic check for an already-produced plan: evaluate `input` and
 /// `plan` on `db` and require agreement. This is
 /// [`check_normalization_semantics`] with the normalization factored out —
 /// the service's chaos soak audits every optimized reply with it, after
-/// its serving window, without rerunning the engine. Both sides stuck counts as vacuously
-/// preserved, mirroring [`check_rule`]'s skip convention.
+/// its serving window, without rerunning the engine. A three-way verdict:
+/// equal values, both sides stuck (vacuously preserved, mirroring
+/// [`check_rule`]'s skip convention, and reported apart so a caller can
+/// tell how many pairs it really compared), or an `Err` naming how they
+/// differ.
 pub fn check_plan_semantics(
     db: &Db,
     input: &kola::term::Query,
     plan: &kola::term::Query,
-) -> Result<(), String> {
+) -> Result<PlanAgreement, String> {
     match (
         kola::eval::eval_query(db, input),
         kola::eval::eval_query(db, plan),
     ) {
-        (Ok(a), Ok(b)) if a == b => Ok(()),
+        (Ok(a), Ok(b)) if a == b => Ok(PlanAgreement::Equal),
         (Ok(a), Ok(b)) => Err(format!(
             "plan changed semantics: {a:?} != {b:?}\n  in  : {input}\n  plan: {plan}"
         )),
-        (Err(_), Err(_)) => Ok(()),
+        (Err(_), Err(_)) => Ok(PlanAgreement::BothStuck),
         (Ok(a), Err(e)) => Err(format!(
             "plan is stuck ({e}) but input evaluates to {a:?}\n  in  : {input}\n  plan: {plan}"
         )),

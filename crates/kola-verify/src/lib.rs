@@ -17,7 +17,7 @@ pub mod gen;
 
 pub use check::{
     check_normalization_semantics, check_plan_semantics, check_rule, rule_seed, verify_catalog,
-    RuleReport,
+    PlanAgreement, RuleReport,
 };
 pub use containment::{check_containment, run_invariants, verify_containment, ContainmentReport};
 pub use gen::{palette, Gen};

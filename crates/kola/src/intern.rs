@@ -936,6 +936,19 @@ mod tests {
     use crate::builder::*;
 
     #[test]
+    fn icompose_keeps_chains_right_normalized() {
+        use crate::parse::parse_func;
+        let mut it = Interner::new();
+        let left = it.intern_func(&parse_func("(a . b) . c").unwrap());
+        // `left` as interned is still left-nested; icompose onto another
+        // segment must flatten it.
+        let d = it.intern_func(&parse_func("d").unwrap());
+        let out = icompose(&mut it, left, d);
+        let want = it.intern_func(&parse_func("a . b . c . d").unwrap().normalize());
+        assert!(out.ptr_eq(&want));
+    }
+
+    #[test]
     fn hash_consing_dedups() {
         let mut it = Interner::new();
         let t = o(prim("age"), prim("addr"));

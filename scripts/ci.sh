@@ -36,8 +36,9 @@
 #                   response divergence).
 #   --obs-smoke     additionally run a traced 600-request chaos soak,
 #                   validate the metrics-conservation verdict, the
-#                   trace-replay tally, and the <5% trace-ring loss bound
-#                   in BENCH_obs.json, and re-run the service scaling gates
+#                   trace-replay tally, the plan audit's compared count and
+#                   the <5% trace-ring loss bound in its smoke copy of
+#                   BENCH_obs.json (target/bench-smoke/), and re-run the service scaling gates
 #                   (clean stream with tracing disabled, to confirm the
 #                   observability layer costs nothing when off).
 set -euo pipefail
@@ -121,7 +122,7 @@ if [ "$CHAOS_SMOKE_RUN" = 1 ]; then
   # binary's env parser accepts.
   for seed in 12648430 1 2 3 4; do
     echo "== chaos smoke (100-request service soak, seed ${seed})"
-    CHAOS_REQUESTS=100 CHAOS_SEED="${seed}" \
+    BENCH_SMOKE=1 CHAOS_REQUESTS=100 CHAOS_SEED="${seed}" \
       cargo run -p kola-service --bin chaos-soak --release --offline
   done
 fi
@@ -142,15 +143,20 @@ if [ "$OBS_SMOKE_RUN" = 1 ]; then
   # Traced soak: the binary records every successful optimization, replays
   # each trace on the boxed reference engine, checks the conservation
   # invariants on the quiescent metric snapshot, and exits nonzero on any
-  # violation. The grep re-checks the emitted artifact so a silently
-  # stale/unwritten BENCH_obs.json also fails the gate.
+  # violation. A smoke run writes its artifact under target/bench-smoke/
+  # (the committed BENCH_obs.json is left alone); the greps re-check that
+  # copy, so a silently stale or unwritten artifact also fails the gate.
   echo "== obs smoke (600-request traced soak + conservation check)"
-  CHAOS_REQUESTS=600 CHAOS_TRACE=1 \
+  OBS_JSON=target/bench-smoke/BENCH_obs.json
+  rm -f "$OBS_JSON"
+  BENCH_SMOKE=1 CHAOS_REQUESTS=600 CHAOS_TRACE=1 \
     cargo run -p kola-service --bin chaos-soak --release --offline
-  grep -q '"ok": true' BENCH_obs.json \
-    || { echo "BENCH_obs.json missing balanced-books verdict" >&2; exit 1; }
-  grep -q '"divergent": 0' BENCH_obs.json \
-    || { echo "BENCH_obs.json reports divergent trace replays" >&2; exit 1; }
+  grep -q '"ok": true' "$OBS_JSON" \
+    || { echo "$OBS_JSON missing balanced-books verdict" >&2; exit 1; }
+  grep -q '"divergent": 0' "$OBS_JSON" \
+    || { echo "$OBS_JSON reports divergent trace replays" >&2; exit 1; }
+  grep -q '"plan_audit": {"compared": [1-9]' "$OBS_JSON" \
+    || { echo "$OBS_JSON: the plan audit compared no pair" >&2; exit 1; }
   # Ring-loss bound: with per-worker trace shards the fleet must retain
   # provenance under load — more than 5% of recorded traces evicted before
   # the audit means the rings are undersized for the workload (or a shard
@@ -161,8 +167,8 @@ if [ "$OBS_SMOKE_RUN" = 1 ]; then
       found = 1
     }
     END { if (!found) { print "BENCH_obs.json missing dropped_pct"; exit 1 } }' \
-    BENCH_obs.json \
-    || { echo "BENCH_obs.json trace-loss bound violated" >&2; exit 1; }
+    "$OBS_JSON" \
+    || { echo "$OBS_JSON trace-loss bound violated" >&2; exit 1; }
 
   # Zero-cost-when-disabled: the clean stream runs with tracing off (the
   # default config); its 4-worker >= 1.5x 1-worker scaling gate fails if
@@ -170,6 +176,11 @@ if [ "$OBS_SMOKE_RUN" = 1 ]; then
   echo "== obs smoke (scaling gate with tracing disabled)"
   BENCH_SMOKE=1 BENCH_ENFORCE=1 \
     cargo bench -p kola-bench --bench service_soak --offline
+  # The bench's smoke run replaces the smoke copy with its traced chaos
+  # row's books, never the committed file.
+  grep -q '"harness": "service_soak"' "$OBS_JSON" \
+    && grep -q '"ok": true' "$OBS_JSON" \
+    || { echo "$OBS_JSON: service_soak smoke books missing" >&2; exit 1; }
 fi
 
 echo "CI gate passed."

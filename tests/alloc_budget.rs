@@ -14,18 +14,26 @@
 //!   ≤ 25 per step on average.
 //!
 //! The counts include the whole `normalize` call: interning the input,
-//! every step, and reifying the result. A second test bounds parsing text
+//! every step, and reifying the result. A second test runs every compiled
+//! rule program (both orientations of the catalog) at every subterm of the
+//! same workloads and requires a consult that does not match — or whose
+//! precondition refuses — to allocate nothing. A third bounds parsing text
 //! straight into a warm arena: one allocation a text, its token buffer.
 
-use kola::intern::Interner;
+#[path = "common/match_corpus.rs"]
+mod match_corpus;
+
+use kola::intern::{ITerm, Interner};
 use kola::parse::{parse_query, parse_query_into};
 use kola::term::Query;
 use kola::types::Type;
 use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::Rng;
 use kola_rewrite::hidden_join::{garage_query_kg1, synthetic_hidden_join};
-use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, Oriented, PropDb};
+use kola_rewrite::program::{Applied, Program};
+use kola_rewrite::{Budget, Catalog, Direction, Engine, EngineConfig, Oriented, PropDb};
 use kola_verify::{palette, Gen};
+use match_corpus::subterms;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -154,6 +162,47 @@ fn rewrite_steps_allocate_only_for_new_nodes() {
         per_step <= 25.0,
         "corpus: {per_step:.2} allocations per step (budget 25)"
     );
+}
+
+/// A consult is one compiled program run at one node. One that does not
+/// match reads tags, payloads and slots on the stack and allocates
+/// nothing; neither does one whose precondition refuses the bindings.
+#[test]
+fn a_consult_that_does_not_match_allocates_nothing() {
+    let catalog = Catalog::paper();
+    let mut props = PropDb::new();
+    props.declare_injective("name");
+    let programs: Vec<Program> = catalog
+        .rules()
+        .iter()
+        .flat_map(|r| [Direction::Forward, Direction::Backward].map(|d| Program::compile(r, d)))
+        .collect();
+    let mut it = Interner::new();
+    let mut roots: Vec<ITerm> = corpus()
+        .iter()
+        .map(|q| it.intern_query(&q.normalize()))
+        .collect();
+    roots.push(it.intern_query(&tower(12)));
+    roots.push(it.intern_query(&garage_query_kg1().normalize()));
+    let terms = subterms(&roots);
+    let (mut consults, mut silent) = (0u64, 0u64);
+    for t in &terms {
+        for prog in &programs {
+            let before = allocs();
+            let out = prog.apply(t, &props, &mut it);
+            let spent = allocs() - before;
+            consults += 1;
+            if matches!(out, Applied::NoMatch | Applied::Refused) {
+                silent += 1;
+                assert_eq!(spent, 0, "a consult that did not fire allocated at {t:?}");
+            }
+        }
+    }
+    eprintln!(
+        "{consults} consults, {silent} that did not fire, over {} nodes",
+        terms.len()
+    );
+    assert!(silent > 100_000, "only {silent} non-firing consults");
 }
 
 /// Parsing KOLA text into an arena that already holds its nodes allocates
