@@ -43,7 +43,7 @@
 //! thread — no queue slot, no worker, no stall — which is the asymmetry
 //! the rows measure. Both scaling streams run with the cache **off**
 //! (chaos via `cache_capacity: 0` / `repeated: 0.0`, clean inside
-//! `run_clean_stream`): their gates measure worker concurrency, and a
+//! `soak::run_clean_stream`): their gates measure worker concurrency, and a
 //! cache would answer part of the stream without workers touching it.
 //! Cache-on chaos coverage lives in the chaos soak test.
 //!
@@ -72,7 +72,7 @@
 //! p99, and victim throughput ≥ 0.7× solo. The qualitative claims (victim
 //! taxonomy unchanged, no cross-tenant breaker charge or cache
 //! invalidation, balanced per-tenant books) are asserted unconditionally
-//! on both rows via `TenantChaosReport::violations`.
+//! on both rows via `soak::TenantChaosReport::violations`.
 //!
 //! Emits `BENCH_service.json` (and `BENCH_obs.json`) at the repository
 //! root. `BENCH_SMOKE=1` shrinks the streams for CI: the repeated rows to
@@ -81,9 +81,10 @@
 //! instead, leaving the committed ones alone.
 
 use kola_bench::smoke_mode;
-use kola_service::{
-    artifact_path, percentile, run_chaos, run_clean_stream, run_noisy_neighbor,
-    run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, RepeatedConfig, TenantChaosConfig,
+use kola_bench::soak::{
+    artifact_path, run_chaos, run_clean_stream, run_noisy_neighbor, run_repeated_stream,
+    throughput_rps, ChaosConfig, ChaosReport, CleanConfig, RepeatedConfig, Tally,
+    TenantChaosConfig,
 };
 use std::time::Duration;
 
@@ -110,6 +111,30 @@ struct Row {
 }
 
 impl Row {
+    /// A row for `tally`'s clients over `window`; the fields a tally does
+    /// not know (scaling, arena, cache) start at their neutral values.
+    fn from_tally(stream: &'static str, workers: usize, tally: &Tally, window: Duration) -> Row {
+        let (p50_us, p95_us, p99_us) = tally.percentiles_us();
+        Row {
+            stream,
+            workers,
+            requests: tally.requests,
+            wall_ms: window.as_millis(),
+            throughput_rps: throughput_rps(tally.requests, window),
+            scaling_efficiency: 1.0,
+            p50_us,
+            p95_us,
+            p99_us,
+            overloaded: tally.overloaded,
+            passthrough: tally.passthrough,
+            caught_panics: tally.caught_panics,
+            peak_arena_nodes: 0,
+            hit_target: 0.0,
+            hit_actual: 0.0,
+            cache_hits: 0,
+        }
+    }
+
     /// Wall-clock µs per request: the inverse of the throughput.
     fn us_per_request(&self) -> f64 {
         1e6 / self.throughput_rps.max(1e-9)
@@ -178,36 +203,21 @@ fn chaos_rows(requests: usize) -> (Vec<Row>, Option<(ChaosConfig, ChaosReport)>)
         // a reply is in the books, and nothing panicked unobserved.
         assert_eq!(
             report.metrics.counter("caught_panics"),
-            report.caught_panics as u64,
+            report.tally.caught_panics as u64,
             "chaos/{workers}w: caught-panic books diverge from client tally"
         );
-        if workers == 4 {
-            obs = Some((cfg.clone(), report.clone()));
-        }
-
-        let mut lat = report.latencies_us.clone();
-        lat.sort_unstable();
         // Serving window only: the post-hoc plan and replay audits are not
         // the service's concurrency and must not dilute the scaling rows.
-        let throughput = report.throughput_rps();
+        let row = Row::from_tally("chaos", workers, &report.tally, report.elapsed);
         let row = Row {
-            stream: "chaos",
-            workers,
-            requests: report.requests,
-            wall_ms: report.elapsed.as_millis(),
-            throughput_rps: throughput,
-            scaling_efficiency: efficiency(&rows, workers, throughput),
-            p50_us: percentile(&lat, 50.0),
-            p95_us: percentile(&lat, 95.0),
-            p99_us: percentile(&lat, 99.0),
-            overloaded: report.overloaded,
-            passthrough: report.passthrough,
-            caught_panics: report.caught_panics,
+            scaling_efficiency: efficiency(&rows, workers, row.throughput_rps),
             peak_arena_nodes: report.peak_arena_nodes,
-            hit_target: 0.0,
-            hit_actual: 0.0,
             cache_hits: report.cache_hits,
+            ..row
         };
+        if workers == 4 {
+            obs = Some((cfg, report));
+        }
         row.print();
         rows.push(row);
     }
@@ -230,37 +240,24 @@ fn clean_rows(requests: usize) -> Vec<Row> {
             ..CleanConfig::default()
         };
         let report = run_clean_stream(&cfg);
+        let t = &report.tally;
         assert_eq!(
-            report.other, 0,
+            t.optimized_fast,
+            t.requests,
             "clean stream must optimize every request \
              ({} of {} did not)",
-            report.other, report.requests
+            t.requests - t.optimized_fast,
+            t.requests
         );
-        let mut lat = report.latencies_us.clone();
-        lat.sort_unstable();
-        let throughput = report.throughput_rps();
-        let scaling_efficiency = if stall.is_zero() {
-            1.0
-        } else {
-            efficiency(&rows, workers, throughput)
-        };
+        let row = Row::from_tally(stream, workers, t, report.elapsed);
         let row = Row {
-            stream,
-            workers,
-            requests: report.requests,
-            wall_ms: report.elapsed.as_millis(),
-            throughput_rps: throughput,
-            scaling_efficiency,
-            p50_us: percentile(&lat, 50.0),
-            p95_us: percentile(&lat, 95.0),
-            p99_us: percentile(&lat, 99.0),
-            overloaded: 0,
-            passthrough: 0,
-            caught_panics: 0,
+            scaling_efficiency: if stall.is_zero() {
+                1.0
+            } else {
+                efficiency(&rows, workers, row.throughput_rps)
+            },
             peak_arena_nodes: report.peak_arena_nodes,
-            hit_target: 0.0,
-            hit_actual: 0.0,
-            cache_hits: 0,
+            ..row
         };
         row.print();
         rows.push(row);
@@ -293,28 +290,13 @@ fn repeated_rows(requests: usize) -> Vec<Row> {
         );
         // Per-row conservation cross-check (the repeated stream is
         // fault-free, so both sides must be zero).
-        assert_eq!(report.caught_panics, 0);
+        assert_eq!(report.tally.caught_panics, 0);
         assert_eq!(report.metrics.counter("caught_panics"), 0);
-        let mut lat = report.latencies_us.clone();
-        lat.sort_unstable();
-        let throughput = report.throughput_rps();
         let row = Row {
-            stream: "repeated",
-            workers: cfg.workers,
-            requests: report.requests,
-            wall_ms: report.elapsed.as_millis(),
-            throughput_rps: throughput,
-            scaling_efficiency: 1.0,
-            p50_us: percentile(&lat, 50.0),
-            p95_us: percentile(&lat, 95.0),
-            p99_us: percentile(&lat, 99.0),
-            overloaded: 0,
-            passthrough: 0,
-            caught_panics: report.caught_panics,
-            peak_arena_nodes: 0,
             hit_target,
             hit_actual: report.hit_actual,
             cache_hits: report.cache_hits,
+            ..Row::from_tally("repeated", cfg.workers, &report.tally, report.elapsed)
         };
         row.print();
         rows.push(row);
@@ -343,29 +325,15 @@ fn tenant_rows(requests: usize) -> Vec<Row> {
             if aggressor { "noisy" } else { "solo" },
             violations.join("\n")
         );
-        let mut lat = report.victim.latencies_us.clone();
-        lat.sort_unstable();
+        let stream = if aggressor {
+            "tenant_noisy"
+        } else {
+            "tenant_solo"
+        };
         let row = Row {
-            stream: if aggressor {
-                "tenant_noisy"
-            } else {
-                "tenant_solo"
-            },
-            workers: cfg.workers,
-            requests: report.victim.requests,
-            wall_ms: report.victim_elapsed.as_millis(),
-            throughput_rps: report.victim_throughput_rps(),
-            scaling_efficiency: 1.0,
-            p50_us: percentile(&lat, 50.0),
-            p95_us: percentile(&lat, 95.0),
-            p99_us: percentile(&lat, 99.0),
-            overloaded: report.victim.overloaded,
-            passthrough: report.victim.other,
-            caught_panics: report.victim.caught_panics,
             peak_arena_nodes: report.peak_arena_nodes,
-            hit_target: 0.0,
-            hit_actual: 0.0,
             cache_hits: report.metrics.counter("cache_hits"),
+            ..Row::from_tally(stream, cfg.workers, &report.victim, report.victim_elapsed)
         };
         row.print();
         if aggressor {

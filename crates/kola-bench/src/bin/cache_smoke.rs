@@ -1,7 +1,7 @@
 //! Plan-cache smoke gate for CI (`scripts/ci.sh --cache-smoke`).
 //!
 //! ```sh
-//! cargo run -p kola-service --bin cache-smoke --release
+//! cargo run -p kola-bench --bin cache-smoke --release
 //! ```
 //!
 //! Two checks, both sized for a CI lane:
@@ -19,10 +19,9 @@
 //! Environment: `CACHE_SMOKE_REQUESTS` (default 1200) sizes the soak.
 //! Exits nonzero on any failure.
 
+use kola_bench::soak::{run_repeated_stream, throughput_rps, RepeatedConfig};
 use kola_rewrite::{FaultKind, FaultPlan, FaultSpec, StepSelector};
-use kola_service::{
-    run_repeated_stream, RepeatedConfig, Request, RequestOptions, Response, Service, ServiceConfig,
-};
+use kola_service::{Request, RequestOptions, Response, Service, ServiceConfig};
 
 fn id_tower_text(height: usize) -> String {
     let mut s = String::new();
@@ -55,10 +54,10 @@ fn hit_rate_soak(requests: usize) {
     let report = run_repeated_stream(&cfg);
     println!(
         "repeated soak: {} requests, {} hits ({:.1}% of a 90% target), {:.0} req/s",
-        report.requests,
+        report.tally.requests,
         report.cache_hits,
         report.hit_actual * 100.0,
-        report.throughput_rps()
+        throughput_rps(report.tally.requests, report.elapsed)
     );
     if !report.violations.is_empty() {
         fail(&format!(

@@ -1,7 +1,7 @@
 //! Chaos soak driver for the optimization service.
 //!
 //! ```sh
-//! CHAOS_REQUESTS=10000 cargo run -p kola-service --bin chaos-soak --release
+//! CHAOS_REQUESTS=10000 cargo run -p kola-bench --bin chaos-soak --release
 //! ```
 //!
 //! Environment:
@@ -21,7 +21,7 @@
 //! invalid classification, an optimized plan that changed its input's
 //! meaning, unbalanced books, or a divergent trace replay).
 
-use kola_service::{artifact_path, run_chaos, ChaosConfig};
+use kola_bench::soak::{artifact_path, run_chaos, ChaosConfig};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)

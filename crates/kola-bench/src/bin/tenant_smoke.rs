@@ -1,7 +1,7 @@
 //! Noisy-neighbor smoke driver for multi-tenant isolation.
 //!
 //! ```sh
-//! TENANT_REQUESTS=2000 cargo run -p kola-service --bin tenant-smoke --release
+//! TENANT_REQUESTS=2000 cargo run -p kola-bench --bin tenant-smoke --release
 //! ```
 //!
 //! Environment:
@@ -14,7 +14,7 @@
 //! a victim reply that is not `Optimized`, a cross-tenant breaker charge,
 //! a stale cache reclaim, an escaped panic, or unbalanced per-tenant books.
 
-use kola_service::{run_noisy_neighbor, TenantChaosConfig};
+use kola_bench::soak::{run_noisy_neighbor, TenantChaosConfig};
 
 fn env_u64(name: &str, default: u64) -> u64 {
     std::env::var(name)

@@ -2,7 +2,12 @@
 //!
 //! The benches run offline with no external harness: [`bench`] is a minimal
 //! measured-loop timer (warmup, then the median of several timed batches)
-//! that every `harness = false` bench target shares.
+//! that every `harness = false` bench target shares. [`soak`] is the
+//! seeded soak harness for the optimization service, which the
+//! `service_soak` bench, the `chaos-soak`/`cache-smoke`/`tenant-smoke`
+//! binaries and the soak tests drive.
+
+pub mod soak;
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -1,30 +1,520 @@
-//! Deterministic chaos soak for the optimization service.
+//! Deterministic soak harness for the optimization service.
 //!
-//! One seeded [`ChaosConfig`] fully determines the request stream: a mix
-//! of well-formed OQL/KOLA text, adversarially deep AST payloads,
-//! poison-rule fault plans (rules that panic mid-rewrite), injected engine
-//! faults, random deadlines, and artificial holds that push the queue into
-//! overload. Thread scheduling still varies run to run — which requests
-//! get shed, which deadlines expire — but the service's *invariants* must
-//! not: every request terminates with exactly one classified outcome, no
-//! panic escapes a worker, and every optimized reply — worker pass, cache
-//! hit or coalesced — means what its input means on a sample database
-//! (audited after the serving window). [`ChaosReport::violations`] checks
-//! exactly those scheduling-independent properties.
+//! Four seeded workloads drive a [`Service`] through its public surface:
+//!
+//! - [`run_chaos`] — the chaos stream: well-formed OQL/KOLA text,
+//!   adversarially deep AST payloads, poison-rule fault plans (rules that
+//!   panic mid-rewrite), injected engine faults, random deadlines, and
+//!   artificial holds that push the queue into overload. Thread scheduling
+//!   still varies run to run — which requests get shed, which deadlines
+//!   expire — but the service's *invariants* must not: every request
+//!   terminates with exactly one classified outcome, no panic escapes a
+//!   worker, and every optimized reply — worker pass, cache hit or
+//!   coalesced — means what its input means on a sample database (audited
+//!   after the serving window). [`ChaosReport::violations`] checks exactly
+//!   those scheduling-independent properties.
+//! - [`run_clean_stream`] — the no-fault worker-scaling workload.
+//! - [`run_repeated_stream`] — the plan-cache workload.
+//! - [`run_noisy_neighbor`] — the multi-tenant isolation workload.
+//!
+//! Every stream is a pure function of its seed; `tests/stream_pin.rs` pins
+//! the first 2,000 requests of each generator by hash. The clean, repeated
+//! and victim streams share one closed-loop driver ([`closed_loop`]) and
+//! every client population is counted by one [`Tally`].
 
-use crate::metrics::conservation_violations;
-use crate::request::{Outcome, Payload, Request, RequestOptions, Response};
-use crate::service::{Service, ServiceConfig, WORKER_STACK};
 use kola::term::{Func, Pred, Query};
 use kola::Value;
 use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::{splitmix64, Rng};
 use kola_obs::{ReplayWorker, Snapshot};
 use kola_rewrite::{Catalog, FaultKind, FaultPlan, FaultSpec, PropDb, StepSelector};
+use kola_service::{
+    conservation_violations, Outcome, Payload, Request, RequestOptions, Response, Service,
+    ServiceConfig,
+};
 use kola_verify::PlanAgreement;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::Scope;
 use std::time::{Duration, Instant};
+
+// ---------------------------------------------------------------------------
+// Shared pieces: the tally, the closed-loop driver, throughput.
+// ---------------------------------------------------------------------------
+
+/// One client population's view of a soak: every reply its clients hold,
+/// classified by outcome.
+#[derive(Debug, Clone, Default)]
+pub struct Tally {
+    /// Replies received (every request driven gets exactly one).
+    pub requests: usize,
+    /// `Optimized` replies.
+    pub optimized_fast: usize,
+    /// `Passthrough` replies.
+    pub passthrough: usize,
+    /// Structured sheds at submission (quota or queue).
+    pub overloaded: usize,
+    /// `Invalid` replies.
+    pub invalid: usize,
+    /// Poison-rule panics caught and attributed by the worker.
+    pub caught_panics: usize,
+    /// Per-request end-to-end latencies, microseconds, unsorted.
+    pub latencies_us: Vec<u64>,
+}
+
+impl Tally {
+    /// Count one reply.
+    pub fn absorb(&mut self, resp: &Response) {
+        self.requests += 1;
+        match resp.outcome {
+            Outcome::Optimized => self.optimized_fast += 1,
+            Outcome::Passthrough => self.passthrough += 1,
+            Outcome::Overloaded => self.overloaded += 1,
+            Outcome::Invalid => self.invalid += 1,
+        }
+        self.caught_panics += usize::from(resp.panic.is_some());
+        self.latencies_us.push(resp.latency.as_micros() as u64);
+    }
+
+    fn merge(&mut self, other: Tally) {
+        self.requests += other.requests;
+        self.optimized_fast += other.optimized_fast;
+        self.passthrough += other.passthrough;
+        self.overloaded += other.overloaded;
+        self.invalid += other.invalid;
+        self.caught_panics += other.caught_panics;
+        self.latencies_us.extend(other.latencies_us);
+    }
+
+    /// Nearest-rank p50, p95 and p99 latency in microseconds.
+    pub fn percentiles_us(&self) -> (u64, u64, u64) {
+        let mut sorted = self.latencies_us.clone();
+        sorted.sort_unstable();
+        (
+            percentile(&sorted, 50.0),
+            percentile(&sorted, 95.0),
+            percentile(&sorted, 99.0),
+        )
+    }
+}
+
+/// Nearest-rank percentile over an ascending-sorted slice (0 if empty).
+fn percentile(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
+/// `requests` over `window`, in requests per second (0 for an empty window).
+pub fn throughput_rps(requests: usize, window: Duration) -> f64 {
+    if window.is_zero() {
+        return 0.0;
+    }
+    requests as f64 / window.as_secs_f64()
+}
+
+/// The generator seed of closed-loop client `c` under master seed `seed`.
+pub fn client_seed(seed: u64, c: usize) -> u64 {
+    seed ^ ((c as u64 + 1) << 32)
+}
+
+/// Start `requests` requests through `service` from `clients` closed-loop
+/// client threads spawned into `scope`, each keeping exactly one request
+/// in flight (so admission depth never exceeds `clients`). Client `c`
+/// draws its requests from `make_request` with its own generator, seeded
+/// [`client_seed`]`(seed, c)`. The returned join waits for every client
+/// and yields the merged tally and the window from the spawn to the last
+/// reply. Spawning into the caller's scope lets a caller start other
+/// threads strictly after these clients (the noisy-neighbor victim starts
+/// before its aggressor).
+pub fn closed_loop<'scope, 'env>(
+    scope: &'scope Scope<'scope, 'env>,
+    service: &'env Service,
+    clients: usize,
+    requests: usize,
+    seed: u64,
+    make_request: &'env (impl Fn(&mut Rng) -> Request + Sync),
+) -> impl FnOnce() -> (Tally, Duration) + 'scope {
+    let clients = clients.max(1);
+    let per_client = requests / clients;
+    let remainder = requests % clients;
+    let started = Instant::now();
+    let handles: Vec<_> = (0..clients)
+        .map(|c| {
+            let n = per_client + usize::from(c < remainder);
+            scope.spawn(move || {
+                let mut rng = Rng::seed_from_u64(client_seed(seed, c));
+                let mut tally = Tally::default();
+                tally.latencies_us.reserve(n);
+                for _ in 0..n {
+                    tally.absorb(&service.call(make_request(&mut rng)));
+                }
+                (tally, started.elapsed())
+            })
+        })
+        .collect();
+    move || {
+        let mut tally = Tally::default();
+        let mut window = Duration::ZERO;
+        for h in handles {
+            let (part, finished) = h.join().unwrap();
+            tally.merge(part);
+            window = window.max(finished);
+        }
+        (tally, window)
+    }
+}
+
+/// Where the chaos-soak binary and the service benchmark write their
+/// artifact `name`: the committed file at the repository root, or
+/// `target/bench-smoke/<name>` for a smoke run (`BENCH_SMOKE` set to
+/// anything but empty or `0`, as `scripts/ci.sh` sets it), so a CI smoke
+/// never overwrites a committed result.
+pub fn artifact_path(name: &str) -> std::io::Result<PathBuf> {
+    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
+    if !crate::smoke_mode() {
+        return Ok(root.join(name));
+    }
+    let dir = root.join("target").join("bench-smoke");
+    std::fs::create_dir_all(&dir)?;
+    Ok(dir.join(name))
+}
+
+/// Upper bound on any worker engine's intern arena over a soak, in live
+/// nodes: the fast engine's compaction cap
+/// (`EngineConfig::fast().arena_capacity`, 64Ki nodes) plus a generous
+/// allowance for the growth of the single request that runs after the cap
+/// check — compaction fires *between* requests' normalize calls, so the
+/// peak is "cap + one request", never "requests × size".
+pub const PEAK_ARENA_BOUND: usize = (1 << 16) + (1 << 18);
+
+// ---------------------------------------------------------------------------
+// Request generators.
+// ---------------------------------------------------------------------------
+
+/// `id . … . id . <tail> ! P` with `height` identities.
+fn tower(height: usize, tail: &str) -> String {
+    let mut s = String::with_capacity(height * 5 + tail.len() + 4);
+    for _ in 0..height {
+        s.push_str("id . ");
+    }
+    s.push_str(tail);
+    s.push_str(" ! P");
+    s
+}
+
+/// The tower the clean, repeated and aggressor streams send:
+/// `id . … . id . age ! P`. It is ill-typed (`age` of a set), which those
+/// throughput streams never evaluate.
+fn id_tower_text(height: usize) -> String {
+    tower(height, "age")
+}
+
+/// The chaos stream's tower, `id . … . id . iterate(Kp(T), age) ! P`:
+/// well-typed, like every chaos payload, so the plan audit compares what
+/// it evaluates to on the audit database instead of finding both sides
+/// stuck.
+fn typed_tower(height: usize) -> String {
+    tower(height, "iterate(Kp(T), age)")
+}
+
+fn deep_compose_ast(height: usize) -> Query {
+    let mut f = Func::Iterate(
+        Box::new(Pred::ConstP(true)),
+        Box::new(Func::Prim(Arc::from("age"))),
+    );
+    for _ in 0..height {
+        f = Func::Compose(Box::new(Func::Id), Box::new(f));
+    }
+    Query::App(f, Box::new(Query::Extent(Arc::from("P"))))
+}
+
+fn deep_not_ast(height: usize) -> Query {
+    let mut p = Pred::Eq;
+    for _ in 0..height {
+        p = Pred::Not(Box::new(p));
+    }
+    let persons = || Box::new(Query::Extent(Arc::from("P")));
+    Query::Test(p, Box::new(Query::PairQ(persons(), persons())))
+}
+
+fn deep_pair_ast(height: usize) -> Query {
+    let mut q = Query::Lit(Value::Int(0));
+    for _ in 0..height {
+        q = Query::PairQ(Box::new(q), Box::new(Query::Extent(Arc::from("P"))));
+    }
+    q
+}
+
+const KOLA_TEMPLATES: &[&str] = &[
+    "iterate(Kp(T), city) . iterate(Kp(T), addr) ! P",
+    "iterate(Kp(T), city . addr) ! P",
+    "id . iterate(Kp(T), age) ! P",
+    "iterate(Kp(T), age) . id ! P",
+    "sunion ! [P, P]",
+    "P union P",
+    "gt ? [3, 2]",
+    "iterate(Kp(T), id . city . addr) ! P",
+];
+
+const OQL_TEMPLATES: &[&str] = &[
+    "select p.age from p in P",
+    "select p from p in P",
+    "select p.age from p in P where p.age > 25",
+    "select p from p in P where p.age > 18 and not p.age > 65",
+];
+
+/// The hold every request of a stream carries: `None` for a zero stall.
+fn hold(stall: Duration) -> Option<Duration> {
+    (!stall.is_zero()).then_some(stall)
+}
+
+/// One request of the seeded chaos stream. Every request carries the
+/// configured materialization `stall` as its baseline hold, and every
+/// generated timeout is extended by the same stall, so which requests
+/// expire is a property of the stream — not of the stall. `repeated` is
+/// the probability of drawing from the repeated-traffic lane.
+pub fn chaos_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Request {
+    if repeated > 0.0 && rng.gen_bool(repeated) {
+        // Repeated lane: a small fixed pool under FIXED budgets, so
+        // identical draws share one plan-cache line (the stream's trailing
+        // budget randomization below would disperse the keys). Pure (no
+        // faults), so the requests are cacheable, and the poison lanes'
+        // breaker trips invalidate their entries mid-soak, which is the
+        // interaction this lane exists to exercise.
+        let pick = rng.gen_range(0..8usize);
+        let options = RequestOptions {
+            hold_for: hold(stall),
+            timeout: Some(stall + Duration::from_millis(25)),
+            max_steps: 400,
+            ..RequestOptions::default()
+        };
+        return Request {
+            payload: Payload::Text(typed_tower(2 + pick)),
+            options,
+            tenant: None,
+        };
+    }
+    // An unused draw (it paced a retry the service no longer takes), kept
+    // so that each seed still generates the stream it always did.
+    let _ = rng.gen_range(0..200usize);
+    let mut options = RequestOptions {
+        hold_for: hold(stall),
+        ..RequestOptions::default()
+    };
+    // Random deadlines on roughly a third of all requests — tight enough
+    // that some die in the queue or mid-rewrite, loose enough that most
+    // survive to an engine attempt.
+    if rng.gen_bool(0.35) {
+        options.timeout =
+            Some(stall + Duration::from_micros(1000 + rng.gen_range(0..8000usize) as u64));
+    }
+    let roll = rng.gen_range(0..100usize);
+    let payload = if roll < 40 {
+        // Well-formed KOLA text, occasionally a tower with real redexes.
+        if rng.gen_bool(0.4) {
+            Payload::Text(typed_tower(1 + rng.gen_range(0..12usize)))
+        } else {
+            Payload::Text(KOLA_TEMPLATES[rng.gen_range(0..KOLA_TEMPLATES.len())].to_string())
+        }
+    } else if roll < 50 {
+        Payload::Text(OQL_TEMPLATES[rng.gen_range(0..OQL_TEMPLATES.len())].to_string())
+    } else if roll < 65 {
+        // Adversarially deep ASTs: way past any recursion a naive engine
+        // would survive. Small step budget + tight deadline.
+        options.max_steps = 32;
+        options.timeout =
+            Some(stall + Duration::from_micros(200 + rng.gen_range(0..1500usize) as u64));
+        let h = 500 + rng.gen_range(0..2500usize);
+        Payload::Ast(Arc::new(match rng.gen_range(0..3usize) {
+            0 => deep_compose_ast(h),
+            1 => deep_not_ast(h),
+            _ => deep_pair_ast(h),
+        }))
+    } else if roll < 75 {
+        // Failed engine attempts: 30 % of this lane caps the term size
+        // below the input's, so the attempt stops with `TermTooLarge`
+        // before any rule runs and the request passes through; the rest is
+        // a plain id tower.
+        if !rng.gen_bool(0.7) {
+            options.max_term_size = 1;
+        }
+        Payload::Text(typed_tower(1 + rng.gen_range(0..8usize)))
+    } else if roll < 90 {
+        // Poison rules: a rule that panics (or fails) mid-rewrite on a
+        // payload that actually exercises it ("app"/"e121" are the rules
+        // that fire on id-towers under the full forward catalog).
+        let rule = if rng.gen_bool(0.5) { "app" } else { "e121" };
+        let at = match rng.gen_range(0..3usize) {
+            0 => StepSelector::Always,
+            1 => StepSelector::Steps(vec![0, 1]),
+            _ => StepSelector::EveryNth(2),
+        };
+        let kind = if rng.gen_bool(0.7) {
+            FaultKind::Panic
+        } else {
+            FaultKind::Fail
+        };
+        options.faults = FaultPlan::new().with(FaultSpec {
+            rule_id: rule.to_string(),
+            at,
+            kind,
+        });
+        Payload::Text(typed_tower(2 + rng.gen_range(0..8usize)))
+    } else {
+        // Slow requests: extra pre-engine work on top of the baseline
+        // stall that backs the queue up and forces structured shedding.
+        options.hold_for =
+            Some(stall + Duration::from_micros(200 + rng.gen_range(0..800usize) as u64));
+        Payload::Text(KOLA_TEMPLATES[rng.gen_range(0..KOLA_TEMPLATES.len())].to_string())
+    };
+    // Every chaos request is bounded the way a real client's would be: a
+    // fallback deadline and a modest step cap. Without these, a request
+    // that arrives while the breaker has evicted a load-bearing structural
+    // rule (e.g. "app") can grind through the full default fuel instead of
+    // reaching a normal form in a handful of steps.
+    if options.timeout.is_none() {
+        options.timeout =
+            Some(stall + Duration::from_millis(15 + rng.gen_range(0..25usize) as u64));
+    }
+    options.max_steps = options.max_steps.min(300 + rng.gen_range(0..200usize));
+    Request {
+        payload,
+        options,
+        tenant: None,
+    }
+}
+
+/// One request of the seeded clean stream: a parseable query with real
+/// redexes, default budgets, **no** deadline and **no** faults — so the
+/// persistent engine's memo is eligible and the stream measures the
+/// service's fast path, not its failure handling.
+pub fn clean_request(rng: &mut Rng, stall: Duration) -> Request {
+    let roll = rng.gen_range(0..100usize);
+    let payload = if roll < 55 {
+        Payload::Text(id_tower_text(4 + rng.gen_range(0..48usize)))
+    } else if roll < 80 {
+        Payload::Text(KOLA_TEMPLATES[rng.gen_range(0..KOLA_TEMPLATES.len())].to_string())
+    } else {
+        Payload::Text(OQL_TEMPLATES[rng.gen_range(0..OQL_TEMPLATES.len())].to_string())
+    };
+    Request {
+        payload,
+        options: RequestOptions {
+            hold_for: hold(stall),
+            ..RequestOptions::default()
+        },
+        tenant: None,
+    }
+}
+
+/// The repeated stream's request source: a fixed pool of id towers drawn
+/// with Zipf-ish skew (rank `r` with weight `1/(r+1)`) with probability
+/// `draw_p`, and otherwise a never-repeating unique tail.
+pub struct RepeatedPool {
+    pool: Vec<String>,
+    /// Integer cumulative Zipf weights, so the draw is exact and seeded.
+    cumulative: Vec<u64>,
+    draw_p: f64,
+    stall: Duration,
+    /// Next unique-tail number, shared by every client.
+    unique: AtomicU64,
+}
+
+impl RepeatedPool {
+    /// The pool `cfg` describes.
+    pub fn new(cfg: &RepeatedConfig) -> RepeatedPool {
+        let pool: Vec<String> = (0..cfg.pool.max(1)).map(|r| id_tower_text(4 + r)).collect();
+        // Integer Zipf weights, scaled to keep low-rank resolution: weight
+        // of rank r is round(K / (r+1)).
+        let mut cumulative = Vec::with_capacity(pool.len());
+        let mut acc = 0u64;
+        for r in 0..pool.len() {
+            acc += (1_000_000 / (r as u64 + 1)).max(1);
+            cumulative.push(acc);
+        }
+        // Small overshoot so the achieved rate clears the target on any
+        // seed (every pool draw is a hit after prewarm; uniques never are).
+        let draw_p = if cfg.hit_target > 0.0 {
+            (cfg.hit_target + 0.02).min(1.0)
+        } else {
+            0.0
+        };
+        RepeatedPool {
+            pool,
+            cumulative,
+            draw_p,
+            stall: cfg.stall,
+            unique: AtomicU64::new(0),
+        }
+    }
+
+    fn pool_request(&self, src: &str) -> Request {
+        Request {
+            payload: Payload::Text(src.to_string()),
+            options: RequestOptions {
+                hold_for: hold(self.stall),
+                ..RequestOptions::default()
+            },
+            tenant: None,
+        }
+    }
+
+    /// The next request a client with generator `rng` sends.
+    pub fn request(&self, rng: &mut Rng) -> Request {
+        if self.draw_p > 0.0 && rng.gen_bool(self.draw_p) {
+            let total = *self.cumulative.last().expect("non-empty pool");
+            let x = rng.gen_range(0..total as usize) as u64;
+            self.pool_request(&self.pool[self.cumulative.partition_point(|&c| c <= x)])
+        } else {
+            // The unique tail: never repeats, so never hits — and
+            // (deliberately cacheable) fills shards so eviction earns its
+            // keep.
+            let n = self.unique.fetch_add(1, Ordering::Relaxed);
+            self.pool_request(&format!("gt ? [{}, 2]", n + 3))
+        }
+    }
+}
+
+/// One aggressor request: an id-tower that exercises "app"/"e121" with a
+/// fault plan that panics (or fails) those rules mid-rewrite. Every
+/// aggressor request carries a fault plan, so none of them are cacheable —
+/// the victim's plan lines are the only lines in the cache.
+pub fn aggressor_request(rng: &mut Rng, stall: Duration) -> Request {
+    // Unused draw, kept so each seed generates the same stream (see
+    // `chaos_request`).
+    let _ = rng.gen_range(0..200usize);
+    let mut options = RequestOptions {
+        hold_for: hold(stall),
+        timeout: Some(stall + Duration::from_millis(15)),
+        max_steps: 400,
+        ..RequestOptions::default()
+    };
+    let rule = if rng.gen_bool(0.5) { "app" } else { "e121" };
+    let kind = if rng.gen_bool(0.7) {
+        FaultKind::Panic
+    } else {
+        FaultKind::Fail
+    };
+    options.faults = FaultPlan::new().with(FaultSpec {
+        rule_id: rule.to_string(),
+        at: StepSelector::Always,
+        kind,
+    });
+    Request {
+        payload: Payload::Text(id_tower_text(2 + rng.gen_range(0..8usize))),
+        options,
+        tenant: None,
+    }
+    .for_tenant("aggressor")
+}
+
+// ---------------------------------------------------------------------------
+// Chaos stream: the invariant soak.
+// ---------------------------------------------------------------------------
 
 /// Parameters of one soak.
 #[derive(Debug, Clone)]
@@ -77,22 +567,27 @@ impl Default for ChaosConfig {
     }
 }
 
+impl ChaosConfig {
+    /// The seeded request stream: request `i` comes from its own
+    /// generator, seeded from the master seed's splitmix sequence and `i`.
+    pub fn stream(&self) -> impl Iterator<Item = Request> + '_ {
+        let mut seed = self.seed;
+        (0..self.requests).map(move |i| {
+            let mut rng = Rng::seed_from_u64(splitmix64(&mut seed) ^ i as u64);
+            chaos_request(&mut rng, self.stall, self.repeated)
+        })
+    }
+}
+
 /// What a soak observed.
 #[derive(Debug, Clone, Default)]
 pub struct ChaosReport {
-    /// Requests generated (and therefore classified).
+    /// Requests generated.
     pub requests: usize,
-    /// `Optimized` replies.
-    pub optimized_fast: usize,
-    /// `Passthrough` replies.
-    pub passthrough: usize,
-    /// Structured sheds at submission.
-    pub overloaded: usize,
-    /// `Invalid` replies (must stay zero: the generator only emits
-    /// parseable payloads within the size limit).
-    pub invalid: usize,
-    /// Poison-rule panics caught and attributed by the ladder.
-    pub caught_panics: usize,
+    /// The clients' replies: the generated requests must all be here, with
+    /// none `Invalid` (the generator only emits parseable payloads within
+    /// the size limit).
+    pub tally: Tally,
     /// Panics that reached a worker boundary unclassified (must be zero).
     pub unexpected_panics: usize,
     /// Optimized replies whose plan disagrees with its input on the audit
@@ -112,8 +607,6 @@ pub struct ChaosReport {
     /// across every request of the soak, so an unbounded arena would show
     /// up here as linear growth in the request count).
     pub peak_arena_nodes: usize,
-    /// Per-request end-to-end latencies, microseconds, unsorted.
-    pub latencies_us: Vec<u64>,
     /// Plan-cache hits (direct + coalesced) over the soak.
     pub cache_hits: u64,
     /// Plan-cache misses that took an engine pass.
@@ -128,7 +621,7 @@ pub struct ChaosReport {
     /// conservation invariants must hold on it).
     pub metrics: Snapshot,
     /// Conservation-invariant violations found in `metrics` (must be
-    /// empty; see [`crate::metrics`] for the two equations).
+    /// empty; see `kola_service::metrics` for the two equations).
     pub conservation: Vec<String>,
     /// Structured traces recorded over the soak (0 unless
     /// [`ChaosConfig::tracing`]).
@@ -145,34 +638,26 @@ pub struct ChaosReport {
     pub elapsed: Duration,
 }
 
-/// Upper bound on [`ChaosReport::peak_arena_nodes`]: the fast engine's
-/// compaction cap (`EngineConfig::fast().arena_capacity`, 64Ki nodes) plus
-/// a generous allowance for the growth of the single request that runs
-/// after the cap check — compaction fires *between* requests' normalize
-/// calls, so the peak is "cap + one request", never "requests × size".
-pub const PEAK_ARENA_BOUND: usize = (1 << 16) + (1 << 18);
-
 impl ChaosReport {
     /// The scheduling-independent invariants. Empty means the soak passed.
     pub fn violations(&self) -> Vec<String> {
         let mut v = Vec::new();
-        let classified = self.optimized_fast + self.passthrough + self.overloaded;
-        if classified + self.invalid != self.requests {
+        let t = &self.tally;
+        if t.requests != self.requests {
             v.push(format!(
                 "classification leak: {} of {} requests accounted for",
-                classified + self.invalid,
-                self.requests
+                t.requests, self.requests
             ));
         }
-        if self.invalid != 0 {
+        if t.invalid != 0 {
             v.push(format!(
                 "{} generated requests classified Invalid",
-                self.invalid
+                t.invalid
             ));
         }
         if self.unexpected_panics != 0 {
             v.push(format!(
-                "{} panics escaped ladder classification",
+                "{} panics escaped worker classification",
                 self.unexpected_panics
             ));
         }
@@ -207,22 +692,22 @@ impl ChaosReport {
         let cross = [
             (
                 "optimized_fast",
-                self.optimized_fast,
+                t.optimized_fast,
                 self.metrics.counter("optimized_fast") + served("fast"),
             ),
             (
                 "passthrough",
-                self.passthrough,
+                t.passthrough,
                 self.metrics.counter("passthrough") + served("passthrough"),
             ),
             (
                 "overloaded",
-                self.overloaded,
+                t.overloaded,
                 self.metrics.counter("overloaded"),
             ),
             (
                 "invalid",
-                self.invalid,
+                t.invalid,
                 self.metrics.counter("completed_invalid")
                     + self.metrics.counter("rejected_invalid")
                     + self.metrics.counter("panicked")
@@ -239,10 +724,10 @@ impl ChaosReport {
         // Caught panics conserve exactly: flights only form for fault-free
         // requests, which never panic, so no coalesced reply can carry a
         // second copy of a leader's panic attribution.
-        if self.caught_panics as u64 != self.metrics.counter("caught_panics") {
+        if t.caught_panics as u64 != self.metrics.counter("caught_panics") {
             v.push(format!(
                 "caught-panic books unbalanced: clients hold {}, counter says {}",
-                self.caught_panics,
+                t.caught_panics,
                 self.metrics.counter("caught_panics"),
             ));
         }
@@ -253,15 +738,6 @@ impl ChaosReport {
             ));
         }
         v
-    }
-
-    /// Serving-window throughput in requests per second (0 before
-    /// [`run_chaos`] fills [`ChaosReport::elapsed`]).
-    pub fn throughput_rps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.requests as f64 / self.elapsed.as_secs_f64()
     }
 
     /// Traces dropped as a percentage of traces recorded (`0.0` when
@@ -307,8 +783,8 @@ impl ChaosReport {
 
     /// Multi-line human summary.
     pub fn summary(&self) -> String {
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
+        let t = &self.tally;
+        let (p50, p95, p99) = t.percentiles_us();
         format!(
             "requests            {}\n\
              optimized           {}\n\
@@ -325,13 +801,13 @@ impl ChaosReport {
              cache coal/stale    {} / {}\n\
              conservation        {}\n\
              traces rec/rep/div  {} / {} / {}\n\
-             latency p50/p95/p99 {} / {} / {} us",
+             latency p50/p95/p99 {p50} / {p95} / {p99} us",
             self.requests,
-            self.optimized_fast,
-            self.passthrough,
-            self.overloaded,
-            self.invalid,
-            self.caught_panics,
+            t.optimized_fast,
+            t.passthrough,
+            t.overloaded,
+            t.invalid,
+            t.caught_panics,
             self.unexpected_panics,
             self.gate_failures,
             self.plans_compared,
@@ -350,187 +826,7 @@ impl ChaosReport {
             self.traces_recorded,
             self.traces_replayed,
             self.traces_divergent,
-            percentile(&sorted, 50.0),
-            percentile(&sorted, 95.0),
-            percentile(&sorted, 99.0),
         )
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice (0 if empty).
-pub fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-fn id_tower_text(height: usize) -> String {
-    let mut s = String::with_capacity(height * 5 + 10);
-    for _ in 0..height {
-        s.push_str("id . ");
-    }
-    s.push_str("age ! P");
-    s
-}
-
-fn deep_compose_ast(height: usize) -> Query {
-    let mut f = Func::Prim(Arc::from("age"));
-    for _ in 0..height {
-        f = Func::Compose(Box::new(Func::Id), Box::new(f));
-    }
-    Query::App(f, Box::new(Query::Extent(Arc::from("P"))))
-}
-
-fn deep_not_ast(height: usize) -> Query {
-    let mut p = Pred::Eq;
-    for _ in 0..height {
-        p = Pred::Not(Box::new(p));
-    }
-    Query::Test(p, Box::new(Query::Extent(Arc::from("P"))))
-}
-
-fn deep_pair_ast(height: usize) -> Query {
-    let mut q = Query::Lit(Value::Int(0));
-    for _ in 0..height {
-        q = Query::PairQ(Box::new(q), Box::new(Query::Extent(Arc::from("P"))));
-    }
-    q
-}
-
-const KOLA_TEMPLATES: &[&str] = &[
-    "iterate(Kp(T), city) . iterate(Kp(T), addr) ! P",
-    "iterate(Kp(T), city . addr) ! P",
-    "id . age ! P",
-    "age . id ! P",
-    "sunion ! [P, Q]",
-    "P union Q",
-    "gt ? [3, 2]",
-    "iterate(Kp(T), id . city) ! P",
-];
-
-const OQL_TEMPLATES: &[&str] = &[
-    "select p.age from p in P",
-    "select p from p in P",
-    "select p.age from p in P where p.age > 25",
-    "select p from p in P where p.age > 18 and not p.age > 65",
-];
-
-/// One generated request of the seeded chaos stream (public so the service
-/// benchmark can replay the same workload it soaks). Every request carries
-/// the configured materialization `stall` as its baseline hold, and every
-/// generated timeout is extended by the same stall, so which requests
-/// expire is a property of the stream — not of the stall. `repeated` is
-/// the probability of drawing from the repeated-traffic lane.
-pub fn generate_request(rng: &mut Rng, stall: Duration, repeated: f64) -> Request {
-    if repeated > 0.0 && rng.gen_bool(repeated) {
-        // Repeated lane: a small fixed pool under FIXED budgets, so
-        // identical draws share one plan-cache line (the stream's trailing
-        // budget randomization below would disperse the keys). Pure (no
-        // faults), so the requests are cacheable, and the poison lanes'
-        // breaker trips invalidate their entries mid-soak, which is the
-        // interaction this lane exists to exercise.
-        let pick = rng.gen_range(0..8usize);
-        let options = RequestOptions {
-            hold_for: (!stall.is_zero()).then_some(stall),
-            timeout: Some(stall + Duration::from_millis(25)),
-            max_steps: 400,
-            ..RequestOptions::default()
-        };
-        return Request {
-            payload: Payload::Text(id_tower_text(2 + pick)),
-            options,
-            tenant: None,
-        };
-    }
-    // An unused draw (it paced a retry the service no longer takes), kept
-    // so that each seed still generates the stream it always did.
-    let _ = rng.gen_range(0..200usize);
-    let mut options = RequestOptions {
-        hold_for: (!stall.is_zero()).then_some(stall),
-        ..RequestOptions::default()
-    };
-    // Random deadlines on roughly a third of all requests — tight enough
-    // that some die in the queue or mid-rewrite, loose enough that most
-    // survive to an engine attempt.
-    if rng.gen_bool(0.35) {
-        options.timeout =
-            Some(stall + Duration::from_micros(1000 + rng.gen_range(0..8000usize) as u64));
-    }
-    let roll = rng.gen_range(0..100usize);
-    let payload = if roll < 40 {
-        // Well-formed KOLA text, occasionally a tower with real redexes.
-        if rng.gen_bool(0.4) {
-            Payload::Text(id_tower_text(1 + rng.gen_range(0..12usize)))
-        } else {
-            Payload::Text(KOLA_TEMPLATES[rng.gen_range(0..KOLA_TEMPLATES.len())].to_string())
-        }
-    } else if roll < 50 {
-        Payload::Text(OQL_TEMPLATES[rng.gen_range(0..OQL_TEMPLATES.len())].to_string())
-    } else if roll < 65 {
-        // Adversarially deep ASTs: way past any recursion a naive engine
-        // would survive. Small step budget + tight deadline.
-        options.max_steps = 32;
-        options.timeout =
-            Some(stall + Duration::from_micros(200 + rng.gen_range(0..1500usize) as u64));
-        let h = 500 + rng.gen_range(0..2500usize);
-        Payload::Ast(Arc::new(match rng.gen_range(0..3usize) {
-            0 => deep_compose_ast(h),
-            1 => deep_not_ast(h),
-            _ => deep_pair_ast(h),
-        }))
-    } else if roll < 75 {
-        // Failed engine attempts: 30 % of this lane caps the term size
-        // below the input's, so the attempt stops with `TermTooLarge`
-        // before any rule runs and the request passes through; the rest is
-        // a plain id tower.
-        if !rng.gen_bool(0.7) {
-            options.max_term_size = 1;
-        }
-        Payload::Text(id_tower_text(1 + rng.gen_range(0..8usize)))
-    } else if roll < 90 {
-        // Poison rules: a rule that panics (or fails) mid-rewrite on a
-        // payload that actually exercises it ("app"/"e121" are the rules
-        // that fire on id-towers under the full forward catalog).
-        let rule = if rng.gen_bool(0.5) { "app" } else { "e121" };
-        let at = match rng.gen_range(0..3usize) {
-            0 => StepSelector::Always,
-            1 => StepSelector::Steps(vec![0, 1]),
-            _ => StepSelector::EveryNth(2),
-        };
-        let kind = if rng.gen_bool(0.7) {
-            FaultKind::Panic
-        } else {
-            FaultKind::Fail
-        };
-        options.faults = FaultPlan::new().with(FaultSpec {
-            rule_id: rule.to_string(),
-            at,
-            kind,
-        });
-        Payload::Text(id_tower_text(2 + rng.gen_range(0..8usize)))
-    } else {
-        // Slow requests: extra pre-ladder work on top of the baseline
-        // stall that backs the queue up and forces structured shedding.
-        options.hold_for =
-            Some(stall + Duration::from_micros(200 + rng.gen_range(0..800usize) as u64));
-        Payload::Text(KOLA_TEMPLATES[rng.gen_range(0..KOLA_TEMPLATES.len())].to_string())
-    };
-    // Every chaos request is bounded the way a real client's would be: a
-    // fallback deadline and a modest step cap. Without these, a request
-    // that arrives while the breaker has evicted a load-bearing structural
-    // rule (e.g. "app") can grind through the full default fuel instead of
-    // reaching a normal form in a handful of steps.
-    if options.timeout.is_none() {
-        options.timeout =
-            Some(stall + Duration::from_millis(15 + rng.gen_range(0..25usize) as u64));
-    }
-    options.max_steps = options.max_steps.min(300 + rng.gen_range(0..200usize));
-    Request {
-        payload,
-        options,
-        tenant: None,
     }
 }
 
@@ -557,34 +853,24 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     // audit can compare every optimized plan with what it was derived from.
     let mut pending = Vec::new();
     let mut optimized: Vec<(Payload, Arc<Query>)> = Vec::new();
-    let mut absorb = |input: Payload, resp: Response, report: &mut ChaosReport| {
-        match resp.outcome {
-            Outcome::Optimized => {
-                report.optimized_fast += 1;
-                optimized.push((input, resp.plan.expect("an optimized reply has a plan")));
-            }
-            Outcome::Passthrough => report.passthrough += 1,
-            Outcome::Overloaded => report.overloaded += 1,
-            Outcome::Invalid => report.invalid += 1,
+    let mut absorb = |input: Payload, resp: Response, tally: &mut Tally| {
+        tally.absorb(&resp);
+        if resp.outcome == Outcome::Optimized {
+            optimized.push((input, resp.plan.expect("an optimized reply has a plan")));
         }
-        report.caught_panics += usize::from(resp.panic.is_some());
-        report.latencies_us.push(resp.latency.as_micros() as u64);
     };
 
-    let mut seed = cfg.seed;
     let started = Instant::now();
-    for i in 0..cfg.requests {
-        let mut rng = Rng::seed_from_u64(splitmix64(&mut seed) ^ i as u64);
-        let request = generate_request(&mut rng, cfg.stall, cfg.repeated);
+    for (i, request) in cfg.stream().enumerate() {
         let input = request.payload.clone();
         match service.submit(request) {
             Ok(p) => pending.push((input, p)),
             Err(rejection) => {
-                absorb(input, rejection, &mut report);
+                absorb(input, rejection, &mut report.tally);
                 // Shed: let the workers catch up a little before the next
                 // burst, so the soak keeps exercising the engine lanes too.
                 for (input, p) in pending.drain(..pending.len().min(4)) {
-                    absorb(input, p.wait(), &mut report);
+                    absorb(input, p.wait(), &mut report.tally);
                 }
             }
         }
@@ -596,7 +882,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         if !flood {
             while pending.len() >= (cfg.queue_capacity / 2).max(8) {
                 let (input, p) = pending.remove(0);
-                absorb(input, p.wait(), &mut report);
+                absorb(input, p.wait(), &mut report.tally);
             }
         }
         // Periodically note and reset opened breakers so the poison lane
@@ -609,7 +895,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
         }
     }
     for (input, p) in pending {
-        absorb(input, p.wait(), &mut report);
+        absorb(input, p.wait(), &mut report.tally);
     }
     // Serving window ends with the last reply in hand; everything below is
     // post-hoc audit and must not count against worker-scaling claims.
@@ -652,22 +938,6 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosReport {
     report
 }
 
-/// Where the chaos-soak binary and the service benchmark write their
-/// artifact `name`: the committed file at the repository root, or
-/// `target/bench-smoke/<name>` for a smoke run (`BENCH_SMOKE` set to
-/// anything but empty or `0`, as `scripts/ci.sh` sets it), so a CI smoke
-/// never overwrites a committed result.
-pub fn artifact_path(name: &str) -> std::io::Result<PathBuf> {
-    let root = Path::new(concat!(env!("CARGO_MANIFEST_DIR"), "/../.."));
-    let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| !v.is_empty() && v != "0");
-    if !smoke {
-        return Ok(root.join(name));
-    }
-    let dir = root.join("target").join("bench-smoke");
-    std::fs::create_dir_all(&dir)?;
-    Ok(dir.join(name))
-}
-
 /// The plan audit's tally over the optimized replies.
 #[derive(Debug, Default)]
 struct PlanAudit {
@@ -678,6 +948,9 @@ struct PlanAudit {
     /// Pairs that disagree, or whose input no longer parses.
     changed: usize,
 }
+
+/// Stack of the plan-audit thread: the service's worker stack size.
+const AUDIT_STACK: usize = 16 << 20;
 
 /// Audit `optimized` (input, plan) pairs on the sample database
 /// (`DataSpec::small(123)`) with [`kola_verify::check_plan_semantics`].
@@ -714,7 +987,7 @@ fn audit_plans(optimized: &[(Payload, Arc<Query>)]) -> PlanAudit {
     std::thread::scope(|s| {
         std::thread::Builder::new()
             .name("kola-chaos-audit".to_string())
-            .stack_size(WORKER_STACK)
+            .stack_size(AUDIT_STACK)
             .spawn_scoped(s, tally)
             .expect("spawn plan audit thread")
             .join()
@@ -774,52 +1047,12 @@ impl Default for CleanConfig {
 /// What a clean-stream run observed.
 #[derive(Debug, Clone, Default)]
 pub struct CleanReport {
-    /// Requests driven (all of them classified).
-    pub requests: usize,
-    /// `Optimized` replies — a clean stream must produce
-    /// nothing else.
-    pub optimized_fast: usize,
-    /// Replies with any other outcome (degradations, sheds, rejections).
-    pub other: usize,
+    /// The clients' replies — a clean stream must optimize every one.
+    pub tally: Tally,
     /// High-water mark of any worker engine's arena, in live nodes.
     pub peak_arena_nodes: usize,
     /// Wall-clock for the whole run.
     pub elapsed: Duration,
-    /// Per-request end-to-end latencies, microseconds, unsorted.
-    pub latencies_us: Vec<u64>,
-}
-
-impl CleanReport {
-    /// End-to-end throughput in requests per second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.requests as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// One request of the seeded clean stream: a parseable query with real
-/// redexes, default budgets, **no** deadline and **no** faults — so the
-/// persistent engine's memo is eligible and the stream measures the
-/// service's fast path, not its failure handling.
-pub fn generate_clean_request(rng: &mut Rng, stall: Duration) -> Request {
-    let roll = rng.gen_range(0..100usize);
-    let payload = if roll < 55 {
-        Payload::Text(id_tower_text(4 + rng.gen_range(0..48usize)))
-    } else if roll < 80 {
-        Payload::Text(KOLA_TEMPLATES[rng.gen_range(0..KOLA_TEMPLATES.len())].to_string())
-    } else {
-        Payload::Text(OQL_TEMPLATES[rng.gen_range(0..OQL_TEMPLATES.len())].to_string())
-    };
-    Request {
-        payload,
-        options: RequestOptions {
-            hold_for: (!stall.is_zero()).then_some(stall),
-            ..RequestOptions::default()
-        },
-        tenant: None,
-    }
 }
 
 /// Drive `cfg.requests` clean requests through a fresh service from
@@ -835,49 +1068,22 @@ pub fn run_clean_stream(cfg: &CleanConfig) -> CleanReport {
         cache_capacity: 0,
         ..ServiceConfig::default()
     });
-    let clients = cfg.clients.max(1);
-    let per_client = cfg.requests / clients;
-    let remainder = cfg.requests % clients;
-    let started = std::time::Instant::now();
-    let mut partials: Vec<(usize, usize, Vec<u64>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let service = &service;
-                let n = per_client + usize::from(c < remainder);
-                let seed = cfg.seed ^ ((c as u64 + 1) << 32);
-                let stall = cfg.stall;
-                s.spawn(move || {
-                    let mut rng = Rng::seed_from_u64(seed);
-                    let mut fast = 0usize;
-                    let mut other = 0usize;
-                    let mut latencies = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let resp = service.call(generate_clean_request(&mut rng, stall));
-                        match resp.outcome {
-                            Outcome::Optimized => fast += 1,
-                            _ => other += 1,
-                        }
-                        latencies.push(resp.latency.as_micros() as u64);
-                    }
-                    (fast, other, latencies)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let make_request = |rng: &mut Rng| clean_request(rng, cfg.stall);
+    let (tally, elapsed) = std::thread::scope(|s| {
+        closed_loop(
+            s,
+            &service,
+            cfg.clients,
+            cfg.requests,
+            cfg.seed,
+            &make_request,
+        )()
     });
-    let elapsed = started.elapsed();
-    let mut report = CleanReport {
-        requests: cfg.requests,
+    CleanReport {
+        tally,
+        peak_arena_nodes: service.peak_arena_nodes(),
         elapsed,
-        ..CleanReport::default()
-    };
-    for (fast, other, mut lat) in partials.drain(..) {
-        report.optimized_fast += fast;
-        report.other += other;
-        report.latencies_us.append(&mut lat);
     }
-    report.peak_arena_nodes = service.peak_arena_nodes();
-    report
 }
 
 // ---------------------------------------------------------------------------
@@ -937,48 +1143,21 @@ impl Default for RepeatedConfig {
 /// What a repeated-traffic run observed.
 #[derive(Debug, Clone, Default)]
 pub struct RepeatedReport {
-    /// Requests driven in the timed window (all of them classified).
-    pub requests: usize,
-    /// `Optimized` replies (worker passes and cache hits
-    /// alike — a repeated stream must produce nothing else).
-    pub optimized_fast: usize,
-    /// Replies with any other outcome (must be zero).
-    pub other: usize,
+    /// The clients' replies in the timed window (a repeated stream must
+    /// optimize every one, and catch no panic).
+    pub tally: Tally,
     /// Plan-cache hits inside the timed window.
     pub cache_hits: u64,
     /// Achieved hit rate: `cache_hits / requests`.
     pub hit_actual: f64,
-    /// Client-tallied caught panics (must be zero, and must equal the
-    /// metric counter — the per-row conservation cross-check).
-    pub caught_panics: usize,
     /// Wall-clock of the timed window.
     pub elapsed: Duration,
-    /// Per-request end-to-end latencies, microseconds, unsorted.
-    pub latencies_us: Vec<u64>,
     /// Quiescent metric snapshot (prewarm included — the conservation
     /// invariants hold over the service's whole life).
     pub metrics: Snapshot,
     /// Conservation violations in `metrics` plus the client-vs-books
     /// cross-checks (must be empty).
     pub violations: Vec<String>,
-}
-
-impl RepeatedReport {
-    /// Timed-window throughput in requests per second.
-    pub fn throughput_rps(&self) -> f64 {
-        if self.elapsed.is_zero() {
-            return 0.0;
-        }
-        self.requests as f64 / self.elapsed.as_secs_f64()
-    }
-}
-
-/// Zipf-ish rank pick over `pool` members: rank `r` drawn with weight
-/// `1/(r+1)`. Integer cumulative weights keep the draw exact and seeded.
-fn zipf_pick(rng: &mut Rng, cumulative: &[u64]) -> usize {
-    let total = *cumulative.last().expect("non-empty pool");
-    let x = rng.gen_range(0..total as usize) as u64;
-    cumulative.partition_point(|&c| c <= x)
 }
 
 /// Drive `cfg.requests` repeated-traffic requests through a fresh service
@@ -992,119 +1171,58 @@ pub fn run_repeated_stream(cfg: &RepeatedConfig) -> RepeatedReport {
         cache_capacity: cfg.cache_capacity,
         ..ServiceConfig::default()
     });
-    let pool: Vec<String> = (0..cfg.pool.max(1)).map(|r| id_tower_text(4 + r)).collect();
-    // Integer Zipf weights, scaled to keep low-rank resolution: weight of
-    // rank r is round(K / (r+1)).
-    let mut cumulative = Vec::with_capacity(pool.len());
-    let mut acc = 0u64;
-    for r in 0..pool.len() {
-        acc += (1_000_000 / (r as u64 + 1)).max(1);
-        cumulative.push(acc);
-    }
-    let pool_request = |src: &str| Request {
-        payload: Payload::Text(src.to_string()),
-        options: RequestOptions {
-            hold_for: (!cfg.stall.is_zero()).then_some(cfg.stall),
-            ..RequestOptions::default()
-        },
-        tenant: None,
-    };
+    let pool = RepeatedPool::new(cfg);
     // Prewarm: one sequential pass over the pool fills the cache (a no-op
     // when the cache is disabled), outside the timed window.
-    for src in &pool {
-        let r = service.call(pool_request(src));
+    for src in &pool.pool {
+        let r = service.call(pool.pool_request(src));
         assert!(
             matches!(r.outcome, Outcome::Optimized),
             "pool prewarm must optimize, got {}",
             r.outcome
         );
     }
-    // Small overshoot so the achieved rate clears the target on any seed
-    // (every pool draw is a hit after prewarm; uniques never are).
-    let draw_p = if cfg.hit_target > 0.0 {
-        (cfg.hit_target + 0.02).min(1.0)
-    } else {
-        0.0
-    };
-    let unique = std::sync::atomic::AtomicU64::new(0);
-    let clients = cfg.clients.max(1);
-    let per_client = cfg.requests / clients;
-    let remainder = cfg.requests % clients;
     let hits_before = service.metrics_snapshot().counter("cache_hits");
-    let started = Instant::now();
-    let mut partials: Vec<(usize, usize, usize, Vec<u64>)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let service = &service;
-                let pool = &pool;
-                let cumulative = &cumulative;
-                let unique = &unique;
-                let n = per_client + usize::from(c < remainder);
-                let seed = cfg.seed ^ ((c as u64 + 1) << 32);
-                s.spawn(move || {
-                    let mut rng = Rng::seed_from_u64(seed);
-                    let mut fast = 0usize;
-                    let mut other = 0usize;
-                    let mut panics = 0usize;
-                    let mut latencies = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let request = if draw_p > 0.0 && rng.gen_bool(draw_p) {
-                            pool_request(&pool[zipf_pick(&mut rng, cumulative)])
-                        } else {
-                            // The unique tail: never repeats, so never
-                            // hits — and (deliberately cacheable) fills
-                            // shards so eviction earns its keep.
-                            let n = unique.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            pool_request(&format!("gt ? [{}, 2]", n + 3))
-                        };
-                        let resp = service.call(request);
-                        match resp.outcome {
-                            Outcome::Optimized => fast += 1,
-                            _ => other += 1,
-                        }
-                        panics += usize::from(resp.panic.is_some());
-                        latencies.push(resp.latency.as_micros() as u64);
-                    }
-                    (fast, other, panics, latencies)
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let make_request = |rng: &mut Rng| pool.request(rng);
+    let (tally, elapsed) = std::thread::scope(|s| {
+        closed_loop(
+            s,
+            &service,
+            cfg.clients,
+            cfg.requests,
+            cfg.seed,
+            &make_request,
+        )()
     });
-    let elapsed = started.elapsed();
-    let mut report = RepeatedReport {
-        requests: cfg.requests,
-        elapsed,
-        ..RepeatedReport::default()
-    };
-    for (fast, other, panics, mut lat) in partials.drain(..) {
-        report.optimized_fast += fast;
-        report.other += other;
-        report.caught_panics += panics;
-        report.latencies_us.append(&mut lat);
-    }
-    report.metrics = service.metrics_snapshot();
-    report.cache_hits = report.metrics.counter("cache_hits") - hits_before;
-    report.hit_actual = if cfg.requests == 0 {
+    let metrics = service.metrics_snapshot();
+    let cache_hits = metrics.counter("cache_hits") - hits_before;
+    let hit_actual = if cfg.requests == 0 {
         0.0
     } else {
-        report.cache_hits as f64 / cfg.requests as f64
+        cache_hits as f64 / cfg.requests as f64
     };
-    report.violations = conservation_violations(&report.metrics);
-    if report.other != 0 {
-        report.violations.push(format!(
-            "{} repeated-stream requests not optimized",
-            report.other
+    let mut violations = conservation_violations(&metrics);
+    let not_optimized = tally.requests - tally.optimized_fast;
+    if not_optimized != 0 {
+        violations.push(format!(
+            "{not_optimized} repeated-stream requests not optimized"
         ));
     }
-    if report.caught_panics as u64 != report.metrics.counter("caught_panics") {
-        report.violations.push(format!(
+    if tally.caught_panics as u64 != metrics.counter("caught_panics") {
+        violations.push(format!(
             "caught-panic books unbalanced: clients hold {}, counter says {}",
-            report.caught_panics,
-            report.metrics.counter("caught_panics"),
+            tally.caught_panics,
+            metrics.counter("caught_panics"),
         ));
     }
-    report
+    RepeatedReport {
+        tally,
+        cache_hits,
+        hit_actual,
+        elapsed,
+        metrics,
+        violations,
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -1167,55 +1285,15 @@ impl Default for TenantChaosConfig {
     }
 }
 
-/// One tenant's client-side tally of a noisy-neighbor run.
-#[derive(Debug, Clone, Default)]
-pub struct TenantTally {
-    /// Requests this tenant's clients drove (all of them classified).
-    pub requests: usize,
-    /// `Optimized` replies.
-    pub optimized_fast: usize,
-    /// Replies with any other completed outcome (degradations, rejections).
-    pub other: usize,
-    /// Structured sheds at submission (quota or queue).
-    pub overloaded: usize,
-    /// `Invalid` replies.
-    pub invalid: usize,
-    /// Poison-rule panics caught and attributed by the ladder.
-    pub caught_panics: usize,
-    /// Per-request end-to-end latencies, microseconds, unsorted.
-    pub latencies_us: Vec<u64>,
-}
-
-impl TenantTally {
-    fn absorb(&mut self, resp: &Response) {
-        self.requests += 1;
-        match resp.outcome {
-            Outcome::Optimized => self.optimized_fast += 1,
-            Outcome::Overloaded => self.overloaded += 1,
-            Outcome::Invalid => self.invalid += 1,
-            _ => self.other += 1,
-        }
-        self.caught_panics += usize::from(resp.panic.is_some());
-        self.latencies_us.push(resp.latency.as_micros() as u64);
-    }
-
-    /// Nearest-rank p99 latency in microseconds.
-    pub fn p99_us(&self) -> u64 {
-        let mut sorted = self.latencies_us.clone();
-        sorted.sort_unstable();
-        percentile(&sorted, 99.0)
-    }
-}
-
 /// What a noisy-neighbor run observed.
 #[derive(Debug, Clone, Default)]
 pub struct TenantChaosReport {
     /// Whether the aggressor ran (`false` = solo baseline).
     pub aggressor_enabled: bool,
     /// The clean tenant's client-side tally.
-    pub victim: TenantTally,
+    pub victim: Tally,
     /// The poison tenant's client-side tally.
-    pub aggressor: TenantTally,
+    pub aggressor: Tally,
     /// The victim's breaker generation after the run (must be 0: no
     /// cross-tenant charge ever reached it).
     pub victim_breaker_generation: u64,
@@ -1233,11 +1311,9 @@ pub struct TenantChaosReport {
     /// Conservation violations in `metrics` (aggregate equations, every
     /// per-tenant lane, and the Σ-tenant partition checks).
     pub conservation: Vec<String>,
-    /// Wall-clock from first submit to the victim's last reply — the
+    /// Wall-clock from the victim's first submit to its last reply — the
     /// window victim throughput divides by.
     pub victim_elapsed: Duration,
-    /// Wall-clock of the whole serving window (both tenants drained).
-    pub elapsed: Duration,
 }
 
 impl TenantChaosReport {
@@ -1254,7 +1330,7 @@ impl TenantChaosReport {
                  {} overloaded, {} invalid)",
                 self.victim.optimized_fast,
                 self.victim.requests,
-                self.victim.other,
+                self.victim.passthrough,
                 self.victim.overloaded,
                 self.victim.invalid
             ));
@@ -1288,7 +1364,7 @@ impl TenantChaosReport {
         }
         if self.unexpected_panics != 0 {
             v.push(format!(
-                "{} panics escaped ladder classification",
+                "{} panics escaped worker classification",
                 self.unexpected_panics
             ));
         }
@@ -1327,14 +1403,6 @@ impl TenantChaosReport {
         v
     }
 
-    /// Victim throughput in requests per second over the victim's window.
-    pub fn victim_throughput_rps(&self) -> f64 {
-        if self.victim_elapsed.is_zero() {
-            return 0.0;
-        }
-        self.victim.requests as f64 / self.victim_elapsed.as_secs_f64()
-    }
-
     /// Multi-line human summary.
     pub fn summary(&self) -> String {
         format!(
@@ -1359,13 +1427,13 @@ impl TenantChaosReport {
             self.victim.optimized_fast,
             self.victim.overloaded,
             self.victim.invalid,
-            self.victim.other,
-            self.victim.p99_us(),
-            self.victim_throughput_rps(),
+            self.victim.passthrough,
+            self.victim.percentiles_us().2,
+            throughput_rps(self.victim.requests, self.victim_elapsed),
             self.aggressor.requests,
             self.aggressor.optimized_fast,
             self.aggressor.overloaded,
-            self.aggressor.other,
+            self.aggressor.passthrough,
             self.aggressor.caught_panics,
             self.aggressor_breaker_opened,
             self.victim_breaker_generation,
@@ -1377,39 +1445,6 @@ impl TenantChaosReport {
             },
         )
     }
-}
-
-/// One aggressor request: an id-tower that exercises "app"/"e121" with a
-/// fault plan that panics (or fails) those rules mid-rewrite. Every
-/// aggressor request carries a fault plan, so none of them are cacheable —
-/// the victim's plan lines are the only lines in the cache.
-fn aggressor_request(rng: &mut Rng, stall: Duration) -> Request {
-    // Unused draw, kept so each seed generates the same stream (see
-    // `generate_request`).
-    let _ = rng.gen_range(0..200usize);
-    let mut options = RequestOptions {
-        hold_for: (!stall.is_zero()).then_some(stall),
-        timeout: Some(stall + Duration::from_millis(15)),
-        max_steps: 400,
-        ..RequestOptions::default()
-    };
-    let rule = if rng.gen_bool(0.5) { "app" } else { "e121" };
-    let kind = if rng.gen_bool(0.7) {
-        FaultKind::Panic
-    } else {
-        FaultKind::Fail
-    };
-    options.faults = FaultPlan::new().with(FaultSpec {
-        rule_id: rule.to_string(),
-        at: StepSelector::Always,
-        kind,
-    });
-    Request {
-        payload: Payload::Text(id_tower_text(2 + rng.gen_range(0..8usize))),
-        options,
-        tenant: None,
-    }
-    .for_tenant("aggressor")
 }
 
 /// Run one noisy-neighbor soak: a clean closed-loop victim stream against
@@ -1425,9 +1460,6 @@ pub fn run_noisy_neighbor(cfg: &TenantChaosConfig) -> TenantChaosReport {
         tenant_quota: cfg.tenant_quota,
         ..ServiceConfig::default()
     });
-    let victim_clients = cfg.victim_clients.max(1);
-    let v_per = cfg.victim_requests / victim_clients;
-    let v_rem = cfg.victim_requests % victim_clients;
     let aggressor_clients = cfg.aggressor_clients.max(1);
     let a_total = if cfg.aggressor {
         cfg.aggressor_requests
@@ -1436,108 +1468,89 @@ pub fn run_noisy_neighbor(cfg: &TenantChaosConfig) -> TenantChaosReport {
     };
     let a_per = a_total / aggressor_clients;
     let a_rem = a_total % aggressor_clients;
-    let started = Instant::now();
-    let (victim_parts, aggressor_parts): (Vec<(TenantTally, Duration)>, Vec<TenantTally>) =
-        std::thread::scope(|s| {
-            let victims: Vec<_> = (0..victim_clients)
-                .map(|c| {
-                    let service = &service;
-                    let n = v_per + usize::from(c < v_rem);
-                    let seed = cfg.seed ^ ((c as u64 + 1) << 32);
-                    let stall = cfg.stall;
-                    s.spawn(move || {
-                        let mut rng = Rng::seed_from_u64(seed);
-                        let mut tally = TenantTally::default();
-                        for _ in 0..n {
-                            let request =
-                                generate_clean_request(&mut rng, stall).for_tenant("victim");
-                            tally.absorb(&service.call(request));
-                        }
-                        (tally, started.elapsed())
-                    })
-                })
-                .collect();
-            let aggressors: Vec<_> = (0..aggressor_clients)
-                .map(|c| {
-                    let service = &service;
-                    let n = a_per + usize::from(c < a_rem);
-                    let seed = cfg.seed ^ 0xA66E ^ ((c as u64 + 101) << 32);
-                    let stall = cfg.stall;
-                    s.spawn(move || {
-                        let mut rng = Rng::seed_from_u64(seed);
-                        let mut tally = TenantTally::default();
-                        let mut done = 0usize;
-                        while done < n {
-                            if rng.gen_bool(0.75) {
-                                // Poison lane: one synchronous call whose
-                                // fault plan panics a rule this payload
-                                // actually fires — charges land on the
-                                // aggressor's breaker shards only.
-                                tally.absorb(&service.call(aggressor_request(&mut rng, stall)));
+    let victim_request = |rng: &mut Rng| clean_request(rng, cfg.stall).for_tenant("victim");
+    let ((victim, victim_elapsed), aggressor_parts) = std::thread::scope(|s| {
+        let service = &service;
+        // The victim's clients start before the aggressor's: the attack
+        // lands on a tenant already being served, and the isolation
+        // gate's noisy/solo throughput ratio reads lower when both start
+        // together.
+        let victim = closed_loop(
+            s,
+            service,
+            cfg.victim_clients,
+            cfg.victim_requests,
+            cfg.seed,
+            &victim_request,
+        );
+        let aggressors: Vec<_> = (0..aggressor_clients)
+            .map(|c| {
+                let n = a_per + usize::from(c < a_rem);
+                let seed = cfg.seed ^ 0xA66E ^ ((c as u64 + 101) << 32);
+                let stall = cfg.stall;
+                s.spawn(move || {
+                    let mut rng = Rng::seed_from_u64(seed);
+                    let mut tally = Tally::default();
+                    let mut done = 0usize;
+                    while done < n {
+                        if rng.gen_bool(0.75) {
+                            // Poison lane: one synchronous call whose
+                            // fault plan panics a rule this payload
+                            // actually fires — charges land on the
+                            // aggressor's breaker shards only.
+                            tally.absorb(&service.call(aggressor_request(&mut rng, stall)));
+                            done += 1;
+                        } else {
+                            // Flood lane: a burst submitted without
+                            // draining, so concurrent aggressor depth
+                            // blows through the tenant quota and the
+                            // quota wall sheds — while the victim's
+                            // closed loop stays under its own quota.
+                            let burst = (n - done).min(8);
+                            let mut pending = Vec::with_capacity(burst);
+                            for _ in 0..burst {
+                                match service.submit(aggressor_request(&mut rng, stall)) {
+                                    Ok(p) => pending.push(p),
+                                    Err(rejection) => tally.absorb(&rejection),
+                                }
                                 done += 1;
-                            } else {
-                                // Flood lane: a burst submitted without
-                                // draining, so concurrent aggressor depth
-                                // blows through the tenant quota and the
-                                // quota wall sheds — while the victim's
-                                // closed loop stays under its own quota.
-                                let burst = (n - done).min(8);
-                                let mut pending = Vec::with_capacity(burst);
-                                for _ in 0..burst {
-                                    match service.submit(aggressor_request(&mut rng, stall)) {
-                                        Ok(p) => pending.push(p),
-                                        Err(rejection) => tally.absorb(&rejection),
-                                    }
-                                    done += 1;
-                                }
-                                for p in pending {
-                                    tally.absorb(&p.wait());
-                                }
+                            }
+                            for p in pending {
+                                tally.absorb(&p.wait());
                             }
                         }
-                        tally
-                    })
+                    }
+                    tally
                 })
-                .collect();
-            (
-                victims.into_iter().map(|h| h.join().unwrap()).collect(),
-                aggressors.into_iter().map(|h| h.join().unwrap()).collect(),
-            )
-        });
-    let elapsed = started.elapsed();
-    let mut report = TenantChaosReport {
+            })
+            .collect();
+        (
+            victim(),
+            aggressors
+                .into_iter()
+                .map(|h| h.join().unwrap())
+                .collect::<Vec<_>>(),
+        )
+    });
+    let mut aggressor = Tally::default();
+    for part in aggressor_parts {
+        aggressor.merge(part);
+    }
+    let metrics = service.metrics_snapshot();
+    TenantChaosReport {
         aggressor_enabled: cfg.aggressor,
-        elapsed,
-        ..TenantChaosReport::default()
-    };
-    for (tally, window) in victim_parts {
-        report.victim.requests += tally.requests;
-        report.victim.optimized_fast += tally.optimized_fast;
-        report.victim.other += tally.other;
-        report.victim.overloaded += tally.overloaded;
-        report.victim.invalid += tally.invalid;
-        report.victim.caught_panics += tally.caught_panics;
-        report.victim.latencies_us.extend(tally.latencies_us);
-        report.victim_elapsed = report.victim_elapsed.max(window);
+        victim,
+        aggressor,
+        victim_breaker_generation: service
+            .tenant_breaker("victim")
+            .map_or(0, |b| b.generation()),
+        aggressor_breaker_opened: service
+            .tenant_breaker("aggressor")
+            .map_or(0, |b| b.opened_total()),
+        unexpected_panics: service.unexpected_panics(),
+        peak_arena_nodes: service.peak_arena_nodes(),
+        conservation: conservation_violations(&metrics),
+        metrics,
+        victim_elapsed,
     }
-    for tally in aggressor_parts {
-        report.aggressor.requests += tally.requests;
-        report.aggressor.optimized_fast += tally.optimized_fast;
-        report.aggressor.other += tally.other;
-        report.aggressor.overloaded += tally.overloaded;
-        report.aggressor.invalid += tally.invalid;
-        report.aggressor.caught_panics += tally.caught_panics;
-        report.aggressor.latencies_us.extend(tally.latencies_us);
-    }
-    report.victim_breaker_generation = service
-        .tenant_breaker("victim")
-        .map_or(0, |b| b.generation());
-    report.aggressor_breaker_opened = service
-        .tenant_breaker("aggressor")
-        .map_or(0, |b| b.opened_total());
-    report.unexpected_panics = service.unexpected_panics();
-    report.peak_arena_nodes = service.peak_arena_nodes();
-    report.metrics = service.metrics_snapshot();
-    report.conservation = conservation_violations(&report.metrics);
-    report
 }

@@ -10,7 +10,8 @@
 //! balance (conservation), and every trace left in the ring replays
 //! byte-for-byte on the boxed reference engine.
 
-use kola_service::{conservation_violations, run_chaos, ChaosConfig};
+use kola_bench::soak::{run_chaos, ChaosConfig};
+use kola_service::conservation_violations;
 
 #[test]
 fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
@@ -34,22 +35,22 @@ fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
     );
     // The taxonomy is exactly Optimized / Passthrough / Overloaded.
     assert_eq!(
-        report.optimized_fast + report.passthrough + report.overloaded,
+        report.tally.optimized_fast + report.tally.passthrough + report.tally.overloaded,
         report.requests,
         "{}",
         report.summary()
     );
-    assert_eq!(report.invalid, 0, "{}", report.summary());
+    assert_eq!(report.tally.invalid, 0, "{}", report.summary());
     assert_eq!(report.unexpected_panics, 0, "{}", report.summary());
     assert_eq!(report.gate_failures, 0, "{}", report.summary());
     if requests >= 2_000 {
         // With the default stream the chaos lanes all fire: poison rules
         // panic and are caught, their breakers open, flood phases shed.
-        assert!(report.caught_panics > 0, "{}", report.summary());
+        assert!(report.tally.caught_panics > 0, "{}", report.summary());
         assert!(report.breaker_opened > 0, "{}", report.summary());
-        assert!(report.overloaded > 0, "{}", report.summary());
-        assert!(report.optimized_fast > 0, "{}", report.summary());
-        assert!(report.passthrough > 0, "{}", report.summary());
+        assert!(report.tally.overloaded > 0, "{}", report.summary());
+        assert!(report.tally.optimized_fast > 0, "{}", report.summary());
+        assert!(report.tally.passthrough > 0, "{}", report.summary());
         // The repeated lane hit the plan cache, and the poison lanes'
         // breaker trips invalidated resident entries mid-soak — the
         // stale-reclaim odometer is the proof invalidation was exercised
@@ -74,7 +75,7 @@ fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
     );
     let s = &report.metrics;
     assert_eq!(s.counter("submitted"), report.requests as u64);
-    assert_eq!(s.counter("overloaded"), report.overloaded as u64);
+    assert_eq!(s.counter("overloaded"), report.tally.overloaded as u64);
     // Fast completions split between worker passes and cache serves; the
     // sum must equal what clients tallied (also enforced per-outcome by
     // `violations()` above).
@@ -85,9 +86,12 @@ fn chaos_soak_classifies_every_request_and_escapes_no_panics() {
         .map_or(0, |(_, n)| *n);
     assert_eq!(
         s.counter("optimized_fast") + served_fast,
-        report.optimized_fast as u64
+        report.tally.optimized_fast as u64
     );
-    assert_eq!(s.counter("caught_panics"), report.caught_panics as u64);
+    assert_eq!(
+        s.counter("caught_panics"),
+        report.tally.caught_panics as u64
+    );
     // The cache books tie out: hits all came from somewhere.
     assert_eq!(
         s.counter("cache_hits"),

@@ -966,9 +966,8 @@ impl<'a> Engine<'a> {
             props,
             index: ix,
             active: masked.then_some(mask.as_slice()),
-            match_cap: 24,
         };
-        let sat = saturate_from_trajectory(
+        let query = saturate_from_trajectory(
             &trajectory,
             &params,
             budget,
@@ -978,7 +977,7 @@ impl<'a> Engine<'a> {
             interner,
         );
         Rewritten {
-            query: sat.query,
+            query,
             trace: fix.trace,
             report,
         }

@@ -63,6 +63,6 @@ pub use fast::{Engine, EngineConfig, EngineStats};
 pub use fault::{CaughtPanic, FaultKind, FaultPlan, FaultSpec, StepSelector};
 pub use props::{PropDb, PropKind, PropTerm};
 pub use rule::{Direction, Rule, RuleSource};
-pub use saturate::{SaturationParams, SaturationResult};
+pub use saturate::SaturationParams;
 pub use strategy::{Runner, Strategy};
 pub use subst::Subst;

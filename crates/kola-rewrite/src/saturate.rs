@@ -15,10 +15,7 @@
 //!
 //! **Saturation loop.** Classic match-apply-rebuild rounds:
 //!
-//! 1. *Refresh*: extract a representative term for every class (cheapest
-//!    under the engine's cost model). Representatives drive index lookup
-//!    and precondition checks.
-//! 2. *Match*: for every class (ascending id), the discrimination tree
+//! 1. *Match*: for every class (ascending id), the discrimination tree
 //!    ([`RuleIndex`]) is walked against the class itself
 //!    ([`RuleIndex::query_candidates_class`] and siblings): every `Sym`
 //!    edge branches over every same-tagged e-node, so no member's shape is
@@ -30,6 +27,10 @@
 //!    same chain-prefix semantics as the fixpoint engine's rule programs
 //!    ([`crate::program`]), decomposing chain classes
 //!    through their `∘` e-nodes.
+//! 2. *Refresh*, only when a matched rule has preconditions: extract a
+//!    representative term (cheapest under the engine's cost model) for
+//!    every class that existed when the round began. Preconditions are
+//!    judged on representatives; nothing else reads them.
 //! 3. *Apply*: each match instantiates the rule body as e-nodes and unions
 //!    it with the matched class. Every application that changes the graph
 //!    costs one budget step.
@@ -73,29 +74,10 @@ pub struct SaturationParams<'r, 'a> {
     pub index: &'r RuleIndex,
     /// Per-position activity mask (`None` = all active).
     pub active: Option<&'r [bool]>,
-    /// Max e-match bindings enumerated per (class, rule) per round.
-    pub match_cap: usize,
 }
 
-/// What saturation produced (the caller assembles the final `Rewritten`).
-#[derive(Debug)]
-pub struct SaturationResult {
-    /// The extracted best query, right-normalized.
-    pub query: Query,
-    /// Its cost under the engine's cost model.
-    pub cost: u64,
-    /// Cost of the seed wave's fixpoint output under the same model — the
-    /// differential baseline (extracted `cost` ≤ this, structurally).
-    pub fixpoint_cost: u64,
-    /// True iff a match-apply round changed nothing (fixpoint reached).
-    pub saturated: bool,
-    /// Match-apply-rebuild rounds run.
-    pub iterations: usize,
-    /// Canonical e-classes at the end.
-    pub classes: usize,
-    /// E-nodes at the end.
-    pub nodes: usize,
-}
+/// Max e-match bindings enumerated per (class, rule) per round.
+const MATCH_CAP: usize = 24;
 
 /// Register the fixpoint trajectory (input, every intermediate, output),
 /// already interned and right-normalized by the wave, and union it into one
@@ -114,7 +96,9 @@ pub fn seed_trajectory(eg: &mut EGraph, trajectory: &[ITerm]) -> ClassId {
 }
 
 /// Run seeded saturation + extraction from the seed wave's `trajectory`:
-/// its interned input first, its fixpoint output last. `report` arrives
+/// its interned input first, its fixpoint output last. Returns the
+/// extracted best query, right-normalized; by construction it costs no
+/// more than the fixpoint output under `cost`. `report` arrives
 /// with the seed wave's steps/quarantines already recorded and is extended
 /// in place; `budget.max_steps` bounds *total* steps (wave + saturation),
 /// mirroring how the fixpoint engine treats one budget per run. Each
@@ -128,21 +112,15 @@ pub fn saturate_from_trajectory(
     report: &mut RewriteReport,
     on_fire: &mut dyn FnMut(usize),
     it: &mut Interner,
-) -> SaturationResult {
+) -> Query {
     let mut eg = EGraph::new();
     let root = seed_trajectory(&mut eg, trajectory);
-    // Cost the fixpoint output itself (the root class's best may already be
-    // cheaper thanks to wave intermediates — we want the raw baseline).
-    let fixpoint_cost = term_cost(&trajectory[trajectory.len() - 1], cost);
-
     let mut sat = Sat {
         eg,
         params,
         it,
         reps: Vec::new(),
     };
-    let mut saturated = false;
-    let mut iterations = 0usize;
     'outer: loop {
         if report.steps >= budget.max_steps {
             report.stop = StopReason::BudgetExhausted;
@@ -152,8 +130,17 @@ pub fn saturate_from_trajectory(
             report.stop = StopReason::DeadlineExpired;
             break;
         }
-        sat.refresh_reps(cost);
+        // Matching only adds classes (chain folds), so the classes below
+        // `bound` are exactly those the round began with, and their
+        // representatives are what they were before the match.
+        let bound = sat.eg.id_bound();
         let matches = sat.match_round(report);
+        if matches
+            .iter()
+            .any(|m| !sat.params.rules[m.pos].rule.preconditions.is_empty())
+        {
+            sat.refresh_reps(cost, bound);
+        }
         let before = sat.eg.version();
         let mut progressed = false;
         for m in matches {
@@ -177,33 +164,18 @@ pub fn saturate_from_trajectory(
             }
         }
         sat.eg.rebuild();
-        iterations += 1;
         if !progressed && sat.eg.version() == before {
-            saturated = true;
             report.stop = StopReason::NormalForm;
             break;
         }
     }
 
     let Sat { eg, it, .. } = sat;
-    let ext = Extractor::new(&eg, cost);
-    let (query, cost_out) = match ext.term(&eg, root, it) {
-        Some(t) => {
-            let c = ext.cost(&eg, root).unwrap_or(u64::MAX);
-            (t.to_query().normalize(), c)
-        }
+    match Extractor::new(&eg, cost).term(&eg, root, it) {
+        Some(t) => t.to_query().normalize(),
         // Unreachable in practice (the root always has the concrete input
         // as witness), but never panic on it.
-        None => (trajectory[0].to_query(), u64::MAX),
-    };
-    SaturationResult {
-        query,
-        cost: cost_out,
-        fixpoint_cost,
-        saturated,
-        iterations,
-        classes: eg.num_classes(),
-        nodes: eg.num_nodes(),
+        None => trajectory[0].to_query(),
     }
 }
 
@@ -260,8 +232,9 @@ struct Sat<'s, 'r, 'a> {
     eg: EGraph,
     params: &'s SaturationParams<'r, 'a>,
     it: &'s mut Interner,
-    /// Representative (cheapest) term per raw class id; `None` while a
-    /// class has no finite-cost realization yet.
+    /// Representative (cheapest) term per raw class id, as of the last
+    /// refresh; `None` while a class has no finite-cost realization yet,
+    /// and for classes made since.
     reps: Vec<Option<ITerm>>,
 }
 
@@ -272,10 +245,12 @@ impl Sat<'_, '_, '_> {
             .and_then(Option::as_ref)
     }
 
-    fn refresh_reps(&mut self, cost: &dyn CostModel) {
+    /// Re-extract the representative of every class with a raw id below
+    /// `bound`; later classes get none.
+    fn refresh_reps(&mut self, cost: &dyn CostModel, bound: usize) {
         let ext = Extractor::new(&self.eg, cost);
-        let mut reps: Vec<Option<ITerm>> = vec![None; self.eg.id_bound()];
-        for c in self.eg.class_ids() {
+        let mut reps: Vec<Option<ITerm>> = vec![None; bound];
+        for c in self.eg.class_ids().filter(|&c| (c as usize) < bound) {
             reps[c as usize] = ext.term(&self.eg, c, self.it);
         }
         self.reps = reps;
@@ -327,7 +302,7 @@ impl Sat<'_, '_, '_> {
     }
 
     /// E-match one rule (all alternatives of the class's level) and push
-    /// scheduled applications, capped at `match_cap` per (class, rule).
+    /// scheduled applications, capped at [`MATCH_CAP`] per (class, rule).
     fn ematch_rule(
         &mut self,
         rule: &Rule,
@@ -337,7 +312,7 @@ impl Sat<'_, '_, '_> {
         pos: usize,
         out: &mut Vec<Match>,
     ) {
-        let cap = self.params.match_cap;
+        let cap = MATCH_CAP;
         let mut found = 0usize;
         for (ai, alt) in rule.alts.iter().enumerate() {
             if found >= cap {

@@ -184,7 +184,7 @@ impl Breaker {
     /// Charge `rule_id` for a failure in request `request_id`. Returns
     /// `true` iff the breaker is open after the charge (`false`, with
     /// nothing recorded, for an unregistered id). Callers charge a rule at
-    /// most once per request (the ladder dedupes). Equivalent to
+    /// most once per request (the worker dedupes). Equivalent to
     /// [`Breaker::charge_from`] on shard 0.
     pub fn charge(&self, rule_id: &str, request_id: u64) -> bool {
         self.charge_from(0, rule_id, request_id)
@@ -223,7 +223,7 @@ impl Breaker {
     }
 
     /// Charge every rule in `rule_ids` for request `request_id` through
-    /// shard `shard` — the ladder's batched entry point: one call per
+    /// shard `shard` — the worker's batched entry point: one call per
     /// failed request instead of one locked call per implicated rule.
     pub fn charge_many<'r>(
         &self,

@@ -4,7 +4,7 @@
 //! Normalization is a deterministic function of (input term, active rule
 //! set, resource budget) — the paper's rule algebra has no other inputs —
 //! which makes its output cacheable by construction (and is why a worker
-//! makes one engine attempt per request, never a retry: see `ladder.rs`).
+//! makes one engine attempt per request, never a retry: see `service.rs`).
 //! This module memoizes that function at the service door:
 //!
 //! - **Key.** AST payloads key on [`kola::query_fp`], the interner's
@@ -89,7 +89,7 @@ impl KeyInput {
 
 /// The budget half of a cache key: every option that shapes the plan. The
 /// wall-clock timeout and hold are deliberately absent — a successful
-/// attempt never stopped on a deadline (the ladder classifies that as
+/// attempt never stopped on a deadline (the worker classifies that as
 /// failure), so cached derivations are deadline-independent, the same
 /// argument trace replay relies on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

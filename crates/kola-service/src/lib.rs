@@ -13,15 +13,14 @@
 //!   persist across requests. A full queue sheds load with a structured
 //!   [`request::Outcome::Overloaded`] rejection — decided from one
 //!   lock-free depth counter — instead of blocking or growing without
-//!   bound.
-//! - [`snapshot::SnapshotCell`] — the read-mostly published rule-set
-//!   snapshot workers run under: one atomic load per request in steady
-//!   state, and an `Arc` swap when the breaker trips or resets.
-//! - `ladder` — what each worker does with a request: one attempt on its
-//!   fast (interned + tree-indexed + memoized) engine under the request's
+//!   bound. Each worker answers a request with one attempt on its fast
+//!   (interned, tree-indexed, memoized) engine under the request's
 //!   remaining deadline, then an unoptimized passthrough of the input if
 //!   that attempt fails. A run is a deterministic function of (term, rule
 //!   set, budget), so a second attempt could only fail again.
+//! - [`snapshot::SnapshotCell`] — the read-mostly published rule-set
+//!   snapshot workers run under: one atomic load per request in steady
+//!   state, and an `Arc` swap when the breaker trips or resets.
 //! - [`breaker::Breaker`] — a cross-request per-rule circuit breaker: a
 //!   rule implicated in repeated failures (injected faults, poison-rule
 //!   panics, oversize results) is evicted from the rule set handed to the
@@ -36,7 +35,7 @@
 //!   id is refused.
 //! - [`metrics`] — the service's lock-free metric surface (built on
 //!   `kola-obs`): request-lifecycle counters arranged as conservation
-//!   invariants the chaos soak audits, per-rule attempt/fire families,
+//!   invariants the soak harness audits, per-rule attempt/fire families,
 //!   latency/queue-depth histograms, and engine odometers delta-flushed
 //!   from each worker's persistent engine. With
 //!   [`service::ServiceConfig::tracing`] on, every successful optimization
@@ -46,15 +45,15 @@
 //!   breaker, published rule-set snapshot, and admission quota, with
 //!   tenant-salted plan-cache keys and per-tenant metric families, so one
 //!   tenant's poison traffic trips, invalidates, and backpressures only
-//!   itself ([`chaos::run_noisy_neighbor`] proves the victim's outcome
-//!   taxonomy is unchanged under an aggressor).
-//! - [`chaos`] — a deterministic chaos-soak harness mixing well-formed
-//!   queries, adversarially deep terms, poison rules, and random deadlines,
-//!   asserting that every request terminates with a classified outcome,
-//!   that no panic escapes a worker, that the metric books balance, that
-//!   every recorded trace replays exactly, and — checked after the serving
-//!   window, not in the worker — that every optimized reply evaluates like
-//!   its input on a sample database.
+//!   itself.
+//!
+//! The soak harness that proves these properties under chaos — poison
+//! rules, adversarially deep terms, random deadlines, floods, a noisy
+//! neighbor — lives in `kola-bench` (`kola_bench::soak`), outside the
+//! serving library. [`request::RequestOptions::faults`] and
+//! [`request::RequestOptions::hold_for`] are the service's test surface:
+//! the harness injects rule faults and simulated materialization stalls
+//! through them.
 //!
 //! Serving preserves exactness: with no faults injected the service answer
 //! is byte-identical to a direct [`kola_rewrite::Runner`] run on the fast
@@ -63,8 +62,6 @@
 
 pub mod breaker;
 mod cache;
-pub mod chaos;
-mod ladder;
 pub mod metrics;
 pub mod request;
 pub mod service;
@@ -72,11 +69,6 @@ pub mod snapshot;
 pub mod tenant;
 
 pub use breaker::{Breaker, BreakerEntry};
-pub use chaos::{
-    artifact_path, generate_clean_request, percentile, run_chaos, run_clean_stream,
-    run_noisy_neighbor, run_repeated_stream, ChaosConfig, ChaosReport, CleanConfig, CleanReport,
-    RepeatedConfig, RepeatedReport, TenantChaosConfig, TenantChaosReport, PEAK_ARENA_BOUND,
-};
 pub use metrics::{conservation_violations, ServiceMetrics};
 pub use request::{Outcome, Payload, Request, RequestOptions, Response};
 pub use service::{Pending, Service, ServiceConfig};

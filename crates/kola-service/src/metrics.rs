@@ -72,7 +72,7 @@ pub struct ServiceMetrics {
     /// Submit-to-reply latency (µs) of direct cache hits — the headline
     /// "served without touching a worker engine" number.
     pub cache_hit_latency_us: Arc<Histogram>,
-    /// Poison-rule panics caught *and classified* by the ladder.
+    /// Poison-rule panics caught *and classified* by the engine attempt.
     pub caught_panics: Arc<Counter>,
     /// Failed engine attempts — at most one per request, which then
     /// passes through.

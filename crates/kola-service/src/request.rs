@@ -41,10 +41,12 @@ pub struct RequestOptions {
     /// Wall-clock deadline, measured from *submission* — queue wait counts
     /// against it, as it does for the client.
     pub timeout: Option<Duration>,
-    /// Injected faults, forwarded to the engines (testing/chaos surface).
+    /// Injected faults, forwarded to the engine (the service's test
+    /// surface: the soak harness and the tests poison rules through it).
     pub faults: FaultPlan,
-    /// Simulated pre-ladder work (testing/chaos surface — deterministic
-    /// queue backpressure for the overload tests).
+    /// Simulated materialization work the worker sleeps through before the
+    /// engine attempt (the service's test surface: deterministic queue
+    /// backpressure for the overload tests and the soak streams' stalls).
     pub hold_for: Option<Duration>,
 }
 

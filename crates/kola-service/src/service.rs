@@ -11,10 +11,10 @@
 //! worker: lower OQL text ──err──▶ Invalid
 //!    │
 //!    ▼ snapshot refresh: one atomic load; Arc swap on breaker change
-//!    ▼ ladder: fast ▷ passthrough   (fast = one attempt on the worker's
-//!    │          long-lived engine under the remaining deadline, which
-//!    │          parses KOLA text straight into its arena — unparsable
-//!    │          text ends here as Invalid; panics caught & attributed)
+//!    ▼ one engine attempt on the worker's long-lived engine under the
+//!    │   remaining deadline, which parses KOLA text straight into its
+//!    │   arena (unparsable text ends here as Invalid; panics caught and
+//!    │   attributed); if it fails, the input itself (passthrough)
 //!    ▼ reply: Optimized | Passthrough
 //! ```
 //!
@@ -29,15 +29,61 @@
 //!   [`RuleSnapshot`](crate::snapshot::RuleSnapshot) behind an `Arc`;
 //!   workers detect breaker trips/resets with one atomic generation load
 //!   and swap the `Arc` — no reader locks, no per-request catalog
-//!   filtering.
+//!   filtering. The engine keeps the full catalog and index and masks the
+//!   snapshot's disabled rules per request, so a breaker trip costs a
+//!   mask, not an engine rebuild.
 //! - **Sharded admission.** One bounded queue per worker with
 //!   work-stealing; the Overloaded decision reads a single lock-free depth
 //!   counter, and enqueue touches only the target shard's lock.
 //!
+//! ## One attempt, then passthrough
+//!
+//! A worker answers a request with **one** run of its fast engine
+//! (interned, discrimination-tree-indexed, memoized). If that attempt
+//! fails, or the deadline is gone before it can start, the worker returns
+//! the input query unoptimized. There is no retry: the paper's rules are
+//! declarative patterns with no head or body routines, so a run is a
+//! deterministic function of (term, rule set, budget, fault plan), and a
+//! second attempt under the same snapshot could only fail the same way
+//! (`tests/robustness.rs` pins this; DESIGN §5c records the soak tally
+//! that retired the retry). The attempt runs under the request's
+//! **remaining** deadline — the budget's wall-clock cutoff is the request
+//! deadline, so an attempt that overruns is stopped by the engine itself —
+//! inside the `try_*` panic boundary of `kola-rewrite`, so a poison-rule
+//! panic is caught, attributed to its rule, and charged to the tenant's
+//! cross-request [`Breaker`].
+//!
+//! An attempt *fails* when it panics or when its report stops with
+//! `DeadlineExpired` or `TermTooLarge` — stops that mean "no trustworthy
+//! optimized plan". An input larger than the request's `max_term_size`
+//! stops with `TermTooLarge` before any rule runs, so tests and the soak
+//! streams force a failure with a term-size cap of 1, through the same
+//! path a real oversize input takes. `BudgetExhausted` and `CycleDetected`
+//! are *successes*: the governed engine guarantees the best (smallest)
+//! query seen so far, which is a valid plan.
+//!
+//! The boxed reference engine does not run here: the fast engine is a
+//! byte-exact drop-in for it, so every real failure cause — a poison
+//! rule's panic, an expired deadline, an over-cap input — fails the boxed
+//! engine identically. It checks the serving path from tests
+//! (`tests/service.rs`) and replays recorded traces (`kola_obs::replay`).
+//!
+//! Exactness: the attempt calls `Engine::try_normalize_with` (for KOLA
+//! text, `try_normalize_text_with`, which runs the same on the parsed
+//! query) with exactly the request's budget and fault plan —
+//! byte-identical to a direct fast-engine `Runner` run, whose `Fix` path
+//! folds the same engine report into a fresh one (a zero-offset merge).
+//! The engines' exactness contract thereby lifts to the service —
+//! *including* cross-request reuse, because memo replays are
+//! byte-identical to live runs and a replay under a mask is refused when
+//! its derivation fired a masked rule (see `tests/service.rs`).
+//!
+//! ## Panic isolation
+//!
 //! Workers run on dedicated threads with oversized stacks (deep-term
 //! traversals are explicit-stack throughout the engine layer, but debug
 //! evaluator frames are large) and wrap each request in `catch_unwind`:
-//! the ladder already isolates poison-rule panics, so anything reaching
+//! the attempt already isolates poison-rule panics, so anything reaching
 //! the worker boundary is counted in
 //! [`Service::unexpected_panics`] and answered with `Invalid` — the
 //! thread, and the service, survive. The engine's cross-run state survives
@@ -46,15 +92,17 @@
 
 use crate::breaker::Breaker;
 use crate::cache::{CacheKey, CachedPlan, Claim, PlanCache, Probe, Waiter};
-use crate::ladder::{attempt_or_passthrough, LadderInput};
 use crate::metrics::ServiceMetrics;
-use crate::request::{Outcome, Payload, Request, Response};
+use crate::request::{Outcome, Payload, Request, RequestOptions, Response};
 use crate::snapshot::RuleSnapshot;
 use crate::tenant::Tenants;
 use kola::term::Query;
-use kola_frontend::is_oql;
+use kola_frontend::{is_oql, kola_parse_error};
 use kola_obs::{RewriteTrace, ShardedTraceRing, Snapshot as MetricsSnapshot};
-use kola_rewrite::{Catalog, Engine, EngineConfig, EngineStats, Oriented, PropDb};
+use kola_rewrite::{
+    Catalog, CaughtPanic, Engine, EngineConfig, EngineStats, Oriented, PropDb, QuarantineReport,
+    RewriteReport, StopReason, Trace,
+};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -104,7 +152,7 @@ pub struct ServiceConfig {
     /// Configuration for the long-lived worker engines. Defaults to
     /// [`EngineConfig::fast`]; [`EngineConfig::saturating`] opts the whole
     /// worker fleet into equality saturation with cost-based extraction
-    /// (the ladder, snapshot masking, and breaker charging are engine-mode
+    /// (the engine attempt, snapshot masking, and breaker charging are engine-mode
     /// agnostic).
     pub engine: EngineConfig,
 }
@@ -182,7 +230,7 @@ pub(crate) struct Shared {
     max_request_bytes: usize,
     unexpected_panics: AtomicUsize,
     /// High-water mark of any worker engine's arena, sampled after each
-    /// request (the chaos soak asserts boundedness).
+    /// request (the soak harness asserts boundedness).
     peak_arena: AtomicUsize,
     /// Lock-free metric instruments (see [`crate::metrics`]).
     pub(crate) metrics: ServiceMetrics,
@@ -520,7 +568,7 @@ impl Service {
     }
 
     /// Panics that reached the worker boundary (i.e. were *not* classified
-    /// by the ladder's poison-rule isolation). The chaos soak asserts this
+    /// by the engine attempt's poison-rule isolation). The soak harness asserts this
     /// stays zero.
     pub fn unexpected_panics(&self) -> usize {
         self.shared.unexpected_panics.load(Ordering::Relaxed)
@@ -528,7 +576,7 @@ impl Service {
 
     /// High-water mark of any worker engine's intern arena (live nodes),
     /// sampled after each request. Bounded by the engine's compaction cap
-    /// plus one request's growth; the chaos soak asserts exactly that.
+    /// plus one request's growth; the soak harness asserts exactly that.
     pub fn peak_arena_nodes(&self) -> usize {
         self.shared.peak_arena.load(Ordering::Relaxed)
     }
@@ -723,7 +771,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             handle(shared, &job, engine, snapshot, index)
         }));
         let response = outcome.unwrap_or_else(|_| {
-            // Nothing should reach this boundary — the ladder catches
+            // Nothing should reach this boundary — the attempt catches
             // poison-rule panics itself. Count it, answer anyway.
             shared.unexpected_panics.fetch_add(1, Ordering::Relaxed);
             shared.metrics.tenant_panicked.add_index(tenant, 1);
@@ -740,7 +788,7 @@ fn worker_loop(shared: &Shared, index: usize) {
             // Retire the flight this job led: insert the response and
             // answer every coalesced waiter if it is cacheable and the
             // tenant's rule set did not move while it was being computed
-            // (the snapshot's `epoch` is the generation the ladder ran
+            // (the snapshot's `epoch` is the generation the attempt ran
             // under); otherwise the waiters come back for requeue as
             // fresh jobs — they are never answered with a failed leader's
             // reply and never left parked.
@@ -820,6 +868,39 @@ fn admit(shared: &Shared, job: &Job) {
     }
 }
 
+/// What the engine attempt optimizes.
+#[derive(Debug, Clone, Copy)]
+enum Input<'q> {
+    /// A parsed query, shared with the caller.
+    Ast(&'q Arc<Query>),
+    /// KOLA concrete syntax: the attempt parses it straight into the
+    /// engine's arena ([`Engine::try_normalize_text_with`]), so the hot
+    /// path builds no boxed input.
+    Kola(&'q str),
+}
+
+impl Input<'_> {
+    /// The input as a boxed query: a handle bump for an AST, a parse for
+    /// text. Only the cold paths that need the tree call it — passthrough
+    /// and trace recording. `Err` is the parse error, worded as
+    /// `kola_frontend::parse_any_query` words it.
+    fn boxed(&self) -> Result<Arc<Query>, String> {
+        match self {
+            Input::Ast(q) => Ok(Arc::clone(q)),
+            Input::Kola(src) => kola::parse::parse_query(src)
+                .map(Arc::new)
+                .map_err(kola_parse_error),
+        }
+    }
+}
+
+/// Answer `job` on worker `index`: one attempt on its persistent `engine`
+/// under the tenant's current `snapshot`, or the input itself (see the
+/// module docs, "One attempt, then passthrough"). Breaker charges go
+/// through the worker's shard and traces into its ring. Text that does not
+/// parse is `Invalid`; the attempt finds it before any rule has run or
+/// been charged, and a request whose deadline died before the attempt
+/// finds it when it parses the input for its passthrough plan.
 fn handle<'a>(
     shared: &'a Shared,
     job: &Job,
@@ -828,14 +909,13 @@ fn handle<'a>(
     index: usize,
 ) -> Response {
     let ten = shared.tenants.get(job.tenant);
-    if let Some(hold) = job.request.options.hold_for {
+    let m = &shared.metrics;
+    let opts = &job.request.options;
+    if let Some(hold) = opts.hold_for {
         thread::sleep(hold);
     }
     let invalid = |e: String| {
-        shared
-            .metrics
-            .tenant_completed_invalid
-            .add_index(job.tenant, 1);
+        m.tenant_completed_invalid.add_index(job.tenant, 1);
         let mut r = Response::rejected(job.id, Outcome::Invalid, e);
         r.tenant = Arc::clone(&ten.name);
         r.latency = job.submitted.elapsed();
@@ -845,16 +925,16 @@ fn handle<'a>(
     // OQL is lowered here.
     let parsed: Arc<Query>;
     let input = match &job.request.payload {
-        Payload::Text(src) if !is_oql(src) => LadderInput::Kola(src),
+        Payload::Text(src) if !is_oql(src) => Input::Kola(src),
         Payload::Text(src) => match kola_frontend::parse_any_query(src) {
             Ok(q) => {
                 parsed = Arc::new(q);
-                LadderInput::Ast(&parsed)
+                Input::Ast(&parsed)
             }
             Err(e) => return invalid(e),
         },
         // By-Arc payloads are borrowed, never deep-cloned.
-        Payload::Ast(q) => LadderInput::Ast(q),
+        Payload::Ast(q) => Input::Ast(q),
     };
 
     // One atomic load in steady state; an `Arc` swap when *this tenant's*
@@ -862,37 +942,177 @@ fn handle<'a>(
     ten.snapshots
         .refresh(snapshot, &shared.catalog, &ten.breaker);
 
-    let result = match attempt_or_passthrough(shared, job, index, input, engine, snapshot) {
-        Ok(result) => result,
-        Err(e) => return invalid(e),
-    };
-    let m = &shared.metrics;
-    if result.panic.is_some() {
-        m.caught_panics.inc();
-    }
+    // Each worker records into its own trace shard; `None` (the default
+    // configuration) turns the engine's per-step trace building off.
+    let tracer = shared.tracer.as_ref().map(|t| t.shard(index));
+    engine.set_disabled(&snapshot.disabled);
+    engine.set_trace(tracer.is_some());
 
-    let completed = match &result.outcome {
-        Outcome::Optimized => &m.tenant_optimized_fast,
-        // The ladder never yields the last two; keep the books honest if
-        // it ever does.
-        Outcome::Passthrough | Outcome::Overloaded => &m.tenant_passthrough,
-        Outcome::Invalid => &m.tenant_completed_invalid,
+    let mut panic = None;
+    let attempt = if expired(job.deadline) {
+        // Queue wait ate the deadline: note the expiry so a deadline-driven
+        // passthrough always carries an error.
+        Err("deadline expired".to_string())
+    } else {
+        match attempt_once(input, opts, job.deadline, engine) {
+            Attempt::Ok(plan, report, trace) => Ok((plan, report, trace)),
+            Attempt::Failed(why, report) => {
+                m.rung_failures.inc();
+                charge_failed_rules(shared, job, index, &report);
+                Err(why)
+            }
+            Attempt::Panicked(p) => {
+                m.rung_failures.inc();
+                if let Some(id) = &p.rule_id {
+                    ten.breaker.charge_from(index, id, job.id);
+                }
+                let why = p.to_string();
+                panic = Some(p);
+                Err(why)
+            }
+            Attempt::Unparsable(e) => return invalid(e),
+        }
     };
-    completed.add_index(job.tenant, 1);
 
+    let (outcome, plan, report, quarantine, error) = match attempt {
+        Ok((plan, report, trace)) => {
+            charge_failed_rules(shared, job, index, &report);
+            if let Some(ring) = tracer {
+                let boxed = match input.boxed() {
+                    Ok(q) => q,
+                    Err(e) => return invalid(e),
+                };
+                // Wall-clock deadlines are intentionally not recorded:
+                // a successful attempt never stopped on one (classify
+                // treats DeadlineExpired as failure), so the derivation
+                // is deadline-independent and replays unclocked.
+                ring.push(RewriteTrace::record(
+                    job.id,
+                    Arc::clone(&ten.name),
+                    &boxed,
+                    Arc::clone(&snapshot.active),
+                    opts.max_steps,
+                    opts.max_depth,
+                    opts.max_term_size,
+                    opts.quarantine_after,
+                    opts.faults.clone(),
+                    &trace,
+                    report.stop,
+                    &plan,
+                ));
+            }
+            m.tenant_optimized_fast.add_index(job.tenant, 1);
+            let quarantine = shared.catalog.quarantine_report(&report);
+            (
+                Outcome::Optimized,
+                Arc::new(plan),
+                Some(Arc::new(report)),
+                quarantine,
+                None,
+            )
+        }
+        Err(why) => {
+            // Passthrough: the input itself (an `Arc` clone of the
+            // caller's term, or the text parsed once more).
+            let plan = match input.boxed() {
+                Ok(q) => q,
+                Err(e) => return invalid(e),
+            };
+            if panic.is_some() {
+                m.caught_panics.inc();
+            }
+            m.tenant_passthrough.add_index(job.tenant, 1);
+            (
+                Outcome::Passthrough,
+                plan,
+                None,
+                QuarantineReport::default(),
+                Some(format!("fast attempt: {why}")),
+            )
+        }
+    };
     shared
         .peak_arena
         .fetch_max(engine.arena_len(), Ordering::Relaxed);
-
     Response {
         id: job.id,
         tenant: Arc::clone(&ten.name),
-        outcome: result.outcome,
-        plan: Some(result.plan),
-        report: result.report.map(Arc::new),
-        quarantine: Arc::new(result.quarantine),
-        panic: result.panic,
-        error: result.failure,
+        outcome,
+        plan: Some(plan),
+        report,
+        quarantine: Arc::new(quarantine),
+        panic,
+        error,
         latency: job.submitted.elapsed(),
     }
+}
+
+/// How the attempt ended. Success carries the derivation trace so the
+/// observability sink can record it — empty when tracing is off (the
+/// engine skips per-step trace building entirely).
+enum Attempt {
+    Ok(Query, RewriteReport, Trace),
+    Failed(String, RewriteReport),
+    Panicked(CaughtPanic),
+    /// The text input does not parse.
+    Unparsable(String),
+}
+
+/// The one fast-engine attempt, straight into the borrowed persistent
+/// engine. Byte-identical to a per-request `Runner` run: the `Fix`
+/// strategy runs this same `normalize_with` under the same budget and
+/// merges its report into a fresh one (offset zero). Text goes through the
+/// engine's text entry, which runs what `normalize_with` runs on the
+/// parsed query.
+fn attempt_once(
+    input: Input<'_>,
+    opts: &RequestOptions,
+    deadline: Option<Instant>,
+    engine: &mut Engine<'_>,
+) -> Attempt {
+    let budget = opts.budget(deadline);
+    let run = match input {
+        Input::Ast(q) => engine.try_normalize_with(q, &budget, &opts.faults).map(Ok),
+        Input::Kola(src) => engine.try_normalize_text_with(src, &budget, &opts.faults),
+    };
+    match run {
+        Err(p) => Attempt::Panicked(p),
+        Ok(Err(e)) => Attempt::Unparsable(kola_parse_error(e)),
+        Ok(Ok(r)) => classify(r.query, r.report, r.trace),
+    }
+}
+
+/// Attempt-outcome classification (see the module docs for why
+/// `BudgetExhausted`/`CycleDetected` are successes).
+fn classify(plan: Query, report: RewriteReport, trace: Trace) -> Attempt {
+    match report.stop {
+        StopReason::DeadlineExpired => {
+            Attempt::Failed("deadline expired mid-rewrite".into(), report)
+        }
+        StopReason::TermTooLarge => Attempt::Failed("input exceeds term-size cap".into(), report),
+        // NormalForm, BudgetExhausted, CycleDetected: the governed
+        // engine returns the best (smallest) query seen — a plan.
+        _ => Attempt::Ok(plan, report, trace),
+    }
+}
+
+fn expired(deadline: Option<Instant>) -> bool {
+    deadline.is_some_and(|d| Instant::now() >= d)
+}
+
+/// Charge every rule with contained failures in `report` (injected
+/// faults, oversize results) to the tenant's breaker, in one batched call
+/// through this worker's shard. Each rule is charged at most once per
+/// request, so a breaker threshold of N means N bad *requests*.
+fn charge_failed_rules(shared: &Shared, job: &Job, worker: usize, report: &RewriteReport) {
+    let failed = report
+        .rule_stats
+        .iter()
+        .filter(|(_, stats)| stats.failed > 0)
+        .map(|(id, _)| id.as_str());
+    shared
+        .tenants
+        .get(job.tenant)
+        .breaker
+        .charge_many(worker, failed, job.id);
 }

@@ -2,7 +2,7 @@
 //!
 //! The breaker's state changes rarely (a trip, an operator reset); workers
 //! need the active rule set on *every* request. Filtering the catalog under
-//! the breaker's lock per request — what the ladder did before — puts a
+//! the breaker's lock per request — what the worker did before — puts a
 //! shared mutex on the hot path and re-allocates the id list each time.
 //! Instead the service publishes an immutable [`RuleSnapshot`] behind an
 //! `Arc` and swaps it only when the breaker's generation moves:

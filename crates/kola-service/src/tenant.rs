@@ -14,7 +14,7 @@
 //!   shared per-worker shards — a tenant at quota is shed
 //!   [`Outcome::Overloaded`](crate::Outcome::Overloaded) while the others
 //!   keep admitting, which is the noisy-neighbor backpressure guarantee
-//!   the chaos harness proves ([`crate::chaos::run_noisy_neighbor`]).
+//!   the soak harness proves (`kola_bench::soak::run_noisy_neighbor`).
 //!
 //! Workers stay shared: one engine per worker serves every tenant. Each
 //! request masks its own tenant's open rules, and the engine shares

@@ -79,7 +79,7 @@ fn drive_stream(seed: u64, threshold: usize, shards: usize, ops: usize) {
                 "charge({rule}, {request_id}) via shard {shard} diverged (seed {seed})"
             );
         } else if roll < 85 {
-            // Batched charge: the ladder's one-call-per-failed-request
+            // Batched charge: the worker's one-call-per-failed-request
             // entry point, mirrored as individual charges on the spec.
             let shard = rng.gen_range(0..shards);
             let count = 1 + rng.gen_range(0..3usize);
@@ -245,7 +245,7 @@ fn breaker_trip_and_reset_keep_tree_engine_parity() {
         "tree still serves the quarantined rule"
     );
 
-    // The ladder charges the breaker once per quarantined rule.
+    // The worker charges the breaker once per quarantined rule.
     for rule in &got_tree.report.quarantined {
         assert!(breaker.charge_from(0, rule, 1), "threshold 1 must trip");
     }

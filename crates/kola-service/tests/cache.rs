@@ -270,7 +270,7 @@ fn breaker_trip_invalidates_resident_plans() {
 }
 
 /// Satellite of the single-flight fix: a leader whose pass turns out
-/// unserveable (here: its deadline expires mid-hold, so the ladder
+/// unserveable (here: its deadline expires mid-hold, so the worker
 /// degrades to Passthrough) must hand its parked waiters back to the
 /// queue as solo passes — never answer them with the failed reply, never
 /// leave them parked until their own deadlines.
@@ -282,7 +282,7 @@ fn failed_leader_requeues_waiters_as_solo_passes() {
         ..ServiceConfig::default()
     });
     let src = id_tower_text(5);
-    // The leader holds its worker past its own deadline: the ladder runs
+    // The leader holds its worker past its own deadline: the worker runs
     // with the budget already exhausted and degrades to Passthrough —
     // which is not cacheable, so the flight retires empty-handed.
     let leader = service

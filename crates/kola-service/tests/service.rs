@@ -502,7 +502,7 @@ fn deeply_bracketed_requests_are_invalid_and_the_service_keeps_serving() {
 #[test]
 fn saturating_fleet_never_returns_a_larger_plan_than_the_fast_fleet() {
     // The engine-config knob: a fleet built over `EngineConfig::saturating()`
-    // serves the same corpus through the same ladder, and every optimized
+    // serves the same corpus through the same worker path, and every optimized
     // plan is no larger (term size, the extraction model) than the fast
     // fleet's — the e-graph seed wave makes that structural.
     let fast = Service::start(ServiceConfig {

@@ -13,19 +13,15 @@
 //!    between masks only full-rule-set facts, which hold under either
 //!    mask — so tenants with no open breaker alternating through one
 //!    worker reuse its caches exactly as one tenant does.
-//! 3. **The noisy-neighbor soak** (`noisy_neighbor_soak_holds_isolation`):
-//!    an aggressor pouring poison panics and admission floods into the
-//!    service must leave a clean victim tenant's outcome taxonomy exactly
-//!    what it is solo — every isolation invariant of
-//!    [`kola_service::chaos::TenantChaosReport::violations`].
-//! 4. **Export safety** (`hostile_tenant_names_export_escaped_json`):
+//! 3. **Export safety** (`hostile_tenant_names_export_escaped_json`):
 //!    tenant names are operator-supplied strings that flow into the
 //!    hand-rolled JSON metric export; hostile names must come out escaped.
+//!
+//! The noisy-neighbor soak (an aggressor tenant's poison panics and
+//! admission floods against a clean victim) runs with the soak harness:
+//! `kola-bench/tests/noisy_neighbor.rs`.
 
-use kola_service::{
-    run_noisy_neighbor, Outcome, Request, RequestOptions, Response, Service, ServiceConfig,
-    TenantChaosConfig,
-};
+use kola_service::{Outcome, Request, RequestOptions, Response, Service, ServiceConfig};
 use std::time::Duration;
 
 fn id_tower_text(height: usize) -> String {
@@ -225,40 +221,6 @@ fn alternating_tenants_share_one_engines_caches() {
     assert!(solo_hits >= 100, "every repeat should replay: {solo_hits}");
     assert_eq!(hits, solo_hits, "engine_memo_hits");
     assert_eq!(visits, solo_visits, "engine_visits");
-}
-
-#[test]
-fn noisy_neighbor_soak_holds_isolation() {
-    let cfg = TenantChaosConfig {
-        victim_requests: 300,
-        aggressor_requests: 300,
-        workers: 4,
-        stall: Duration::from_millis(1),
-        ..TenantChaosConfig::default()
-    };
-    let report = run_noisy_neighbor(&cfg);
-    assert_eq!(
-        report.violations(),
-        Vec::<String>::new(),
-        "noisy-neighbor isolation violated:\n{}",
-        report.summary()
-    );
-    assert!(
-        report.aggressor.overloaded > 0,
-        "the aggressor's floods never hit its quota wall"
-    );
-    // The solo baseline holds the same invariants (minus the aggression).
-    let solo = run_noisy_neighbor(&TenantChaosConfig {
-        aggressor: false,
-        ..cfg
-    });
-    assert_eq!(
-        solo.violations(),
-        Vec::<String>::new(),
-        "solo baseline violated:\n{}",
-        solo.summary()
-    );
-    assert_eq!(solo.aggressor.requests, 0);
 }
 
 #[test]

@@ -19,7 +19,8 @@
 #                   default path always runs a 50-seed release smoke of the
 #                   same gate plus the Figure 3 rediscovery test.
 #   --chaos-smoke   additionally run a 5-seed matrix of 100-request chaos
-#                   soaks against the optimization service, failing on any
+#                   soaks (kola-bench's chaos-soak binary) against the
+#                   optimization service, failing on any
 #                   escaped panic, unclassified request, or semantic-gate
 #                   violation under any seed.
 #   --tenant-smoke  additionally run a two-tenant noisy-neighbor soak: a
@@ -70,6 +71,17 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== cargo build --release"
 cargo build --workspace --release --offline
+
+# The serving library links no differential oracle: the plan-audit
+# verifier (kola-verify) and the executor (kola-exec) belong to the soak
+# harness in kola-bench and to tests, never to kola-service's own build.
+echo "== kola-service dependency guard"
+SERVICE_DEPS=$(cargo tree -p kola-service -e normal --offline --prefix none)
+if grep -Eq '^kola-(verify|exec) ' <<<"$SERVICE_DEPS"; then
+  echo "kola-service links kola-verify or kola-exec:" >&2
+  echo "$SERVICE_DEPS" >&2
+  exit 1
+fi
 
 echo "== cargo test"
 cargo test --workspace --offline -q
@@ -123,20 +135,20 @@ if [ "$CHAOS_SMOKE_RUN" = 1 ]; then
   for seed in 12648430 1 2 3 4; do
     echo "== chaos smoke (100-request service soak, seed ${seed})"
     BENCH_SMOKE=1 CHAOS_REQUESTS=100 CHAOS_SEED="${seed}" \
-      cargo run -p kola-service --bin chaos-soak --release --offline
+      cargo run -p kola-bench --bin chaos-soak --release --offline
   done
 fi
 
 if [ "$TENANT_SMOKE_RUN" = 1 ]; then
   echo "== tenant smoke (two-tenant noisy-neighbor soak)"
   TENANT_REQUESTS=1000 \
-    cargo run -p kola-service --bin tenant-smoke --release --offline
+    cargo run -p kola-bench --bin tenant-smoke --release --offline
 fi
 
 if [ "$CACHE_SMOKE_RUN" = 1 ]; then
   echo "== cache smoke (repeated soak + parity with trips/resets)"
   CACHE_SMOKE_REQUESTS=1200 \
-    cargo run -p kola-service --bin cache-smoke --release --offline
+    cargo run -p kola-bench --bin cache-smoke --release --offline
 fi
 
 if [ "$OBS_SMOKE_RUN" = 1 ]; then
@@ -150,7 +162,7 @@ if [ "$OBS_SMOKE_RUN" = 1 ]; then
   OBS_JSON=target/bench-smoke/BENCH_obs.json
   rm -f "$OBS_JSON"
   BENCH_SMOKE=1 CHAOS_REQUESTS=600 CHAOS_TRACE=1 \
-    cargo run -p kola-service --bin chaos-soak --release --offline
+    cargo run -p kola-bench --bin chaos-soak --release --offline
   grep -q '"ok": true' "$OBS_JSON" \
     || { echo "$OBS_JSON missing balanced-books verdict" >&2; exit 1; }
   grep -q '"divergent": 0' "$OBS_JSON" \
