@@ -330,9 +330,18 @@ fn tenant_rows(requests: usize) -> Vec<Row> {
         } else {
             "tenant_solo"
         };
+        // The victim's own lane: the aggregate counter counts the
+        // aggressor's hits too.
+        let victim_hits = report
+            .metrics
+            .family("tenant_cache_hits")
+            .iter()
+            .find(|(label, _)| label == "victim")
+            .map_or(0, |(_, n)| *n);
         let row = Row {
             peak_arena_nodes: report.peak_arena_nodes,
-            cache_hits: report.metrics.counter("cache_hits"),
+            cache_hits: victim_hits,
+            hit_actual: victim_hits as f64 / report.victim.requests.max(1) as f64,
             ..Row::from_tally(stream, cfg.workers, &report.victim, report.victim_elapsed)
         };
         row.print();

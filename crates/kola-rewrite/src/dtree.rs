@@ -44,6 +44,7 @@
 use crate::egraph::{ClassId, EGraph};
 use crate::engine::Oriented;
 use crate::matching::{pchain_segments, pfunc_tag, ppred_tag, pquery_tag};
+use crate::program::{func_kids, pred_kids, query_kids};
 use crate::rule::{Direction, RewritePair};
 use kola::intern::{ITerm, Tag};
 use kola::pattern::{PFunc, PPred, PQuery};
@@ -593,115 +594,51 @@ pub struct IndexStats {
 /// Preorder edge walk of a function head: the first chain segment only
 /// (see module docs), truncated at [`MAX_WALK`].
 fn func_edges(pat: &PFunc) -> Vec<Edge> {
-    let first = pchain_segments(pat)[0];
     let mut out = Vec::new();
-    emit_func(first, &mut out);
+    emit_func(&mut out, pchain_segments(pat)[0]);
     out
 }
 
 fn pred_edges(pat: &PPred) -> Vec<Edge> {
     let mut out = Vec::new();
-    emit_pred(pat, &mut out);
+    emit_pred(&mut out, pat);
     out
 }
 
 fn query_edges(pat: &PQuery) -> Vec<Edge> {
     let mut out = Vec::new();
-    emit_query(pat, &mut out);
+    emit_query(&mut out, pat);
     out
 }
 
-fn emit_func(p: &PFunc, out: &mut Vec<Edge>) {
-    if out.len() >= MAX_WALK {
-        return;
-    }
-    let Some(tag) = pfunc_tag(p) else {
-        out.push(Edge::Star);
-        return;
-    };
-    out.push(Edge::Sym(tag));
-    // Children in the interner's kid order (constructor declaration order).
-    match p {
-        PFunc::Compose(a, b)
-        | PFunc::PairWith(a, b)
-        | PFunc::Times(a, b)
-        | PFunc::Nest(a, b)
-        | PFunc::Unnest(a, b) => {
-            emit_func(a, out);
-            emit_func(b, out);
-        }
-        PFunc::ConstF(q) => emit_query(q, out),
-        PFunc::CurryF(f, q) => {
-            emit_func(f, out);
-            emit_query(q, out);
-        }
-        PFunc::Cond(c, f, g) => {
-            emit_pred(c, out);
-            emit_func(f, out);
-            emit_func(g, out);
-        }
-        PFunc::Iterate(c, f) | PFunc::Iter(c, f) | PFunc::Join(c, f) | PFunc::BIterate(c, f) => {
-            emit_pred(c, out);
-            emit_func(f, out);
-        }
-        _ => {}
+/// Emit a node's edge, then its children's walks in the interner's kid
+/// order, through the rule compiler's kid visitor.
+fn emit_func(out: &mut Vec<Edge>, p: &PFunc) {
+    if emit(out, pfunc_tag(p)) {
+        func_kids(out, p, emit_func, emit_pred, emit_query);
     }
 }
 
-fn emit_pred(p: &PPred, out: &mut Vec<Edge>) {
-    if out.len() >= MAX_WALK {
-        return;
-    }
-    let Some(tag) = ppred_tag(p) else {
-        out.push(Edge::Star);
-        return;
-    };
-    out.push(Edge::Sym(tag));
-    match p {
-        PPred::Oplus(a, f) => {
-            emit_pred(a, out);
-            emit_func(f, out);
-        }
-        PPred::And(a, b) | PPred::Or(a, b) => {
-            emit_pred(a, out);
-            emit_pred(b, out);
-        }
-        PPred::Not(a) | PPred::Conv(a) => emit_pred(a, out),
-        PPred::CurryP(a, q) => {
-            emit_pred(a, out);
-            emit_query(q, out);
-        }
-        _ => {}
+fn emit_pred(out: &mut Vec<Edge>, p: &PPred) {
+    if emit(out, ppred_tag(p)) {
+        pred_kids(out, p, emit_func, emit_pred, emit_query);
     }
 }
 
-fn emit_query(p: &PQuery, out: &mut Vec<Edge>) {
+fn emit_query(out: &mut Vec<Edge>, p: &PQuery) {
+    if emit(out, pquery_tag(p)) {
+        query_kids(out, p, emit_func, emit_pred, emit_query);
+    }
+}
+
+/// Emit one node's edge (`Star` for a metavariable) unless the walk is at
+/// [`MAX_WALK`]; whether its children's walks follow.
+fn emit(out: &mut Vec<Edge>, tag: Option<Tag>) -> bool {
     if out.len() >= MAX_WALK {
-        return;
+        return false;
     }
-    let Some(tag) = pquery_tag(p) else {
-        out.push(Edge::Star);
-        return;
-    };
-    out.push(Edge::Sym(tag));
-    match p {
-        PQuery::PairQ(a, b)
-        | PQuery::Union(a, b)
-        | PQuery::Intersect(a, b)
-        | PQuery::Diff(a, b) => {
-            emit_query(a, out);
-            emit_query(b, out);
-        }
-        PQuery::App(f, q) => {
-            emit_func(f, out);
-            emit_query(q, out);
-        }
-        PQuery::Test(c, q) => {
-            emit_pred(c, out);
-            emit_query(q, out);
-        }
-        _ => {}
-    }
+    out.push(tag.map_or(Edge::Star, Edge::Sym));
+    tag.is_some()
 }
 
 #[cfg(test)]
@@ -837,12 +774,26 @@ mod tests {
     fn describe_reports_tree_shape() {
         let catalog = Catalog::paper();
         let rules = full_forward(&catalog);
+        // The full catalog's forward index, field by field.
         let stats = RuleIndex::build(&rules).describe();
-        assert!(stats.tree_nodes > 100, "got {} nodes", stats.tree_nodes);
-        assert!(stats.tree_max_depth >= 4);
-        assert!(stats.tree_edges >= stats.tree_nodes - 3);
-        assert!(stats.tree_wildcard_edges > 0);
-        assert!(stats.tree_mean_fanout_milli >= 1000);
-        assert!(stats.func_entries > 0 && stats.pred_entries > 0 && stats.query_entries > 0);
+        assert_eq!(
+            stats,
+            IndexStats {
+                func_buckets: 19,
+                func_entries: 219,
+                func_wildcard: 3,
+                pred_buckets: 6,
+                pred_entries: 204,
+                pred_wildcard: 0,
+                query_buckets: 5,
+                query_entries: 224,
+                query_wildcard: 0,
+                tree_nodes: 2177,
+                tree_max_depth: 16,
+                tree_edges: 2174,
+                tree_wildcard_edges: 1128,
+                tree_mean_fanout_milli: 1344,
+            }
+        );
     }
 }

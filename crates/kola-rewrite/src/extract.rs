@@ -40,11 +40,6 @@ pub trait CostModel: Send + Sync {
     /// Cost of a term built from this constructor over the cheapest
     /// realization of each child.
     fn node_cost(&self, tag: Tag, payload: &Payload, kid_costs: &[u64]) -> u64;
-
-    /// Short display name (benches, logs).
-    fn name(&self) -> &'static str {
-        "cost"
-    }
 }
 
 /// Term size: every constructor costs 1. Extraction under this model
@@ -57,10 +52,6 @@ pub struct TermSize;
 impl CostModel for TermSize {
     fn node_cost(&self, _tag: Tag, _payload: &Payload, kid_costs: &[u64]) -> u64 {
         kid_costs.iter().fold(1u64, |acc, &k| acc.saturating_add(k))
-    }
-
-    fn name(&self) -> &'static str {
-        "term-size"
     }
 }
 
@@ -84,10 +75,6 @@ impl CostModel for OpWeight {
             _ => 1,
         };
         kid_costs.iter().fold(own, |acc, &k| acc.saturating_add(k))
-    }
-
-    fn name(&self) -> &'static str {
-        "op-weight"
     }
 }
 

@@ -542,11 +542,6 @@ impl<'a> Engine<'a> {
         self.cost_model = model;
     }
 
-    /// Display name of the current extraction cost model.
-    pub fn cost_model_name(&self) -> &'static str {
-        self.cost_model.name()
-    }
-
     /// Exclude the rules with ids in `disabled` from subsequent runs. The
     /// rules stay in place and the rule index is *not* rebuilt — excluded
     /// positions are masked out of the candidate scan, which visits
@@ -585,11 +580,6 @@ impl<'a> Engine<'a> {
     /// traces are run-local.
     pub fn set_trace(&mut self, on: bool) {
         self.config.trace = on;
-    }
-
-    /// Whether per-step trace recording is currently on.
-    pub fn trace_enabled(&self) -> bool {
-        self.config.trace
     }
 
     /// Drop every cross-run cache: memo entries first (they pin interned
@@ -956,6 +946,7 @@ impl<'a> Engine<'a> {
             ref cost_model,
             ref mut interner,
             ref mut lanes,
+            ref mut progs,
             ..
         } = *self;
         let ix = index
@@ -966,10 +957,11 @@ impl<'a> Engine<'a> {
             props,
             index: ix,
             active: masked.then_some(mask.as_slice()),
+            progs,
         };
         let query = saturate_from_trajectory(
             &trajectory,
-            &params,
+            params,
             budget,
             cost_model.as_ref(),
             &mut report,
@@ -1050,18 +1042,6 @@ impl<'a> Engine<'a> {
             arena_len: self.interner.len(),
             arena_peak: self.interner.peak_len(),
         }
-    }
-
-    /// Per-rule consult counts across all runs, as `(rule_id, consults)` in
-    /// rule-list order. A consult is an actual application attempt at a
-    /// node — the number the discrimination tree exists to minimize — so
-    /// this is the "rules attempted per rule" surface for metrics.
-    pub fn consult_profile(&self) -> Vec<(String, u64)> {
-        self.rules
-            .iter()
-            .zip(&self.lanes.consults)
-            .map(|(o, n)| (o.rule.id.clone(), *n))
-            .collect()
     }
 }
 

@@ -8,12 +8,28 @@
 //!   chain-prefix ops that match a function head against a prefix of a
 //!   right-normalized `∘` chain in place;
 //! * a **build list** run over a stack of built nodes — push a slot, a
-//!   leaf, a node over the top children, or an [`icompose`].
+//!   leaf, a node over the top children, or a `∘` — into a `Sink`.
 //!
 //! Metavariables are numbered at compile time: slot `i` is the `i`-th
 //! distinct `(kind, name)` the head meets in match order. Bindings are a
 //! fixed array of borrowed `&ITerm`s, preconditions read slots, and an
 //! `ITerm` is cloned only when a node is built.
+//!
+//! ## Two interpreters
+//!
+//! A program has one compiled form and two interpreters, so the two
+//! interned engines cannot disagree about what a rule means:
+//!
+//! * [`Program::apply`] runs it at one interned term for the fixpoint
+//!   engine ([`crate::fast`]), building into the [`Interner`];
+//! * equality saturation ([`crate::saturate`]) runs the same match list
+//!   over e-classes, with class ids in the slots, and the same build list
+//!   into the e-graph. The layout helpers below (`head_segments`,
+//!   `compose_segments`, `subtree_end`) let it find a head's chain
+//!   segments and a node's kid subpatterns in the flat list.
+//!
+//! Both engines take a rule position's program from one lazily filled
+//! table in the [`crate::fast::Engine`].
 //!
 //! ## Chain prefixes
 //!
@@ -69,7 +85,7 @@ impl Level {
 /// One match instruction. Every op but the chain ops pops the term it
 /// checks off the match stack.
 #[derive(Debug, Clone, PartialEq)]
-enum MatchOp {
+pub(crate) enum MatchOp {
     /// The term's tag is `tag`; push its `arity` children, last first, so
     /// the first child is matched next.
     Node(Tag, usize),
@@ -123,11 +139,11 @@ const INLINE: usize = 8;
 
 /// One compiled oriented alternative.
 #[derive(Debug, Clone)]
-struct Alt {
-    level: Level,
+pub(crate) struct Alt {
+    pub(crate) level: Level,
     /// The head is a function chain matched by prefix (function level).
-    chain: bool,
-    matcher: Vec<MatchOp>,
+    pub(crate) chain: bool,
+    pub(crate) matcher: Vec<MatchOp>,
     build: Vec<BuildOp>,
     /// `(property, slot of the function variable it is about)`; `None`
     /// when the head never binds that variable, which fails the check.
@@ -135,9 +151,33 @@ struct Alt {
     /// The build list holds a [`BuildOp::Unbound`].
     fails: bool,
     /// `(kind, name)` of each slot, in slot order.
-    names: Vec<(VarKind, Sym)>,
+    pub(crate) names: Vec<(VarKind, Sym)>,
     match_depth: usize,
     build_depth: usize,
+}
+
+/// Where a build list puts the nodes it makes: the interner, for the
+/// fixpoint engine, or the e-graph, for saturation.
+pub(crate) trait Sink {
+    /// A built node: an interned term or an e-class.
+    type Node: Clone;
+    /// The node `tag` over `kids`, with `payload`.
+    fn mk(&mut self, tag: Tag, payload: PayloadRef<'_>, kids: &[Self::Node]) -> Self::Node;
+    /// `a ∘ b`.
+    fn compose(&mut self, a: Self::Node, b: Self::Node) -> Self::Node;
+}
+
+impl Sink for Interner {
+    type Node = ITerm;
+
+    fn mk(&mut self, tag: Tag, payload: PayloadRef<'_>, kids: &[ITerm]) -> ITerm {
+        Interner::mk(self, tag, payload, kids)
+    }
+
+    /// Re-associates, so the built term stays right-normalized.
+    fn compose(&mut self, a: ITerm, b: ITerm) -> ITerm {
+        icompose(self, a, b)
+    }
 }
 
 /// What running a program at a node gives.
@@ -160,7 +200,7 @@ pub enum Applied {
 #[derive(Debug, Clone)]
 pub struct Program {
     rule_id: String,
-    alts: Vec<Alt>,
+    pub(crate) alts: Vec<Alt>,
 }
 
 impl Program {
@@ -202,10 +242,10 @@ impl Program {
             let Some(tail) = alt.run_match(t, slots) else {
                 continue;
             };
-            if !alt.fails && !alt.preconditions_hold(slots, props) {
+            if !alt.fails && !alt.preconditions_hold(|i| Some(slots[i]), props) {
                 return Applied::Refused;
             }
-            return match alt.run_build(slots, it) {
+            return match alt.run_build(|i| slots[i].clone(), it) {
                 Ok(out) => Applied::Rewrote(match tail {
                     None => out,
                     Some(tail) => icompose(it, out, tail.clone()),
@@ -334,53 +374,64 @@ impl Alt {
         Some(rest)
     }
 
-    fn preconditions_hold(&self, slots: &[&ITerm], props: &PropDb) -> bool {
-        self.pre
-            .iter()
-            .all(|&(prop, slot)| slot.is_some_and(|i| props.holds_interned(prop, slots[i])))
+    /// Every precondition holds of the term `term` gives for its slot
+    /// (`None` fails it).
+    pub(crate) fn preconditions_hold<'t>(
+        &self,
+        term: impl Fn(usize) -> Option<&'t ITerm>,
+        props: &PropDb,
+    ) -> bool {
+        self.pre.iter().all(|&(prop, slot)| {
+            slot.and_then(&term)
+                .is_some_and(|t| props.holds_interned(prop, t))
+        })
     }
 
-    /// Run the build list over the bound slots.
-    fn run_build(&self, slots: &[&ITerm], it: &mut Interner) -> Result<ITerm, UnboundVar> {
-        let mut stack_inline: [Option<ITerm>; INLINE] = Default::default();
+    /// Run the build list into `sink`, reading slot `i` as `slot(i)`.
+    pub(crate) fn run_build<S: Sink>(
+        &self,
+        slot: impl Fn(usize) -> S::Node,
+        sink: &mut S,
+    ) -> Result<S::Node, UnboundVar> {
+        let mut stack_inline: [Option<S::Node>; INLINE] = Default::default();
         let mut stack_heap;
-        let stack: &mut [Option<ITerm>] = if self.build_depth <= INLINE {
+        let stack: &mut [Option<S::Node>] = if self.build_depth <= INLINE {
             &mut stack_inline
         } else {
             stack_heap = vec![None; self.build_depth];
             &mut stack_heap
         };
         let mut sp = 0;
-        fn pop(sp: &mut usize, stack: &mut [Option<ITerm>]) -> ITerm {
+        fn pop<N>(sp: &mut usize, stack: &mut [Option<N>]) -> N {
             *sp -= 1;
             stack[*sp].take().expect("build stack underflow")
         }
         for op in &self.build {
             let node = match op {
-                BuildOp::Slot(i) => slots[*i].clone(),
-                BuildOp::Leaf(tag) => it.mk(*tag, PayloadRef::None, &[]),
-                BuildOp::Sym(tag, s) => it.mk(*tag, PayloadRef::Sym(s), &[]),
-                BuildOp::Bool(b) => it.mk(Tag::PConstP, PayloadRef::Bool(*b), &[]),
-                BuildOp::Lit(v) => it.mk(Tag::QLit, PayloadRef::Value(v), &[]),
+                BuildOp::Slot(i) => slot(*i),
+                BuildOp::Leaf(tag) => sink.mk(*tag, PayloadRef::None, &[]),
+                BuildOp::Sym(tag, s) => sink.mk(*tag, PayloadRef::Sym(s), &[]),
+                BuildOp::Bool(b) => sink.mk(Tag::PConstP, PayloadRef::Bool(*b), &[]),
+                BuildOp::Lit(v) => sink.mk(Tag::QLit, PayloadRef::Value(v), &[]),
                 BuildOp::Node(tag, 1) => {
                     let a = pop(&mut sp, stack);
-                    it.mk(*tag, PayloadRef::None, &[a])
+                    sink.mk(*tag, PayloadRef::None, &[a])
                 }
                 BuildOp::Node(tag, 2) => {
                     let b = pop(&mut sp, stack);
                     let a = pop(&mut sp, stack);
-                    it.mk(*tag, PayloadRef::None, &[a, b])
+                    sink.mk(*tag, PayloadRef::None, &[a, b])
                 }
                 BuildOp::Node(tag, _) => {
                     let c = pop(&mut sp, stack);
                     let b = pop(&mut sp, stack);
                     let a = pop(&mut sp, stack);
-                    it.mk(*tag, PayloadRef::None, &[a, b, c])
+                    sink.mk(*tag, PayloadRef::None, &[a, b, c])
                 }
                 BuildOp::Compose => {
                     let b = pop(&mut sp, stack);
                     let a = pop(&mut sp, stack);
-                    icompose(it, a, b)
+                    sink.compose(a, b)
                 }
                 BuildOp::Unbound(v) => return Err(UnboundVar(v.clone())),
             };
@@ -390,6 +441,47 @@ impl Alt {
         debug_assert_eq!(sp, 1, "build list must leave exactly one node");
         Ok(pop(&mut sp, stack))
     }
+}
+
+/// Where each segment of a chain head's match list starts: the op after
+/// each `Seg`, then a trailing `RestBind`/`RestSame`.
+pub(crate) fn head_segments(ops: &[MatchOp]) -> Vec<usize> {
+    let mut out = Vec::new();
+    let mut pc = 0;
+    while pc < ops.len() {
+        if ops[pc] == MatchOp::Seg {
+            out.push(pc + 1);
+            pc = subtree_end(ops, pc + 1);
+        } else {
+            out.push(pc);
+            pc += 1;
+        }
+    }
+    out
+}
+
+/// Where each segment of the `∘` subpattern at `ops[pc]` starts, left to
+/// right, nested `∘`s flattened as [`pchain_segments`] flattens them.
+pub(crate) fn compose_segments(ops: &[MatchOp], pc: usize, out: &mut Vec<usize>) {
+    if ops[pc] == MatchOp::Node(Tag::FCompose, 2) {
+        compose_segments(ops, pc + 1, out);
+        compose_segments(ops, subtree_end(ops, pc + 1), out);
+    } else {
+        out.push(pc);
+    }
+}
+
+/// The index just past the subpattern whose ops start at `ops[pc]`.
+pub(crate) fn subtree_end(ops: &[MatchOp], mut pc: usize) -> usize {
+    let mut open = 1;
+    while open > 0 {
+        if let MatchOp::Node(_, n) = ops[pc] {
+            open += n;
+        }
+        open -= 1;
+        pc += 1;
+    }
+    pc
 }
 
 /// Compile one alternative of `rule` oriented by `dir`.
@@ -538,7 +630,13 @@ impl Compiler {
             _ => {
                 let at = self.matcher.len();
                 self.matcher.push(MatchOp::Node(tag, 0));
-                let n = self.func_kids(p, Self::match_func, Self::match_pred, Self::match_query);
+                let n = func_kids(
+                    self,
+                    p,
+                    Self::match_func,
+                    Self::match_pred,
+                    Self::match_query,
+                );
                 self.matcher[at] = MatchOp::Node(tag, n);
             }
         }
@@ -555,7 +653,13 @@ impl Compiler {
             _ => {
                 let at = self.matcher.len();
                 self.matcher.push(MatchOp::Node(tag, 0));
-                let n = self.pred_kids(p, Self::match_func, Self::match_pred, Self::match_query);
+                let n = pred_kids(
+                    self,
+                    p,
+                    Self::match_func,
+                    Self::match_pred,
+                    Self::match_query,
+                );
                 self.matcher[at] = MatchOp::Node(tag, n);
             }
         }
@@ -572,7 +676,13 @@ impl Compiler {
             _ => {
                 let at = self.matcher.len();
                 self.matcher.push(MatchOp::Node(tag, 0));
-                let n = self.query_kids(p, Self::match_func, Self::match_pred, Self::match_query);
+                let n = query_kids(
+                    self,
+                    p,
+                    Self::match_func,
+                    Self::match_pred,
+                    Self::match_query,
+                );
                 self.matcher[at] = MatchOp::Node(tag, n);
             }
         }
@@ -600,7 +710,13 @@ impl Compiler {
                 self.build.push(BuildOp::Compose);
             }
             _ => {
-                let n = self.func_kids(p, Self::build_func, Self::build_pred, Self::build_query);
+                let n = func_kids(
+                    self,
+                    p,
+                    Self::build_func,
+                    Self::build_pred,
+                    Self::build_query,
+                );
                 self.build.push(node_op(tag, n));
             }
         }
@@ -615,7 +731,13 @@ impl Compiler {
             PPred::PrimP(s) => self.build.push(BuildOp::Sym(tag, s.clone())),
             PPred::ConstP(b) => self.build.push(BuildOp::Bool(*b)),
             _ => {
-                let n = self.pred_kids(p, Self::build_func, Self::build_pred, Self::build_query);
+                let n = pred_kids(
+                    self,
+                    p,
+                    Self::build_func,
+                    Self::build_pred,
+                    Self::build_query,
+                );
                 self.build.push(node_op(tag, n));
             }
         }
@@ -630,118 +752,123 @@ impl Compiler {
             PQuery::Lit(v) => self.build.push(BuildOp::Lit(v.clone())),
             PQuery::Extent(s) => self.build.push(BuildOp::Sym(tag, s.clone())),
             _ => {
-                let n = self.query_kids(p, Self::build_func, Self::build_pred, Self::build_query);
+                let n = query_kids(
+                    self,
+                    p,
+                    Self::build_func,
+                    Self::build_pred,
+                    Self::build_query,
+                );
                 self.build.push(node_op(tag, n));
             }
         }
     }
+}
 
-    /// Visit a function pattern's children in node order; their count.
-    fn func_kids(
-        &mut self,
-        p: &PFunc,
-        f: fn(&mut Self, &PFunc),
-        pr: fn(&mut Self, &PPred),
-        q: fn(&mut Self, &PQuery),
-    ) -> usize {
-        match p {
-            PFunc::Compose(a, b)
-            | PFunc::PairWith(a, b)
-            | PFunc::Times(a, b)
-            | PFunc::Nest(a, b)
-            | PFunc::Unnest(a, b) => {
-                f(self, a);
-                f(self, b);
-                2
-            }
-            PFunc::ConstF(x) => {
-                q(self, x);
-                1
-            }
-            PFunc::CurryF(a, x) => {
-                f(self, a);
-                q(self, x);
-                2
-            }
-            PFunc::Cond(c, a, b) => {
-                pr(self, c);
-                f(self, a);
-                f(self, b);
-                3
-            }
-            PFunc::Iterate(c, a)
-            | PFunc::Iter(c, a)
-            | PFunc::Join(c, a)
-            | PFunc::BIterate(c, a) => {
-                pr(self, c);
-                f(self, a);
-                2
-            }
-            _ => 0,
+/// Visit a function pattern's children in node order, handing each to the
+/// visitor of its level; their count. The one kid-order switch that the
+/// compiler and the discrimination tree share.
+pub(crate) fn func_kids<S>(
+    s: &mut S,
+    p: &PFunc,
+    f: fn(&mut S, &PFunc),
+    pr: fn(&mut S, &PPred),
+    q: fn(&mut S, &PQuery),
+) -> usize {
+    match p {
+        PFunc::Compose(a, b)
+        | PFunc::PairWith(a, b)
+        | PFunc::Times(a, b)
+        | PFunc::Nest(a, b)
+        | PFunc::Unnest(a, b) => {
+            f(s, a);
+            f(s, b);
+            2
         }
+        PFunc::ConstF(x) => {
+            q(s, x);
+            1
+        }
+        PFunc::CurryF(a, x) => {
+            f(s, a);
+            q(s, x);
+            2
+        }
+        PFunc::Cond(c, a, b) => {
+            pr(s, c);
+            f(s, a);
+            f(s, b);
+            3
+        }
+        PFunc::Iterate(c, a) | PFunc::Iter(c, a) | PFunc::Join(c, a) | PFunc::BIterate(c, a) => {
+            pr(s, c);
+            f(s, a);
+            2
+        }
+        _ => 0,
     }
+}
 
-    /// Visit a predicate pattern's children in node order; their count.
-    fn pred_kids(
-        &mut self,
-        p: &PPred,
-        f: fn(&mut Self, &PFunc),
-        pr: fn(&mut Self, &PPred),
-        q: fn(&mut Self, &PQuery),
-    ) -> usize {
-        match p {
-            PPred::Oplus(c, a) => {
-                pr(self, c);
-                f(self, a);
-                2
-            }
-            PPred::And(a, b) | PPred::Or(a, b) => {
-                pr(self, a);
-                pr(self, b);
-                2
-            }
-            PPred::Not(a) | PPred::Conv(a) => {
-                pr(self, a);
-                1
-            }
-            PPred::CurryP(c, x) => {
-                pr(self, c);
-                q(self, x);
-                2
-            }
-            _ => 0,
+/// Visit a predicate pattern's children in node order; their count.
+pub(crate) fn pred_kids<S>(
+    s: &mut S,
+    p: &PPred,
+    f: fn(&mut S, &PFunc),
+    pr: fn(&mut S, &PPred),
+    q: fn(&mut S, &PQuery),
+) -> usize {
+    match p {
+        PPred::Oplus(c, a) => {
+            pr(s, c);
+            f(s, a);
+            2
         }
+        PPred::And(a, b) | PPred::Or(a, b) => {
+            pr(s, a);
+            pr(s, b);
+            2
+        }
+        PPred::Not(a) | PPred::Conv(a) => {
+            pr(s, a);
+            1
+        }
+        PPred::CurryP(c, x) => {
+            pr(s, c);
+            q(s, x);
+            2
+        }
+        _ => 0,
     }
+}
 
-    /// Visit a query pattern's children in node order; their count.
-    fn query_kids(
-        &mut self,
-        p: &PQuery,
-        f: fn(&mut Self, &PFunc),
-        pr: fn(&mut Self, &PPred),
-        q: fn(&mut Self, &PQuery),
-    ) -> usize {
-        match p {
-            PQuery::PairQ(a, b)
-            | PQuery::Union(a, b)
-            | PQuery::Intersect(a, b)
-            | PQuery::Diff(a, b) => {
-                q(self, a);
-                q(self, b);
-                2
-            }
-            PQuery::App(a, x) => {
-                f(self, a);
-                q(self, x);
-                2
-            }
-            PQuery::Test(c, x) => {
-                pr(self, c);
-                q(self, x);
-                2
-            }
-            _ => 0,
+/// Visit a query pattern's children in node order; their count.
+pub(crate) fn query_kids<S>(
+    s: &mut S,
+    p: &PQuery,
+    f: fn(&mut S, &PFunc),
+    pr: fn(&mut S, &PPred),
+    q: fn(&mut S, &PQuery),
+) -> usize {
+    match p {
+        PQuery::PairQ(a, b)
+        | PQuery::Union(a, b)
+        | PQuery::Intersect(a, b)
+        | PQuery::Diff(a, b) => {
+            q(s, a);
+            q(s, b);
+            2
         }
+        PQuery::App(a, x) => {
+            f(s, a);
+            q(s, x);
+            2
+        }
+        PQuery::Test(c, x) => {
+            pr(s, c);
+            q(s, x);
+            2
+        }
+        _ => 0,
     }
 }
 

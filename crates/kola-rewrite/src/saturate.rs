@@ -22,20 +22,36 @@
 //!    hidden behind a cheaper representative. Candidate rules (ascending
 //!    position, active-mask and quarantine filtered — the same discipline
 //!    as the fixpoint engine's candidate scan) are then e-matched against
-//!    the *class structure*: metavariables bind e-classes, alternatives
-//!    backtrack over every e-node of a class, and function rules use the
-//!    same chain-prefix semantics as the fixpoint engine's rule programs
-//!    ([`crate::program`]), decomposing chain classes
-//!    through their `∘` e-nodes.
+//!    the *class structure* (see *One rule program* below).
 //! 2. *Refresh*, only when a matched rule has preconditions: extract a
 //!    representative term (cheapest under the engine's cost model) for
 //!    every class that existed when the round began. Preconditions are
 //!    judged on representatives; nothing else reads them.
-//! 3. *Apply*: each match instantiates the rule body as e-nodes and unions
-//!    it with the matched class. Every application that changes the graph
-//!    costs one budget step.
+//! 3. *Apply*: each match runs its alternative's build list into the
+//!    e-graph and unions the result with the matched class. Every
+//!    application that changes the graph costs one budget step.
 //! 4. *Rebuild*: restore congruence; if the graph did not change this
 //!    round, the rule set is saturated.
+//!
+//! ## One rule program
+//!
+//! Saturation is the second interpreter of the [`Program`]s the fixpoint
+//! engine runs ([`crate::program`]), taken from the engine's per-position
+//! table, so both engines give a rule its meaning from one compiled form.
+//!
+//! * **Match list over e-classes.** Where the fixpoint engine checks one
+//!   term, each op here maps a list of slot bindings to a list: `Node`,
+//!   `Sym`, `Bool` and `Lit` backtrack over the class's same-tagged
+//!   e-nodes, and `Bind`/`Same` (and `RestBind`/`RestSame`) bind or check
+//!   a canonical class id in a numbered slot. A node's kids are matched in
+//!   order, each kid's whole hit list before the next kid starts. A chain
+//!   head's `Seg`s, and any nested `∘` in a head, decompose chain classes
+//!   through their `∘` e-nodes; a nested chain must consume its whole
+//!   class.
+//! * **Build list into the e-graph.** The build list runs through the
+//!   same sink trait the interner implements: one e-node per built node,
+//!   and `∘` as a plain e-node. Preconditions read `(property, slot)` as
+//!   the fixpoint engine does, on the slot's class representative.
 //!
 //! ## Completeness and bounds
 //!
@@ -55,16 +71,14 @@ use crate::dtree::RuleIndex;
 use crate::egraph::{ClassId, EGraph, ENode};
 use crate::engine::Oriented;
 use crate::extract::{CostModel, Extractor};
-use crate::props::{PropDb, PropTerm};
-use crate::rule::{Direction, RewritePair, Rule};
-use kola::intern::{ITerm, Interner, Payload, Tag};
-use kola::pattern::{PFunc, PPred, PQuery};
+use crate::program::{compose_segments, head_segments, subtree_end, Level, MatchOp, Program, Sink};
+use crate::props::PropDb;
+use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
+use kola::pattern::VarKind;
 use kola::term::Query;
-use kola::value::Sym;
-use std::collections::BTreeMap;
 
 /// Everything the saturation loop needs besides the graph itself.
-pub struct SaturationParams<'r, 'a> {
+pub(crate) struct SaturationParams<'r, 'a> {
     /// The rule list, in engine order (positions match `index`).
     pub rules: &'r [Oriented<'a>],
     /// Property database for precondition checks.
@@ -74,6 +88,9 @@ pub struct SaturationParams<'r, 'a> {
     pub index: &'r RuleIndex,
     /// Per-position activity mask (`None` = all active).
     pub active: Option<&'r [bool]>,
+    /// Each position's compiled program, shared with the fixpoint engine:
+    /// built the first time either engine consults the position.
+    pub progs: &'r mut [Option<Program>],
 }
 
 /// Max e-match bindings enumerated per (class, rule) per round.
@@ -104,9 +121,9 @@ pub fn seed_trajectory(eg: &mut EGraph, trajectory: &[ITerm]) -> ClassId {
 /// mirroring how the fixpoint engine treats one budget per run. Each
 /// application that changes the graph is also handed to `on_fire` by rule
 /// position.
-pub fn saturate_from_trajectory(
+pub(crate) fn saturate_from_trajectory(
     trajectory: &[ITerm],
-    params: &SaturationParams,
+    params: SaturationParams,
     budget: &Budget,
     cost: &dyn CostModel,
     report: &mut RewriteReport,
@@ -185,40 +202,23 @@ pub fn term_cost(t: &ITerm, cost: &dyn CostModel) -> u64 {
     cost.node_cost(t.tag(), t.payload(), &kid_costs)
 }
 
-/// Class-valued metavariable bindings.
-/// Consistency is canonical-class equality: two syntactically different
-/// binding candidates in one class are provably equal, so unifying them is
-/// sound — strictly more matches than the pointer-equality the destructive
-/// matcher requires.
-#[derive(Debug, Clone, Default)]
-struct EBinds {
-    funcs: BTreeMap<Sym, ClassId>,
-    preds: BTreeMap<Sym, ClassId>,
-    objs: BTreeMap<Sym, ClassId>,
-}
-
-impl EBinds {
-    fn bind(map: &mut BTreeMap<Sym, ClassId>, v: &Sym, c: ClassId) -> bool {
-        match map.get(v) {
-            Some(&existing) => existing == c,
-            None => {
-                map.insert(v.clone(), c);
-                true
-            }
-        }
-    }
-}
+/// Slot-valued bindings: slot `i` holds the canonical class bound to the
+/// rule program's `i`-th metavariable. Consistency is canonical-class
+/// equality: two syntactically different binding candidates in one class
+/// are provably equal, so unifying them is sound — strictly more matches
+/// than the pointer-equality the destructive matcher requires.
+type Slots = Vec<ClassId>;
 
 /// One scheduled rule application: rule position, the alternative whose
 /// head matched, the matched class, bindings, and (for function rules) the
 /// unconsumed chain suffix.
 struct Match {
     pos: usize,
-    /// Index into the rule's `alts` — the body instantiated must belong to
-    /// the same alternative the head match bound.
+    /// Index into the program's alternatives — the body built must belong
+    /// to the same alternative the head match bound.
     alt: usize,
     class: ClassId,
-    binds: EBinds,
+    slots: Slots,
     /// Chain segments left over after a prefix match (function level only);
     /// the instantiated body is re-composed onto them.
     remainder: Vec<ClassId>,
@@ -230,7 +230,7 @@ const CHAIN_DEPTH: usize = 64;
 
 struct Sat<'s, 'r, 'a> {
     eg: EGraph,
-    params: &'s SaturationParams<'r, 'a>,
+    params: SaturationParams<'r, 'a>,
     it: &'s mut Interner,
     /// Representative (cheapest) term per raw class id, as of the last
     /// refresh; `None` while a class has no finite-cost realization yet,
@@ -261,920 +261,398 @@ impl Sat<'_, '_, '_> {
     fn match_round(&mut self, report: &RewriteReport) -> Vec<Match> {
         let mut out = Vec::new();
         let mut cand: Vec<usize> = Vec::new();
-        let mut buf: Vec<usize> = Vec::new();
+        let (rules, index) = (self.params.rules, self.params.index);
         let classes: Vec<ClassId> = self.eg.class_ids().collect();
         for &c in &classes {
             // Walk the discrimination tree against the class itself: every
             // `Sym` edge branches over every same-tagged e-node, so no
             // member's shape is hidden behind a cheaper representative.
-            let level = self.eg.nodes(c).first().map(|n| level_of(n.tag));
-            let Some(level) = level else { continue };
+            let Some(level) = self.eg.nodes(c).first().map(|n| Level::of(n.tag)) else {
+                continue;
+            };
             match level {
-                Level::F => self
-                    .params
-                    .index
-                    .func_candidates_class(&self.eg, c, &mut buf),
-                Level::P => self
-                    .params
-                    .index
-                    .pred_candidates_class(&self.eg, c, &mut buf),
-                Level::Q => self
-                    .params
-                    .index
-                    .query_candidates_class(&self.eg, c, &mut buf),
+                Level::F => index.func_candidates_class(&self.eg, c, &mut cand),
+                Level::P => index.pred_candidates_class(&self.eg, c, &mut cand),
+                Level::Q => index.query_candidates_class(&self.eg, c, &mut cand),
             }
-            std::mem::swap(&mut cand, &mut buf);
             for &pos in &cand {
                 if self.params.active.is_some_and(|m| !m[pos]) {
                     continue;
                 }
-                let o = &self.params.rules[pos];
+                let o = &rules[pos];
                 if report.is_quarantined(&o.rule.id) {
                     continue;
                 }
-                if o.dir == Direction::Backward && !o.rule.bidirectional {
-                    continue;
-                }
-                self.ematch_rule(o.rule, o.dir, &level, c, pos, &mut out);
+                let prog =
+                    self.params.progs[pos].get_or_insert_with(|| Program::compile(o.rule, o.dir));
+                ematch_rule(&mut self.eg, prog, level, c, pos, &mut out);
             }
         }
         out
-    }
-
-    /// E-match one rule (all alternatives of the class's level) and push
-    /// scheduled applications, capped at [`MATCH_CAP`] per (class, rule).
-    fn ematch_rule(
-        &mut self,
-        rule: &Rule,
-        dir: Direction,
-        level: &Level,
-        c: ClassId,
-        pos: usize,
-        out: &mut Vec<Match>,
-    ) {
-        let cap = MATCH_CAP;
-        let mut found = 0usize;
-        for (ai, alt) in rule.alts.iter().enumerate() {
-            if found >= cap {
-                break;
-            }
-            match (alt, level) {
-                (RewritePair::F(l, r), Level::F) => {
-                    let head = match dir {
-                        Direction::Forward => l,
-                        Direction::Backward => r,
-                    };
-                    let psegs = crate::matching::pchain_segments(head);
-                    let mut hits: Vec<(EBinds, Vec<ClassId>)> = Vec::new();
-                    let mut fuel = cap.saturating_sub(found);
-                    self.ematch_chain(
-                        &psegs,
-                        &[c],
-                        &EBinds::default(),
-                        &mut hits,
-                        &mut fuel,
-                        CHAIN_DEPTH,
-                    );
-                    for (binds, remainder) in hits {
-                        found += 1;
-                        out.push(Match {
-                            pos,
-                            alt: ai,
-                            class: c,
-                            binds,
-                            remainder,
-                        });
-                    }
-                }
-                (RewritePair::P(l, r), Level::P) => {
-                    let head = match dir {
-                        Direction::Forward => l,
-                        Direction::Backward => r,
-                    };
-                    let mut hits: Vec<EBinds> = Vec::new();
-                    let mut fuel = cap.saturating_sub(found);
-                    self.ematch_pred(
-                        head,
-                        c,
-                        &EBinds::default(),
-                        &mut hits,
-                        &mut fuel,
-                        CHAIN_DEPTH,
-                    );
-                    for binds in hits {
-                        found += 1;
-                        out.push(Match {
-                            pos,
-                            alt: ai,
-                            class: c,
-                            binds,
-                            remainder: Vec::new(),
-                        });
-                    }
-                }
-                (RewritePair::Q(l, r), Level::Q) => {
-                    let head = match dir {
-                        Direction::Forward => l,
-                        Direction::Backward => r,
-                    };
-                    let mut hits: Vec<EBinds> = Vec::new();
-                    let mut fuel = cap.saturating_sub(found);
-                    self.ematch_query(
-                        head,
-                        c,
-                        &EBinds::default(),
-                        &mut hits,
-                        &mut fuel,
-                        CHAIN_DEPTH,
-                    );
-                    for binds in hits {
-                        found += 1;
-                        out.push(Match {
-                            pos,
-                            alt: ai,
-                            class: c,
-                            binds,
-                            remainder: Vec::new(),
-                        });
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    /// Chain-prefix e-matching: match pattern segments against the chain
-    /// structure of a cursor (a list of classes whose composition is the
-    /// chain), decomposing through `∘` e-nodes. Mirrors the rule programs'
-    /// chain prefix ([`crate::program`]): all but the last segment
-    /// consume exactly one chain segment; a trailing metavariable swallows
-    /// the whole rest; a trailing concrete segment consumes one and leaves
-    /// the remainder for re-composition.
-    fn ematch_chain(
-        &mut self,
-        psegs: &[&PFunc],
-        cursor: &[ClassId],
-        binds: &EBinds,
-        out: &mut Vec<(EBinds, Vec<ClassId>)>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
-            return;
-        }
-        let [last] = psegs else {
-            let Some(p) = psegs.first() else { return };
-            // Non-final segment: consume exactly one chain segment.
-            for (seg, rest) in self.segment_splits(cursor, depth) {
-                if *fuel == 0 {
-                    return;
-                }
-                if let PFunc::Var(v) = p {
-                    let mut b = binds.clone();
-                    if EBinds::bind(&mut b.funcs, v, self.eg.find(seg)) {
-                        self.ematch_chain(&psegs[1..], &rest, &b, out, fuel, depth - 1);
-                    }
-                } else {
-                    let mut seg_hits: Vec<EBinds> = Vec::new();
-                    self.ematch_segment(p, seg, binds, &mut seg_hits, fuel, depth - 1);
-                    for b in seg_hits {
-                        self.ematch_chain(&psegs[1..], &rest, &b, out, fuel, depth - 1);
-                    }
-                }
-            }
-            return;
-        };
-        // Final pattern segment.
-        match last {
-            PFunc::Var(v) => {
-                if cursor.is_empty() {
-                    return;
-                }
-                let folded = self.fold_cursor(cursor);
-                let mut b = binds.clone();
-                if EBinds::bind(&mut b.funcs, v, self.eg.find(folded)) {
-                    *fuel = fuel.saturating_sub(1);
-                    out.push((b, Vec::new()));
-                }
-            }
-            _ => {
-                for (seg, rest) in self.segment_splits(cursor, depth) {
-                    if *fuel == 0 {
-                        return;
-                    }
-                    let mut seg_hits: Vec<EBinds> = Vec::new();
-                    self.ematch_segment(last, seg, binds, &mut seg_hits, fuel, depth - 1);
-                    for b in seg_hits {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push((b, rest.clone()));
-                    }
-                }
-            }
-        }
-    }
-
-    /// Enumerate ways to peel one chain segment off the cursor:
-    /// `(segment class, remaining cursor)`. The head class itself counts as
-    /// a segment when it has a non-`∘` e-node; each of its `∘` e-nodes
-    /// splits into head and tail. Deduplicated, deterministic order.
-    fn segment_splits(&self, cursor: &[ClassId], depth: usize) -> Vec<(ClassId, Vec<ClassId>)> {
-        let mut out: Vec<(ClassId, Vec<ClassId>)> = Vec::new();
-        if depth == 0 {
-            return out;
-        }
-        let Some((&c0, rest)) = cursor.split_first() else {
-            return out;
-        };
-        let c0 = self.eg.find(c0);
-        if self.eg.nodes(c0).iter().any(|n| n.tag != Tag::FCompose) {
-            out.push((c0, rest.to_vec()));
-        }
-        for n in self.eg.nodes(c0) {
-            if n.tag != Tag::FCompose {
-                continue;
-            }
-            let head = self.eg.find(n.kids[0]);
-            let tail = self.eg.find(n.kids[1]);
-            // Guard against cyclic chain classes: never descend back into
-            // the class we are decomposing.
-            if head == c0 {
-                continue;
-            }
-            let mut sub = Vec::with_capacity(rest.len() + 2);
-            sub.push(head);
-            sub.push(tail);
-            sub.extend_from_slice(rest);
-            for split in self.segment_splits(&sub, depth - 1) {
-                if !out.contains(&split) {
-                    out.push(split);
-                }
-            }
-        }
-        out
-    }
-
-    /// Fold a cursor back into a single class, right-associated.
-    fn fold_cursor(&mut self, cursor: &[ClassId]) -> ClassId {
-        let mut iter = cursor.iter().rev();
-        let mut acc = *iter.next().expect("fold_cursor: non-empty cursor");
-        for &c in iter {
-            acc = self.eg.add(ENode {
-                tag: Tag::FCompose,
-                payload: Payload::None,
-                kids: vec![c, acc],
-            });
-        }
-        acc
-    }
-
-    /// Match a *non-compose* function pattern against one chain segment
-    /// (a class). Compose patterns recurse back through chain matching so
-    /// nested chains in either the pattern or the class line up.
-    fn ematch_segment(
-        &mut self,
-        pat: &PFunc,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        self.ematch_func(pat, c, binds, out, fuel, depth);
-    }
-
-    /// E-match a function pattern against a class: a metavariable binds the
-    /// class; anything else backtracks over the class's e-nodes. Compose
-    /// patterns go through full-consumption chain matching, so association
-    /// differences between pattern and class cannot hide a match.
-    fn ematch_func(
-        &mut self,
-        pat: &PFunc,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
-            return;
-        }
-        let c = self.eg.find(c);
-        if let PFunc::Var(v) = pat {
-            let mut b = binds.clone();
-            if EBinds::bind(&mut b.funcs, v, c) {
-                out.push(b);
-            }
-            return;
-        }
-        if matches!(pat, PFunc::Compose(..)) {
-            let psegs = crate::matching::pchain_segments(pat);
-            let mut hits: Vec<(EBinds, Vec<ClassId>)> = Vec::new();
-            self.ematch_chain(&psegs, &[c], binds, &mut hits, fuel, depth);
-            // Full consumption only: a sub-pattern chain must equal the
-            // whole segment, not a prefix of it.
-            out.extend(
-                hits.into_iter()
-                    .filter(|(_, rem)| rem.is_empty())
-                    .map(|(b, _)| b),
-            );
-            return;
-        }
-        let nodes = self.eg.nodes(c).to_vec();
-        for node in nodes {
-            if *fuel == 0 {
-                return;
-            }
-            self.ematch_func_node(pat, &node, binds, out, fuel, depth);
-        }
-    }
-
-    fn ematch_func_node(
-        &mut self,
-        pat: &PFunc,
-        n: &ENode,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        match (pat, n.tag) {
-            (PFunc::Id, Tag::FId)
-            | (PFunc::Pi1, Tag::FPi1)
-            | (PFunc::Pi2, Tag::FPi2)
-            | (PFunc::Flat, Tag::FFlat)
-            | (PFunc::Bagify, Tag::FBagify)
-            | (PFunc::Dedup, Tag::FDedup)
-            | (PFunc::BUnion, Tag::FBUnion)
-            | (PFunc::BFlat, Tag::FBFlat)
-            | (PFunc::SetUnion, Tag::FSetUnion)
-            | (PFunc::SetIntersect, Tag::FSetIntersect)
-            | (PFunc::SetDiff, Tag::FSetDiff) => {
-                *fuel = fuel.saturating_sub(1);
-                out.push(binds.clone());
-            }
-            (PFunc::Prim(a), Tag::FPrim) => {
-                if matches!(&n.payload, Payload::Sym(b) if a == b) {
-                    *fuel = fuel.saturating_sub(1);
-                    out.push(binds.clone());
-                }
-            }
-            (PFunc::PairWith(p1, p2), Tag::FPairWith)
-            | (PFunc::Times(p1, p2), Tag::FTimes)
-            | (PFunc::Nest(p1, p2), Tag::FNest)
-            | (PFunc::Unnest(p1, p2), Tag::FUnnest)
-                if same_ff(pat, n.tag) =>
-            {
-                let mut mid = Vec::new();
-                self.ematch_func(p1, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                for b in mid {
-                    self.ematch_func(p2, n.kids[1], &b, out, fuel, depth - 1);
-                }
-            }
-            (PFunc::ConstF(pq), Tag::FConstF) => {
-                self.ematch_query(pq, n.kids[0], binds, out, fuel, depth - 1);
-            }
-            (PFunc::CurryF(pf, pq), Tag::FCurryF) => {
-                let mut mid = Vec::new();
-                self.ematch_func(pf, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                for b in mid {
-                    self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                }
-            }
-            (PFunc::Cond(pp, pf, pg), Tag::FCond) => {
-                let mut mid = Vec::new();
-                self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                let mut mid2 = Vec::new();
-                for b in mid {
-                    self.ematch_func(pf, n.kids[1], &b, &mut mid2, fuel, depth - 1);
-                }
-                for b in mid2 {
-                    self.ematch_func(pg, n.kids[2], &b, out, fuel, depth - 1);
-                }
-            }
-            (PFunc::Iterate(pp, pf), Tag::FIterate)
-            | (PFunc::Iter(pp, pf), Tag::FIter)
-            | (PFunc::Join(pp, pf), Tag::FJoin)
-            | (PFunc::BIterate(pp, pf), Tag::FBIterate)
-                if same_pf_iter(pat, n.tag) =>
-            {
-                let mut mid = Vec::new();
-                self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                for b in mid {
-                    self.ematch_func(pf, n.kids[1], &b, out, fuel, depth - 1);
-                }
-            }
-            _ => {}
-        }
-    }
-
-    fn ematch_pred(
-        &mut self,
-        pat: &PPred,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
-            return;
-        }
-        let c = self.eg.find(c);
-        if let PPred::Var(v) = pat {
-            let mut b = binds.clone();
-            if EBinds::bind(&mut b.preds, v, c) {
-                out.push(b);
-            }
-            return;
-        }
-        let nodes = self.eg.nodes(c).to_vec();
-        for n in nodes {
-            if *fuel == 0 {
-                return;
-            }
-            match (pat, n.tag) {
-                (PPred::Eq, Tag::PEq)
-                | (PPred::Lt, Tag::PLt)
-                | (PPred::Leq, Tag::PLeq)
-                | (PPred::Gt, Tag::PGt)
-                | (PPred::Geq, Tag::PGeq)
-                | (PPred::In, Tag::PIn) => {
-                    *fuel = fuel.saturating_sub(1);
-                    out.push(binds.clone());
-                }
-                (PPred::PrimP(a), Tag::PPrimP) => {
-                    if matches!(&n.payload, Payload::Sym(b) if a == b) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PPred::ConstP(a), Tag::PConstP) => {
-                    if matches!(&n.payload, Payload::Bool(b) if *a == *b) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PPred::Oplus(pp, pf), Tag::POplus) => {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_func(pf, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PPred::And(p1, p2), Tag::PAnd) | (PPred::Or(p1, p2), Tag::POr)
-                    if same_pp2(pat, n.tag) =>
-                {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(p1, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_pred(p2, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PPred::Not(p), Tag::PNot) | (PPred::Conv(p), Tag::PConv)
-                    if same_pp1(pat, n.tag) =>
-                {
-                    self.ematch_pred(p, n.kids[0], binds, out, fuel, depth - 1);
-                }
-                (PPred::CurryP(pp, pq), Tag::PCurryP) => {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-
-    fn ematch_query(
-        &mut self,
-        pat: &PQuery,
-        c: ClassId,
-        binds: &EBinds,
-        out: &mut Vec<EBinds>,
-        fuel: &mut usize,
-        depth: usize,
-    ) {
-        if *fuel == 0 || depth == 0 {
-            return;
-        }
-        let c = self.eg.find(c);
-        if let PQuery::Var(v) = pat {
-            let mut b = binds.clone();
-            if EBinds::bind(&mut b.objs, v, c) {
-                out.push(b);
-            }
-            return;
-        }
-        let nodes = self.eg.nodes(c).to_vec();
-        for n in nodes {
-            if *fuel == 0 {
-                return;
-            }
-            match (pat, n.tag) {
-                (PQuery::Lit(a), Tag::QLit) => {
-                    if matches!(&n.payload, Payload::Value(b) if b.as_ref() == a) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PQuery::Extent(a), Tag::QExtent) => {
-                    if matches!(&n.payload, Payload::Sym(b) if a == b) {
-                        *fuel = fuel.saturating_sub(1);
-                        out.push(binds.clone());
-                    }
-                }
-                (PQuery::PairQ(p1, p2), Tag::QPairQ)
-                | (PQuery::Union(p1, p2), Tag::QUnion)
-                | (PQuery::Intersect(p1, p2), Tag::QIntersect)
-                | (PQuery::Diff(p1, p2), Tag::QDiff)
-                    if same_qq2(pat, n.tag) =>
-                {
-                    let mut mid = Vec::new();
-                    self.ematch_query(p1, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(p2, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PQuery::App(pf, pq), Tag::QApp) => {
-                    let mut mid = Vec::new();
-                    self.ematch_func(pf, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                (PQuery::Test(pp, pq), Tag::QTest) => {
-                    let mut mid = Vec::new();
-                    self.ematch_pred(pp, n.kids[0], binds, &mut mid, fuel, depth - 1);
-                    for b in mid {
-                        self.ematch_query(pq, n.kids[1], &b, out, fuel, depth - 1);
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     /// Apply one scheduled match: check preconditions on representatives,
-    /// instantiate the body as e-nodes, union with the matched class.
+    /// build the body into the e-graph, union it with the matched class.
     /// Returns false when the application was skipped (failed precondition
     /// or unbound variable — the latter mirrors the fixpoint engine's
     /// contained `RuleFailed`).
     fn apply(&mut self, m: &Match) -> bool {
         let o = &self.params.rules[m.pos];
+        let prog = self.params.progs[m.pos].as_ref();
+        let alt = &prog.expect("a matched rule's program is compiled").alts[m.alt];
         if !o.rule.preconditions.is_empty() {
             // Each precondition is judged on its bound function class's
             // representative; properties are semantic, so any member's
-            // verdict stands for the class. A bound class with no
+            // verdict stands for the class. A bound function class with no
             // representative skips the application.
-            if m.binds.funcs.values().any(|&c| self.rep(c).is_none()) {
-                return false;
-            }
-            let holds = o.rule.preconditions.iter().all(|p| match &p.subject {
-                PropTerm::FuncVar(name) => m
-                    .binds
-                    .funcs
-                    .get(name)
-                    .and_then(|&c| self.rep(c))
-                    .is_some_and(|t| self.params.props.holds_interned(p.prop, t)),
-            });
-            if !holds {
+            let unrepresented = alt
+                .names
+                .iter()
+                .zip(&m.slots)
+                .any(|((kind, _), &c)| *kind == VarKind::Func && self.rep(c).is_none());
+            if unrepresented || !alt.preconditions_hold(|i| self.rep(m.slots[i]), self.params.props)
+            {
                 return false;
             }
         }
-        // The body must come from the same alternative whose head produced
-        // the bindings — alts of one rule need not share variable sets.
-        let level = class_level(&self.eg, m.class);
-        match (&o.rule.alts[m.alt], &level) {
-            (RewritePair::F(l, r), Some(Level::F)) => {
-                let body = match o.dir {
-                    Direction::Forward => r,
-                    Direction::Backward => l,
-                };
-                let Ok(body_c) = self.einst_func(body, &m.binds) else {
-                    return false;
-                };
-                let result = if m.remainder.is_empty() {
-                    body_c
+        let Ok(body) = alt.run_build(|i| m.slots[i], &mut self.eg) else {
+            return false;
+        };
+        let result = if m.remainder.is_empty() {
+            body
+        } else {
+            let tail = fold_cursor(&mut self.eg, &m.remainder);
+            self.eg.compose(body, tail)
+        };
+        self.eg.union(m.class, result);
+        true
+    }
+}
+
+/// Saturation builds rule bodies as e-nodes: one `add` per built node, and
+/// `∘` as a plain e-node — classes carry no associativity discipline.
+impl Sink for EGraph {
+    type Node = ClassId;
+
+    fn mk(&mut self, tag: Tag, payload: PayloadRef<'_>, kids: &[ClassId]) -> ClassId {
+        self.add(ENode {
+            tag,
+            payload: payload.to_owned(),
+            kids: kids.to_vec(),
+        })
+    }
+
+    fn compose(&mut self, a: ClassId, b: ClassId) -> ClassId {
+        self.mk(Tag::FCompose, PayloadRef::None, &[a, b])
+    }
+}
+
+/// E-match the alternatives of `prog` at class `c` in rule order, those of
+/// the class's level, and schedule every hit. Each alternative runs with
+/// the rest of [`MATCH_CAP`] as its fuel; none starts once the cap is
+/// reached.
+fn ematch_rule(
+    eg: &mut EGraph,
+    prog: &Program,
+    level: Level,
+    c: ClassId,
+    pos: usize,
+    out: &mut Vec<Match>,
+) {
+    let mut found = 0usize;
+    for (ai, alt) in prog.alts.iter().enumerate() {
+        if found >= MATCH_CAP {
+            break;
+        }
+        if alt.level != level {
+            continue;
+        }
+        let mut m = EMatch {
+            eg: &mut *eg,
+            ops: &alt.matcher,
+            fuel: MATCH_CAP - found,
+        };
+        let unbound = vec![0; alt.names.len()];
+        let mut hits: Vec<(Slots, Vec<ClassId>)> = Vec::new();
+        if alt.chain {
+            let segs = head_segments(&alt.matcher);
+            m.chain(&segs, &[c], &unbound, &mut hits, CHAIN_DEPTH);
+        } else {
+            let mut whole = Vec::new();
+            m.class(0, c, &unbound, &mut whole, CHAIN_DEPTH);
+            hits.extend(whole.into_iter().map(|s| (s, Vec::new())));
+        }
+        found += hits.len();
+        out.extend(hits.into_iter().map(|(slots, remainder)| Match {
+            pos,
+            alt: ai,
+            class: c,
+            slots,
+            remainder,
+        }));
+    }
+}
+
+/// One alternative's match list run over e-classes. Where the fixpoint
+/// engine checks one term, an op here backtracks over every same-tagged
+/// e-node of a class, so each op maps a hit list to a hit list. A node's
+/// kids are matched in order, each kid's full hit list before the next kid
+/// starts; fuel is spent only by leaf hits and final chain hits.
+struct EMatch<'g, 'p> {
+    /// Mutable only to fold chain cursors into classes.
+    eg: &'g mut EGraph,
+    ops: &'p [MatchOp],
+    fuel: usize,
+}
+
+impl EMatch<'_, '_> {
+    /// Match the subpattern at `ops[pc]` against class `c`: a variable
+    /// binds the class, a `∘` goes through full-consumption chain matching
+    /// (so association differences between pattern and class cannot hide a
+    /// match), anything else backtracks over the class's e-nodes.
+    fn class(&mut self, pc: usize, c: ClassId, binds: &Slots, out: &mut Vec<Slots>, depth: usize) {
+        if self.fuel == 0 || depth == 0 {
+            return;
+        }
+        let c = self.eg.find(c);
+        let ops = self.ops;
+        if let Some(var) = var_slot(&ops[pc]) {
+            out.extend(bind(binds, var, c));
+            return;
+        }
+        if ops[pc] == MatchOp::Node(Tag::FCompose, 2) {
+            let mut segs = Vec::new();
+            compose_segments(ops, pc, &mut segs);
+            let mut hits = Vec::new();
+            self.chain(&segs, &[c], binds, &mut hits, depth);
+            // Full consumption only: a sub-pattern chain must equal the
+            // whole segment, not a prefix of it.
+            out.extend(
+                hits.into_iter()
+                    .filter(|(_, rest)| rest.is_empty())
+                    .map(|(b, _)| b),
+            );
+            return;
+        }
+        // Matching adds classes (chain folds) but never e-nodes to an
+        // existing class, so `c`'s node list is stable under the walk.
+        for k in 0..self.eg.nodes(c).len() {
+            if self.fuel == 0 {
+                return;
+            }
+            self.node(pc, c, k, binds, out, depth);
+        }
+    }
+
+    /// Match the op at `ops[pc]` against the `k`-th e-node of class `c`.
+    fn node(
+        &mut self,
+        pc: usize,
+        c: ClassId,
+        k: usize,
+        binds: &Slots,
+        out: &mut Vec<Slots>,
+        depth: usize,
+    ) {
+        let n = &self.eg.nodes(c)[k];
+        let hit = match &self.ops[pc] {
+            MatchOp::Node(tag, arity) => {
+                if n.tag != *tag {
+                    return;
+                }
+                if *arity > 0 {
+                    let mut kids = [0; 3];
+                    kids[..*arity].copy_from_slice(&n.kids);
+                    return self.kids(pc + 1, &kids[..*arity], binds, out, depth - 1);
+                }
+                true
+            }
+            MatchOp::Sym(tag, s) => {
+                n.tag == *tag && matches!(&n.payload, Payload::Sym(b) if b == s)
+            }
+            MatchOp::Bool(b) => {
+                n.tag == Tag::PConstP && matches!(n.payload, Payload::Bool(v) if v == *b)
+            }
+            MatchOp::Lit(v) => {
+                n.tag == Tag::QLit && matches!(&n.payload, Payload::Value(w) if w.as_ref() == v)
+            }
+            op => unreachable!("{op:?} never meets an e-node"),
+        };
+        if hit {
+            self.fuel = self.fuel.saturating_sub(1);
+            out.push(binds.clone());
+        }
+    }
+
+    /// Match the kid subpatterns from `ops[pc]` on against `kids`, in
+    /// order: every hit of one kid is in before the next kid starts.
+    fn kids(
+        &mut self,
+        mut pc: usize,
+        kids: &[ClassId],
+        binds: &Slots,
+        out: &mut Vec<Slots>,
+        depth: usize,
+    ) {
+        let (&last, init) = kids.split_last().expect("a node op has kids");
+        let mut hits: Vec<Slots> = Vec::new();
+        for (j, &k) in init.iter().enumerate() {
+            let mut next = Vec::new();
+            if j == 0 {
+                self.class(pc, k, binds, &mut next, depth);
+            } else {
+                for b in &hits {
+                    self.class(pc, k, b, &mut next, depth);
+                }
+            }
+            hits = next;
+            pc = subtree_end(self.ops, pc);
+        }
+        let from = if init.is_empty() {
+            std::slice::from_ref(binds)
+        } else {
+            &hits[..]
+        };
+        for b in from {
+            self.class(pc, last, b, out, depth);
+        }
+    }
+
+    /// Chain-prefix e-matching: match the segments that start at `segs`
+    /// against the chain structure of a cursor (a list of classes whose
+    /// composition is the chain), decomposing through `∘` e-nodes. The
+    /// rule programs' chain prefix over e-classes: all but the last segment
+    /// consume exactly one chain segment; a trailing metavariable swallows
+    /// the whole rest; a trailing concrete segment consumes one and leaves
+    /// the remainder for re-composition.
+    fn chain(
+        &mut self,
+        segs: &[usize],
+        cursor: &[ClassId],
+        binds: &Slots,
+        out: &mut Vec<(Slots, Vec<ClassId>)>,
+        depth: usize,
+    ) {
+        if self.fuel == 0 || depth == 0 {
+            return;
+        }
+        let ops = self.ops;
+        let [last] = *segs else {
+            let Some((&p, later)) = segs.split_first() else {
+                return;
+            };
+            // Non-final segment: consume exactly one chain segment.
+            for (seg, rest) in segment_splits(self.eg, cursor, depth) {
+                if self.fuel == 0 {
+                    return;
+                }
+                if let Some(var) = var_slot(&ops[p]) {
+                    if let Some(b) = bind(binds, var, self.eg.find(seg)) {
+                        self.chain(later, &rest, &b, out, depth - 1);
+                    }
                 } else {
-                    let tail = self.fold_cursor(&m.remainder);
-                    self.eg.add(ENode {
-                        tag: Tag::FCompose,
-                        payload: Payload::None,
-                        kids: vec![body_c, tail],
-                    })
-                };
-                self.eg.union(m.class, result);
-                true
+                    let mut seg_hits = Vec::new();
+                    self.class(p, seg, binds, &mut seg_hits, depth - 1);
+                    for b in &seg_hits {
+                        self.chain(later, &rest, b, out, depth - 1);
+                    }
+                }
             }
-            (RewritePair::P(l, r), Some(Level::P)) => {
-                let body = match o.dir {
-                    Direction::Forward => r,
-                    Direction::Backward => l,
-                };
-                let Ok(body_c) = self.einst_pred(body, &m.binds) else {
-                    return false;
-                };
-                self.eg.union(m.class, body_c);
-                true
+            return;
+        };
+        // Final segment.
+        if let Some(var) = var_slot(&ops[last]) {
+            if cursor.is_empty() {
+                return;
             }
-            (RewritePair::Q(l, r), Some(Level::Q)) => {
-                let body = match o.dir {
-                    Direction::Forward => r,
-                    Direction::Backward => l,
-                };
-                let Ok(body_c) = self.einst_query(body, &m.binds) else {
-                    return false;
-                };
-                self.eg.union(m.class, body_c);
-                true
+            let folded = fold_cursor(self.eg, cursor);
+            if let Some(b) = bind(binds, var, self.eg.find(folded)) {
+                self.fuel = self.fuel.saturating_sub(1);
+                out.push((b, Vec::new()));
             }
-            _ => false,
+            return;
         }
-    }
-
-    fn einst_func(&mut self, pat: &PFunc, binds: &EBinds) -> Result<ClassId, ()> {
-        macro_rules! leaf {
-            ($tag:expr) => {
-                Ok(self.eg.add(ENode::leaf($tag, Payload::None)))
-            };
-        }
-        macro_rules! node {
-            ($tag:expr, $kids:expr) => {{
-                let kids = $kids;
-                Ok(self.eg.add(ENode {
-                    tag: $tag,
-                    payload: Payload::None,
-                    kids,
-                }))
-            }};
-        }
-        match pat {
-            PFunc::Var(v) => binds.funcs.get(v).copied().ok_or(()),
-            PFunc::Id => leaf!(Tag::FId),
-            PFunc::Pi1 => leaf!(Tag::FPi1),
-            PFunc::Pi2 => leaf!(Tag::FPi2),
-            PFunc::Flat => leaf!(Tag::FFlat),
-            PFunc::Bagify => leaf!(Tag::FBagify),
-            PFunc::Dedup => leaf!(Tag::FDedup),
-            PFunc::BUnion => leaf!(Tag::FBUnion),
-            PFunc::BFlat => leaf!(Tag::FBFlat),
-            PFunc::SetUnion => leaf!(Tag::FSetUnion),
-            PFunc::SetIntersect => leaf!(Tag::FSetIntersect),
-            PFunc::SetDiff => leaf!(Tag::FSetDiff),
-            PFunc::Prim(n) => Ok(self
-                .eg
-                .add(ENode::leaf(Tag::FPrim, Payload::Sym(n.clone())))),
-            PFunc::Compose(a, b) => {
-                let ia = self.einst_func(a, binds)?;
-                let ib = self.einst_func(b, binds)?;
-                node!(Tag::FCompose, vec![ia, ib])
+        for (seg, rest) in segment_splits(self.eg, cursor, depth) {
+            if self.fuel == 0 {
+                return;
             }
-            PFunc::PairWith(a, b) => {
-                let k = vec![self.einst_func(a, binds)?, self.einst_func(b, binds)?];
-                node!(Tag::FPairWith, k)
-            }
-            PFunc::Times(a, b) => {
-                let k = vec![self.einst_func(a, binds)?, self.einst_func(b, binds)?];
-                node!(Tag::FTimes, k)
-            }
-            PFunc::ConstF(q) => {
-                let k = vec![self.einst_query(q, binds)?];
-                node!(Tag::FConstF, k)
-            }
-            PFunc::CurryF(f, q) => {
-                let k = vec![self.einst_func(f, binds)?, self.einst_query(q, binds)?];
-                node!(Tag::FCurryF, k)
-            }
-            PFunc::Cond(p, f, g) => {
-                let k = vec![
-                    self.einst_pred(p, binds)?,
-                    self.einst_func(f, binds)?,
-                    self.einst_func(g, binds)?,
-                ];
-                node!(Tag::FCond, k)
-            }
-            PFunc::Iterate(p, f) => {
-                let k = vec![self.einst_pred(p, binds)?, self.einst_func(f, binds)?];
-                node!(Tag::FIterate, k)
-            }
-            PFunc::Iter(p, f) => {
-                let k = vec![self.einst_pred(p, binds)?, self.einst_func(f, binds)?];
-                node!(Tag::FIter, k)
-            }
-            PFunc::Join(p, f) => {
-                let k = vec![self.einst_pred(p, binds)?, self.einst_func(f, binds)?];
-                node!(Tag::FJoin, k)
-            }
-            PFunc::Nest(f, g) => {
-                let k = vec![self.einst_func(f, binds)?, self.einst_func(g, binds)?];
-                node!(Tag::FNest, k)
-            }
-            PFunc::Unnest(f, g) => {
-                let k = vec![self.einst_func(f, binds)?, self.einst_func(g, binds)?];
-                node!(Tag::FUnnest, k)
-            }
-            PFunc::BIterate(p, f) => {
-                let k = vec![self.einst_pred(p, binds)?, self.einst_func(f, binds)?];
-                node!(Tag::FBIterate, k)
-            }
-        }
-    }
-
-    fn einst_pred(&mut self, pat: &PPred, binds: &EBinds) -> Result<ClassId, ()> {
-        macro_rules! leaf {
-            ($tag:expr) => {
-                Ok(self.eg.add(ENode::leaf($tag, Payload::None)))
-            };
-        }
-        match pat {
-            PPred::Var(v) => binds.preds.get(v).copied().ok_or(()),
-            PPred::Eq => leaf!(Tag::PEq),
-            PPred::Lt => leaf!(Tag::PLt),
-            PPred::Leq => leaf!(Tag::PLeq),
-            PPred::Gt => leaf!(Tag::PGt),
-            PPred::Geq => leaf!(Tag::PGeq),
-            PPred::In => leaf!(Tag::PIn),
-            PPred::PrimP(n) => Ok(self
-                .eg
-                .add(ENode::leaf(Tag::PPrimP, Payload::Sym(n.clone())))),
-            PPred::ConstP(b) => Ok(self.eg.add(ENode::leaf(Tag::PConstP, Payload::Bool(*b)))),
-            PPred::Oplus(p, f) => {
-                let k = vec![self.einst_pred(p, binds)?, self.einst_func(f, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::POplus,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PPred::And(a, b) => {
-                let k = vec![self.einst_pred(a, binds)?, self.einst_pred(b, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::PAnd,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PPred::Or(a, b) => {
-                let k = vec![self.einst_pred(a, binds)?, self.einst_pred(b, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::POr,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PPred::Not(p) => {
-                let k = vec![self.einst_pred(p, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::PNot,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PPred::Conv(p) => {
-                let k = vec![self.einst_pred(p, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::PConv,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PPred::CurryP(p, q) => {
-                let k = vec![self.einst_pred(p, binds)?, self.einst_query(q, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::PCurryP,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-        }
-    }
-
-    fn einst_query(&mut self, pat: &PQuery, binds: &EBinds) -> Result<ClassId, ()> {
-        match pat {
-            PQuery::Var(v) => binds.objs.get(v).copied().ok_or(()),
-            PQuery::Lit(v) => Ok(self.eg.add(ENode::leaf(
-                Tag::QLit,
-                Payload::Value(std::sync::Arc::new(v.clone())),
-            ))),
-            PQuery::Extent(n) => Ok(self
-                .eg
-                .add(ENode::leaf(Tag::QExtent, Payload::Sym(n.clone())))),
-            PQuery::PairQ(a, b) => {
-                let k = vec![self.einst_query(a, binds)?, self.einst_query(b, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::QPairQ,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PQuery::App(f, q) => {
-                let k = vec![self.einst_func(f, binds)?, self.einst_query(q, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::QApp,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PQuery::Test(p, q) => {
-                let k = vec![self.einst_pred(p, binds)?, self.einst_query(q, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::QTest,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PQuery::Union(a, b) => {
-                let k = vec![self.einst_query(a, binds)?, self.einst_query(b, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::QUnion,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PQuery::Intersect(a, b) => {
-                let k = vec![self.einst_query(a, binds)?, self.einst_query(b, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::QIntersect,
-                    payload: Payload::None,
-                    kids: k,
-                }))
-            }
-            PQuery::Diff(a, b) => {
-                let k = vec![self.einst_query(a, binds)?, self.einst_query(b, binds)?];
-                Ok(self.eg.add(ENode {
-                    tag: Tag::QDiff,
-                    payload: Payload::None,
-                    kids: k,
-                }))
+            let mut seg_hits = Vec::new();
+            self.class(last, seg, binds, &mut seg_hits, depth - 1);
+            for b in seg_hits {
+                self.fuel = self.fuel.saturating_sub(1);
+                out.push((b, rest.clone()));
             }
         }
     }
 }
 
-/// Term level of a class (from any e-node's tag — levels never mix within
-/// a class because every rule and every congruence is level-preserving).
-fn class_level(eg: &EGraph, c: ClassId) -> Option<Level> {
-    eg.nodes(c).first().map(|n| level_of(n.tag))
-}
-
-enum Level {
-    F,
-    P,
-    Q,
-}
-
-fn level_of(t: Tag) -> Level {
-    if t <= Tag::FSetDiff {
-        Level::F
-    } else if t <= Tag::PCurryP {
-        Level::P
-    } else {
-        Level::Q
+/// A variable op's slot, and whether an earlier op bound it (a check
+/// rather than a bind).
+fn var_slot(op: &MatchOp) -> Option<(usize, bool)> {
+    match *op {
+        MatchOp::Bind(i) | MatchOp::RestBind(i) => Some((i, false)),
+        MatchOp::Same(i) | MatchOp::RestSame(i) => Some((i, true)),
+        _ => None,
     }
 }
 
-fn same_ff(pat: &PFunc, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PFunc::PairWith(..), Tag::FPairWith)
-            | (PFunc::Times(..), Tag::FTimes)
-            | (PFunc::Nest(..), Tag::FNest)
-            | (PFunc::Unnest(..), Tag::FUnnest)
-    )
+/// `binds` with the variable's slot holding the canonical class `c`, or
+/// `None` when the slot already holds another class.
+fn bind(binds: &Slots, (i, bound): (usize, bool), c: ClassId) -> Option<Slots> {
+    if bound {
+        return (binds[i] == c).then(|| binds.clone());
+    }
+    let mut b = binds.clone();
+    b[i] = c;
+    Some(b)
 }
 
-fn same_pf_iter(pat: &PFunc, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PFunc::Iterate(..), Tag::FIterate)
-            | (PFunc::Iter(..), Tag::FIter)
-            | (PFunc::Join(..), Tag::FJoin)
-            | (PFunc::BIterate(..), Tag::FBIterate)
-    )
+/// Enumerate ways to peel one chain segment off the cursor:
+/// `(segment class, remaining cursor)`. The head class itself counts as
+/// a segment when it has a non-`∘` e-node; each of its `∘` e-nodes
+/// splits into head and tail. Deduplicated, deterministic order.
+fn segment_splits(eg: &EGraph, cursor: &[ClassId], depth: usize) -> Vec<(ClassId, Vec<ClassId>)> {
+    let mut out: Vec<(ClassId, Vec<ClassId>)> = Vec::new();
+    if depth == 0 {
+        return out;
+    }
+    let Some((&c0, rest)) = cursor.split_first() else {
+        return out;
+    };
+    let c0 = eg.find(c0);
+    if eg.nodes(c0).iter().any(|n| n.tag != Tag::FCompose) {
+        out.push((c0, rest.to_vec()));
+    }
+    for n in eg.nodes(c0) {
+        if n.tag != Tag::FCompose {
+            continue;
+        }
+        let head = eg.find(n.kids[0]);
+        let tail = eg.find(n.kids[1]);
+        // Guard against cyclic chain classes: never descend back into
+        // the class we are decomposing.
+        if head == c0 {
+            continue;
+        }
+        let mut sub = Vec::with_capacity(rest.len() + 2);
+        sub.push(head);
+        sub.push(tail);
+        sub.extend_from_slice(rest);
+        for split in segment_splits(eg, &sub, depth - 1) {
+            if !out.contains(&split) {
+                out.push(split);
+            }
+        }
+    }
+    out
 }
 
-fn same_pp2(pat: &PPred, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PPred::And(..), Tag::PAnd) | (PPred::Or(..), Tag::POr)
-    )
-}
-
-fn same_pp1(pat: &PPred, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PPred::Not(..), Tag::PNot) | (PPred::Conv(..), Tag::PConv)
-    )
-}
-
-fn same_qq2(pat: &PQuery, tag: Tag) -> bool {
-    matches!(
-        (pat, tag),
-        (PQuery::PairQ(..), Tag::QPairQ)
-            | (PQuery::Union(..), Tag::QUnion)
-            | (PQuery::Intersect(..), Tag::QIntersect)
-            | (PQuery::Diff(..), Tag::QDiff)
-    )
+/// Fold a cursor back into a single class, right-associated.
+fn fold_cursor(eg: &mut EGraph, cursor: &[ClassId]) -> ClassId {
+    let mut iter = cursor.iter().rev();
+    let mut acc = *iter.next().expect("fold_cursor: non-empty cursor");
+    for &c in iter {
+        acc = eg.compose(c, acc);
+    }
+    acc
 }

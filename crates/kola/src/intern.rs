@@ -240,7 +240,8 @@ impl PayloadRef<'_> {
         }
     }
 
-    fn to_owned(self) -> Payload {
+    /// The owned payload, made when a node it labels is new.
+    pub fn to_owned(self) -> Payload {
         match self {
             PayloadRef::None => Payload::None,
             PayloadRef::Sym(s) => Payload::Sym(Sym::from(s)),

@@ -83,6 +83,16 @@ if grep -Eq '^kola-(verify|exec) ' <<<"$SERVICE_DEPS"; then
   exit 1
 fi
 
+# Equality saturation interprets the compiled rule programs: it e-matches
+# through their match lists and builds through their build lists, and
+# never walks a boxed rule pattern of its own.
+echo "== saturation pattern guard"
+if grep -Eqw 'PFunc|PPred|PQuery|RewritePair' crates/kola-rewrite/src/saturate.rs; then
+  echo "crates/kola-rewrite/src/saturate.rs names a boxed rule pattern:" >&2
+  grep -Enw 'PFunc|PPred|PQuery|RewritePair' crates/kola-rewrite/src/saturate.rs >&2
+  exit 1
+fi
+
 echo "== cargo test"
 cargo test --workspace --offline -q
 
@@ -94,11 +104,12 @@ CARGO_TARGET_DIR=.bench_build cargo check --offline --manifest-path perfbench/Ca
 
 # The equality-saturation gates ride the default path: a 50-seed release
 # run of the differential parity corpus (extracted cost <= fixpoint cost,
-# sampled semantic spot-checks) plus the Figure 3 rediscovery test (plain
-# saturation finds the hidden-join plan the scripted pipeline derives).
-echo "== egraph smoke (50-seed parity gate + Figure 3 rediscovery)"
+# sampled semantic spot-checks), the Figure 3 rediscovery test (plain
+# saturation finds the hidden-join plan the scripted pipeline derives) and
+# the saturation pin (hashed plans, steps, stop reasons and fire counts).
+echo "== egraph smoke (50-seed parity gate + Figure 3 rediscovery + saturation pin)"
 EGRAPH_SEEDS=50 cargo test --release --offline -q \
-  --test egraph_parity --test egraph_fig3
+  --test egraph_parity --test egraph_fig3 --test saturation_pin
 
 if [ "$EGRAPH_SMOKE_RUN" = 1 ]; then
   echo "== egraph full (1000-seed parity corpus, release)"

@@ -86,7 +86,9 @@ fn arb_pred_leaf(rng: &mut Rng) -> Pred {
     }
 }
 
-fn arb_query(rng: &mut Rng, depth: usize) -> Query {
+/// One fuzz query: a generated function applied to `P`, sometimes paired
+/// with a second one applied to `Q`.
+pub fn arb_query(rng: &mut Rng, depth: usize) -> Query {
     let f = arb_func(rng, depth);
     let base = Query::App(f, Box::new(Query::Extent(Arc::from("P"))));
     if rng.gen_bool(0.3) {
