@@ -30,16 +30,12 @@
 //! refuses corresponds to a constructor disagreement that would also make
 //! the rule programs' tag checks ([`crate::program`]) fail.
 //!
-//! ## Quarantine pruning
+//! ## Immutability
 //!
-//! Mid-run quarantine must reach the index, not just the linear scan.
-//! Removal is **journaled**:
-//! [`RuleIndex::remove`] deletes the rule's accept entries (O(pattern
-//! depth) — the sites map knows exactly which nodes hold them) and records
-//! each deletion; [`RuleIndex::restore`] replays the journal in reverse,
-//! putting every entry back at its original offset. A breaker trip therefore
-//! costs a handful of `Vec::remove`s instead of an index rebuild, and the
-//! next run starts from the full tree with two memmoves per evicted rule.
+//! The index is never edited after [`RuleIndex::build`]. A rule that a run
+//! quarantines, or that a mask disables, stays among the candidates; the
+//! candidate scan of each interpreter skips it before consulting it, so
+//! the index holds rule positions and nothing about any run.
 
 use crate::egraph::{ClassId, EGraph};
 use crate::engine::Oriented;
@@ -250,24 +246,6 @@ impl DTree {
     }
 }
 
-/// Which level's tree an accept entry lives in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LevelTag {
-    F,
-    P,
-    Q,
-}
-
-/// A journaled accept removal: enough to reinsert the entry exactly where
-/// it was.
-#[derive(Debug, Clone)]
-struct Removed {
-    level: LevelTag,
-    node: u32,
-    offset: usize,
-    pos: usize,
-}
-
 /// Discrimination-tree index over an oriented rule list (see module docs).
 ///
 /// This is the engine's dispatch structure; the linear rule scan
@@ -278,12 +256,6 @@ pub struct RuleIndex {
     func: DTree,
     pred: DTree,
     query: DTree,
-    ids: Vec<String>,
-    /// Per rule position: the accept sites `(level, node)` holding it —
-    /// what makes [`RuleIndex::remove`] O(pattern depth).
-    sites: Vec<Vec<(LevelTag, u32)>>,
-    /// Reverse-order journal of removals since the last [`RuleIndex::restore`].
-    journal: Vec<Removed>,
     /// Shape as built (see [`RuleIndex::describe`]).
     stats: IndexStats,
 }
@@ -295,24 +267,22 @@ impl RuleIndex {
     pub fn build(rules: &[Oriented]) -> RuleIndex {
         let mut ix = RuleIndex::default();
         for (pos, o) in rules.iter().enumerate() {
-            ix.ids.push(o.rule.id.clone());
-            ix.sites.push(Vec::new());
             if o.dir == Direction::Backward && !o.rule.bidirectional {
                 continue;
             }
             for alt in &o.rule.alts {
-                let (level, tree, edges) = match alt {
+                let (tree, edges) = match alt {
                     RewritePair::F(l, r) => {
                         let head = if o.dir == Direction::Forward { l } else { r };
-                        (LevelTag::F, &mut ix.func, func_edges(head))
+                        (&mut ix.func, func_edges(head))
                     }
                     RewritePair::P(l, r) => {
                         let head = if o.dir == Direction::Forward { l } else { r };
-                        (LevelTag::P, &mut ix.pred, pred_edges(head))
+                        (&mut ix.pred, pred_edges(head))
                     }
                     RewritePair::Q(l, r) => {
                         let head = if o.dir == Direction::Forward { l } else { r };
-                        (LevelTag::Q, &mut ix.query, query_edges(head))
+                        (&mut ix.query, query_edges(head))
                     }
                 };
                 let node = tree.insert_path(&edges);
@@ -321,80 +291,11 @@ impl RuleIndex {
                 // alts with the same skeleton would double-insert.
                 if accepts.last() != Some(&pos) {
                     accepts.push(pos);
-                    ix.sites[pos].push((level, node));
                 }
             }
         }
         ix.stats = ix.measure();
         ix
-    }
-
-    fn tree(&self, level: LevelTag) -> &DTree {
-        match level {
-            LevelTag::F => &self.func,
-            LevelTag::P => &self.pred,
-            LevelTag::Q => &self.query,
-        }
-    }
-
-    fn tree_mut(&mut self, level: LevelTag) -> &mut DTree {
-        match level {
-            LevelTag::F => &mut self.func,
-            LevelTag::P => &mut self.pred,
-            LevelTag::Q => &mut self.query,
-        }
-    }
-
-    /// Remove every accept entry for `rule_id` (all positions carrying that
-    /// id), journaling each deletion for [`RuleIndex::restore`]. Cost is
-    /// O(accept sites) = O(pattern depth), not O(index).
-    pub fn remove(&mut self, rule_id: &str) {
-        for pos in 0..self.ids.len() {
-            if self.ids[pos] != rule_id {
-                continue;
-            }
-            let sites = std::mem::take(&mut self.sites[pos]);
-            for &(level, node) in &sites {
-                let accepts = &mut self.tree_mut(level).nodes[node as usize].accepts;
-                if let Some(offset) = accepts.iter().position(|&p| p == pos) {
-                    accepts.remove(offset);
-                    self.journal.push(Removed {
-                        level,
-                        node,
-                        offset,
-                        pos,
-                    });
-                }
-            }
-            self.sites[pos] = sites;
-        }
-    }
-
-    /// Undo every removal since the last restore, in reverse order, putting
-    /// each accept entry back at its original offset. Quarantine is per-run
-    /// state: the engine calls this at the start of the next run instead of
-    /// rebuilding the index.
-    pub fn restore(&mut self) {
-        while let Some(r) = self.journal.pop() {
-            let accepts = &mut self.tree_mut(r.level).nodes[r.node as usize].accepts;
-            accepts.insert(r.offset, r.pos);
-        }
-    }
-
-    /// True iff a restore-pending removal journal is nonempty.
-    pub fn has_pending_removals(&self) -> bool {
-        !self.journal.is_empty()
-    }
-
-    /// True iff any accept entry for `rule_id` is still present.
-    pub fn contains(&self, rule_id: &str) -> bool {
-        (0..self.ids.len())
-            .filter(|&pos| self.ids[pos] == rule_id)
-            .any(|pos| {
-                self.sites[pos].iter().any(|&(level, node)| {
-                    self.tree(level).nodes[node as usize].accepts.contains(&pos)
-                })
-            })
     }
 
     /// Candidate rule positions for a function node, ascending. The walk
@@ -487,10 +388,6 @@ impl RuleIndex {
 
     /// Tree-shape summary for observability (see [`IndexStats`]), as
     /// measured once by [`RuleIndex::build`], so reading it is O(1).
-    /// Quarantine ([`RuleIndex::remove`] / [`RuleIndex::restore`]) edits
-    /// only accept lists, never the trie, and is undone at the start of the
-    /// next run: this reports the index as built, before any run-local
-    /// removal.
     pub fn describe(&self) -> IndexStats {
         self.stats
     }
@@ -714,59 +611,6 @@ mod tests {
             let t = it.intern_query(&parse_query(src).unwrap());
             tree.query_candidates(&t, &mut cand, &mut stack);
             check(src, &t, &cand, &mut it);
-        }
-    }
-
-    #[test]
-    fn remove_restore_roundtrip_is_exact() {
-        let catalog = Catalog::paper();
-        let rules = full_forward(&catalog);
-        let mut ix = RuleIndex::build(&rules);
-        let baseline = {
-            let mut it = Interner::new();
-            let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
-            let mut out = Vec::new();
-            ix.func_candidates(&t, &mut out, &mut WalkStack::default());
-            out
-        };
-        assert!(ix.contains("9"));
-        ix.remove("9");
-        ix.remove("e1");
-        assert!(!ix.contains("9"));
-        assert!(!ix.contains("e1"));
-        assert!(ix.has_pending_removals());
-        {
-            let mut it = Interner::new();
-            let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
-            let mut out = Vec::new();
-            ix.func_candidates(&t, &mut out, &mut WalkStack::default());
-            let pos9 = rules.iter().position(|o| o.rule.id == "9").unwrap();
-            assert!(!out.contains(&pos9), "removed rule still a candidate");
-        }
-        ix.restore();
-        assert!(!ix.has_pending_removals());
-        assert!(ix.contains("9") && ix.contains("e1"));
-        let mut it = Interner::new();
-        let t = it.intern_func(&parse_func("pi1 . (age, addr)").unwrap());
-        let mut out = Vec::new();
-        ix.func_candidates(&t, &mut out, &mut WalkStack::default());
-        assert_eq!(out, baseline, "restore must reproduce the exact order");
-    }
-
-    #[test]
-    fn describe_is_the_built_shape_across_quarantine_cycles() {
-        let catalog = Catalog::paper();
-        let rules = full_forward(&catalog);
-        let mut ix = RuleIndex::build(&rules);
-        let built = ix.describe();
-        assert_eq!(built, ix.measure());
-        for _ in 0..3 {
-            ix.remove("9");
-            ix.remove("e1");
-            assert_eq!(ix.describe(), built);
-            ix.restore();
-            assert_eq!(ix.describe(), built);
-            assert_eq!(ix.measure(), built, "restore must rebuild the same shape");
         }
     }
 

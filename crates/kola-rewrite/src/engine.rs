@@ -673,10 +673,11 @@ pub(crate) fn ro_query(
 }
 
 /// Rewrite a query *bottom-up in one sweep*: children are normalized
-/// first (recursively, to a local fixpoint with `fuel`), then rules are
-/// applied at the node itself until none fires. This is the "apply one or
-/// more rules in succession, and throughout a tree" firing policy §4.2
-/// ascribes to COKO rule blocks (`BU { … }` in the COKO syntax).
+/// first (recursively, to a local fixpoint), then rules are applied at the
+/// node itself until none fires. `fuel` caps the rule applications of the
+/// whole sweep; once it is spent, no node fires again. This is the "apply
+/// one or more rules in succession, and throughout a tree" firing policy
+/// §4.2 ascribes to COKO rule blocks (`BU { … }` in the COKO syntax).
 ///
 /// Returns the rewritten query and the number of rule applications.
 /// Ungoverned wrapper over [`rewrite_bottom_up_governed`] with default
@@ -720,10 +721,11 @@ pub fn rewrite_bottom_up_governed(
 
 /// Exhaust `rules` at one node. Per-node loop macro shared by the three
 /// syntactic levels: applies the first non-quarantined rule that fires,
-/// normalizes, and repeats up to `fuel` times; failures are contained.
+/// normalizes, and repeats while the sweep's fires stay under `fuel`;
+/// failures are contained.
 macro_rules! exhaust_at {
     ($rules:expr, $t:expr, $props:expr, $fuel:expr, $fires:expr, $gov:expr, $try:ident) => {
-        for _ in 0..$fuel {
+        while *$fires < $fuel {
             let mut fired = false;
             for o in $rules {
                 if $gov.report.is_quarantined(&o.rule.id) {

@@ -20,11 +20,13 @@
 //!
 //! A final *tidy* pass rewrites `⟨π1, g∘π2⟩` to `id × g` so the result is
 //! literally Figure 3's KG2.
+//!
+//! Each step is a [`Strategy`] run by a [`Runner`], so its fixpoints run on
+//! the interned engine like every other strategy's.
 
 use crate::budget::{Budget, RewriteReport};
 use crate::catalog::Catalog;
 use crate::engine::Trace;
-use crate::fast::EngineConfig;
 use crate::props::PropDb;
 use crate::strategy::{apply, fix, repeat, seq, Runner, Strategy};
 use kola::term::Query;
@@ -118,30 +120,16 @@ pub fn untangle_with_budget(
     q: &Query,
     budget: &Budget,
 ) -> Untangled {
-    untangle_configured(catalog, props, q, budget, None)
-}
-
-/// [`untangle_with_budget`] with the fixpoint phases running on the fast
-/// engine when an [`EngineConfig`] is supplied. `None` keeps the boxed
-/// reference engine; both paths are differentially tested to agree.
-pub fn untangle_configured(
-    catalog: &Catalog,
-    props: &PropDb,
-    q: &Query,
-    budget: &Budget,
-    engine: Option<EngineConfig>,
-) -> Untangled {
     let mut trace = Trace::new();
     let mut report = RewriteReport::new();
     let mut cur = q.clone();
     let mut snapshots = Vec::new();
     for (name, strategy) in steps() {
         // Each step sees only the budget the previous steps left over.
-        let mut step_runner = Runner::new(catalog, props).with_budget(Budget {
+        let step_runner = Runner::new(catalog, props).with_budget(Budget {
             max_steps: budget.max_steps.saturating_sub(report.steps),
             ..budget.clone()
         });
-        step_runner.engine = engine.clone();
         let (next, _, step_report) =
             step_runner.run_governed(&Strategy::Try(Box::new(strategy)), cur, &mut trace);
         report.merge(&step_report);
@@ -243,27 +231,6 @@ mod tests {
         );
         // Step 4 is a no-op on the garage query (single unnest).
         assert_eq!(get("pull-up-nest"), get("pull-up-unnest"));
-    }
-
-    #[test]
-    fn fast_engine_untangles_garage_query_identically() {
-        let (c, p) = setup();
-        let slow = untangle(&c, &p, &garage_query_kg1());
-        let fast = untangle_configured(
-            &c,
-            &p,
-            &garage_query_kg1(),
-            &Budget::default(),
-            Some(EngineConfig::fast()),
-        );
-        assert_eq!(fast.query, slow.query);
-        assert_eq!(fast.query, garage_query_kg2());
-        assert_eq!(
-            fast.trace.justifications(),
-            slow.trace.justifications(),
-            "fast and reference engines must take the same derivation"
-        );
-        assert_eq!(fast.report.steps, slow.report.steps);
     }
 
     #[test]

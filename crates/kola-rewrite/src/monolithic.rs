@@ -19,7 +19,6 @@
 
 use crate::budget::{Budget, RewriteError, RewriteReport};
 use crate::catalog::Catalog;
-use crate::fast::EngineConfig;
 use crate::hidden_join;
 use crate::props::PropDb;
 use kola::term::{Func, Pred, Query};
@@ -176,24 +175,10 @@ pub fn try_monolithic_governed(
     q: &Query,
     budget: &Budget,
 ) -> (Option<Query>, HeadStats, RewriteReport) {
-    try_monolithic_configured(catalog, props, q, budget, None)
-}
-
-/// [`try_monolithic_governed`] with the body routine's fixpoints running on
-/// the fast engine when an [`EngineConfig`] is supplied. The head routine is
-/// unaffected — its unbounded dive is the pathology under study, and no
-/// amount of indexing in the body can recover the analysis it wastes.
-pub fn try_monolithic_configured(
-    catalog: &Catalog,
-    props: &PropDb,
-    q: &Query,
-    budget: &Budget,
-    engine: Option<EngineConfig>,
-) -> (Option<Query>, HeadStats, RewriteReport) {
     let (hit, stats) = recognize_with_budget(q, budget);
     match hit {
         Ok(Some(_)) => {
-            let out = hidden_join::untangle_configured(catalog, props, q, budget, engine);
+            let out = hidden_join::untangle_with_budget(catalog, props, q, budget);
             (Some(out.query), stats, out.report)
         }
         Ok(None) => (None, stats, RewriteReport::new()),
@@ -268,19 +253,6 @@ mod tests {
         // A generous budget recognizes and rewrites the same query.
         let (out, _, _) = try_monolithic_governed(&c, &p, &q, &Budget::default());
         assert!(out.is_some());
-    }
-
-    #[test]
-    fn fast_body_routine_matches_reference() {
-        let (c, p) = (Catalog::paper(), PropDb::new());
-        let q = synthetic_hidden_join(3);
-        let budget = Budget::default();
-        let (slow, _, slow_rep) = try_monolithic_governed(&c, &p, &q, &budget);
-        let (fast, _, fast_rep) =
-            try_monolithic_configured(&c, &p, &q, &budget, Some(EngineConfig::fast()));
-        assert_eq!(fast, slow);
-        assert!(fast.is_some());
-        assert_eq!(fast_rep.steps, slow_rep.steps);
     }
 
     #[test]

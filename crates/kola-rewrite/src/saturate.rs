@@ -83,8 +83,9 @@ pub(crate) struct SaturationParams<'r, 'a> {
     pub rules: &'r [Oriented<'a>],
     /// Property database for precondition checks.
     pub props: &'r PropDb,
-    /// Discrimination tree over `rules` (quarantine pruning already
-    /// applied by the caller, exactly as in the fixpoint engine).
+    /// Discrimination tree over `rules`, as built: quarantined and masked
+    /// rules stay in it and the match round skips them, exactly as the
+    /// fixpoint engine's candidate scan does.
     pub index: &'r RuleIndex,
     /// Per-position activity mask (`None` = all active).
     pub active: Option<&'r [bool]>,

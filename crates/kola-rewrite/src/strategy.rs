@@ -5,15 +5,16 @@
 //! [`Strategy`] is that control language as data; the `kola-coko` crate
 //! parses COKO source into it. The hidden-join pipeline of §4.1 is five
 //! strategies run in sequence ([`crate::hidden_join`]).
+//!
+//! `Fix` runs on the interned fixpoint engine ([`crate::fast::Engine`]);
+//! `Apply`, `ApplyAny` and `BottomUp` run on the boxed engine
+//! ([`crate::engine`]).
 
 use crate::budget::{
     measure_query, Budget, CycleDetector, RewriteError, RewriteReport, StopReason,
 };
 use crate::catalog::Catalog;
-use crate::engine::{
-    rewrite_bottom_up_governed, rewrite_fix_with, rewrite_once_governed, Oriented, Step, Trace,
-    DEFAULT_FUEL,
-};
+use crate::engine::{rewrite_bottom_up_governed, rewrite_once_governed, Oriented, Step, Trace};
 use crate::fast::{Engine, EngineConfig};
 use crate::fault::FaultPlan;
 use crate::props::PropDb;
@@ -35,15 +36,17 @@ pub enum Strategy {
     Choice(Vec<Strategy>),
     /// Run the strategy; succeed even if it fails.
     Try(Box<Strategy>),
-    /// Run the strategy repeatedly until it fails (bounded by fuel).
-    /// Always succeeds.
+    /// Run the strategy repeatedly until it fails (bounded by the step
+    /// budget). Always succeeds.
     Repeat(Box<Strategy>),
-    /// Exhaustively apply a rule set to fixpoint (bounded by fuel).
-    /// Always succeeds. This is the workhorse for "push X everywhere".
+    /// Exhaustively apply a rule set to fixpoint (bounded by the step
+    /// budget). Always succeeds. This is the workhorse for "push X
+    /// everywhere".
     Fix(Vec<String>),
     /// One bottom-up sweep: normalize children first, then the node, with
     /// the rule set exhausted at each position (§4.2's "throughout a
-    /// tree"). Always succeeds. COKO syntax: `BU { [r], … }`.
+    /// tree"), firing at most the steps left in the budget. Always
+    /// succeeds. COKO syntax: `BU { [r], … }`.
     BottomUp(Vec<String>),
 }
 
@@ -96,37 +99,31 @@ pub struct Runner<'a> {
     pub catalog: &'a Catalog,
     /// Property database for preconditions.
     pub props: &'a PropDb,
-    /// Bound on strategy-level iterations (`Repeat`); kept distinct from
-    /// the budget's step cap for backward compatibility.
-    pub fuel: usize,
-    /// Resource budget shared across the whole strategy run.
+    /// Resource budget shared across the whole strategy run; its step cap
+    /// also bounds `Repeat`'s iterations.
     pub budget: Budget,
     /// Injected faults (empty by default).
     pub faults: FaultPlan,
-    /// When set, `Fix` fixpoints run on the fast engine
-    /// ([`crate::fast::Engine`]) with this layer configuration instead of
-    /// the boxed reference engine. `None` (the default) keeps the slow
-    /// path — the two are differentially tested to be interchangeable.
-    pub engine: Option<EngineConfig>,
+    /// Layer configuration of the fast engine ([`crate::fast::Engine`])
+    /// each `Fix` builds. The default, [`EngineConfig::indexed`], keeps no
+    /// memo: a per-call engine has no later run to replay an entry in.
+    pub engine: EngineConfig,
 }
 
 impl<'a> Runner<'a> {
-    /// A runner with default fuel, default budget, no faults.
+    /// A runner with the default budget, no faults and the indexed engine.
     pub fn new(catalog: &'a Catalog, props: &'a PropDb) -> Self {
         Runner {
             catalog,
             props,
-            fuel: DEFAULT_FUEL,
             budget: Budget::default(),
             faults: FaultPlan::default(),
-            engine: None,
+            engine: EngineConfig::indexed(),
         }
     }
 
-    /// Replace the budget (builder style). The iteration fuel follows the
-    /// budget's step cap.
+    /// Replace the budget (builder style).
     pub fn with_budget(mut self, budget: Budget) -> Self {
-        self.fuel = budget.max_steps;
         self.budget = budget;
         self
     }
@@ -138,9 +135,9 @@ impl<'a> Runner<'a> {
     }
 
     /// Run fixpoints on the fast engine with the given layer configuration
-    /// (builder style).
+    /// (builder style), e.g. [`EngineConfig::saturating`].
     pub fn with_engine(mut self, config: EngineConfig) -> Self {
-        self.engine = Some(config);
+        self.engine = config;
         self
     }
 
@@ -261,7 +258,7 @@ impl<'a> Runner<'a> {
                 (next, Outcome::Success)
             }
             Strategy::Repeat(s) => {
-                // Bounded by fuel AND the step budget, with cycle detection:
+                // Bounded by the step budget, with cycle detection:
                 // a repeated term fingerprint means the body is looping
                 // (e.g. a forward/backward rule pair), so stop — repeating
                 // is deterministic and would never converge.
@@ -269,7 +266,7 @@ impl<'a> Runner<'a> {
                 let mut seen = CycleDetector::new();
                 seen.seen(measure_query(&cur).1, &cur);
                 let mut converged = false;
-                for _ in 0..self.fuel {
+                for _ in 0..self.budget.max_steps {
                     if self.remaining(report) == 0 {
                         break;
                     }
@@ -294,17 +291,21 @@ impl<'a> Runner<'a> {
                 let Some(rules) = self.resolve_or_report(specs, report) else {
                     return (q, Outcome::Failure);
                 };
-                let fuel = self.fuel.min(self.remaining(report).max(1));
+                // The sweep fires at most the steps the budget has left.
+                let remaining = self.remaining(report);
                 let (out, fires) = rewrite_bottom_up_governed(
                     &rules,
                     &q,
                     self.props,
-                    fuel,
+                    remaining,
                     &self.budget,
                     &self.faults,
                     report,
                 );
                 report.steps += fires;
+                if fires == remaining {
+                    Self::mark_stop(report, StopReason::BudgetExhausted);
+                }
                 // Record one summary step so traces stay readable.
                 if fires > 0 {
                     trace.steps.push(Step {
@@ -319,20 +320,17 @@ impl<'a> Runner<'a> {
                 let Some(rules) = self.resolve_or_report(specs, report) else {
                     return (q, Outcome::Failure);
                 };
-                // Delegate to the governed fixpoint driver with whatever
-                // budget is left, then fold its accounting into ours.
+                // Run the fixpoint engine with whatever budget is left,
+                // then fold its accounting into ours.
                 let sub = Budget {
                     max_steps: self.remaining(report),
                     ..self.budget.clone()
                 };
-                let r = match &self.engine {
-                    Some(cfg) => Engine::new(rules, self.props, cfg.clone()).normalize_with(
-                        &q,
-                        &sub,
-                        &self.faults,
-                    ),
-                    None => rewrite_fix_with(&rules, &q, self.props, &sub, &self.faults),
-                };
+                let r = Engine::new(rules, self.props, self.engine.clone()).normalize_with(
+                    &q,
+                    &sub,
+                    &self.faults,
+                );
                 trace.steps.extend(r.trace.steps);
                 report.merge(&r.report);
                 (r.query, Outcome::Success)
@@ -432,18 +430,31 @@ mod tests {
     }
 
     #[test]
-    fn fix_on_fast_engine_matches_reference() {
+    fn bottom_up_fires_at_most_the_steps_left() {
         let (c, p) = setup();
-        let slow = Runner::new(&c, &p);
-        let fast = Runner::new(&c, &p).with_engine(EngineConfig::fast());
-        let q = parse_query("id . id . age . id ! P").unwrap();
-        let strat = fix(&["1", "2"]);
-        let (mut ts, mut tf) = (Trace::new(), Trace::new());
-        let (out_s, oc_s) = slow.run(&strat, q.clone(), &mut ts);
-        let (out_f, oc_f) = fast.run(&strat, q, &mut tf);
-        assert_eq!(oc_s, oc_f);
-        assert_eq!(out_s, out_f);
-        assert_eq!(ts.justifications(), tf.justifications());
+        let q =
+            parse_query("iterate(Kp(T), (pi1 . (id . age, addr), id . city . id)) ! P").unwrap();
+        let bu = Strategy::BottomUp(["1", "2", "9", "10"].map(String::from).to_vec());
+        // Alone, and after a one-step `apply` that leaves the sweep the rest.
+        for strategy in [bu.clone(), seq(vec![apply("1"), bu])] {
+            let run = |budget: Budget| {
+                let r = Runner::new(&c, &p).with_budget(budget);
+                r.run_governed(&strategy, q.clone(), &mut Trace::new()).2
+            };
+            let full = run(Budget::default());
+            assert_eq!(full.stop, StopReason::NormalForm, "{strategy}");
+            assert!(full.steps >= 4, "{strategy}: {} steps", full.steps);
+            for cap in 0..=5 {
+                let report = run(Budget::with_steps(cap));
+                assert_eq!(report.steps, cap.min(full.steps), "{strategy}, cap {cap}");
+                let want = if cap <= full.steps {
+                    StopReason::BudgetExhausted
+                } else {
+                    StopReason::NormalForm
+                };
+                assert_eq!(report.stop, want, "{strategy}, cap {cap}");
+            }
+        }
     }
 
     #[test]

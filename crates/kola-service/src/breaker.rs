@@ -5,10 +5,11 @@
 //! [`Breaker`] lifts that quarantine across requests: each rule implicated
 //! in a failed request (a caught poison-rule panic, an injected fault, an
 //! oversize result) is charged once per request, and after `threshold`
-//! charged requests the breaker *opens* — the rule is dropped from the rule
-//! set handed to the engines, which also evicts it from the fast engine's
-//! discrimination-tree `RuleIndex` (the index is built from exactly that
-//! set).
+//! charged requests the breaker *opens* — the rule is masked out of every
+//! later request. Workers keep the full catalog and its discrimination-tree
+//! `RuleIndex`; the open set becomes the snapshot's disabled list, which
+//! each worker installs with `Engine::set_disabled` before a run, so the
+//! candidate scan skips the rule and the index is never rebuilt or edited.
 //!
 //! An open breaker is a deliberate operator-visible state, not a timeout:
 //! rules are data that someone registered, and a rule that keeps panicking
@@ -59,7 +60,7 @@ use std::sync::Mutex;
 pub struct BreakerEntry {
     /// Requests in which this rule was implicated in a failure.
     pub trips: usize,
-    /// Whether the breaker is open (rule evicted from service).
+    /// Whether the breaker is open (rule masked out of service).
     pub open: bool,
     /// Id of the first request that charged this rule.
     pub first_request: Option<u64>,

@@ -23,9 +23,8 @@
 //!   state, and an `Arc` swap when the breaker trips or resets.
 //! - [`breaker::Breaker`] — a cross-request per-rule circuit breaker: a
 //!   rule implicated in repeated failures (injected faults, poison-rule
-//!   panics, oversize results) is evicted from the rule set handed to the
-//!   engines — and thereby from the fast engine's `RuleIndex` — until an
-//!   operator resets it. This extends the per-run quarantine of
+//!   panics, oversize results) is masked out of every later request (the
+//!   engines keep the full catalog and index) until an operator resets it. This extends the per-run quarantine of
 //!   `kola-rewrite::budget` across requests. Failure charges land in
 //!   per-worker shards of relaxed atomic counters, so a fault-saturated
 //!   stream scales with workers; trips fold the shards and stay

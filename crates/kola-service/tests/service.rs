@@ -3,10 +3,11 @@
 //! deadline expiry, term-size-capped failures, and request classification.
 
 use kola::term::{Func, Query};
+use kola_rewrite::engine::rewrite_fix_with;
 use kola_rewrite::strategy;
 use kola_rewrite::{
-    Budget, Catalog, EngineConfig, FaultKind, FaultPlan, FaultSpec, PropDb, Runner, StepSelector,
-    Trace,
+    Budget, Catalog, EngineConfig, FaultKind, FaultPlan, FaultSpec, Oriented, PropDb, Runner,
+    StepSelector, Trace,
 };
 use kola_service::{Outcome, Payload, Request, RequestOptions, Service, ServiceConfig};
 use std::sync::Arc;
@@ -42,22 +43,24 @@ fn corpus_query(seed: u64) -> Query {
     }
 }
 
-/// The direct (non-service) run the parity criterion compares against.
-fn direct_run(
+/// The direct (non-service) runs the parity criterion compares against:
+/// the strategy layer's fixpoint on the fast engine, and the boxed
+/// reference engine.
+fn direct_runs(
     catalog: &Catalog,
     props: &PropDb,
-    engine: Option<EngineConfig>,
     q: Query,
-) -> (Query, kola_rewrite::RewriteReport) {
+) -> [(Query, kola_rewrite::RewriteReport); 2] {
     let ids = catalog.forward_ids();
     let refs: Vec<&str> = ids.iter().map(String::as_str).collect();
-    let mut runner = Runner::new(catalog, props).with_budget(Budget::default());
-    if let Some(cfg) = engine {
-        runner = runner.with_engine(cfg);
-    }
+    let runner = Runner::new(catalog, props)
+        .with_budget(Budget::default())
+        .with_engine(EngineConfig::fast());
     let mut trace = Trace::new();
-    let (out, _outcome, report) = runner.run_governed(&strategy::fix(&refs), q, &mut trace);
-    (out, report)
+    let (out, _outcome, report) = runner.run_governed(&strategy::fix(&refs), q.clone(), &mut trace);
+    let rules: Vec<Oriented> = catalog.rules().iter().map(Oriented::fwd).collect();
+    let boxed = rewrite_fix_with(&rules, &q, props, &Budget::default(), &FaultPlan::default());
+    [(out, report), (boxed.query, boxed.report)]
 }
 
 #[test]
@@ -74,9 +77,7 @@ fn service_output_is_byte_identical_to_direct_fast_engine_run() {
     for seed in 0..500u64 {
         let q = corpus_query(seed);
         let response = service.call(Request::ast(q.clone()));
-        let (direct_q, direct_report) =
-            direct_run(&catalog, &props, Some(EngineConfig::fast()), q.clone());
-        let (boxed_q, boxed_report) = direct_run(&catalog, &props, None, q);
+        let [(direct_q, direct_report), (boxed_q, boxed_report)] = direct_runs(&catalog, &props, q);
         assert_eq!(response.outcome, Outcome::Optimized, "seed {seed}");
         let plan = response.plan.expect("optimized plan");
         let report = response.report.expect("fast engine report");

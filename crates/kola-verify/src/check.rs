@@ -9,8 +9,9 @@
 //! 2. Ground leftover type variables with a random palette type (varied per
 //!    trial, so polymorphic rules are exercised at many types).
 //! 3. Instantiate every metavariable with a random well-typed term
-//!    ([`crate::gen`]); rules with an `injective(f)` precondition get `id`
-//!    for `f` (injective by rule).
+//!    ([`crate::gen`]); rules with an `injective(f)` precondition draw `f`
+//!    from `id`, `⟨id, g⟩` and `⟨g, id⟩` with a random `g` (each
+//!    injective by [`kola_rewrite::PropDb`]'s rules).
 //! 4. Evaluate both sides — on a random input value for function/predicate
 //!    rules, directly for query rules — and compare results.
 //!
@@ -19,6 +20,7 @@
 use crate::gen::{palette, Gen};
 use kola::db::Db;
 use kola::pattern::VarKind;
+use kola::term::Func;
 use kola::typecheck::{infer_pfunc, infer_ppred, infer_pquery, Inference, TypeEnv};
 use kola::types::Type;
 use kola::value::Sym;
@@ -154,6 +156,14 @@ fn collect_vars(alt: &RewritePair) -> Vec<(VarKind, Sym)> {
     vars
 }
 
+/// The injective shape drawn for an `injective(f)` function variable; the
+/// pair shapes carry `g`'s output type.
+enum Injective {
+    Id,
+    IdWith(Type),
+    WithId(Type),
+}
+
 fn run_trial(env: &TypeEnv, db: &Db, rule: &Rule, alt: &RewritePair, seed: u64) -> TrialOutcome {
     let mut rng = Rng::seed_from_u64(seed);
     let mut inf = Inference::new();
@@ -162,17 +172,37 @@ fn run_trial(env: &TypeEnv, db: &Db, rule: &Rule, alt: &RewritePair, seed: u64) 
         Err(e) => return TrialOutcome::Fail(format!("type inference failed: {e}")),
     };
 
-    // Preconditioned function variables are pinned to `id` (sound for the
-    // only property we use, injectivity); that forces input == output.
-    let mut pinned_id: Vec<Sym> = Vec::new();
+    // Preconditioned function variables (the only property is
+    // injectivity) get an injective shape: `⟨id, g⟩` or `⟨g, id⟩` with `g`
+    // at a fresh output type, or `id`, which forces input == output. A
+    // pair shape the rule's types refuse falls back to `id`.
+    let mut injective: Vec<(Sym, Injective)> = Vec::new();
     for pre in &rule.preconditions {
         if pre.prop == PropKind::Injective {
             let kola_rewrite::PropTerm::FuncVar(name) = &pre.subject;
             if let Some((fi, fo)) = inf.fvars.get(name).cloned() {
-                if inf.unifier.unify(&fi, &fo).is_err() {
-                    return TrialOutcome::Skip;
-                }
-                pinned_id.push(name.clone());
+                let g_out = inf.unifier.fresh();
+                let drawn = match rng.gen_range(0..3u32) {
+                    0 => Injective::Id,
+                    1 => Injective::IdWith(g_out.clone()),
+                    _ => Injective::WithId(g_out.clone()),
+                };
+                let shaped = match &drawn {
+                    Injective::Id => fi.clone(),
+                    Injective::IdWith(_) => Type::pair(fi.clone(), g_out),
+                    Injective::WithId(_) => Type::pair(g_out, fi.clone()),
+                };
+                let before = inf.unifier.clone();
+                let shape = if inf.unifier.unify(&fo, &shaped).is_ok() {
+                    drawn
+                } else {
+                    inf.unifier = before;
+                    if inf.unifier.unify(&fi, &fo).is_err() {
+                        return TrialOutcome::Skip;
+                    }
+                    Injective::Id
+                };
+                injective.push((name.clone(), shape));
             }
         }
     }
@@ -193,10 +223,12 @@ fn run_trial(env: &TypeEnv, db: &Db, rule: &Rule, alt: &RewritePair, seed: u64) 
                     .cloned()
                     .expect("inference visited every var");
                 let (fi, fo) = (ground(&inf, &fi), ground(&inf, &fo));
-                let f = if pinned_id.contains(&name) {
-                    kola::term::Func::Id
-                } else {
-                    gen.func(&fi, &fo, 2)
+                let mut g = |out: &Type| Box::new(gen.func(&fi, &ground(&inf, out), 2));
+                let f = match injective.iter().find(|(n, _)| *n == name) {
+                    None => gen.func(&fi, &fo, 2),
+                    Some((_, Injective::Id)) => Func::Id,
+                    Some((_, Injective::IdWith(out))) => Func::PairWith(Box::new(Func::Id), g(out)),
+                    Some((_, Injective::WithId(out))) => Func::PairWith(g(out), Box::new(Func::Id)),
                 };
                 subst.bind_func(&name, &f);
             }
@@ -278,8 +310,8 @@ fn compare<T: PartialEq + fmt::Debug>(
 
 /// Verify that normalizing a query preserves its semantics: evaluate the
 /// query on `db` before and after running it to a fixpoint of `rule_ids`
-/// on the fast engine with layer configuration `config` (`None`: the boxed
-/// reference engine), and compare the results.
+/// through the strategy layer, and compare the results with
+/// [`check_plan_semantics`].
 ///
 /// This complements the structural parity suite (fast engine vs boxed
 /// engine) with a *semantic* gate: even a derivation both engines agree on
@@ -292,35 +324,17 @@ pub fn check_normalization_semantics(
     props: &kola_rewrite::PropDb,
     rule_ids: &[&str],
     q: &kola::term::Query,
-    config: Option<kola_rewrite::EngineConfig>,
 ) -> Result<(), String> {
-    let mut runner = kola_rewrite::Runner::new(catalog, props);
-    if let Some(config) = config {
-        runner = runner.with_engine(config);
-    }
+    let runner = kola_rewrite::Runner::new(catalog, props);
     let mut trace = kola_rewrite::Trace::new();
     let (normalized, _) = runner.run(
         &kola_rewrite::strategy::fix(rule_ids),
         q.clone(),
         &mut trace,
     );
-    match (
-        kola::eval::eval_query(db, q),
-        kola::eval::eval_query(db, &normalized),
-    ) {
-        (Ok(a), Ok(b)) if a == b => Ok(()),
-        (Ok(a), Ok(b)) => Err(format!(
-            "normalization changed semantics: {a:?} != {b:?}\n  in : {q}\n  out: {normalized}\n  via: {:?}",
-            trace.justifications()
-        )),
-        (Err(_), Err(_)) => Ok(()),
-        (Ok(a), Err(e)) => Err(format!(
-            "normalized query is stuck ({e}) but input evaluates to {a:?}\n  in : {q}\n  out: {normalized}"
-        )),
-        (Err(e), Ok(b)) => Err(format!(
-            "input is stuck ({e}) but normalized query evaluates to {b:?}\n  in : {q}\n  out: {normalized}"
-        )),
-    }
+    check_plan_semantics(db, q, &normalized)
+        .map(|_| ())
+        .map_err(|e| format!("{e}\n  via : {:?}", trace.justifications()))
 }
 
 /// How an input and its plan agreed, when they did (see
@@ -488,7 +502,7 @@ mod tests {
     }
 
     #[test]
-    fn fast_normalization_preserves_semantics() {
+    fn normalization_preserves_semantics() {
         let (_, db) = setup();
         let catalog = kola_rewrite::Catalog::paper();
         let props = kola_rewrite::PropDb::new();
@@ -499,11 +513,31 @@ mod tests {
             "iterate(Kp(T) & Kp(T), age . id . id) ! V",
         ] {
             let q = kola::parse::parse_query(src).unwrap();
-            for config in [None, Some(kola_rewrite::EngineConfig::fast())] {
-                check_normalization_semantics(&db, &catalog, &props, &rules, &q, config)
-                    .unwrap_or_else(|e| panic!("{src}: {e}"));
-            }
+            check_normalization_semantics(&db, &catalog, &props, &rules, &q)
+                .unwrap_or_else(|e| panic!("{src}: {e}"));
         }
+    }
+
+    #[test]
+    fn injective_preconditions_draw_beyond_id() {
+        let (env, db) = setup();
+        let catalog = kola_rewrite::Catalog::paper();
+        for id in ["e100", "e101"] {
+            let report = check_rule(&env, &db, catalog.get(id).unwrap(), 60, 29);
+            assert!(report.verified(), "{report}");
+        }
+        // Without its precondition, e100 meets non-injective functions.
+        let mut unguarded = catalog.get("e100").unwrap().clone();
+        unguarded.preconditions.clear();
+        let report = check_rule(&env, &db, &unguarded, 60, 29);
+        assert!(!report.failures.is_empty(), "{report}");
+        // `π1 ∘ f = id` holds for `f = ⟨id, g⟩` but not for `f = ⟨g, id⟩`;
+        // a draw pinned to `id` could not even type it.
+        let id_first = Rule::func("idf", "idf", "pi1 . $f", "id")
+            .with_precondition(PropKind::Injective, kola_rewrite::PropTerm::func("f"));
+        let report = check_rule(&env, &db, &id_first, 60, 31);
+        assert!(!report.failures.is_empty(), "{report}");
+        assert!(report.passed > 0, "{report}");
     }
 
     #[test]

@@ -14,8 +14,8 @@
 #                   scaling gate (see below).
 #   --egraph-smoke  additionally run the equality-saturation differential
 #                   gate at full depth: the 1000-seed parity corpus in
-#                   release mode (extracted cost <= fixpoint cost on every
-#                   seed, semantic spot-checks on a sampled subset). The
+#                   release mode (extracted cost <= fixpoint cost and the
+#                   semantic gate on every seed). The
 #                   default path always runs a 50-seed release smoke of the
 #                   same gate plus the Figure 3 rediscovery test.
 #   --chaos-smoke   additionally run a 5-seed matrix of 100-request chaos
@@ -93,6 +93,17 @@ if grep -Eqw 'PFunc|PPred|PQuery|RewritePair' crates/kola-rewrite/src/saturate.r
   exit 1
 fi
 
+# Strategies run one fixpoint engine: `Fix` builds a fast::Engine, and the
+# boxed fixpoint driver stays the reference for tests, trace replay and the
+# containment suite, never a second path in the strategy layer.
+echo "== strategy fixpoint guard"
+STRATEGY_SRC=(crates/kola-rewrite/src/{strategy,hidden_join,monolithic}.rs)
+if grep -Eqw 'rewrite_fix_with' "${STRATEGY_SRC[@]}"; then
+  echo "the strategy layer names the boxed fixpoint driver:" >&2
+  grep -Enw 'rewrite_fix_with' "${STRATEGY_SRC[@]}" >&2
+  exit 1
+fi
+
 echo "== cargo test"
 cargo test --workspace --offline -q
 
@@ -104,7 +115,7 @@ CARGO_TARGET_DIR=.bench_build cargo check --offline --manifest-path perfbench/Ca
 
 # The equality-saturation gates ride the default path: a 50-seed release
 # run of the differential parity corpus (extracted cost <= fixpoint cost,
-# sampled semantic spot-checks), the Figure 3 rediscovery test (plain
+# the semantic gate on every seed), the Figure 3 rediscovery test (plain
 # saturation finds the hidden-join plan the scripted pipeline derives) and
 # the saturation pin (hashed plans, steps, stop reasons and fire counts).
 echo "== egraph smoke (50-seed parity gate + Figure 3 rediscovery + saturation pin)"

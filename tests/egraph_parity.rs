@@ -6,11 +6,16 @@
 //! unioned into the e-graph's root class before saturating — and this test
 //! pins it end to end through `EngineConfig::saturating()`.
 //!
-//! A sampled subset additionally goes through the `kola-verify` semantic
-//! gate: the extracted plan must compute the same answer as the input on a
-//! populated database, not merely cost less.
+//! Every seed also goes through the `kola-verify` semantic gate on a
+//! populated database. An input that `typecheck_query` accepts must have a
+//! plan that computes the same answer (or is stuck exactly when the input
+//! is): the catalog's rules are verified on well-typed terms. An ill-typed
+//! input may only be stuck where its plan evaluates — saturation can
+//! extract a plan that no longer applies the ill-typed part — and those
+//! seeds are counted and printed.
 
 use kola::term::{Func, Pred, Query};
+use kola::typecheck::{typecheck_query, TypeEnv};
 use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::Rng;
 use kola_rewrite::saturate::term_cost;
@@ -149,11 +154,16 @@ fn extracted_cost_never_exceeds_fixpoint_cost() {
     let mut fix = Engine::new(rules.clone(), &props, EngineConfig::fast());
     let mut sat = Engine::new(rules.clone(), &props, EngineConfig::saturating());
 
-    // Semantic spot-checks evaluate on a populated database; `Q` is bound
-    // so the generator's two-extent queries are not vacuously stuck.
+    // Semantic checks evaluate on a populated database; `Q` is bound so
+    // the generator's two-extent queries are not vacuously stuck, and typed
+    // like the `V` extent it holds.
     let mut db = generate(&DataSpec::small(314));
     let v = db.extent("V").expect("datagen binds V").clone();
     db.bind_extent("Q", v);
+    let mut env = TypeEnv::paper_env();
+    let vehicles = env.extents[&Arc::from("V")].clone();
+    env.bind_extent("Q", vehicles);
+    let (mut well_typed, mut unstuck) = (0usize, 0usize);
 
     for seed in 0..corpus_len() {
         let mut rng = Rng::seed_from_u64(0xC0FFEE ^ seed);
@@ -174,14 +184,24 @@ fn extracted_cost_never_exceeds_fixpoint_cost() {
             f.query,
             s.query,
         );
-        // Every ~50th seed: the extracted plan must also *mean* the same
-        // thing as the input (kola-verify's plan-level semantic gate).
-        if seed % 50 == 0 {
-            if let Err(e) = kola_verify::check_plan_semantics(&db, &q, &s.query) {
-                panic!("seed {seed}: extracted plan changed semantics: {e}");
-            }
+        // The extracted plan must also *mean* the same thing as the input
+        // (kola-verify's plan-level semantic gate).
+        let typed = typecheck_query(&env, &q).is_ok();
+        well_typed += usize::from(typed);
+        if let Err(e) = kola_verify::check_plan_semantics(&db, &q, &s.query) {
+            let input_stuck = kola::eval_query(&db, &q).is_err();
+            let plan_evaluates = kola::eval_query(&db, &s.query).is_ok();
+            assert!(
+                !typed && input_stuck && plan_evaluates,
+                "seed {seed}: extracted plan changed semantics (input well-typed: {typed}): {e}"
+            );
+            unstuck += 1;
         }
     }
+    eprintln!(
+        "semantic gate: {well_typed} of {} inputs well-typed; {unstuck} ill-typed inputs stuck where their plan evaluates",
+        corpus_len()
+    );
 }
 
 #[test]
