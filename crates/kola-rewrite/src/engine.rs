@@ -1,12 +1,16 @@
-//! The rewrite engine: congruence traversal, rule application, tracing.
+//! The boxed reference engine: congruence traversal, rule application,
+//! tracing.
 //!
-//! One primitive does the work: [`rewrite_once`] applies the first rule (in
-//! the given list, in the given orientations) that matches at the
+//! One primitive does the work: [`rewrite_once_query`] applies the first
+//! rule (in the given list, in the given orientations) that matches at the
 //! leftmost-outermost position of a query — descending through query nodes,
 //! the functions inside applications, the predicates inside formers, and the
-//! payload queries inside `Kf`/`Cf`/`Cp`. Everything else (fixpoints,
-//! step sequencing, the five-step hidden-join strategy, COKO blocks) is
-//! built from it.
+//! payload queries inside `Kf`/`Cf`/`Cp`. The governed fixpoint
+//! [`rewrite_fix_with`] is built from it. The interned engine
+//! ([`crate::fast::Engine`]), which every strategy primitive runs on, is
+//! held to this one: the parity tests, trace replay and `kola-verify`'s
+//! containment suite run it. [`Oriented`], [`Step`] and [`Trace`] serve
+//! both engines.
 
 use crate::budget::{
     measure_query, Budget, CycleDetector, RewriteError, RewriteReport, StopReason,
@@ -672,269 +676,8 @@ pub(crate) fn ro_query(
     }
 }
 
-/// Rewrite a query *bottom-up in one sweep*: children are normalized
-/// first (recursively, to a local fixpoint), then rules are applied at the
-/// node itself until none fires. `fuel` caps the rule applications of the
-/// whole sweep; once it is spent, no node fires again. This is the "apply
-/// one or more rules in succession, and throughout a tree" firing policy
-/// §4.2 ascribes to COKO rule blocks (`BU { … }` in the COKO syntax).
-///
-/// Returns the rewritten query and the number of rule applications.
-/// Ungoverned wrapper over [`rewrite_bottom_up_governed`] with default
-/// bounds and no faults.
-pub fn rewrite_bottom_up(
-    rules: &[Oriented],
-    q: &Query,
-    props: &PropDb,
-    fuel: usize,
-) -> (Query, usize) {
-    let faults = FaultPlan::default();
-    let mut report = RewriteReport::new();
-    rewrite_bottom_up_governed(
-        rules,
-        q,
-        props,
-        fuel,
-        &Budget::default(),
-        &faults,
-        &mut report,
-    )
-}
-
-/// Bottom-up sweep under governance: quarantined rules are skipped, rule
-/// failures are contained into `report`, and subtrees beyond the depth cap
-/// are left untouched.
-pub fn rewrite_bottom_up_governed(
-    rules: &[Oriented],
-    q: &Query,
-    props: &PropDb,
-    fuel: usize,
-    budget: &Budget,
-    faults: &FaultPlan,
-    report: &mut RewriteReport,
-) -> (Query, usize) {
-    let mut fires = 0;
-    let mut gov = Gov::new(budget, faults, report, 0);
-    let out = bu_query(rules, q, props, fuel, &mut fires, 0, &mut gov);
-    (out, fires)
-}
-
-/// Exhaust `rules` at one node. Per-node loop macro shared by the three
-/// syntactic levels: applies the first non-quarantined rule that fires,
-/// normalizes, and repeats while the sweep's fires stay under `fuel`;
-/// failures are contained.
-macro_rules! exhaust_at {
-    ($rules:expr, $t:expr, $props:expr, $fuel:expr, $fires:expr, $gov:expr, $try:ident) => {
-        while *$fires < $fuel {
-            let mut fired = false;
-            for o in $rules {
-                if $gov.report.is_quarantined(&o.rule.id) {
-                    continue;
-                }
-                match $try(o, &$t, $props, $gov) {
-                    Ok(Some(result)) => {
-                        $t = result.normalize();
-                        *$fires += 1;
-                        fired = true;
-                        break;
-                    }
-                    Ok(None) => {}
-                    Err(e) => $gov.record_failure(&o.rule.id, &e),
-                }
-            }
-            if !fired {
-                break;
-            }
-        }
-    };
-}
-
-fn exhaust_query(
-    rules: &[Oriented],
-    mut q: Query,
-    props: &PropDb,
-    fuel: usize,
-    fires: &mut usize,
-    gov: &mut Gov,
-) -> Query {
-    exhaust_at!(rules, q, props, fuel, fires, gov, try_rule_query);
-    q
-}
-
-fn exhaust_func(
-    rules: &[Oriented],
-    mut f: Func,
-    props: &PropDb,
-    fuel: usize,
-    fires: &mut usize,
-    gov: &mut Gov,
-) -> Func {
-    exhaust_at!(rules, f, props, fuel, fires, gov, try_rule_func);
-    f
-}
-
-fn exhaust_pred(
-    rules: &[Oriented],
-    mut p: Pred,
-    props: &PropDb,
-    fuel: usize,
-    fires: &mut usize,
-    gov: &mut Gov,
-) -> Pred {
-    exhaust_at!(rules, p, props, fuel, fires, gov, try_rule_pred);
-    p
-}
-
-fn bu_query(
-    rules: &[Oriented],
-    q: &Query,
-    props: &PropDb,
-    fuel: usize,
-    fires: &mut usize,
-    d: usize,
-    gov: &mut Gov,
-) -> Query {
-    if gov.clip(d) {
-        return q.clone();
-    }
-    let rebuilt = match q {
-        Query::Lit(_) | Query::Extent(_) => q.clone(),
-        Query::PairQ(a, b) => Query::PairQ(
-            Box::new(bu_query(rules, a, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_query(rules, b, props, fuel, fires, d + 1, gov)),
-        ),
-        Query::App(f, inner) => Query::App(
-            bu_func(rules, f, props, fuel, fires, d + 1, gov),
-            Box::new(bu_query(rules, inner, props, fuel, fires, d + 1, gov)),
-        ),
-        Query::Test(p, inner) => Query::Test(
-            bu_pred(rules, p, props, fuel, fires, d + 1, gov),
-            Box::new(bu_query(rules, inner, props, fuel, fires, d + 1, gov)),
-        ),
-        Query::Union(a, b) => Query::Union(
-            Box::new(bu_query(rules, a, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_query(rules, b, props, fuel, fires, d + 1, gov)),
-        ),
-        Query::Intersect(a, b) => Query::Intersect(
-            Box::new(bu_query(rules, a, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_query(rules, b, props, fuel, fires, d + 1, gov)),
-        ),
-        Query::Diff(a, b) => Query::Diff(
-            Box::new(bu_query(rules, a, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_query(rules, b, props, fuel, fires, d + 1, gov)),
-        ),
-    };
-    exhaust_query(rules, rebuilt.normalize(), props, fuel, fires, gov)
-}
-
-fn bu_func(
-    rules: &[Oriented],
-    f: &Func,
-    props: &PropDb,
-    fuel: usize,
-    fires: &mut usize,
-    d: usize,
-    gov: &mut Gov,
-) -> Func {
-    if gov.clip(d) {
-        return f.clone();
-    }
-    macro_rules! f2 {
-        ($ctor:path, $a:expr, $b:expr) => {
-            $ctor(
-                Box::new(bu_func(rules, $a, props, fuel, fires, d + 1, gov)),
-                Box::new(bu_func(rules, $b, props, fuel, fires, d + 1, gov)),
-            )
-        };
-    }
-    macro_rules! pf {
-        ($ctor:path, $p:expr, $g:expr) => {
-            $ctor(
-                Box::new(bu_pred(rules, $p, props, fuel, fires, d + 1, gov)),
-                Box::new(bu_func(rules, $g, props, fuel, fires, d + 1, gov)),
-            )
-        };
-    }
-    let rebuilt = match f {
-        Func::Compose(a, b) => f2!(Func::Compose, a, b),
-        Func::PairWith(a, b) => f2!(Func::PairWith, a, b),
-        Func::Times(a, b) => f2!(Func::Times, a, b),
-        Func::Nest(a, b) => f2!(Func::Nest, a, b),
-        Func::Unnest(a, b) => f2!(Func::Unnest, a, b),
-        Func::Iterate(p, g) => pf!(Func::Iterate, p, g),
-        Func::Iter(p, g) => pf!(Func::Iter, p, g),
-        Func::Join(p, g) => pf!(Func::Join, p, g),
-        Func::BIterate(p, g) => pf!(Func::BIterate, p, g),
-        Func::Cond(p, a, b) => Func::Cond(
-            Box::new(bu_pred(rules, p, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_func(rules, a, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_func(rules, b, props, fuel, fires, d + 1, gov)),
-        ),
-        Func::ConstF(q) => {
-            Func::ConstF(Box::new(bu_query(rules, q, props, fuel, fires, d + 1, gov)))
-        }
-        Func::CurryF(g, q) => Func::CurryF(
-            Box::new(bu_func(rules, g, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_query(rules, q, props, fuel, fires, d + 1, gov)),
-        ),
-        leaf => leaf.clone(),
-    };
-    exhaust_func(rules, rebuilt.normalize(), props, fuel, fires, gov)
-}
-
-fn bu_pred(
-    rules: &[Oriented],
-    p: &Pred,
-    props: &PropDb,
-    fuel: usize,
-    fires: &mut usize,
-    d: usize,
-    gov: &mut Gov,
-) -> Pred {
-    if gov.clip(d) {
-        return p.clone();
-    }
-    let rebuilt = match p {
-        Pred::Oplus(q, f) => Pred::Oplus(
-            Box::new(bu_pred(rules, q, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_func(rules, f, props, fuel, fires, d + 1, gov)),
-        ),
-        Pred::And(a, b) => Pred::And(
-            Box::new(bu_pred(rules, a, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_pred(rules, b, props, fuel, fires, d + 1, gov)),
-        ),
-        Pred::Or(a, b) => Pred::Or(
-            Box::new(bu_pred(rules, a, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_pred(rules, b, props, fuel, fires, d + 1, gov)),
-        ),
-        Pred::Not(q) => Pred::Not(Box::new(bu_pred(rules, q, props, fuel, fires, d + 1, gov))),
-        Pred::Conv(q) => Pred::Conv(Box::new(bu_pred(rules, q, props, fuel, fires, d + 1, gov))),
-        Pred::CurryP(q, payload) => Pred::CurryP(
-            Box::new(bu_pred(rules, q, props, fuel, fires, d + 1, gov)),
-            Box::new(bu_query(rules, payload, props, fuel, fires, d + 1, gov)),
-        ),
-        leaf => leaf.clone(),
-    };
-    exhaust_pred(rules, rebuilt.normalize(), props, fuel, fires, gov)
-}
-
 /// Default bound on fixpoint iterations; generous for any realistic query.
 pub const DEFAULT_FUEL: usize = 10_000;
-
-/// One governed leftmost-outermost step, sharing an external report (used
-/// by the strategy interpreter so accounting spans a whole strategy run).
-pub(crate) fn rewrite_once_governed(
-    rules: &[Oriented],
-    q: &Query,
-    props: &PropDb,
-    budget: &Budget,
-    faults: &FaultPlan,
-    report: &mut RewriteReport,
-) -> Option<Applied<Query>> {
-    let step = report.steps;
-    let mut gov = Gov::new(budget, faults, report, step);
-    ro_query(rules, q, props, 0, &mut gov)
-}
 
 /// The outcome of a governed rewrite run: the chosen query (the normal form
 /// on clean termination, the best — smallest — term seen on an abnormal

@@ -3,7 +3,9 @@
 //! memoized normalization cache. [`EngineConfig`] switches the layers
 //! above interning on and off, so the linear rule scan stays available as
 //! a differential-testing oracle next to the boxed engine
-//! ([`crate::engine::rewrite_fix_with`]).
+//! ([`crate::engine::rewrite_fix_with`]). Besides the fixpoint, the same
+//! redex search runs the strategy layer's one-step primitive
+//! ([`Engine::step`]) and bottom-up sweep ([`Engine::sweep`]).
 //!
 //! ## Exactness contract
 //!
@@ -470,6 +472,70 @@ impl Search<'_, '_> {
         self.bufs.cand = cand;
         found
     }
+
+    /// The bottom-up sweep of [`Engine::sweep`] over `t` at depth `d`: the
+    /// kids first, left to right, then the rules at the node until none
+    /// fires.
+    fn sweep(&mut self, t: &ITerm, d: usize, gov: &mut Gov, sw: &mut Sweep) -> ITerm {
+        if gov.clip(d) {
+            return t.clone();
+        }
+        let mut cur = t.clone();
+        let mut head = None;
+        for (i, kid) in t.kids().iter().enumerate() {
+            let swept = self.sweep(kid, d + 1, gov, sw);
+            if swept.ptr_eq(kid) {
+                continue;
+            }
+            if t.tag() == Tag::FCompose && i == 0 {
+                // A rewritten head segment may itself be a chain; it is
+                // re-associated onto the swept tail below.
+                head = Some(swept);
+            } else {
+                cur = self.it.with_kid(&cur, i, swept);
+            }
+        }
+        if let Some(head) = head {
+            cur = icompose(self.it, head, cur.kids()[1].clone());
+        }
+        while !sw.too_large && gov.report.steps < sw.max_steps {
+            gov.step = gov.report.steps;
+            let Some(a) = self.rules_at(&cur, gov) else {
+                break;
+            };
+            let o = self.rules[a.pos];
+            // Sizes add: the whole term loses the node's old subtree and
+            // gains the rewritten one.
+            let size = sw.size - cur.size() + a.result.size();
+            if size > sw.max_size {
+                let e = RewriteError::TermTooLarge {
+                    size,
+                    limit: sw.max_size,
+                };
+                gov.record_failure(&o.rule.id, &e);
+                sw.too_large = !gov.report.is_quarantined(&o.rule.id);
+                continue;
+            }
+            sw.size = size;
+            cur = a.result;
+            gov.report.steps += 1;
+            gov.report.record_fire(&o.rule.id);
+            self.lanes.fire(a.pos);
+        }
+        cur
+    }
+}
+
+/// A bottom-up sweep's bounds and running state (see [`Engine::sweep`]).
+struct Sweep {
+    /// The step cap: the sweep fires while the shared report is under it.
+    max_steps: usize,
+    /// The whole-term size cap.
+    max_size: usize,
+    /// The whole term's current size.
+    size: usize,
+    /// Set when a refused oversize fire ends the sweep.
+    too_large: bool,
 }
 
 /// The interned + indexed + memoized fixpoint engine. Holds its arena,
@@ -634,14 +700,18 @@ impl<'a> Engine<'a> {
     /// whichever layers [`EngineConfig`] enables.
     pub fn normalize_with(&mut self, q: &Query, budget: &Budget, faults: &FaultPlan) -> Rewritten {
         self.prepare_run();
-        // Interning needs the right-normalized form; copy the query into it
-        // only when it is not in that form already.
-        let input = if q.is_normalized() {
+        let input = self.intern(q);
+        self.run(input, budget, faults)
+    }
+
+    /// Intern `q` in the right-normalized form interning needs, copying it
+    /// into that form only when it is not in it already.
+    fn intern(&mut self, q: &Query) -> ITerm {
+        if q.is_normalized() {
             self.interner.intern_query(q)
         } else {
             self.interner.intern_query(&q.normalize())
-        };
-        self.run(input, budget, faults)
+        }
     }
 
     /// Parse KOLA text straight into the arena and normalize it: in one
@@ -673,6 +743,103 @@ impl<'a> Engine<'a> {
             self.normalize_text_with(src, budget, faults)
         }))
         .map_err(crate::fault::CaughtPanic::from_payload)
+    }
+
+    /// One leftmost-outermost step on `q`, taken as step `report.steps` of
+    /// the caller's run: the first rule in list order that matches at the
+    /// outermost position fires. Rules quarantined in `report` are skipped,
+    /// contained failures are recorded there, and a fire counts one step. A
+    /// result larger than `budget.max_term_size` is refused: its rule is
+    /// charged a [`RewriteError::TermTooLarge`] failure and no step is
+    /// taken. Returns the step taken, if any.
+    pub fn step(&mut self, q: &Query, budget: &Budget, report: &mut RewriteReport) -> Option<Step> {
+        self.prepare_run();
+        let cur = self.intern(q);
+        let faults = FaultPlan::default();
+        let step = report.steps;
+        let mut gov = Gov::new(budget, &faults, report, step);
+        let found = self.search().search(&cur, 0, &mut gov);
+        // Only the fixpoint commits normal-subtree marks, after a step it
+        // checked was clean; this search's are dropped.
+        self.bufs.marks.clear();
+        let applied = found?;
+        let o = self.rules[applied.pos];
+        let size = applied.result.size();
+        if size > budget.max_term_size {
+            let e = RewriteError::TermTooLarge {
+                size,
+                limit: budget.max_term_size,
+            };
+            report.record_failure(&o.rule.id, &e, budget.quarantine_after, step);
+            return None;
+        }
+        report.steps += 1;
+        report.record_fire(&o.rule.id);
+        self.lanes.fire(applied.pos);
+        Some(Step {
+            rule_id: o.rule.id.clone(),
+            dir: o.dir,
+            after: applied.result.to_query(),
+        })
+    }
+
+    /// One bottom-up sweep over `q` (§4.2's "throughout a tree"): each
+    /// node's kids are swept first, left to right, then the rules are
+    /// applied at the node itself until none fires; a node is not revisited
+    /// after its parent fires. Shares the caller's report like
+    /// [`Engine::step`], each fire one step, and fires only while
+    /// `report.steps` is under `budget.max_steps`. Subtrees beyond the depth
+    /// cap are left untouched. A fire that would take the whole term past
+    /// `budget.max_term_size` is refused and charged to its rule as a
+    /// [`RewriteError::TermTooLarge`] failure; unless that quarantines the
+    /// rule, the sweep fires nothing more.
+    ///
+    /// Returns the swept query, the number of fires, and why the sweep
+    /// stopped: `TermTooLarge`, `BudgetExhausted` when it spent every step
+    /// left, or `NormalForm`.
+    pub fn sweep(
+        &mut self,
+        q: &Query,
+        budget: &Budget,
+        report: &mut RewriteReport,
+    ) -> (Query, usize, StopReason) {
+        self.prepare_run();
+        let input = self.intern(q);
+        let faults = FaultPlan::default();
+        let start = report.steps;
+        let mut sw = Sweep {
+            max_steps: budget.max_steps,
+            max_size: budget.max_term_size,
+            size: input.size(),
+            too_large: false,
+        };
+        let mut gov = Gov::new(budget, &faults, report, start);
+        let out = self.search().sweep(&input, 0, &mut gov, &mut sw);
+        let stop = if sw.too_large {
+            StopReason::TermTooLarge
+        } else if report.steps >= budget.max_steps {
+            StopReason::BudgetExhausted
+        } else {
+            StopReason::NormalForm
+        };
+        (out.to_query(), report.steps - start, stop)
+    }
+
+    /// A redex search over this engine's rules, index, mask and marks.
+    fn search(&mut self) -> Search<'_, 'a> {
+        Search {
+            rules: &self.rules,
+            props: self.props,
+            index: self.index.as_ref(),
+            active: self.masked.then_some(self.mask.as_slice()),
+            normal: &self.normal,
+            masked_normal: self.masked.then_some(&self.masked_normal),
+            visits: &mut self.visits,
+            progs: &mut self.progs,
+            lanes: &mut self.lanes,
+            it: &mut self.interner,
+            bufs: &mut self.bufs,
+        }
     }
 
     /// Ready the caches and index for a run. Bounded arena growth: compact
@@ -797,20 +964,7 @@ impl<'a> Engine<'a> {
             self.bufs.marks.clear();
             let found = {
                 let mut gov = Gov::new(budget, faults, &mut report, step);
-                let mut s = Search {
-                    rules: &self.rules,
-                    props: self.props,
-                    index: self.index.as_ref(),
-                    active: self.masked.then_some(self.mask.as_slice()),
-                    normal: &self.normal,
-                    masked_normal: self.masked.then_some(&self.masked_normal),
-                    visits: &mut self.visits,
-                    progs: &mut self.progs,
-                    lanes: &mut self.lanes,
-                    it: &mut self.interner,
-                    bufs: &mut self.bufs,
-                };
-                s.search(&cur, 0, &mut gov)
+                self.search().search(&cur, 0, &mut gov)
             };
             // Marks are sound only when the scan saw the whole failure-free
             // rule set of their table: they persist across runs, while

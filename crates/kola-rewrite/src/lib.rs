@@ -8,8 +8,10 @@
 //! - [`subst`], [`matching`] — the only machinery rules need: bind
 //!   metavariables by structural matching, splice them into the body.
 //! - [`rule`] — declarative rules with direction, alternatives, provenance.
-//! - [`engine`] — leftmost-outermost congruence rewriting with derivation
-//!   traces (reproduces Figures 4 and 6 literally).
+//! - [`engine`] — the boxed reference engine: leftmost-outermost
+//!   congruence rewriting with derivation traces (reproduces Figures 4 and
+//!   6 literally), which the parity tests, trace replay and the
+//!   containment suite run.
 //! - [`catalog`] — Figures 5 & 8 plus an extended verified pool.
 //! - [`props`] — declarative preconditions (`injective`, …) and their
 //!   inference rules.
@@ -24,7 +26,9 @@
 //! - [`dtree`] — the discrimination-tree rule index: flat per-step match
 //!   cost as the catalog grows past the paper's 500-rule pool.
 //! - [`fast`] — the interned + tree-indexed + memoized engine behind
-//!   [`EngineConfig`], differentially tested against the boxed engine.
+//!   [`EngineConfig`], differentially tested against the boxed engine; it
+//!   runs every strategy primitive (one step, one bottom-up sweep, a
+//!   fixpoint) and every served request.
 //! - [`egraph`], [`saturate`], [`extract`] — the equality-saturation
 //!   engine: e-classes with union-find and congruence closure over the
 //!   hash-consed arena, non-destructive rule application to saturation,

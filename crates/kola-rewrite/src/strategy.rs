@@ -6,17 +6,17 @@
 //! parses COKO source into it. The hidden-join pipeline of §4.1 is five
 //! strategies run in sequence ([`crate::hidden_join`]).
 //!
-//! `Fix` runs on the interned fixpoint engine ([`crate::fast::Engine`]);
-//! `Apply`, `ApplyAny` and `BottomUp` run on the boxed engine
-//! ([`crate::engine`]).
+//! Every primitive runs on the interned engine ([`crate::fast::Engine`]),
+//! built per call over the rules it resolves: `Apply` and `ApplyAny` take
+//! one step ([`Engine::step`]), `BottomUp` one sweep ([`Engine::sweep`]),
+//! and `Fix` runs the fixpoint ([`Engine::normalize`]).
 
 use crate::budget::{
     measure_query, Budget, CycleDetector, RewriteError, RewriteReport, StopReason,
 };
 use crate::catalog::Catalog;
-use crate::engine::{rewrite_bottom_up_governed, rewrite_once_governed, Oriented, Step, Trace};
+use crate::engine::{Oriented, Step, Trace};
 use crate::fast::{Engine, EngineConfig};
-use crate::fault::FaultPlan;
 use crate::props::PropDb;
 use kola::term::Query;
 use std::fmt;
@@ -45,8 +45,9 @@ pub enum Strategy {
     Fix(Vec<String>),
     /// One bottom-up sweep: normalize children first, then the node, with
     /// the rule set exhausted at each position (§4.2's "throughout a
-    /// tree"), firing at most the steps left in the budget. Always
-    /// succeeds. COKO syntax: `BU { [r], … }`.
+    /// tree"), firing at most the steps left in the budget and never
+    /// past the term-size cap. Always succeeds. COKO syntax:
+    /// `BU { [r], … }`.
     BottomUp(Vec<String>),
 }
 
@@ -93,7 +94,7 @@ pub enum Outcome {
 }
 
 /// A strategy interpreter bound to a catalog and a property database,
-/// governed by a [`Budget`] and an optional [`FaultPlan`].
+/// governed by a [`Budget`].
 pub struct Runner<'a> {
     /// Rule catalog used to resolve references.
     pub catalog: &'a Catalog,
@@ -102,22 +103,19 @@ pub struct Runner<'a> {
     /// Resource budget shared across the whole strategy run; its step cap
     /// also bounds `Repeat`'s iterations.
     pub budget: Budget,
-    /// Injected faults (empty by default).
-    pub faults: FaultPlan,
     /// Layer configuration of the fast engine ([`crate::fast::Engine`])
-    /// each `Fix` builds. The default, [`EngineConfig::indexed`], keeps no
-    /// memo: a per-call engine has no later run to replay an entry in.
+    /// each primitive builds. The default, [`EngineConfig::indexed`], keeps
+    /// no memo: a per-call engine has no later run to replay an entry in.
     pub engine: EngineConfig,
 }
 
 impl<'a> Runner<'a> {
-    /// A runner with the default budget, no faults and the indexed engine.
+    /// A runner with the default budget and the indexed engine.
     pub fn new(catalog: &'a Catalog, props: &'a PropDb) -> Self {
         Runner {
             catalog,
             props,
             budget: Budget::default(),
-            faults: FaultPlan::default(),
             engine: EngineConfig::indexed(),
         }
     }
@@ -128,14 +126,8 @@ impl<'a> Runner<'a> {
         self
     }
 
-    /// Attach a fault plan (builder style).
-    pub fn with_faults(mut self, faults: FaultPlan) -> Self {
-        self.faults = faults;
-        self
-    }
-
-    /// Run fixpoints on the fast engine with the given layer configuration
-    /// (builder style), e.g. [`EngineConfig::saturating`].
+    /// Run the primitives on the fast engine with the given layer
+    /// configuration (builder style), e.g. [`EngineConfig::saturating`].
     pub fn with_engine(mut self, config: EngineConfig) -> Self {
         self.engine = config;
         self
@@ -150,16 +142,12 @@ impl<'a> Runner<'a> {
             .collect()
     }
 
-    /// Resolve a rule set; on an unknown reference, record the error in the
-    /// report and return `None` (the strategy degrades to `Failure` instead
-    /// of panicking).
-    fn resolve_or_report(
-        &self,
-        refs: &[String],
-        report: &mut RewriteReport,
-    ) -> Option<Vec<Oriented<'a>>> {
+    /// An engine over a rule set; on an unknown reference, record the error
+    /// in the report and return `None` (the strategy degrades to `Failure`
+    /// instead of panicking).
+    fn engine_or_report(&self, refs: &[String], report: &mut RewriteReport) -> Option<Engine<'a>> {
         match self.try_resolve_set(refs) {
-            Ok(rules) => Some(rules),
+            Ok(rules) => Some(Engine::new(rules, self.props, self.engine.clone())),
             Err(e) => {
                 if report.failures.len() < 8 {
                     report.failures.push(e.to_string());
@@ -188,7 +176,7 @@ impl<'a> Runner<'a> {
         (q, out)
     }
 
-    /// Run `strategy` on `q` under the runner's budget and fault plan.
+    /// Run `strategy` on `q` under the runner's budget.
     /// Also returns the accumulated [`RewriteReport`]: total steps, per-rule
     /// fire/fail counts, quarantined rules, and the first abnormal stop
     /// reason encountered anywhere in the run (or `NormalForm`).
@@ -201,24 +189,6 @@ impl<'a> Runner<'a> {
         let mut report = RewriteReport::new();
         let (q, out) = self.go(strategy, q, trace, &mut report);
         (q, out, report)
-    }
-
-    /// [`Runner::run_governed`] behind a panic boundary: a rule that
-    /// unwinds (a [`crate::fault::FaultKind::Panic`] fault or a genuine
-    /// bug) is caught and classified instead of propagating — the entry
-    /// point for callers that must survive a poison rule. On
-    /// `Err`, `trace` holds whatever steps completed before the panic;
-    /// treat it as diagnostic only.
-    pub fn try_run_governed(
-        &self,
-        strategy: &Strategy,
-        q: Query,
-        trace: &mut Trace,
-    ) -> Result<(Query, Outcome, RewriteReport), crate::fault::CaughtPanic> {
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.run_governed(strategy, q, trace)
-        }))
-        .map_err(crate::fault::CaughtPanic::from_payload)
     }
 
     fn go(
@@ -288,24 +258,11 @@ impl<'a> Runner<'a> {
                 (cur, Outcome::Success)
             }
             Strategy::BottomUp(specs) => {
-                let Some(rules) = self.resolve_or_report(specs, report) else {
+                let Some(mut engine) = self.engine_or_report(specs, report) else {
                     return (q, Outcome::Failure);
                 };
-                // The sweep fires at most the steps the budget has left.
-                let remaining = self.remaining(report);
-                let (out, fires) = rewrite_bottom_up_governed(
-                    &rules,
-                    &q,
-                    self.props,
-                    remaining,
-                    &self.budget,
-                    &self.faults,
-                    report,
-                );
-                report.steps += fires;
-                if fires == remaining {
-                    Self::mark_stop(report, StopReason::BudgetExhausted);
-                }
+                let (out, fires, stop) = engine.sweep(&q, &self.budget, report);
+                Self::mark_stop(report, stop);
                 // Record one summary step so traces stay readable.
                 if fires > 0 {
                     trace.steps.push(Step {
@@ -317,20 +274,18 @@ impl<'a> Runner<'a> {
                 (out, Outcome::Success)
             }
             Strategy::Fix(specs) => {
-                let Some(rules) = self.resolve_or_report(specs, report) else {
+                let Some(mut engine) = self.engine_or_report(specs, report) else {
                     return (q, Outcome::Failure);
                 };
-                // Run the fixpoint engine with whatever budget is left,
-                // then fold its accounting into ours.
+                // Run the fixpoint engine with whatever budget is left and
+                // without the rules this run already quarantined, then fold
+                // its accounting into ours.
                 let sub = Budget {
                     max_steps: self.remaining(report),
                     ..self.budget.clone()
                 };
-                let r = Engine::new(rules, self.props, self.engine.clone()).normalize_with(
-                    &q,
-                    &sub,
-                    &self.faults,
-                );
+                engine.set_disabled(&report.quarantined);
+                let r = engine.normalize(&q, &sub);
                 trace.steps.extend(r.trace.steps);
                 report.merge(&r.report);
                 (r.query, Outcome::Success)
@@ -345,41 +300,20 @@ impl<'a> Runner<'a> {
         trace: &mut Trace,
         report: &mut RewriteReport,
     ) -> (Query, Outcome) {
-        let Some(rules) = self.resolve_or_report(specs, report) else {
+        let Some(mut engine) = self.engine_or_report(specs, report) else {
             return (q, Outcome::Failure);
         };
-        let q = q.normalize();
         if self.remaining(report) == 0 {
             Self::mark_stop(report, StopReason::BudgetExhausted);
-            return (q, Outcome::Failure);
+            return (q.normalize(), Outcome::Failure);
         }
-        match rewrite_once_governed(&rules, &q, self.props, &self.budget, &self.faults, report) {
-            Some(applied) => {
-                let result = applied.result.normalize();
-                let (size, _) = measure_query(&result);
-                if size > self.budget.max_term_size {
-                    let e = RewriteError::TermTooLarge {
-                        size,
-                        limit: self.budget.max_term_size,
-                    };
-                    report.record_failure(
-                        &applied.rule_id,
-                        &e,
-                        self.budget.quarantine_after,
-                        report.steps,
-                    );
-                    return (q, Outcome::Failure);
-                }
-                report.steps += 1;
-                report.record_fire(&applied.rule_id);
-                trace.steps.push(Step {
-                    rule_id: applied.rule_id,
-                    dir: applied.dir,
-                    after: result.clone(),
-                });
+        match engine.step(&q, &self.budget, report) {
+            Some(step) => {
+                let result = step.after.clone();
+                trace.steps.push(step);
                 (result, Outcome::Success)
             }
-            None => (q, Outcome::Failure),
+            None => (q.normalize(), Outcome::Failure),
         }
     }
 }
@@ -454,6 +388,49 @@ mod tests {
                 };
                 assert_eq!(report.stop, want, "{strategy}, cap {cap}");
             }
+        }
+    }
+
+    #[test]
+    fn bottom_up_honours_the_term_size_cap() {
+        let (c, p) = setup();
+        let q = parse_query("age ! P").unwrap();
+        // `2-1` wraps `age` in one more `id .` per fire, two nodes each.
+        let bu = Strategy::BottomUp(vec!["2-1".to_string()]);
+        let budget = Budget::with_steps(200).term_size(50);
+        let r = Runner::new(&c, &p).with_budget(budget.clone());
+        let (out, _, report) = r.run_governed(&bu, q.clone(), &mut Trace::new());
+        assert_eq!(measure_query(&out).0, 49);
+        assert_eq!(report.steps, 23);
+        assert_eq!(report.stop, StopReason::TermTooLarge);
+        let stats = report.rule_stats["2"];
+        assert_eq!((stats.failed, stats.first_failed_step), (1, Some(23)));
+        // The one-step primitive stops at the same plan.
+        let (stepped, _) = r.run(&repeat(apply("2-1")), q.clone(), &mut Trace::new());
+        assert_eq!(out, stepped);
+        // A failure that quarantines the rule does not end the run early:
+        // the sweep goes on without the rule and reaches its normal form.
+        let r = Runner::new(&c, &p).with_budget(budget.quarantine_after(1));
+        let (out, _, report) = r.run_governed(&bu, q, &mut Trace::new());
+        assert_eq!(out, stepped);
+        assert_eq!(report.stop, StopReason::NormalForm);
+        assert_eq!(report.quarantined, ["2"]);
+    }
+
+    #[test]
+    fn fix_skips_rules_the_run_already_quarantined() {
+        let (c, p) = setup();
+        // `age ! P` has 3 nodes, so every `2-1` result is refused.
+        let budget = Budget::with_steps(200).term_size(3).quarantine_after(1);
+        let r = Runner::new(&c, &p).with_budget(budget);
+        let first = try_(apply("2-1"));
+        let bu = Strategy::BottomUp(vec!["2-1".to_string()]);
+        for then in [try_(apply("2-1")), bu, fix(&["2-1"])] {
+            let strategy = seq(vec![first.clone(), then]);
+            let q = parse_query("age ! P").unwrap();
+            let (_, _, report) = r.run_governed(&strategy, q, &mut Trace::new());
+            assert_eq!(report.quarantined, ["2"], "{strategy}");
+            assert_eq!(report.rule_stats["2"].failed, 1, "{strategy}");
         }
     }
 

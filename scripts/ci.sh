@@ -93,14 +93,16 @@ if grep -Eqw 'PFunc|PPred|PQuery|RewritePair' crates/kola-rewrite/src/saturate.r
   exit 1
 fi
 
-# Strategies run one fixpoint engine: `Fix` builds a fast::Engine, and the
-# boxed fixpoint driver stays the reference for tests, trace replay and the
-# containment suite, never a second path in the strategy layer.
-echo "== strategy fixpoint guard"
+# Strategies run one engine: every primitive builds a fast::Engine, and the
+# boxed drivers (fixpoint, one-step search, bottom-up sweep) stay the
+# reference for tests, trace replay and the containment suite, never a
+# second path in the strategy layer.
+echo "== strategy engine guard"
 STRATEGY_SRC=(crates/kola-rewrite/src/{strategy,hidden_join,monolithic}.rs)
-if grep -Eqw 'rewrite_fix_with' "${STRATEGY_SRC[@]}"; then
-  echo "the strategy layer names the boxed fixpoint driver:" >&2
-  grep -Enw 'rewrite_fix_with' "${STRATEGY_SRC[@]}" >&2
+BOXED_DRIVERS='rewrite_fix_with|rewrite_once_[a-z_]*|rewrite_bottom_up[a-z_]*|ro_query'
+if grep -Eqw "$BOXED_DRIVERS" "${STRATEGY_SRC[@]}"; then
+  echo "the strategy layer names a boxed engine driver:" >&2
+  grep -Enw "$BOXED_DRIVERS" "${STRATEGY_SRC[@]}" >&2
   exit 1
 fi
 

@@ -2,26 +2,32 @@
 //! and their interaction with COKO.
 
 use kola::parse::parse_query;
+use kola::term::Query;
 use kola_coko::{compile, parse_program};
 use kola_exec::datagen::{generate, DataSpec};
-use kola_rewrite::engine::{rewrite_bottom_up, Oriented, Trace};
+use kola_rewrite::engine::Trace;
 use kola_rewrite::strategy::{fix, Runner};
-use kola_rewrite::{Catalog, PropDb, Strategy};
+use kola_rewrite::{Budget, Catalog, PropDb, Strategy};
 
 fn setup() -> (Catalog, PropDb) {
     (Catalog::paper(), PropDb::new())
 }
 
+/// One `BottomUp` sweep of `rules` over `q` with at most 100 fires;
+/// returns the swept query and the fires.
+fn bottom_up(c: &Catalog, p: &PropDb, rules: &[&str], q: &Query) -> (Query, usize) {
+    let runner = Runner::new(c, p).with_budget(Budget::with_steps(100));
+    let sweep = Strategy::BottomUp(rules.iter().map(|r| r.to_string()).collect());
+    let (out, _, report) = runner.run_governed(&sweep, q.clone(), &mut Trace::new());
+    (out, report.steps)
+}
+
 #[test]
 fn bottom_up_sweep_cleans_everywhere_in_one_pass() {
     let (c, p) = setup();
-    let rules: Vec<Oriented> = ["1", "2", "9", "10"]
-        .iter()
-        .map(|id| Oriented::fwd(c.get(id).unwrap()))
-        .collect();
     // Identities buried at several depths.
     let q = parse_query("iterate(Kp(T), (pi1 . (id . age, addr), id . city . id)) ! P").unwrap();
-    let (out, fires) = rewrite_bottom_up(&rules, &q, &p, 100);
+    let (out, fires) = bottom_up(&c, &p, &["1", "2", "9", "10"], &q);
     assert_eq!(out, parse_query("iterate(Kp(T), (age, city)) ! P").unwrap());
     assert!(fires >= 3, "several positions rewritten: {fires}");
 }
@@ -39,11 +45,7 @@ fn bottom_up_agrees_with_fixpoint_on_confluent_sets() {
         "(pi1, pi2) . (id . age, addr) ! pi1 ! [P, V]",
     ] {
         let q = parse_query(src).unwrap();
-        let rules: Vec<Oriented> = cleanup
-            .iter()
-            .map(|id| Oriented::fwd(c.get(id).unwrap()))
-            .collect();
-        let (bu, _) = rewrite_bottom_up(&rules, &q, &p, 100);
+        let (bu, _) = bottom_up(&c, &p, &cleanup, &q);
         let mut trace = Trace::new();
         let (fx, _) = runner.run(&fix(&cleanup), q.clone(), &mut trace);
         assert_eq!(bu, fx, "{src}");
@@ -70,17 +72,14 @@ fn coko_bu_keyword_compiles_and_runs() {
 fn bu_is_semantics_preserving() {
     let (c, p) = setup();
     let db = generate(&DataSpec::small(88));
-    let rules: Vec<Oriented> = ["1", "2", "3", "4", "5", "9", "10", "11"]
-        .iter()
-        .map(|id| Oriented::fwd(c.get(id).unwrap()))
-        .collect();
+    let rules = ["1", "2", "3", "4", "5", "9", "10", "11"];
     for src in [
         "iterate(Kp(T), city) . iterate(Kp(T), addr) ! P",
         "iterate(Kp(T), pi1 . (age, addr)) ! P",
         "iterate(Kp(T) & gt @ (age, Kf(25)), id . age) ! P",
     ] {
         let q = parse_query(src).unwrap();
-        let (out, _) = rewrite_bottom_up(&rules, &q, &p, 100);
+        let (out, _) = bottom_up(&c, &p, &rules, &q);
         assert_eq!(
             kola::eval_query(&db, &q).unwrap(),
             kola::eval_query(&db, &out).unwrap(),
