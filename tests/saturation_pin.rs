@@ -7,18 +7,23 @@
 //! rule programs (`kola_rewrite::program`); the move must leave every run
 //! byte-identical: which matches are enumerated, in what order, where the
 //! per-(class, rule) match cap cuts them off, and which nodes are built.
+//! The cliff-run hashes were computed while chain splits were still
+//! enumerated recursively per call; the per-round split table must leave
+//! them byte-identical as well.
 //!
 //! Runs:
 //! * KG1 and the synthetic hidden joins of depth 1–6 over the full forward
-//!   catalog, under `TermSize` and under `OpWeight`;
+//!   catalog, under `TermSize` and under `OpWeight`, at 224 steps and at
+//!   the 256-step cliff;
 //! * KG1 over the 23-rule Figure 3 pool of `tests/egraph_fig3.rs`;
 //! * the first 300 seeds of the `tests/egraph_parity.rs` corpus, over its
 //!   pool and over the full forward catalog.
 //!
-//! Twenty-six (class, rule) pairs of these runs reach the per-pair match
-//! cap (nine in the Figure 3 run, one in each hidden-join run set, fifteen
-//! in the full-catalog parity run), and a cap of 23 instead of 24 changes
-//! the full-catalog parity digest, so where the cap cuts is pinned too.
+//! Twenty-six (class, rule) pairs of the runs other than the cliff run
+//! reach the per-pair match cap (nine in the Figure 3 run, one in each
+//! 224-step hidden-join run set, fifteen in the full-catalog parity run),
+//! and a cap of 23 instead of 24 changes the full-catalog parity digest,
+//! so where the cap cuts is pinned too.
 
 #[path = "common/match_corpus.rs"]
 mod match_corpus;
@@ -91,9 +96,7 @@ fn hidden_joins() -> Vec<Query> {
         .collect()
 }
 
-/// Step budget of the full-catalog runs. Near 230 steps one match round
-/// over the grown e-graph costs about a minute in a debug build; 224 stays
-/// under it.
+/// Step budget of the first full-catalog pin.
 const CATALOG_STEPS: usize = 224;
 
 #[test]
@@ -107,6 +110,26 @@ fn full_catalog_hidden_joins_are_pinned() {
     let weight = saturate(rules(), &props, Box::new(OpWeight), &queries, &budget);
     assert_pin("catalog, TermSize", size, 0x17fd_7f44_5df1_9743);
     assert_pin("catalog, OpWeight", weight, 0x17fd_7f44_5df1_9743);
+}
+
+/// Step budget of the cliff run. Here `synthetic_hidden_join(1)` reaches
+/// a match round whose chain decomposition, enumerated per call, peeled
+/// 2.9 M splits and took about 3 s in a release build; tabled once per
+/// (class, depth) per round, the whole test takes a few seconds in a
+/// debug build.
+const CLIFF_STEPS: usize = 256;
+
+#[test]
+fn full_catalog_cliff_run_is_pinned() {
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let queries = hidden_joins();
+    let budget = Budget::with_steps(CLIFF_STEPS);
+    let rules = || catalog.rules().iter().map(Oriented::fwd).collect();
+    let size = saturate(rules(), &props, Box::new(TermSize), &queries, &budget);
+    let weight = saturate(rules(), &props, Box::new(OpWeight), &queries, &budget);
+    assert_pin("catalog cliff run, TermSize", size, 0x281b_337d_1872_4adc);
+    assert_pin("catalog cliff run, OpWeight", weight, 0x7b4b_7217_7098_0563);
 }
 
 #[test]
