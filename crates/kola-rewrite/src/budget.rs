@@ -270,10 +270,7 @@ impl RewriteReport {
         if self.failures.len() < 8 {
             self.failures.push(err.to_string());
         }
-        if quarantine_after != usize::MAX
-            && failed >= quarantine_after.max(1)
-            && !self.is_quarantined(rule_id)
-        {
+        if trips_quarantine(failed, quarantine_after) && !self.is_quarantined(rule_id) {
             self.quarantined.push(rule_id.to_string());
         }
     }
@@ -313,8 +310,12 @@ impl RewriteReport {
 
     /// Fold another report into this one (used when a strategy runs several
     /// governed sub-derivations). Step counts and per-rule stats add up; the
-    /// stop reason keeps the first abnormal one seen.
-    pub fn merge(&mut self, other: &RewriteReport) {
+    /// stop reason keeps the first abnormal one seen. A sub-run counts its
+    /// failures from 0, so the quarantine threshold is applied again to the
+    /// summed counts: a rule `other` failed whose total now reaches
+    /// `quarantine_after` is quarantined here, after `other`'s own
+    /// quarantines.
+    pub fn merge(&mut self, other: &RewriteReport, quarantine_after: usize) {
         self.steps += other.steps;
         if self.stop == StopReason::NormalForm {
             self.stop = other.stop;
@@ -342,6 +343,14 @@ impl RewriteReport {
                 self.quarantined.push(q.clone());
             }
         }
+        for (id, s) in &other.rule_stats {
+            if s.failed > 0
+                && trips_quarantine(self.rule_stats[id].failed, quarantine_after)
+                && !self.is_quarantined(id)
+            {
+                self.quarantined.push(id.clone());
+            }
+        }
         self.depth_clipped |= other.depth_clipped;
         for m in &other.failures {
             if self.failures.len() < 8 {
@@ -349,6 +358,12 @@ impl RewriteReport {
             }
         }
     }
+}
+
+/// Whether `failed` contained failures quarantine a rule under
+/// `quarantine_after` (`usize::MAX` never quarantines; 0 acts as 1).
+fn trips_quarantine(failed: usize, quarantine_after: usize) -> bool {
+    quarantine_after != usize::MAX && failed >= quarantine_after.max(1)
 }
 
 /// One quarantined rule's trip record (see
@@ -783,7 +798,7 @@ mod tests {
         b.record_fire("11");
         b.steps = 2;
         b.stop = StopReason::BudgetExhausted;
-        a.merge(&b);
+        a.merge(&b, usize::MAX);
         assert_eq!(a.steps, 3);
         assert_eq!(a.rule_stats["11"].fired, 2);
         assert_eq!(a.stop, StopReason::BudgetExhausted);

@@ -132,7 +132,7 @@ pub fn untangle_with_budget(
         });
         let (next, _, step_report) =
             step_runner.run_governed(&Strategy::Try(Box::new(strategy)), cur, &mut trace);
-        report.merge(&step_report);
+        report.merge(&step_report, budget.quarantine_after);
         cur = next;
         snapshots.push((name, cur.clone()));
     }

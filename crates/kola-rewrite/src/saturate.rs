@@ -65,6 +65,20 @@
 //! exhaustion mid-saturation simply stops asserting new equalities;
 //! extraction still returns the best of everything proven so far (never
 //! worse than the wave).
+//!
+//! Chain decomposition peels one segment off a cursor's head class at a
+//! time, through the class's `∘` e-nodes, up to the depth cap. Every
+//! chain match of a round peels the same few classes again, through every
+//! cursor and every rule, so the splits of each (class, depth) are
+//! enumerated once per match round into a `PeelTable`, built from the
+//! head classes' own entries: on `synthetic_hidden_join(1)` over the full
+//! catalog, one round asks for splits 75 k times and fills 357 entries.
+//!
+//! The deadline is read between rounds and between applications, before
+//! each (class, rule) pair of a match round, and every `DEADLINE_EVERY`
+//! class visits inside one e-match. An expiry mid-round drops the round's
+//! matches and extracts, so a run overshoots its deadline by at most one
+//! short stretch of matching plus extraction.
 
 use crate::budget::{Budget, RewriteReport, StopReason};
 use crate::dtree::RuleIndex;
@@ -76,6 +90,8 @@ use crate::props::PropDb;
 use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
 use kola::pattern::VarKind;
 use kola::term::Query;
+use std::collections::{HashMap, HashSet};
+use std::ops::Range;
 
 /// Everything the saturation loop needs besides the graph itself.
 pub(crate) struct SaturationParams<'r, 'a> {
@@ -152,7 +168,10 @@ pub(crate) fn saturate_from_trajectory(
         // `bound` are exactly those the round began with, and their
         // representatives are what they were before the match.
         let bound = sat.eg.id_bound();
-        let matches = sat.match_round(report);
+        let Some(matches) = sat.match_round(report, budget) else {
+            report.stop = StopReason::DeadlineExpired;
+            break;
+        };
         if matches
             .iter()
             .any(|m| !sat.params.rules[m.pos].rule.preconditions.is_empty())
@@ -259,11 +278,14 @@ impl Sat<'_, '_, '_> {
 
     /// Collect this round's matches. Deterministic: classes ascending,
     /// candidates ascending, alternatives and e-nodes in canonical order.
-    fn match_round(&mut self, report: &RewriteReport) -> Vec<Match> {
+    /// The deadline is read before each (class, rule) pair; `None` when it
+    /// expired mid-round, and the round's matches are dropped.
+    fn match_round(&mut self, report: &RewriteReport, budget: &Budget) -> Option<Vec<Match>> {
         let mut out = Vec::new();
         let mut cand: Vec<usize> = Vec::new();
         let (rules, index) = (self.params.rules, self.params.index);
         let classes: Vec<ClassId> = self.eg.class_ids().collect();
+        let mut peel = PeelTable::new(self.eg.id_bound());
         for &c in &classes {
             // Walk the discrimination tree against the class itself: every
             // `Sym` edge branches over every same-tagged e-node, so no
@@ -277,6 +299,9 @@ impl Sat<'_, '_, '_> {
                 Level::Q => index.query_candidates_class(&self.eg, c, &mut cand),
             }
             for &pos in &cand {
+                if budget.expired() {
+                    return None;
+                }
                 if self.params.active.is_some_and(|m| !m[pos]) {
                     continue;
                 }
@@ -286,10 +311,19 @@ impl Sat<'_, '_, '_> {
                 }
                 let prog =
                     self.params.progs[pos].get_or_insert_with(|| Program::compile(o.rule, o.dir));
-                ematch_rule(&mut self.eg, prog, level, c, pos, &mut out);
+                ematch_rule(
+                    &mut self.eg,
+                    &mut peel,
+                    budget,
+                    prog,
+                    level,
+                    c,
+                    pos,
+                    &mut out,
+                );
             }
         }
-        out
+        (!budget.expired()).then_some(out)
     }
 
     /// Apply one scheduled match: check preconditions on representatives,
@@ -352,8 +386,11 @@ impl Sink for EGraph {
 /// the class's level, and schedule every hit. Each alternative runs with
 /// the rest of [`MATCH_CAP`] as its fuel; none starts once the cap is
 /// reached.
+#[allow(clippy::too_many_arguments)]
 fn ematch_rule(
     eg: &mut EGraph,
+    peel: &mut PeelTable,
+    budget: &Budget,
     prog: &Program,
     level: Level,
     c: ClassId,
@@ -370,8 +407,11 @@ fn ematch_rule(
         }
         let mut m = EMatch {
             eg: &mut *eg,
+            peel: &mut *peel,
+            budget,
             ops: &alt.matcher,
             fuel: MATCH_CAP - found,
+            visits: 0,
         };
         let unbound = vec![0; alt.names.len()];
         let mut hits: Vec<(Slots, Vec<ClassId>)> = Vec::new();
@@ -402,9 +442,20 @@ fn ematch_rule(
 struct EMatch<'g, 'p> {
     /// Mutable only to fold chain cursors into classes.
     eg: &'g mut EGraph,
+    /// The round's chain splits, filled on first ask.
+    peel: &'g mut PeelTable,
+    /// Its deadline is read every [`DEADLINE_EVERY`] class visits; on
+    /// expiry the fuel is spent, so the enumeration unwinds at once.
+    budget: &'p Budget,
     ops: &'p [MatchOp],
     fuel: usize,
+    visits: u32,
 }
+
+/// Class visits between two deadline reads inside one e-match. One
+/// (class, rule) pair of a cliff round makes millions of visits, tens of
+/// nanoseconds each.
+const DEADLINE_EVERY: u32 = 1024;
 
 impl EMatch<'_, '_> {
     /// Match the subpattern at `ops[pc]` against class `c`: a variable
@@ -412,6 +463,10 @@ impl EMatch<'_, '_> {
     /// (so association differences between pattern and class cannot hide a
     /// match), anything else backtracks over the class's e-nodes.
     fn class(&mut self, pc: usize, c: ClassId, binds: &Slots, out: &mut Vec<Slots>, depth: usize) {
+        self.visits = self.visits.wrapping_add(1);
+        if self.visits.is_multiple_of(DEADLINE_EVERY) && self.budget.expired() {
+            self.fuel = 0;
+        }
         if self.fuel == 0 || depth == 0 {
             return;
         }
@@ -538,22 +593,33 @@ impl EMatch<'_, '_> {
             return;
         }
         let ops = self.ops;
+        let Some((&head, suffix)) = cursor.split_first() else {
+            return;
+        };
         let [last] = *segs else {
             let Some((&p, later)) = segs.split_first() else {
                 return;
             };
-            // Non-final segment: consume exactly one chain segment.
-            for (seg, rest) in segment_splits(self.eg, cursor, depth) {
+            // Non-final segment: consume exactly one chain segment. A split
+            // that matches writes its rest into one buffer the recursion
+            // reads.
+            let mut rest = Vec::new();
+            for i in self.peel.splits_of(self.eg, head, depth) {
                 if self.fuel == 0 {
                     return;
                 }
+                let (seg, tail) = self.peel.splits[i];
                 if let Some(var) = var_slot(&ops[p]) {
-                    if let Some(b) = bind(binds, var, self.eg.find(seg)) {
+                    if let Some(b) = bind(binds, var, seg) {
+                        self.peel.write_rest(tail, suffix, &mut rest);
                         self.chain(later, &rest, &b, out, depth - 1);
                     }
                 } else {
                     let mut seg_hits = Vec::new();
                     self.class(p, seg, binds, &mut seg_hits, depth - 1);
+                    if !seg_hits.is_empty() {
+                        self.peel.write_rest(tail, suffix, &mut rest);
+                    }
                     for b in &seg_hits {
                         self.chain(later, &rest, b, out, depth - 1);
                     }
@@ -563,9 +629,6 @@ impl EMatch<'_, '_> {
         };
         // Final segment.
         if let Some(var) = var_slot(&ops[last]) {
-            if cursor.is_empty() {
-                return;
-            }
             let folded = fold_cursor(self.eg, cursor);
             if let Some(b) = bind(binds, var, self.eg.find(folded)) {
                 self.fuel = self.fuel.saturating_sub(1);
@@ -573,15 +636,18 @@ impl EMatch<'_, '_> {
             }
             return;
         }
-        for (seg, rest) in segment_splits(self.eg, cursor, depth) {
+        for i in self.peel.splits_of(self.eg, head, depth) {
             if self.fuel == 0 {
                 return;
             }
+            let (seg, tail) = self.peel.splits[i];
             let mut seg_hits = Vec::new();
             self.class(last, seg, binds, &mut seg_hits, depth - 1);
             for b in seg_hits {
                 self.fuel = self.fuel.saturating_sub(1);
-                out.push((b, rest.clone()));
+                let mut rest = Vec::new();
+                self.peel.write_rest(tail, suffix, &mut rest);
+                out.push((b, rest));
             }
         }
     }
@@ -608,44 +674,116 @@ fn bind(binds: &Slots, (i, bound): (usize, bool), c: ClassId) -> Option<Slots> {
     Some(b)
 }
 
-/// Enumerate ways to peel one chain segment off the cursor:
-/// `(segment class, remaining cursor)`. The head class itself counts as
-/// a segment when it has a non-`∘` e-node; each of its `∘` e-nodes
-/// splits into head and tail. Deduplicated, deterministic order.
-fn segment_splits(eg: &EGraph, cursor: &[ClassId], depth: usize) -> Vec<(ClassId, Vec<ClassId>)> {
-    let mut out: Vec<(ClassId, Vec<ClassId>)> = Vec::new();
-    if depth == 0 {
-        return out;
-    }
-    let Some((&c0, rest)) = cursor.split_first() else {
-        return out;
-    };
-    let c0 = eg.find(c0);
-    if eg.nodes(c0).iter().any(|n| n.tag != Tag::FCompose) {
-        out.push((c0, rest.to_vec()));
-    }
-    for n in eg.nodes(c0) {
-        if n.tag != Tag::FCompose {
-            continue;
+/// A list of peeled tail classes as a hash-consed snoc cell: with
+/// `cells[k] == (prev, c)`, cell `k > 0` stands for cell `prev`'s list
+/// followed by `c`, and [`EMPTY`] for the empty list. Equal lists get
+/// equal cells, so a split is two words and deduplicates by value.
+type Cell = u32;
+
+/// The empty tail.
+const EMPTY: Cell = 0;
+
+/// One match round's chain splits. A split of the cursor `c, rest…` peels
+/// one chain segment off its head class `c`: `(segment class, tail ++
+/// rest)`, where the tail is the classes the peel uncovered on its way
+/// down `c`'s `∘` e-nodes. The class itself is a segment when it has a
+/// non-`∘` e-node; each `∘` e-node `h ∘ t` contributes the splits of `h`
+/// one level down, each with `t` appended to its tail, except when `h` is
+/// `c` itself (a cyclic chain class). First occurrence wins, so an entry
+/// lists its splits in depth-first peel order, without repeats.
+///
+/// The splits of a cursor depend only on its head class and the depth
+/// left, and stay fixed for a round: the match phase unions nothing, so no
+/// existing class gains an e-node, and the classes `fold_cursor` adds are
+/// bound into slots but never enter a cursor. An entry is therefore built
+/// once per (canonical class, depth), from the head classes' own entries,
+/// and the table is dropped with the round.
+struct PeelTable {
+    /// `id_bound` when the round began: every class the table reads lies
+    /// below it.
+    bound: usize,
+    /// (canonical class, depth) → its splits' range in `splits`.
+    entries: HashMap<(ClassId, usize), Range<usize>>,
+    /// Every entry's splits, one entry's contiguous: (segment, tail).
+    splits: Vec<(ClassId, Cell)>,
+    /// Snoc cells, `(prev, class)`; index 0 stands for [`EMPTY`].
+    cells: Vec<(Cell, ClassId)>,
+    cell_ids: HashMap<(Cell, ClassId), Cell>,
+}
+
+impl PeelTable {
+    fn new(bound: usize) -> PeelTable {
+        PeelTable {
+            bound,
+            entries: HashMap::new(),
+            splits: Vec::new(),
+            cells: vec![(EMPTY, 0)],
+            cell_ids: HashMap::new(),
         }
-        let head = eg.find(n.kids[0]);
-        let tail = eg.find(n.kids[1]);
-        // Guard against cyclic chain classes: never descend back into
-        // the class we are decomposing.
-        if head == c0 {
-            continue;
+    }
+
+    /// The range in `splits` of class `c`'s splits at `depth`, filled on
+    /// first ask.
+    fn splits_of(&mut self, eg: &EGraph, c: ClassId, depth: usize) -> Range<usize> {
+        if depth == 0 {
+            return 0..0;
         }
-        let mut sub = Vec::with_capacity(rest.len() + 2);
-        sub.push(head);
-        sub.push(tail);
-        sub.extend_from_slice(rest);
-        for split in segment_splits(eg, &sub, depth - 1) {
-            if !out.contains(&split) {
-                out.push(split);
+        let c = eg.find(c);
+        if let Some(r) = self.entries.get(&(c, depth)) {
+            return r.clone();
+        }
+        debug_assert!(
+            (c as usize) < self.bound,
+            "class {c} was made during the match phase"
+        );
+        let mut entry: Vec<(ClassId, Cell)> = Vec::new();
+        let mut seen: HashSet<(ClassId, Cell)> = HashSet::new();
+        let nodes = eg.nodes(c);
+        if nodes.iter().any(|n| n.tag != Tag::FCompose) {
+            seen.insert((c, EMPTY));
+            entry.push((c, EMPTY));
+        }
+        for n in nodes.iter().filter(|n| n.tag == Tag::FCompose) {
+            let head = eg.find(n.kids[0]);
+            if head == c {
+                continue;
+            }
+            let tail = eg.find(n.kids[1]);
+            for i in self.splits_of(eg, head, depth - 1) {
+                let (seg, prev) = self.splits[i];
+                let split = (seg, self.snoc(prev, tail));
+                if seen.insert(split) {
+                    entry.push(split);
+                }
             }
         }
+        let r = self.splits.len()..self.splits.len() + entry.len();
+        self.splits.extend(entry);
+        self.entries.insert((c, depth), r.clone());
+        r
     }
-    out
+
+    /// The cell of `prev`'s list followed by `c`.
+    fn snoc(&mut self, prev: Cell, c: ClassId) -> Cell {
+        let next = self.cells.len() as Cell;
+        let cell = *self.cell_ids.entry((prev, c)).or_insert(next);
+        if cell == next {
+            self.cells.push((prev, c));
+        }
+        cell
+    }
+
+    /// Overwrite `buf` with `tail`'s classes followed by `suffix`.
+    fn write_rest(&self, mut tail: Cell, suffix: &[ClassId], buf: &mut Vec<ClassId>) {
+        buf.clear();
+        while tail != EMPTY {
+            let (prev, c) = self.cells[tail as usize];
+            buf.push(c);
+            tail = prev;
+        }
+        buf.reverse();
+        buf.extend_from_slice(suffix);
+    }
 }
 
 /// Fold a cursor back into a single class, right-associated.

@@ -287,7 +287,7 @@ impl<'a> Runner<'a> {
                 engine.set_disabled(&report.quarantined);
                 let r = engine.normalize(&q, &sub);
                 trace.steps.extend(r.trace.steps);
-                report.merge(&r.report);
+                report.merge(&r.report, self.budget.quarantine_after);
                 (r.query, Outcome::Success)
             }
         }
@@ -432,6 +432,20 @@ mod tests {
             assert_eq!(report.quarantined, ["2"], "{strategy}");
             assert_eq!(report.rule_stats["2"].failed, 1, "{strategy}");
         }
+    }
+
+    #[test]
+    fn fix_quarantines_on_the_run_wide_failure_count() {
+        let (c, p) = setup();
+        // `age ! P` has 3 nodes, so every `2-1` result is refused: two
+        // failures before `fix`, a third inside it.
+        let budget = Budget::with_steps(200).term_size(3).quarantine_after(3);
+        let r = Runner::new(&c, &p).with_budget(budget);
+        let strategy = seq(vec![try_(apply("2-1")), try_(apply("2-1")), fix(&["2-1"])]);
+        let q = parse_query("age ! P").unwrap();
+        let (_, _, report) = r.run_governed(&strategy, q, &mut Trace::new());
+        assert_eq!(report.rule_stats["2"].failed, 3);
+        assert_eq!(report.quarantined, ["2"]);
     }
 
     #[test]

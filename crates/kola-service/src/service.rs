@@ -106,7 +106,7 @@ use kola_rewrite::{
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -214,7 +214,8 @@ const CACHE_SHARDS: usize = 8;
 const STEAL_POLL: Duration = Duration::from_micros(200);
 
 pub(crate) struct Shared {
-    pub(crate) catalog: Catalog,
+    /// The paper catalog, parsed once per process ([`paper_catalog`]).
+    pub(crate) catalog: &'static Catalog,
     props: PropDb,
     /// The tenant table: per-tenant breaker, snapshot cell, and quota
     /// depth. A single-tenant service is a one-entry table.
@@ -273,6 +274,14 @@ pub struct Service {
     next_id: AtomicU64,
 }
 
+/// The paper catalog, parsed on the first call in the process and shared
+/// by every service started after it: the catalog is immutable, and
+/// parsing it is most of a cold start.
+fn paper_catalog() -> &'static Catalog {
+    static CATALOG: OnceLock<Catalog> = OnceLock::new();
+    CATALOG.get_or_init(Catalog::paper)
+}
+
 impl Service {
     /// Start a service over the paper catalog with `config`.
     pub fn start(config: ServiceConfig) -> Service {
@@ -280,7 +289,7 @@ impl Service {
         // hook spam out of service logs (chains to the previous hook for
         // everything else).
         kola_rewrite::fault::silence_poison_panics();
-        let catalog = Catalog::paper();
+        let catalog = paper_catalog();
         let workers_n = config.workers.max(1);
         let capacity = config.queue_capacity.max(1);
         let rule_ids: Vec<String> = catalog.rules().iter().map(|r| r.id.clone()).collect();
@@ -298,7 +307,7 @@ impl Service {
             config.breaker_threshold,
             workers_n,
             &rule_ids,
-            &catalog,
+            catalog,
             quota,
         );
         let metrics = ServiceMetrics::with_tenants(&rule_ids, capacity, &tenants.names());
@@ -940,7 +949,7 @@ fn handle<'a>(
     // One atomic load in steady state; an `Arc` swap when *this tenant's*
     // breaker tripped or reset since this worker last served it.
     ten.snapshots
-        .refresh(snapshot, &shared.catalog, &ten.breaker);
+        .refresh(snapshot, shared.catalog, &ten.breaker);
 
     // Each worker records into its own trace shard; `None` (the default
     // configuration) turns the engine's per-step trace building off.

@@ -119,10 +119,12 @@ CARGO_TARGET_DIR=.bench_build cargo check --offline --manifest-path perfbench/Ca
 # run of the differential parity corpus (extracted cost <= fixpoint cost,
 # the semantic gate on every seed), the Figure 3 rediscovery test (plain
 # saturation finds the hidden-join plan the scripted pipeline derives) and
-# the saturation pin (hashed plans, steps, stop reasons and fire counts).
-echo "== egraph smoke (50-seed parity gate + Figure 3 rediscovery + saturation pin)"
+# the saturation pin (hashed plans, steps, stop reasons and fire counts),
+# and the e-graph invariants, whose deadline test bounds a saturation run's
+# overrun past its deadline only in a release build.
+echo "== egraph smoke (50-seed parity gate + Figure 3 rediscovery + saturation pin + invariants)"
 EGRAPH_SEEDS=50 cargo test --release --offline -q \
-  --test egraph_parity --test egraph_fig3 --test saturation_pin
+  --test egraph_parity --test egraph_fig3 --test saturation_pin --test egraph_invariants
 
 if [ "$EGRAPH_SMOKE_RUN" = 1 ]; then
   echo "== egraph full (1000-seed parity corpus, release)"

@@ -208,3 +208,49 @@ fn budget_exhaustion_returns_best_so_far() {
         }
     }
 }
+
+/// The deadline is read inside the match phase. At 256 steps over the
+/// full forward catalog, `synthetic_hidden_join(1)` reaches a match round
+/// that runs far past a 20 ms deadline; the run must stop there with
+/// `DeadlineExpired` and extract the best plan proven so far, which costs
+/// no more than the fixpoint engine's plan, because the root class holds
+/// the whole fixpoint trajectory. In a release build the run must also end
+/// within 25 ms of the deadline.
+#[test]
+fn deadline_expiry_inside_a_match_round_stops_the_run() {
+    use kola_rewrite::hidden_join::synthetic_hidden_join;
+    use std::time::{Duration, Instant};
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let rules = || catalog.rules().iter().map(Oriented::fwd).collect();
+    let q = synthetic_hidden_join(1);
+    let cost = |q: &Query| {
+        let mut it = kola::intern::Interner::new();
+        term_cost(&it.intern_query(&q.normalize()), &TermSize)
+    };
+    let fixpoint = Engine::new(rules(), &props, EngineConfig::default())
+        .normalize(&q, &Budget::with_steps(256));
+    let deadline = Duration::from_millis(20);
+    let mut eng = Engine::new(rules(), &props, EngineConfig::saturating());
+    let started = Instant::now();
+    let out = eng.normalize(&q, &Budget::with_steps(256).timeout(deadline));
+    let wall = started.elapsed();
+    assert_eq!(
+        out.report.stop,
+        StopReason::DeadlineExpired,
+        "{}",
+        out.report
+    );
+    assert!(
+        cost(&out.query) <= cost(&fixpoint.query),
+        "extracted plan costs more than the fixpoint plan\n  sat: {}\n  fix: {}",
+        out.query,
+        fixpoint.query
+    );
+    if !cfg!(debug_assertions) {
+        assert!(
+            wall <= deadline + Duration::from_millis(25),
+            "the run overran its {deadline:?} deadline: {wall:?}"
+        );
+    }
+}
