@@ -26,8 +26,12 @@
 //! Union-find roots are always the *smallest* id in their class, so
 //! canonical ids are stable under merge order.
 
+use crate::fxhash::FxBuild;
 use kola::intern::{ITerm, Payload, Tag};
 use std::collections::HashMap;
+use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::ops::{Deref, DerefMut};
 
 /// An e-class identifier. Plain index into the union-find.
 pub type ClassId = u32;
@@ -43,7 +47,7 @@ pub struct ENode {
     /// Non-child payload (`Prim` symbol, literal value, …).
     pub payload: Payload,
     /// Child e-classes, in constructor order.
-    pub kids: Vec<ClassId>,
+    pub kids: ENodeKids,
 }
 
 impl ENode {
@@ -52,8 +56,109 @@ impl ENode {
         ENode {
             tag,
             payload,
-            kids: Vec::new(),
+            kids: ENodeKids::default(),
         }
+    }
+}
+
+/// An e-node's child classes, stored inline: every constructor has arity
+/// ≤ 3, so an e-node owns no heap memory beyond its payload's. It
+/// compares, orders and hashes as the slice it holds, so sorted class
+/// contents are what they would be over a `Vec<ClassId>`.
+#[derive(Clone, Copy, Default)]
+pub struct ENodeKids {
+    len: u8,
+    ids: [ClassId; 3],
+}
+
+impl ENodeKids {
+    /// The children, in constructor order.
+    pub fn as_slice(&self) -> &[ClassId] {
+        &self.ids[..usize::from(self.len)]
+    }
+}
+
+impl From<&[ClassId]> for ENodeKids {
+    /// Panics on more than three children: no constructor has them.
+    fn from(kids: &[ClassId]) -> ENodeKids {
+        assert!(
+            kids.len() <= 3,
+            "constructor arity is at most 3, got {}",
+            kids.len()
+        );
+        let mut ids = [0; 3];
+        ids[..kids.len()].copy_from_slice(kids);
+        ENodeKids {
+            len: kids.len() as u8,
+            ids,
+        }
+    }
+}
+
+impl FromIterator<ClassId> for ENodeKids {
+    fn from_iter<I: IntoIterator<Item = ClassId>>(iter: I) -> ENodeKids {
+        let mut kids = ENodeKids::default();
+        for k in iter {
+            assert!(kids.len < 3, "constructor arity is at most 3");
+            kids.ids[usize::from(kids.len)] = k;
+            kids.len += 1;
+        }
+        kids
+    }
+}
+
+impl Deref for ENodeKids {
+    type Target = [ClassId];
+
+    fn deref(&self) -> &[ClassId] {
+        self.as_slice()
+    }
+}
+
+impl DerefMut for ENodeKids {
+    fn deref_mut(&mut self) -> &mut [ClassId] {
+        &mut self.ids[..usize::from(self.len)]
+    }
+}
+
+impl<'a> IntoIterator for &'a ENodeKids {
+    type Item = &'a ClassId;
+    type IntoIter = std::slice::Iter<'a, ClassId>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.as_slice().iter()
+    }
+}
+
+impl PartialEq for ENodeKids {
+    fn eq(&self, other: &ENodeKids) -> bool {
+        self.as_slice() == other.as_slice()
+    }
+}
+
+impl Eq for ENodeKids {}
+
+impl PartialOrd for ENodeKids {
+    fn partial_cmp(&self, other: &ENodeKids) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ENodeKids {
+    fn cmp(&self, other: &ENodeKids) -> std::cmp::Ordering {
+        self.as_slice().cmp(other.as_slice())
+    }
+}
+
+impl Hash for ENodeKids {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_slice().hash(state);
+    }
+}
+
+impl fmt::Debug for ENodeKids {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_slice().fmt(f)
     }
 }
 
@@ -75,6 +180,8 @@ pub struct EGraph {
     parent: Vec<ClassId>,
     /// Canonical e-node → canonical class. May be stale between a `union`
     /// and the next `rebuild`; reads canonicalize on the way in and out.
+    /// Keyed by payloads taken from request text, so it keeps std's keyed
+    /// hasher.
     memo: HashMap<ENode, ClassId>,
     /// Class storage, indexed by id; `None` for absorbed (non-root) ids.
     classes: Vec<Option<EClass>>,
@@ -103,10 +210,14 @@ impl EGraph {
 
     /// `node` with every child replaced by its canonical class.
     pub fn canonicalize(&self, node: &ENode) -> ENode {
-        ENode {
-            tag: node.tag,
-            payload: node.payload.clone(),
-            kids: node.kids.iter().map(|&k| self.find(k)).collect(),
+        let mut canon = node.clone();
+        self.canonicalize_kids(&mut canon.kids);
+        canon
+    }
+
+    fn canonicalize_kids(&self, kids: &mut ENodeKids) {
+        for k in kids.iter_mut() {
+            *k = self.find(*k);
         }
     }
 
@@ -118,17 +229,17 @@ impl EGraph {
     }
 
     /// Insert an e-node, returning its (possibly pre-existing) class.
-    pub fn add(&mut self, node: ENode) -> ClassId {
-        let canon = self.canonicalize(&node);
-        if let Some(&c) = self.memo.get(&canon) {
+    pub fn add(&mut self, mut node: ENode) -> ClassId {
+        self.canonicalize_kids(&mut node.kids);
+        if let Some(&c) = self.memo.get(&node) {
             return self.find(c);
         }
         let id = self.parent.len() as ClassId;
         self.parent.push(id);
         self.classes.push(Some(EClass {
-            nodes: vec![canon.clone()],
+            nodes: vec![node.clone()],
         }));
-        self.memo.insert(canon, id);
+        self.memo.insert(node, id);
         self.version += 1;
         id
     }
@@ -136,11 +247,11 @@ impl EGraph {
     /// Register a whole interned term bottom-up, sharing the DAG: each
     /// distinct interned node is added once per call.
     pub fn add_term(&mut self, t: &ITerm) -> ClassId {
-        let mut seen: HashMap<usize, ClassId> = HashMap::new();
+        let mut seen: HashMap<usize, ClassId, FxBuild> = HashMap::default();
         self.add_term_rec(t, &mut seen)
     }
 
-    fn add_term_rec(&mut self, t: &ITerm, seen: &mut HashMap<usize, ClassId>) -> ClassId {
+    fn add_term_rec(&mut self, t: &ITerm, seen: &mut HashMap<usize, ClassId, FxBuild>) -> ClassId {
         if let Some(&c) = seen.get(&t.id()) {
             return self.find(c);
         }
@@ -188,6 +299,9 @@ impl EGraph {
     /// merge any two classes sharing a canonical shape, and repeat until no
     /// merge fires. Also path-compresses the union-find.
     pub fn rebuild(&mut self) {
+        // The pass that ends the loop merges nothing, so the memo it fills
+        // maps every canonical node to its own canonical class.
+        let mut memo = std::mem::take(&mut self.memo);
         loop {
             // Path-compress so the sweeps below pay O(1) per find.
             for i in 0..self.parent.len() {
@@ -195,40 +309,42 @@ impl EGraph {
                 self.parent[i] = root;
             }
             let mut changed = false;
-            let mut memo: HashMap<ENode, ClassId> = HashMap::new();
+            memo.clear();
             for id in 0..self.parent.len() as ClassId {
                 if self.parent[id as usize] != id {
                     continue;
                 }
-                let mut nodes = std::mem::take(
-                    &mut self.classes[id as usize]
-                        .as_mut()
-                        .expect("canonical class has storage")
-                        .nodes,
-                );
-                for n in &mut nodes {
-                    *n = self.canonicalize(n);
-                }
-                nodes.sort();
-                nodes.dedup();
-                self.classes[id as usize]
+                let nodes = &mut self.classes[id as usize]
                     .as_mut()
                     .expect("canonical class has storage")
-                    .nodes = nodes;
+                    .nodes;
+                for n in nodes.iter_mut() {
+                    for k in n.kids.iter_mut() {
+                        *k = self.parent[*k as usize];
+                    }
+                }
+                // Equal nodes are identical, so an unstable sort orders the
+                // list exactly as a stable one, without a merge buffer.
+                nodes.sort_unstable();
+                nodes.dedup();
             }
             for id in 0..self.parent.len() as ClassId {
                 if self.parent[id as usize] != id {
                     continue;
                 }
-                let nodes = self.classes[id as usize]
-                    .as_ref()
-                    .expect("canonical class has storage")
-                    .nodes
-                    .clone();
-                for n in nodes {
-                    match memo.get(&n) {
+                // A merge here never moves nodes into `id`'s class, only
+                // `id` into an earlier one, so the list is taken out while
+                // it is read and handed to wherever `id` ends up.
+                let nodes = std::mem::take(
+                    &mut self.classes[id as usize]
+                        .as_mut()
+                        .expect("canonical class has storage")
+                        .nodes,
+                );
+                for n in &nodes {
+                    match memo.get(n) {
                         None => {
-                            memo.insert(n, id);
+                            memo.insert(n.clone(), id);
                         }
                         Some(&other) => {
                             let other = self.find(other);
@@ -242,20 +358,22 @@ impl EGraph {
                         }
                     }
                 }
+                let root = self.find(id);
+                let home = &mut self.classes[root as usize]
+                    .as_mut()
+                    .expect("canonical class has storage")
+                    .nodes;
+                if root == id {
+                    *home = nodes;
+                } else {
+                    home.extend(nodes);
+                }
             }
-            self.memo = memo;
             if !changed {
                 break;
             }
         }
-        // Canonicalize memo values (unions during the last merge pass may
-        // have absorbed some of them).
-        let fixed: Vec<(ENode, ClassId)> = self
-            .memo
-            .iter()
-            .map(|(n, &c)| (n.clone(), self.find(c)))
-            .collect();
-        self.memo = fixed.into_iter().collect();
+        self.memo = memo;
         self.dirty = false;
     }
 

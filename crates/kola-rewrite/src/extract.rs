@@ -93,11 +93,12 @@ impl Extractor {
             let mut changed = false;
             for c in eg.class_ids() {
                 for node in eg.nodes(c) {
-                    let mut kid_costs = Vec::with_capacity(node.kids.len());
+                    // Arity is at most 3: the kid costs sit in a stack array.
+                    let mut kid_costs = [0u64; 3];
                     let mut all = true;
-                    for &k in &node.kids {
+                    for (slot, &k) in kid_costs.iter_mut().zip(&node.kids) {
                         match &best[eg.find(k) as usize] {
-                            Some((kc, _)) => kid_costs.push(*kc),
+                            Some((kc, _)) => *slot = *kc,
                             None => {
                                 all = false;
                                 break;
@@ -107,7 +108,8 @@ impl Extractor {
                     if !all {
                         continue;
                     }
-                    let total = cost.node_cost(node.tag, &node.payload, &kid_costs);
+                    let kid_costs = &kid_costs[..node.kids.len()];
+                    let total = cost.node_cost(node.tag, &node.payload, kid_costs);
                     let slot = &mut best[c as usize];
                     if slot.as_ref().is_none_or(|(old, _)| total < *old) {
                         *slot = Some((total, node.clone()));
@@ -169,7 +171,7 @@ impl Extractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::egraph::EGraph;
+    use crate::egraph::{EGraph, ENodeKids};
     use kola::parse::parse_func;
 
     #[test]
@@ -200,7 +202,7 @@ mod tests {
         let comp = eg.add(ENode {
             tag: Tag::FCompose,
             payload: Payload::None,
-            kids: vec![idc, age],
+            kids: ENodeKids::from(&[idc, age][..]),
         });
         eg.union(comp, age);
         eg.rebuild();

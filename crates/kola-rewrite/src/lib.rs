@@ -41,6 +41,7 @@ pub mod engine;
 pub mod extract;
 pub mod fast;
 pub mod fault;
+mod fxhash;
 pub mod hidden_join;
 pub mod matching;
 pub mod monolithic;
@@ -57,7 +58,7 @@ pub use budget::{
 };
 pub use catalog::Catalog;
 pub use dtree::{IndexStats, RuleIndex};
-pub use egraph::{ClassId, EClass, EGraph, ENode};
+pub use egraph::{ClassId, EClass, EGraph, ENode, ENodeKids};
 pub use engine::{
     rewrite_fix, rewrite_fix_governed, rewrite_fix_with, rewrite_once_query, try_rewrite_fix_with,
     Oriented, Rewritten, Step, Trace,

@@ -24,9 +24,9 @@
 //!   engine ([`crate::fast`]), building into the [`Interner`];
 //! * equality saturation ([`crate::saturate`]) runs the same match list
 //!   over e-classes, with class ids in the slots, and the same build list
-//!   into the e-graph. The layout helpers below (`head_segments`,
-//!   `compose_segments`, `subtree_end`) let it find a head's chain
-//!   segments and a node's kid subpatterns in the flat list.
+//!   into the e-graph. Each alternative records where its head's chain
+//!   segments and its `∘` subpatterns' segments start, and `subtree_end`
+//!   finds a node's kid subpatterns in the flat list.
 //!
 //! Both engines take a rule position's program from one lazily filled
 //! table in the [`crate::fast::Engine`].
@@ -144,6 +144,12 @@ pub(crate) struct Alt {
     /// The head is a function chain matched by prefix (function level).
     pub(crate) chain: bool,
     pub(crate) matcher: Vec<MatchOp>,
+    /// Where a chain head's segments start ([`head_segments`]); empty for
+    /// other heads.
+    pub(crate) head_segs: Vec<usize>,
+    /// Where each `∘` subpattern's segments start ([`compose_segments`]),
+    /// by the index of its `∘` op.
+    compose_segs: Vec<(usize, Vec<usize>)>,
     build: Vec<BuildOp>,
     /// `(property, slot of the function variable it is about)`; `None`
     /// when the head never binds that variable, which fails the check.
@@ -441,11 +447,21 @@ impl Alt {
         debug_assert_eq!(sp, 1, "build list must leave exactly one node");
         Ok(pop(&mut sp, stack))
     }
+
+    /// Where the segments of the `∘` subpattern at `matcher[pc]` start.
+    pub(crate) fn compose_segs(&self, pc: usize) -> &[usize] {
+        let (_, segs) = self
+            .compose_segs
+            .iter()
+            .find(|(at, _)| *at == pc)
+            .expect("a `∘` op of the match list");
+        segs
+    }
 }
 
 /// Where each segment of a chain head's match list starts: the op after
 /// each `Seg`, then a trailing `RestBind`/`RestSame`.
-pub(crate) fn head_segments(ops: &[MatchOp]) -> Vec<usize> {
+fn head_segments(ops: &[MatchOp]) -> Vec<usize> {
     let mut out = Vec::new();
     let mut pc = 0;
     while pc < ops.len() {
@@ -462,7 +478,7 @@ pub(crate) fn head_segments(ops: &[MatchOp]) -> Vec<usize> {
 
 /// Where each segment of the `∘` subpattern at `ops[pc]` starts, left to
 /// right, nested `∘`s flattened as [`pchain_segments`] flattens them.
-pub(crate) fn compose_segments(ops: &[MatchOp], pc: usize, out: &mut Vec<usize>) {
+fn compose_segments(ops: &[MatchOp], pc: usize, out: &mut Vec<usize>) {
     if ops[pc] == MatchOp::Node(Tag::FCompose, 2) {
         compose_segments(ops, pc + 1, out);
         compose_segments(ops, subtree_end(ops, pc + 1), out);
@@ -516,9 +532,24 @@ fn compile_alt(rule: &Rule, alt: &RewritePair, dir: Direction) -> Alt {
         .collect();
     let match_depth = match_depth(&c.matcher, chain);
     let build_depth = build_depth(&c.build);
+    let head_segs = if chain {
+        head_segments(&c.matcher)
+    } else {
+        Vec::new()
+    };
+    let compose_segs = (0..c.matcher.len())
+        .filter(|&pc| c.matcher[pc] == MatchOp::Node(Tag::FCompose, 2))
+        .map(|pc| {
+            let mut segs = Vec::new();
+            compose_segments(&c.matcher, pc, &mut segs);
+            (pc, segs)
+        })
+        .collect();
     Alt {
         level,
         chain,
+        head_segs,
+        compose_segs,
         fails: c.build.iter().any(|op| matches!(op, BuildOp::Unbound(_))),
         names: c.vars,
         matcher: c.matcher,

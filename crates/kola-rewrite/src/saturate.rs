@@ -79,13 +79,37 @@
 //! class visits inside one e-match. An expiry mid-round drops the round's
 //! matches and extracts, so a run overshoots its deadline by at most one
 //! short stretch of matching plus extraction.
+//!
+//! ## Allocation
+//!
+//! A match round makes millions of class visits on a cliff input, so the
+//! e-match itself reads tags and class ids and allocates nothing:
+//!
+//! * **Tag-ranged scans.** `rebuild` leaves a class's e-nodes sorted by
+//!   `(tag, payload, kids)`, and a match phase adds no e-node to an
+//!   existing class, so the nodes an op can meet — those of its tag — are
+//!   one run of the list, found by binary search. The rest are never
+//!   touched: over the full catalog at 256 steps, `synthetic_hidden_join(1)`
+//!   met 20.4 M e-nodes in a node-by-node scan, of which 0.43 M had the
+//!   op's tag.
+//! * **Slot rows in one buffer.** A binding is a row of class ids, one per
+//!   metavariable, in a buffer the round reuses. Each hit list is a run of
+//!   rows on a stack in that buffer: binding a variable or recording a hit
+//!   copies a row to the top, and a node's kids or a chain's segments drop
+//!   their intermediate lists when done, so the rows that stay are the
+//!   scheduled matches' bindings. Any slot count fits without a heap
+//!   fallback.
+//! * **Reused cursors.** Chain cursors and match remainders are runs in two
+//!   more round buffers, and the peel table keeps its maps between rounds.
+//!   Chain segment starts are computed once per compiled alternative.
 
 use crate::budget::{Budget, RewriteReport, StopReason};
 use crate::dtree::RuleIndex;
 use crate::egraph::{ClassId, EGraph, ENode};
 use crate::engine::Oriented;
 use crate::extract::{CostModel, Extractor};
-use crate::program::{compose_segments, head_segments, subtree_end, Level, MatchOp, Program, Sink};
+use crate::fxhash::FxBuild;
+use crate::program::{subtree_end, Alt, Level, MatchOp, Program, Sink};
 use crate::props::PropDb;
 use kola::intern::{ITerm, Interner, Payload, PayloadRef, Tag};
 use kola::pattern::VarKind;
@@ -108,6 +132,19 @@ pub(crate) struct SaturationParams<'r, 'a> {
     /// Each position's compiled program, shared with the fixpoint engine:
     /// built the first time either engine consults the position.
     pub progs: &'r mut [Option<Program>],
+    /// The engine's match-phase odometers, advanced in place.
+    pub stats: &'r mut MatchStats,
+}
+
+/// Lifetime odometers of saturation's match phases (see
+/// [`crate::EngineStats`]).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct MatchStats {
+    /// `EMatch::class` calls.
+    pub visits: u64,
+    /// Classes made while matching: `fold_cursor`'s folds of a chain
+    /// cursor that a trailing chain metavariable binds.
+    pub classes: u64,
 }
 
 /// Max e-match bindings enumerated per (class, rule) per round.
@@ -154,6 +191,8 @@ pub(crate) fn saturate_from_trajectory(
         params,
         it,
         reps: Vec::new(),
+        peel: PeelTable::default(),
+        bufs: MatchBufs::default(),
     };
     'outer: loop {
         if report.steps >= budget.max_steps {
@@ -218,30 +257,37 @@ pub(crate) fn saturate_from_trajectory(
 
 /// Cost of one concrete interned term under `cost` (no e-graph involved).
 pub fn term_cost(t: &ITerm, cost: &dyn CostModel) -> u64 {
-    let kid_costs: Vec<u64> = t.kids().iter().map(|k| term_cost(k, cost)).collect();
-    cost.node_cost(t.tag(), t.payload(), &kid_costs)
+    // Arity is at most 3: the kid costs sit in a stack array.
+    let kids = t.kids();
+    let mut kid_costs = [0u64; 3];
+    for (slot, k) in kid_costs.iter_mut().zip(kids) {
+        *slot = term_cost(k, cost);
+    }
+    cost.node_cost(t.tag(), t.payload(), &kid_costs[..kids.len()])
 }
 
-/// Slot-valued bindings: slot `i` holds the canonical class bound to the
-/// rule program's `i`-th metavariable. Consistency is canonical-class
-/// equality: two syntactically different binding candidates in one class
-/// are provably equal, so unifying them is sound — strictly more matches
-/// than the pointer-equality the destructive matcher requires.
-type Slots = Vec<ClassId>;
-
 /// One scheduled rule application: rule position, the alternative whose
-/// head matched, the matched class, bindings, and (for function rules) the
-/// unconsumed chain suffix.
+/// head matched, the matched class, and where its bindings and (for
+/// function rules) its unconsumed chain suffix lie in [`MatchBufs`].
+///
+/// Slot `i` of the bindings holds the canonical class bound to the rule
+/// program's `i`-th metavariable. Consistency is canonical-class equality:
+/// two syntactically different binding candidates in one class are
+/// provably equal, so unifying them is sound — strictly more matches than
+/// the pointer-equality the destructive matcher requires.
 struct Match {
     pos: usize,
     /// Index into the program's alternatives — the body built must belong
     /// to the same alternative the head match bound.
     alt: usize,
     class: ClassId,
-    slots: Slots,
-    /// Chain segments left over after a prefix match (function level only);
-    /// the instantiated body is re-composed onto them.
-    remainder: Vec<ClassId>,
+    /// Where the slot row starts in [`MatchBufs::rows`]; it is the
+    /// alternative's slot count wide.
+    slots: usize,
+    /// Chain segments left over after a prefix match (function level
+    /// only), in [`MatchBufs::rests`]; the instantiated body is re-composed
+    /// onto them.
+    remainder: Range<usize>,
 }
 
 /// Per-round decomposition/enumeration limits. Depth bounds recursion
@@ -256,6 +302,26 @@ struct Sat<'s, 'r, 'a> {
     /// refresh; `None` while a class has no finite-cost realization yet,
     /// and for classes made since.
     reps: Vec<Option<ITerm>>,
+    /// The current match round's chain splits.
+    peel: PeelTable,
+    bufs: MatchBufs,
+}
+
+/// The match phase's working memory, cleared at the start of every round
+/// and grown only while a round needs more than any before it.
+#[derive(Default)]
+struct MatchBufs {
+    /// Slot rows, each one e-match's slot count wide (at least 1): the hit
+    /// lists of the e-match in progress on a stack, and below them the
+    /// bindings of every match the round has scheduled.
+    rows: Vec<ClassId>,
+    /// Chain cursors on a stack, one per level of chain recursion, each a
+    /// run of classes whose composition is the chain left to match.
+    cursors: Vec<ClassId>,
+    /// The scheduled matches' unconsumed chain suffixes.
+    rests: Vec<ClassId>,
+    /// The suffix of each hit of the chain head in progress, in hit order.
+    hit_rests: Vec<Range<usize>>,
 }
 
 impl Sat<'_, '_, '_> {
@@ -285,7 +351,12 @@ impl Sat<'_, '_, '_> {
         let mut cand: Vec<usize> = Vec::new();
         let (rules, index) = (self.params.rules, self.params.index);
         let classes: Vec<ClassId> = self.eg.class_ids().collect();
-        let mut peel = PeelTable::new(self.eg.id_bound());
+        let bound = self.eg.id_bound();
+        self.peel.reset(bound);
+        self.bufs.rows.clear();
+        self.bufs.rests.clear();
+        let mut visits = 0u64;
+        let mut expired = false;
         for &c in &classes {
             // Walk the discrimination tree against the class itself: every
             // `Sym` edge branches over every same-tagged e-node, so no
@@ -299,8 +370,9 @@ impl Sat<'_, '_, '_> {
                 Level::Q => index.query_candidates_class(&self.eg, c, &mut cand),
             }
             for &pos in &cand {
-                if budget.expired() {
-                    return None;
+                expired = budget.expired();
+                if expired {
+                    break;
                 }
                 if self.params.active.is_some_and(|m| !m[pos]) {
                     continue;
@@ -311,9 +383,10 @@ impl Sat<'_, '_, '_> {
                 }
                 let prog =
                     self.params.progs[pos].get_or_insert_with(|| Program::compile(o.rule, o.dir));
-                ematch_rule(
+                visits += ematch_rule(
                     &mut self.eg,
-                    &mut peel,
+                    &mut self.peel,
+                    &mut self.bufs,
                     budget,
                     prog,
                     level,
@@ -322,8 +395,14 @@ impl Sat<'_, '_, '_> {
                     &mut out,
                 );
             }
+            if expired {
+                break;
+            }
         }
-        (!budget.expired()).then_some(out)
+        // Only `fold_cursor` adds classes while matching.
+        self.params.stats.visits += visits;
+        self.params.stats.classes += (self.eg.id_bound() - bound) as u64;
+        (!expired && !budget.expired()).then_some(out)
     }
 
     /// Apply one scheduled match: check preconditions on representatives,
@@ -335,6 +414,7 @@ impl Sat<'_, '_, '_> {
         let o = &self.params.rules[m.pos];
         let prog = self.params.progs[m.pos].as_ref();
         let alt = &prog.expect("a matched rule's program is compiled").alts[m.alt];
+        let slots = &self.bufs.rows[m.slots..m.slots + alt.names.len()];
         if !o.rule.preconditions.is_empty() {
             // Each precondition is judged on its bound function class's
             // representative; properties are semantic, so any member's
@@ -343,20 +423,19 @@ impl Sat<'_, '_, '_> {
             let unrepresented = alt
                 .names
                 .iter()
-                .zip(&m.slots)
+                .zip(slots)
                 .any(|((kind, _), &c)| *kind == VarKind::Func && self.rep(c).is_none());
-            if unrepresented || !alt.preconditions_hold(|i| self.rep(m.slots[i]), self.params.props)
-            {
+            if unrepresented || !alt.preconditions_hold(|i| self.rep(slots[i]), self.params.props) {
                 return false;
             }
         }
-        let Ok(body) = alt.run_build(|i| m.slots[i], &mut self.eg) else {
+        let Ok(body) = alt.run_build(|i| slots[i], &mut self.eg) else {
             return false;
         };
         let result = if m.remainder.is_empty() {
             body
         } else {
-            let tail = fold_cursor(&mut self.eg, &m.remainder);
+            let tail = fold_cursor(&mut self.eg, &self.bufs.rests[m.remainder.clone()]);
             self.eg.compose(body, tail)
         };
         self.eg.union(m.class, result);
@@ -373,7 +452,7 @@ impl Sink for EGraph {
         self.add(ENode {
             tag,
             payload: payload.to_owned(),
-            kids: kids.to_vec(),
+            kids: kids.into(),
         })
     }
 
@@ -385,19 +464,21 @@ impl Sink for EGraph {
 /// E-match the alternatives of `prog` at class `c` in rule order, those of
 /// the class's level, and schedule every hit. Each alternative runs with
 /// the rest of [`MATCH_CAP`] as its fuel; none starts once the cap is
-/// reached.
+/// reached. Returns its class visits.
 #[allow(clippy::too_many_arguments)]
 fn ematch_rule(
     eg: &mut EGraph,
     peel: &mut PeelTable,
+    bufs: &mut MatchBufs,
     budget: &Budget,
     prog: &Program,
     level: Level,
     c: ClassId,
     pos: usize,
     out: &mut Vec<Match>,
-) {
+) -> u64 {
     let mut found = 0usize;
+    let mut visits = 0u64;
     for (ai, alt) in prog.alts.iter().enumerate() {
         if found >= MATCH_CAP {
             break;
@@ -405,33 +486,42 @@ fn ematch_rule(
         if alt.level != level {
             continue;
         }
+        // The hits land after an all-unbound row, which is dropped after.
+        let width = alt.names.len().max(1);
+        let unbound = bufs.rows.len();
+        bufs.rows.resize(unbound + width, 0);
         let mut m = EMatch {
             eg: &mut *eg,
             peel: &mut *peel,
+            bufs: &mut *bufs,
             budget,
-            ops: &alt.matcher,
+            alt,
+            width,
             fuel: MATCH_CAP - found,
             visits: 0,
         };
-        let unbound = vec![0; alt.names.len()];
-        let mut hits: Vec<(Slots, Vec<ClassId>)> = Vec::new();
         if alt.chain {
-            let segs = head_segments(&alt.matcher);
-            m.chain(&segs, &[c], &unbound, &mut hits, CHAIN_DEPTH);
+            m.bufs.cursors.push(c);
+            m.chain(&alt.head_segs, 0..1, unbound, CHAIN_DEPTH, true);
+            m.bufs.cursors.clear();
         } else {
-            let mut whole = Vec::new();
-            m.class(0, c, &unbound, &mut whole, CHAIN_DEPTH);
-            hits.extend(whole.into_iter().map(|s| (s, Vec::new())));
+            m.class(0, c, unbound, CHAIN_DEPTH);
         }
-        found += hits.len();
-        out.extend(hits.into_iter().map(|(slots, remainder)| Match {
+        visits += u64::from(m.visits);
+        bufs.rows.drain(unbound..unbound + width);
+        let hits = (bufs.rows.len() - unbound) / width;
+        debug_assert!(!alt.chain || bufs.hit_rests.len() == hits);
+        found += hits;
+        out.extend((0..hits).map(|k| Match {
             pos,
             alt: ai,
             class: c,
-            slots,
-            remainder,
+            slots: unbound + k * width,
+            remainder: bufs.hit_rests.get(k).cloned().unwrap_or(0..0),
         }));
+        bufs.hit_rests.clear();
     }
+    visits
 }
 
 /// One alternative's match list run over e-classes. Where the fixpoint
@@ -439,15 +529,24 @@ fn ematch_rule(
 /// e-node of a class, so each op maps a hit list to a hit list. A node's
 /// kids are matched in order, each kid's full hit list before the next kid
 /// starts; fuel is spent only by leaf hits and final chain hits.
+///
+/// Hit lists are runs of slot rows on the stack in [`MatchBufs::rows`], and
+/// a row is named by where it starts. Every method leaves exactly its own
+/// hits appended to the stack, in order: a node's kids and a chain's
+/// segments build their intermediate lists above the caller's and drop
+/// them before they return.
 struct EMatch<'g, 'p> {
     /// Mutable only to fold chain cursors into classes.
     eg: &'g mut EGraph,
     /// The round's chain splits, filled on first ask.
     peel: &'g mut PeelTable,
+    bufs: &'g mut MatchBufs,
     /// Its deadline is read every [`DEADLINE_EVERY`] class visits; on
     /// expiry the fuel is spent, so the enumeration unwinds at once.
     budget: &'p Budget,
-    ops: &'p [MatchOp],
+    alt: &'p Alt,
+    /// Slot row width: the alternative's slot count, at least 1.
+    width: usize,
     fuel: usize,
     visits: u32,
 }
@@ -457,12 +556,13 @@ struct EMatch<'g, 'p> {
 /// nanoseconds each.
 const DEADLINE_EVERY: u32 = 1024;
 
-impl EMatch<'_, '_> {
-    /// Match the subpattern at `ops[pc]` against class `c`: a variable
-    /// binds the class, a `∘` goes through full-consumption chain matching
-    /// (so association differences between pattern and class cannot hide a
-    /// match), anything else backtracks over the class's e-nodes.
-    fn class(&mut self, pc: usize, c: ClassId, binds: &Slots, out: &mut Vec<Slots>, depth: usize) {
+impl<'p> EMatch<'_, 'p> {
+    /// Match the subpattern at `ops[pc]` against class `c` under the
+    /// bindings in row `b`: a variable binds the class, a `∘` goes through
+    /// full-consumption chain matching (so association differences between
+    /// pattern and class cannot hide a match), anything else backtracks
+    /// over the class's e-nodes of the op's tag.
+    fn class(&mut self, pc: usize, c: ClassId, b: usize, depth: usize) {
         self.visits = self.visits.wrapping_add(1);
         if self.visits.is_multiple_of(DEADLINE_EVERY) && self.budget.expired() {
             self.fuel = 0;
@@ -471,168 +571,154 @@ impl EMatch<'_, '_> {
             return;
         }
         let c = self.eg.find(c);
-        let ops = self.ops;
-        if let Some(var) = var_slot(&ops[pc]) {
-            out.extend(bind(binds, var, c));
+        let alt = self.alt;
+        let op = &alt.matcher[pc];
+        if let Some(var) = var_slot(op) {
+            self.bind(b, var, c);
             return;
         }
-        if ops[pc] == MatchOp::Node(Tag::FCompose, 2) {
-            let mut segs = Vec::new();
-            compose_segments(ops, pc, &mut segs);
-            let mut hits = Vec::new();
-            self.chain(&segs, &[c], binds, &mut hits, depth);
+        if *op == MatchOp::Node(Tag::FCompose, 2) {
             // Full consumption only: a sub-pattern chain must equal the
             // whole segment, not a prefix of it.
-            out.extend(
-                hits.into_iter()
-                    .filter(|(_, rest)| rest.is_empty())
-                    .map(|(b, _)| b),
-            );
+            let at = self.bufs.cursors.len();
+            self.bufs.cursors.push(c);
+            self.chain(alt.compose_segs(pc), at..at + 1, b, depth, false);
+            self.bufs.cursors.truncate(at);
             return;
         }
+        let tag = match *op {
+            MatchOp::Node(tag, _) | MatchOp::Sym(tag, _) => tag,
+            MatchOp::Bool(_) => Tag::PConstP,
+            MatchOp::Lit(_) => Tag::QLit,
+            ref op => unreachable!("{op:?} never meets an e-node"),
+        };
         // Matching adds classes (chain folds) but never e-nodes to an
-        // existing class, so `c`'s node list is stable under the walk.
-        for k in 0..self.eg.nodes(c).len() {
+        // existing class, so `c`'s node list is stable under the walk, and
+        // sorted, so the nodes of one tag are a run of it.
+        let nodes = tag_run(self.eg.nodes(c), tag);
+        for k in nodes {
             if self.fuel == 0 {
                 return;
             }
-            self.node(pc, c, k, binds, out, depth);
+            self.node(pc, c, k, b, depth);
         }
     }
 
-    /// Match the op at `ops[pc]` against the `k`-th e-node of class `c`.
-    fn node(
-        &mut self,
-        pc: usize,
-        c: ClassId,
-        k: usize,
-        binds: &Slots,
-        out: &mut Vec<Slots>,
-        depth: usize,
-    ) {
+    /// Match the op at `ops[pc]` against the `k`-th e-node of class `c`,
+    /// which has the op's tag.
+    fn node(&mut self, pc: usize, c: ClassId, k: usize, b: usize, depth: usize) {
         let n = &self.eg.nodes(c)[k];
-        let hit = match &self.ops[pc] {
-            MatchOp::Node(tag, arity) => {
-                if n.tag != *tag {
-                    return;
-                }
+        let hit = match &self.alt.matcher[pc] {
+            MatchOp::Node(_, arity) => {
                 if *arity > 0 {
-                    let mut kids = [0; 3];
-                    kids[..*arity].copy_from_slice(&n.kids);
-                    return self.kids(pc + 1, &kids[..*arity], binds, out, depth - 1);
+                    let kids = n.kids;
+                    debug_assert_eq!(kids.len(), *arity);
+                    return self.kids(pc + 1, &kids, b, depth - 1);
                 }
                 true
             }
-            MatchOp::Sym(tag, s) => {
-                n.tag == *tag && matches!(&n.payload, Payload::Sym(b) if b == s)
-            }
-            MatchOp::Bool(b) => {
-                n.tag == Tag::PConstP && matches!(n.payload, Payload::Bool(v) if v == *b)
-            }
-            MatchOp::Lit(v) => {
-                n.tag == Tag::QLit && matches!(&n.payload, Payload::Value(w) if w.as_ref() == v)
-            }
+            MatchOp::Sym(_, s) => matches!(&n.payload, Payload::Sym(x) if x == s),
+            MatchOp::Bool(v) => matches!(n.payload, Payload::Bool(x) if x == *v),
+            MatchOp::Lit(v) => matches!(&n.payload, Payload::Value(w) if w.as_ref() == v),
             op => unreachable!("{op:?} never meets an e-node"),
         };
         if hit {
             self.fuel = self.fuel.saturating_sub(1);
-            out.push(binds.clone());
+            let width = self.width;
+            self.bufs.rows.extend_from_within(b..b + width);
         }
     }
 
     /// Match the kid subpatterns from `ops[pc]` on against `kids`, in
     /// order: every hit of one kid is in before the next kid starts.
-    fn kids(
-        &mut self,
-        mut pc: usize,
-        kids: &[ClassId],
-        binds: &Slots,
-        out: &mut Vec<Slots>,
-        depth: usize,
-    ) {
+    fn kids(&mut self, mut pc: usize, kids: &[ClassId], b: usize, depth: usize) {
         let (&last, init) = kids.split_last().expect("a node op has kids");
-        let mut hits: Vec<Slots> = Vec::new();
-        for (j, &k) in init.iter().enumerate() {
-            let mut next = Vec::new();
-            if j == 0 {
-                self.class(pc, k, binds, &mut next, depth);
-            } else {
-                for b in &hits {
-                    self.class(pc, k, b, &mut next, depth);
-                }
+        let width = self.width;
+        let base = self.bufs.rows.len();
+        // The hits so far: row `b` alone, then each kid's list in turn.
+        let mut hits = b..b + width;
+        for &k in init {
+            let start = self.bufs.rows.len();
+            for r in hits.step_by(width) {
+                self.class(pc, k, r, depth);
             }
-            hits = next;
-            pc = subtree_end(self.ops, pc);
+            hits = start..self.bufs.rows.len();
+            pc = subtree_end(&self.alt.matcher, pc);
         }
-        let from = if init.is_empty() {
-            std::slice::from_ref(binds)
-        } else {
-            &hits[..]
-        };
-        for b in from {
-            self.class(pc, last, b, out, depth);
+        let start = self.bufs.rows.len();
+        for r in hits.step_by(width) {
+            self.class(pc, last, r, depth);
         }
+        self.bufs.rows.drain(base..start);
     }
 
     /// Chain-prefix e-matching: match the segments that start at `segs`
-    /// against the chain structure of a cursor (a list of classes whose
-    /// composition is the chain), decomposing through `∘` e-nodes. The
-    /// rule programs' chain prefix over e-classes: all but the last segment
-    /// consume exactly one chain segment; a trailing metavariable swallows
-    /// the whole rest; a trailing concrete segment consumes one and leaves
-    /// the remainder for re-composition.
+    /// against the chain structure of the cursor at `cursor` in
+    /// [`MatchBufs::cursors`] (a run of classes whose composition is the
+    /// chain), decomposing through `∘` e-nodes. The rule programs' chain
+    /// prefix over e-classes: all but the last segment consume exactly one
+    /// chain segment; a trailing metavariable swallows the whole rest; a
+    /// trailing concrete segment consumes one and leaves the remainder for
+    /// re-composition. A chain head (`keep_rest`) records each hit's
+    /// remainder in [`MatchBufs::hit_rests`]; a nested chain keeps only the
+    /// hits that leave none.
     fn chain(
         &mut self,
-        segs: &[usize],
-        cursor: &[ClassId],
-        binds: &Slots,
-        out: &mut Vec<(Slots, Vec<ClassId>)>,
+        segs: &'p [usize],
+        cursor: Range<usize>,
+        b: usize,
         depth: usize,
+        keep_rest: bool,
     ) {
-        if self.fuel == 0 || depth == 0 {
+        if self.fuel == 0 || depth == 0 || cursor.is_empty() {
             return;
         }
-        let ops = self.ops;
-        let Some((&head, suffix)) = cursor.split_first() else {
-            return;
-        };
+        let ops = &self.alt.matcher;
+        let width = self.width;
+        let head = self.bufs.cursors[cursor.start];
+        let suffix = cursor.start + 1..cursor.end;
         let [last] = *segs else {
             let Some((&p, later)) = segs.split_first() else {
                 return;
             };
-            // Non-final segment: consume exactly one chain segment. A split
-            // that matches writes its rest into one buffer the recursion
-            // reads.
-            let mut rest = Vec::new();
+            // Non-final segment: consume exactly one chain segment. The
+            // hits of a split that matches continue on the cursor its
+            // rest makes.
             for i in self.peel.splits_of(self.eg, head, depth) {
                 if self.fuel == 0 {
                     return;
                 }
                 let (seg, tail) = self.peel.splits[i];
-                if let Some(var) = var_slot(&ops[p]) {
-                    if let Some(b) = bind(binds, var, seg) {
-                        self.peel.write_rest(tail, suffix, &mut rest);
-                        self.chain(later, &rest, &b, out, depth - 1);
+                let at = self.bufs.rows.len();
+                match var_slot(&ops[p]) {
+                    Some(var) => {
+                        self.bind(b, var, seg);
                     }
-                } else {
-                    let mut seg_hits = Vec::new();
-                    self.class(p, seg, binds, &mut seg_hits, depth - 1);
-                    if !seg_hits.is_empty() {
-                        self.peel.write_rest(tail, suffix, &mut rest);
-                    }
-                    for b in &seg_hits {
-                        self.chain(later, &rest, b, out, depth - 1);
-                    }
+                    None => self.class(p, seg, b, depth - 1),
                 }
+                let end = self.bufs.rows.len();
+                if end == at {
+                    continue;
+                }
+                let rest = self.push_rest(tail, suffix.clone());
+                for r in (at..end).step_by(width) {
+                    self.chain(later, rest.clone(), r, depth - 1, keep_rest);
+                }
+                self.bufs.cursors.truncate(rest.start);
+                self.bufs.rows.drain(at..end);
             }
             return;
         };
         // Final segment.
         if let Some(var) = var_slot(&ops[last]) {
-            let folded = fold_cursor(self.eg, cursor);
-            if let Some(b) = bind(binds, var, self.eg.find(folded)) {
+            let folded = fold_cursor(self.eg, &self.bufs.cursors[cursor]);
+            let c = self.eg.find(folded);
+            if self.bind(b, var, c) {
                 self.fuel = self.fuel.saturating_sub(1);
-                out.push((b, Vec::new()));
+                if keep_rest {
+                    let at = self.bufs.rests.len();
+                    self.bufs.hit_rests.push(at..at);
+                }
             }
             return;
         }
@@ -641,16 +727,57 @@ impl EMatch<'_, '_> {
                 return;
             }
             let (seg, tail) = self.peel.splits[i];
-            let mut seg_hits = Vec::new();
-            self.class(last, seg, binds, &mut seg_hits, depth - 1);
-            for b in seg_hits {
+            let at = self.bufs.rows.len();
+            self.class(last, seg, b, depth - 1);
+            let end = self.bufs.rows.len();
+            for r in (at..end).step_by(width) {
                 self.fuel = self.fuel.saturating_sub(1);
-                let mut rest = Vec::new();
-                self.peel.write_rest(tail, suffix, &mut rest);
-                out.push((b, rest));
+                let bufs = &mut *self.bufs;
+                if keep_rest {
+                    let from = bufs.rests.len();
+                    self.peel.push_tail(tail, &mut bufs.rests);
+                    bufs.rests.extend_from_slice(&bufs.cursors[suffix.clone()]);
+                    bufs.hit_rests.push(from..bufs.rests.len());
+                } else if tail != EMPTY || !suffix.is_empty() {
+                    continue;
+                }
+                bufs.rows.extend_from_within(r..r + width);
             }
+            self.bufs.rows.drain(at..end);
         }
     }
+
+    /// Push a copy of row `b` with the variable's slot holding the
+    /// canonical class `c`; nothing when the slot already holds another
+    /// class. Returns whether it pushed.
+    fn bind(&mut self, b: usize, (i, bound): (usize, bool), c: ClassId) -> bool {
+        let rows = &mut self.bufs.rows;
+        if bound && rows[b + i] != c {
+            return false;
+        }
+        let at = rows.len();
+        rows.extend_from_within(b..b + self.width);
+        rows[at + i] = c;
+        true
+    }
+
+    /// Push a cursor onto the cursor stack: `tail`'s classes, then a copy
+    /// of the cursor classes at `suffix`. Returns where it lies.
+    fn push_rest(&mut self, tail: Cell, suffix: Range<usize>) -> Range<usize> {
+        let cursors = &mut self.bufs.cursors;
+        let at = cursors.len();
+        self.peel.push_tail(tail, cursors);
+        cursors.extend_from_within(suffix);
+        at..cursors.len()
+    }
+}
+
+/// The indices of `nodes`' e-nodes tagged `tag`: a run, because `rebuild`
+/// leaves a class's nodes sorted by tag first.
+fn tag_run(nodes: &[ENode], tag: Tag) -> Range<usize> {
+    debug_assert!(nodes.is_sorted(), "a class's e-nodes are sorted");
+    let lo = nodes.partition_point(|n| n.tag < tag);
+    lo..lo + nodes[lo..].partition_point(|n| n.tag == tag)
 }
 
 /// A variable op's slot, and whether an earlier op bound it (a check
@@ -661,17 +788,6 @@ fn var_slot(op: &MatchOp) -> Option<(usize, bool)> {
         MatchOp::Same(i) | MatchOp::RestSame(i) => Some((i, true)),
         _ => None,
     }
-}
-
-/// `binds` with the variable's slot holding the canonical class `c`, or
-/// `None` when the slot already holds another class.
-fn bind(binds: &Slots, (i, bound): (usize, bool), c: ClassId) -> Option<Slots> {
-    if bound {
-        return (binds[i] == c).then(|| binds.clone());
-    }
-    let mut b = binds.clone();
-    b[i] = c;
-    Some(b)
 }
 
 /// A list of peeled tail classes as a hash-consed snoc cell: with
@@ -698,28 +814,31 @@ const EMPTY: Cell = 0;
 /// bound into slots but never enter a cursor. An entry is therefore built
 /// once per (canonical class, depth), from the head classes' own entries,
 /// and the table is dropped with the round.
+#[derive(Default)]
 struct PeelTable {
     /// `id_bound` when the round began: every class the table reads lies
     /// below it.
     bound: usize,
     /// (canonical class, depth) → its splits' range in `splits`.
-    entries: HashMap<(ClassId, usize), Range<usize>>,
+    entries: HashMap<(ClassId, usize), Range<usize>, FxBuild>,
     /// Every entry's splits, one entry's contiguous: (segment, tail).
     splits: Vec<(ClassId, Cell)>,
     /// Snoc cells, `(prev, class)`; index 0 stands for [`EMPTY`].
     cells: Vec<(Cell, ClassId)>,
-    cell_ids: HashMap<(Cell, ClassId), Cell>,
+    cell_ids: HashMap<(Cell, ClassId), Cell, FxBuild>,
+    /// The splits of the entry being filled.
+    seen: HashSet<(ClassId, Cell), FxBuild>,
 }
 
 impl PeelTable {
-    fn new(bound: usize) -> PeelTable {
-        PeelTable {
-            bound,
-            entries: HashMap::new(),
-            splits: Vec::new(),
-            cells: vec![(EMPTY, 0)],
-            cell_ids: HashMap::new(),
-        }
+    /// Empty the table for a round that begins at `id_bound` `bound`.
+    fn reset(&mut self, bound: usize) {
+        self.bound = bound;
+        self.entries.clear();
+        self.splits.clear();
+        self.cells.clear();
+        self.cells.push((EMPTY, 0));
+        self.cell_ids.clear();
     }
 
     /// The range in `splits` of class `c`'s splits at `depth`, filled on
@@ -736,14 +855,23 @@ impl PeelTable {
             (c as usize) < self.bound,
             "class {c} was made during the match phase"
         );
-        let mut entry: Vec<(ClassId, Cell)> = Vec::new();
-        let mut seen: HashSet<(ClassId, Cell)> = HashSet::new();
         let nodes = eg.nodes(c);
-        if nodes.iter().any(|n| n.tag != Tag::FCompose) {
-            seen.insert((c, EMPTY));
-            entry.push((c, EMPTY));
+        let composes = &nodes[tag_run(nodes, Tag::FCompose)];
+        // Fill the heads' entries first, so this one is written in one
+        // piece at the end of `splits`.
+        for n in composes {
+            let head = eg.find(n.kids[0]);
+            if head != c {
+                self.splits_of(eg, head, depth - 1);
+            }
         }
-        for n in nodes.iter().filter(|n| n.tag == Tag::FCompose) {
+        let start = self.splits.len();
+        self.seen.clear();
+        if composes.len() < nodes.len() {
+            self.seen.insert((c, EMPTY));
+            self.splits.push((c, EMPTY));
+        }
+        for n in composes {
             let head = eg.find(n.kids[0]);
             if head == c {
                 continue;
@@ -752,13 +880,12 @@ impl PeelTable {
             for i in self.splits_of(eg, head, depth - 1) {
                 let (seg, prev) = self.splits[i];
                 let split = (seg, self.snoc(prev, tail));
-                if seen.insert(split) {
-                    entry.push(split);
+                if self.seen.insert(split) {
+                    self.splits.push(split);
                 }
             }
         }
-        let r = self.splits.len()..self.splits.len() + entry.len();
-        self.splits.extend(entry);
+        let r = start..self.splits.len();
         self.entries.insert((c, depth), r.clone());
         r
     }
@@ -773,16 +900,15 @@ impl PeelTable {
         cell
     }
 
-    /// Overwrite `buf` with `tail`'s classes followed by `suffix`.
-    fn write_rest(&self, mut tail: Cell, suffix: &[ClassId], buf: &mut Vec<ClassId>) {
-        buf.clear();
+    /// Push `tail`'s classes onto `buf`, in order.
+    fn push_tail(&self, mut tail: Cell, buf: &mut Vec<ClassId>) {
+        let at = buf.len();
         while tail != EMPTY {
             let (prev, c) = self.cells[tail as usize];
             buf.push(c);
             tail = prev;
         }
-        buf.reverse();
-        buf.extend_from_slice(suffix);
+        buf[at..].reverse();
     }
 }
 

@@ -93,6 +93,21 @@ if grep -Eqw 'PFunc|PPred|PQuery|RewritePair' crates/kola-rewrite/src/saturate.r
   exit 1
 fi
 
+# The e-graph's memo is keyed by e-nodes whose payloads (symbols and
+# literals) come from request text, so it keeps std's keyed hasher against
+# hash flooding. The crate's Fx hasher is only for maps keyed by the
+# engine's own class ids, cells and term ids.
+echo "== e-graph memo hasher guard"
+EGRAPH_SRC=crates/kola-rewrite/src/egraph.rs
+MEMO_DECL=$(grep -E '^[[:space:]]*memo:' "$EGRAPH_SRC" || true)
+if [ "$(sed -E 's/^[[:space:]]+//' <<<"$MEMO_DECL")" != 'memo: HashMap<ENode, ClassId>,' ] ||
+  ! grep -Eq '^use std::collections::HashMap;$' "$EGRAPH_SRC" ||
+  grep -Eq 'as HashMap\b' "$EGRAPH_SRC"; then
+  echo "$EGRAPH_SRC: EGraph's memo is not a std HashMap with its default hasher:" >&2
+  echo "$MEMO_DECL" >&2
+  exit 1
+fi
+
 # Strategies run one engine: every primitive builds a fast::Engine, and the
 # boxed drivers (fixpoint, one-step search, bottom-up sweep) stay the
 # reference for tests, trace replay and the containment suite, never a

@@ -1,4 +1,5 @@
-//! Allocation budget of the fixpoint engine's rewrite steps.
+//! Allocation budget of the fixpoint engine's rewrite steps, and of a
+//! saturating run.
 //!
 //! A rule over KOLA is plain pattern matching, so a rewrite step should
 //! cost tag and pointer compares plus the nodes it adds to the arena, not
@@ -19,6 +20,9 @@
 //! same workloads and requires a consult that does not match — or whose
 //! precondition refuses — to allocate nothing. A third bounds parsing text
 //! straight into a warm arena: one allocation a text, its token buffer.
+//! A fourth bounds one warm `EngineConfig::saturating()` run at 256 steps:
+//! equality saturation's match phase, too, should read tags and class ids
+//! rather than allocate.
 
 #[path = "common/match_corpus.rs"]
 mod match_corpus;
@@ -31,7 +35,9 @@ use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::Rng;
 use kola_rewrite::hidden_join::{garage_query_kg1, synthetic_hidden_join};
 use kola_rewrite::program::{Applied, Program};
-use kola_rewrite::{Budget, Catalog, Direction, Engine, EngineConfig, Oriented, PropDb};
+use kola_rewrite::{
+    Budget, Catalog, Direction, Engine, EngineConfig, Oriented, PropDb, StopReason,
+};
 use kola_verify::{palette, Gen};
 use match_corpus::subterms;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -225,5 +231,45 @@ fn parsing_text_into_a_warm_arena_allocates_only_the_token_buffer() {
         assert!(again.ptr_eq(&first), "{t}");
         assert_eq!(it.constructed(), constructed, "{t}");
         assert_eq!(spent, 1, "allocations parsing {t}");
+    }
+}
+
+/// One warm saturating run over the full forward catalog at 256 steps
+/// (trace off) on KG1, the depth-2 synthetic hidden join and Figure 4's
+/// T2 makes about 1,800–2,100 allocations: the wave's new nodes, the
+/// e-graph's classes and memo, and the match phase's buffers growing past
+/// their high-water mark. The bound, 3,000 a run, leaves a half of that as
+/// margin and is a fourteenth of what a matcher that clones its slot
+/// vector per bind and per hit made on these runs (about 43,000–67,000).
+#[test]
+fn a_saturating_run_allocates_within_its_budget() {
+    const PER_RUN: u64 = 3_000;
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let rules: Vec<Oriented> = catalog.rules().iter().map(Oriented::fwd).collect();
+    let mut engine = Engine::new(rules, &props, EngineConfig::saturating());
+    engine.set_trace(false);
+    let budget = Budget::with_steps(256);
+    let inputs = [
+        ("KG1", garage_query_kg1()),
+        ("shj2", synthetic_hidden_join(2)),
+        (
+            "T2",
+            parse_query("iterate(Kp(T), age) . iterate(gt @ (age, Kf(25)), id) ! P").unwrap(),
+        ),
+    ];
+    for (name, q) in &inputs {
+        // Warm: the index is built, the programs compiled, the arena holds
+        // the wave's terms.
+        engine.normalize(q, &budget);
+        let before = allocs();
+        let out = engine.normalize(q, &budget);
+        let spent = allocs() - before;
+        assert_eq!(out.report.stop, StopReason::BudgetExhausted, "{name}");
+        eprintln!("{name}: {spent} allocations in one saturating run");
+        assert!(
+            spent <= PER_RUN,
+            "{name}: {spent} allocations in one saturating run (budget {PER_RUN})"
+        );
     }
 }

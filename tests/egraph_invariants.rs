@@ -254,3 +254,32 @@ fn deadline_expiry_inside_a_match_round_stops_the_run() {
         );
     }
 }
+
+/// The match-phase odometers in `EngineStats`: a fixpoint engine never
+/// e-matches, so both read 0; the 256-step `synthetic_hidden_join(1)` run
+/// reaches the round whose trailing chain metavariables fold cursors into
+/// new classes while matching, so both count.
+#[test]
+fn match_phase_counters_read_zero_unless_saturating() {
+    use kola_rewrite::hidden_join::synthetic_hidden_join;
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let rules = || catalog.rules().iter().map(Oriented::fwd).collect();
+    let q = synthetic_hidden_join(1);
+    let budget = Budget::with_steps(256);
+
+    let mut fast = Engine::new(rules(), &props, EngineConfig::fast());
+    fast.normalize(&q, &budget);
+    let stats = fast.stats();
+    assert_eq!((stats.ematch_visits, stats.match_classes), (0, 0));
+
+    let mut sat = Engine::new(rules(), &props, EngineConfig::saturating());
+    sat.normalize(&q, &budget);
+    let stats = sat.stats();
+    eprintln!(
+        "shj1 at 256 steps: {} e-match visits, {} classes made while matching",
+        stats.ematch_visits, stats.match_classes
+    );
+    assert!(stats.ematch_visits > 0, "{stats:?}");
+    assert!(stats.match_classes > 0, "{stats:?}");
+}

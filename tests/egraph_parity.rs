@@ -13,13 +13,21 @@
 //! input may only be stuck where its plan evaluates — saturation can
 //! extract a plan that no longer applies the ill-typed part — and those
 //! seeds are counted and printed.
+//!
+//! Few generated inputs typecheck, so each seed also sends one well-typed
+//! selection through both gates, shaped like the benchmark's typed
+//! selections: a comparison filter on `age` fused with a map that is an
+//! attribute or a depth-1 `kola_verify::Gen` function.
 
+use kola::parse::parse_query;
 use kola::term::{Func, Pred, Query};
 use kola::typecheck::{typecheck_query, TypeEnv};
+use kola::types::Type;
 use kola_exec::datagen::{generate, DataSpec};
 use kola_exec::rng::Rng;
 use kola_rewrite::saturate::term_cost;
 use kola_rewrite::{Budget, Catalog, Engine, EngineConfig, Oriented, PropDb, TermSize};
+use kola_verify::Gen;
 use std::sync::Arc;
 
 /// Same untyped-garbage generator family as `tests/index_parity.rs`.
@@ -108,6 +116,20 @@ fn arb_query(rng: &mut Rng, depth: usize) -> Query {
     }
 }
 
+/// A well-typed selection over the person extent: `iterate(cmp @ (age,
+/// Kf(c)), map) ! P`, the map a depth-1 `Gen` function to `Int` seven
+/// times in ten, an attribute otherwise.
+fn typed_selection(rng: &mut Rng, g: &mut Gen, person: &Type) -> Query {
+    let c = rng.gen_range(0..60i64);
+    let cmp = ["gt", "lt", "geq", "leq", "eq"][rng.gen_range(0..5usize)];
+    let map = if rng.gen_range(0..10u32) < 7 {
+        g.func(person, &Type::Int, 1).to_string()
+    } else {
+        ["age", "name", "addr"][rng.gen_range(0..3usize)].to_string()
+    };
+    parse_query(&format!("iterate({cmp} @ (age, Kf({c})), {map}) ! P")).unwrap()
+}
+
 /// The mixed-level pool from `tests/index_parity.rs` (func, pred and query
 /// rules, a backward orientation, and an inert backward one-way rule).
 fn rule_pool(catalog: &Catalog) -> Vec<Oriented<'_>> {
@@ -163,44 +185,54 @@ fn extracted_cost_never_exceeds_fixpoint_cost() {
     let mut env = TypeEnv::paper_env();
     let vehicles = env.extents[&Arc::from("V")].clone();
     env.bind_extent("Q", vehicles);
+    let person = Type::Obj(db.schema().class_id("Person").expect("paper schema"));
     let (mut well_typed, mut unstuck) = (0usize, 0usize);
 
     for seed in 0..corpus_len() {
         let mut rng = Rng::seed_from_u64(0xC0FFEE ^ seed);
         let q = arb_query(&mut rng, 5);
-        let f = fix.normalize(&q, &fix_budget);
-        let s = sat.normalize(&q, &sat_budget);
-        // Saturation seeds its e-graph with the wave's interned terms as
-        // they are, which equals normalizing and re-interning each one
-        // only because every wave term is already right-normalized.
-        for step in &f.trace.steps {
-            assert_eq!(step.after.normalize(), step.after, "seed {seed}: {q}");
-        }
-        let fc = size_cost(&f.query);
-        let sc = size_cost(&s.query);
-        assert!(
-            sc <= fc,
-            "seed {seed}: extracted plan costs {sc} > fixpoint {fc}\n  in : {q}\n  fix: {}\n  sat: {}",
-            f.query,
-            s.query,
-        );
-        // The extracted plan must also *mean* the same thing as the input
-        // (kola-verify's plan-level semantic gate).
-        let typed = typecheck_query(&env, &q).is_ok();
-        well_typed += usize::from(typed);
-        if let Err(e) = kola_verify::check_plan_semantics(&db, &q, &s.query) {
-            let input_stuck = kola::eval_query(&db, &q).is_err();
-            let plan_evaluates = kola::eval_query(&db, &s.query).is_ok();
+        let mut g = Gen::new(&db, Rng::seed_from_u64(0x7E57 ^ seed));
+        let selection = typed_selection(&mut rng, &mut g, &person);
+        for q in [q, selection] {
+            let f = fix.normalize(&q, &fix_budget);
+            let s = sat.normalize(&q, &sat_budget);
+            // Saturation seeds its e-graph with the wave's interned terms
+            // as they are, which equals normalizing and re-interning each
+            // one only because every wave term is already right-normalized.
+            for step in &f.trace.steps {
+                assert_eq!(step.after.normalize(), step.after, "seed {seed}: {q}");
+            }
+            let fc = size_cost(&f.query);
+            let sc = size_cost(&s.query);
             assert!(
-                !typed && input_stuck && plan_evaluates,
-                "seed {seed}: extracted plan changed semantics (input well-typed: {typed}): {e}"
+                sc <= fc,
+                "seed {seed}: extracted plan costs {sc} > fixpoint {fc}\n  in : {q}\n  fix: {}\n  sat: {}",
+                f.query,
+                s.query,
             );
-            unstuck += 1;
+            // The extracted plan must also *mean* the same thing as the
+            // input (kola-verify's plan-level semantic gate).
+            let typed = typecheck_query(&env, &q).is_ok();
+            well_typed += usize::from(typed);
+            if let Err(e) = kola_verify::check_plan_semantics(&db, &q, &s.query) {
+                let input_stuck = kola::eval_query(&db, &q).is_err();
+                let plan_evaluates = kola::eval_query(&db, &s.query).is_ok();
+                assert!(
+                    !typed && input_stuck && plan_evaluates,
+                    "seed {seed}: extracted plan changed semantics (input well-typed: {typed}): {e}\n  in : {q}\n  sat: {}",
+                    s.query
+                );
+                unstuck += 1;
+            }
         }
     }
+    let inputs = 2 * corpus_len();
     eprintln!(
-        "semantic gate: {well_typed} of {} inputs well-typed; {unstuck} ill-typed inputs stuck where their plan evaluates",
-        corpus_len()
+        "semantic gate: {well_typed} of {inputs} inputs well-typed; {unstuck} ill-typed inputs stuck where their plan evaluates",
+    );
+    assert!(
+        well_typed as u64 >= corpus_len(),
+        "only {well_typed} of {inputs} inputs are well-typed: every seed's selection should be"
     );
 }
 
