@@ -37,7 +37,7 @@
 //! candidate scan of each interpreter skips it before consulting it, so
 //! the index holds rule positions and nothing about any run.
 
-use crate::egraph::{ClassId, EGraph};
+use crate::egraph::{ClassId, RoundView};
 use crate::engine::Oriented;
 use crate::matching::{pchain_segments, pfunc_tag, ppred_tag, pquery_tag};
 use crate::program::{func_kids, pred_kids, query_kids};
@@ -197,7 +197,7 @@ impl DTree {
     fn walk_eg(
         &self,
         at: u32,
-        eg: &EGraph,
+        eg: RoundView<'_>,
         stack: &mut Vec<ClassId>,
         out: &mut Vec<usize>,
         fuel: &mut usize,
@@ -335,7 +335,12 @@ impl RuleIndex {
     /// `∘` e-nodes' left kids (cycle-guarded) that owns at least one
     /// non-`∘` member. This mirrors [`RuleIndex::func_candidates`]'s
     /// leading-compose strip, generalized to all members of the class.
-    pub fn func_candidates_class(&self, eg: &EGraph, c: ClassId, out: &mut Vec<usize>) {
+    pub(crate) fn func_candidates_class(
+        &self,
+        eg: RoundView<'_>,
+        c: ClassId,
+        out: &mut Vec<usize>,
+    ) {
         out.clear();
         let mut heads: Vec<ClassId> = Vec::new();
         let mut seen: Vec<ClassId> = Vec::new();
@@ -368,16 +373,26 @@ impl RuleIndex {
     }
 
     /// Candidate rule positions for a predicate-level e-class, ascending.
-    pub fn pred_candidates_class(&self, eg: &EGraph, c: ClassId, out: &mut Vec<usize>) {
+    pub(crate) fn pred_candidates_class(
+        &self,
+        eg: RoundView<'_>,
+        c: ClassId,
+        out: &mut Vec<usize>,
+    ) {
         self.candidates_class(&self.pred, eg, c, out);
     }
 
     /// Candidate rule positions for a query-level e-class, ascending.
-    pub fn query_candidates_class(&self, eg: &EGraph, c: ClassId, out: &mut Vec<usize>) {
+    pub(crate) fn query_candidates_class(
+        &self,
+        eg: RoundView<'_>,
+        c: ClassId,
+        out: &mut Vec<usize>,
+    ) {
         self.candidates_class(&self.query, eg, c, out);
     }
 
-    fn candidates_class(&self, tree: &DTree, eg: &EGraph, c: ClassId, out: &mut Vec<usize>) {
+    fn candidates_class(&self, tree: &DTree, eg: RoundView<'_>, c: ClassId, out: &mut Vec<usize>) {
         out.clear();
         let mut stack = vec![eg.find(c)];
         let mut fuel = WALK_EG_FUEL;

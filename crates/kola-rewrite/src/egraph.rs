@@ -162,6 +162,9 @@ impl fmt::Debug for ENodeKids {
     }
 }
 
+/// Interned term id → the class [`EGraph::add_term_rec`] gave it.
+pub(crate) type TermIds = HashMap<usize, ClassId, FxBuild>;
+
 /// One equivalence class: its e-nodes, kept sorted and deduplicated after
 /// every [`EGraph::rebuild`].
 #[derive(Debug, Default, Clone)]
@@ -173,7 +176,8 @@ pub struct EClass {
 /// The e-graph. See the module docs for the invariants; note that `add` /
 /// `union` may leave the graph *dirty* — callers batch mutations and then
 /// [`EGraph::rebuild`] once, which is the standard equality-saturation
-/// rhythm (match phase → apply phase → rebuild).
+/// rhythm (match → apply → rebuild). A saturation round reads the graph
+/// as it began through a [`RoundView`] while it writes.
 #[derive(Debug, Default)]
 pub struct EGraph {
     /// Union-find parents; `parent[i] == i` iff `i` is canonical.
@@ -183,7 +187,8 @@ pub struct EGraph {
     /// Keyed by payloads taken from request text, so it keeps std's keyed
     /// hasher.
     memo: HashMap<ENode, ClassId>,
-    /// Class storage, indexed by id; `None` for absorbed (non-root) ids.
+    /// Class storage, indexed by id; `None` for absorbed (non-root) ids
+    /// once a `rebuild` has moved their e-nodes into their root.
     classes: Vec<Option<EClass>>,
     /// Total successful unions over the graph's lifetime.
     unions: u64,
@@ -247,11 +252,12 @@ impl EGraph {
     /// Register a whole interned term bottom-up, sharing the DAG: each
     /// distinct interned node is added once per call.
     pub fn add_term(&mut self, t: &ITerm) -> ClassId {
-        let mut seen: HashMap<usize, ClassId, FxBuild> = HashMap::default();
-        self.add_term_rec(t, &mut seen)
+        self.add_term_rec(t, &mut TermIds::default())
     }
 
-    fn add_term_rec(&mut self, t: &ITerm, seen: &mut HashMap<usize, ClassId, FxBuild>) -> ClassId {
+    /// [`EGraph::add_term`], sharing `seen` (interned term id → class) with
+    /// earlier calls, so a node that several terms share is added once.
+    pub(crate) fn add_term_rec(&mut self, t: &ITerm, seen: &mut TermIds) -> ClassId {
         if let Some(&c) = seen.get(&t.id()) {
             return self.find(c);
         }
@@ -279,15 +285,9 @@ impl EGraph {
             return ra;
         }
         let (keep, lose) = if ra < rb { (ra, rb) } else { (rb, ra) };
-        let moved = self.classes[lose as usize]
-            .take()
-            .expect("absorbed class has storage");
+        // The loser's e-nodes stay where they are until `rebuild` moves
+        // them, so a [`RoundView`] still reads both classes as they stood.
         self.parent[lose as usize] = keep;
-        self.classes[keep as usize]
-            .as_mut()
-            .expect("canonical class has storage")
-            .nodes
-            .extend(moved.nodes);
         self.unions += 1;
         self.version += 1;
         self.dirty = true;
@@ -295,9 +295,10 @@ impl EGraph {
     }
 
     /// Restore the hashcons and congruence invariants after a batch of
-    /// `union`s: sweep every class (canonicalize, sort, dedup its nodes),
-    /// merge any two classes sharing a canonical shape, and repeat until no
-    /// merge fires. Also path-compresses the union-find.
+    /// `union`s: move every absorbed class's e-nodes into its root, sweep
+    /// every class (canonicalize, sort, dedup its nodes), merge any two
+    /// classes sharing a canonical shape, and repeat until no merge fires.
+    /// Also path-compresses the union-find.
     pub fn rebuild(&mut self) {
         // The pass that ends the loop merges nothing, so the memo it fills
         // maps every canonical node to its own canonical class.
@@ -307,6 +308,15 @@ impl EGraph {
             for i in 0..self.parent.len() {
                 let root = self.find(i as ClassId);
                 self.parent[i] = root;
+                if root != i as ClassId {
+                    if let Some(moved) = self.classes[i].take() {
+                        self.classes[root as usize]
+                            .as_mut()
+                            .expect("canonical class has storage")
+                            .nodes
+                            .extend(moved.nodes);
+                    }
+                }
             }
             let mut changed = false;
             memo.clear();
@@ -382,13 +392,29 @@ impl EGraph {
         (0..self.parent.len() as ClassId).filter(move |&id| self.parent[id as usize] == id)
     }
 
-    /// The e-nodes of canonical class `c` (sorted when the graph is clean).
+    /// The e-nodes of `c`'s class: all of them, sorted, when the graph is
+    /// clean; between a `union` and the next `rebuild`, only those the
+    /// canonical class held before.
     pub fn nodes(&self, c: ClassId) -> &[ENode] {
-        let c = self.find(c);
-        self.classes[c as usize]
-            .as_ref()
-            .map(|cl| cl.nodes.as_slice())
-            .unwrap_or(&[])
+        self.view().nodes(c)
+    }
+
+    /// The graph as it stands, read through a [`RoundView`]. Clean graphs
+    /// only: a dirty one's classes are missing their absorbed e-nodes.
+    pub(crate) fn view(&self) -> RoundView<'_> {
+        RoundView {
+            eg: self,
+            parent: &self.parent,
+        }
+    }
+
+    /// Record the union-find as it stands at the start of a saturation
+    /// round into `start`, which [`RoundStart::view`] then reads through.
+    /// The graph must be clean.
+    pub(crate) fn begin_round(&self, start: &mut RoundStart) {
+        debug_assert!(!self.dirty, "a round starts on a rebuilt graph");
+        start.parent.clear();
+        start.parent.extend_from_slice(&self.parent);
     }
 
     /// Number of canonical classes.
@@ -456,6 +482,82 @@ impl EGraph {
             }
         }
         Ok(())
+    }
+}
+
+/// The union-find parents of a graph as a saturation round began
+/// ([`EGraph::begin_round`]); its buffer is reused from round to round.
+#[derive(Debug, Default)]
+pub(crate) struct RoundStart {
+    parent: Vec<ClassId>,
+}
+
+impl RoundStart {
+    /// `eg` as it stood when the round began. Valid while the round only
+    /// adds e-nodes and unions classes: `add` puts new classes past the
+    /// round's id bound and never an e-node into an existing class, and
+    /// `union` leaves both classes' e-nodes where they were, so every class
+    /// below the bound still holds exactly its round-start e-nodes.
+    pub(crate) fn view<'g>(&'g self, eg: &'g EGraph) -> RoundView<'g> {
+        debug_assert!(self.parent.len() <= eg.parent.len());
+        RoundView {
+            eg,
+            parent: &self.parent,
+        }
+    }
+}
+
+/// A read-only view of an [`EGraph`] at one clean moment: the classes below
+/// its id bound, their e-nodes, and the union-find as it stood then. A
+/// saturation round matches through one while its apply steps write the
+/// graph; nothing is copied but the union-find parents.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct RoundView<'g> {
+    eg: &'g EGraph,
+    /// The parents then; the length is the view's id bound.
+    parent: &'g [ClassId],
+}
+
+impl<'g> RoundView<'g> {
+    /// Canonical representative of `c` in the view.
+    pub(crate) fn find(&self, mut c: ClassId) -> ClassId {
+        while self.parent[c as usize] != c {
+            c = self.parent[c as usize];
+        }
+        c
+    }
+
+    /// The e-nodes of `c`'s class in the view, sorted.
+    pub(crate) fn nodes(&self, c: ClassId) -> &'g [ENode] {
+        let c = self.find(c);
+        self.eg.classes[c as usize]
+            .as_ref()
+            .map(|cl| cl.nodes.as_slice())
+            .unwrap_or(&[])
+    }
+
+    /// Canonical class ids in the view, ascending.
+    pub(crate) fn class_ids(&self) -> impl Iterator<Item = ClassId> + 'g {
+        let parent = self.parent;
+        (0..parent.len() as ClassId).filter(move |&id| parent[id as usize] == id)
+    }
+
+    /// Ids in the view: every class it holds lies below.
+    pub(crate) fn id_bound(&self) -> usize {
+        self.parent.len()
+    }
+
+    /// The class of `a ∘ b` in the view, for canonical `a` and `b`, if it
+    /// has one. A memo entry made since the view began names a class at or
+    /// past its id bound, and does not count.
+    pub(crate) fn lookup_compose(&self, a: ClassId, b: ClassId) -> Option<ClassId> {
+        let node = ENode {
+            tag: Tag::FCompose,
+            payload: Payload::None,
+            kids: ENodeKids::from(&[a, b][..]),
+        };
+        let c = *self.eg.memo.get(&node)?;
+        ((c as usize) < self.parent.len()).then(|| self.find(c))
     }
 }
 

@@ -21,7 +21,7 @@
 //! order, replacing only on *strictly* smaller cost, so ties resolve to the
 //! first candidate in canonical order and two runs extract identical terms.
 
-use crate::egraph::{ClassId, EGraph, ENode};
+use crate::egraph::{ClassId, EGraph, ENode, RoundView};
 use kola::intern::{icompose, ITerm, Interner, Payload, PayloadRef, Tag};
 use std::collections::HashMap;
 
@@ -88,6 +88,11 @@ pub struct Extractor {
 impl Extractor {
     /// Relax to fixpoint over `eg` (which must be clean — rebuild first).
     pub fn new(eg: &EGraph, cost: &dyn CostModel) -> Extractor {
+        Extractor::over(eg.view(), cost)
+    }
+
+    /// Relax to fixpoint over the classes of `eg`, a view of a clean graph.
+    pub(crate) fn over(eg: RoundView<'_>, cost: &dyn CostModel) -> Extractor {
         let mut best: Vec<Option<(u64, ENode)>> = vec![None; eg.id_bound()];
         loop {
             let mut changed = false;
@@ -132,13 +137,23 @@ impl Extractor {
     /// Materialize the cheapest term of class `c` into the interner.
     /// Returns `None` iff the class is unextractable.
     pub fn term(&self, eg: &EGraph, c: ClassId, it: &mut Interner) -> Option<ITerm> {
+        self.term_in(eg.view(), c, it)
+    }
+
+    /// [`Extractor::term`] over the view the extractor was relaxed over.
+    pub(crate) fn term_in(
+        &self,
+        eg: RoundView<'_>,
+        c: ClassId,
+        it: &mut Interner,
+    ) -> Option<ITerm> {
         let mut memo: HashMap<ClassId, ITerm> = HashMap::new();
         self.term_rec(eg, eg.find(c), it, &mut memo)
     }
 
     fn term_rec(
         &self,
-        eg: &EGraph,
+        eg: RoundView<'_>,
         c: ClassId,
         it: &mut Interner,
         memo: &mut HashMap<ClassId, ITerm>,

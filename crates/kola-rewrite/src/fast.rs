@@ -73,7 +73,7 @@ use crate::extract::{CostModel, TermSize};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::program::{Applied, Level, Program};
 use crate::props::PropDb;
-use crate::saturate::{saturate_from_trajectory, MatchStats, SaturationParams};
+use crate::saturate::{saturate_from_trajectory, SaturationParams};
 use kola::intern::{icompose, ITerm, Interner, PayloadRef, Tag};
 use kola::parse::{parse_query_into, ParseError};
 use kola::term::Query;
@@ -565,8 +565,8 @@ pub struct Engine<'a> {
     /// [`EngineConfig::arena_capacity`]).
     compactions: u64,
     visits: u64,
-    /// Saturation's match-phase odometers.
-    matching: MatchStats,
+    /// Saturation's e-match class visits.
+    ematch_visits: u64,
     lanes: RuleLanes,
     /// Each rule position's compiled [`Program`], built the first time the
     /// position is consulted, so a cold start compiles nothing. Programs
@@ -595,7 +595,7 @@ impl<'a> Engine<'a> {
             masked: false,
             compactions: 0,
             visits: 0,
-            matching: MatchStats::default(),
+            ematch_visits: 0,
             lanes: RuleLanes::new(n),
             progs: vec![None; n],
             cost_model: Box::new(TermSize),
@@ -1086,7 +1086,7 @@ impl<'a> Engine<'a> {
             ref mut interner,
             ref mut lanes,
             ref mut progs,
-            ref mut matching,
+            ref mut ematch_visits,
             ..
         } = *self;
         let ix = index
@@ -1098,7 +1098,7 @@ impl<'a> Engine<'a> {
             index: ix,
             active: masked.then_some(mask.as_slice()),
             progs,
-            stats: matching,
+            ematch_visits,
         };
         let query = saturate_from_trajectory(
             &trajectory,
@@ -1176,8 +1176,7 @@ impl<'a> Engine<'a> {
             compactions: self.compactions,
             arena_len: self.interner.len(),
             arena_peak: self.interner.peak_len(),
-            ematch_visits: self.matching.visits,
-            match_classes: self.matching.classes,
+            ematch_visits: self.ematch_visits,
         }
     }
 }
@@ -1205,7 +1204,4 @@ pub struct EngineStats {
     pub arena_peak: usize,
     /// Class visits of saturation's e-matcher (0 unless saturating).
     pub ematch_visits: u64,
-    /// Classes saturation's match phases created by folding a chain
-    /// cursor for a trailing chain metavariable (0 unless saturating).
-    pub match_classes: u64,
 }

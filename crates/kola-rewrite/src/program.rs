@@ -448,6 +448,14 @@ impl Alt {
         Ok(pop(&mut sp, stack))
     }
 
+    /// The slots the build list reads, in build order.
+    pub(crate) fn build_slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.build.iter().filter_map(|op| match op {
+            BuildOp::Slot(i) => Some(*i),
+            _ => None,
+        })
+    }
+
     /// Where the segments of the `∘` subpattern at `matcher[pc]` start.
     pub(crate) fn compose_segs(&self, pc: usize) -> &[usize] {
         let (_, segs) = self

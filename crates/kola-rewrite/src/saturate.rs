@@ -13,25 +13,36 @@
 //! than the fixpoint engine under the extraction cost model
 //! (`tests/egraph_parity.rs` pins this on 1000 seeds).
 //!
-//! **Saturation loop.** Classic match-apply-rebuild rounds:
+//! **Saturation loop.** Rounds that stream each class's matches into
+//! apply, closed by a rebuild. A round reads the graph through a
+//! [`RoundView`] of it as the round began ([`EGraph::begin_round`]), and
+//! only *apply* writes, so no application changes what a later class of
+//! the round matches. For each class the round began with, ascending:
 //!
-//! 1. *Match*: for every class (ascending id), the discrimination tree
-//!    ([`RuleIndex`]) is walked against the class itself
-//!    ([`RuleIndex::query_candidates_class`] and siblings): every `Sym`
-//!    edge branches over every same-tagged e-node, so no member's shape is
-//!    hidden behind a cheaper representative. Candidate rules (ascending
-//!    position, active-mask and quarantine filtered — the same discipline
-//!    as the fixpoint engine's candidate scan) are then e-matched against
-//!    the *class structure* (see *One rule program* below).
-//! 2. *Refresh*, only when a matched rule has preconditions: extract a
-//!    representative term (cheapest under the engine's cost model) for
-//!    every class that existed when the round began. Preconditions are
-//!    judged on representatives; nothing else reads them.
-//! 3. *Apply*: each match runs its alternative's build list into the
-//!    e-graph and unions the result with the matched class. Every
-//!    application that changes the graph costs one budget step.
-//! 4. *Rebuild*: restore congruence; if the graph did not change this
-//!    round, the rule set is saturated.
+//! 1. *Match*: the discrimination tree ([`RuleIndex`]) is walked against
+//!    the class itself ([`RuleIndex::query_candidates_class`] and
+//!    siblings): every `Sym` edge branches over every same-tagged e-node,
+//!    so no member's shape is hidden behind a cheaper representative.
+//!    Candidate rules (ascending position, active-mask and quarantine
+//!    filtered — the same discipline as the fixpoint engine's candidate
+//!    scan) are then e-matched against the *class structure* (see *One
+//!    rule program* below).
+//! 2. *Refresh*, the first time a round applies a rule with
+//!    preconditions: extract a representative term (cheapest under the
+//!    engine's cost model) for every class of the round view.
+//!    Preconditions are judged on representatives; nothing else reads
+//!    them.
+//! 3. *Apply* the class's matches at once, in match order: each runs its
+//!    alternative's build list into the e-graph and unions the result
+//!    with the matched class. Every application that changes the graph
+//!    costs one budget step, and the round stops as soon as the budget is
+//!    spent, so no later class is matched.
+//!
+//! After the last class, *rebuild* restores congruence; if the graph did
+//! not change this round, the rule set is saturated. A round thus applies
+//! the matches, in the order, that matching every class before applying
+//! any would have scheduled, but a round that spends the budget early
+//! does not pay for matches it never applies.
 //!
 //! ## One rule program
 //!
@@ -70,42 +81,56 @@
 //! time, through the class's `∘` e-nodes, up to the depth cap. Every
 //! chain match of a round peels the same few classes again, through every
 //! cursor and every rule, so the splits of each (class, depth) are
-//! enumerated once per match round into a `PeelTable`, built from the
-//! head classes' own entries: on `synthetic_hidden_join(1)` over the full
-//! catalog, one round asks for splits 75 k times and fills 357 entries.
+//! enumerated once per round into a `PeelTable`, built from the head
+//! classes' own entries: on `synthetic_hidden_join(1)` over the full
+//! catalog, one round that matched every class asked for splits 75 k
+//! times and filled 357 entries. A trailing chain metavariable binds the
+//! rest of the chain as a *cursor*: folded with lookups only in the round
+//! view, it is the class of the whole composition if the view has one,
+//! and otherwise a slot token for the run left over. `apply` folds a
+//! token into the graph, and only for a match that fires, so matching
+//! makes no class.
 //!
 //! The deadline is read between rounds and between applications, before
-//! each (class, rule) pair of a match round, and every `DEADLINE_EVERY`
-//! class visits inside one e-match. An expiry mid-round drops the round's
-//! matches and extracts, so a run overshoots its deadline by at most one
-//! short stretch of matching plus extraction.
+//! each (class, rule) pair, every `DEADLINE_EVERY` class visits inside one
+//! e-match and every `DEADLINE_EVERY` splits a peel-table entry fills. An
+//! expiry mid-round drops the class being matched, keeps what earlier
+//! classes applied, rebuilds and extracts, so a run overshoots its
+//! deadline by at most one short stretch of matching plus rebuild and
+//! extraction.
 //!
 //! ## Allocation
 //!
-//! A match round makes millions of class visits on a cliff input, so the
+//! A round can make millions of class visits on a cliff input, so the
 //! e-match itself reads tags and class ids and allocates nothing:
 //!
 //! * **Tag-ranged scans.** `rebuild` leaves a class's e-nodes sorted by
-//!   `(tag, payload, kids)`, and a match phase adds no e-node to an
-//!   existing class, so the nodes an op can meet — those of its tag — are
-//!   one run of the list, found by binary search. The rest are never
+//!   `(tag, payload, kids)`, and the round view reads those lists as
+//!   rebuild left them, so the nodes an op can meet — those of its tag —
+//!   are one run of the list, found by binary search. The rest are never
 //!   touched: over the full catalog at 256 steps, `synthetic_hidden_join(1)`
 //!   met 20.4 M e-nodes in a node-by-node scan, of which 0.43 M had the
 //!   op's tag.
+//! * **No copy for the round view.** `union` leaves the loser's e-node list
+//!   in place until `rebuild` moves it, `add` puts new classes past the
+//!   round's id bound, the view resolves ids through the union-find
+//!   parents copied at round start, and a memo hit counts in the view only
+//!   below that bound. Copying the graph each round instead read
+//!   `opt_p50_us` 6–15 % higher on the `plan_saturate` benchmark.
 //! * **Slot rows in one buffer.** A binding is a row of class ids, one per
-//!   metavariable, in a buffer the round reuses. Each hit list is a run of
-//!   rows on a stack in that buffer: binding a variable or recording a hit
-//!   copies a row to the top, and a node's kids or a chain's segments drop
-//!   their intermediate lists when done, so the rows that stay are the
-//!   scheduled matches' bindings. Any slot count fits without a heap
-//!   fallback.
+//!   metavariable, in a buffer reused class after class. Each hit list is
+//!   a run of rows on a stack in that buffer: binding a variable or
+//!   recording a hit copies a row to the top, and a node's kids or a
+//!   chain's segments drop their intermediate lists when done, so the rows
+//!   that stay are the class's scheduled matches' bindings. Any slot count
+//!   fits without a heap fallback.
 //! * **Reused cursors.** Chain cursors and match remainders are runs in two
-//!   more round buffers, and the peel table keeps its maps between rounds.
+//!   more reused buffers, and the peel table keeps its maps between rounds.
 //!   Chain segment starts are computed once per compiled alternative.
 
 use crate::budget::{Budget, RewriteReport, StopReason};
 use crate::dtree::RuleIndex;
-use crate::egraph::{ClassId, EGraph, ENode};
+use crate::egraph::{ClassId, EGraph, ENode, RoundStart, RoundView, TermIds};
 use crate::engine::Oriented;
 use crate::extract::{CostModel, Extractor};
 use crate::fxhash::FxBuild;
@@ -124,7 +149,7 @@ pub(crate) struct SaturationParams<'r, 'a> {
     /// Property database for precondition checks.
     pub props: &'r PropDb,
     /// Discrimination tree over `rules`, as built: quarantined and masked
-    /// rules stay in it and the match round skips them, exactly as the
+    /// rules stay in it and matching skips them, exactly as the
     /// fixpoint engine's candidate scan does.
     pub index: &'r RuleIndex,
     /// Per-position activity mask (`None` = all active).
@@ -132,19 +157,9 @@ pub(crate) struct SaturationParams<'r, 'a> {
     /// Each position's compiled program, shared with the fixpoint engine:
     /// built the first time either engine consults the position.
     pub progs: &'r mut [Option<Program>],
-    /// The engine's match-phase odometers, advanced in place.
-    pub stats: &'r mut MatchStats,
-}
-
-/// Lifetime odometers of saturation's match phases (see
-/// [`crate::EngineStats`]).
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct MatchStats {
-    /// `EMatch::class` calls.
-    pub visits: u64,
-    /// Classes made while matching: `fold_cursor`'s folds of a chain
-    /// cursor that a trailing chain metavariable binds.
-    pub classes: u64,
+    /// The engine's lifetime count of `EMatch::class` calls (see
+    /// [`crate::EngineStats::ematch_visits`]), advanced in place.
+    pub ematch_visits: &'r mut u64,
 }
 
 /// Max e-match bindings enumerated per (class, rule) per round.
@@ -157,9 +172,12 @@ pub fn seed_trajectory(eg: &mut EGraph, trajectory: &[ITerm]) -> ClassId {
     let (input, steps) = trajectory
         .split_first()
         .expect("a trajectory starts at its input");
-    let root = eg.add_term(input);
+    // One term-id map for the whole trajectory: a node the terms share is
+    // added once.
+    let mut seen = TermIds::default();
+    let root = eg.add_term_rec(input, &mut seen);
     for t in steps {
-        let c = eg.add_term(t);
+        let c = eg.add_term_rec(t, &mut seen);
         eg.union(root, c);
     }
     eg.rebuild();
@@ -190,11 +208,16 @@ pub(crate) fn saturate_from_trajectory(
         eg,
         params,
         it,
+        start: RoundStart::default(),
         reps: Vec::new(),
+        classes: Vec::new(),
+        cand: Vec::new(),
+        matches: Vec::new(),
         peel: PeelTable::default(),
         bufs: MatchBufs::default(),
+        built: Vec::new(),
     };
-    'outer: loop {
+    loop {
         if report.steps >= budget.max_steps {
             report.stop = StopReason::BudgetExhausted;
             break;
@@ -203,44 +226,14 @@ pub(crate) fn saturate_from_trajectory(
             report.stop = StopReason::DeadlineExpired;
             break;
         }
-        // Matching only adds classes (chain folds), so the classes below
-        // `bound` are exactly those the round began with, and their
-        // representatives are what they were before the match.
-        let bound = sat.eg.id_bound();
-        let Some(matches) = sat.match_round(report, budget) else {
-            report.stop = StopReason::DeadlineExpired;
-            break;
-        };
-        if matches
-            .iter()
-            .any(|m| !sat.params.rules[m.pos].rule.preconditions.is_empty())
-        {
-            sat.refresh_reps(cost, bound);
-        }
         let before = sat.eg.version();
-        let mut progressed = false;
-        for m in matches {
-            if report.steps >= budget.max_steps {
-                report.stop = StopReason::BudgetExhausted;
-                sat.eg.rebuild();
-                break 'outer;
-            }
-            if budget.expired() {
-                report.stop = StopReason::DeadlineExpired;
-                sat.eg.rebuild();
-                break 'outer;
-            }
-            let v = sat.eg.version();
-            let applied = sat.apply(&m);
-            if applied && sat.eg.version() != v {
-                report.steps += 1;
-                report.record_fire(&sat.params.rules[m.pos].rule.id);
-                on_fire(m.pos);
-                progressed = true;
-            }
-        }
+        let stop = sat.round(report, budget, cost, on_fire);
         sat.eg.rebuild();
-        if !progressed && sat.eg.version() == before {
+        if let Some(stop) = stop {
+            report.stop = stop;
+            break;
+        }
+        if sat.eg.version() == before {
             report.stop = StopReason::NormalForm;
             break;
         }
@@ -271,10 +264,12 @@ pub fn term_cost(t: &ITerm, cost: &dyn CostModel) -> u64 {
 /// function rules) its unconsumed chain suffix lie in [`MatchBufs`].
 ///
 /// Slot `i` of the bindings holds the canonical class bound to the rule
-/// program's `i`-th metavariable. Consistency is canonical-class equality:
-/// two syntactically different binding candidates in one class are
-/// provably equal, so unifying them is sound — strictly more matches than
-/// the pointer-equality the destructive matcher requires.
+/// program's `i`-th metavariable, or a cursor ([`CURSOR`]). Consistency is
+/// canonical-class equality: two syntactically different binding
+/// candidates in one class are provably equal, so unifying them is sound —
+/// strictly more matches than the pointer-equality the destructive matcher
+/// requires.
+#[derive(Clone)]
 struct Match {
     pos: usize,
     /// Index into the program's alternatives — the body built must belong
@@ -298,118 +293,174 @@ struct Sat<'s, 'r, 'a> {
     eg: EGraph,
     params: SaturationParams<'r, 'a>,
     it: &'s mut Interner,
-    /// Representative (cheapest) term per raw class id, as of the last
-    /// refresh; `None` while a class has no finite-cost realization yet,
-    /// and for classes made since.
+    /// The union-find as the current round began: the round matches, and
+    /// extracts representatives, through this view of the graph.
+    start: RoundStart,
+    /// Representative (cheapest) term per raw class id of the round view;
+    /// `None` while a class has no finite-cost realization. Empty until a
+    /// round first applies a rule with preconditions.
     reps: Vec<Option<ITerm>>,
-    /// The current match round's chain splits.
+    /// The classes the current round began with, ascending.
+    classes: Vec<ClassId>,
+    /// The class being matched: its candidate rule positions, then its
+    /// scheduled matches.
+    cand: Vec<usize>,
+    matches: Vec<Match>,
+    /// The current round's chain splits and cursor folds.
     peel: PeelTable,
     bufs: MatchBufs,
+    /// The slots of the match being applied, with its cursors folded.
+    built: Vec<ClassId>,
 }
 
-/// The match phase's working memory, cleared at the start of every round
-/// and grown only while a round needs more than any before it.
+/// The match phase's working memory, cleared for every class and grown
+/// only while a class needs more than any before it.
 #[derive(Default)]
 struct MatchBufs {
     /// Slot rows, each one e-match's slot count wide (at least 1): the hit
     /// lists of the e-match in progress on a stack, and below them the
-    /// bindings of every match the round has scheduled.
+    /// bindings of every match the class has scheduled.
     rows: Vec<ClassId>,
     /// Chain cursors on a stack, one per level of chain recursion, each a
     /// run of classes whose composition is the chain left to match.
     cursors: Vec<ClassId>,
-    /// The scheduled matches' unconsumed chain suffixes.
+    /// The scheduled matches' unconsumed chain suffixes; in `apply`, the
+    /// classes of the cursor being folded.
     rests: Vec<ClassId>,
     /// The suffix of each hit of the chain head in progress, in hit order.
     hit_rests: Vec<Range<usize>>,
 }
 
 impl Sat<'_, '_, '_> {
+    /// The representative of the class in a slot; `None` for a cursor.
     fn rep(&self, c: ClassId) -> Option<&ITerm> {
+        if cursor_cell(c).is_some() {
+            return None;
+        }
         self.reps
             .get(self.eg.find(c) as usize)
             .and_then(Option::as_ref)
     }
 
-    /// Re-extract the representative of every class with a raw id below
-    /// `bound`; later classes get none.
-    fn refresh_reps(&mut self, cost: &dyn CostModel, bound: usize) {
-        let ext = Extractor::new(&self.eg, cost);
-        let mut reps: Vec<Option<ITerm>> = vec![None; bound];
-        for c in self.eg.class_ids().filter(|&c| (c as usize) < bound) {
-            reps[c as usize] = ext.term(&self.eg, c, self.it);
+    /// Extract the representative of every class of the round view.
+    fn refresh_reps(&mut self, cost: &dyn CostModel) {
+        let view = self.start.view(&self.eg);
+        let ext = Extractor::over(view, cost);
+        self.reps.clear();
+        self.reps.resize(view.id_bound(), None);
+        for c in view.class_ids() {
+            self.reps[c as usize] = ext.term_in(view, c, self.it);
         }
-        self.reps = reps;
     }
 
-    /// Collect this round's matches. Deterministic: classes ascending,
-    /// candidates ascending, alternatives and e-nodes in canonical order.
-    /// The deadline is read before each (class, rule) pair; `None` when it
-    /// expired mid-round, and the round's matches are dropped.
-    fn match_round(&mut self, report: &RewriteReport, budget: &Budget) -> Option<Vec<Match>> {
-        let mut out = Vec::new();
-        let mut cand: Vec<usize> = Vec::new();
-        let (rules, index) = (self.params.rules, self.params.index);
-        let classes: Vec<ClassId> = self.eg.class_ids().collect();
-        let bound = self.eg.id_bound();
-        self.peel.reset(bound);
-        self.bufs.rows.clear();
-        self.bufs.rests.clear();
-        let mut visits = 0u64;
-        let mut expired = false;
-        for &c in &classes {
-            // Walk the discrimination tree against the class itself: every
-            // `Sym` edge branches over every same-tagged e-node, so no
-            // member's shape is hidden behind a cheaper representative.
-            let Some(level) = self.eg.nodes(c).first().map(|n| Level::of(n.tag)) else {
-                continue;
-            };
-            match level {
-                Level::F => index.func_candidates_class(&self.eg, c, &mut cand),
-                Level::P => index.pred_candidates_class(&self.eg, c, &mut cand),
-                Level::Q => index.query_candidates_class(&self.eg, c, &mut cand),
+    /// One round: match each class the round began with, ascending, and
+    /// apply its matches at once, in order. Matching reads the graph as the
+    /// round began, so no apply changes what a later class matches. Returns
+    /// why the run stops, when it stops within the round: once the budget
+    /// is spent, no later class is matched.
+    fn round(
+        &mut self,
+        report: &mut RewriteReport,
+        budget: &Budget,
+        cost: &dyn CostModel,
+        on_fire: &mut dyn FnMut(usize),
+    ) -> Option<StopReason> {
+        self.eg.begin_round(&mut self.start);
+        let view = self.start.view(&self.eg);
+        self.peel.reset(view.id_bound());
+        self.reps.clear();
+        self.classes.clear();
+        self.classes.extend(view.class_ids());
+        for i in 0..self.classes.len() {
+            if !self.match_class(self.classes[i], report, budget) {
+                return Some(StopReason::DeadlineExpired);
             }
-            for &pos in &cand {
-                expired = budget.expired();
-                if expired {
-                    break;
-                }
-                if self.params.active.is_some_and(|m| !m[pos]) {
-                    continue;
-                }
-                let o = &rules[pos];
-                if report.is_quarantined(&o.rule.id) {
-                    continue;
-                }
-                let prog =
-                    self.params.progs[pos].get_or_insert_with(|| Program::compile(o.rule, o.dir));
-                visits += ematch_rule(
-                    &mut self.eg,
-                    &mut self.peel,
-                    &mut self.bufs,
-                    budget,
-                    prog,
-                    level,
-                    c,
-                    pos,
-                    &mut out,
-                );
+            let rules = self.params.rules;
+            if self.reps.is_empty()
+                && self
+                    .matches
+                    .iter()
+                    .any(|m| !rules[m.pos].rule.preconditions.is_empty())
+            {
+                self.refresh_reps(cost);
             }
-            if expired {
-                break;
+            for k in 0..self.matches.len() {
+                if budget.expired() {
+                    return Some(StopReason::DeadlineExpired);
+                }
+                let m = self.matches[k].clone();
+                let v = self.eg.version();
+                if self.apply(&m) && self.eg.version() != v {
+                    report.steps += 1;
+                    report.record_fire(&rules[m.pos].rule.id);
+                    on_fire(m.pos);
+                    if report.steps >= budget.max_steps {
+                        return Some(StopReason::BudgetExhausted);
+                    }
+                }
             }
         }
-        // Only `fold_cursor` adds classes while matching.
-        self.params.stats.visits += visits;
-        self.params.stats.classes += (self.eg.id_bound() - bound) as u64;
-        (!expired && !budget.expired()).then_some(out)
+        None
+    }
+
+    /// Schedule class `c`'s matches in `matches`, read through the round
+    /// view: candidates ascending, alternatives and e-nodes in canonical
+    /// order. The deadline is read before each (class, rule) pair and after
+    /// the last; false when it expired, and the class's matches are
+    /// dropped.
+    fn match_class(&mut self, c: ClassId, report: &RewriteReport, budget: &Budget) -> bool {
+        self.matches.clear();
+        self.bufs.rows.clear();
+        self.bufs.rests.clear();
+        let view = self.start.view(&self.eg);
+        let (rules, index) = (self.params.rules, self.params.index);
+        // Walk the discrimination tree against the class itself: every
+        // `Sym` edge branches over every same-tagged e-node, so no member's
+        // shape is hidden behind a cheaper representative.
+        let Some(level) = view.nodes(c).first().map(|n| Level::of(n.tag)) else {
+            return true;
+        };
+        match level {
+            Level::F => index.func_candidates_class(view, c, &mut self.cand),
+            Level::P => index.pred_candidates_class(view, c, &mut self.cand),
+            Level::Q => index.query_candidates_class(view, c, &mut self.cand),
+        }
+        let mut visits = 0u64;
+        for &pos in &self.cand {
+            if budget.expired() {
+                *self.params.ematch_visits += visits;
+                return false;
+            }
+            if self.params.active.is_some_and(|m| !m[pos]) {
+                continue;
+            }
+            let o = &rules[pos];
+            if report.is_quarantined(&o.rule.id) {
+                continue;
+            }
+            let prog =
+                self.params.progs[pos].get_or_insert_with(|| Program::compile(o.rule, o.dir));
+            visits += ematch_rule(
+                view,
+                &mut self.peel,
+                &mut self.bufs,
+                budget,
+                prog,
+                level,
+                c,
+                pos,
+                &mut self.matches,
+            );
+        }
+        *self.params.ematch_visits += visits;
+        !budget.expired()
     }
 
     /// Apply one scheduled match: check preconditions on representatives,
-    /// build the body into the e-graph, union it with the matched class.
-    /// Returns false when the application was skipped (failed precondition
-    /// or unbound variable — the latter mirrors the fixpoint engine's
-    /// contained `RuleFailed`).
+    /// fold the cursors the body reads into the graph, build the body and
+    /// union it with the matched class. Returns false when the application
+    /// was skipped (failed precondition or unbound variable — the latter
+    /// mirrors the fixpoint engine's contained `RuleFailed`).
     fn apply(&mut self, m: &Match) -> bool {
         let o = &self.params.rules[m.pos];
         let prog = self.params.progs[m.pos].as_ref();
@@ -429,7 +480,20 @@ impl Sat<'_, '_, '_> {
                 return false;
             }
         }
-        let Ok(body) = alt.run_build(|i| slots[i], &mut self.eg) else {
+        // Only a match that fires makes the classes of its cursors.
+        self.built.clear();
+        self.built.extend_from_slice(slots);
+        for i in alt.build_slots() {
+            if let Some(cell) = cursor_cell(self.built[i]) {
+                let run = &mut self.bufs.rests;
+                let at = run.len();
+                self.peel.push_tail(cell, run);
+                self.built[i] = fold_cursor(&mut self.eg, &run[at..]);
+                run.truncate(at);
+            }
+        }
+        let built = &self.built;
+        let Ok(body) = alt.run_build(|i| built[i], &mut self.eg) else {
             return false;
         };
         let result = if m.remainder.is_empty() {
@@ -467,7 +531,7 @@ impl Sink for EGraph {
 /// reached. Returns its class visits.
 #[allow(clippy::too_many_arguments)]
 fn ematch_rule(
-    eg: &mut EGraph,
+    view: RoundView<'_>,
     peel: &mut PeelTable,
     bufs: &mut MatchBufs,
     budget: &Budget,
@@ -491,7 +555,7 @@ fn ematch_rule(
         let unbound = bufs.rows.len();
         bufs.rows.resize(unbound + width, 0);
         let mut m = EMatch {
-            eg: &mut *eg,
+            view,
             peel: &mut *peel,
             bufs: &mut *bufs,
             budget,
@@ -536,9 +600,9 @@ fn ematch_rule(
 /// segments build their intermediate lists above the caller's and drop
 /// them before they return.
 struct EMatch<'g, 'p> {
-    /// Mutable only to fold chain cursors into classes.
-    eg: &'g mut EGraph,
-    /// The round's chain splits, filled on first ask.
+    /// The graph as the round began; an e-match never writes the graph.
+    view: RoundView<'g>,
+    /// The round's chain splits, filled on first ask, and cursor folds.
     peel: &'g mut PeelTable,
     bufs: &'g mut MatchBufs,
     /// Its deadline is read every [`DEADLINE_EVERY`] class visits; on
@@ -570,7 +634,7 @@ impl<'p> EMatch<'_, 'p> {
         if self.fuel == 0 || depth == 0 {
             return;
         }
-        let c = self.eg.find(c);
+        let c = self.view.find(c);
         let alt = self.alt;
         let op = &alt.matcher[pc];
         if let Some(var) = var_slot(op) {
@@ -592,10 +656,9 @@ impl<'p> EMatch<'_, 'p> {
             MatchOp::Lit(_) => Tag::QLit,
             ref op => unreachable!("{op:?} never meets an e-node"),
         };
-        // Matching adds classes (chain folds) but never e-nodes to an
-        // existing class, so `c`'s node list is stable under the walk, and
-        // sorted, so the nodes of one tag are a run of it.
-        let nodes = tag_run(self.eg.nodes(c), tag);
+        // The round view's node lists are sorted, so the nodes of one tag
+        // are a run of it.
+        let nodes = tag_run(self.view.nodes(c), tag);
         for k in nodes {
             if self.fuel == 0 {
                 return;
@@ -607,7 +670,7 @@ impl<'p> EMatch<'_, 'p> {
     /// Match the op at `ops[pc]` against the `k`-th e-node of class `c`,
     /// which has the op's tag.
     fn node(&mut self, pc: usize, c: ClassId, k: usize, b: usize, depth: usize) {
-        let n = &self.eg.nodes(c)[k];
+        let n = &self.view.nodes(c)[k];
         let hit = match &self.alt.matcher[pc] {
             MatchOp::Node(_, arity) => {
                 if *arity > 0 {
@@ -684,7 +747,7 @@ impl<'p> EMatch<'_, 'p> {
             // Non-final segment: consume exactly one chain segment. The
             // hits of a split that matches continue on the cursor its
             // rest makes.
-            for i in self.peel.splits_of(self.eg, head, depth) {
+            for i in self.splits(head, depth) {
                 if self.fuel == 0 {
                     return;
                 }
@@ -711,8 +774,7 @@ impl<'p> EMatch<'_, 'p> {
         };
         // Final segment.
         if let Some(var) = var_slot(&ops[last]) {
-            let folded = fold_cursor(self.eg, &self.bufs.cursors[cursor]);
-            let c = self.eg.find(folded);
+            let c = self.peel.fold(self.view, &self.bufs.cursors[cursor]);
             if self.bind(b, var, c) {
                 self.fuel = self.fuel.saturating_sub(1);
                 if keep_rest {
@@ -722,7 +784,7 @@ impl<'p> EMatch<'_, 'p> {
             }
             return;
         }
-        for i in self.peel.splits_of(self.eg, head, depth) {
+        for i in self.splits(head, depth) {
             if self.fuel == 0 {
                 return;
             }
@@ -747,9 +809,20 @@ impl<'p> EMatch<'_, 'p> {
         }
     }
 
-    /// Push a copy of row `b` with the variable's slot holding the
-    /// canonical class `c`; nothing when the slot already holds another
-    /// class. Returns whether it pushed.
+    /// The range in the peel table of `head`'s splits at `depth`. The table
+    /// reads the deadline while it fills; on expiry the range is empty and
+    /// the fuel spent.
+    fn splits(&mut self, head: ClassId, depth: usize) -> Range<usize> {
+        let r = self.peel.splits_of(self.view, head, depth, self.budget);
+        if self.peel.expired {
+            self.fuel = 0;
+        }
+        r
+    }
+
+    /// Push a copy of row `b` with the variable's slot holding `c`, a
+    /// canonical class or a cursor; nothing when the slot already holds
+    /// another. Returns whether it pushed.
     fn bind(&mut self, b: usize, (i, bound): (usize, bool), c: ClassId) -> bool {
         let rows = &mut self.bufs.rows;
         if bound && rows[b + i] != c {
@@ -790,7 +863,8 @@ fn var_slot(op: &MatchOp) -> Option<(usize, bool)> {
     }
 }
 
-/// A list of peeled tail classes as a hash-consed snoc cell: with
+/// A list of classes (a peeled tail, or a cursor's run) as a hash-consed
+/// snoc cell: with
 /// `cells[k] == (prev, c)`, cell `k > 0` stands for cell `prev`'s list
 /// followed by `c`, and [`EMPTY`] for the empty list. Equal lists get
 /// equal cells, so a split is two words and deduplicates by value.
@@ -799,7 +873,7 @@ type Cell = u32;
 /// The empty tail.
 const EMPTY: Cell = 0;
 
-/// One match round's chain splits. A split of the cursor `c, rest…` peels
+/// One round's chain splits and cursor folds. A split of the cursor `c, rest…` peels
 /// one chain segment off its head class `c`: `(segment class, tail ++
 /// rest)`, where the tail is the classes the peel uncovered on its way
 /// down `c`'s `∘` e-nodes. The class itself is a segment when it has a
@@ -809,11 +883,13 @@ const EMPTY: Cell = 0;
 /// lists its splits in depth-first peel order, without repeats.
 ///
 /// The splits of a cursor depend only on its head class and the depth
-/// left, and stay fixed for a round: the match phase unions nothing, so no
-/// existing class gains an e-node, and the classes `fold_cursor` adds are
-/// bound into slots but never enter a cursor. An entry is therefore built
-/// once per (canonical class, depth), from the head classes' own entries,
-/// and the table is dropped with the round.
+/// left, and stay fixed for a round: the table reads the round view, and
+/// a cursor holds only classes of it (a fold the view lacks becomes a
+/// token, which is bound into a slot but never enters a cursor). An entry
+/// is therefore built once per (canonical class, depth), from the head
+/// classes' own entries, and the table is emptied with the round. Its
+/// cells also list the classes of the round's cursor tokens
+/// ([`PeelTable::fold`]).
 #[derive(Default)]
 struct PeelTable {
     /// `id_bound` when the round began: every class the table reads lies
@@ -828,12 +904,16 @@ struct PeelTable {
     cell_ids: HashMap<(Cell, ClassId), Cell, FxBuild>,
     /// The splits of the entry being filled.
     seen: HashSet<(ClassId, Cell), FxBuild>,
+    /// The deadline expired while an entry was filled; the table answers
+    /// no more.
+    expired: bool,
 }
 
 impl PeelTable {
     /// Empty the table for a round that begins at `id_bound` `bound`.
     fn reset(&mut self, bound: usize) {
         self.bound = bound;
+        self.expired = false;
         self.entries.clear();
         self.splits.clear();
         self.cells.clear();
@@ -842,9 +922,17 @@ impl PeelTable {
     }
 
     /// The range in `splits` of class `c`'s splits at `depth`, filled on
-    /// first ask.
-    fn splits_of(&mut self, eg: &EGraph, c: ClassId, depth: usize) -> Range<usize> {
-        if depth == 0 {
+    /// first ask. The deadline is read every [`DEADLINE_EVERY`] splits
+    /// filled: on a cyclic graph an entry's tails can number millions. On
+    /// expiry the table sets `expired` and answers empty ranges.
+    fn splits_of(
+        &mut self,
+        eg: RoundView<'_>,
+        c: ClassId,
+        depth: usize,
+        budget: &Budget,
+    ) -> Range<usize> {
+        if depth == 0 || self.expired {
             return 0..0;
         }
         let c = eg.find(c);
@@ -853,7 +941,7 @@ impl PeelTable {
         }
         debug_assert!(
             (c as usize) < self.bound,
-            "class {c} was made during the match phase"
+            "class {c} was made during the round"
         );
         let nodes = eg.nodes(c);
         let composes = &nodes[tag_run(nodes, Tag::FCompose)];
@@ -862,8 +950,11 @@ impl PeelTable {
         for n in composes {
             let head = eg.find(n.kids[0]);
             if head != c {
-                self.splits_of(eg, head, depth - 1);
+                self.splits_of(eg, head, depth - 1, budget);
             }
+        }
+        if self.expired {
+            return 0..0;
         }
         let start = self.splits.len();
         self.seen.clear();
@@ -877,11 +968,16 @@ impl PeelTable {
                 continue;
             }
             let tail = eg.find(n.kids[1]);
-            for i in self.splits_of(eg, head, depth - 1) {
+            for i in self.splits_of(eg, head, depth - 1, budget) {
                 let (seg, prev) = self.splits[i];
                 let split = (seg, self.snoc(prev, tail));
                 if self.seen.insert(split) {
                     self.splits.push(split);
+                    if (self.splits.len() as u32).is_multiple_of(DEADLINE_EVERY) && budget.expired()
+                    {
+                        self.expired = true;
+                        return 0..0;
+                    }
                 }
             }
         }
@@ -900,6 +996,32 @@ impl PeelTable {
         cell
     }
 
+    /// Fold a cursor into one class as [`fold_cursor`] would, right-associated,
+    /// but with lookups only: the view's class of the whole composition if
+    /// it has one, or else the cursor whose cell lists the run left after
+    /// folding the longest suffix the view has. Equal runs get equal
+    /// cursors and no cursor equals a class, so a slot check compares two
+    /// folds exactly as it would compare the classes folding would make.
+    fn fold(&mut self, view: RoundView<'_>, cursor: &[ClassId]) -> ClassId {
+        let (&last, init) = cursor.split_last().expect("a cursor is not empty");
+        let mut acc = last;
+        for (i, &c) in init.iter().enumerate().rev() {
+            match view.lookup_compose(c, acc) {
+                Some(folded) => acc = folded,
+                None => {
+                    let cell = init[..=i]
+                        .iter()
+                        .chain([&acc])
+                        .fold(EMPTY, |cell, &c| self.snoc(cell, c));
+                    // A token must not read as a class.
+                    assert!(cell < CURSOR && view.id_bound() <= CURSOR as usize);
+                    return CURSOR | cell;
+                }
+            }
+        }
+        acc
+    }
+
     /// Push `tail`'s classes onto `buf`, in order.
     fn push_tail(&self, mut tail: Cell, buf: &mut Vec<ClassId>) {
         let at = buf.len();
@@ -912,7 +1034,17 @@ impl PeelTable {
     }
 }
 
-/// Fold a cursor back into a single class, right-associated.
+/// A slot binding with this bit set is a cursor, not a class: a trailing
+/// chain metavariable's binding that the round view could not fold into
+/// one class. The other bits are the cell that lists its classes.
+const CURSOR: ClassId = 1 << 31;
+
+/// The cell of a cursor binding; `None` for a class.
+fn cursor_cell(slot: ClassId) -> Option<Cell> {
+    (slot & CURSOR != 0).then_some(slot & !CURSOR)
+}
+
+/// Fold a cursor into a single class of the live graph, right-associated.
 fn fold_cursor(eg: &mut EGraph, cursor: &[ClassId]) -> ClassId {
     let mut iter = cursor.iter().rev();
     let mut acc = *iter.next().expect("fold_cursor: non-empty cursor");

@@ -93,6 +93,45 @@ if grep -Eqw 'PFunc|PPred|PQuery|RewritePair' crates/kola-rewrite/src/saturate.r
   exit 1
 fi
 
+# A saturation round matches through a read-only view of the graph as the
+# round began, and only `apply` writes: the e-matcher (`EMatch` and the
+# functions that drive it), the chain-split table (`PeelTable`) and the
+# candidate walk never hold the graph mutably, and a chain cursor becomes a
+# class (`fold_cursor`) only when a match fires.
+echo "== read-only matcher guard"
+SAT_SRC=crates/kola-rewrite/src/saturate.rs
+DTREE_SRC=crates/kola-rewrite/src/dtree.rs
+RO_VIOLATIONS=$(awk '
+  FNR == 1 { item = ""; fname = "" }
+  /^[[:space:]]*\/\// { next }
+  FILENAME ~ /dtree/ {
+    if (/mut EGraph/) print FILENAME ":" FNR ": the candidate walk takes the graph mutably: " $0
+    next
+  }
+  /^(pub(\([a-z]+\))? )?(struct|impl|fn|enum|const|type|trait)[ <]/ { item = $0 }
+  /^[[:space:]]*(pub(\([a-z]+\))? )?fn [A-Za-z0-9_]+/ {
+    f = $0
+    sub(/^[[:space:]]*(pub(\([a-z]+\))? )?fn /, "", f)
+    sub(/[^A-Za-z0-9_].*$/, "", f)
+    fname = f
+  }
+  (item ~ /EMatch|PeelTable/ || fname ~ /^(ematch_rule|match_class)$/) &&
+    /mut EGraph|&mut (\*)?(self\.)?eg([^A-Za-z0-9_]|$)/ {
+    print FILENAME ":" FNR ": the matcher holds the graph mutably: " $0
+  }
+  /_candidates_class\(/ && /&mut (\*)?(self\.)?eg([^A-Za-z0-9_]|$)/ {
+    print FILENAME ":" FNR ": the candidate walk gets the graph mutably: " $0
+  }
+  /fold_cursor\(/ && !/fn fold_cursor\(/ && fname != "apply" {
+    print FILENAME ":" FNR ": fold_cursor outside apply (in " fname "): " $0
+  }
+' "$SAT_SRC" "$DTREE_SRC")
+if [ -n "$RO_VIOLATIONS" ]; then
+  echo "saturation's match phase may write the e-graph:" >&2
+  echo "$RO_VIOLATIONS" >&2
+  exit 1
+fi
+
 # The e-graph's memo is keyed by e-nodes whose payloads (symbols and
 # literals) come from request text, so it keeps std's keyed hasher against
 # hash flooding. The crate's Fx hasher is only for maps keyed by the

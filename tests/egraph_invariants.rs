@@ -209,31 +209,33 @@ fn budget_exhaustion_returns_best_so_far() {
     }
 }
 
-/// The deadline is read inside the match phase. At 256 steps over the
-/// full forward catalog, `synthetic_hidden_join(1)` reaches a match round
-/// that runs far past a 20 ms deadline; the run must stop there with
-/// `DeadlineExpired` and extract the best plan proven so far, which costs
-/// no more than the fixpoint engine's plan, because the root class holds
-/// the whole fixpoint trajectory. In a release build the run must also end
-/// within 25 ms of the deadline.
+/// The deadline is read inside the match phase. At 3,072 steps over the
+/// full forward catalog, KG1's fourth round matches and applies for about
+/// a tenth of a second and its fifth fills a chain-split table for far
+/// longer, so a 20 ms deadline expires inside a round; the run must stop
+/// there with `DeadlineExpired` and extract the best plan proven so far,
+/// which costs no more than the fixpoint engine's plan, because the root
+/// class holds the whole fixpoint trajectory. In a release build the run
+/// must also end within 25 ms of the deadline.
 #[test]
 fn deadline_expiry_inside_a_match_round_stops_the_run() {
-    use kola_rewrite::hidden_join::synthetic_hidden_join;
+    use kola_rewrite::hidden_join::garage_query_kg1;
     use std::time::{Duration, Instant};
+    const STEPS: usize = 3_072;
     let catalog = Catalog::paper();
     let props = PropDb::new();
     let rules = || catalog.rules().iter().map(Oriented::fwd).collect();
-    let q = synthetic_hidden_join(1);
+    let q = garage_query_kg1();
     let cost = |q: &Query| {
         let mut it = kola::intern::Interner::new();
         term_cost(&it.intern_query(&q.normalize()), &TermSize)
     };
     let fixpoint = Engine::new(rules(), &props, EngineConfig::default())
-        .normalize(&q, &Budget::with_steps(256));
+        .normalize(&q, &Budget::with_steps(STEPS));
     let deadline = Duration::from_millis(20);
     let mut eng = Engine::new(rules(), &props, EngineConfig::saturating());
     let started = Instant::now();
-    let out = eng.normalize(&q, &Budget::with_steps(256).timeout(deadline));
+    let out = eng.normalize(&q, &Budget::with_steps(STEPS).timeout(deadline));
     let wall = started.elapsed();
     assert_eq!(
         out.report.stop,
@@ -255,10 +257,14 @@ fn deadline_expiry_inside_a_match_round_stops_the_run() {
     }
 }
 
-/// The match-phase odometers in `EngineStats`: a fixpoint engine never
-/// e-matches, so both read 0; the 256-step `synthetic_hidden_join(1)` run
-/// reaches the round whose trailing chain metavariables fold cursors into
-/// new classes while matching, so both count.
+/// The match-phase odometer in `EngineStats`: a fixpoint engine never
+/// e-matches, so it reads 0, and a saturating run counts its class visits.
+/// It also pins, without a clock, that a round stops matching once it has
+/// spent the budget: `synthetic_hidden_join(1)` at 256 steps spends it in
+/// its fourth round, and matching every class of that round before
+/// applying any took the run to 3,038,561 visits; streamed into apply,
+/// the round stops after the class that spends the budget, and the run
+/// makes about 44,000.
 #[test]
 fn match_phase_counters_read_zero_unless_saturating() {
     use kola_rewrite::hidden_join::synthetic_hidden_join;
@@ -270,16 +276,16 @@ fn match_phase_counters_read_zero_unless_saturating() {
 
     let mut fast = Engine::new(rules(), &props, EngineConfig::fast());
     fast.normalize(&q, &budget);
-    let stats = fast.stats();
-    assert_eq!((stats.ematch_visits, stats.match_classes), (0, 0));
+    assert_eq!(fast.stats().ematch_visits, 0);
 
     let mut sat = Engine::new(rules(), &props, EngineConfig::saturating());
-    sat.normalize(&q, &budget);
-    let stats = sat.stats();
-    eprintln!(
-        "shj1 at 256 steps: {} e-match visits, {} classes made while matching",
-        stats.ematch_visits, stats.match_classes
+    let out = sat.normalize(&q, &budget);
+    let visits = sat.stats().ematch_visits;
+    eprintln!("shj1 at 256 steps: {visits} e-match visits");
+    assert_eq!(out.report.stop, StopReason::BudgetExhausted);
+    assert!(visits > 0);
+    assert!(
+        visits <= 100_000,
+        "the round that spent the budget kept matching: {visits} e-match visits"
     );
-    assert!(stats.ematch_visits > 0, "{stats:?}");
-    assert!(stats.match_classes > 0, "{stats:?}");
 }

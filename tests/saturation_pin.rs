@@ -11,6 +11,15 @@
 //! enumerated recursively per call; the per-round split table must leave
 //! them byte-identical as well.
 //!
+//! Two digests were re-pinned when rounds began to stream each class's
+//! matches into apply over a read-only round view, so that a cursor a
+//! trailing chain metavariable binds is folded into a class only by a
+//! match that fires. Fewer classes are made, so later rounds see other
+//! class ids, and two runs changed their step counts and rule-`1`/`2` fire
+//! counts but not their plans or stop reasons: KG1 over the Figure 3 pool
+//! (321 → 320 steps) and seed 155 of the full-catalog parity run (191 →
+//! 194 steps).
+//!
 //! Runs:
 //! * KG1 and the synthetic hidden joins of depth 1–6 over the full forward
 //!   catalog, under `TermSize` and under `OpWeight`, at 224 steps and at
@@ -154,7 +163,7 @@ fn figure3_pool_is_pinned() {
         &[garage_query_kg1()],
         &budget,
     );
-    assert_pin("Figure 3 pool", got, 0xb329_e84d_8f28_b2d8);
+    assert_pin("Figure 3 pool", got, 0x1724_7755_a81a_279e);
 }
 
 #[test]
@@ -187,6 +196,6 @@ fn parity_corpus_is_pinned() {
     assert_pin(
         "parity corpus, 300 seeds, full catalog",
         got,
-        0xfcfd_f71f_3e88_b04c,
+        0x0335_e75c_ce89_9f30,
     );
 }
