@@ -392,10 +392,11 @@ impl EGraph {
         (0..self.parent.len() as ClassId).filter(move |&id| self.parent[id as usize] == id)
     }
 
-    /// The e-nodes of `c`'s class: all of them, sorted, when the graph is
-    /// clean; between a `union` and the next `rebuild`, only those the
-    /// canonical class held before.
+    /// The e-nodes of `c`'s class, sorted. Clean graphs only: between a
+    /// `union` and the next `rebuild` a class's absorbed e-nodes still lie
+    /// with the class that lost the union.
     pub fn nodes(&self, c: ClassId) -> &[ENode] {
+        debug_assert!(!self.dirty, "nodes() of a dirty graph: rebuild first");
         self.view().nodes(c)
     }
 
@@ -422,9 +423,10 @@ impl EGraph {
         self.class_ids().count()
     }
 
-    /// Total e-nodes across all canonical classes.
+    /// Total e-nodes across all canonical classes, absorbed ones that
+    /// `rebuild` has yet to move included.
     pub fn num_nodes(&self) -> usize {
-        self.class_ids().map(|c| self.nodes(c).len()).sum()
+        self.classes.iter().flatten().map(|cl| cl.nodes.len()).sum()
     }
 
     /// Total ids ever allocated (canonical or absorbed) — the bound array
@@ -580,6 +582,20 @@ mod tests {
         let b = reg(&mut eg, &mut it, "iterate(Kp(T), city . addr)");
         assert_eq!(a, b);
         assert_eq!(eg.num_classes(), eg.num_nodes());
+    }
+
+    #[test]
+    fn num_nodes_counts_absorbed_nodes_before_rebuild() {
+        let mut it = Interner::new();
+        let mut eg = EGraph::new();
+        let a = reg(&mut eg, &mut it, "a");
+        let b = reg(&mut eg, &mut it, "b");
+        eg.union(a, b);
+        assert!(eg.is_dirty());
+        assert_eq!(eg.num_nodes(), 2);
+        eg.rebuild();
+        assert_eq!(eg.num_nodes(), 2);
+        assert_eq!(eg.nodes(a).len(), 2);
     }
 
     #[test]

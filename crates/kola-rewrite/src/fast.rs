@@ -565,7 +565,7 @@ pub struct Engine<'a> {
     /// [`EngineConfig::arena_capacity`]).
     compactions: u64,
     visits: u64,
-    /// Saturation's e-match class visits.
+    /// Saturation's e-match visits.
     ematch_visits: u64,
     lanes: RuleLanes,
     /// Each rule position's compiled [`Program`], built the first time the
@@ -1202,6 +1202,7 @@ pub struct EngineStats {
     pub arena_len: usize,
     /// High-water mark of live arena nodes over the engine's life.
     pub arena_peak: usize,
-    /// Class visits of saturation's e-matcher (0 unless saturating).
+    /// Visits of saturation's e-matcher, its class and chain steps (0
+    /// unless saturating).
     pub ematch_visits: u64,
 }

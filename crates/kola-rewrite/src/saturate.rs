@@ -68,12 +68,19 @@
 //!
 //! E-matching here is deliberately *bounded*: the index walk carries a
 //! node-visit fuel budget (pathological same-tag fanout truncates candidate
-//! collection), chain decomposition is depth-capped, and match enumeration
-//! is capped per (class, rule) pair. All bounds trade completeness for
-//! predictable cost; soundness is never at stake because every union is
-//! justified by a rule instance, and the seed wave — not matcher
-//! completeness — is what guarantees the differential gate. Budget
-//! exhaustion mid-saturation simply stops asserting new equalities;
+//! collection), chain decomposition is depth-capped, each (class, depth)
+//! lists at most `SPLIT_CAP` chain splits, and both the matches and the
+//! visits of one (class, rule) pair are capped (`MATCH_CAP`, `VISIT_CAP`).
+//! The split and visit caps bound a round's work with no deadline: on cyclic
+//! `∘` classes the distinct splits of one (class, depth) grow about
+//! sixfold per level (KG1 at 3,072 steps over the full catalog listed 24 M
+//! for one entry at depth 10), and one pair's visits ran past 200 M. The
+//! caps sit well above what any pinned or benchmarked run reaches (at
+//! most 252 splits per entry and 14,272 visits per pair). All bounds
+//! trade completeness for predictable cost; soundness is never at stake
+//! because every union is justified by a rule instance, and the seed wave
+//! — not matcher completeness — is what guarantees the differential gate.
+//! Budget exhaustion mid-saturation simply stops asserting new equalities;
 //! extraction still returns the best of everything proven so far (never
 //! worse than the wave).
 //!
@@ -92,10 +99,9 @@
 //! makes no class.
 //!
 //! The deadline is read between rounds and between applications, before
-//! each (class, rule) pair, every `DEADLINE_EVERY` class visits inside one
-//! e-match and every `DEADLINE_EVERY` splits a peel-table entry fills. An
-//! expiry mid-round drops the class being matched, keeps what earlier
-//! classes applied, rebuilds and extracts, so a run overshoots its
+//! each (class, rule) pair and every `DEADLINE_EVERY` visits inside one
+//! e-match. An expiry mid-round drops the class being matched, keeps what
+//! earlier classes applied, rebuilds and extracts, so a run overshoots its
 //! deadline by at most one short stretch of matching plus rebuild and
 //! extraction.
 //!
@@ -157,13 +163,17 @@ pub(crate) struct SaturationParams<'r, 'a> {
     /// Each position's compiled program, shared with the fixpoint engine:
     /// built the first time either engine consults the position.
     pub progs: &'r mut [Option<Program>],
-    /// The engine's lifetime count of `EMatch::class` calls (see
+    /// The engine's lifetime count of e-match visits (see
     /// [`crate::EngineStats::ematch_visits`]), advanced in place.
     pub ematch_visits: &'r mut u64,
 }
 
 /// Max e-match bindings enumerated per (class, rule) per round.
 const MATCH_CAP: usize = 24;
+
+/// Max e-match visits (`EMatch::class` and `EMatch::chain` calls) per
+/// (class, rule) per round.
+const VISIT_CAP: u32 = 1 << 16;
 
 /// Register the fixpoint trajectory (input, every intermediate, output),
 /// already interned and right-normalized by the wave, and union it into one
@@ -288,6 +298,9 @@ struct Match {
 /// Per-round decomposition/enumeration limits. Depth bounds recursion
 /// through chain e-nodes (cyclic classes make unbounded descent possible).
 const CHAIN_DEPTH: usize = 64;
+
+/// Max chain splits listed per (class, depth) of a round's peel table.
+const SPLIT_CAP: usize = 1024;
 
 struct Sat<'s, 'r, 'a> {
     eg: EGraph,
@@ -542,9 +555,9 @@ fn ematch_rule(
     out: &mut Vec<Match>,
 ) -> u64 {
     let mut found = 0usize;
-    let mut visits = 0u64;
+    let mut visits = 0u32;
     for (ai, alt) in prog.alts.iter().enumerate() {
-        if found >= MATCH_CAP {
+        if found >= MATCH_CAP || visits >= VISIT_CAP {
             break;
         }
         if alt.level != level {
@@ -562,7 +575,7 @@ fn ematch_rule(
             alt,
             width,
             fuel: MATCH_CAP - found,
-            visits: 0,
+            visits,
         };
         if alt.chain {
             m.bufs.cursors.push(c);
@@ -571,7 +584,7 @@ fn ematch_rule(
         } else {
             m.class(0, c, unbound, CHAIN_DEPTH);
         }
-        visits += u64::from(m.visits);
+        visits = m.visits;
         bufs.rows.drain(unbound..unbound + width);
         let hits = (bufs.rows.len() - unbound) / width;
         debug_assert!(!alt.chain || bufs.hit_rests.len() == hits);
@@ -585,7 +598,7 @@ fn ematch_rule(
         }));
         bufs.hit_rests.clear();
     }
-    visits
+    u64::from(visits)
 }
 
 /// One alternative's match list run over e-classes. Where the fixpoint
@@ -615,9 +628,9 @@ struct EMatch<'g, 'p> {
     visits: u32,
 }
 
-/// Class visits between two deadline reads inside one e-match. One
-/// (class, rule) pair of a cliff round makes millions of visits, tens of
-/// nanoseconds each.
+/// Visits between two deadline reads inside one e-match. One (class,
+/// rule) pair can make up to [`VISIT_CAP`] visits, tens of nanoseconds
+/// each.
 const DEADLINE_EVERY: u32 = 1024;
 
 impl<'p> EMatch<'_, 'p> {
@@ -627,10 +640,7 @@ impl<'p> EMatch<'_, 'p> {
     /// pattern and class cannot hide a match), anything else backtracks
     /// over the class's e-nodes of the op's tag.
     fn class(&mut self, pc: usize, c: ClassId, b: usize, depth: usize) {
-        self.visits = self.visits.wrapping_add(1);
-        if self.visits.is_multiple_of(DEADLINE_EVERY) && self.budget.expired() {
-            self.fuel = 0;
-        }
+        self.visit();
         if self.fuel == 0 || depth == 0 {
             return;
         }
@@ -733,6 +743,7 @@ impl<'p> EMatch<'_, 'p> {
         depth: usize,
         keep_rest: bool,
     ) {
+        self.visit();
         if self.fuel == 0 || depth == 0 || cursor.is_empty() {
             return;
         }
@@ -747,7 +758,7 @@ impl<'p> EMatch<'_, 'p> {
             // Non-final segment: consume exactly one chain segment. The
             // hits of a split that matches continue on the cursor its
             // rest makes.
-            for i in self.splits(head, depth) {
+            for i in self.peel.splits_of(self.view, head, depth) {
                 if self.fuel == 0 {
                     return;
                 }
@@ -784,7 +795,7 @@ impl<'p> EMatch<'_, 'p> {
             }
             return;
         }
-        for i in self.splits(head, depth) {
+        for i in self.peel.splits_of(self.view, head, depth) {
             if self.fuel == 0 {
                 return;
             }
@@ -809,15 +820,16 @@ impl<'p> EMatch<'_, 'p> {
         }
     }
 
-    /// The range in the peel table of `head`'s splits at `depth`. The table
-    /// reads the deadline while it fills; on expiry the range is empty and
-    /// the fuel spent.
-    fn splits(&mut self, head: ClassId, depth: usize) -> Range<usize> {
-        let r = self.peel.splits_of(self.view, head, depth, self.budget);
-        if self.peel.expired {
+    /// Count one visit. The deadline is read every [`DEADLINE_EVERY`]
+    /// visits; on expiry, or at [`VISIT_CAP`], the fuel is spent, so the
+    /// enumeration unwinds at once.
+    fn visit(&mut self) {
+        self.visits += 1;
+        if self.visits >= VISIT_CAP
+            || (self.visits.is_multiple_of(DEADLINE_EVERY) && self.budget.expired())
+        {
             self.fuel = 0;
         }
-        r
     }
 
     /// Push a copy of row `b` with the variable's slot holding `c`, a
@@ -880,7 +892,8 @@ const EMPTY: Cell = 0;
 /// non-`∘` e-node; each `∘` e-node `h ∘ t` contributes the splits of `h`
 /// one level down, each with `t` appended to its tail, except when `h` is
 /// `c` itself (a cyclic chain class). First occurrence wins, so an entry
-/// lists its splits in depth-first peel order, without repeats.
+/// lists its splits in depth-first peel order, without repeats, up to
+/// [`SPLIT_CAP`] of them.
 ///
 /// The splits of a cursor depend only on its head class and the depth
 /// left, and stay fixed for a round: the table reads the round view, and
@@ -904,16 +917,12 @@ struct PeelTable {
     cell_ids: HashMap<(Cell, ClassId), Cell, FxBuild>,
     /// The splits of the entry being filled.
     seen: HashSet<(ClassId, Cell), FxBuild>,
-    /// The deadline expired while an entry was filled; the table answers
-    /// no more.
-    expired: bool,
 }
 
 impl PeelTable {
     /// Empty the table for a round that begins at `id_bound` `bound`.
     fn reset(&mut self, bound: usize) {
         self.bound = bound;
-        self.expired = false;
         self.entries.clear();
         self.splits.clear();
         self.cells.clear();
@@ -922,17 +931,9 @@ impl PeelTable {
     }
 
     /// The range in `splits` of class `c`'s splits at `depth`, filled on
-    /// first ask. The deadline is read every [`DEADLINE_EVERY`] splits
-    /// filled: on a cyclic graph an entry's tails can number millions. On
-    /// expiry the table sets `expired` and answers empty ranges.
-    fn splits_of(
-        &mut self,
-        eg: RoundView<'_>,
-        c: ClassId,
-        depth: usize,
-        budget: &Budget,
-    ) -> Range<usize> {
-        if depth == 0 || self.expired {
+    /// first ask and cut at [`SPLIT_CAP`].
+    fn splits_of(&mut self, eg: RoundView<'_>, c: ClassId, depth: usize) -> Range<usize> {
+        if depth == 0 {
             return 0..0;
         }
         let c = eg.find(c);
@@ -950,11 +951,8 @@ impl PeelTable {
         for n in composes {
             let head = eg.find(n.kids[0]);
             if head != c {
-                self.splits_of(eg, head, depth - 1, budget);
+                self.splits_of(eg, head, depth - 1);
             }
-        }
-        if self.expired {
-            return 0..0;
         }
         let start = self.splits.len();
         self.seen.clear();
@@ -962,22 +960,20 @@ impl PeelTable {
             self.seen.insert((c, EMPTY));
             self.splits.push((c, EMPTY));
         }
-        for n in composes {
+        'fill: for n in composes {
             let head = eg.find(n.kids[0]);
             if head == c {
                 continue;
             }
             let tail = eg.find(n.kids[1]);
-            for i in self.splits_of(eg, head, depth - 1, budget) {
+            for i in self.splits_of(eg, head, depth - 1) {
+                if self.splits.len() - start == SPLIT_CAP {
+                    break 'fill;
+                }
                 let (seg, prev) = self.splits[i];
                 let split = (seg, self.snoc(prev, tail));
                 if self.seen.insert(split) {
                     self.splits.push(split);
-                    if (self.splits.len() as u32).is_multiple_of(DEADLINE_EVERY) && budget.expired()
-                    {
-                        self.expired = true;
-                        return 0..0;
-                    }
                 }
             }
         }

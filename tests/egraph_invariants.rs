@@ -209,44 +209,79 @@ fn budget_exhaustion_returns_best_so_far() {
     }
 }
 
+/// Run `f` on a thread of its own and wait at most `limit` for it, so a
+/// run that does not end fails the test with a message instead of hanging
+/// it.
+fn within<T: Send + 'static>(
+    limit: std::time::Duration,
+    what: &str,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    let (tx, rx) = channel();
+    std::thread::spawn(move || tx.send(f()));
+    match rx.recv_timeout(limit) {
+        Ok(v) => v,
+        Err(RecvTimeoutError::Timeout) => panic!("{what} did not end within {limit:?}"),
+        Err(RecvTimeoutError::Disconnected) => panic!("{what} panicked"),
+    }
+}
+
+/// KG1 over the full forward catalog saturating to `steps` steps, with
+/// `deadline` if any: its report, plan, `ematch_visits` and wall time.
+fn saturate_kg1(
+    steps: usize,
+    deadline: Option<std::time::Duration>,
+) -> (kola_rewrite::RewriteReport, Query, u64, std::time::Duration) {
+    use kola_rewrite::hidden_join::garage_query_kg1;
+    let catalog = Catalog::paper();
+    let props = PropDb::new();
+    let rules = catalog.rules().iter().map(Oriented::fwd).collect();
+    let mut eng = Engine::new(rules, &props, EngineConfig::saturating());
+    let mut budget = Budget::with_steps(steps);
+    if let Some(d) = deadline {
+        budget = budget.timeout(d);
+    }
+    let started = std::time::Instant::now();
+    let out = eng.normalize(&garage_query_kg1(), &budget);
+    let wall = started.elapsed();
+    (out.report, out.query, eng.stats().ematch_visits, wall)
+}
+
 /// The deadline is read inside the match phase. At 3,072 steps over the
 /// full forward catalog, KG1's fourth round matches and applies for about
-/// a tenth of a second and its fifth fills a chain-split table for far
-/// longer, so a 20 ms deadline expires inside a round; the run must stop
-/// there with `DeadlineExpired` and extract the best plan proven so far,
-/// which costs no more than the fixpoint engine's plan, because the root
-/// class holds the whole fixpoint trajectory. In a release build the run
-/// must also end within 25 ms of the deadline.
+/// a tenth of a second and its fifth for about a quarter, so a 20 ms
+/// deadline expires inside a round; the run must stop there with
+/// `DeadlineExpired` and extract the best plan proven so far, which costs
+/// no more than the fixpoint engine's plan, because the root class holds
+/// the whole fixpoint trajectory. In a release build the run must also end
+/// within 25 ms of the deadline.
 #[test]
 fn deadline_expiry_inside_a_match_round_stops_the_run() {
     use kola_rewrite::hidden_join::garage_query_kg1;
-    use std::time::{Duration, Instant};
+    use std::time::Duration;
     const STEPS: usize = 3_072;
     let catalog = Catalog::paper();
     let props = PropDb::new();
-    let rules = || catalog.rules().iter().map(Oriented::fwd).collect();
     let q = garage_query_kg1();
     let cost = |q: &Query| {
         let mut it = kola::intern::Interner::new();
         term_cost(&it.intern_query(&q.normalize()), &TermSize)
     };
-    let fixpoint = Engine::new(rules(), &props, EngineConfig::default())
+    let rules = catalog.rules().iter().map(Oriented::fwd).collect();
+    let fixpoint = Engine::new(rules, &props, EngineConfig::default())
         .normalize(&q, &Budget::with_steps(STEPS));
     let deadline = Duration::from_millis(20);
-    let mut eng = Engine::new(rules(), &props, EngineConfig::saturating());
-    let started = Instant::now();
-    let out = eng.normalize(&q, &Budget::with_steps(STEPS).timeout(deadline));
-    let wall = started.elapsed();
-    assert_eq!(
-        out.report.stop,
-        StopReason::DeadlineExpired,
-        "{}",
-        out.report
+    let (report, plan, _, wall) = within(
+        Duration::from_secs(120),
+        "KG1 under a 20 ms deadline",
+        move || saturate_kg1(STEPS, Some(deadline)),
     );
+    assert_eq!(report.stop, StopReason::DeadlineExpired, "{report}");
     assert!(
-        cost(&out.query) <= cost(&fixpoint.query),
+        cost(&plan) <= cost(&fixpoint.query),
         "extracted plan costs more than the fixpoint plan\n  sat: {}\n  fix: {}",
-        out.query,
+        plan,
         fixpoint.query
     );
     if !cfg!(debug_assertions) {
@@ -257,14 +292,44 @@ fn deadline_expiry_inside_a_match_round_stops_the_run() {
     }
 }
 
+/// A saturating run with no deadline ends, and its work is bounded by the
+/// matcher's caps rather than by the clock. KG1 over the full forward
+/// catalog at 3,072 steps spends its budget in its fifth round, on a graph
+/// whose cyclic `∘` classes have millions of distinct chain splits per
+/// (class, depth) a few levels down: with no cap on a round's chain-split
+/// table or on one (class, rule) pair's visits, that round did not end in
+/// minutes and its memory kept growing. It now makes about 14.7 M visits,
+/// under half a second in a release build.
+#[test]
+fn a_saturating_run_without_a_deadline_ends() {
+    use std::time::Duration;
+    let (report, _, visits, wall) = within(
+        Duration::from_secs(120),
+        "KG1 at 3,072 steps with no deadline",
+        || saturate_kg1(3_072, None),
+    );
+    eprintln!("KG1 at 3,072 steps: {visits} e-match visits, {wall:?}");
+    assert_eq!(report.stop, StopReason::BudgetExhausted, "{report}");
+    assert!(
+        visits <= 30_000_000,
+        "the matcher's caps no longer bound a round: {visits} e-match visits"
+    );
+    if !cfg!(debug_assertions) {
+        assert!(
+            wall <= Duration::from_secs(3),
+            "KG1 at 3,072 steps took {wall:?}"
+        );
+    }
+}
+
 /// The match-phase odometer in `EngineStats`: a fixpoint engine never
-/// e-matches, so it reads 0, and a saturating run counts its class visits.
+/// e-matches, so it reads 0, and a saturating run counts its visits.
 /// It also pins, without a clock, that a round stops matching once it has
 /// spent the budget: `synthetic_hidden_join(1)` at 256 steps spends it in
 /// its fourth round, and matching every class of that round before
-/// applying any took the run to 3,038,561 visits; streamed into apply,
-/// the round stops after the class that spends the budget, and the run
-/// makes about 44,000.
+/// applying any took the run to 3,038,561 class visits; streamed into
+/// apply, the round stops after the class that spends the budget, and the
+/// run makes about 50,000 class and chain visits.
 #[test]
 fn match_phase_counters_read_zero_unless_saturating() {
     use kola_rewrite::hidden_join::synthetic_hidden_join;
