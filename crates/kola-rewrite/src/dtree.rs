@@ -117,6 +117,24 @@ impl WalkStack {
     }
 }
 
+/// The stacks of a class walk ([`RuleIndex::func_candidates_class`] and
+/// its siblings), kept by the caller between walks so a warm walk
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub(crate) struct ClassWalk {
+    /// Segment heads found, then walked in ascending order.
+    heads: Vec<ClassId>,
+    /// Classes already followed down `∘` left kids.
+    seen: Vec<ClassId>,
+    /// Classes still to follow.
+    work: Vec<ClassId>,
+    /// The trie walk's stack of classes.
+    stack: Vec<ClassId>,
+}
+
+/// A class walk ran out of [`WALK_EG_FUEL`] with trie nodes left to visit.
+struct FuelOut;
+
 /// One level's trie (func, pred, or query), with node 0 the root.
 #[derive(Debug, Clone)]
 struct DTree {
@@ -201,34 +219,37 @@ impl DTree {
         stack: &mut Vec<ClassId>,
         out: &mut Vec<usize>,
         fuel: &mut usize,
-    ) {
+    ) -> Result<(), FuelOut> {
         if *fuel == 0 {
-            return;
+            return Err(FuelOut);
         }
         *fuel -= 1;
         let node = &self.nodes[at as usize];
         out.extend_from_slice(&node.accepts);
-        let Some(&c) = stack.last() else { return };
+        let Some(&c) = stack.last() else {
+            return Ok(());
+        };
         if node.star != NONE {
             stack.pop();
-            self.walk_eg(node.star, eg, stack, out, fuel);
+            self.walk_eg(node.star, eg, stack, out, fuel)?;
             stack.push(c);
         }
         if node.kids.is_empty() {
-            return;
+            return Ok(());
         }
         let depth = stack.len();
         for en in eg.nodes(eg.find(c)) {
             if let Some(next) = node.kid(en.tag) {
                 stack.pop();
-                for &k in en.kids.iter().rev() {
+                for &k in en.kids().iter().rev() {
                     stack.push(k);
                 }
-                self.walk_eg(next, eg, stack, out, fuel);
+                self.walk_eg(next, eg, stack, out, fuel)?;
                 stack.truncate(depth - 1);
                 stack.push(c);
             }
         }
+        Ok(())
     }
 
     /// Nodes reachable from `at`, accept entries among them, and max depth.
@@ -335,16 +356,25 @@ impl RuleIndex {
     /// `∘` e-nodes' left kids (cycle-guarded) that owns at least one
     /// non-`∘` member. This mirrors [`RuleIndex::func_candidates`]'s
     /// leading-compose strip, generalized to all members of the class.
+    /// Returns false when [`WALK_EG_FUEL`] cut the walk short.
     pub(crate) fn func_candidates_class(
         &self,
         eg: RoundView<'_>,
         c: ClassId,
         out: &mut Vec<usize>,
-    ) {
+        walk: &mut ClassWalk,
+    ) -> bool {
         out.clear();
-        let mut heads: Vec<ClassId> = Vec::new();
-        let mut seen: Vec<ClassId> = Vec::new();
-        let mut work = vec![eg.find(c)];
+        let ClassWalk {
+            heads,
+            seen,
+            work,
+            stack,
+        } = walk;
+        heads.clear();
+        seen.clear();
+        work.clear();
+        work.push(eg.find(c));
         while let Some(h) = work.pop() {
             if seen.contains(&h) {
                 continue;
@@ -353,7 +383,7 @@ impl RuleIndex {
             let mut plain = false;
             for en in eg.nodes(h) {
                 if en.tag == Tag::FCompose {
-                    work.push(eg.find(en.kids[0]));
+                    work.push(eg.find(en.kids()[0]));
                 } else {
                     plain = true;
                 }
@@ -364,41 +394,57 @@ impl RuleIndex {
         }
         heads.sort_unstable();
         let mut fuel = WALK_EG_FUEL;
-        for h in heads {
-            let mut stack = vec![h];
-            self.func.walk_eg(0, eg, &mut stack, out, &mut fuel);
+        let mut whole = true;
+        for &h in heads.iter() {
+            stack.clear();
+            stack.push(h);
+            whole &= self.func.walk_eg(0, eg, stack, out, &mut fuel).is_ok();
         }
         out.sort_unstable();
         out.dedup();
+        whole
     }
 
     /// Candidate rule positions for a predicate-level e-class, ascending.
+    /// Returns false when [`WALK_EG_FUEL`] cut the walk short.
     pub(crate) fn pred_candidates_class(
         &self,
         eg: RoundView<'_>,
         c: ClassId,
         out: &mut Vec<usize>,
-    ) {
-        self.candidates_class(&self.pred, eg, c, out);
+        walk: &mut ClassWalk,
+    ) -> bool {
+        self.candidates_class(&self.pred, eg, c, out, walk)
     }
 
     /// Candidate rule positions for a query-level e-class, ascending.
+    /// Returns false when [`WALK_EG_FUEL`] cut the walk short.
     pub(crate) fn query_candidates_class(
         &self,
         eg: RoundView<'_>,
         c: ClassId,
         out: &mut Vec<usize>,
-    ) {
-        self.candidates_class(&self.query, eg, c, out);
+        walk: &mut ClassWalk,
+    ) -> bool {
+        self.candidates_class(&self.query, eg, c, out, walk)
     }
 
-    fn candidates_class(&self, tree: &DTree, eg: RoundView<'_>, c: ClassId, out: &mut Vec<usize>) {
+    fn candidates_class(
+        &self,
+        tree: &DTree,
+        eg: RoundView<'_>,
+        c: ClassId,
+        out: &mut Vec<usize>,
+        walk: &mut ClassWalk,
+    ) -> bool {
         out.clear();
-        let mut stack = vec![eg.find(c)];
+        walk.stack.clear();
+        walk.stack.push(eg.find(c));
         let mut fuel = WALK_EG_FUEL;
-        tree.walk_eg(0, eg, &mut stack, out, &mut fuel);
+        let whole = tree.walk_eg(0, eg, &mut walk.stack, out, &mut fuel).is_ok();
         out.sort_unstable();
         out.dedup();
+        whole
     }
 
     /// Tree-shape summary for observability (see [`IndexStats`]), as

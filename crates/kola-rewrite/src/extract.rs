@@ -23,7 +23,6 @@
 
 use crate::egraph::{ClassId, EGraph, ENode, RoundView};
 use kola::intern::{icompose, ITerm, Interner, Payload, PayloadRef, Tag};
-use std::collections::HashMap;
 
 /// A cost model over e-nodes. `kid_costs` are the best costs of the
 /// children's classes; implementations combine them with the node's own
@@ -79,7 +78,8 @@ impl CostModel for OpWeight {
 }
 
 /// Best cost and witness node per class, computed once per e-graph state.
-#[derive(Debug)]
+/// Its table can be relaxed again over another graph, reusing its storage.
+#[derive(Debug, Default)]
 pub struct Extractor {
     /// Indexed by raw class id (consult via `find`); `None` = unextractable.
     best: Vec<Option<(u64, ENode)>>,
@@ -88,12 +88,17 @@ pub struct Extractor {
 impl Extractor {
     /// Relax to fixpoint over `eg` (which must be clean — rebuild first).
     pub fn new(eg: &EGraph, cost: &dyn CostModel) -> Extractor {
-        Extractor::over(eg.view(), cost)
+        let mut ext = Extractor::default();
+        ext.relax(eg.view(), cost);
+        ext
     }
 
-    /// Relax to fixpoint over the classes of `eg`, a view of a clean graph.
-    pub(crate) fn over(eg: RoundView<'_>, cost: &dyn CostModel) -> Extractor {
-        let mut best: Vec<Option<(u64, ENode)>> = vec![None; eg.id_bound()];
+    /// Relax to fixpoint over the classes of `eg`, a view of a clean graph,
+    /// replacing what the table held.
+    pub(crate) fn relax(&mut self, eg: RoundView<'_>, cost: &dyn CostModel) {
+        let best = &mut self.best;
+        best.clear();
+        best.resize(eg.id_bound(), None);
         loop {
             let mut changed = false;
             for c in eg.class_ids() {
@@ -101,7 +106,7 @@ impl Extractor {
                     // Arity is at most 3: the kid costs sit in a stack array.
                     let mut kid_costs = [0u64; 3];
                     let mut all = true;
-                    for (slot, &k) in kid_costs.iter_mut().zip(&node.kids) {
+                    for (slot, &k) in kid_costs.iter_mut().zip(node.kids()) {
                         match &best[eg.find(k) as usize] {
                             Some((kc, _)) => *slot = *kc,
                             None => {
@@ -113,11 +118,11 @@ impl Extractor {
                     if !all {
                         continue;
                     }
-                    let kid_costs = &kid_costs[..node.kids.len()];
-                    let total = cost.node_cost(node.tag, &node.payload, kid_costs);
+                    let kid_costs = &kid_costs[..node.kids().len()];
+                    let total = cost.node_cost(node.tag, eg.payload(node.payload), kid_costs);
                     let slot = &mut best[c as usize];
                     if slot.as_ref().is_none_or(|(old, _)| total < *old) {
-                        *slot = Some((total, node.clone()));
+                        *slot = Some((total, *node));
                         changed = true;
                     }
                 }
@@ -126,7 +131,6 @@ impl Extractor {
                 break;
             }
         }
-        Extractor { best }
     }
 
     /// Best cost of class `c`, if extractable.
@@ -137,18 +141,24 @@ impl Extractor {
     /// Materialize the cheapest term of class `c` into the interner.
     /// Returns `None` iff the class is unextractable.
     pub fn term(&self, eg: &EGraph, c: ClassId, it: &mut Interner) -> Option<ITerm> {
-        self.term_in(eg.view(), c, it)
+        self.term_in(eg.view(), c, it, &mut Vec::new())
     }
 
-    /// [`Extractor::term`] over the view the extractor was relaxed over.
+    /// [`Extractor::term`] over the view the extractor was relaxed over,
+    /// with `terms` (indexed by canonical class) as the memo of the classes
+    /// materialized so far: a class's term is the same whichever class
+    /// asks for it, so one memo serves any number of calls over one table.
     pub(crate) fn term_in(
         &self,
         eg: RoundView<'_>,
         c: ClassId,
         it: &mut Interner,
+        terms: &mut Vec<Option<ITerm>>,
     ) -> Option<ITerm> {
-        let mut memo: HashMap<ClassId, ITerm> = HashMap::new();
-        self.term_rec(eg, eg.find(c), it, &mut memo)
+        if terms.len() < eg.id_bound() {
+            terms.resize(eg.id_bound(), None);
+        }
+        self.term_rec(eg, c, it, terms)
     }
 
     fn term_rec(
@@ -156,19 +166,19 @@ impl Extractor {
         eg: RoundView<'_>,
         c: ClassId,
         it: &mut Interner,
-        memo: &mut HashMap<ClassId, ITerm>,
+        terms: &mut [Option<ITerm>],
     ) -> Option<ITerm> {
         let c = eg.find(c);
-        if let Some(t) = memo.get(&c) {
+        if let Some(t) = &terms[c as usize] {
             return Some(t.clone());
         }
         let (_, node) = self.best[c as usize].as_ref()?;
         // Arity is at most 3: the children are built into a stack array.
         let mut kids: [Option<ITerm>; 3] = [None, None, None];
-        for (slot, &k) in kids.iter_mut().zip(&node.kids) {
-            *slot = Some(self.term_rec(eg, k, it, memo)?);
+        for (slot, &k) in kids.iter_mut().zip(node.kids()) {
+            *slot = Some(self.term_rec(eg, k, it, terms)?);
         }
-        let payload = PayloadRef::from(&node.payload);
+        let payload = PayloadRef::from(eg.payload(node.payload));
         let t = match kids {
             [None, ..] => it.mk(node.tag, payload, &[]),
             [Some(k0), None, _] => it.mk(node.tag, payload, &[k0]),
@@ -178,7 +188,7 @@ impl Extractor {
             [Some(k0), Some(k1), None] => it.mk(node.tag, payload, &[k0, k1]),
             [Some(k0), Some(k1), Some(k2)] => it.mk(node.tag, payload, &[k0, k1, k2]),
         };
-        memo.insert(c, t.clone());
+        terms[c as usize] = Some(t.clone());
         Some(t)
     }
 }
@@ -186,7 +196,7 @@ impl Extractor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::egraph::{EGraph, ENodeKids};
+    use crate::egraph::{EGraph, NO_PAYLOAD};
     use kola::parse::parse_func;
 
     #[test]
@@ -212,13 +222,10 @@ mod tests {
         // now contains a node whose child is the class itself (a cycle),
         // plus the finite leaf witness. Extraction must terminate and pick
         // the witness.
-        let age = eg.add(ENode::leaf(Tag::FPrim, Payload::Sym("age".into())));
-        let idc = eg.add(ENode::leaf(Tag::FId, Payload::None));
-        let comp = eg.add(ENode {
-            tag: Tag::FCompose,
-            payload: Payload::None,
-            kids: ENodeKids::from(&[idc, age][..]),
-        });
+        let sym = eg.payload_id(PayloadRef::Sym("age"));
+        let age = eg.add(ENode::leaf(Tag::FPrim, sym));
+        let idc = eg.add(ENode::leaf(Tag::FId, NO_PAYLOAD));
+        let comp = eg.add(ENode::new(Tag::FCompose, NO_PAYLOAD, &[idc, age]));
         eg.union(comp, age);
         eg.rebuild();
         let ext = Extractor::new(&eg, &TermSize);

@@ -73,7 +73,7 @@ use crate::extract::{CostModel, TermSize};
 use crate::fault::{FaultKind, FaultPlan};
 use crate::program::{Applied, Level, Program};
 use crate::props::PropDb;
-use crate::saturate::{saturate_from_trajectory, SaturationParams};
+use crate::saturate::{saturate_from_trajectory, SatCounters, SaturationParams, Workspace};
 use kola::intern::{icompose, ITerm, Interner, PayloadRef, Tag};
 use kola::parse::{parse_query_into, ParseError};
 use kola::term::Query;
@@ -565,8 +565,8 @@ pub struct Engine<'a> {
     /// [`EngineConfig::arena_capacity`]).
     compactions: u64,
     visits: u64,
-    /// Saturation's e-match visits.
-    ematch_visits: u64,
+    /// Saturation's e-match visits and matcher cuts.
+    sat_counters: SatCounters,
     lanes: RuleLanes,
     /// Each rule position's compiled [`Program`], built the first time the
     /// position is consulted, so a cold start compiles nothing. Programs
@@ -575,6 +575,10 @@ pub struct Engine<'a> {
     /// Extraction objective for saturation mode (unused by fixpoint runs).
     cost_model: Box<dyn CostModel>,
     bufs: SearchBufs,
+    /// Saturation's e-graph and buffers, kept between runs (see
+    /// [`Workspace::finish`]). Declared before `interner`: it holds
+    /// `ITerm`s during a run.
+    sat: Workspace,
     interner: Interner,
 }
 
@@ -595,11 +599,12 @@ impl<'a> Engine<'a> {
             masked: false,
             compactions: 0,
             visits: 0,
-            ematch_visits: 0,
+            sat_counters: SatCounters::default(),
             lanes: RuleLanes::new(n),
             progs: vec![None; n],
             cost_model: Box::new(TermSize),
             bufs: SearchBufs::default(),
+            sat: Workspace::default(),
             interner: Interner::new(),
         }
     }
@@ -658,6 +663,7 @@ impl<'a> Engine<'a> {
     /// ([`Engine::work`], [`Engine::memo_hits`]) keep accumulating.
     pub fn reset_caches(&mut self) {
         self.memo.map.clear();
+        self.sat.drop_terms();
         self.normal.clear();
         self.masked_normal.clear();
         self.interner.clear();
@@ -1066,7 +1072,7 @@ impl<'a> Engine<'a> {
     /// cost model. Assumes the rule index is built (saturation matches
     /// through it).
     fn saturate_run(&mut self, input: ITerm, budget: &Budget, faults: &FaultPlan) -> Rewritten {
-        let mut trajectory = Vec::new();
+        let mut trajectory = std::mem::take(&mut self.sat.trajectory);
         let fix = self.fixpoint_run(input, budget, faults, Some(&mut trajectory));
         if fix.report.stop == StopReason::TermTooLarge && fix.report.steps == 0 {
             // The input itself blew the size budget — nothing to saturate.
@@ -1086,7 +1092,8 @@ impl<'a> Engine<'a> {
             ref mut interner,
             ref mut lanes,
             ref mut progs,
-            ref mut ematch_visits,
+            ref mut sat_counters,
+            ref mut sat,
             ..
         } = *self;
         let ix = index
@@ -1098,7 +1105,7 @@ impl<'a> Engine<'a> {
             index: ix,
             active: masked.then_some(mask.as_slice()),
             progs,
-            ematch_visits,
+            counters: sat_counters,
         };
         let query = saturate_from_trajectory(
             &trajectory,
@@ -1108,7 +1115,10 @@ impl<'a> Engine<'a> {
             &mut report,
             &mut |pos| lanes.fire(pos),
             interner,
+            sat,
         );
+        sat.trajectory = trajectory;
+        sat.finish(self.config.arena_capacity);
         Rewritten {
             query,
             trace: fix.trace,
@@ -1176,7 +1186,12 @@ impl<'a> Engine<'a> {
             compactions: self.compactions,
             arena_len: self.interner.len(),
             arena_peak: self.interner.peak_len(),
-            ematch_visits: self.ematch_visits,
+            ematch_visits: self.sat_counters.ematch_visits,
+            match_cap_cuts: self.sat_counters.match_cap_cuts,
+            visit_cap_cuts: self.sat_counters.visit_cap_cuts,
+            split_cap_cuts: self.sat_counters.split_cap_cuts,
+            chain_depth_cuts: self.sat_counters.chain_depth_cuts,
+            walk_fuel_cuts: self.sat_counters.walk_fuel_cuts,
         }
     }
 }
@@ -1205,4 +1220,20 @@ pub struct EngineStats {
     /// Visits of saturation's e-matcher, its class and chain steps (0
     /// unless saturating).
     pub ematch_visits: u64,
+    /// Saturation's (class, rule) pairs whose e-match ran out of the
+    /// per-pair match fuel (24, spent by leaf and chain hits) with more to
+    /// visit.
+    pub match_cap_cuts: u64,
+    /// Saturation's (class, rule) pairs whose e-match stopped at the
+    /// per-pair visit cap (65,536) with more to visit.
+    pub visit_cap_cuts: u64,
+    /// Saturation's chain-split table entries cut at the per-entry split
+    /// cap (1,024).
+    pub split_cap_cuts: u64,
+    /// Saturation's (class, rule) pairs and chain-split table entries cut
+    /// at the chain depth cap (64).
+    pub chain_depth_cuts: u64,
+    /// Saturation's class walks of the rule index cut short by the walk's
+    /// node-visit fuel (4,096).
+    pub walk_fuel_cuts: u64,
 }

@@ -1,8 +1,10 @@
 //! A multiply-rotate hasher for maps keyed by the engine's own small
-//! integers: e-class ids, snoc cells, interned term ids. Such keys are
-//! dense and never come from request text, so a keyed hasher's flooding
-//! resistance buys nothing there and its rounds cost more than the lookup.
-//! Maps keyed by request payloads (the e-graph's memo) keep std's hasher.
+//! integers: e-class ids, snoc cells, interned term ids, and e-nodes, which
+//! hold only a tag, class ids and an index into their graph's payload
+//! table. Such keys are dense and never come from request text, so a keyed
+//! hasher's flooding resistance buys nothing there and its rounds cost
+//! more than the lookup. Maps keyed by request payloads (the e-graph's
+//! payload table) keep std's hasher; `scripts/ci.sh` guards both halves.
 
 use std::hash::{BuildHasherDefault, Hasher};
 

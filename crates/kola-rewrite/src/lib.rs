@@ -47,6 +47,8 @@ pub mod matching;
 pub mod monolithic;
 pub mod program;
 pub mod props;
+#[cfg(test)]
+mod rebuild_oracle;
 pub mod rule;
 pub mod saturate;
 pub mod strategy;
@@ -58,7 +60,7 @@ pub use budget::{
 };
 pub use catalog::Catalog;
 pub use dtree::{IndexStats, RuleIndex};
-pub use egraph::{ClassId, EClass, EGraph, ENode, ENodeKids};
+pub use egraph::{ClassId, EClass, EGraph, ENode, PayloadId, NO_PAYLOAD};
 pub use engine::{
     rewrite_fix, rewrite_fix_governed, rewrite_fix_with, rewrite_once_query, try_rewrite_fix_with,
     Oriented, Rewritten, Step, Trace,

@@ -76,7 +76,9 @@
 //! sixfold per level (KG1 at 3,072 steps over the full catalog listed 24 M
 //! for one entry at depth 10), and one pair's visits ran past 200 M. The
 //! caps sit well above what any pinned or benchmarked run reaches (at
-//! most 252 splits per entry and 14,272 visits per pair). All bounds
+//! most 252 splits per entry and 14,272 visits per pair). Each bound that
+//! stops a search with more to visit is counted in [`crate::EngineStats`]
+//! (`match_cap_cuts` and its siblings). All bounds
 //! trade completeness for predictable cost; soundness is never at stake
 //! because every union is justified by a rule instance, and the seed wave
 //! — not matcher completeness — is what guarantees the differential gate.
@@ -108,8 +110,23 @@
 //! ## Allocation
 //!
 //! A round can make millions of class visits on a cliff input, so the
-//! e-match itself reads tags and class ids and allocates nothing:
+//! e-match itself reads tags and class ids and allocates nothing, and a
+//! warm run allocates little beyond the interned nodes it adds:
 //!
+//! * **A workspace the engine keeps.** The e-graph, the seed's term-id
+//!   map, the round-start union-find, the peel table, the match buffers,
+//!   the class, candidate and match lists, the index's class-walk stacks
+//!   and the extractor's tables live in a [`Workspace`] that
+//!   [`crate::fast::Engine`] keeps between runs and clears rather than
+//!   drops; class storage past a run's graph is kept for the next. A run
+//!   whose graph grew past the engine's `arena_capacity` classes drops the
+//!   workspace when it ends, so one outsized request keeps no storage. A
+//!   warm fused typed selection makes a median of about 50 allocations,
+//!   against 331 with a fresh graph and buffers per run
+//!   (`tests/alloc_budget.rs`).
+//! * **Compact e-nodes.** An e-node is 20 bytes and `Copy`, and names its
+//!   payload by an index into the graph's payload table, so building a
+//!   leaf the graph already has, or a `∘` node, allocates nothing.
 //! * **Tag-ranged scans.** `rebuild` leaves a class's e-nodes sorted by
 //!   `(tag, payload, kids)`, and the round view reads those lists as
 //!   rebuild left them, so the nodes an op can meet — those of its tag —
@@ -133,9 +150,12 @@
 //! * **Reused cursors.** Chain cursors and match remainders are runs in two
 //!   more reused buffers, and the peel table keeps its maps between rounds.
 //!   Chain segment starts are computed once per compiled alternative.
+//! * **One memo per extraction table.** A class's extracted term is the
+//!   same whichever class asks for it, so the representatives of a round
+//!   are materialized into one table, each class once.
 
 use crate::budget::{Budget, RewriteReport, StopReason};
-use crate::dtree::RuleIndex;
+use crate::dtree::{ClassWalk, RuleIndex};
 use crate::egraph::{ClassId, EGraph, ENode, RoundStart, RoundView, TermIds};
 use crate::engine::Oriented;
 use crate::extract::{CostModel, Extractor};
@@ -163,9 +183,87 @@ pub(crate) struct SaturationParams<'r, 'a> {
     /// Each position's compiled program, shared with the fixpoint engine:
     /// built the first time either engine consults the position.
     pub progs: &'r mut [Option<Program>],
-    /// The engine's lifetime count of e-match visits (see
-    /// [`crate::EngineStats::ematch_visits`]), advanced in place.
-    pub ematch_visits: &'r mut u64,
+    /// The engine's lifetime saturation counters, advanced in place.
+    pub counters: &'r mut SatCounters,
+}
+
+/// Saturation's lifetime counters, kept by the engine (see
+/// [`crate::EngineStats`]). Each `*_cuts` counter counts the searches one
+/// bound stopped while they had more to visit: (class, rule) pairs for the
+/// e-match bounds, peel-table entries for the split table, class walks for
+/// the index walk.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct SatCounters {
+    /// E-match visits: `EMatch::class` and `EMatch::chain` calls.
+    pub ematch_visits: u64,
+    /// Pairs cut at [`MATCH_CAP`].
+    pub match_cap_cuts: u64,
+    /// Pairs cut at [`VISIT_CAP`].
+    pub visit_cap_cuts: u64,
+    /// Peel-table entries cut at [`SPLIT_CAP`].
+    pub split_cap_cuts: u64,
+    /// Pairs and peel-table entries cut at [`CHAIN_DEPTH`].
+    pub chain_depth_cuts: u64,
+    /// Class walks cut by the index walk's fuel.
+    pub walk_fuel_cuts: u64,
+}
+
+/// The saturation loop's storage: the e-graph and every buffer a run
+/// fills. The engine keeps one and a run clears it rather than dropping
+/// it, so a warm run allocates only past the high-water mark of the runs
+/// before it ([`Workspace::finish`] bounds what is kept).
+#[derive(Default)]
+pub(crate) struct Workspace {
+    eg: EGraph,
+    /// The seed wave's interned term ids → classes.
+    seen: TermIds,
+    /// The seed wave's trajectory, filled by the engine.
+    pub trajectory: Vec<ITerm>,
+    /// The union-find as the current round began: the round matches, and
+    /// extracts representatives, through this view of the graph.
+    start: RoundStart,
+    /// Representative (cheapest) term per raw class id of the round view;
+    /// `None` while a class has no finite-cost realization. Empty until a
+    /// round first applies a rule with preconditions.
+    reps: Vec<Option<ITerm>>,
+    /// The classes the current round began with, ascending.
+    classes: Vec<ClassId>,
+    /// The class being matched: its candidate rule positions, then its
+    /// scheduled matches.
+    cand: Vec<usize>,
+    matches: Vec<Match>,
+    /// The current round's chain splits and cursor folds.
+    peel: PeelTable,
+    bufs: MatchBufs,
+    /// The slots of the match being applied, with its cursors folded.
+    built: Vec<ClassId>,
+    /// The index's class walk.
+    walk: ClassWalk,
+    /// Best cost per class, for representatives and the final extraction.
+    ext: Extractor,
+    /// The final extraction's term per class.
+    terms: Vec<Option<ITerm>>,
+}
+
+impl Workspace {
+    /// End a run: drop the whole workspace when the run's graph had more
+    /// than `cap` classes (`0` = unbounded), so one outsized request does
+    /// not keep its storage, and otherwise every interned term it holds,
+    /// so none outlives an arena compaction.
+    pub(crate) fn finish(&mut self, cap: usize) {
+        if cap != 0 && self.eg.id_bound() > cap {
+            *self = Workspace::default();
+        } else {
+            self.drop_terms();
+        }
+    }
+
+    /// Drop every interned term the workspace holds.
+    pub(crate) fn drop_terms(&mut self) {
+        self.trajectory.clear();
+        self.reps.clear();
+        self.terms.clear();
+    }
 }
 
 /// Max e-match bindings enumerated per (class, rule) per round.
@@ -179,15 +277,19 @@ const VISIT_CAP: u32 = 1 << 16;
 /// already interned and right-normalized by the wave, and union it into one
 /// root class. Returns the root.
 pub fn seed_trajectory(eg: &mut EGraph, trajectory: &[ITerm]) -> ClassId {
+    seed_into(eg, &mut TermIds::default(), trajectory)
+}
+
+/// [`seed_trajectory`] with a term-id map of the caller's, empty or not.
+fn seed_into(eg: &mut EGraph, seen: &mut TermIds, trajectory: &[ITerm]) -> ClassId {
     let (input, steps) = trajectory
         .split_first()
         .expect("a trajectory starts at its input");
     // One term-id map for the whole trajectory: a node the terms share is
     // added once.
-    let mut seen = TermIds::default();
-    let root = eg.add_term_rec(input, &mut seen);
+    let root = eg.add_term_rec(input, seen);
     for t in steps {
-        let c = eg.add_term_rec(t, &mut seen);
+        let c = eg.add_term_rec(t, seen);
         eg.union(root, c);
     }
     eg.rebuild();
@@ -202,7 +304,8 @@ pub fn seed_trajectory(eg: &mut EGraph, trajectory: &[ITerm]) -> ClassId {
 /// in place; `budget.max_steps` bounds *total* steps (wave + saturation),
 /// mirroring how the fixpoint engine treats one budget per run. Each
 /// application that changes the graph is also handed to `on_fire` by rule
-/// position.
+/// position. The graph and buffers are `work`'s, cleared first.
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn saturate_from_trajectory(
     trajectory: &[ITerm],
     params: SaturationParams,
@@ -211,21 +314,15 @@ pub(crate) fn saturate_from_trajectory(
     report: &mut RewriteReport,
     on_fire: &mut dyn FnMut(usize),
     it: &mut Interner,
+    work: &mut Workspace,
 ) -> Query {
-    let mut eg = EGraph::new();
-    let root = seed_trajectory(&mut eg, trajectory);
+    work.eg.clear();
+    work.seen.clear();
+    let root = seed_into(&mut work.eg, &mut work.seen, trajectory);
     let mut sat = Sat {
-        eg,
         params,
         it,
-        start: RoundStart::default(),
-        reps: Vec::new(),
-        classes: Vec::new(),
-        cand: Vec::new(),
-        matches: Vec::new(),
-        peel: PeelTable::default(),
-        bufs: MatchBufs::default(),
-        built: Vec::new(),
+        w: work,
     };
     loop {
         if report.steps >= budget.max_steps {
@@ -236,21 +333,25 @@ pub(crate) fn saturate_from_trajectory(
             report.stop = StopReason::DeadlineExpired;
             break;
         }
-        let before = sat.eg.version();
+        let before = sat.w.eg.version();
         let stop = sat.round(report, budget, cost, on_fire);
-        sat.eg.rebuild();
+        sat.w.eg.rebuild();
         if let Some(stop) = stop {
             report.stop = stop;
             break;
         }
-        if sat.eg.version() == before {
+        if sat.w.eg.version() == before {
             report.stop = StopReason::NormalForm;
             break;
         }
     }
-
-    let Sat { eg, it, .. } = sat;
-    match Extractor::new(&eg, cost).term(&eg, root, it) {
+    let Sat { params, it, w } = sat;
+    let peel = &mut w.peel;
+    params.counters.split_cap_cuts += std::mem::take(&mut peel.split_cuts);
+    params.counters.chain_depth_cuts += std::mem::take(&mut peel.depth_cuts);
+    w.ext.relax(w.eg.view(), cost);
+    w.terms.clear();
+    match w.ext.term_in(w.eg.view(), root, it, &mut w.terms) {
         Some(t) => t.to_query().normalize(),
         // Unreachable in practice (the root always has the concrete input
         // as witness), but never panic on it.
@@ -303,27 +404,9 @@ const CHAIN_DEPTH: usize = 64;
 const SPLIT_CAP: usize = 1024;
 
 struct Sat<'s, 'r, 'a> {
-    eg: EGraph,
     params: SaturationParams<'r, 'a>,
     it: &'s mut Interner,
-    /// The union-find as the current round began: the round matches, and
-    /// extracts representatives, through this view of the graph.
-    start: RoundStart,
-    /// Representative (cheapest) term per raw class id of the round view;
-    /// `None` while a class has no finite-cost realization. Empty until a
-    /// round first applies a rule with preconditions.
-    reps: Vec<Option<ITerm>>,
-    /// The classes the current round began with, ascending.
-    classes: Vec<ClassId>,
-    /// The class being matched: its candidate rule positions, then its
-    /// scheduled matches.
-    cand: Vec<usize>,
-    matches: Vec<Match>,
-    /// The current round's chain splits and cursor folds.
-    peel: PeelTable,
-    bufs: MatchBufs,
-    /// The slots of the match being applied, with its cursors folded.
-    built: Vec<ClassId>,
+    w: &'s mut Workspace,
 }
 
 /// The match phase's working memory, cleared for every class and grown
@@ -350,19 +433,20 @@ impl Sat<'_, '_, '_> {
         if cursor_cell(c).is_some() {
             return None;
         }
-        self.reps
-            .get(self.eg.find(c) as usize)
+        self.w
+            .reps
+            .get(self.w.eg.find(c) as usize)
             .and_then(Option::as_ref)
     }
 
     /// Extract the representative of every class of the round view.
     fn refresh_reps(&mut self, cost: &dyn CostModel) {
-        let view = self.start.view(&self.eg);
-        let ext = Extractor::over(view, cost);
-        self.reps.clear();
-        self.reps.resize(view.id_bound(), None);
+        let w = &mut *self.w;
+        let view = w.start.view(&w.eg);
+        w.ext.relax(view, cost);
+        w.reps.clear();
         for c in view.class_ids() {
-            self.reps[c as usize] = ext.term_in(view, c, self.it);
+            w.ext.term_in(view, c, self.it, &mut w.reps);
         }
     }
 
@@ -378,32 +462,34 @@ impl Sat<'_, '_, '_> {
         cost: &dyn CostModel,
         on_fire: &mut dyn FnMut(usize),
     ) -> Option<StopReason> {
-        self.eg.begin_round(&mut self.start);
-        let view = self.start.view(&self.eg);
-        self.peel.reset(view.id_bound());
-        self.reps.clear();
-        self.classes.clear();
-        self.classes.extend(view.class_ids());
-        for i in 0..self.classes.len() {
-            if !self.match_class(self.classes[i], report, budget) {
+        let w = &mut *self.w;
+        w.eg.begin_round(&mut w.start);
+        let view = w.start.view(&w.eg);
+        w.peel.reset(view.id_bound());
+        w.reps.clear();
+        w.classes.clear();
+        w.classes.extend(view.class_ids());
+        for i in 0..self.w.classes.len() {
+            if !self.match_class(self.w.classes[i], report, budget) {
                 return Some(StopReason::DeadlineExpired);
             }
             let rules = self.params.rules;
-            if self.reps.is_empty()
+            if self.w.reps.is_empty()
                 && self
+                    .w
                     .matches
                     .iter()
                     .any(|m| !rules[m.pos].rule.preconditions.is_empty())
             {
                 self.refresh_reps(cost);
             }
-            for k in 0..self.matches.len() {
+            for k in 0..self.w.matches.len() {
                 if budget.expired() {
                     return Some(StopReason::DeadlineExpired);
                 }
-                let m = self.matches[k].clone();
-                let v = self.eg.version();
-                if self.apply(&m) && self.eg.version() != v {
+                let m = self.w.matches[k].clone();
+                let v = self.w.eg.version();
+                if self.apply(&m) && self.w.eg.version() != v {
                     report.steps += 1;
                     report.record_fire(&rules[m.pos].rule.id);
                     on_fire(m.pos);
@@ -422,10 +508,12 @@ impl Sat<'_, '_, '_> {
     /// the last; false when it expired, and the class's matches are
     /// dropped.
     fn match_class(&mut self, c: ClassId, report: &RewriteReport, budget: &Budget) -> bool {
-        self.matches.clear();
-        self.bufs.rows.clear();
-        self.bufs.rests.clear();
-        let view = self.start.view(&self.eg);
+        let w = &mut *self.w;
+        let counters = &mut *self.params.counters;
+        w.matches.clear();
+        w.bufs.rows.clear();
+        w.bufs.rests.clear();
+        let view = w.start.view(&w.eg);
         let (rules, index) = (self.params.rules, self.params.index);
         // Walk the discrimination tree against the class itself: every
         // `Sym` edge branches over every same-tagged e-node, so no member's
@@ -433,15 +521,14 @@ impl Sat<'_, '_, '_> {
         let Some(level) = view.nodes(c).first().map(|n| Level::of(n.tag)) else {
             return true;
         };
-        match level {
-            Level::F => index.func_candidates_class(view, c, &mut self.cand),
-            Level::P => index.pred_candidates_class(view, c, &mut self.cand),
-            Level::Q => index.query_candidates_class(view, c, &mut self.cand),
-        }
-        let mut visits = 0u64;
-        for &pos in &self.cand {
+        let whole = match level {
+            Level::F => index.func_candidates_class(view, c, &mut w.cand, &mut w.walk),
+            Level::P => index.pred_candidates_class(view, c, &mut w.cand, &mut w.walk),
+            Level::Q => index.query_candidates_class(view, c, &mut w.cand, &mut w.walk),
+        };
+        counters.walk_fuel_cuts += u64::from(!whole);
+        for &pos in &w.cand {
             if budget.expired() {
-                *self.params.ematch_visits += visits;
                 return false;
             }
             if self.params.active.is_some_and(|m| !m[pos]) {
@@ -453,19 +540,22 @@ impl Sat<'_, '_, '_> {
             }
             let prog =
                 self.params.progs[pos].get_or_insert_with(|| Program::compile(o.rule, o.dir));
-            visits += ematch_rule(
+            let (visits, cuts) = ematch_rule(
                 view,
-                &mut self.peel,
-                &mut self.bufs,
+                &mut w.peel,
+                &mut w.bufs,
                 budget,
                 prog,
                 level,
                 c,
                 pos,
-                &mut self.matches,
+                &mut w.matches,
             );
+            counters.ematch_visits += visits;
+            counters.match_cap_cuts += u64::from(cuts.matches);
+            counters.visit_cap_cuts += u64::from(cuts.visits);
+            counters.chain_depth_cuts += u64::from(cuts.depth);
         }
-        *self.params.ematch_visits += visits;
         !budget.expired()
     }
 
@@ -478,7 +568,7 @@ impl Sat<'_, '_, '_> {
         let o = &self.params.rules[m.pos];
         let prog = self.params.progs[m.pos].as_ref();
         let alt = &prog.expect("a matched rule's program is compiled").alts[m.alt];
-        let slots = &self.bufs.rows[m.slots..m.slots + alt.names.len()];
+        let slots = &self.w.bufs.rows[m.slots..m.slots + alt.names.len()];
         if !o.rule.preconditions.is_empty() {
             // Each precondition is judged on its bound function class's
             // representative; properties are semantic, so any member's
@@ -493,29 +583,31 @@ impl Sat<'_, '_, '_> {
                 return false;
             }
         }
+        let w = &mut *self.w;
         // Only a match that fires makes the classes of its cursors.
-        self.built.clear();
-        self.built.extend_from_slice(slots);
+        w.built.clear();
+        w.built
+            .extend_from_slice(&w.bufs.rows[m.slots..m.slots + alt.names.len()]);
         for i in alt.build_slots() {
-            if let Some(cell) = cursor_cell(self.built[i]) {
-                let run = &mut self.bufs.rests;
+            if let Some(cell) = cursor_cell(w.built[i]) {
+                let run = &mut w.bufs.rests;
                 let at = run.len();
-                self.peel.push_tail(cell, run);
-                self.built[i] = fold_cursor(&mut self.eg, &run[at..]);
+                w.peel.push_tail(cell, run);
+                w.built[i] = fold_cursor(&mut w.eg, &run[at..]);
                 run.truncate(at);
             }
         }
-        let built = &self.built;
-        let Ok(body) = alt.run_build(|i| built[i], &mut self.eg) else {
+        let built = &w.built;
+        let Ok(body) = alt.run_build(|i| built[i], &mut w.eg) else {
             return false;
         };
         let result = if m.remainder.is_empty() {
             body
         } else {
-            let tail = fold_cursor(&mut self.eg, &self.bufs.rests[m.remainder.clone()]);
-            self.eg.compose(body, tail)
+            let tail = fold_cursor(&mut w.eg, &w.bufs.rests[m.remainder.clone()]);
+            w.eg.compose(body, tail)
         };
-        self.eg.union(m.class, result);
+        w.eg.union(m.class, result);
         true
     }
 }
@@ -526,11 +618,8 @@ impl Sink for EGraph {
     type Node = ClassId;
 
     fn mk(&mut self, tag: Tag, payload: PayloadRef<'_>, kids: &[ClassId]) -> ClassId {
-        self.add(ENode {
-            tag,
-            payload: payload.to_owned(),
-            kids: kids.into(),
-        })
+        let payload = self.payload_id(payload);
+        self.add(ENode::new(tag, payload, kids))
     }
 
     fn compose(&mut self, a: ClassId, b: ClassId) -> ClassId {
@@ -538,10 +627,21 @@ impl Sink for EGraph {
     }
 }
 
+/// Which bounds cut one (class, rule) pair's e-match short.
+#[derive(Clone, Copy, Default)]
+struct PairCuts {
+    /// [`MATCH_CAP`].
+    matches: bool,
+    /// [`VISIT_CAP`].
+    visits: bool,
+    /// [`CHAIN_DEPTH`].
+    depth: bool,
+}
+
 /// E-match the alternatives of `prog` at class `c` in rule order, those of
 /// the class's level, and schedule every hit. Each alternative runs with
 /// the rest of [`MATCH_CAP`] as its fuel; none starts once the cap is
-/// reached. Returns its class visits.
+/// reached. Returns its class visits and the bounds that cut it short.
 #[allow(clippy::too_many_arguments)]
 fn ematch_rule(
     view: RoundView<'_>,
@@ -553,15 +653,20 @@ fn ematch_rule(
     c: ClassId,
     pos: usize,
     out: &mut Vec<Match>,
-) -> u64 {
+) -> (u64, PairCuts) {
     let mut found = 0usize;
     let mut visits = 0u32;
+    let mut cuts = PairCuts::default();
+    // Whether the fuel, spent by hits or by the visit cap, left a search
+    // or an alternative of the level unmatched.
+    let mut starved = false;
     for (ai, alt) in prog.alts.iter().enumerate() {
-        if found >= MATCH_CAP || visits >= VISIT_CAP {
-            break;
-        }
         if alt.level != level {
             continue;
+        }
+        if found >= MATCH_CAP || visits >= VISIT_CAP {
+            starved = true;
+            break;
         }
         // The hits land after an all-unbound row, which is dropped after.
         let width = alt.names.len().max(1);
@@ -576,6 +681,9 @@ fn ematch_rule(
             width,
             fuel: MATCH_CAP - found,
             visits,
+            starved: false,
+            expired: false,
+            too_deep: false,
         };
         if alt.chain {
             m.bufs.cursors.push(c);
@@ -585,6 +693,8 @@ fn ematch_rule(
             m.class(0, c, unbound, CHAIN_DEPTH);
         }
         visits = m.visits;
+        starved |= m.starved && !m.expired;
+        cuts.depth |= m.too_deep;
         bufs.rows.drain(unbound..unbound + width);
         let hits = (bufs.rows.len() - unbound) / width;
         debug_assert!(!alt.chain || bufs.hit_rests.len() == hits);
@@ -598,7 +708,9 @@ fn ematch_rule(
         }));
         bufs.hit_rests.clear();
     }
-    u64::from(visits)
+    cuts.visits = starved && visits >= VISIT_CAP;
+    cuts.matches = starved && visits < VISIT_CAP;
+    (u64::from(visits), cuts)
 }
 
 /// One alternative's match list run over e-classes. Where the fixpoint
@@ -626,6 +738,12 @@ struct EMatch<'g, 'p> {
     width: usize,
     fuel: usize,
     visits: u32,
+    /// A search was abandoned for want of fuel.
+    starved: bool,
+    /// The deadline expired, and spent the fuel.
+    expired: bool,
+    /// A search was abandoned at [`CHAIN_DEPTH`].
+    too_deep: bool,
 }
 
 /// Visits between two deadline reads inside one e-match. One (class,
@@ -641,7 +759,7 @@ impl<'p> EMatch<'_, 'p> {
     /// over the class's e-nodes of the op's tag.
     fn class(&mut self, pc: usize, c: ClassId, b: usize, depth: usize) {
         self.visit();
-        if self.fuel == 0 || depth == 0 {
+        if self.out_of_fuel() || self.out_of_depth(depth) {
             return;
         }
         let c = self.view.find(c);
@@ -670,7 +788,7 @@ impl<'p> EMatch<'_, 'p> {
         // are a run of it.
         let nodes = tag_run(self.view.nodes(c), tag);
         for k in nodes {
-            if self.fuel == 0 {
+            if self.out_of_fuel() {
                 return;
             }
             self.node(pc, c, k, b, depth);
@@ -680,19 +798,19 @@ impl<'p> EMatch<'_, 'p> {
     /// Match the op at `ops[pc]` against the `k`-th e-node of class `c`,
     /// which has the op's tag.
     fn node(&mut self, pc: usize, c: ClassId, k: usize, b: usize, depth: usize) {
-        let n = &self.view.nodes(c)[k];
+        let n = self.view.nodes(c)[k];
+        let payload = self.view.payload(n.payload);
         let hit = match &self.alt.matcher[pc] {
             MatchOp::Node(_, arity) => {
                 if *arity > 0 {
-                    let kids = n.kids;
-                    debug_assert_eq!(kids.len(), *arity);
-                    return self.kids(pc + 1, &kids, b, depth - 1);
+                    debug_assert_eq!(n.kids().len(), *arity);
+                    return self.kids(pc + 1, n.kids(), b, depth - 1);
                 }
                 true
             }
-            MatchOp::Sym(_, s) => matches!(&n.payload, Payload::Sym(x) if x == s),
-            MatchOp::Bool(v) => matches!(n.payload, Payload::Bool(x) if x == *v),
-            MatchOp::Lit(v) => matches!(&n.payload, Payload::Value(w) if w.as_ref() == v),
+            MatchOp::Sym(_, s) => matches!(payload, Payload::Sym(x) if x == s),
+            MatchOp::Bool(v) => matches!(payload, Payload::Bool(x) if x == v),
+            MatchOp::Lit(v) => matches!(payload, Payload::Value(w) if w.as_ref() == v),
             op => unreachable!("{op:?} never meets an e-node"),
         };
         if hit {
@@ -744,7 +862,7 @@ impl<'p> EMatch<'_, 'p> {
         keep_rest: bool,
     ) {
         self.visit();
-        if self.fuel == 0 || depth == 0 || cursor.is_empty() {
+        if self.out_of_fuel() || self.out_of_depth(depth) || cursor.is_empty() {
             return;
         }
         let ops = &self.alt.matcher;
@@ -759,7 +877,7 @@ impl<'p> EMatch<'_, 'p> {
             // hits of a split that matches continue on the cursor its
             // rest makes.
             for i in self.peel.splits_of(self.view, head, depth) {
-                if self.fuel == 0 {
+                if self.out_of_fuel() {
                     return;
                 }
                 let (seg, tail) = self.peel.splits[i];
@@ -796,7 +914,7 @@ impl<'p> EMatch<'_, 'p> {
             return;
         }
         for i in self.peel.splits_of(self.view, head, depth) {
-            if self.fuel == 0 {
+            if self.out_of_fuel() {
                 return;
             }
             let (seg, tail) = self.peel.splits[i];
@@ -825,11 +943,25 @@ impl<'p> EMatch<'_, 'p> {
     /// enumeration unwinds at once.
     fn visit(&mut self) {
         self.visits += 1;
-        if self.visits >= VISIT_CAP
-            || (self.visits.is_multiple_of(DEADLINE_EVERY) && self.budget.expired())
-        {
+        if self.visits >= VISIT_CAP {
             self.fuel = 0;
+        } else if self.visits.is_multiple_of(DEADLINE_EVERY) && self.budget.expired() {
+            self.fuel = 0;
+            self.expired = true;
         }
+    }
+
+    /// Whether the fuel is spent; called where a search has more to visit,
+    /// so a true answer abandons it.
+    fn out_of_fuel(&mut self) -> bool {
+        self.starved |= self.fuel == 0;
+        self.fuel == 0
+    }
+
+    /// Whether `depth` is spent, as [`EMatch::out_of_fuel`] is for fuel.
+    fn out_of_depth(&mut self, depth: usize) -> bool {
+        self.too_deep |= depth == 0;
+        depth == 0
     }
 
     /// Push a copy of row `b` with the variable's slot holding `c`, a
@@ -860,7 +992,10 @@ impl<'p> EMatch<'_, 'p> {
 /// The indices of `nodes`' e-nodes tagged `tag`: a run, because `rebuild`
 /// leaves a class's nodes sorted by tag first.
 fn tag_run(nodes: &[ENode], tag: Tag) -> Range<usize> {
-    debug_assert!(nodes.is_sorted(), "a class's e-nodes are sorted");
+    debug_assert!(
+        nodes.is_sorted_by_key(|n| n.tag),
+        "a class's e-nodes are sorted"
+    );
     let lo = nodes.partition_point(|n| n.tag < tag);
     lo..lo + nodes[lo..].partition_point(|n| n.tag == tag)
 }
@@ -917,6 +1052,10 @@ struct PeelTable {
     cell_ids: HashMap<(Cell, ClassId), Cell, FxBuild>,
     /// The splits of the entry being filled.
     seen: HashSet<(ClassId, Cell), FxBuild>,
+    /// Entries cut at [`SPLIT_CAP`] and at [`CHAIN_DEPTH`], since the
+    /// counts were last taken; kept across rounds.
+    split_cuts: u64,
+    depth_cuts: u64,
 }
 
 impl PeelTable {
@@ -947,13 +1086,17 @@ impl PeelTable {
         let nodes = eg.nodes(c);
         let composes = &nodes[tag_run(nodes, Tag::FCompose)];
         // Fill the heads' entries first, so this one is written in one
-        // piece at the end of `splits`.
+        // piece at the end of `splits`. At depth 1 a head has none: the
+        // peel stops there.
+        let mut too_deep = false;
         for n in composes {
-            let head = eg.find(n.kids[0]);
+            let head = eg.find(n.kids()[0]);
             if head != c {
+                too_deep |= depth == 1;
                 self.splits_of(eg, head, depth - 1);
             }
         }
+        self.depth_cuts += u64::from(too_deep);
         let start = self.splits.len();
         self.seen.clear();
         if composes.len() < nodes.len() {
@@ -961,13 +1104,14 @@ impl PeelTable {
             self.splits.push((c, EMPTY));
         }
         'fill: for n in composes {
-            let head = eg.find(n.kids[0]);
+            let head = eg.find(n.kids()[0]);
             if head == c {
                 continue;
             }
-            let tail = eg.find(n.kids[1]);
+            let tail = eg.find(n.kids()[1]);
             for i in self.splits_of(eg, head, depth - 1) {
                 if self.splits.len() - start == SPLIT_CAP {
+                    self.split_cuts += 1;
                     break 'fill;
                 }
                 let (seg, prev) = self.splits[i];

@@ -116,10 +116,10 @@ RO_VIOLATIONS=$(awk '
     fname = f
   }
   (item ~ /EMatch|PeelTable/ || fname ~ /^(ematch_rule|match_class)$/) &&
-    /mut EGraph|&mut (\*)?(self\.)?eg([^A-Za-z0-9_]|$)/ {
+    /mut EGraph|&mut (\*)?([a-z_]+\.)*eg([^A-Za-z0-9_]|$)/ {
     print FILENAME ":" FNR ": the matcher holds the graph mutably: " $0
   }
-  /_candidates_class\(/ && /&mut (\*)?(self\.)?eg([^A-Za-z0-9_]|$)/ {
+  /_candidates_class\(/ && /&mut (\*)?([a-z_]+\.)*eg([^A-Za-z0-9_]|$)/ {
     print FILENAME ":" FNR ": the candidate walk gets the graph mutably: " $0
   }
   /fold_cursor\(/ && !/fn fold_cursor\(/ && fname != "apply" {
@@ -132,18 +132,39 @@ if [ -n "$RO_VIOLATIONS" ]; then
   exit 1
 fi
 
-# The e-graph's memo is keyed by e-nodes whose payloads (symbols and
-# literals) come from request text, so it keeps std's keyed hasher against
-# hash flooding. The crate's Fx hasher is only for maps keyed by the
-# engine's own class ids, cells and term ids.
-echo "== e-graph memo hasher guard"
+# Payloads (symbols and literals) come from request text, so the one map
+# keyed by them, the e-graph's payload table, keeps std's keyed hasher
+# against hash flooding. E-nodes name a payload by its index in that table
+# and hold nothing else from the request, which is what lets the memo,
+# keyed by e-nodes, use the crate's Fx hasher for engine integers.
+echo "== e-graph payload hasher guard"
 EGRAPH_SRC=crates/kola-rewrite/src/egraph.rs
-MEMO_DECL=$(grep -E '^[[:space:]]*memo:' "$EGRAPH_SRC" || true)
-if [ "$(sed -E 's/^[[:space:]]+//' <<<"$MEMO_DECL")" != 'memo: HashMap<ENode, ClassId>,' ] ||
+# The lines of `struct $1 { ... }` in the e-graph source, comments dropped.
+struct_body() {
+  awk -v name="$1" '
+    $0 ~ "^(pub(\\([a-z]+\\))? )?struct " name " \\{" { inside = 1; next }
+    inside && /^}/ { exit }
+    inside && !/^[[:space:]]*\/\// { print }
+  ' "$EGRAPH_SRC"
+}
+# Besides the id-ordered payload list, every field of the table is a std
+# HashMap from a payload to its id, with no hasher parameter.
+PAYLOAD_FIELDS=$(struct_body Payloads)
+STD_MAP='^[[:space:]]*[a-z_]+: HashMap<[A-Za-z]+(<[A-Za-z]+>)?, PayloadId>,$'
+BAD_MAPS=$(grep -Ev "$STD_MAP"'|^[[:space:]]*values: Vec<Payload>,$' <<<"$PAYLOAD_FIELDS" || true)
+if ! grep -Eq "$STD_MAP" <<<"$PAYLOAD_FIELDS" || [ -n "$BAD_MAPS" ] ||
   ! grep -Eq '^use std::collections::HashMap;$' "$EGRAPH_SRC" ||
   grep -Eq 'as HashMap\b' "$EGRAPH_SRC"; then
-  echo "$EGRAPH_SRC: EGraph's memo is not a std HashMap with its default hasher:" >&2
-  echo "$MEMO_DECL" >&2
+  echo "$EGRAPH_SRC: the payload table's maps are not std HashMaps with the default hasher:" >&2
+  echo "${BAD_MAPS:-(no payload map found)}" >&2
+  exit 1
+fi
+ENODE_FIELDS=$(struct_body ENode)
+BAD_FIELDS=$(grep -Ev '^[[:space:]]*(pub )?[a-z_]+: (Tag|u8|PayloadId|\[ClassId; 3\]),$' \
+  <<<"$ENODE_FIELDS" || true)
+if [ -z "$ENODE_FIELDS" ] || [ -n "$BAD_FIELDS" ]; then
+  echo "$EGRAPH_SRC: ENode holds more than a tag, engine integers and a payload index:" >&2
+  echo "${BAD_FIELDS:-(no ENode struct found)}" >&2
   exit 1
 fi
 

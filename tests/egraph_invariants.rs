@@ -9,7 +9,8 @@ use kola::term::{Func, Pred, Query};
 use kola_exec::rng::Rng;
 use kola_rewrite::saturate::term_cost;
 use kola_rewrite::{
-    Budget, Catalog, EGraph, Engine, EngineConfig, Oriented, PropDb, StopReason, TermSize,
+    Budget, Catalog, EGraph, Engine, EngineConfig, EngineStats, Oriented, PropDb, StopReason,
+    TermSize,
 };
 use std::sync::Arc;
 
@@ -228,11 +229,16 @@ fn within<T: Send + 'static>(
 }
 
 /// KG1 over the full forward catalog saturating to `steps` steps, with
-/// `deadline` if any: its report, plan, `ematch_visits` and wall time.
+/// `deadline` if any: its report, plan, engine counters and wall time.
 fn saturate_kg1(
     steps: usize,
     deadline: Option<std::time::Duration>,
-) -> (kola_rewrite::RewriteReport, Query, u64, std::time::Duration) {
+) -> (
+    kola_rewrite::RewriteReport,
+    Query,
+    EngineStats,
+    std::time::Duration,
+) {
     use kola_rewrite::hidden_join::garage_query_kg1;
     let catalog = Catalog::paper();
     let props = PropDb::new();
@@ -245,7 +251,7 @@ fn saturate_kg1(
     let started = std::time::Instant::now();
     let out = eng.normalize(&garage_query_kg1(), &budget);
     let wall = started.elapsed();
-    (out.report, out.query, eng.stats().ematch_visits, wall)
+    (out.report, out.query, eng.stats(), wall)
 }
 
 /// The deadline is read inside the match phase. At 3,072 steps over the
@@ -300,15 +306,32 @@ fn deadline_expiry_inside_a_match_round_stops_the_run() {
 /// table or on one (class, rule) pair's visits, that round did not end in
 /// minutes and its memory kept growing. It now makes about 14.7 M visits,
 /// under half a second in a release build.
+///
+/// The run reaches every bound of the matcher, and the engine counts each
+/// search a bound cut short: (class, rule) pairs at the match and visit
+/// caps, chain-split table entries at the split and depth caps, and class
+/// walks of the rule index at its fuel.
 #[test]
 fn a_saturating_run_without_a_deadline_ends() {
     use std::time::Duration;
-    let (report, _, visits, wall) = within(
+    let (report, _, stats, wall) = within(
         Duration::from_secs(120),
         "KG1 at 3,072 steps with no deadline",
         || saturate_kg1(3_072, None),
     );
+    let visits = stats.ematch_visits;
     eprintln!("KG1 at 3,072 steps: {visits} e-match visits, {wall:?}");
+    eprintln!("matcher cuts: {stats:?}");
+    let cuts = [
+        ("match cap", stats.match_cap_cuts),
+        ("visit cap", stats.visit_cap_cuts),
+        ("split cap", stats.split_cap_cuts),
+        ("chain depth", stats.chain_depth_cuts),
+        ("index walk fuel", stats.walk_fuel_cuts),
+    ];
+    for (bound, cut) in cuts {
+        assert!(cut > 0, "no search was counted as cut at the {bound}");
+    }
     assert_eq!(report.stop, StopReason::BudgetExhausted, "{report}");
     assert!(
         visits <= 30_000_000,
